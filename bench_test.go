@@ -7,7 +7,6 @@
 package restore_test
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -333,7 +332,7 @@ func BenchmarkConcurrentProbe(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			n := 0
-			repo.Probe(probe, func(e *core.Entry) bool { n++; return true })
+			repo.Probe(probe, func(e *core.Entry) bool { n++; return true }, nil)
 			_ = n
 		}
 	})
@@ -433,11 +432,10 @@ func BenchmarkWarmRepeat(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitHash compares the lease-name hash on the submit path —
-// the two-seed rapidhash-style tuple.Hash64 — against the sha256 digest
-// it replaced, over a realistic fingerprint string. Every submission
-// names one claim lease per job, so this cost is paid on the critical
-// path of warm repeats.
+// BenchmarkSubmitHash times the lease-name hash on the submit path —
+// the two-seed rapidhash-style tuple.Hash64 — over a realistic
+// fingerprint string. Every submission names one claim lease per job,
+// so this cost is paid on the critical path of warm repeats.
 func BenchmarkSubmitHash(b *testing.B) {
 	fp := "J1|load(page_views)>filter(a>100)>group(b)>foreach(group,COUNT)|R3|store(tmp/q1/out)"
 	b.Run("hash64", func(b *testing.B) {
@@ -445,12 +443,6 @@ func BenchmarkSubmitHash(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = tuple.Hash64(fp, 0)
 			_ = tuple.Hash64(fp, 1)
-		}
-	})
-	b.Run("sha256", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sha256.Sum256([]byte(fp))
 		}
 	})
 }

@@ -24,9 +24,8 @@
 // policy picks victims), and -janitor starts the background storage
 // sweeper at the given interval. -ns-root confines ReStore's managed
 // namespaces to a directory of their own so user datasets under tmp/
-// or restore/ are never reclaimed; -linear-match falls back to the
-// paper's sequential repository scan (the matcher's per-run statistics
-// print either way).
+// or restore/ are never reclaimed. The matcher's per-run statistics
+// print after the runs.
 //
 // -durable journals every repository mutation to a manifest + event
 // log on the DFS (-durable-path, -compact-every, -lease-ttl tune it)
@@ -61,46 +60,26 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/dfs"
+	"repro/internal/engineflags"
 	"repro/internal/pigmix"
 	"repro/internal/service"
 )
 
 func main() {
+	// The engine flags (-scale, -reuse, -heuristic, -backend, -durable,
+	// …) are declared once for this command and restore-server.
+	ef := engineflags.Register(flag.CommandLine, "15GB", false, "off")
 	var (
 		queryFlag    = flag.String("query", "", "PigMix query name (L2..L8, L11, variants)")
 		scriptFlag   = flag.String("script", "", "path to a Pig Latin script file")
-		scaleFlag    = flag.String("scale", "15GB", "PigMix instance: tiny, 15GB or 150GB")
 		repeatFlag   = flag.Int("repeat", 1, "number of times to run the query")
-		reuseFlag    = flag.Bool("reuse", false, "enable plan matching and rewriting")
-		heurFlag     = flag.String("heuristic", "off", "sub-job heuristic: off, conservative, aggressive, no-heuristic")
-		wholeFlag    = flag.Bool("whole-jobs", true, "store whole job outputs in the repository")
 		listFlag     = flag.Bool("list", false, "list available PigMix queries and exit")
 		printFlag    = flag.Bool("print", false, "print up to 20 output rows")
-		workerFlag   = flag.Int("workers", 0, "concurrent jobs per workflow DAG (0 = NumCPU, 1 = serial)")
-		maxJobsFlag  = flag.Int("max-cluster-jobs", 0, "global cap on jobs running across all queries (0 = unlimited)")
 		timeoutFlag  = flag.Duration("timeout", 0, "per-run deadline; a run exceeding it is cancelled (0 = none)")
 		tagFlag      = flag.String("tag", "", "label attached to each submitted query")
-		budgetFlag   = flag.Int64("max-repo-mb", 0, "repository storage budget in MB (0 = unbounded)")
-		batchMBFlag  = flag.Int64("batch-cache-mb", 0, "decoded-dataset batch cache budget in MB (0 = default 256, negative = off)")
-		noBatchCache = flag.Bool("no-batch-cache", false, "bypass the batch cache for these runs (differential escape hatch)")
-		evictFlag    = flag.String("evict", "cost-benefit", "eviction policy under the budget: reuse-window, lru, cost-benefit")
-		windowFlag   = flag.Duration("evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)")
-		janitorFlag  = flag.Duration("janitor", 0, "background storage-janitor sweep interval (0 = off)")
-		nsRootFlag   = flag.String("ns-root", "", "root of ReStore's managed namespaces (default: top-level tmp/ and restore/)")
-		linearFlag   = flag.Bool("linear-match", false, "match by sequential repository scan instead of the signature index")
-		durableFlag  = flag.Bool("durable", false, "journal the repository to a manifest + event log on the DFS (crash-safe, multi-process)")
-		durPathFlag  = flag.String("durable-path", "", "DFS directory of the manifest and event log (default <ns-root>/repo)")
-		compactFlag  = flag.Int("compact-every", 0, "records between automatic log compactions (0 = default 64, negative = never)")
-		leaseTTLFlag = flag.Duration("lease-ttl", 0, "cross-process claim lease TTL (0 = default 1m)")
-		negCacheFlag = flag.Int("neg-cache", 0, "cross-query negative-containment cache entries (0 = default 4096, negative = off)")
 		recoverFlag  = flag.Bool("recover-check", false, "after the runs, recover a fresh System from the durable log and verify it reuses identically")
-		backendFlag  = flag.String("backend", "memory", "DFS backend: memory (volatile) or disk (persistent, needs -data-dir)")
-		dataDirFlag  = flag.String("data-dir", "", "directory of the disk backend's datasets and record log")
 		statsJSON    = flag.Bool("stats-json", false, "print the final stats as one JSON document (the /metrics schema) instead of text")
 		appendFlag   = flag.Int("append-net-days", 0, "append this many daily partitions to the backend's net-traffic flow log and exit (no query runs)")
 		traceFlag    = flag.Bool("trace", false, "print each run's span trace as JSON")
@@ -114,20 +93,13 @@ func main() {
 		return
 	}
 
-	heur, err := core.ParseHeuristic(*heurFlag)
+	eng, err := ef.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	var scale pigmix.Scale
-	switch *scaleFlag {
-	case "tiny", "Tiny":
-		scale = pigmix.TinyScale
-	case "15GB", "15gb":
-		scale = pigmix.Scale15GB
-	case "150GB", "150gb":
-		scale = pigmix.Scale150GB
-	default:
-		fail(fmt.Errorf("unknown scale %q (want tiny, 15GB or 150GB)", *scaleFlag))
+	cfg, scale := eng.Config, eng.Scale
+	if *recoverFlag && !ef.Durable {
+		fail(fmt.Errorf("-recover-check needs -durable"))
 	}
 
 	var script, output string
@@ -150,48 +122,11 @@ func main() {
 		fail(fmt.Errorf("pass -query or -script (or -list)"))
 	}
 
-	cfg := restore.DefaultConfig()
-	cfg.MaxClusterJobs = *maxJobsFlag
-	cfg.MaxRepositoryBytes = *budgetFlag << 20
-	if *batchMBFlag < 0 {
-		cfg.MaxCachedBatchBytes = -1
-	} else {
-		cfg.MaxCachedBatchBytes = *batchMBFlag << 20
+	fs, closeFS, err := ef.OpenBackend()
+	if err != nil {
+		fail(err)
 	}
-	if policy, ok := core.ParseEvictionPolicy(*evictFlag, *windowFlag); ok {
-		cfg.Eviction = policy
-	} else {
-		fail(fmt.Errorf("unknown eviction policy %q (want reuse-window, lru or cost-benefit)", *evictFlag))
-	}
-	cfg.JanitorInterval = *janitorFlag
-	cfg.NamespaceRoot = *nsRootFlag
-	cfg.NegCacheEntries = *negCacheFlag
-	cfg.Durability = restore.DurabilityConfig{
-		Enabled:      *durableFlag,
-		Path:         *durPathFlag,
-		CompactEvery: *compactFlag,
-		LeaseTTL:     *leaseTTLFlag,
-	}
-	if *recoverFlag && !*durableFlag {
-		fail(fmt.Errorf("-recover-check needs -durable"))
-	}
-	var fs dfs.Backend
-	switch *backendFlag {
-	case "memory":
-		fs = dfs.New()
-	case "disk":
-		if *dataDirFlag == "" {
-			fail(fmt.Errorf("-backend=disk needs -data-dir"))
-		}
-		disk, err := dfs.OpenDisk(*dataDirFlag)
-		if err != nil {
-			fail(err)
-		}
-		defer disk.Close()
-		fs = disk
-	default:
-		fail(fmt.Errorf("unknown backend %q (want memory or disk)", *backendFlag))
-	}
+	defer closeFS()
 	if *appendFlag > 0 {
 		// Maintenance mode: append daily partitions to an existing flow
 		// log and exit, without building a System. Run against a disk
@@ -223,7 +158,7 @@ func main() {
 	// would bump the input datasets' versions and invalidate every
 	// repository entry derived from them.
 	if fs.Size(pigmix.PathPageViews) > 0 {
-		fmt.Printf("reusing PigMix instance found on the %s backend\n", *backendFlag)
+		fmt.Printf("reusing PigMix instance found on the %s backend\n", ef.Backend)
 	} else {
 		fmt.Printf("generating PigMix %s instance…\n", scale.Name)
 		if _, err := pigmix.Generate(fs, scale, 1); err != nil {
@@ -235,16 +170,10 @@ func main() {
 	// Reuse policy and worker bound are per-query options on each
 	// submission, not global state: concurrent clients of one System
 	// could each pass their own.
+	eng.Options.TraceTasks = *taskSpanFlag
 	execOpts := []restore.ExecOption{
-		restore.WithOptions(restore.Options{
-			Reuse:             *reuseFlag,
-			Heuristic:         heur,
-			KeepWholeJobs:     *wholeFlag,
-			LinearMatch:       *linearFlag,
-			DisableBatchCache: *noBatchCache,
-			TraceTasks:        *taskSpanFlag,
-		}),
-		restore.WithWorkers(*workerFlag),
+		restore.WithOptions(eng.Options),
+		restore.WithWorkers(ef.Workers),
 	}
 	if *tagFlag != "" {
 		execOpts = append(execOpts, restore.WithTag(*tagFlag))
@@ -346,7 +275,7 @@ func main() {
 			dl.Refreshes, dl.Failed,
 			float64(dl.DeltaBytesRead)/(1<<20), float64(dl.ColdBytesAvoided)/(1<<20))
 	}
-	if *durableFlag {
+	if ef.Durable {
 		ds := sys.DurabilityStats()
 		fmt.Printf("durable log (%s at %s): %d appends, %d compactions, %d live records, %d entries recovered at open\n",
 			ds.Writer, ds.Root, ds.Appends, ds.Compactions, ds.LogRecords, ds.RecoveredEntries)

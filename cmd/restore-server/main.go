@@ -9,13 +9,14 @@
 //	restore-server -backend disk -data-dir /var/restore -durable
 //	restore-server -quota analytics=3:8:32 -quota adhoc=1:2:8
 //
-// The engine flags mirror restore-cli (-backend/-data-dir, -durable
-// and its tuning, -scale, -max-repo-mb/-evict, -max-cluster-jobs, …):
-// the server opens the same DFS, Recovers the repository from the
-// durable log when one exists, and generates the PigMix instance only
-// when the backend doesn't already hold it — so with `-backend disk
-// -durable`, killing and restarting the server comes back warm and
-// answers repeated queries with reuse immediately.
+// The engine flags are restore-cli's, declared once in
+// internal/engineflags (-backend/-data-dir, -durable and its tuning,
+// -scale, -max-repo-mb/-evict, -max-cluster-jobs, …): the server opens
+// the same DFS, Recovers the repository from the durable log when one
+// exists, and generates the PigMix instance only when the backend
+// doesn't already hold it — so with `-backend disk -durable`, killing
+// and restarting the server comes back warm and answers repeated
+// queries with reuse immediately.
 //
 // Serving flags shape admission: -max-concurrent is the global slot
 // pool, -default-weight/-default-inflight/-default-queued the quota of
@@ -29,7 +30,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -42,8 +42,7 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/dfs"
+	"repro/internal/engineflags"
 	"repro/internal/pigmix"
 	"repro/internal/service"
 )
@@ -78,9 +77,9 @@ func (q quotaFlags) Set(spec string) error {
 func main() {
 	quotas := quotaFlags{}
 	flag.Var(quotas, "quota", "per-tenant quota name=weight:inflight:queued (repeatable)")
+	ef := engineflags.Register(flag.CommandLine, "tiny", true, "aggressive")
 	var (
 		listenFlag   = flag.String("listen", ":8080", "HTTP listen address")
-		scaleFlag    = flag.String("scale", "tiny", "PigMix instance: tiny, 15GB or 150GB")
 		maxConcFlag  = flag.Int("max-concurrent", 16, "admitted-and-running queries across all tenants")
 		defWeight    = flag.Int("default-weight", 1, "fair-share weight of unlisted tenants")
 		defInflight  = flag.Int("default-inflight", 4, "in-flight cap of unlisted tenants")
@@ -88,25 +87,6 @@ func main() {
 		retryFlag    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		streamFlag   = flag.Duration("stream-interval", 100*time.Millisecond, "status poll period of /queries/{id}/events")
 		retainFlag   = flag.Int("retain-done", 4096, "finished queries kept inspectable")
-		reuseFlag    = flag.Bool("reuse", true, "default reuse policy of submitted queries")
-		heurFlag     = flag.String("heuristic", "aggressive", "default sub-job heuristic: off, conservative, aggressive, no-heuristic")
-		wholeFlag    = flag.Bool("whole-jobs", true, "store whole job outputs in the repository")
-		linearFlag   = flag.Bool("linear-match", false, "match by sequential repository scan instead of the signature index")
-		workerFlag   = flag.Int("workers", 0, "concurrent jobs per workflow DAG (0 = NumCPU)")
-		maxJobsFlag  = flag.Int("max-cluster-jobs", 0, "global cap on jobs running across all queries (0 = unlimited)")
-		budgetFlag   = flag.Int64("max-repo-mb", 0, "repository storage budget in MB (0 = unbounded)")
-		batchMBFlag  = flag.Int64("batch-cache-mb", 0, "decoded-dataset batch cache budget in MB (0 = default 256, negative = off)")
-		evictFlag    = flag.String("evict", "cost-benefit", "eviction policy under the budget: reuse-window, lru, cost-benefit")
-		windowFlag   = flag.Duration("evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)")
-		janitorFlag  = flag.Duration("janitor", 0, "background storage-janitor sweep interval (0 = off)")
-		nsRootFlag   = flag.String("ns-root", "", "root of ReStore's managed namespaces")
-		negCacheFlag = flag.Int("neg-cache", 0, "cross-query negative-containment cache entries (0 = default)")
-		durableFlag  = flag.Bool("durable", false, "journal the repository to a manifest + event log on the DFS")
-		durPathFlag  = flag.String("durable-path", "", "DFS directory of the manifest and event log")
-		compactFlag  = flag.Int("compact-every", 0, "records between automatic log compactions (0 = default, negative = never)")
-		leaseTTLFlag = flag.Duration("lease-ttl", 0, "cross-process claim lease TTL (0 = default)")
-		backendFlag  = flag.String("backend", "memory", "DFS backend: memory (volatile) or disk (persistent, needs -data-dir)")
-		dataDirFlag  = flag.String("data-dir", "", "directory of the disk backend's datasets and record log")
 		drainFlag    = flag.Duration("drain-timeout", 30*time.Second, "grace period before live queries are hard-cancelled on shutdown")
 		slowMSFlag   = flag.Int("slow-query-ms", 0, "retain traces of queries at least this slow at /debug/slow (0 = off)")
 		slowRingFlag = flag.Int("slow-ring", 64, "slow-query records retained")
@@ -114,69 +94,23 @@ func main() {
 	)
 	flag.Parse()
 
-	heur, err := core.ParseHeuristic(*heurFlag)
+	eng, err := ef.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	var scale pigmix.Scale
-	switch strings.ToLower(*scaleFlag) {
-	case "tiny":
-		scale = pigmix.TinyScale
-	case "15gb":
-		scale = pigmix.Scale15GB
-	case "150gb":
-		scale = pigmix.Scale150GB
-	default:
-		fail(fmt.Errorf("unknown scale %q (want tiny, 15GB or 150GB)", *scaleFlag))
+	scale := eng.Scale
+	fs, closeFS, err := ef.OpenBackend()
+	if err != nil {
+		fail(err)
 	}
+	defer closeFS()
 
-	cfg := restore.DefaultConfig()
-	cfg.MaxClusterJobs = *maxJobsFlag
-	cfg.MaxRepositoryBytes = *budgetFlag << 20
-	if *batchMBFlag < 0 {
-		cfg.MaxCachedBatchBytes = -1
-	} else {
-		cfg.MaxCachedBatchBytes = *batchMBFlag << 20
-	}
-	if policy, ok := core.ParseEvictionPolicy(*evictFlag, *windowFlag); ok {
-		cfg.Eviction = policy
-	} else {
-		fail(fmt.Errorf("unknown eviction policy %q (want reuse-window, lru or cost-benefit)", *evictFlag))
-	}
-	cfg.JanitorInterval = *janitorFlag
-	cfg.NamespaceRoot = *nsRootFlag
-	cfg.NegCacheEntries = *negCacheFlag
-	cfg.Durability = restore.DurabilityConfig{
-		Enabled:      *durableFlag,
-		Path:         *durPathFlag,
-		CompactEvery: *compactFlag,
-		LeaseTTL:     *leaseTTLFlag,
-	}
-
-	var fs dfs.Backend
-	switch *backendFlag {
-	case "memory":
-		fs = dfs.New()
-	case "disk":
-		if *dataDirFlag == "" {
-			fail(errors.New("-backend=disk needs -data-dir"))
-		}
-		disk, err := dfs.OpenDisk(*dataDirFlag)
-		if err != nil {
-			fail(err)
-		}
-		defer disk.Close()
-		fs = disk
-	default:
-		fail(fmt.Errorf("unknown backend %q (want memory or disk)", *backendFlag))
-	}
-
-	sys, err := restore.Recover(cfg, fs)
+	sys, err := restore.Recover(eng.Config, fs)
 	if err != nil {
 		fail(err)
 	}
 	if fs.Size(pigmix.PathPageViews) > 0 {
-		fmt.Printf("restore-server: reusing PigMix instance found on the %s backend\n", *backendFlag)
+		fmt.Printf("restore-server: reusing PigMix instance found on the %s backend\n", ef.Backend)
 	} else {
 		fmt.Printf("restore-server: generating PigMix %s instance…\n", scale.Name)
 		if _, err := pigmix.Generate(fs, scale, 1); err != nil {
@@ -184,7 +118,7 @@ func main() {
 		}
 	}
 	sys.SetScales(pigmix.SimScaleFor(fs, scale), pigmix.RecordScaleFor(scale))
-	if *durableFlag {
+	if ef.Durable {
 		ds := sys.DurabilityStats()
 		fmt.Printf("restore-server: durable log at %s, %d entries recovered\n", ds.Root, ds.RecoveredEntries)
 	}
@@ -194,14 +128,9 @@ func main() {
 		DefaultQuota: service.TenantQuota{
 			Weight: *defWeight, MaxInFlight: *defInflight, MaxQueued: *defQueued,
 		},
-		Quotas: quotas,
-		DefaultOptions: restore.Options{
-			Reuse:         *reuseFlag,
-			Heuristic:     heur,
-			KeepWholeJobs: *wholeFlag,
-			LinearMatch:   *linearFlag,
-		},
-		DefaultWorkers:     *workerFlag,
+		Quotas:             quotas,
+		DefaultOptions:     eng.Options,
+		DefaultWorkers:     ef.Workers,
 		RetryAfter:         *retryFlag,
 		StreamInterval:     *streamFlag,
 		RetainDone:         *retainFlag,

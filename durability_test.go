@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -327,70 +326,6 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 	// than re-materializing.
 	if st := sysB.StorageStats(); st.LeaseWaits > 0 && st.LeasesShared == 0 && st.ClaimsShared == 0 {
 		t.Errorf("B waited on a lease but shared nothing: %+v", st)
-	}
-}
-
-// TestAtomicSaveRegression: a crash mid-Save must never tear the
-// repository file. The write fault tears the temp file's commit; the
-// destination keeps the previous complete snapshot and stays loadable.
-func TestAtomicSaveRegression(t *testing.T) {
-	sys := newTestSystem(Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive})
-	seedEvents(t, sys)
-	if _, err := sys.Execute(fmt.Sprintf(oneJobScript, "atomic/out")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SaveRepository("meta/repo"); err != nil {
-		t.Fatalf("first Save: %v", err)
-	}
-	firstBytes, err := sys.FS().ReadFile("meta/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Grow the repository, then crash every subsequent write mid-file.
-	if _, err := sys.Execute(fmt.Sprintf(twoJobScript, "atomic/out2")); err != nil {
-		t.Fatal(err)
-	}
-	sys.FS().SetWriteFault(func(path string, data []byte) ([]byte, error) {
-		return data[: len(data)/2 : len(data)/2], io.ErrShortWrite
-	})
-	if err := sys.SaveRepository("meta/repo"); err == nil {
-		t.Fatal("Save with a torn write reported success")
-	}
-	sys.FS().SetWriteFault(nil)
-
-	got, err := sys.FS().ReadFile("meta/repo")
-	if err != nil {
-		t.Fatalf("repository file gone after failed Save: %v", err)
-	}
-	if string(got) != string(firstBytes) {
-		t.Fatalf("failed Save corrupted the snapshot (%d bytes, previous %d)", len(got), len(firstBytes))
-	}
-	loaded, err := core.LoadRepository(sys.FS(), "meta/repo")
-	if err != nil {
-		t.Fatalf("snapshot unloadable after failed Save: %v", err)
-	}
-	if loaded.Len() == 0 {
-		t.Fatal("recovered snapshot is empty")
-	}
-}
-
-// TestLoadRepositoryRejectedWhenDurable: swapping an unjournaled
-// snapshot under a durable System would fork the durable state; it must
-// refuse.
-func TestLoadRepositoryRejectedWhenDurable(t *testing.T) {
-	fs := newTestFS(t)
-	sys, err := Recover(durableConfig(), fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	seedEvents(t, sys)
-	if err := sys.SaveRepository("meta/repo"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadRepository("meta/repo"); err == nil {
-		t.Fatal("LoadRepository succeeded on a durable System")
 	}
 }
 

@@ -14,12 +14,20 @@ import (
 	"repro/internal/pigmix"
 )
 
-// fastpathSystem builds a tiny PigMix system; disable turns the batch
-// cache off via the per-query option applied as the system default.
+// fastpathSystem builds a tiny PigMix system with the batch cache on
+// (the default budget).
 func fastpathSystem(t *testing.T, opts restore.Options) *restore.System {
+	t.Helper()
+	return tinySystem(t, opts, 0)
+}
+
+// tinySystem builds a tiny PigMix system with the given batch-cache
+// budget; negative turns the cache off (Config.MaxCachedBatchBytes).
+func tinySystem(t *testing.T, opts restore.Options, maxCachedBatchBytes int64) *restore.System {
 	t.Helper()
 	cfg := restore.DefaultConfig()
 	cfg.Options = opts
+	cfg.MaxCachedBatchBytes = maxCachedBatchBytes
 	sys := restore.New(cfg)
 	if _, err := pigmix.Generate(sys.FS(), pigmix.TinyScale, 1); err != nil {
 		t.Fatal(err)
@@ -65,7 +73,7 @@ func diffFS(t *testing.T, label string, cached, plain map[string]string) {
 // equality is between genuinely different code paths.
 func TestBatchCacheDifferentialPigMix(t *testing.T) {
 	cached := fastpathSystem(t, restore.Options{})
-	plain := fastpathSystem(t, restore.Options{DisableBatchCache: true})
+	plain := tinySystem(t, restore.Options{}, -1)
 	ctx := context.Background()
 
 	for _, name := range pigmix.Names() {
@@ -94,21 +102,18 @@ func TestBatchCacheDifferentialPigMix(t *testing.T) {
 	if cs.Hits == 0 {
 		t.Fatalf("cached system never hit the batch cache: %+v", cs)
 	}
-	if ps := plain.BatchCacheStats(); ps.Hits+ps.Misses+ps.Inserts != 0 {
+	if ps := plain.BatchCacheStats(); ps != (restore.BatchCacheStats{}) {
 		t.Fatalf("uncached system touched the batch cache: %+v", ps)
 	}
 }
 
 // TestBatchCacheDifferentialReuse repeats the check through the
 // repository-reuse path — warm runs that rewrite queries against
-// stored outputs must match with and without the cache, covering the
-// driver's RunContextOpts plumbing under reuse.
+// stored outputs must match with and without the cache.
 func TestBatchCacheDifferentialReuse(t *testing.T) {
 	opts := restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
-	plainOpts := opts
-	plainOpts.DisableBatchCache = true
 	cached := fastpathSystem(t, opts)
-	plain := fastpathSystem(t, plainOpts)
+	plain := tinySystem(t, opts, -1)
 	ctx := context.Background()
 
 	for _, name := range []string{"L2", "L3"} {

@@ -83,21 +83,12 @@ type ExecConfig struct {
 	// is a nil-receiver no-op), so traced and untraced executions are
 	// SimTime- and byte-identical.
 	Trace *obs.Trace
+	// LinearScan makes this execution's matcher visit the repository by
+	// the paper's sequential scan instead of the signature index — the
+	// reference the end-to-end indexed-vs-scan suite compares against;
+	// no CLI, server or public option sets it.
+	LinearScan bool
 }
-
-// ClaimFallback selects what an execution does when a claim it was
-// waiting on is aborted: the winner failed, was cancelled, or had its
-// output rejected by the sub-job selector.
-type ClaimFallback int
-
-const (
-	// ClaimRetry (the default): contend for the claim again — the next
-	// winner materializes, everyone else keeps sharing.
-	ClaimRetry ClaimFallback = iota
-	// ClaimIndependent: give up on sharing that sub-job and materialize
-	// it privately, like the pre-claim behaviour.
-	ClaimIndependent
-)
 
 // Options configure a Driver. The two independent switches mirror the
 // paper's experiments: Reuse turns the plan matcher and rewriter on, and
@@ -127,27 +118,6 @@ type Options struct {
 	// whenever ReStore stores anything, since repository entries may
 	// reference those files.
 	DeleteTemps bool
-	// DisableClaims opts this execution out of the cross-query claim
-	// protocol: sub-jobs are materialized privately even when a
-	// concurrent query is materializing the same plan (the pre-claim
-	// behaviour). Claims are otherwise on whenever the configuration
-	// stores anything.
-	DisableClaims bool
-	// ClaimFallback selects the behaviour when a claim this execution
-	// waited on is aborted (default: contend for it again).
-	ClaimFallback ClaimFallback
-	// LinearMatch makes this execution's matcher visit the repository
-	// by the paper's sequential scan instead of the signature index.
-	// Both modes choose identical entries (differential-tested); the
-	// flag exists for that suite, the matcher-scaling experiment, and
-	// as an escape hatch. Default off: matching is indexed.
-	LinearMatch bool
-	// DisableBatchCache makes this execution's jobs bypass the engine's
-	// decoded-dataset cache: inputs decode from the DFS and outputs are
-	// not written through. Outputs and simulated times are identical
-	// either way (differential-tested); the flag exists for that suite
-	// and as a per-query escape hatch.
-	DisableBatchCache bool
 	// DisableTrace opts this execution out of per-query span tracing:
 	// the query handle carries no Trace and every recording call on the
 	// execution path no-ops. Latency histograms still record. Traced
@@ -313,32 +283,24 @@ type jobOutcome struct {
 	deferred *Entry
 }
 
-// Execute runs a workflow through the full ReStore pipeline and returns
-// its report, using the driver's shared Opts and Workers and no
-// cancellation. It is the synchronous compatibility wrapper over
-// ExecuteContext. queryID must be unique per execution; pass "" to
-// auto-generate.
-func (d *Driver) Execute(wf *physical.Workflow, queryID string) (*Result, error) {
-	return d.ExecuteContext(context.Background(), wf, queryID, ExecConfig{Opts: d.Opts, Workers: d.Workers})
-}
-
-// ExecuteContext runs a workflow through the full ReStore pipeline
-// under ctx with a per-execution configuration snapshot, and returns
-// its report. The caller's workflow is never mutated: the driver clones
-// it, so one compiled workflow may be executed repeatedly or from
-// several goroutines at once.
+// Execute runs a workflow through the full ReStore pipeline under ctx
+// with a per-execution configuration snapshot, and returns its report.
+// queryID must be unique per execution; pass "" to auto-generate. The
+// caller's workflow is never mutated: the driver clones it, so one
+// compiled workflow may be executed repeatedly or from several
+// goroutines at once.
 //
 // Cancelling ctx (or exceeding its deadline) aborts the workflow
 // promptly: jobs that have not started stay pending forever, in-flight
 // jobs abort at the engine's next task-slot acquisition and release
-// their slots, and ExecuteContext returns ctx.Err(). Cancellation
+// their slots, and Execute returns ctx.Err(). Cancellation
 // leaves the repository consistent — no entry is ever registered for a
 // job that did not run to completion — and leaves user STORE outputs
 // untouched: each query's final outputs are written under its private
 // temp namespace and renamed into place only when the whole workflow
 // commits, so a cancelled (or failed) query publishes nothing and two
 // queries storing to the same path cannot interleave part files.
-func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*Result, error) {
+func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*Result, error) {
 	start := time.Now()
 	if queryID == "" {
 		queryID = fmt.Sprintf("q%d", d.queryCounter.Add(1))
@@ -386,7 +348,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 		return obs.NoSpan
 	}
 
-	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: opts.LinearMatch, Trace: tr, Metrics: d.Metrics}
+	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: cfg.LinearScan, Trace: tr, Metrics: d.Metrics}
 	// Incremental maintenance: when the matcher's only candidate is a
 	// stale-but-mergeable entry whose inputs merely grew, refresh it
 	// from the appended slice instead of recomputing cold. The hook
@@ -402,7 +364,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 	rewriter.Refresher = func(cand RefreshCandidate) *Entry {
 		refreshSpan := tr.Start(jobSpanOf(cand.Job.ID), obs.KindRefresh, cand.Match.Entry.ID)
 		refreshStart := time.Now()
-		e, spent := d.refreshEntry(ctx, eng, repo, store, opts, queryID, cand, tr, refreshSpan)
+		e, spent := d.refreshEntry(ctx, eng, repo, store, queryID, cand, tr, refreshSpan)
 		d.Metrics.ObserveRefresh(time.Since(refreshStart))
 		tr.Sim(refreshSpan, spent)
 		if e == nil {
@@ -495,10 +457,10 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 	var wfMu sync.Mutex
 
 	// claimsOn: every execution that stores participates in the claim
-	// protocol unless it opted out. With claims on, a sub-job another
-	// query is currently materializing is waited for and reused instead
-	// of materialized twice.
-	claimsOn := store != nil && opts.storesAnything() && !opts.DisableClaims
+	// protocol. With claims on, a sub-job another query is currently
+	// materializing is waited for and reused instead of materialized
+	// twice.
+	claimsOn := store != nil && opts.storesAnything()
 	// maxClaimAttempts bounds the rewrite/claim loop: each iteration
 	// either wins every needed claim, absorbs a freshly committed entry,
 	// or retries an aborted claim. The bound only matters under
@@ -529,9 +491,6 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			}
 			held = map[string]*Claim{}
 		}
-		// independent marks fingerprints this job materializes without a
-		// claim (the ClaimIndependent fallback after a winner aborted).
-		independent := map[string]bool{}
 
 		var existing []Candidate      // zero-cost candidates of the final plan
 		var targets []*physical.Op    // injectable targets of the final plan
@@ -541,7 +500,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			wfMu.Lock()
 			_, isFinal := finalJob[job.ID]
 			if opts.Reuse {
-				events := rewriter.RewriteJobTraced(job, !isFinal, jobSpan)
+				events := rewriter.RewriteJob(job, !isFinal, jobSpan)
 				for _, ev := range events {
 					pinned = append(pinned, ev.EntryID)
 					repo.NoteReuse(ev.entry, d.Now())
@@ -623,7 +582,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			acqSpan := tr.Start(jobSpan, obs.KindClaimAcquire, job.ID)
 			var waitOn *Claim
 			for _, fp := range order {
-				if held[fp] != nil || independent[fp] {
+				if held[fp] != nil {
 					continue
 				}
 				if c, won := store.TryClaim(fp, queryID); won {
@@ -642,11 +601,10 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 				break
 			}
 			if attempt >= maxClaimAttempts {
-				// Stop contending: materialize only what this job holds
-				// or was told to take independently.
+				// Stop contending: materialize only what this job holds.
 				injectable = injectable[:0]
 				for _, op := range targets {
-					if fp := targetFP[op.ID]; held[fp] != nil || independent[fp] {
+					if held[targetFP[op.ID]] != nil {
 						injectable = append(injectable, op)
 					}
 				}
@@ -666,16 +624,13 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 			}
 			waitSpan := tr.Start(jobSpan, obs.KindClaimWait, waitOn.Fingerprint())
 			waitStart := time.Now()
-			entry, err := store.WaitShared(ctx, waitOn)
+			_, err := store.WaitShared(ctx, waitOn)
 			d.Metrics.ObserveClaimWait(time.Since(waitStart))
 			tr.End(waitSpan)
 			if err != nil {
 				abortHeld()
 				notify(job.ID, JobCanceled)
 				return fmt.Errorf("core: executing %s/%s: %w", queryID, job.ID, err)
-			}
-			if entry == nil && opts.ClaimFallback == ClaimIndependent {
-				independent[waitOn.Fingerprint()] = true
 			}
 			// Re-rewrite: a committed entry is absorbed by the matcher
 			// (or skipped by Choose); an aborted one is contended again.
@@ -700,10 +655,7 @@ func (d *Driver) ExecuteContext(ctx context.Context, wf *physical.Workflow, quer
 				inner(done, total, sim)
 			}
 		}
-		stats, err := eng.RunContextOpts(ctx, job, mapreduce.RunOptions{
-			Progress:          onProgress,
-			DisableBatchCache: opts.DisableBatchCache,
-		})
+		stats, err := eng.Run(ctx, job, onProgress)
 		tr.End(execSpan)
 		if err != nil {
 			abortHeld()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -62,7 +63,7 @@ func (h *harness) run(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	res, err := h.driver.Execute(wf, "")
+	res, err := h.driver.Execute(context.Background(), wf, "", ExecConfig{Opts: h.driver.Opts, Workers: h.driver.Workers})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -356,30 +357,6 @@ func TestAdmitOnlyReducing(t *testing.T) {
 		if e.Stats.OutputSimBytes >= e.Stats.InputSimBytes {
 			t.Errorf("entry %s violates Rule 1: out=%d in=%d", e.ID, e.Stats.OutputSimBytes, e.Stats.InputSimBytes)
 		}
-	}
-}
-
-func TestRepositoryPersistence(t *testing.T) {
-	h := newHarness(t, Options{KeepWholeJobs: true, Heuristic: Aggressive})
-	h.seedPigMixSmall(t)
-	h.run(t, hq1)
-	if err := h.repo.Save(h.fs, "restore/repo.gob"); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadRepository(h.fs, "restore/repo.gob")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.Len() != h.repo.Len() {
-		t.Fatalf("loaded %d entries, want %d", loaded.Len(), h.repo.Len())
-	}
-	// The loaded repository must be usable for matching: rerun hq1 with
-	// a fresh driver around the loaded repo.
-	d2 := NewDriver(h.eng, loaded, Options{Reuse: true})
-	h.driver = d2
-	r := h.run(t, hq1)
-	if len(r.Rewrites) == 0 {
-		t.Errorf("loaded repository produced no rewrites")
 	}
 }
 

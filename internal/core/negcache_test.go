@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/obs"
 )
 
 // negEntrySrc and negProbeSrc share a signature set — load(x),
@@ -40,7 +41,7 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 		rw := &Rewriter{Repo: repo, FS: fs}
 		wf := compileJobs(t, negProbeSrc, "tmp/sn")
 		job := cloneJob(wf.Jobs[0])
-		for _, ev := range rw.RewriteJob(job, true) {
+		for _, ev := range rw.RewriteJob(job, true, obs.NoSpan) {
 			repo.Unpin(ev.EntryID)
 		}
 		after := repo.MatcherStats()

@@ -88,12 +88,11 @@ func stampMergeable(fs dfs.Backend, e *Entry, plan *physical.Plan) {
 // consumed, which the probing query's SimTime must absorb: the delta
 // and merge work happens on its critical path.
 //
-// The refresh claims the entry's plan fingerprint when the claim
-// protocol is on, so two queries probing the same stale entry never run
-// the same delta twice; the loser goes cold (its own materialization
-// heuristics may still store a fresh copy, which replaces the entry
-// just like the refresh would).
-func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *Repository, store *StorageManager, opts Options, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
+// The refresh claims the entry's plan fingerprint, so two queries
+// probing the same stale entry never run the same delta twice; the
+// loser goes cold (its own materialization heuristics may still store a
+// fresh copy, which replaces the entry just like the refresh would).
+func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *Repository, store *StorageManager, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
 	e := cand.Match.Entry
 	fs := eng.FS()
 	if tr != nil {
@@ -103,7 +102,7 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 
 	var spent time.Duration
 	var claim *Claim
-	if store != nil && !opts.DisableClaims {
+	if store != nil {
 		c, won := store.TryClaim(e.fingerprint(), queryID)
 		if !won {
 			d.delta.failed.Add(1)
@@ -151,7 +150,7 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 		NumReducers: cand.Job.NumReducers,
 	}
 	deltaSpan := tr.Start(span, obs.KindRefreshDelta, djob.ID)
-	dstats, err := eng.RunContextOpts(ctx, djob, mapreduce.RunOptions{DisableBatchCache: opts.DisableBatchCache})
+	dstats, err := eng.Run(ctx, djob, nil)
 	tr.End(deltaSpan)
 	if err != nil {
 		_ = fs.Delete(deltaPath)
@@ -168,7 +167,7 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 		NumReducers: cand.Job.NumReducers,
 	}
 	mergeSpan := tr.Start(span, obs.KindRefreshMerge, mjob.ID)
-	mstats, err := eng.RunContextOpts(ctx, mjob, mapreduce.RunOptions{DisableBatchCache: opts.DisableBatchCache})
+	mstats, err := eng.Run(ctx, mjob, nil)
 	tr.End(mergeSpan)
 	_ = fs.Delete(deltaPath)
 	if err != nil {

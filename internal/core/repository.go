@@ -87,9 +87,9 @@ type Entry struct {
 
 	// size memoizes the stored output's byte total, stamped with the
 	// output dataset's version, so budget sweeps stop re-sizing every
-	// entry on every pass. Installed by Insert/LoadRepository (gob
-	// skips unexported fields); entries outside a repository carry nil
-	// and fall back to uncached sizing.
+	// entry on every pass. Installed by Insert and by journal replay;
+	// entries outside a repository carry nil and fall back to uncached
+	// sizing.
 	size *outputSize
 
 	// fp caches the plan's canonical fingerprint. Stamped before the
@@ -199,7 +199,7 @@ func (e *Entry) storedBytes(fs dfs.Backend) int64 {
 // candidates whose containment test could possibly succeed, in the same
 // preference order the scan would visit them. Every mutation — Insert
 // (including fingerprint-replacement re-sorts), Remove, EvictUnpinned,
-// Vacuum, LoadRepository — keeps the index coherent under the
+// Vacuum, journal replay — keeps the index coherent under the
 // repository lock.
 //
 // All methods are safe for concurrent use: ReStore sits between many
@@ -345,16 +345,10 @@ func (r *Repository) Scan(fn func(e *Entry) bool) {
 // of the job's. Every entry the full traversal could match is
 // nominated (the filters are necessary conditions of containment), so
 // the first fn match equals the first Scan match; fn must not call back
-// into the repository.
-func (r *Repository) Probe(job PlanSig, fn func(e *Entry) bool) {
-	r.ProbeObserved(job, fn, nil)
-}
-
-// ProbeObserved is Probe with decision provenance: missed, when
-// non-nil, is called for each entry the index looked at but rejected
-// on the footprint-subset prefilter — the "footprint miss" verdict a
-// query trace records. The untraced path passes nil and pays nothing.
-func (r *Repository) ProbeObserved(job PlanSig, fn func(e *Entry) bool, missed func(e *Entry)) {
+// into the repository. missed, when non-nil, is called for each entry
+// the index looked at but rejected on the footprint-subset prefilter —
+// the "footprint miss" verdict a query trace records.
+func (r *Repository) Probe(job PlanSig, fn func(e *Entry) bool, missed func(e *Entry)) {
 	sigSet, loadSet := probeSets(job)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -696,75 +690,6 @@ func (r *Repository) pinned(id string) bool {
 	r.pinMu.Lock()
 	defer r.pinMu.Unlock()
 	return r.pins[id] > 0
-}
-
-// gobRepository is the serialized form of the legacy snapshot format
-// (format compatibility is pinned by a golden-file test). The signature
-// index is not persisted: LoadRepository rebuilds it from the entries
-// in one pass.
-type gobRepository struct {
-	Entries []*Entry
-	NextID  int
-}
-
-// Save persists the repository into the DFS at path. The snapshot is
-// written to a temporary sibling and renamed into place, so a crash
-// mid-save can never leave a torn repository file: path holds either
-// the previous complete snapshot or the new one.
-func (r *Repository) Save(fs dfs.Backend, path string) error {
-	r.mu.RLock()
-	entries := make([]*Entry, len(r.entries))
-	for i, e := range r.entries {
-		if e.lazy != nil {
-			// Recovered entries keep their plan encoded; the legacy
-			// snapshot format stores it decoded.
-			se := *e
-			se.Plan = e.planSig()
-			e = &se
-		}
-		entries[i] = e
-	}
-	// Encode while still holding the read lock: NoteReuse mutates usage
-	// counters in place under the write lock, so gob's reflection must
-	// not read the entries unlocked.
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(gobRepository{Entries: entries, NextID: r.nextID})
-	r.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("core: encoding repository: %w", err)
-	}
-	tmp := path + ".saving"
-	if err := fs.WriteFile(tmp, buf.Bytes()); err != nil {
-		return fmt.Errorf("core: saving repository: %w", err)
-	}
-	if _, err := fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: committing repository snapshot: %w", err)
-	}
-	return nil
-}
-
-// LoadRepository restores a repository saved with Save, rebuilding the
-// signature index and installing fresh size caches.
-func LoadRepository(fs dfs.Backend, path string) (*Repository, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g gobRepository
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
-		return nil, fmt.Errorf("core: decoding repository: %w", err)
-	}
-	r := NewRepository()
-	r.nextID = g.NextID
-	r.entries = g.Entries
-	for _, e := range r.entries {
-		e.size = &outputSize{}
-		e.fp = e.Plan.Fingerprint()
-		r.byFP[e.fp] = e
-		r.index.add(e)
-	}
-	r.index.renumber(r.entries)
-	return r, nil
 }
 
 // lookupFP returns the entry with the given plan fingerprint, or nil.

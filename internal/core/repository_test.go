@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,6 +305,10 @@ store B into 'o%d';
 `, i, i), fmt.Sprintf("seed%d", i), EntryStats{InputSimBytes: 100, OutputSimBytes: 10})
 		sigs[i] = e.Plan
 	}
+	// A concurrent Vacuum legitimately drops a just-inserted entry (its
+	// output never existed), so the insert-then-lookup check only holds
+	// when no vacuum overlapped it.
+	var vacStarted, vacDone atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -316,9 +321,11 @@ store B into 'o%d';
 					OutputPath: fmt.Sprintf("stored/g%d/i%d", g, i),
 					Stats:      EntryStats{InputSimBytes: int64(100 + i), OutputSimBytes: 10},
 				}
+				done, started := vacDone.Load(), vacStarted.Load()
 				ins := repo.Insert(e)
 				repo.NoteReuse(ins, time.Duration(i))
-				if repo.Lookup(sigs[k]) == nil {
+				found := repo.Lookup(sigs[k]) != nil
+				if !found && started == done && vacStarted.Load() == started {
 					t.Errorf("fingerprint vanished after insert")
 					return
 				}
@@ -326,7 +333,9 @@ store B into 'o%d';
 				_ = repo.Entries()
 				_ = repo.Len()
 				if i%50 == 0 {
+					vacStarted.Add(1)
 					repo.Vacuum(fs, time.Hour, 0)
+					vacDone.Add(1)
 				}
 			}
 		}(g)

@@ -40,9 +40,8 @@ type Rewriter struct {
 	// instead of the signature index. The probe filters only by
 	// conditions necessary for containment and preserves scan order, so
 	// the two modes are differential-tested to pick identical entries;
-	// linear mode exists for that differential suite, the
-	// matcher-scaling experiment and benchmarks, and as an escape
-	// hatch.
+	// linear mode is the reference implementation those suites, the
+	// matcher-scaling experiment and the benchmarks compare against.
 	LinearScan bool
 
 	// Refresher, when non-nil, is invoked when the matcher's only
@@ -202,14 +201,11 @@ type RewriteEvent struct {
 // jobs writing a user STORE destination: a requested output is always
 // freshly materialized, so final jobs reuse sub-plans only — which is
 // why the paper evaluates whole-job reuse on multi-job workflows.
-func (rw *Rewriter) RewriteJob(job *physical.Job, allowWhole bool) []RewriteEvent {
-	return rw.RewriteJobTraced(job, allowWhole, obs.NoSpan)
-}
-
-// RewriteJobTraced is RewriteJob recording its probes and rewrites as
-// spans under parent on the Rewriter's Trace. With a nil Trace it is
-// exactly RewriteJob.
-func (rw *Rewriter) RewriteJobTraced(job *physical.Job, allowWhole bool, parent obs.SpanID) []RewriteEvent {
+//
+// Probes and rewrites are recorded as spans under parent on the
+// Rewriter's Trace; with a nil Trace (and obs.NoSpan) nothing is
+// recorded.
+func (rw *Rewriter) RewriteJob(job *physical.Job, allowWhole bool, parent obs.SpanID) []RewriteEvent {
 	var events []RewriteEvent
 	for {
 		res := rw.findBestMatch(job, allowWhole, parent)
@@ -339,15 +335,17 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 	if rw.LinearScan {
 		rw.Repo.Scan(visit)
 		rw.Repo.noteScan(visited)
-	} else if rw.Trace == nil {
-		rw.Repo.Probe(jobSig, visit)
 	} else {
 		// Traced probes additionally observe the entries the signature
 		// index nominated but rejected on the footprint prefilter —
 		// the provenance a linear scan has no notion of.
-		rw.Repo.ProbeObserved(jobSig, visit, func(e *Entry) {
-			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonFootprintMiss)
-		})
+		var missed func(e *Entry)
+		if rw.Trace != nil {
+			missed = func(e *Entry) {
+				rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonFootprintMiss)
+			}
+		}
+		rw.Repo.Probe(jobSig, visit, missed)
 	}
 	rw.Metrics.ObserveProbe(time.Since(probeStart))
 	rw.Trace.End(probeSpan)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/physical"
 )
 
@@ -55,7 +56,7 @@ store C into 'final';
 `, "tmp/rw1")
 	job := wf.Jobs[0]
 	before := job.Plan.Len()
-	events := rw.RewriteJob(job, false)
+	events := rw.RewriteJob(job, false, obs.NoSpan)
 	if len(events) != 1 {
 		t.Fatalf("events = %v", events)
 	}
@@ -101,13 +102,13 @@ store B into 'o';
 	job := wf.Jobs[0]
 
 	// allowWhole=false: no event at all (the only match is whole-plan).
-	if events := rw.RewriteJob(job, false); len(events) != 0 {
+	if events := rw.RewriteJob(job, false, obs.NoSpan); len(events) != 0 {
 		t.Fatalf("final job rewrote with whole-plan match: %v", events)
 	}
 	// allowWhole=true: whole-plan event, plan becomes a copy job.
 	wf2 := compileJobs(t, src, "tmp/rw3")
 	job2 := wf2.Jobs[0]
-	events := rw.RewriteJob(job2, true)
+	events := rw.RewriteJob(job2, true, obs.NoSpan)
 	if len(events) != 1 || !events[0].WholeJob {
 		t.Fatalf("events = %v", events)
 	}
@@ -140,7 +141,7 @@ J = join D by n, B by u;
 store J into 'final';
 `, "tmp/rw4")
 	job := wf.Jobs[0]
-	events := rw.RewriteJob(job, false)
+	events := rw.RewriteJob(job, false, obs.NoSpan)
 	if len(events) != 2 {
 		t.Fatalf("expected both branch prefixes to rewrite, got %v", events)
 	}
@@ -170,7 +171,7 @@ B = foreach A generate a, b;
 C = filter B by b > 1;
 store C into 'f';
 `, "tmp/rw5")
-	if events := rw.RewriteJob(wf.Jobs[0], false); len(events) != 0 {
+	if events := rw.RewriteJob(wf.Jobs[0], false, obs.NoSpan); len(events) != 0 {
 		t.Errorf("stale entry was used: %v", events)
 	}
 }
@@ -193,12 +194,12 @@ S = foreach G generate group, COUNT(B);
 store S into 'f';
 `, "tmp/rw6")
 	job := wf.Jobs[0]
-	events := rw.RewriteJob(job, false)
+	events := rw.RewriteJob(job, false, obs.NoSpan)
 	if len(events) != 1 {
 		t.Fatalf("events = %v", events)
 	}
 	// Scanning again finds nothing new.
-	if more := rw.RewriteJob(job, false); len(more) != 0 {
+	if more := rw.RewriteJob(job, false, obs.NoSpan); len(more) != 0 {
 		t.Errorf("rewriting did not reach a fixpoint: %v", more)
 	}
 }

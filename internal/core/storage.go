@@ -315,8 +315,7 @@ func (m *StorageManager) Commit(c *Claim, e *Entry) {
 
 // Abort resolves a won claim without an entry: the winner failed, was
 // cancelled, or its output was rejected by the sub-job selector.
-// Waiters wake and contend for the claim again (or proceed
-// independently, per their fallback policy).
+// Waiters wake and contend for the claim again.
 func (m *StorageManager) Abort(c *Claim) {
 	m.release(c)
 	close(c.done)

@@ -27,7 +27,7 @@ func candidateReasons(t *testing.T, rw *Rewriter, src string, allowWhole bool) (
 	rw.Trace = tr
 	wf := compileJobs(t, src, "tmp/tr")
 	job := cloneJob(wf.Jobs[0])
-	for _, ev := range rw.RewriteJobTraced(job, allowWhole, root) {
+	for _, ev := range rw.RewriteJob(job, allowWhole, root) {
 		rw.Repo.Unpin(ev.EntryID)
 	}
 	tr.End(root)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
+	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/piglatin"
 )
@@ -150,7 +151,7 @@ func measureMatch(repo *core.Repository, fs dfs.Backend, jobs []*physical.Job, l
 		var evs []string
 		for _, j := range jobs {
 			jc := j.Clone()
-			for _, ev := range rw.RewriteJob(jc, false) {
+			for _, ev := range rw.RewriteJob(jc, false, obs.NoSpan) {
 				repo.Unpin(ev.EntryID)
 				evs = append(evs, fmt.Sprintf("%s->%s@%s", jc.ID, ev.EntryID, ev.Path))
 			}

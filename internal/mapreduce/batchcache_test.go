@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -154,7 +153,7 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	}
 
 	run := func() (*JobStats, map[string][]byte) {
-		st, err := eng.Run(jobs[0])
+		st, err := runJob(eng, jobs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +202,7 @@ func TestEngineCacheWriteThrough(t *testing.T) {
 	seedInput(t, fs, "in", 100, 0)
 	eng := New(fs, DefaultConfig())
 	first := compileScript(t, cacheScript)
-	if _, err := eng.Run(first[0]); err != nil {
+	if _, err := runJob(eng, first[0]); err != nil {
 		t.Fatal(err)
 	}
 	before := eng.CacheStats()
@@ -213,7 +212,7 @@ X = load 'out' as (user, cnt);
 Y = filter X by cnt > 1;
 store Y into 'out2';
 `)
-	if _, err := eng.Run(second[0]); err != nil {
+	if _, err := runJob(eng, second[0]); err != nil {
 		t.Fatal(err)
 	}
 	after := eng.CacheStats()
@@ -255,13 +254,13 @@ func TestWriteThroughStaleVersionSkipped(t *testing.T) {
 	ver := write("1\tone\n")
 	stale := writtenPart{dir: "wt", file: "wt/part-r-00000", batch: decode("1\tone\n"), ver: ver}
 	write("2\ttwo\n") // same-name rewrite between the job's write and writeThrough
-	eng.writeThrough(eng.cache, []writtenPart{stale})
+	eng.writeThrough([]writtenPart{stale})
 	if eng.cache.Get(fs, "wt") != nil {
 		t.Fatal("stale write-through entry published after same-name rewrite")
 	}
 
 	ver2 := write("3\tthree\n")
-	eng.writeThrough(eng.cache, []writtenPart{{dir: "wt", file: "wt/part-r-00000", batch: decode("3\tthree\n"), ver: ver2}})
+	eng.writeThrough([]writtenPart{{dir: "wt", file: "wt/part-r-00000", batch: decode("3\tthree\n"), ver: ver2}})
 	ds := eng.cache.Get(fs, "wt")
 	if ds == nil {
 		t.Fatal("current write-through entry did not publish")
@@ -271,27 +270,41 @@ func TestWriteThroughStaleVersionSkipped(t *testing.T) {
 	}
 }
 
-// TestEngineCacheDisabledRun checks RunOptions.DisableBatchCache leaves
-// no trace in the cache and still produces identical bytes.
+// TestEngineCacheDisabledRun checks an engine built with a negative
+// cache budget keeps no cache state and still produces bytes and a
+// simulated time identical to a cached engine's.
 func TestEngineCacheDisabledRun(t *testing.T) {
-	fs := dfs.New()
-	seedInput(t, fs, "in", 150, 0)
-	eng := New(fs, DefaultConfig())
 	jobs := compileScript(t, cacheScript)
-	if _, err := eng.RunContextOpts(context.Background(), jobs[0], RunOptions{DisableBatchCache: true}); err != nil {
-		t.Fatal(err)
+	run := func(cfg Config) (*Engine, *JobStats, map[string]string) {
+		fs := dfs.New()
+		seedInput(t, fs, "in", 150, 0)
+		eng := New(fs, cfg)
+		st, err := runJob(eng, jobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, f := range fs.List("out") {
+			data, err := fs.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f] = string(data)
+		}
+		return eng, st, out
 	}
-	if st := eng.CacheStats(); st.Hits+st.Misses+st.Inserts != 0 {
-		t.Fatalf("disabled run touched the cache: %+v", st)
-	}
-
-	// A negative budget disables the cache engine-wide.
-	off := New(fs, Config{MaxCachedBatchBytes: -1})
-	if _, err := off.Run(jobs[0]); err != nil {
-		t.Fatal(err)
-	}
+	_, wantStats, want := run(DefaultConfig())
+	offCfg := DefaultConfig()
+	offCfg.MaxCachedBatchBytes = -1
+	off, gotStats, got := run(offCfg)
 	if st := off.CacheStats(); st != (BatchCacheStats{}) {
 		t.Fatalf("negative budget should zero stats: %+v", st)
+	}
+	if gotStats.SimTime != wantStats.SimTime {
+		t.Fatalf("SimTime diverged: cache off %v, on %v", gotStats.SimTime, wantStats.SimTime)
+	}
+	if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cache-off output diverges from cached output:\n%v\nvs\n%v", got, want)
 	}
 }
 
@@ -323,7 +336,7 @@ store C into 'churnout%d';
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if _, err := eng.Run(scripts[(w+i)%3][0]); err != nil {
+				if _, err := runJob(eng, scripts[(w+i)%3][0]); err != nil {
 					errc <- err
 					return
 				}
@@ -363,7 +376,7 @@ store C into 'churnout%d';
 	// Quiescent: a fresh cacheless engine and the churned one must agree.
 	want := New(fs, Config{MaxCachedBatchBytes: -1})
 	for d := 0; d < 3; d++ {
-		if _, err := eng.Run(scripts[d][0]); err != nil {
+		if _, err := runJob(eng, scripts[d][0]); err != nil {
 			t.Fatal(err)
 		}
 		churned := map[string]string{}
@@ -371,7 +384,7 @@ store C into 'churnout%d';
 			data, _ := fs.ReadFile(f)
 			churned[f] = string(data)
 		}
-		if _, err := want.Run(scripts[d][0]); err != nil {
+		if _, err := runJob(want, scripts[d][0]); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range fs.List(fmt.Sprintf("churnout%d", d)) {

@@ -157,7 +157,7 @@ func TestCombinerShuffleShrinks(t *testing.T) {
 		lp, _ := logical.Build(script)
 		wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/s", DefaultReducers: 2})
 		eng := New(fs, DefaultConfig())
-		st, err := eng.Run(wf.Jobs[0])
+		st, err := runJob(eng, wf.Jobs[0])
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -196,7 +196,7 @@ store D into 'out';
 	lp, _ := logical.Build(script)
 	wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/d", DefaultReducers: 2})
 	eng := New(fs, DefaultConfig())
-	st, err := eng.Run(wf.Jobs[0])
+	st, err := runJob(eng, wf.Jobs[0])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -140,11 +140,6 @@ type rec struct {
 	bytes  int64
 }
 
-// Run executes the job and returns its statistics.
-func (e *Engine) Run(job *physical.Job) (*JobStats, error) {
-	return e.RunContext(context.Background(), job)
-}
-
 // Progress observes one running job's task completions: done counts
 // map and reduce tasks finished so far out of total, and simSoFar is
 // the accumulated simulated execution time of those tasks (a running
@@ -177,43 +172,17 @@ func (p *progressTracker) tick(taskTime time.Duration) {
 	p.fn(p.done, p.total, p.sim)
 }
 
-// RunContext executes the job under ctx. Cancelling the context aborts
-// the job promptly: tasks that have not yet acquired an engine task
-// slot never start (their slots go back to the engine-wide pool for
-// other in-flight jobs), already-running tasks finish their unit of
-// work, and the returned error wraps ctx.Err(). A cancelled job writes
-// no statistics and must not be registered in the repository.
-func (e *Engine) RunContext(ctx context.Context, job *physical.Job) (*JobStats, error) {
-	return e.RunContextObserved(ctx, job, nil)
-}
-
-// RunContextObserved is RunContext with a task-level progress observer;
-// progress (when non-nil) fires after every completed map and reduce
-// task, making long jobs observable through the query-handle Status
-// API.
-func (e *Engine) RunContextObserved(ctx context.Context, job *physical.Job, progress Progress) (*JobStats, error) {
-	return e.RunContextOpts(ctx, job, RunOptions{Progress: progress})
-}
-
-// RunOptions tunes one job execution.
-type RunOptions struct {
-	// Progress, when non-nil, observes task completions (see Progress).
-	Progress Progress
-	// DisableBatchCache bypasses the decoded-dataset cache for this run
-	// only: inputs are decoded from the DFS and outputs are not written
-	// through. Results are byte-identical either way; the flag exists
-	// for differential testing and per-query opt-out.
-	DisableBatchCache bool
-}
-
-// RunContextOpts is RunContext with per-run options.
-func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts RunOptions) (*JobStats, error) {
+// Run executes the job under ctx and returns its statistics; progress,
+// when non-nil, fires after every completed map and reduce task, making
+// long jobs observable through the query-handle Status API. Cancelling
+// the context aborts the job promptly: tasks that have not yet acquired
+// an engine task slot never start (their slots go back to the
+// engine-wide pool for other in-flight jobs), already-running tasks
+// finish their unit of work, and the returned error wraps ctx.Err(). A
+// cancelled job writes no statistics and must not be registered in the
+// repository.
+func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) (*JobStats, error) {
 	start := time.Now()
-	progress := opts.Progress
-	cache := e.cache
-	if opts.DisableBatchCache {
-		cache = nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
@@ -224,7 +193,7 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
-	splits, err := e.makeSplits(job.Plan, cache)
+	splits, err := e.makeSplits(job.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
@@ -255,11 +224,11 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 	}
 
 	var shufSig string
-	if seg.shuffle != nil && cache != nil {
+	if seg.shuffle != nil && e.cache != nil {
 		shufSig = mapSegmentSig(seg, numRed)
 	}
 
-	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker, shufSig, cache)
+	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker, shufSig)
 	if err != nil {
 		return nil, err
 	}
@@ -269,19 +238,19 @@ func (e *Engine) RunContextOpts(ctx context.Context, job *physical.Job, opts Run
 	}
 	var redWrites []writtenPart
 	if seg.shuffle != nil {
-		redTimes, redWrites, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker, cache != nil)
+		redTimes, redWrites, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	if cache != nil {
+	if e.cache != nil {
 		var written []writtenPart
 		for i := range mapResults {
 			written = append(written, mapResults[i].writes...)
 		}
 		written = append(written, redWrites...)
-		e.writeThrough(cache, written)
+		e.writeThrough(written)
 	}
 
 	stats.MapTasks = len(mapResults)
@@ -390,8 +359,8 @@ type split struct {
 	batch  *tuple.Batch
 	lo, hi int
 	bytes  int64 // actual bytes attributed to this slice
-	// ds is the cache entry the batch belongs to (nil when the run
-	// bypasses the cache); it carries shuffle partition recordings.
+	// ds is the cache entry the batch belongs to (nil when the cache is
+	// off); it carries shuffle partition recordings.
 	ds *cachedDataset
 }
 
@@ -400,9 +369,9 @@ type split struct {
 // version stamp is taken before the reads and re-checked before
 // publishing, so a concurrent writer can only cause a skipped insert,
 // never a stale entry.
-func (e *Engine) loadDataset(path string, cache *BatchCache) (*cachedDataset, error) {
-	if cache != nil {
-		if ds := cache.Get(e.fs, path); ds != nil {
+func (e *Engine) loadDataset(path string) (*cachedDataset, error) {
+	if e.cache != nil {
+		if ds := e.cache.Get(e.fs, path); ds != nil {
 			return ds, nil
 		}
 	}
@@ -425,26 +394,13 @@ func (e *Engine) loadDataset(path string, cache *BatchCache) (*cachedDataset, er
 		ds.mem += b.MemBytes()
 		ds.src += b.SrcBytes()
 	}
-	if cache != nil {
-		cache.noteMiss(ds.src)
+	if e.cache != nil {
+		e.cache.noteMiss(ds.src)
 		if e.fs.Version(path) == v0 {
-			cache.Put(ds)
+			e.cache.Put(ds)
 		}
 	}
 	return ds, nil
-}
-
-// readAll decodes a part file's rows as a flat slice.
-func readAll(data []byte) ([]tuple.Tuple, error) {
-	b, err := tuple.DecodeTextBatch(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tuple.Tuple, b.Len())
-	for i := range out {
-		out[i] = b.Row(i)
-	}
-	return out, nil
 }
 
 // makeSplits decodes every Load's part files (through the batch cache
@@ -452,7 +408,7 @@ func readAll(data []byte) ([]tuple.Tuple, error) {
 // simulated bytes. Split sizing works from each batch's source byte
 // length, so cached and uncached runs produce identical splits — and
 // therefore identical task counts, costs, and outputs.
-func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error) {
+func (e *Engine) makeSplits(p *physical.Plan) ([]split, error) {
 	var out []split
 	for _, op := range p.Ops() {
 		if op.Kind != physical.KLoad {
@@ -462,9 +418,9 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 		var ds *cachedDataset
 		var err error
 		if restricted {
-			ds, err = e.loadFiles(op.Path, op.Files, cache)
+			ds, err = e.loadFiles(op.Path, op.Files)
 		} else {
-			ds, err = e.loadDataset(op.Path, cache)
+			ds, err = e.loadDataset(op.Path)
 		}
 		if err != nil {
 			return nil, err
@@ -492,7 +448,7 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 				}
 				chunkBytes := actualBytes * int64(j-i) / int64(nrows)
 				sp := split{loadID: op.ID, file: ds.files[fi], batch: b, lo: i, hi: j, bytes: chunkBytes}
-				if cache != nil && !restricted {
+				if e.cache != nil && !restricted {
 					// Restricted views are ad-hoc datasets; they carry
 					// no shuffle-partition recordings.
 					sp.ds = ds
@@ -510,7 +466,7 @@ func (e *Engine) makeSplits(p *physical.Plan, cache *BatchCache) ([]split, error
 // re-read, so a delta run whose base is warm touches the DFS only for
 // the files it actually needs; a restricted view is never inserted
 // into the cache (it is not the dataset).
-func (e *Engine) loadFiles(path string, files []string, cache *BatchCache) (*cachedDataset, error) {
+func (e *Engine) loadFiles(path string, files []string) (*cachedDataset, error) {
 	ds := &cachedDataset{path: path}
 	if len(files) == 0 {
 		return ds, nil
@@ -519,8 +475,8 @@ func (e *Engine) loadFiles(path string, files []string, cache *BatchCache) (*cac
 	for _, f := range files {
 		want[f] = true
 	}
-	if cache != nil {
-		if full := cache.Get(e.fs, path); full != nil {
+	if e.cache != nil {
+		if full := e.cache.Get(e.fs, path); full != nil {
 			for i, f := range full.files {
 				if !want[f] {
 					continue
@@ -586,7 +542,7 @@ func mapSegmentSig(seg *segmentation, numRed int) string {
 // directory version has moved past the stamp and the guard below skips
 // the insert instead of caching this job's stale batches under the
 // rewriter's newer version.
-func (e *Engine) writeThrough(cache *BatchCache, parts []writtenPart) {
+func (e *Engine) writeThrough(parts []writtenPart) {
 	byDir := map[string][]writtenPart{}
 	for _, wp := range parts {
 		byDir[wp.dir] = append(byDir[wp.dir], wp)
@@ -615,7 +571,7 @@ func (e *Engine) writeThrough(cache *BatchCache, parts []writtenPart) {
 		if !equalStrings(ds.files, e.fs.List(dir)) {
 			continue
 		}
-		cache.Put(ds)
+		e.cache.Put(ds)
 	}
 }
 
@@ -705,7 +661,7 @@ func (pt *partitioner) finish() {
 	}
 }
 
-func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker, shufSig string, cache *BatchCache) ([]mapResult, error) {
+func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker, shufSig string) ([]mapResult, error) {
 	results := make([]mapResult, len(splits))
 	errs := make([]error, len(splits))
 	var wg sync.WaitGroup
@@ -720,7 +676,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 				return
 			}
 			defer func() { <-e.sem }()
-			results[idx], errs[idx] = e.runMapTask(job, seg, splits[idx], idx, numRed, shufSig, cache)
+			results[idx], errs[idx] = e.runMapTask(job, seg, splits[idx], idx, numRed, shufSig)
 			if errs[idx] == nil {
 				tracker.tick(e.cfg.Cost.TaskTime(results[idx].work))
 			}
@@ -750,15 +706,15 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 	}
 }
 
-func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, taskIdx, numRed int, shufSig string, cache *BatchCache) (mapResult, error) {
+func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, taskIdx, numRed int, shufSig string) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
 	if numRed > 0 {
 		mr.parts = make([][]rec, numRed)
 	}
 	px := newExec(seg.plan, seg.succ, seg.inMap)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
-	px.capture = cache != nil
-	pt := newPartitioner(sp, shufSig, numRed, cache)
+	px.capture = e.cache != nil
+	pt := newPartitioner(sp, shufSig, numRed, e.cache)
 	var acc *combineAccumulator
 	switch {
 	case seg.combine != nil:
@@ -878,7 +834,7 @@ func cursorFeedSafe(seg *segmentation, loadID int) bool {
 	return visit(loadID)
 }
 
-func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker, capture bool) ([]time.Duration, []writtenPart, error) {
+func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, []writtenPart, error) {
 	times := make([]time.Duration, numRed)
 	errs := make([]error, numRed)
 	outs := make([]map[string]OutputStat, numRed)
@@ -901,7 +857,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 				recs = append(recs, mr.parts[r]...)
 			}
 			outs[r] = map[string]OutputStat{}
-			times[r], shuffleIn[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r], capture)
+			times[r], shuffleIn[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
 			if errs[r] == nil {
 				tracker.tick(times[r])
 			}
@@ -919,7 +875,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	return times, allWrites, nil
 }
 
-func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat, capture bool) (time.Duration, int64, []writtenPart, error) {
+func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, int64, []writtenPart, error) {
 	// Sort by key (respecting ORDER BY direction), then branch, stable.
 	desc := seg.pkg.Desc
 	sort.SliceStable(recs, func(i, j int) bool {
@@ -932,7 +888,7 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 
 	px := newExec(seg.plan, seg.succ, nil)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
-	px.capture = capture
+	px.capture = e.cache != nil
 
 	var shuffleBytes int64
 	for _, r := range recs {

@@ -28,6 +28,24 @@ func writeDataset(t *testing.T, fs *dfs.FS, path string, rows ...tuple.Tuple) {
 	}
 }
 
+// runJob executes one job with no cancellation and no progress observer.
+func runJob(eng *Engine, job *physical.Job) (*JobStats, error) {
+	return eng.Run(context.Background(), job, nil)
+}
+
+// readAll decodes a part file's rows as a flat slice.
+func readAll(data []byte) ([]tuple.Tuple, error) {
+	b, err := tuple.DecodeTextBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]tuple.Tuple, b.Len())
+	for i := range out {
+		out[i] = b.Row(i)
+	}
+	return out, nil
+}
+
 // readDataset loads all tuples under path, sorted for comparison.
 func readDataset(t *testing.T, fs *dfs.FS, path string) []tuple.Tuple {
 	t.Helper()
@@ -70,7 +88,7 @@ func runScript(t *testing.T, fs *dfs.FS, src string) map[string]*JobStats {
 	}
 	stats := map[string]*JobStats{}
 	for _, j := range jobs {
-		st, err := eng.Run(j)
+		st, err := runJob(eng, j)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", j.ID, err)
 		}
@@ -338,7 +356,7 @@ func TestSimScaleMultipliesBytes(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SimScale = scale
 		eng := New(fs, cfg)
-		st, err := eng.Run(wf.Jobs[0])
+		st, err := runJob(eng, wf.Jobs[0])
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -360,7 +378,7 @@ func TestMissingInputFails(t *testing.T) {
 	lp, _ := logical.Build(script)
 	wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/x", DefaultReducers: 1})
 	eng := New(fs, DefaultConfig())
-	if _, err := eng.Run(wf.Jobs[0]); err == nil {
+	if _, err := runJob(eng, wf.Jobs[0]); err == nil {
 		t.Errorf("missing input should fail")
 	}
 }
@@ -404,7 +422,7 @@ store C into 'out';
 	cfg := DefaultConfig()
 	cfg.SimScale = 1e6 // forces many splits
 	eng := New(fs, cfg)
-	st, err := eng.Run(wf.Jobs[0])
+	st, err := runJob(eng, wf.Jobs[0])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -456,7 +474,7 @@ store B into 'main';
 	job.Plan.Add(&physical.Op{Kind: physical.KStore, Path: "side", InputIDs: []int{split.ID}})
 
 	eng := New(fs, DefaultConfig())
-	st, err := eng.Run(job)
+	st, err := runJob(eng, job)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -483,10 +501,10 @@ store B into 'out';
 	}
 }
 
-// TestRunContextCancelled proves engine-level cancellation: a cancelled
+// TestRunCancelled proves engine-level cancellation: a cancelled
 // context aborts the job with its error before (or while) tasks acquire
 // slots, and the engine stays usable afterwards.
-func TestRunContextCancelled(t *testing.T) {
+func TestRunCancelled(t *testing.T) {
 	fs := dfs.New()
 	writeDataset(t, fs, "in",
 		tuple.Tuple{"a", int64(1)}, tuple.Tuple{"b", int64(2)})
@@ -511,12 +529,12 @@ store S into 'out';
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.RunContext(ctx, wf.Jobs[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext err = %v, want context.Canceled", err)
+	if _, err := eng.Run(ctx, wf.Jobs[0], nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
 	// All task slots were released: the same job runs fine with a live
 	// context.
-	if _, err := eng.RunContext(context.Background(), wf.Jobs[0]); err != nil {
+	if _, err := runJob(eng, wf.Jobs[0]); err != nil {
 		t.Fatalf("Run after cancellation: %v", err)
 	}
 }

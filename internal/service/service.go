@@ -389,16 +389,15 @@ func (sq *servedQuery) trace() *restore.TraceSnapshot {
 // alternatives: a Pig Latin script inline, or a PigMix query by name
 // resolved server-side.
 type submitRequest struct {
-	Session     string `json:"session,omitempty"`
-	Tenant      string `json:"tenant,omitempty"`
-	Script      string `json:"script,omitempty"`
-	Query       string `json:"query,omitempty"`
-	Tag         string `json:"tag,omitempty"`
-	Reuse       *bool  `json:"reuse,omitempty"`
-	WholeJobs   *bool  `json:"wholeJobs,omitempty"`
-	LinearMatch *bool  `json:"linearMatch,omitempty"`
-	Heuristic   string `json:"heuristic,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
+	Session   string `json:"session,omitempty"`
+	Tenant    string `json:"tenant,omitempty"`
+	Script    string `json:"script,omitempty"`
+	Query     string `json:"query,omitempty"`
+	Tag       string `json:"tag,omitempty"`
+	Reuse     *bool  `json:"reuse,omitempty"`
+	WholeJobs *bool  `json:"wholeJobs,omitempty"`
+	Heuristic string `json:"heuristic,omitempty"`
+	Workers   int    `json:"workers,omitempty"`
 }
 
 // errorBody is every non-2xx JSON response.
@@ -416,6 +415,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
+}
+
+// maxBodyBytes bounds every JSON request body the server reads: a
+// client cannot make it buffer more than this per request.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it writes the error response — 413 for
+// an oversized body, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad %s body: %w", what, err))
+	return false
 }
 
 // Handler returns the server's HTTP API.
@@ -445,8 +465,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant string `json:"tenant"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad session body: %w", err))
+	if !decodeBody(w, r, "session", &req) {
 		return
 	}
 	if req.Tenant == "" {
@@ -509,8 +528,12 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // asynchronously once the fair-share scheduler admits it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
+	if !decodeBody(w, r, "submit", &req) {
+		return
+	}
+	opts, err := s.execOptions(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	script := req.Script
@@ -580,16 +603,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.drain.Add(1)
 	s.mu.Unlock()
 
-	opts := s.execOptions(req, tenant)
-	go s.runQuery(ctx, sq, wtr, quota, opts)
+	go s.runQuery(ctx, sq, wtr, quota, append(opts, restore.WithTenant(tenant)))
 
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id": sq.id, "tenant": tenant, "state": StateQueued,
 	})
 }
 
-// execOptions folds the request's overrides over the server defaults.
-func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOption {
+// execOptions folds the request's overrides over the server defaults;
+// an unparseable heuristic is the client's error, not a silent default.
+func (s *Server) execOptions(req submitRequest) ([]restore.ExecOption, error) {
 	opts := s.cfg.DefaultOptions
 	if req.Reuse != nil {
 		opts.Reuse = *req.Reuse
@@ -597,18 +620,14 @@ func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOpt
 	if req.WholeJobs != nil {
 		opts.KeepWholeJobs = *req.WholeJobs
 	}
-	if req.LinearMatch != nil {
-		opts.LinearMatch = *req.LinearMatch
-	}
 	if req.Heuristic != "" {
-		if h, err := core.ParseHeuristic(req.Heuristic); err == nil {
-			opts.Heuristic = h
+		h, err := core.ParseHeuristic(req.Heuristic)
+		if err != nil {
+			return nil, err
 		}
+		opts.Heuristic = h
 	}
-	out := []restore.ExecOption{
-		restore.WithOptions(opts),
-		restore.WithTenant(tenant),
-	}
+	out := []restore.ExecOption{restore.WithOptions(opts)}
 	if req.Tag != "" {
 		out = append(out, restore.WithTag(req.Tag))
 	}
@@ -619,7 +638,7 @@ func (s *Server) execOptions(req submitRequest, tenant string) []restore.ExecOpt
 	if workers > 0 {
 		out = append(out, restore.WithWorkers(workers))
 	}
-	return out
+	return out, nil
 }
 
 // runQuery carries one accepted query through admission, submission and
@@ -890,7 +909,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		IDOrTag string `json:"idOrTag"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.IDOrTag == "" {
+	if !decodeBody(w, r, "cancel", &req) {
+		return
+	}
+	if req.IDOrTag == "" {
 		writeError(w, http.StatusBadRequest, errors.New("cancel needs idOrTag"))
 		return
 	}

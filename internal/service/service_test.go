@@ -261,6 +261,52 @@ func TestHTTPSubmitResultOutput(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBadHeuristic400: an unparseable heuristic is rejected
+// at submission with ParseHeuristic's error, not run under the default.
+func TestHTTPSubmitBadHeuristic400(t *testing.T) {
+	_, _, base, client := newFakeServer(t, Config{})
+	_, resp, data := submit(t, client, base, submitRequest{Script: "x", Heuristic: "agressive"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "agressive") {
+		t.Fatalf("bad heuristic: %d %s, want 400 naming the heuristic", resp.StatusCode, data)
+	}
+	var queries []QueryInfo
+	getJSON(t, client, base+"/queries", &queries)
+	if len(queries) != 0 {
+		t.Fatalf("rejected request registered %d queries", len(queries))
+	}
+}
+
+// countingReader counts the bytes a handler actually pulled from a body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestHTTPOversizedBodyRefused: a body past maxBodyBytes is refused
+// with 413 after reading no more than the bound — the server never
+// buffers what a client chooses to send.
+func TestHTTPOversizedBodyRefused(t *testing.T) {
+	_, srv, _, _ := newFakeServer(t, Config{})
+	for _, path := range []string{"/sessions", "/queries", "/cancel"} {
+		script := strings.Repeat("a", 8*maxBodyBytes)
+		body := &countingReader{r: strings.NewReader(`{"script":"` + script + `"}`)}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body answered %d %s, want 413", path, rec.Code, rec.Body)
+		}
+		if body.n > 2*maxBodyBytes {
+			t.Errorf("%s: server read %d bytes of an oversized body (bound %d)", path, body.n, maxBodyBytes)
+		}
+	}
+}
+
 // TestHTTPCrossTenantReuse is the service-level ReStore pitch: tenant
 // "analytics" warms the repository with the shared aggregation, tenant
 // "reports" submits the same shape (different destination) and must be

@@ -1,12 +1,6 @@
 package tuple
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-)
+import "bytes"
 
 // Batch is an immutable columnar representation of a decoded dataset
 // slice: one part file's tuples held as typed column vectors instead of
@@ -379,219 +373,4 @@ func DecodeTextBatch(data []byte) (*Batch, error) {
 		bb.Append(DecodeText(string(line)))
 	}
 	return bb.Finish(), nil
-}
-
-// Binary batch codec: a compact column-wise encoding for moving decoded
-// batches without going back through the text path. Layout: header
-// (magic, rows, cols, srcBytes, optional widths), then one column after
-// another (kind, null mask, packed payload).
-
-const batchMagic = 0xB5
-
-// AppendBinary appends the batch's binary encoding to dst.
-func (b *Batch) AppendBinary(dst []byte) []byte {
-	dst = append(dst, batchMagic)
-	dst = binary.AppendUvarint(dst, uint64(b.n))
-	dst = binary.AppendUvarint(dst, uint64(len(b.cols)))
-	dst = binary.AppendVarint(dst, b.srcBytes)
-	if b.widths != nil {
-		dst = append(dst, 1)
-		for _, w := range b.widths {
-			dst = binary.AppendUvarint(dst, uint64(w))
-		}
-	} else {
-		dst = append(dst, 0)
-	}
-	for i := range b.cols {
-		dst = b.cols[i].appendBinary(dst, b.n)
-	}
-	return dst
-}
-
-func (c *column) appendBinary(dst []byte, n int) []byte {
-	dst = append(dst, byte(c.kind))
-	if c.kind == colAny {
-		for _, v := range c.vals {
-			dst = appendBinaryValue(dst, v)
-		}
-		return dst
-	}
-	if c.nulls != nil {
-		dst = append(dst, 1)
-		for _, isNull := range c.nulls {
-			if isNull {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
-	} else {
-		dst = append(dst, 0)
-	}
-	switch c.kind {
-	case colInt:
-		for _, x := range c.ints {
-			dst = binary.AppendVarint(dst, x)
-		}
-	case colFloat:
-		for _, x := range c.floats {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-		}
-	case colString:
-		for _, s := range c.strs {
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	_ = n
-	return dst
-}
-
-// DecodeBatchBinary decodes a batch produced by AppendBinary, returning
-// the batch and the bytes consumed.
-func DecodeBatchBinary(data []byte) (*Batch, int, error) {
-	if len(data) == 0 || data[0] != batchMagic {
-		return nil, 0, fmt.Errorf("tuple: bad batch magic")
-	}
-	off := 1
-	rd := func() (uint64, error) {
-		v, sz := binary.Uvarint(data[off:])
-		if sz <= 0 {
-			return 0, io.ErrUnexpectedEOF
-		}
-		off += sz
-		return v, nil
-	}
-	n64, err := rd()
-	if err != nil {
-		return nil, 0, err
-	}
-	ncols, err := rd()
-	if err != nil {
-		return nil, 0, err
-	}
-	src, sz := binary.Varint(data[off:])
-	if sz <= 0 {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	off += sz
-	// Counts come from unvalidated varints; bound them against the
-	// buffer before any count-sized allocation. Every column costs at
-	// least two bytes (kind + null flag), so a corrupt header claiming
-	// more columns than bytes is rejected here instead of allocating.
-	if n64 > math.MaxInt32 || ncols > uint64(len(data))/2 {
-		return nil, 0, fmt.Errorf("tuple: batch header claims %d rows × %d cols in %d bytes", n64, ncols, len(data))
-	}
-	n := int(n64)
-	b := &Batch{n: n, cols: make([]column, ncols), srcBytes: src}
-	if off >= len(data) {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	hasWidths := data[off] == 1
-	off++
-	if hasWidths {
-		// Each width is at least one varint byte.
-		if n > len(data)-off {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		b.widths = make([]int32, n)
-		for i := 0; i < n; i++ {
-			w, err := rd()
-			if err != nil {
-				return nil, 0, err
-			}
-			b.widths[i] = int32(w)
-		}
-	}
-	for ci := range b.cols {
-		used, err := b.cols[ci].decodeBinary(data[off:], n)
-		if err != nil {
-			return nil, 0, err
-		}
-		off += used
-	}
-	b.mem = b.computeMem()
-	return b, off, nil
-}
-
-func (c *column) decodeBinary(data []byte, n int) (int, error) {
-	if len(data) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	c.kind = colKind(data[0])
-	off := 1
-	if c.kind == colAny {
-		// Each boxed value encodes to at least one byte.
-		if n > len(data)-off {
-			return 0, io.ErrUnexpectedEOF
-		}
-		c.vals = make([]Value, n)
-		for i := 0; i < n; i++ {
-			v, used, err := decodeBinaryValue(data[off:])
-			if err != nil {
-				return 0, err
-			}
-			c.vals[i] = v
-			off += used
-		}
-		return off, nil
-	}
-	if c.kind > colAny {
-		return 0, fmt.Errorf("tuple: bad batch column kind %d", c.kind)
-	}
-	if off >= len(data) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	hasNulls := data[off] == 1
-	off++
-	if hasNulls {
-		if len(data) < off+n {
-			return 0, io.ErrUnexpectedEOF
-		}
-		c.nulls = make([]bool, n)
-		for i := 0; i < n; i++ {
-			c.nulls[i] = data[off+i] == 1
-		}
-		off += n
-	}
-	switch c.kind {
-	case colInt:
-		// Each varint is at least one byte.
-		if n > len(data)-off {
-			return 0, io.ErrUnexpectedEOF
-		}
-		c.ints = make([]int64, n)
-		for i := 0; i < n; i++ {
-			v, sz := binary.Varint(data[off:])
-			if sz <= 0 {
-				return 0, io.ErrUnexpectedEOF
-			}
-			c.ints[i] = v
-			off += sz
-		}
-	case colFloat:
-		if len(data) < off+8*n {
-			return 0, io.ErrUnexpectedEOF
-		}
-		c.floats = make([]float64, n)
-		for i := 0; i < n; i++ {
-			c.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-	case colString:
-		// Each string is at least one length byte.
-		if n > len(data)-off {
-			return 0, io.ErrUnexpectedEOF
-		}
-		c.strs = make([]string, n)
-		for i := 0; i < n; i++ {
-			l, sz := binary.Uvarint(data[off:])
-			if sz <= 0 || len(data) < off+sz+int(l) {
-				return 0, io.ErrUnexpectedEOF
-			}
-			c.strs[i] = string(data[off+sz : off+sz+int(l)])
-			off += sz + int(l)
-		}
-	}
-	return off, nil
 }

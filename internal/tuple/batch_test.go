@@ -82,30 +82,6 @@ func TestBatchTextDecodeMatchesReader(t *testing.T) {
 	}
 }
 
-func TestBatchBinaryRoundTrip(t *testing.T) {
-	b := BatchOf(batchRows(), 4567)
-	enc := b.AppendBinary(nil)
-	got, used, err := DecodeBatchBinary(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(enc) {
-		t.Fatalf("consumed %d of %d bytes", used, len(enc))
-	}
-	if got.Len() != b.Len() || got.SrcBytes() != b.SrcBytes() {
-		t.Fatalf("shape mismatch: %d/%d rows, %d/%d srcBytes",
-			got.Len(), b.Len(), got.SrcBytes(), b.SrcBytes())
-	}
-	for i := 0; i < b.Len(); i++ {
-		if CompareTuples(got.Row(i), b.Row(i)) != 0 {
-			t.Fatalf("row %d: %v != %v", i, got.Row(i), b.Row(i))
-		}
-	}
-	if got.MemBytes() <= 0 {
-		t.Fatal("decoded batch reports no memory")
-	}
-}
-
 // TestBatchWideningRows appends rows in strictly widening width order:
 // the batch must stay ragged even though the final column count equals
 // the last row's width, so early rows must not come back padded with
@@ -131,13 +107,6 @@ func TestBatchWideningRows(t *testing.T) {
 	b := BatchOf(rows, 0)
 	check(b, "built")
 
-	enc := b.AppendBinary(nil)
-	dec, _, err := DecodeBatchBinary(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dec, "binary round-trip")
-
 	tb, err := DecodeTextBatch([]byte("1\t2\n1\t2\t3\t4\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -145,51 +114,10 @@ func TestBatchWideningRows(t *testing.T) {
 	check(tb, "text decode")
 }
 
-// TestDecodeBatchBinaryCorruptCounts feeds headers whose row/column
-// counts vastly exceed the buffer; the decoder must reject them before
-// allocating count-sized slices.
-func TestDecodeBatchBinaryCorruptCounts(t *testing.T) {
-	make1 := func(rows, cols uint64, widths byte) []byte {
-		enc := []byte{batchMagic}
-		enc = appendUvarintHelper(enc, rows)
-		enc = appendUvarintHelper(enc, cols)
-		enc = append(enc, 0) // srcBytes varint 0
-		enc = append(enc, widths)
-		return enc
-	}
-	cases := [][]byte{
-		make1(1<<40, 0, 1),               // huge row count with widths
-		make1(10, 1<<30, 0),              // huge column count
-		make1(1<<62, 2, 0),               // row count past MaxInt32
-		append(make1(1<<20, 1, 0), 0, 0), // one int column, 2^20 claimed rows, 0 payload
-	}
-	for i, enc := range cases {
-		if _, _, err := DecodeBatchBinary(enc); err == nil {
-			t.Errorf("case %d: corrupt header decoded without error", i)
-		}
-	}
-}
-
-func appendUvarintHelper(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 func TestBatchEmpty(t *testing.T) {
 	b := BatchOf(nil, 0)
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d", b.Len())
-	}
-	enc := b.AppendBinary(nil)
-	got, _, err := DecodeBatchBinary(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("decoded Len = %d", got.Len())
 	}
 	if eb, err := DecodeTextBatch(nil); err != nil || eb.Len() != 0 {
 		t.Fatalf("empty text decode: %v, %d rows", err, eb.Len())

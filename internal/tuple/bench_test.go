@@ -22,24 +22,6 @@ func BenchmarkDecodeText(b *testing.B) {
 	}
 }
 
-func BenchmarkAppendBinary(b *testing.B) {
-	buf := make([]byte, 0, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendBinary(buf[:0], benchTuple)
-	}
-}
-
-func BenchmarkDecodeBinary(b *testing.B) {
-	enc := AppendBinary(nil, benchTuple)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeBinary(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCompareTuples(b *testing.B) {
 	other := benchTuple.Copy()
 	b.ResetTimer()

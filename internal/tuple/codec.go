@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -332,127 +331,6 @@ func parseItem(s string, close byte) (Value, string, bool) {
 		return nil, s[i:], true
 	}
 	return parseScalar(raw), s[i:], true
-}
-
-// Binary codec: length-prefixed records used on the shuffle path, where
-// exact round-tripping of types matters (text parsing would turn the
-// string "42" into an int).
-
-const (
-	binNull   = 0
-	binInt    = 1
-	binFloat  = 2
-	binString = 3
-	binTuple  = 4
-	binBag    = 5
-)
-
-// AppendBinary appends the binary encoding of t to dst and returns the
-// extended slice.
-func AppendBinary(dst []byte, t Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	for _, v := range t {
-		dst = appendBinaryValue(dst, v)
-	}
-	return dst
-}
-
-func appendBinaryValue(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(dst, binNull)
-	case int64:
-		dst = append(dst, binInt)
-		return binary.AppendVarint(dst, x)
-	case float64:
-		dst = append(dst, binFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	case string:
-		dst = append(dst, binString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
-	case Tuple:
-		dst = append(dst, binTuple)
-		return AppendBinary(dst, x)
-	case *Bag:
-		dst = append(dst, binBag)
-		dst = binary.AppendUvarint(dst, uint64(len(x.Tuples)))
-		for _, t := range x.Tuples {
-			dst = AppendBinary(dst, t)
-		}
-		return dst
-	}
-	panic(fmt.Sprintf("tuple: unsupported value type %T", v))
-}
-
-// DecodeBinary decodes one tuple from b, returning the tuple and the
-// number of bytes consumed.
-func DecodeBinary(b []byte) (Tuple, int, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	off := sz
-	t := make(Tuple, n)
-	for i := range t {
-		v, used, err := decodeBinaryValue(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		t[i] = v
-		off += used
-	}
-	return t, off, nil
-}
-
-func decodeBinaryValue(b []byte) (Value, int, error) {
-	if len(b) == 0 {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	switch b[0] {
-	case binNull:
-		return nil, 1, nil
-	case binInt:
-		v, sz := binary.Varint(b[1:])
-		if sz <= 0 {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return v, 1 + sz, nil
-	case binFloat:
-		if len(b) < 9 {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[1:9])), 9, nil
-	case binString:
-		n, sz := binary.Uvarint(b[1:])
-		if sz <= 0 || len(b) < 1+sz+int(n) {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		return string(b[1+sz : 1+sz+int(n)]), 1 + sz + int(n), nil
-	case binTuple:
-		t, used, err := DecodeBinary(b[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, 1 + used, nil
-	case binBag:
-		n, sz := binary.Uvarint(b[1:])
-		if sz <= 0 {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		off := 1 + sz
-		bag := &Bag{Tuples: make([]Tuple, n)}
-		for i := range bag.Tuples {
-			t, used, err := DecodeBinary(b[off:])
-			if err != nil {
-				return nil, 0, err
-			}
-			bag.Tuples[i] = t
-			off += used
-		}
-		return bag, off, nil
-	}
-	return nil, 0, fmt.Errorf("tuple: bad binary tag %d", b[0])
 }
 
 // Writer streams tuples in text form to an io.Writer.

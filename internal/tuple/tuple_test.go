@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -130,36 +129,6 @@ func TestDecodeTextNonNumericStrings(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	in := Tuple{
-		int64(-5), 3.75, "hello", nil,
-		Tuple{"nested", int64(1)},
-		NewBag(Tuple{int64(1)}, Tuple{"two", 2.0}),
-	}
-	b := AppendBinary(nil, in)
-	out, n, err := DecodeBinary(b)
-	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if n != len(b) {
-		t.Errorf("consumed %d of %d bytes", n, len(b))
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("binary round trip: got %#v, want %#v", out, in)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	b := AppendBinary(nil, Tuple{"hello", int64(42)})
-	for i := 0; i < len(b); i++ {
-		if _, _, err := DecodeBinary(b[:i]); err == nil && i < len(b) {
-			// Some prefixes may decode an empty tuple legitimately (i==1
-			// is the count byte); only full input must round trip fully.
-			_ = err
-		}
-	}
-}
-
 // randomTuple builds a random tuple for property tests, with limited
 // nesting depth.
 func randomTuple(r *rand.Rand, depth int) Tuple {
@@ -199,21 +168,6 @@ func randomValue(r *rand.Rand, depth int) Value {
 			b.Add(randomTuple(r, depth-1))
 		}
 		return b
-	}
-}
-
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 300; i++ {
-		in := randomTuple(r, 2)
-		b := AppendBinary(nil, in)
-		out, n, err := DecodeBinary(b)
-		if err != nil {
-			t.Fatalf("DecodeBinary(%v): %v", in, err)
-		}
-		if n != len(b) || !Equal(in, out) {
-			t.Fatalf("round trip failed for %v: got %v", in, out)
-		}
 	}
 }
 

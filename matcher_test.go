@@ -62,18 +62,29 @@ func seedMatcherData(t *testing.T, sys *System) {
 	}
 }
 
+// withLinearScan routes one query's matcher through the reference
+// sequential scan kept in internal/core (Rewriter.LinearScan) — the
+// oracle side of the indexed-vs-scan differential suite.
+func withLinearScan() ExecOption {
+	return func(c *execConfig) { c.linearScan = true }
+}
+
 // runMatcherWorkload executes the workload serially (Workers 1, so
 // entry IDs and scan order are deterministic) and returns per-run
 // summaries plus the outputs of the final states.
 func runMatcherWorkload(t *testing.T, linear bool) (sims []string, rewrites []string, outputs map[string][]Tuple, stats MatcherStats) {
 	t.Helper()
 	sys := newTestSystem(Options{
-		Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive, LinearMatch: linear,
+		Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive,
 	})
+	execOpts := []ExecOption{WithWorkers(1)}
+	if linear {
+		execOpts = append(execOpts, withLinearScan())
+	}
 	seedMatcherData(t, sys)
 	outputs = map[string][]Tuple{}
 	for i, src := range matcherWorkload {
-		res, err := sys.ExecuteContext(nil, src, WithWorkers(1))
+		res, err := sys.ExecuteContext(nil, src, execOpts...)
 		if err != nil {
 			t.Fatalf("linear=%v run %d: %v", linear, i, err)
 		}

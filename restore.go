@@ -83,10 +83,10 @@
 //     never an interleaving of part files — and cancelled or failed
 //     queries publish nothing.
 //
-// SetOptions, SetScales, SetSimScale and LoadRepository still take a
-// write lock that waits for all in-flight queries to drain; prefer
-// per-query ExecOptions for tuning, and reserve SetOptions for changing
-// the defaults of a quiet System.
+// SetOptions, SetScales and SetSimScale still take a write lock that
+// waits for all in-flight queries to drain; prefer per-query
+// ExecOptions for tuning, and reserve SetOptions for changing the
+// defaults of a quiet System.
 //
 // # Storage management
 //
@@ -97,10 +97,8 @@
 //     plan fingerprint; a concurrent query about to materialize the
 //     same sub-job blocks until the winner commits, then rewrites
 //     against the freshly committed entry instead of duplicating the
-//     work. Claims are on whenever a query stores anything;
-//     Options.DisableClaims restores independent materialization, and
-//     Options.ClaimFallback picks the loser's behaviour when a winner
-//     aborts.
+//     work. Claims are on whenever a query stores anything; when a
+//     winner aborts, the waiters contend for the claim again.
 //
 //   - Budget. Config.MaxRepositoryBytes bounds the bytes the repository
 //     retains; when exceeded, the Config.Eviction policy (reuse-window,
@@ -140,10 +138,8 @@
 //     two processes about to materialize the same sub-job resolve to
 //     one winner; the loser waits on the lease, folds the winner's log
 //     records into its own repository, and reuses the committed entry.
-//     Options.DisableClaims and Options.ClaimFallback behave exactly as
-//     they do in-process. The janitor reaps expired leases, so a
-//     crashed process's in-flight claims unblock its peers within the
-//     TTL.
+//     The janitor reaps expired leases, so a crashed process's
+//     in-flight claims unblock its peers within the TTL.
 //
 // Each recovered System gets a process-unique writer identity: query
 // IDs, repository entry IDs and the janitor's orphan sweep are scoped
@@ -157,10 +153,10 @@
 // the paper's sequential repository scan: a probe nominates only the
 // entries whose signature footprint could be contained in the incoming
 // job, in the same preference order the scan would visit them, so match
-// cost scales with plan size instead of repository size. The two modes
-// choose identical entries; Options.LinearMatch restores the scan for
-// comparison. MatcherStats reports probe, candidate and traversal
-// counts and the index's size.
+// cost scales with plan size instead of repository size. The scan stays
+// in internal/core as the reference the differential suites compare the
+// index against: the two choose identical entries. MatcherStats reports
+// probe, candidate and traversal counts and the index's size.
 package restore
 
 import (
@@ -230,9 +226,6 @@ type (
 	MatcherStats = core.MatcherStats
 	// SweepReport reports one janitor pass.
 	SweepReport = core.SweepResult
-	// ClaimFallback selects a query's behaviour when a materialization
-	// claim it waited on is aborted.
-	ClaimFallback = core.ClaimFallback
 	// DurabilityStats snapshots the durable repository: recovery size,
 	// event-log traffic, compactions, and lazy plan decodes.
 	DurabilityStats = core.DurabilityStats
@@ -260,14 +253,6 @@ type (
 // ExplainTrace renders a query's trace snapshot as the human-readable
 // reuse-provenance report (restore-cli -explain).
 func ExplainTrace(w io.Writer, t *TraceSnapshot) { obs.Explain(w, t) }
-
-// The claim fallback modes.
-const (
-	// ClaimRetry: contend for the aborted claim again (default).
-	ClaimRetry = core.ClaimRetry
-	// ClaimIndependent: materialize privately, without sharing.
-	ClaimIndependent = core.ClaimIndependent
-)
 
 // The job lifecycle states.
 const (
@@ -426,10 +411,9 @@ func DefaultConfig() Config {
 // concurrently from many goroutines; see the package comment for the
 // concurrency model.
 type System struct {
-	// mu serializes reconfiguration (SetOptions, SetScales,
-	// LoadRepository) against in-flight Execute calls: executions hold
-	// the read side for their full duration, reconfiguration takes the
-	// write side.
+	// mu serializes reconfiguration (SetOptions, SetScales) against
+	// in-flight Execute calls: executions hold the read side for their
+	// full duration, reconfiguration takes the write side.
 	mu     sync.RWMutex
 	fs     dfs.Backend
 	eng    *mapreduce.Engine
@@ -480,8 +464,8 @@ func New(cfg Config) *System {
 // janitor's orphan sweep are all scoped by it).
 //
 // Without durability, Recover simply attaches a fresh in-memory
-// repository to the given DFS (the legacy SaveRepository/LoadRepository
-// flow still works there).
+// repository to the given DFS: nothing of the repository outlives the
+// System.
 func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	if cfg.DefaultReducers <= 0 {
 		if cfg.Topology.Workers > 0 {
@@ -773,42 +757,6 @@ func (s *System) ReadDataset(path string) ([]Tuple, error) {
 	return out, nil
 }
 
-// SaveRepository persists the ReStore repository into the DFS at path,
-// so a later session (LoadRepository) can keep reusing this session's
-// stored outputs.
-func (s *System) SaveRepository(path string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.repo.Save(s.fs, path)
-}
-
-// LoadRepository replaces the current repository with one previously
-// saved at path, rebuilding the storage manager over it. It waits for
-// in-flight executions to drain. On a durable System it fails: the
-// repository there is recovered from the event log (Recover), and
-// swapping in an unjournaled snapshot would silently fork the durable
-// state.
-func (s *System) LoadRepository(path string) error {
-	if s.durable != nil {
-		return fmt.Errorf("restore: LoadRepository is unsupported with durability enabled; the repository is recovered from the event log")
-	}
-	repo, err := core.LoadRepository(s.fs, path)
-	if err != nil {
-		return err
-	}
-	if s.cfg.NegCacheEntries != 0 {
-		repo.SetNegCacheSize(s.cfg.NegCacheEntries)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.repo = repo
-	s.store = core.NewStorageManager(repo, s.fs, s.cfg.MaxRepositoryBytes, s.cfg.Eviction)
-	s.store.SetNamespaceRoot(s.cfg.NamespaceRoot)
-	s.driver.Repo = repo
-	s.driver.Store = s.store
-	return nil
-}
-
 // DurabilityStats snapshots the durable repository subsystem: recovery
 // size, log append/replay/compaction traffic, and the crash-injection
 // wedge state. The zero value is returned when durability is off.
@@ -903,6 +851,9 @@ type execConfig struct {
 	tenant   string
 	observer func(jobID string, state JobState)
 	progress func(jobID string, done, total int, sim time.Duration)
+	// linearScan routes the matcher through the reference sequential
+	// scan; set only by the indexed-vs-scan differential suite.
+	linearScan bool
 }
 
 // WithOptions replaces the query's entire ReStore configuration,
@@ -1158,9 +1109,10 @@ func (s *System) Submit(ctx context.Context, script string, opts ...ExecOption) 
 	}
 
 	cfg := core.ExecConfig{
-		Opts:    ec.opts,
-		Workers: ec.workers,
-		Trace:   tr,
+		Opts:       ec.opts,
+		Workers:    ec.workers,
+		Trace:      tr,
+		LinearScan: ec.linearScan,
 		OnJobState: func(jobID string, state JobState) {
 			q.mu.Lock()
 			q.jobs[jobID] = state
@@ -1190,10 +1142,10 @@ func (s *System) Submit(ctx context.Context, script string, opts ...ExecOption) 
 
 	go func() {
 		// Hold the read side for the execution's duration, as Execute
-		// always did: reconfiguration (SetOptions, SetScales,
-		// LoadRepository) drains in-flight queries.
+		// always did: reconfiguration (SetOptions, SetScales) drains
+		// in-flight queries.
 		s.mu.RLock()
-		res, err := s.driver.ExecuteContext(qctx, wf, qid, cfg)
+		res, err := s.driver.Execute(qctx, wf, qid, cfg)
 		s.mu.RUnlock()
 		s.qmu.Lock()
 		delete(s.queries, qid)

@@ -215,36 +215,3 @@ store S into 'counts';
 		t.Errorf("counts = %v", cnt)
 	}
 }
-
-func TestRepositoryPersistenceAPI(t *testing.T) {
-	sys := newTestSystem(Options{Heuristic: Aggressive, KeepWholeJobs: true})
-	seedEvents(t, sys)
-	if _, err := sys.Execute(totalsScript); err != nil {
-		t.Fatal(err)
-	}
-	n := sys.Repository().Len()
-	if n == 0 {
-		t.Fatal("nothing stored")
-	}
-	if err := sys.SaveRepository("restore/repo.gob"); err != nil {
-		t.Fatalf("SaveRepository: %v", err)
-	}
-	if err := sys.LoadRepository("restore/repo.gob"); err != nil {
-		t.Fatalf("LoadRepository: %v", err)
-	}
-	if sys.Repository().Len() != n {
-		t.Errorf("loaded %d entries, want %d", sys.Repository().Len(), n)
-	}
-	// The reloaded repository must still drive rewrites.
-	sys.SetOptions(Options{Reuse: true})
-	res, err := sys.Execute(totalsScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rewrites) == 0 {
-		t.Errorf("no rewrites from reloaded repository")
-	}
-	if err := sys.LoadRepository("missing"); err == nil {
-		t.Errorf("loading a missing repository should error")
-	}
-}

@@ -120,33 +120,6 @@ func sortDurations(ds []time.Duration) {
 	}
 }
 
-// TestDisableClaimsMaterializesIndependently proves the opt-out: with
-// DisableClaims, two concurrent same-script queries may each
-// materialize their own sub-job copies (the pre-claim behaviour), and
-// nothing blocks.
-func TestDisableClaimsMaterializesIndependently(t *testing.T) {
-	opts := claimOpts
-	opts.DisableClaims = true
-	sys := newTestSystem(opts)
-	seedEvents(t, sys)
-	var queries []*Query
-	for i := 0; i < 2; i++ {
-		q, err := sys.Submit(context.Background(), fmt.Sprintf(oneJobScript, fmt.Sprintf("ind/c%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	for _, q := range queries {
-		if _, err := q.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := sys.StorageStats(); st.ClaimWaits != 0 {
-		t.Errorf("DisableClaims still waited on claims: %+v", st)
-	}
-}
-
 // TestBudgetConvergence is the acceptance check for byte-budgeted
 // eviction: a repository filled past Config.MaxRepositoryBytes must
 // converge under the budget via each of the three policies.
