@@ -7,6 +7,7 @@
 package restore_test
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -100,21 +101,16 @@ func pigmixSystem(b *testing.B, opts restore.Options) *restore.System {
 	b.Helper()
 	cfg := restore.DefaultConfig()
 	cfg.Options = opts
-	sys := restore.New(cfg)
-	if _, err := pigmix.Generate(sys.FS(), pigmix.Scale15GB, 1); err != nil {
-		b.Fatal(err)
-	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB))
-	return sys
+	return scaledSystem(b, cfg, pigmix.Scale15GB)
 }
 
-func runPigMix(b *testing.B, sys *restore.System, name string) *restore.Result {
+func runPigMix(b *testing.B, sys *restore.System, name string, opts ...restore.ExecOption) *restore.Result {
 	b.Helper()
 	q, err := pigmix.Get(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sys.Execute(q.Script)
+	res, err := sys.ExecuteContext(context.Background(), q.Script, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,8 +126,7 @@ func BenchmarkAblationMatchOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := pigmixSystem(b, restore.Options{KeepWholeJobs: true, Heuristic: restore.Conservative})
 		runPigMix(b, sys, "L3")
-		sys.SetOptions(restore.Options{Reuse: true})
-		res := runPigMix(b, sys, "L3")
+		res := runPigMix(b, sys, "L3", restore.WithOptions(restore.Options{Reuse: true}))
 		if len(res.Rewrites) == 0 {
 			b.Fatal("no rewrites")
 		}
@@ -199,10 +194,9 @@ func BenchmarkMatcherScan(b *testing.B) {
 	}
 	// Benchmark repeated warm executions, which include the full scan +
 	// rewrite cycle per job.
-	sys.SetOptions(restore.Options{Reuse: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := runPigMix(b, sys, "L3")
+		res := runPigMix(b, sys, "L3", restore.WithOptions(restore.Options{Reuse: true}))
 		if len(res.Rewrites) == 0 {
 			b.Fatal("no rewrites on warm repository")
 		}
@@ -356,12 +350,8 @@ func warmRepeatSystem(b *testing.B, n int, cacheOff bool) *restore.System {
 	if cacheOff {
 		cfg.MaxCachedBatchBytes = -1
 	}
-	sys := restore.New(cfg)
+	sys := scaledSystem(b, cfg, pigmix.TinyScale)
 	fs := sys.FS()
-	if _, err := pigmix.Generate(fs, pigmix.TinyScale, 1); err != nil {
-		b.Fatal(err)
-	}
-	sys.SetScales(pigmix.SimScaleFor(fs, pigmix.TinyScale), pigmix.RecordScaleFor(pigmix.TinyScale))
 
 	repo := sys.Repository()
 	for i := 0; i < n; i++ {

@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg, scale := eng.Config, eng.Scale
+	scale := eng.Scale
 	if *recoverFlag && !ef.Durable {
 		fail(fmt.Errorf("-recover-check needs -durable"))
 	}
@@ -149,23 +149,11 @@ func main() {
 		}
 		return
 	}
-	sys, err := restore.Recover(cfg, fs)
+	sys, err := ef.OpenSystem(&eng, fs, "")
 	if err != nil {
 		fail(err)
 	}
 	defer sys.Close()
-	// A recovered disk backend already holds the instance; regenerating
-	// would bump the input datasets' versions and invalidate every
-	// repository entry derived from them.
-	if fs.Size(pigmix.PathPageViews) > 0 {
-		fmt.Printf("reusing PigMix instance found on the %s backend\n", ef.Backend)
-	} else {
-		fmt.Printf("generating PigMix %s instance…\n", scale.Name)
-		if _, err := pigmix.Generate(fs, scale, 1); err != nil {
-			fail(err)
-		}
-	}
-	sys.SetScales(pigmix.SimScaleFor(fs, scale), pigmix.RecordScaleFor(scale))
 
 	// Reuse policy and worker bound are per-query options on each
 	// submission, not global state: concurrent clients of one System
@@ -241,7 +229,7 @@ func main() {
 			fail(err)
 		}
 		if *recoverFlag {
-			recoverCheck(cfg, sys, script)
+			recoverCheck(eng.Config, sys, script)
 		}
 		return
 	}
@@ -284,7 +272,7 @@ func main() {
 		}
 	}
 	if *recoverFlag {
-		recoverCheck(cfg, sys, script)
+		recoverCheck(eng.Config, sys, script)
 	}
 }
 

@@ -41,9 +41,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/engineflags"
-	"repro/internal/pigmix"
 	"repro/internal/service"
 )
 
@@ -98,26 +96,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	scale := eng.Scale
 	fs, closeFS, err := ef.OpenBackend()
 	if err != nil {
 		fail(err)
 	}
 	defer closeFS()
 
-	sys, err := restore.Recover(eng.Config, fs)
+	sys, err := ef.OpenSystem(&eng, fs, "restore-server: ")
 	if err != nil {
 		fail(err)
 	}
-	if fs.Size(pigmix.PathPageViews) > 0 {
-		fmt.Printf("restore-server: reusing PigMix instance found on the %s backend\n", ef.Backend)
-	} else {
-		fmt.Printf("restore-server: generating PigMix %s instance…\n", scale.Name)
-		if _, err := pigmix.Generate(fs, scale, 1); err != nil {
-			fail(err)
-		}
-	}
-	sys.SetScales(pigmix.SimScaleFor(fs, scale), pigmix.RecordScaleFor(scale))
 	if ef.Durable {
 		ds := sys.DurabilityStats()
 		fmt.Printf("restore-server: durable log at %s, %d entries recovered\n", ds.Root, ds.RecoveredEntries)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -49,11 +50,15 @@ func main() {
 		EvictionWindow: 24 * time.Hour, // drop entries unused for a simulated day
 	}
 	cfg.MaxClusterJobs = 8 // global admission across concurrent refreshes
-	sys := restore.New(cfg)
-	if _, err := pigmix.Generate(sys.FS(), pigmix.Scale15GB, 3); err != nil {
+	fs := dfs.New()
+	if _, err := pigmix.Generate(fs, pigmix.Scale15GB, 3); err != nil {
 		log.Fatal(err)
 	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB))
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	order := []string{"revenue by user", "time spent by user", "high-value views"}
 
@@ -64,7 +69,7 @@ func main() {
 	runAll(sys, order)
 
 	fmt.Println("\n== next day: the logs were re-ingested ==")
-	if _, err := pigmix.Generate(sys.FS(), pigmix.Scale15GB, 4); err != nil { // new seed = new data
+	if _, err := pigmix.Generate(fs, pigmix.Scale15GB, 4); err != nil { // new seed = new data
 		log.Fatal(err)
 	}
 	fmt.Printf("repository before refresh: %d entries\n", sys.Repository().Len())

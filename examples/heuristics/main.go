@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -27,12 +28,17 @@ func main() {
 		"heuristic", "base", "generate", "reuse", "stored(GB)", "entries")
 
 	for _, h := range []restore.Heuristic{restore.Conservative, restore.Aggressive, restore.NoHeuristic} {
-		sys := restore.New(restore.DefaultConfig())
-		ctx := context.Background()
-		if _, err := pigmix.Generate(sys.FS(), pigmix.Scale15GB, 5); err != nil {
+		fs := dfs.New()
+		if _, err := pigmix.Generate(fs, pigmix.Scale15GB, 5); err != nil {
 			log.Fatal(err)
 		}
-		sys.SetScales(pigmix.SimScaleFor(sys.FS(), pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB))
+		cfg := restore.DefaultConfig()
+		cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB)
+		sys, err := restore.Recover(cfg, fs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ctx := context.Background()
 
 		// Each phase picks its policy per query — the System's defaults
 		// never change, so other clients would be unaffected.

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -37,14 +38,18 @@ store E into 'L3_out';
 func main() {
 	// The System's default config leaves ReStore off; each query opts
 	// into its own policy at submission time.
-	sys := restore.New(restore.DefaultConfig())
-	ctx := context.Background()
-	reuse := restore.WithOptions(restore.Options{Reuse: true, KeepWholeJobs: true})
-
-	if _, err := pigmix.Generate(sys.FS(), pigmix.Scale15GB, 7); err != nil {
+	fs := dfs.New()
+	if _, err := pigmix.Generate(fs, pigmix.Scale15GB, 7); err != nil {
 		log.Fatal(err)
 	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB))
+	cfg := restore.DefaultConfig()
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	reuse := restore.WithOptions(restore.Options{Reuse: true, KeepWholeJobs: true})
 
 	fmt.Println("running Q1 (join only)…")
 	r1, err := sys.ExecuteContext(ctx, q1, reuse)
@@ -65,13 +70,9 @@ func main() {
 		fmt.Printf("  rewrite: job %s reused entry %s (output %s)\n", ev.JobID, ev.EntryID, ev.Path)
 	}
 
-	// Verify against a cold system.
-	cold := restore.New(restore.DefaultConfig())
-	if _, err := pigmix.Generate(cold.FS(), pigmix.Scale15GB, 7); err != nil {
-		log.Fatal(err)
-	}
-	cold.SetScales(pigmix.SimScaleFor(cold.FS(), pigmix.Scale15GB), pigmix.RecordScaleFor(pigmix.Scale15GB))
-	rc, err := cold.Execute(q2)
+	// Verify against the same query with ReStore off (the System's
+	// default): reuse is a per-query choice, so no second System.
+	rc, err := sys.Execute(q2)
 	if err != nil {
 		log.Fatal(err)
 	}

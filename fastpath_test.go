@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -28,11 +29,23 @@ func tinySystem(t *testing.T, opts restore.Options, maxCachedBatchBytes int64) *
 	cfg := restore.DefaultConfig()
 	cfg.Options = opts
 	cfg.MaxCachedBatchBytes = maxCachedBatchBytes
-	sys := restore.New(cfg)
-	if _, err := pigmix.Generate(sys.FS(), pigmix.TinyScale, 1); err != nil {
-		t.Fatal(err)
+	return scaledSystem(t, cfg, pigmix.TinyScale)
+}
+
+// scaledSystem generates a PigMix instance into a fresh DFS, sizes
+// cfg's simulated clock to it, and opens a System over it — a System's
+// scales are fixed at construction, so the data has to exist first.
+func scaledSystem(tb testing.TB, cfg restore.Config, sc pigmix.Scale) *restore.System {
+	tb.Helper()
+	fs := dfs.New()
+	if _, err := pigmix.Generate(fs, sc, 1); err != nil {
+		tb.Fatal(err)
 	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), pigmix.TinyScale), pigmix.RecordScaleFor(pigmix.TinyScale))
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, sc), pigmix.RecordScaleFor(sc)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return sys
 }
 

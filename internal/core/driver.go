@@ -56,10 +56,9 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// ExecConfig is the immutable per-execution configuration snapshot the
-// driver works from: the query-handle API captures it at submission
-// time, so reconfiguring the shared defaults (or submitting other
-// queries with different options) never changes a query mid-flight.
+// ExecConfig is the immutable per-execution configuration the driver
+// works from: the query-handle API resolves it at submission time, and
+// a Driver holds no defaults of its own for it to drift from.
 type ExecConfig struct {
 	// Opts is this execution's ReStore configuration.
 	Opts Options
@@ -174,48 +173,19 @@ type Result struct {
 // Execute is safe for concurrent use by multiple goroutines sharing one
 // Driver: the repository is internally synchronized, the simulated
 // clock and query counter are atomic, and every Execute works on a
-// private clone of its workflow. The configuration fields (Engine,
-// Repo, Opts, Workers) must not be reassigned while Execute calls are
-// in flight; restore.System serializes reconfiguration against
-// executions with a read-write lock.
+// private clone of its workflow. A Driver's wiring is fixed by
+// NewDriver; everything tunable arrives per execution in ExecConfig.
 type Driver struct {
-	Engine *mapreduce.Engine
-	Repo   *Repository
-	Opts   Options
+	eng   *mapreduce.Engine
+	store *StorageManager
 
-	// Store is the storage manager coordinating cross-query claims,
-	// budgeted eviction and orphan vacuuming over Repo. NewDriver
-	// initializes it (with no byte budget); restore.System installs a
-	// configured one. Like the other fields it must not be reassigned
-	// while Execute calls are in flight.
-	Store *StorageManager
-
-	// Workers bounds how many jobs of one workflow run concurrently;
-	// zero or negative means runtime.NumCPU(). Workers = 1 restores the
-	// serial execution order of the paper's Pig/Hadoop setup (the
-	// simulated time is identical either way; only real wall time
-	// changes).
-	Workers int
-
-	// NamespaceRoot, when non-empty, prefixes the per-query DFS
-	// namespaces this driver writes: sub-job outputs go under
-	// "<root>/restore/<qid>" and staged user outputs under
-	// "<root>/tmp/<qid>" instead of the legacy top-level "restore/" and
-	// "tmp/". Configure the StorageManager with the same root so the
-	// janitor sweeps (only) these namespaces. Like the other fields it
-	// must not be reassigned while Execute calls are in flight.
-	NamespaceRoot string
-
-	// Admission, when non-nil, is the cross-query job-admission
+	// admission, when non-nil, is the cross-query job-admission
 	// semaphore: every job of every concurrent execution holds one slot
-	// while it runs, capping total cluster jobs under high fan-in. Set
-	// it once at construction; it must not be reassigned while Execute
-	// calls are in flight.
-	Admission chan struct{}
+	// while it runs, capping total cluster jobs under high fan-in.
+	admission chan struct{}
 
 	// Metrics aggregates wall-latency histograms (submit→done, probe,
-	// claim-wait, refresh) across every execution. NewDriver
-	// initializes it; a nil Metrics is safe (recording no-ops).
+	// claim-wait, refresh) across every execution.
 	Metrics *obs.Metrics
 
 	// delta counts the incremental-maintenance activity (see
@@ -226,20 +196,30 @@ type Driver struct {
 	// clock accumulates simulated nanoseconds across executions; it
 	// drives the reuse-window eviction rule.
 	clock atomic.Int64
-
-	queryCounter atomic.Int64
 }
 
-// NewDriver returns a driver over the engine and repository, with a
-// storage manager carrying no byte budget.
-func NewDriver(eng *mapreduce.Engine, repo *Repository, opts Options) *Driver {
-	return &Driver{Engine: eng, Repo: repo, Opts: opts, Store: NewStorageManager(repo, eng.FS(), 0, nil), Metrics: obs.NewMetrics()}
+// NewDriver returns a driver running jobs on eng over store's
+// repository; per-query data goes under store's managed namespaces, so
+// the writer's layout and the janitor's cannot disagree. maxClusterJobs
+// > 0 caps the jobs running at once across all concurrent executions.
+// Over a durable store the simulated clock resumes past every persisted
+// entry's timestamp, so reuse-window eviction never sees recovered
+// entries in the future.
+func NewDriver(eng *mapreduce.Engine, store *StorageManager, maxClusterJobs int) *Driver {
+	d := &Driver{eng: eng, store: store, Metrics: obs.NewMetrics()}
+	if maxClusterJobs > 0 {
+		d.admission = make(chan struct{}, maxClusterJobs)
+	}
+	if dl := store.cfg.Durable; dl != nil {
+		d.clock.Store(int64(dl.MaxSimTime()))
+	}
+	return d
 }
 
 // namespace returns the per-query path prefix for kind ("restore" or
 // "tmp") under the configured namespace root.
 func (d *Driver) namespace(kind, queryID string) string {
-	return NamespacePath(d.NamespaceRoot, kind, queryID)
+	return NamespacePath(d.store.cfg.NamespaceRoot, kind, queryID)
 }
 
 // Now returns the driver's simulated clock: the total simulated time of
@@ -251,18 +231,6 @@ func (d *Driver) Now() time.Duration {
 // advance moves the simulated clock forward.
 func (d *Driver) advance(by time.Duration) {
 	d.clock.Add(int64(by))
-}
-
-// ResumeClock moves the simulated clock forward to at least t — a
-// recovered driver resumes past every persisted entry's timestamp, so
-// reuse-window eviction never sees recovered entries in the future.
-func (d *Driver) ResumeClock(t time.Duration) {
-	for {
-		cur := d.clock.Load()
-		if int64(t) <= cur || d.clock.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
 }
 
 // jobOutcome accumulates the per-job results of one workflow execution;
@@ -285,10 +253,9 @@ type jobOutcome struct {
 
 // Execute runs a workflow through the full ReStore pipeline under ctx
 // with a per-execution configuration snapshot, and returns its report.
-// queryID must be unique per execution; pass "" to auto-generate. The
-// caller's workflow is never mutated: the driver clones it, so one
-// compiled workflow may be executed repeatedly or from several
-// goroutines at once.
+// queryID must be unique per execution. The caller's workflow is never
+// mutated: the driver clones it, so one compiled workflow may be
+// executed repeatedly or from several goroutines at once.
 //
 // Cancelling ctx (or exceeding its deadline) aborts the workflow
 // promptly: jobs that have not started stay pending forever, in-flight
@@ -302,13 +269,9 @@ type jobOutcome struct {
 // queries storing to the same path cannot interleave part files.
 func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*Result, error) {
 	start := time.Now()
-	if queryID == "" {
-		queryID = fmt.Sprintf("q%d", d.queryCounter.Add(1))
-	}
 	opts := cfg.Opts
-	eng := d.Engine
-	repo := d.Repo
-	store := d.Store
+	eng, store := d.eng, d.store
+	repo := store.repo
 	notify := cfg.OnJobState
 	if notify == nil {
 		notify = func(string, JobState) {}
@@ -322,7 +285,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	// On a shared durable store, fold peers' committed entries into the
 	// local repository before matching: what another process stored is
 	// reusable here from the first probe.
-	if store != nil && opts.Reuse {
+	if opts.Reuse {
 		store.RefreshShared()
 	}
 
@@ -364,7 +327,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	rewriter.Refresher = func(cand RefreshCandidate) *Entry {
 		refreshSpan := tr.Start(jobSpanOf(cand.Job.ID), obs.KindRefresh, cand.Match.Entry.ID)
 		refreshStart := time.Now()
-		e, spent := d.refreshEntry(ctx, eng, repo, store, queryID, cand, tr, refreshSpan)
+		e, spent := d.refreshEntry(ctx, queryID, cand, tr, refreshSpan)
 		d.Metrics.ObserveRefresh(time.Since(refreshStart))
 		tr.Sim(refreshSpan, spent)
 		if e == nil {
@@ -460,7 +423,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	// protocol. With claims on, a sub-job another query is currently
 	// materializing is waited for and reused instead of materialized
 	// twice.
-	claimsOn := store != nil && opts.storesAnything()
+	claimsOn := opts.storesAnything()
 	// maxClaimAttempts bounds the rewrite/claim loop: each iteration
 	// either wins every needed claim, absorbs a freshly committed entry,
 	// or retries an aborted claim. The bound only matters under
@@ -669,7 +632,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		tr.Sim(execSpan, stats.SimTime)
 		tr.Bytes(execSpan, stats.InputSimBytes, stats.OutputSimBytes)
 		out.stats = stats
-		out.stored, out.deferred, out.extraBytes = d.register(opts, eng, repo, job, cleanPlan, candidates, stats, finalJob[job.ID])
+		out.stored, out.deferred, out.extraBytes = d.register(opts, job, cleanPlan, candidates, stats, finalJob[job.ID])
 
 		// Resolve claims: every registered entry commits its claim so
 		// waiting queries wake and reuse it; claims whose entries the
@@ -698,7 +661,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if err := runDAG(ctx, jobs, workers, d.Admission, process); err != nil {
+	if err := runDAG(ctx, jobs, workers, d.admission, process); err != nil {
 		// Abort: discard staged outputs so a cancelled or failed query
 		// publishes nothing (user paths keep whatever they held before).
 		for stage := range staged {
@@ -777,12 +740,10 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	// budget is configured, policy-driven eviction back under it. On a
 	// durable store, the event log is compacted when due even without a
 	// budget or window.
-	if store != nil {
-		if opts.EvictionWindow > 0 || store.MaxBytes() > 0 {
-			store.Sweep(d.Now(), opts.EvictionWindow)
-		} else {
-			store.MaintainDurable()
-		}
+	if opts.EvictionWindow > 0 || store.cfg.MaxBytes > 0 {
+		store.Sweep(d.Now(), opts.EvictionWindow)
+	} else {
+		store.MaintainDurable()
 	}
 
 	res.WallTime = time.Since(start)
@@ -798,10 +759,8 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 // output will be renamed to at commit: the whole-job entry is then
 // returned as deferred (pointing at the user path) instead of being
 // inserted, so the repository never references an uncommitted output.
-// eng and repo are the execution's snapshots — register must not reach
-// back through the Driver fields, which only restore.System's locking
-// keeps stable.
-func (d *Driver) register(opts Options, eng *mapreduce.Engine, repo *Repository, job *physical.Job, cleanPlan *physical.Plan, candidates []Candidate, stats *mapreduce.JobStats, finalUser string) ([]*Entry, *Entry, int64) {
+func (d *Driver) register(opts Options, job *physical.Job, cleanPlan *physical.Plan, candidates []Candidate, stats *mapreduce.JobStats, finalUser string) ([]*Entry, *Entry, int64) {
+	eng, repo := d.eng, d.store.repo
 	fs := eng.FS()
 	var stored []*Entry
 	var deferred *Entry

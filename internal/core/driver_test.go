@@ -16,13 +16,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// harness bundles a DFS, engine, repository and driver for tests.
+// harness bundles a DFS, engine, repository and driver for tests, plus
+// the options and worker bound every run executes under.
 type harness struct {
-	fs     *dfs.FS
-	eng    *mapreduce.Engine
-	repo   *Repository
-	driver *Driver
-	nquery int
+	fs      *dfs.FS
+	eng     *mapreduce.Engine
+	repo    *Repository
+	driver  *Driver
+	opts    Options
+	workers int
+	nquery  int
 }
 
 func newHarness(t *testing.T, opts Options) *harness {
@@ -30,7 +33,8 @@ func newHarness(t *testing.T, opts Options) *harness {
 	fs := dfs.New()
 	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
 	repo := NewRepository()
-	return &harness{fs: fs, eng: eng, repo: repo, driver: NewDriver(eng, repo, opts)}
+	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}), 0)
+	return &harness{fs: fs, eng: eng, repo: repo, driver: driver, opts: opts}
 }
 
 func (h *harness) write(t *testing.T, path string, rows ...tuple.Tuple) {
@@ -63,7 +67,7 @@ func (h *harness) run(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	res, err := h.driver.Execute(context.Background(), wf, "", ExecConfig{Opts: h.driver.Opts, Workers: h.driver.Workers})
+	res, err := h.driver.Execute(context.Background(), wf, fmt.Sprintf("q%d", h.nquery), ExecConfig{Opts: h.opts, Workers: h.workers})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -604,7 +608,7 @@ E = distinct D;
 store E into 'sib_out';
 `
 	h := newHarness(t, Options{Reuse: true, KeepWholeJobs: true, Heuristic: NoHeuristic})
-	h.driver.Workers = 4
+	h.workers = 4
 	h.seedPigMixSmall(t)
 
 	// Warm only the users-side distinct, so on the next run the gamma

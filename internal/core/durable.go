@@ -221,6 +221,7 @@ type DurableLog struct {
 	wedged error
 
 	appends     atomic.Int64
+	dropped     atomic.Int64
 	replayed    atomic.Int64
 	compactions atomic.Int64
 	resyncs     atomic.Int64
@@ -255,7 +256,7 @@ func OpenDurableLog(fs dfs.Backend, cfg DurableConfig) (*DurableLog, *Repository
 		self:         map[uint64]bool{},
 	}
 	repo := NewRepository()
-	repo.SetIDPrefix(dl.writer)
+	repo.idPrefix = dl.writer
 	dl.repo = repo
 
 	if m, ver, ok, err := dl.readManifest(); err != nil {
@@ -279,7 +280,7 @@ func OpenDurableLog(fs dfs.Backend, cfg DurableConfig) (*DurableLog, *Repository
 		return nil, nil, err
 	}
 	dl.recovered = repo.Len()
-	repo.SetJournal(dl)
+	repo.jn = dl // attached only now: replayed entries are not re-journaled
 	return dl, repo, nil
 }
 
@@ -357,6 +358,7 @@ func (dl *DurableLog) manifestPath() string { return dl.root + "/MANIFEST" }
 func (dl *DurableLog) appendPut(e *Entry, f *footprint, pos int) {
 	rec, err := recordOf(e, f, pos)
 	if err != nil {
+		dl.dropped.Add(1)
 		return
 	}
 	if seq, ok := dl.append(&logRecord{Writer: dl.writer, Op: opPut, Entry: rec}); ok {
@@ -378,7 +380,17 @@ func (dl *DurableLog) appendRemove(e *Entry) {
 // writing there would strand the record below the fold horizon where no
 // replay ever looks — the writer must jump past the manifest's
 // FoldedThrough instead.
-func (dl *DurableLog) append(rec *logRecord) (uint64, bool) {
+//
+// A record that cannot be written — unencodable, a tripped failpoint or
+// wedged log, storage that drops the write — is not retried; it is
+// counted in DroppedAppends, the only trace that an acknowledged
+// mutation is not durable.
+func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
+	defer func() {
+		if !ok {
+			dl.dropped.Add(1)
+		}
+	}()
 	if dl.failAt("append") != nil {
 		return 0, false
 	}
@@ -746,12 +758,16 @@ type DurabilityStats struct {
 	// performed, and manifest resyncs after falling behind a fold.
 	// TornRecords counts undecodable (torn-write) log records replay
 	// skipped — each one is a record some writer's crash left
-	// unacknowledged.
-	Appends     int64
-	Replayed    int64
-	Compactions int64
-	Resyncs     int64
-	TornRecords int64
+	// unacknowledged. DroppedAppends counts records this process failed
+	// to write (encode failure, wedged log, storage dropping the
+	// write): each is a repository mutation acknowledged in memory that
+	// a restart will not see.
+	Appends        int64
+	DroppedAppends int64
+	Replayed       int64
+	Compactions    int64
+	Resyncs        int64
+	TornRecords    int64
 	// LogRecords and AppliedSeq describe the shared log: live record
 	// files right now, and the highest sequence this process has
 	// applied.
@@ -772,6 +788,7 @@ func (dl *DurableLog) Stats() DurabilityStats {
 		RecoveredEntries: dl.recovered,
 		PlanDecodes:      PlanDecodes(),
 		Appends:          dl.appends.Load(),
+		DroppedAppends:   dl.dropped.Load(),
 		Replayed:         dl.replayed.Load(),
 		Compactions:      dl.compactions.Load(),
 		Resyncs:          dl.resyncs.Load(),

@@ -16,7 +16,7 @@ import (
 func durableEntry(t *testing.T, fs dfs.Backend, src string, i int) *Entry {
 	t.Helper()
 	sig := firstJobSig(t, src)
-	out := fmt.Sprintf("stored/d%d", i)
+	out := fmt.Sprintf("restore/q0/d%d", i)
 	if err := fs.WriteFile(out+"/part-00000", []byte("x\t1\t2\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 // time. "append" and "append-done" wedges cover the log-append
 // boundaries: a record is either fully durable or never acknowledged.
 func TestDurableCompactionCrashMatrix(t *testing.T) {
-	points := []string{"compact-begin", "compact-manifest", "compact-rename", "compact-trim", "compact-done", "append-done"}
+	points := []string{"compact-begin", "compact-manifest", "compact-rename", "compact-trim", "compact-done", "append", "append-done"}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			fs := newTestFS(t)
@@ -156,24 +156,27 @@ func TestDurableCompactionCrashMatrix(t *testing.T) {
 			want, wantProbe := repoState(repo), probeState(t, repo)
 
 			crash := fmt.Errorf("injected crash")
-			if point == "append-done" {
+			dl.SetFailpoint(func(p string) error {
+				if p == point {
+					return crash
+				}
+				return nil
+			})
+			switch point {
+			case "append":
+				// One more mutation; the crash hits before its record is
+				// written — recovery must not see it, and the drop must
+				// be counted.
+				repo.Insert(durableEntry(t, fs, indexCorpus[1], 50))
+				if got := dl.Stats().DroppedAppends; got != 1 {
+					t.Fatalf("DroppedAppends = %d after a dropped append, want 1", got)
+				}
+			case "append-done":
 				// One more mutation; its record commits, then the crash
 				// hits immediately after — the mutation must survive.
-				dl.SetFailpoint(func(p string) error {
-					if p == "append-done" {
-						return crash
-					}
-					return nil
-				})
 				repo.Insert(durableEntry(t, fs, indexCorpus[1], 50))
 				want, wantProbe = repoState(repo), probeState(t, repo)
-			} else {
-				dl.SetFailpoint(func(p string) error {
-					if p == point {
-						return crash
-					}
-					return nil
-				})
+			default:
 				if err := dl.Compact(); err == nil {
 					t.Fatalf("Compact with a %s crash returned nil error", point)
 				}

@@ -15,15 +15,14 @@ func pinWorld(t *testing.T) (fs dfs.Backend, repoA *Repository, mB *StorageManag
 	fs = newTestFS(t)
 	dlA, rA := openDurable(t, fs, "sys/repo")
 	dlB, rB := openDurable(t, fs, "sys/repo")
-	mA := NewStorageManager(rA, fs, 0, LRUPolicy{})
-	mB = NewStorageManager(rB, fs, 1, LRUPolicy{})
 	clock = newTestClock()
 	psA = NewPinSet(fs, "sys/pins", dlA.Writer(), time.Minute)
 	psB = NewPinSet(fs, "sys/pins", dlB.Writer(), time.Minute)
 	psA.SetClock(clock.Now)
 	psB.SetClock(clock.Now)
-	mA.SetPins(psA)
-	mB.SetPins(psB)
+	// A's manager is built only to wire psA into rA's pin transitions.
+	NewStorageManager(rA, fs, StorageConfig{Policy: LRUPolicy{}, Pins: psA})
+	mB = NewStorageManager(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Pins: psB})
 	return fs, rA, mB, psA, psB, dlB, clock
 }
 

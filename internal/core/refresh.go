@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dfs"
-	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/physical"
 )
@@ -92,8 +91,9 @@ func stampMergeable(fs dfs.Backend, e *Entry, plan *physical.Plan) {
 // probing the same stale entry never run the same delta twice; the
 // loser goes cold (its own materialization heuristics may still store a
 // fresh copy, which replaces the entry just like the refresh would).
-func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *Repository, store *StorageManager, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
+func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
 	e := cand.Match.Entry
+	eng, store := d.eng, d.store
 	fs := eng.FS()
 	if tr != nil {
 		tr.Event(span, obs.KindRefreshClassify, e.ID,
@@ -101,19 +101,13 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 	}
 
 	var spent time.Duration
-	var claim *Claim
-	if store != nil {
-		c, won := store.TryClaim(e.fingerprint(), queryID)
-		if !won {
-			d.delta.failed.Add(1)
-			return nil, 0
-		}
-		claim = c
+	claim, won := store.TryClaim(e.fingerprint(), queryID)
+	if !won {
+		d.delta.failed.Add(1)
+		return nil, 0
 	}
 	fail := func() *Entry {
-		if claim != nil {
-			store.Abort(claim)
-		}
+		store.Abort(claim)
 		d.delta.failed.Add(1)
 		return nil
 	}
@@ -221,10 +215,8 @@ func (d *Driver) refreshEntry(ctx context.Context, eng *mapreduce.Engine, repo *
 		}
 		coldBytes += ne.InputBases[p].Bytes
 	}
-	ins := repo.Insert(ne)
-	if claim != nil {
-		store.Commit(claim, ins)
-	}
+	ins := store.repo.Insert(ne)
+	store.Commit(claim, ins)
 	d.delta.refreshes.Add(1)
 	d.delta.deltaBytesRead.Add(deltaBytes)
 	d.delta.coldBytesAvoided.Add(coldBytes - deltaBytes)

@@ -277,15 +277,6 @@ func NewRepository() *Repository {
 	return r
 }
 
-// SetIDPrefix makes generated entry IDs "<prefix>eN". Durable
-// repositories set their writer ID here so two processes inserting into
-// one shared log never mint the same ID. Call before the first Insert.
-func (r *Repository) SetIDPrefix(prefix string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.idPrefix = prefix
-}
-
 // journal receives repository mutations under the write lock; the
 // durable event log implements it. pos is the entry's scan position
 // after the mutation, persisted so recovery can rebuild the Rules 1/2
@@ -293,14 +284,6 @@ func (r *Repository) SetIDPrefix(prefix string) {
 type journal interface {
 	appendPut(e *Entry, f *footprint, pos int)
 	appendRemove(e *Entry)
-}
-
-// SetJournal installs the mutation journal (nil detaches it). Existing
-// entries are not retro-journaled; attach before the first mutation.
-func (r *Repository) SetJournal(j journal) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.jn = j
 }
 
 // SetNegCacheSize resizes the cross-query negative-containment cache to
@@ -420,11 +403,11 @@ func (r *Repository) Lookup(sig PlanSig) *Entry {
 }
 
 // Insert adds an entry in its ordered position. Inserting a plan whose
-// fingerprint already exists replaces the old entry's statistics and
-// output location instead of duplicating it — the replacement is a fresh
-// Entry value carrying over the old identity and usage counters, so
-// readers holding the old pointer are unaffected — and returns the
-// replacement. Replacements are re-sorted and re-indexed: refreshed
+// fingerprint already exists replaces the old entry's statistics,
+// output location and WholeJob mark (who owns that location) instead of
+// duplicating it — the replacement is a fresh Entry value carrying over
+// the old identity and usage counters, so readers holding the old
+// pointer are unaffected — and returns the replacement. Replacements are re-sorted and re-indexed: refreshed
 // statistics can change the entry's Rule 2 rank, and the matcher relies
 // on candidate order being the preference order.
 func (r *Repository) Insert(e *Entry) *Entry {
@@ -434,6 +417,7 @@ func (r *Repository) Insert(e *Entry) *Entry {
 	if old := r.byFP[fp]; old != nil {
 		ne := *old
 		ne.OutputPath = e.OutputPath
+		ne.WholeJob = e.WholeJob
 		ne.Stats = e.Stats
 		ne.InputVersions = e.InputVersions
 		ne.OutputVersion = e.OutputVersion
@@ -675,14 +659,6 @@ func (r *Repository) Unpin(id string) {
 type pinBroadcast interface {
 	notePin(id string)
 	noteUnpin(id string)
-}
-
-// SetPinBroadcast attaches the cross-process pin mirror. Call once at
-// construction, before queries run.
-func (r *Repository) SetPinBroadcast(pb pinBroadcast) {
-	r.pinMu.Lock()
-	defer r.pinMu.Unlock()
-	r.pinHook = pb
 }
 
 // pinned reports whether the entry has in-flight references.

@@ -296,7 +296,7 @@ func BenchmarkScheduler(b *testing.B) {
 func TestDriverSimTimeIndependentOfWorkers(t *testing.T) {
 	run := func(workers int) *Result {
 		h := newHarness(t, Options{})
-		h.driver.Workers = workers
+		h.workers = workers
 		h.seedPigMixSmall(t)
 		return h.run(t, `
 A = load 'page_views' as (user, timestamp, est_revenue, page_info, page_links);

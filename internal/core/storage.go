@@ -37,37 +37,9 @@ import (
 //
 // All methods are safe for concurrent use.
 type StorageManager struct {
-	repo     *Repository
-	fs       dfs.Backend
-	maxBytes int64
-	policy   EvictionPolicy
-
-	// nsRoot is the root the managed per-query namespaces live under:
-	// "" (the legacy layout) reserves the top-level "restore/" and
-	// "tmp/" prefixes for the janitor's orphan sweep; a non-empty root
-	// confines them to "<root>/restore" and "<root>/tmp", so user
-	// datasets that happen to be named under "tmp/" or "restore/" are
-	// never reclaimed. Set once at construction, before any sweep.
-	nsRoot string
-
-	// queryPrefix, when non-empty, restricts the orphan sweep to this
-	// process's own per-query namespaces (query IDs carry the writer
-	// prefix when several processes share one DFS); each process
-	// janitors only its own debris, never a peer's live query.
-	queryPrefix string
-
-	// durable and leases extend the claim protocol across processes:
-	// the durable event log propagates committed entries between
-	// repositories sharing one DFS, and leases serialize materialization
-	// per fingerprint fleet-wide. Both nil for a process-local store.
-	durable *DurableLog
-	leases  *LeaseManager
-
-	// pins mirrors the repository's pin table into shared storage and
-	// answers whether a peer process holds a live pin on an entry; the
-	// eviction and vacuum delete paths spare such entries' outputs.
-	// Nil for a process-local store.
-	pins *PinSet
+	repo *Repository
+	fs   dfs.Backend
+	cfg  StorageConfig
 
 	mu     sync.Mutex
 	claims map[string]*Claim
@@ -87,38 +59,65 @@ type StorageManager struct {
 	orphanBytes     atomic.Int64
 }
 
-// NewStorageManager returns a manager over the repository and file
-// system. maxBytes <= 0 disables budget enforcement; a nil policy
-// defaults to CostBenefitPolicy when a budget is set.
-func NewStorageManager(repo *Repository, fs dfs.Backend, maxBytes int64, policy EvictionPolicy) *StorageManager {
-	if policy == nil {
-		policy = CostBenefitPolicy{}
-	}
-	return &StorageManager{
-		repo:     repo,
-		fs:       fs,
-		maxBytes: maxBytes,
-		policy:   policy,
-		claims:   map[string]*Claim{},
-	}
+// StorageConfig is what a StorageManager is built from, fixed for its
+// lifetime; the zero value is an unbudgeted, process-local store on the
+// legacy top-level namespaces.
+type StorageConfig struct {
+	// MaxBytes is the byte budget (<= 0 disables enforcement) and
+	// Policy what picks victims under it (nil = CostBenefitPolicy).
+	MaxBytes int64
+	Policy   EvictionPolicy
+
+	// NamespaceRoot is the root the managed per-query namespaces live
+	// under: "" (the legacy layout) reserves the top-level "restore/"
+	// and "tmp/" prefixes for the janitor's orphan sweep; a non-empty
+	// root confines them to "<root>/restore" and "<root>/tmp", so user
+	// datasets that happen to be named under "tmp/" or "restore/" are
+	// never reclaimed.
+	NamespaceRoot string
+
+	// QueryPrefix, when non-empty, restricts the orphan sweep to this
+	// process's own per-query namespaces (query IDs carry the writer
+	// prefix when several processes share one DFS); each process
+	// janitors only its own debris, never a peer's live query — a
+	// peer's registry is invisible here, so every foreign namespace
+	// would look dead.
+	QueryPrefix string
+
+	// Durable and Leases extend the claim protocol across processes:
+	// the durable event log propagates committed entries between
+	// repositories sharing one DFS, and leases serialize materialization
+	// per fingerprint fleet-wide. Both nil for a process-local store.
+	Durable *DurableLog
+	Leases  *LeaseManager
+
+	// Pins mirrors the repository's pin table into shared storage (it
+	// is wired into the repository's pin transitions) and answers
+	// whether a peer process holds a live pin on an entry; the eviction
+	// and vacuum delete paths spare such entries' outputs. Nil for a
+	// process-local store.
+	Pins *PinSet
 }
 
-// Repo returns the managed repository.
-func (m *StorageManager) Repo() *Repository { return m.repo }
-
-// SetNamespaceRoot confines the janitor's reserved namespaces to
-// "<root>/restore" and "<root>/tmp" (the driver writes its per-query
-// data there when configured with the same root). Call it once at
-// construction, before any sweep; the empty root keeps the legacy
-// top-level "restore/"+"tmp/" layout.
-func (m *StorageManager) SetNamespaceRoot(root string) {
-	m.nsRoot = cleanPath(root)
+// NewStorageManager returns a manager over the repository and file
+// system.
+func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *StorageManager {
+	if cfg.Policy == nil {
+		cfg.Policy = CostBenefitPolicy{}
+	}
+	cfg.NamespaceRoot = cleanPath(cfg.NamespaceRoot)
+	if cfg.Pins != nil {
+		repo.pinMu.Lock()
+		repo.pinHook = cfg.Pins
+		repo.pinMu.Unlock()
+	}
+	return &StorageManager{repo: repo, fs: fs, cfg: cfg, claims: map[string]*Claim{}}
 }
 
 // namespaces returns the managed per-query namespace roots the orphan
 // sweep may reclaim under.
 func (m *StorageManager) namespaces() []string {
-	return []string{NamespacePath(m.nsRoot, "restore"), NamespacePath(m.nsRoot, "tmp")}
+	return []string{NamespacePath(m.cfg.NamespaceRoot, "restore"), NamespacePath(m.cfg.NamespaceRoot, "tmp")}
 }
 
 // NamespacePath joins a managed-namespace path under the (possibly
@@ -140,37 +139,10 @@ func NamespacePath(root string, parts ...string) string {
 	return p
 }
 
-// MaxBytes returns the configured storage budget (0 = unbounded).
-func (m *StorageManager) MaxBytes() int64 { return m.maxBytes }
-
-// SetQueryPrefix confines the orphan sweep to query IDs carrying the
-// prefix; processes sharing one DFS must each sweep only their own
-// queries (a peer's registry is invisible here, so every foreign
-// namespace would look dead). Call once at construction.
-func (m *StorageManager) SetQueryPrefix(prefix string) {
-	m.queryPrefix = prefix
-}
-
-// SetDurable attaches the cross-process machinery: the durable event
-// log (for propagating committed entries between repositories sharing
-// one DFS) and the lease manager (for serializing materialization
-// per fingerprint across processes). Call once at construction.
-func (m *StorageManager) SetDurable(dl *DurableLog, lm *LeaseManager) {
-	m.durable = dl
-	m.leases = lm
-}
-
-// SetPins attaches the cross-process pin mirror (and wires it into the
-// repository's pin transitions). Call once at construction.
-func (m *StorageManager) SetPins(ps *PinSet) {
-	m.pins = ps
-	m.repo.SetPinBroadcast(ps)
-}
-
 // peerPinned reports whether another process holds a live pin record
 // on the entry.
 func (m *StorageManager) peerPinned(id string) bool {
-	return m.pins != nil && m.pins.PeerPinned(id)
+	return m.cfg.Pins != nil && m.cfg.Pins.PeerPinned(id)
 }
 
 // RefreshShared folds other processes' committed entries into the local
@@ -178,16 +150,16 @@ func (m *StorageManager) peerPinned(id string) bool {
 // when an execution starts, so a cold process reuses what its peers
 // stored without waiting for lease contention.
 func (m *StorageManager) RefreshShared() {
-	if m.durable != nil {
-		m.durable.Refresh()
+	if m.cfg.Durable != nil {
+		m.cfg.Durable.Refresh()
 	}
 }
 
 // MaintainDurable runs post-execution durable upkeep: compacting the
 // event log when enough records accumulated.
 func (m *StorageManager) MaintainDurable() {
-	if m.durable != nil {
-		_ = m.durable.MaybeCompact()
+	if m.cfg.Durable != nil {
+		_ = m.cfg.Durable.MaybeCompact()
 	}
 }
 
@@ -231,7 +203,7 @@ func (c *Claim) Wait(ctx context.Context) (*Entry, error) {
 // returns (claim, true) when the caller won and must later Commit or
 // Abort it, or (other holder's claim, false) for the caller to Wait on.
 //
-// In lease mode (SetDurable with a LeaseManager), winning the local
+// In lease mode (StorageConfig.Leases), winning the local
 // claim table is necessary but not sufficient: the fingerprint's DFS
 // lease must be acquired too. When another process holds it, the local
 // claim stays registered — queued local queries wait on it as usual —
@@ -248,8 +220,8 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 	c := &Claim{fp: fp, owner: owner, done: make(chan struct{})}
 	m.claims[fp] = c
 	m.mu.Unlock()
-	if m.leases != nil {
-		lease, ok := m.leases.TryAcquire(fp)
+	if m.cfg.Leases != nil {
+		lease, ok := m.cfg.Leases.TryAcquire(fp)
 		if !ok {
 			// Lost to another process: a relay goroutine watches the
 			// holder's lease and resolves this claim from the shared
@@ -263,10 +235,10 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 		// re-check before claiming the right to materialize: if the
 		// entry already exists, resolve the claim with it immediately
 		// (the caller re-rewrites against it, as a lease waiter would).
-		if m.durable != nil {
-			m.durable.Refresh()
+		if m.cfg.Durable != nil {
+			m.cfg.Durable.Refresh()
 			if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.fs) {
-				m.leases.Release(lease)
+				m.cfg.Leases.Release(lease)
 				m.leaseShared.Add(1)
 				m.Commit(c, e)
 				return c, false
@@ -276,7 +248,7 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 		// Heartbeat the lease while the materialization runs: a live
 		// holder slower than the TTL keeps its lease; a dead one stops
 		// renewing and is taken over as before.
-		c.stopRenew = m.leases.KeepAlive(lease)
+		c.stopRenew = m.cfg.Leases.KeepAlive(lease)
 	}
 	m.claimsGranted.Add(1)
 	return c, true
@@ -288,9 +260,9 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 // the entry it published — or abort, sending waiters back through their
 // fallback policy.
 func (m *StorageManager) relayRemote(c *Claim) {
-	_ = m.leases.WaitFree(context.Background(), c.fp)
-	if m.durable != nil {
-		m.durable.Refresh()
+	_ = m.cfg.Leases.WaitFree(context.Background(), c.fp)
+	if m.cfg.Durable != nil {
+		m.cfg.Durable.Refresh()
 	}
 	if e := m.repo.lookupFP(c.fp); e != nil && m.repo.Valid(e, m.fs) {
 		m.leaseShared.Add(1)
@@ -332,8 +304,8 @@ func (m *StorageManager) release(c *Claim) {
 		c.stopRenew()
 		c.stopRenew = nil
 	}
-	if c.lease != nil && m.leases != nil {
-		m.leases.Release(c.lease)
+	if c.lease != nil && m.cfg.Leases != nil {
+		m.cfg.Leases.Release(c.lease)
 		c.lease = nil
 	}
 }
@@ -515,13 +487,13 @@ func (m *StorageManager) usage() ([]EntryUsage, int64) {
 // the repository only points at, and are left for the janitor or the
 // user.
 func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
-	if m.maxBytes <= 0 {
+	if m.cfg.MaxBytes <= 0 {
 		return nil
 	}
 	var all []*Entry
 	for {
 		usage, total := m.usage()
-		if total <= m.maxBytes {
+		if total <= m.cfg.MaxBytes {
 			break
 		}
 		// Pinned entries count against the budget but cannot be evicted;
@@ -537,7 +509,7 @@ func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
 				candidates = append(candidates, u)
 			}
 		}
-		victims := m.policy.Victims(candidates, now, total-m.maxBytes)
+		victims := m.cfg.Policy.Victims(candidates, now, total-m.cfg.MaxBytes)
 		removed := m.repo.EvictUnpinned(victims)
 		if len(removed) == 0 {
 			break // everything left is pinned (or the policy yielded nothing)
@@ -552,11 +524,14 @@ func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
 }
 
 // deleteOwnedOutputs removes the DFS outputs of evicted sub-job entries
-// whose paths no surviving entry references. An entry still carrying a
-// live peer pin record keeps its output: the entry itself may already
-// be gone from this repository (vacuumed as invalid, or removed by a
-// replayed record), but a peer's in-flight rewrite is reading the
-// path, and its janitor will reclaim the bytes once the pin releases.
+// whose paths no surviving entry references. Only paths inside the
+// managed namespaces are ever deleted: whatever an entry's flags say,
+// a path outside them is a user's dataset (or an input) the repository
+// merely points at. An entry still carrying a live peer pin record
+// keeps its output: the entry itself may already be gone from this
+// repository (vacuumed as invalid, or removed by a replayed record),
+// but a peer's in-flight rewrite is reading the path, and its janitor
+// will reclaim the bytes once the pin releases.
 func (m *StorageManager) deleteOwnedOutputs(removed []*Entry) {
 	stillRef := map[string]bool{}
 	m.repo.Scan(func(e *Entry) bool {
@@ -564,10 +539,17 @@ func (m *StorageManager) deleteOwnedOutputs(removed []*Entry) {
 		return true
 	})
 	for _, e := range removed {
-		if !e.WholeJob && !stillRef[e.OutputPath] && !m.peerPinned(e.ID) {
+		if !e.WholeJob && m.managed(e.OutputPath) && !stillRef[e.OutputPath] && !m.peerPinned(e.ID) {
 			_ = m.fs.Delete(e.OutputPath)
 		}
 	}
+}
+
+// managed reports whether path lies inside a managed per-query
+// namespace.
+func (m *StorageManager) managed(path string) bool {
+	ns := m.namespaces()
+	return queryIDUnder(ns[0], cleanPath(path)) != "" || queryIDUnder(ns[1], cleanPath(path)) != ""
 }
 
 // SweepResult reports one storage sweep.
@@ -599,14 +581,14 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	res.EntriesVacuumed = len(vacuumed)
 	m.deleteOwnedOutputs(vacuumed)
 	res.EntriesEvicted = len(m.EnforceBudget(now))
-	if m.leases != nil {
-		res.LeasesReaped = m.leases.ReapExpired()
+	if m.cfg.Leases != nil {
+		res.LeasesReaped = m.cfg.Leases.ReapExpired()
 	}
-	if m.pins != nil {
+	if m.cfg.Pins != nil {
 		// Heartbeat our own pin records and clear crashed peers' — the
 		// same liveness discipline leases get, applied to pins.
-		m.pins.RenewHeld()
-		m.pins.ReapExpired()
+		m.cfg.Pins.RenewHeld()
+		m.cfg.Pins.ReapExpired()
 	}
 	m.MaintainDurable()
 	return res
@@ -651,7 +633,7 @@ func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int
 			if qid == "" || live(qid) || referenced(ds) {
 				continue
 			}
-			if m.queryPrefix != "" && !strings.HasPrefix(qid, m.queryPrefix) {
+			if m.cfg.QueryPrefix != "" && !strings.HasPrefix(qid, m.cfg.QueryPrefix) {
 				continue // another process's query; its own janitor decides
 			}
 			n := m.fs.Size(ds)
@@ -731,8 +713,8 @@ func (m *StorageManager) Stats() StorageStats {
 	st := StorageStats{
 		Entries:         m.repo.Len(),
 		UsageBytes:      m.UsageBytes(),
-		BudgetBytes:     m.maxBytes,
-		Policy:          m.policy.Name(),
+		BudgetBytes:     m.cfg.MaxBytes,
+		Policy:          m.cfg.Policy.Name(),
 		ActiveClaims:    active,
 		ClaimsGranted:   m.claimsGranted.Load(),
 		ClaimsCommitted: m.claimsCommitted.Load(),
@@ -747,8 +729,8 @@ func (m *StorageManager) Stats() StorageStats {
 		OrphanDatasets:  m.orphanDatasets.Load(),
 		OrphanBytes:     m.orphanBytes.Load(),
 	}
-	if m.leases != nil {
-		st.Leases = m.leases.Stats()
+	if m.cfg.Leases != nil {
+		st.Leases = m.cfg.Leases.Stats()
 	}
 	return st
 }

@@ -1,7 +1,7 @@
 // Package engineflags declares the engine flags restore-cli and
-// restore-server share and resolves them into what both commands build
-// a System from: a restore.Config, the per-query default Options, the
-// PigMix scale and the DFS backend.
+// restore-server share and resolves them into what both commands run:
+// a restore.Config, the per-query default Options, the PigMix scale,
+// the DFS backend, and the System built over it.
 package engineflags
 
 import (
@@ -124,4 +124,25 @@ func (f *Flags) OpenBackend() (dfs.Backend, func(), error) {
 		return disk, func() { disk.Close() }, nil
 	}
 	return nil, nil, fmt.Errorf("unknown backend %q (want memory or disk)", f.Backend)
+}
+
+// OpenSystem builds the System both commands run over an opened
+// backend: it finds the PigMix instance on fs — generating one only
+// when the backend holds none, since regenerating would bump the input
+// datasets' versions and invalidate every repository entry derived
+// from them — sizes r.Config's simulated clock to that data, and
+// recovers a System with it. Progress lines go to stdout behind
+// prefix.
+func (f *Flags) OpenSystem(r *Resolved, fs dfs.Backend, prefix string) (*restore.System, error) {
+	if fs.Size(pigmix.PathPageViews) > 0 {
+		fmt.Printf("%sreusing PigMix instance found on the %s backend\n", prefix, f.Backend)
+	} else {
+		fmt.Printf("%sgenerating PigMix %s instance…\n", prefix, r.Scale.Name)
+		if _, err := pigmix.Generate(fs, r.Scale, 1); err != nil {
+			return nil, err
+		}
+	}
+	r.Config.SimScale = pigmix.SimScaleFor(fs, r.Scale)
+	r.Config.RecordScale = pigmix.RecordScaleFor(r.Scale)
+	return restore.Recover(r.Config, fs)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -72,12 +73,16 @@ func budgetRun(budget int64, policy restore.EvictionPolicy) (usage int64, pass1,
 	cfg.Options = restore.Options{Reuse: true, Heuristic: core.Aggressive}
 	cfg.MaxRepositoryBytes = budget
 	cfg.Eviction = policy
-	sys := restore.New(cfg)
-	defer sys.Close()
-	if _, err = pigmix.Generate(sys.FS(), scaleSmall, 1); err != nil {
+	fs := dfs.New()
+	if _, err = pigmix.Generate(fs, scaleSmall, 1); err != nil {
 		return
 	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), scaleSmall), pigmix.RecordScaleFor(scaleSmall))
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, scaleSmall), pigmix.RecordScaleFor(scaleSmall)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		return
+	}
+	defer sys.Close()
 
 	pass := func() (time.Duration, error) {
 		var total time.Duration

@@ -44,14 +44,14 @@ func durabilityRun(durable bool) ([]string, error) {
 		cfg.Durability = restore.DurabilityConfig{Enabled: true}
 	}
 	fs := dfs.New()
+	if _, err := pigmix.Generate(fs, scaleSmall, 1); err != nil {
+		return nil, err
+	}
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, scaleSmall), pigmix.RecordScaleFor(scaleSmall)
 	sys, err := restore.Recover(cfg, fs)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pigmix.Generate(fs, scaleSmall, 1); err != nil {
-		return nil, err
-	}
-	sys.SetScales(pigmix.SimScaleFor(fs, scaleSmall), pigmix.RecordScaleFor(scaleSmall))
 
 	pass := func(s *restore.System) (time.Duration, error) {
 		var total time.Duration
@@ -84,7 +84,6 @@ func durabilityRun(durable bool) ([]string, error) {
 		return nil, err
 	}
 	defer restarted.Close()
-	restarted.SetScales(pigmix.SimScaleFor(fs, scaleSmall), pigmix.RecordScaleFor(scaleSmall))
 	recovered := restarted.DurabilityStats().RecoveredEntries
 	decodes := core.PlanDecodes() - decodesBefore
 	if durable && decodes != 0 {

@@ -8,11 +8,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -97,23 +99,24 @@ func gb(n int64) string {
 // instance, with the simulated clock scaled so page_views represents
 // the instance's target volume.
 func newPigMixSystem(sc pigmix.Scale, opts restore.Options) (*restore.System, error) {
-	cfg := restore.DefaultConfig()
-	cfg.Options = opts
-	sys := restore.New(cfg)
-	if _, err := pigmix.Generate(sys.FS(), sc, 1); err != nil {
+	fs := dfs.New()
+	if _, err := pigmix.Generate(fs, sc, 1); err != nil {
 		return nil, err
 	}
-	sys.SetScales(pigmix.SimScaleFor(sys.FS(), sc), pigmix.RecordScaleFor(sc))
-	return sys, nil
+	cfg := restore.DefaultConfig()
+	cfg.Options = opts
+	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, sc), pigmix.RecordScaleFor(sc)
+	return restore.Recover(cfg, fs)
 }
 
-// runQuery executes one named PigMix query.
-func runQuery(sys *restore.System, name string) (*restore.Result, error) {
+// runQuery executes one named PigMix query, under the System's default
+// options unless opts override them for this query.
+func runQuery(sys *restore.System, name string, opts ...restore.ExecOption) (*restore.Result, error) {
 	q, err := pigmix.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return sys.Execute(q.Script)
+	return sys.ExecuteContext(context.Background(), q.Script, opts...)
 }
 
 // sibling returns a same-family variant of a Figure 9/15 query: the

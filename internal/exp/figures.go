@@ -32,16 +32,14 @@ func Figure9() (*Report, error) {
 			return nil, err
 		}
 		// Baseline for q itself, reuse off.
-		sys.SetOptions(restore.Options{})
-		r1, err := runQuery(sys, q)
+		r1, err := runQuery(sys, q, restore.WithOptions(restore.Options{}))
 		if err != nil {
 			return nil, err
 		}
 		// Reuse of stored whole jobs. Storing whole jobs adds no Store
 		// operators, so the baseline carries no overhead (the paper's
 		// "overhead is 0%").
-		sys.SetOptions(restore.Options{Reuse: true, KeepWholeJobs: true})
-		r2, err := runQuery(sys, q)
+		r2, err := runQuery(sys, q, restore.WithOptions(restore.Options{Reuse: true, KeepWholeJobs: true}))
 		if err != nil {
 			return nil, err
 		}
@@ -287,8 +285,7 @@ func Figure15() (*Report, error) {
 			if _, err := runQuery(sys, sibling(q)); err != nil {
 				return nil, err
 			}
-			sys.SetOptions(restore.Options{Reuse: true})
-			r, err := runQuery(sys, q)
+			r, err := runQuery(sys, q, restore.WithOptions(restore.Options{Reuse: true}))
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
 
@@ -69,21 +70,25 @@ func incrementalRequery(baseDays int, reuse bool) (*incrementalRun, error) {
 	if reuse {
 		cfg.Options = restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
 	}
-	sys := restore.New(cfg)
-	defer sys.Close()
+	fs := dfs.New()
 	const rowsPerDay = pigmix.NetTrafficRowsPerDay
-	if err := pigmix.GenerateNetTraffic(sys.FS(), baseDays, rowsPerDay, 7); err != nil {
+	if err := pigmix.GenerateNetTraffic(fs, baseDays, rowsPerDay, 7); err != nil {
 		return nil, err
 	}
 	// Scale the laptop-size log so each daily partition represents
 	// ~2 GB, the way the PigMix instances map to the paper's 15 GB.
-	simScale := float64(int64(baseDays)*(2<<30)) / float64(sys.FS().Size(pigmix.PathNetTraffic))
-	sys.SetScales(simScale, pigmix.RecordScaleFor(scaleSmall))
+	simScale := float64(int64(baseDays)*(2<<30)) / float64(fs.Size(pigmix.PathNetTraffic))
+	cfg.SimScale, cfg.RecordScale = simScale, pigmix.RecordScaleFor(scaleSmall)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		return nil, err
+	}
+	defer sys.Close()
 
 	if _, err := runQuery(sys, "N1"); err != nil {
 		return nil, err
 	}
-	if _, err := pigmix.AppendNetTrafficDay(sys.FS(), rowsPerDay, 7); err != nil {
+	if _, err := pigmix.AppendNetTrafficDay(fs, rowsPerDay, 7); err != nil {
 		return nil, err
 	}
 	res, err := runQuery(sys, "N1")

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 	"repro/internal/tuple"
 )
@@ -14,14 +16,14 @@ import (
 // newSyntheticSystem builds a System over a freshly generated Section
 // 7.5 synthetic data set.
 func newSyntheticSystem(sc pigmix.SyntheticScale, opts restore.Options) (*restore.System, error) {
-	cfg := restore.DefaultConfig()
-	cfg.Options = opts
-	sys := restore.New(cfg)
-	if _, err := pigmix.GenerateSynthetic(sys.FS(), sc, 2); err != nil {
+	fs := dfs.New()
+	if _, err := pigmix.GenerateSynthetic(fs, sc, 2); err != nil {
 		return nil, err
 	}
-	sys.SetScales(pigmix.SyntheticSimScale(sys.FS(), sc), pigmix.SyntheticRecordScale(sc))
-	return sys, nil
+	cfg := restore.DefaultConfig()
+	cfg.Options = opts
+	cfg.SimScale, cfg.RecordScale = pigmix.SyntheticSimScale(fs, sc), pigmix.SyntheticRecordScale(sc)
+	return restore.Recover(cfg, fs)
 }
 
 // Table2 regenerates the synthetic field table: declared cardinality
@@ -73,13 +75,13 @@ func projectFilterPoint(q pigmix.Query) (overhead, speedup, storedPct float64, e
 	// The Conservative heuristic stores exactly the Project/Filter
 	// output of these templates (the final aggregate feeds the Store
 	// directly and is skipped).
-	sys.SetOptions(restore.Options{Heuristic: core.Conservative})
-	r2, err := sys.Execute(q.Script)
+	r2, err := sys.ExecuteContext(context.Background(), q.Script,
+		restore.WithOptions(restore.Options{Heuristic: core.Conservative}))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	sys.SetOptions(restore.Options{Reuse: true})
-	r3, err := sys.Execute(q.Script)
+	r3, err := sys.ExecuteContext(context.Background(), q.Script,
+		restore.WithOptions(restore.Options{Reuse: true}))
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -47,10 +47,6 @@ type Config struct {
 	// selects DefaultMaxCachedBatchBytes; a negative value disables the
 	// cache entirely.
 	MaxCachedBatchBytes int64
-	// Cache, when non-nil, is an existing batch cache to adopt instead
-	// of building a fresh one — New sets it, so rebuilding an engine
-	// from Config() (as SetScales does) keeps the warm cache.
-	Cache *BatchCache
 }
 
 // DefaultConfig mirrors the paper's testbed with no scale-up.
@@ -90,12 +86,11 @@ func New(fs dfs.Backend, cfg Config) *Engine {
 	if cfg.Topology.Workers <= 0 {
 		cfg.Topology = cluster.DefaultTopology()
 	}
-	if cfg.MaxCachedBatchBytes < 0 {
-		cfg.Cache = nil
-	} else if cfg.Cache == nil {
-		cfg.Cache = NewBatchCache(cfg.MaxCachedBatchBytes)
+	e := &Engine{fs: fs, cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
+	if cfg.MaxCachedBatchBytes >= 0 {
+		e.cache = NewBatchCache(cfg.MaxCachedBatchBytes)
 	}
-	return &Engine{fs: fs, cfg: cfg, sem: make(chan struct{}, cfg.Parallelism), cache: cfg.Cache}
+	return e
 }
 
 // FS returns the engine's file system.

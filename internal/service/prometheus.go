@@ -44,6 +44,8 @@ func (b StatsBundle) WritePrometheus(w io.Writer) {
 	counter("restore_delta_bytes_read_total", b.Delta.DeltaBytesRead)
 	counter("restore_delta_cold_bytes_avoided_total", b.Delta.ColdBytesAvoided)
 
+	counter("restore_durable_dropped_appends_total", b.Durability.DroppedAppends)
+
 	if svc := b.Service; svc != nil {
 		gauge("restore_service_sessions_active", svc.SessionsActive)
 		counter("restore_service_submitted_total", svc.Submitted)

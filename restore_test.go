@@ -1,6 +1,7 @@
 package restore
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -140,7 +141,10 @@ store E into 'o';
 	}
 }
 
-func TestSetOptionsSwitchesBehaviour(t *testing.T) {
+// TestWithOptionsSwitchesBehaviour: the ReStore switches belong to the
+// query, not the System — two submissions on one System run under
+// different options, and the System's defaults do not move.
+func TestWithOptionsSwitchesBehaviour(t *testing.T) {
 	sys := newTestSystem(Options{})
 	seedEvents(t, sys)
 	r1, err := sys.Execute(totalsScript)
@@ -150,21 +154,26 @@ func TestSetOptionsSwitchesBehaviour(t *testing.T) {
 	if len(r1.Stored) != 0 {
 		t.Errorf("storing disabled but entries created")
 	}
-	sys.SetOptions(Options{Heuristic: Conservative})
-	r2, err := sys.Execute(totalsScript)
+	r2, err := sys.ExecuteContext(context.Background(), totalsScript, WithOptions(Options{Heuristic: Conservative}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r2.Stored) == 0 {
 		t.Errorf("conservative heuristic stored nothing")
 	}
+	if got := sys.Options(); got != (Options{}) {
+		t.Errorf("per-query options leaked into the System's defaults: %+v", got)
+	}
 }
 
-func TestSetScalesAffectsSimTime(t *testing.T) {
+// TestSimScaleAffectsSimTime: two Systems built at different
+// Config.SimScale over identical data report different simulated times.
+func TestSimScaleAffectsSimTime(t *testing.T) {
 	run := func(scale float64) *Result {
-		sys := newTestSystem(Options{})
+		cfg := DefaultConfig()
+		cfg.SimScale, cfg.RecordScale = scale, scale
+		sys := New(cfg)
 		seedEvents(t, sys)
-		sys.SetScales(scale, scale)
 		res, err := sys.Execute(totalsScript)
 		if err != nil {
 			t.Fatal(err)

@@ -153,6 +153,63 @@ func TestBudgetConvergence(t *testing.T) {
 	}
 }
 
+// TestBudgetEvictionSparesUserOutputs is the regression check for the
+// one known violation of "reuse never changes answers": with whole jobs
+// kept, a final job's output is registered twice under one fingerprint
+// (as the final operator's zero-cost sub-job, then as the whole job),
+// and the folded entry pointed at the user's STORE path without the
+// WholeJob mark — so budget eviction deleted the user's dataset. Under
+// a budget small enough to evict everything, every user output must
+// stay readable and equal to a reuse-off run.
+func TestBudgetEvictionSparesUserOutputs(t *testing.T) {
+	scripts := append([]string{oneJobScript}, stressVariants...)
+	oracle := newTestSystem(Options{})
+	seedEvents(t, oracle)
+
+	cfg := DefaultConfig()
+	cfg.Options = Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive}
+	cfg.MaxRepositoryBytes = 1 // any stored output overflows
+	sys := New(cfg)
+	defer sys.Close()
+	seedEvents(t, sys)
+
+	for i, script := range scripts {
+		out := fmt.Sprintf("user/s%d", i)
+		if _, err := sys.Execute(fmt.Sprintf(script, out)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oracle.Execute(fmt.Sprintf(script, out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Sweep()
+	if sys.StorageStats().Evictions == 0 {
+		t.Fatal("budget evicted nothing; the test exercises no eviction")
+	}
+	for i := range scripts {
+		out := fmt.Sprintf("user/s%d", i)
+		want, err := oracle.ReadDataset(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.ReadDataset(out)
+		if err != nil {
+			t.Errorf("user output lost to eviction: %v", err)
+			continue
+		}
+		got, want = sorted(got), sorted(want)
+		if len(got) != len(want) {
+			t.Errorf("%s = %v, want %v", out, got, want)
+			continue
+		}
+		for k := range want {
+			if !tuple.Equal(got[k], want[k]) {
+				t.Errorf("%s row %d = %v, want %v", out, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 // TestJanitorReclaimsCancelledQuery is the acceptance check for orphan
 // reclamation: a cancelled query's per-query namespaces must be
 // reclaimed within one sweep, while a completed query's

@@ -86,6 +86,29 @@ func TestConcurrentExecuteStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One more goroutine reads every stats surface and sweeps while the
+	// clients submit: a System has no lock of its own, so each surface
+	// must be safe on its own (run under -race).
+	stop := make(chan struct{})
+	observed := make(chan struct{})
+	go func() {
+		defer close(observed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sys.StorageStats()
+			sys.MatcherStats()
+			sys.BatchCacheStats()
+			sys.DeltaStats()
+			sys.LatencyStats()
+			sys.Options()
+			sys.Sweep()
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -119,6 +142,8 @@ func TestConcurrentExecuteStress(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(stop)
+	<-observed
 
 	// Repository consistency after the storm: the scan list and the
 	// fingerprint index must agree, with no duplicate fingerprints.
