@@ -8,7 +8,6 @@
 //
 //	restore-load -addr http://localhost:8080 -sessions 1000 -queries 3
 //	restore-load -tenants heavy:3,light:1 -skew 1.2 -out BENCH_abc.json
-//	restore-load -gobench bench.txt                # fold in go test -bench output
 //
 // -tenants shares the sessions among named tenants by weight (heavy:3
 // light:1 → 3/4 of sessions are heavy). Each session submits -queries
@@ -81,7 +80,6 @@ func main() {
 		retryFlag    = flag.Int("retry429", 50, "retries after a 429 before giving the query up")
 		outFlag      = flag.String("out", "", "artifact path (default BENCH_<sha>.json)")
 		shaFlag      = flag.String("sha", "", "commit SHA stamped into the artifact (default $GITHUB_SHA or dev)")
-		gobenchFlag  = flag.String("gobench", "", "go test -bench output file to fold into the artifact")
 		minDoneFlag  = flag.Int64("min-completed", 0, "assert at least this many queries completed")
 		minReuseFlag = flag.Int64("min-reuse-queries", 0, "assert at least this many completed queries reused the repository")
 		minRejFlag   = flag.Int64("min-rejected", 0, "assert at least this many 429 rejections were observed")
@@ -178,18 +176,6 @@ func main() {
 		names, sessionCount, outcomes, wall)
 	scrapeBatchCache(ctx, client, *addrFlag, report)
 	art := &exp.BenchArtifact{SHA: sha, GeneratedAt: time.Now().UTC(), Load: report}
-	if *gobenchFlag != "" {
-		f, err := os.Open(*gobenchFlag)
-		if err != nil {
-			fail(err)
-		}
-		recs, err := exp.ParseGoBench(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		art.Microbench = recs
-	}
 	out, err := os.Create(outPath)
 	if err != nil {
 		fail(err)

@@ -9,13 +9,23 @@ import "io"
 // the on-disk Disk backend (real durability) without any caller
 // changing.
 //
-// Semantics every implementation must provide:
+// The semantics below are implemented once, in index, which both
+// built-in backends embed; a backend supplies content storage and
+// persistence, nothing else:
 //
 //   - Dataset versions. Every path belongs to a dataset (datasetOf: the
-//     directory holding its part files, or the path itself). Mutations
-//     bump the dataset's version; deletes bump it too, so "absent" does
-//     not imply version zero — a trimmed log slot stays distinguishable
-//     from a never-written one. Version zero means never written.
+//     directory holding its part files, or the path itself). A mutation
+//     moves the dataset's version by +1; deletes bump it too, so
+//     "absent" does not imply version zero — a trimmed log slot stays
+//     distinguishable from a never-written one. Version zero means never
+//     written.
+//
+//   - What a tree operation bumps. Delete bumps every dataset that loses
+//     a file: the one named by the path and each one nested under it.
+//     Rename bumps the source and destination roots, every dataset a
+//     file moves out of or into, and every destination dataset the move
+//     replaces. An entry derived from any of them stops being valid
+//     (repository eviction Rule 4).
 //
 //   - Version CAS. WriteFileIf/RemoveFileIf apply only when the
 //     dataset's version still equals the caller's last observation, as
@@ -55,12 +65,12 @@ type Backend interface {
 	// Datasets returns the dataset paths holding data under prefix.
 	Datasets(prefix string) []string
 	// Delete removes the file or directory tree at path, bumping the
-	// affected dataset version.
+	// version of every dataset that loses a file.
 	Delete(path string) error
 	// Rename atomically moves the file or dataset tree at oldPath to
 	// newPath, replacing the destination and bumping every touched
 	// dataset's version; it returns the destination dataset's new
-	// version.
+	// version. Neither path may lie inside the other's tree.
 	Rename(oldPath, newPath string) (int64, error)
 	// WriteFileIf writes data to path only if path's dataset version
 	// still equals expect, returning the dataset's (possibly new)

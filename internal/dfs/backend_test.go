@@ -1,7 +1,14 @@
 package dfs
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -147,87 +154,258 @@ func TestWriteFileIfFaultInjection(t *testing.T) {
 	})
 }
 
-// TestBackendParity drives an identical mutation history through both
-// backends and requires every observable — listings, contents, sizes —
-// to agree, and version semantics (nonzero when touched, including
-// tombstones) to hold on both. Exact version numbers are not part of
-// the contract: the in-memory FS draws from one global counter, the
-// disk backend counts per dataset; CAS and tombstone detection only
-// need per-dataset monotonicity.
-func TestBackendParity(t *testing.T) {
-	mem := New()
-	disk, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatalf("OpenDisk: %v", err)
-	}
-	defer disk.Close()
-
-	apply := func(fs Backend) {
-		for _, w := range []struct{ p, data string }{
-			{"tmp/q1/j1/part-00000", "a\n"},
-			{"tmp/q1/j1/part-00001", "bb\n"},
-			{"restore/q1/op2/part-00000", "ccc\n"},
-			{"sys/repo/MANIFEST", "manifest-v1"},
-			{"sys/repo/log/r1", "rec1"},
-		} {
-			if err := fs.WriteFile(w.p, []byte(w.data)); err != nil {
+// TestDeleteBumpsNestedDatasetVersions is the regression for the
+// Rule-4 hole in tree deletes: Delete bumped only the version of the
+// path it was given, so deleting an input's parent directory left the
+// version of the input dataset itself unchanged and every repository
+// entry derived from it "valid" over data that no longer existed.
+// Every dataset that loses a file must bump, and the bump must survive
+// whatever makes the backend durable.
+func TestDeleteBumpsNestedDatasetVersions(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, fs Backend) {
+		for _, p := range []string{"a/b/part-00000", "a/b/part-00001", "a/c/d/part-00000", "a/rec", "z/part-00000"} {
+			if err := fs.WriteFile(p, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		fs.WriteFile("tmp/q1/j1/part-00000", []byte("a2\n")) // overwrite
-		if err := fs.Delete("sys/repo/log/r1"); err != nil {
-			t.Fatal(err)
+		nested := []string{"a/b", "a/c/d", "a/rec"}
+		before := map[string]int64{}
+		for _, ds := range append(nested, "a", "z") {
+			before[ds] = fs.Version(ds)
 		}
-		if _, err := fs.Rename("tmp/q1/j1", "restore/q1/op3"); err != nil {
-			t.Fatal(err)
+		if err := fs.Delete("a"); err != nil {
+			t.Fatalf("Delete: %v", err)
 		}
-		if _, ok := fs.WriteFileIf("sys/locks/fp", []byte("lease"), fs.Version("sys/locks/fp")); !ok {
-			t.Fatal("CAS create failed")
+		for _, ds := range append(nested, "a") {
+			if fs.Exists(ds) {
+				t.Errorf("%s survived the tree delete", ds)
+			}
+			if v := fs.Version(ds); v <= before[ds] {
+				t.Errorf("Version(%s) = %d after its files were deleted, was %d", ds, v, before[ds])
+			}
 		}
-		if !fs.RemoveFileIf("sys/locks/fp", fs.Version("sys/locks/fp")) {
-			t.Fatal("CAS remove failed")
+		if v := fs.Version("z"); v != before["z"] {
+			t.Errorf("Version(z) moved %d -> %d; the delete did not touch it", before["z"], v)
 		}
-	}
-	apply(mem)
-	apply(disk)
+	})
+}
 
-	if got, want := disk.Datasets(""), mem.Datasets(""); len(got) != len(want) {
-		t.Fatalf("dataset sets diverge: disk %v, memory %v", got, want)
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dataset sets diverge: disk %v, memory %v", got, want)
+// TestRenameOverlapRejected: a tree cannot move into itself or onto its
+// own ancestor — the moves would feed on each other — and the refusal
+// leaves everything as it was. Renaming a path to itself is harmless.
+func TestRenameOverlapRejected(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, fs Backend) {
+		fs.WriteFile("a/b/part-00000", []byte("x"))
+		fs.WriteFile("a/rec", []byte("y"))
+		v := fs.Version("a/b")
+		for _, pair := range [][2]string{{"a", "a/b"}, {"a/b", "a"}} {
+			if _, err := fs.Rename(pair[0], pair[1]); err == nil || errors.Is(err, ErrNotExist) {
+				t.Errorf("Rename(%s, %s) = %v, want an overlap error", pair[0], pair[1], err)
 			}
 		}
+		if got := fs.List("a"); len(got) != 2 || fs.Version("a/b") != v {
+			t.Errorf("refused rename changed state: %v, version %d -> %d", got, v, fs.Version("a/b"))
+		}
+		if _, err := fs.Rename("a", "a"); err != nil {
+			t.Errorf("Rename(a, a): %v", err)
+		}
+		if got, _ := fs.ReadFile("a/rec"); string(got) != "y" || len(fs.List("a")) != 2 {
+			t.Errorf("self-rename lost data: %q, %v", got, fs.List("a"))
+		}
+	})
+}
+
+// TestDiskReadReportsRealError: only a path the index does not hold is
+// ErrNotExist. An indexed file whose object cannot be read says what
+// the operating system said, so the engine reports a storage failure
+// rather than a missing input.
+func TestDiskReadReportsRealError(t *testing.T) {
+	dir := t.TempDir()
+	d := openDiskT(t, dir)
+	defer d.Close()
+	if err := d.WriteFile("in/part-00000", []byte("rows")); err != nil {
+		t.Fatal(err)
 	}
-	for _, ds := range mem.Datasets("") {
-		if disk.Version(ds) == 0 || mem.Version(ds) == 0 {
-			t.Errorf("Version(%s): disk %d, memory %d; live datasets must be versioned", ds, disk.Version(ds), mem.Version(ds))
+	if err := os.Remove(filepath.Join(dir, "objects", "in", "part-00000")); err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := d.ReadFile("in/part-00000")
+	_, oerr := d.Open("in/part-00000")
+	for _, err := range []error{rerr, oerr} {
+		var pe *PathError
+		if err == nil || errors.Is(err, ErrNotExist) || !errors.As(err, &pe) {
+			t.Errorf("read of an indexed file with a missing object = %v, want a PathError that is not ErrNotExist", err)
 		}
-		if g, w := disk.Size(ds), mem.Size(ds); g != w {
-			t.Errorf("Size(%s): disk %d, memory %d", ds, g, w)
-		}
-		files := mem.List(ds)
-		dfiles := disk.List(ds)
-		if len(files) != len(dfiles) {
-			t.Fatalf("List(%s): disk %v, memory %v", ds, dfiles, files)
-		}
-		for _, p := range files {
-			g, gerr := disk.ReadFile(p)
-			w, werr := mem.ReadFile(p)
-			if (gerr == nil) != (werr == nil) || string(g) != string(w) {
-				t.Errorf("ReadFile(%s): disk %q/%v, memory %q/%v", p, g, gerr, w, werr)
+	}
+	if _, err := d.ReadFile("never/written"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("read of a never-written path = %v, want ErrNotExist", err)
+	}
+}
+
+// parityOp is one step of a mutation history; the string it returns
+// (error or CAS verdict) must agree across backends.
+type parityOp func(fs Backend) string
+
+// scriptedHistory is the life of a query's files: job output, an
+// overwrite, a journal record deleted, the staged output renamed into
+// the repository, a lease taken and released by CAS.
+func scriptedHistory() []parityOp {
+	var ops []parityOp
+	for _, w := range []struct{ p, data string }{
+		{"tmp/q1/j1/part-00000", "a\n"},
+		{"tmp/q1/j1/part-00001", "bb\n"},
+		{"restore/q1/op2/part-00000", "ccc\n"},
+		{"sys/repo/MANIFEST", "manifest-v1"},
+		{"sys/repo/log/r1", "rec1"},
+		{"tmp/q1/j1/part-00000", "a2\n"}, // overwrite
+	} {
+		ops = append(ops, func(fs Backend) string { return fmt.Sprint(fs.WriteFile(w.p, []byte(w.data))) })
+	}
+	return append(ops,
+		func(fs Backend) string { return fmt.Sprint(fs.Delete("sys/repo/log/r1")) },
+		func(fs Backend) string { return fmt.Sprint(fs.Rename("tmp/q1/j1", "restore/q1/op3")) },
+		func(fs Backend) string {
+			return fmt.Sprint(fs.WriteFileIf("sys/locks/fp", []byte("lease"), fs.Version("sys/locks/fp")))
+		},
+		func(fs Backend) string {
+			return fmt.Sprint(fs.RemoveFileIf("sys/locks/fp", fs.Version("sys/locks/fp")))
+		},
+	)
+}
+
+// parityPaths is the namespace the random history plays in: nested and
+// leaf directories, part files and standalone files in each, so deletes
+// and renames hit trees, single datasets, files, storage-class
+// crossings, occupied destinations and each other's tombstones.
+func parityPaths() (dirs, files []string) {
+	dirs = []string{"a", "a/b", "a/b/c", "a/d", "e", "e/f", "sys/log"}
+	for _, d := range dirs {
+		files = append(files, d+"/part-00000", d+"/part-00001", d+"/rec")
+	}
+	return dirs, append(files, "top")
+}
+
+// randomHistory is a seeded sequence of every mutation the contract
+// has, over parityPaths. CAS expectations are the live version or one
+// behind it, so both verdicts occur.
+func randomHistory(seed int64, steps int) []parityOp {
+	rng := rand.New(rand.NewSource(seed))
+	dirs, files := parityPaths()
+	any := append(append([]string(nil), dirs...), files...)
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	ops := make([]parityOp, steps)
+	for i := range ops {
+		data := []byte(strings.Repeat("x", rng.Intn(40)) + fmt.Sprint(i))
+		stale := int64(rng.Intn(2))
+		switch k := rng.Intn(10); {
+		case k < 3:
+			p := pick(files)
+			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.WriteFile(p, data)) }
+		case k < 4:
+			p := pick(files)
+			ops[i] = func(fs Backend) string {
+				w := fs.Create(p)
+				w.Write(data[:len(data)/2])
+				w.Write(data[len(data)/2:])
+				err := w.Close()
+				return fmt.Sprint(err, w.(interface{ CommittedVersion() int64 }).CommittedVersion())
 			}
+		case k < 6:
+			p := pick(any)
+			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.Delete(p)) }
+		case k < 8:
+			// Trees and files move to directory names, files also onto
+			// files; a tree never moves onto a part-file name, which
+			// would have to be a file and a directory at once.
+			src, dst := pick(any), pick(dirs)
+			if k == 7 {
+				src, dst = pick(files), pick(files)
+			}
+			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.Rename(src, dst)) }
+		case k < 9:
+			p := pick(files)
+			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.WriteFileIf(p, data, fs.Version(p)-stale)) }
+		default:
+			p := pick(files)
+			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.RemoveFileIf(p, fs.Version(p)-stale)) }
 		}
 	}
-	// Deleted and vacated datasets carry tombstone versions on both:
-	// "absent" is never "version zero" once a dataset existed.
-	for _, ds := range []string{"sys/repo/log/r1", "tmp/q1/j1", "sys/locks/fp"} {
-		if disk.Version(ds) == 0 || mem.Version(ds) == 0 {
-			t.Errorf("tombstone Version(%s): disk %d, memory %d; want both nonzero", ds, disk.Version(ds), mem.Version(ds))
+	return ops
+}
+
+// requireSameState fails unless every observable of the namespace —
+// listings, per-file sizes, dataset sets, Size, Stat, contents and the
+// exact Version of every probe path, live, deleted or never written —
+// agrees between disk and mem.
+func requireSameState(t *testing.T, when string, disk, mem Backend, probes []string) {
+	t.Helper()
+	same := func(what string, g, w any) {
+		t.Helper()
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: %s: disk %v, memory %v", when, what, g, w)
 		}
 	}
-	if g, w := disk.TotalBytes(), mem.TotalBytes(); g != w {
-		t.Errorf("TotalBytes: disk %d, memory %d", g, w)
+	same("TotalBytes", disk.TotalBytes(), mem.TotalBytes())
+	for _, p := range probes {
+		same("List "+p, disk.List(p), mem.List(p))
+		same("FileStats "+p, disk.FileStats(p), mem.FileStats(p))
+		same("Datasets "+p, disk.Datasets(p), mem.Datasets(p))
+		same("Exists "+p, disk.Exists(p), mem.Exists(p))
+		same("Size "+p, disk.Size(p), mem.Size(p))
+		same("Version "+p, disk.Version(p), mem.Version(p))
+		gb, gv, gl := disk.Stat(p)
+		wb, wv, wl := mem.Stat(p)
+		same("Stat "+p, []any{gb, gv, gl}, []any{wb, wv, wl})
+	}
+	for _, p := range mem.List("") {
+		g, gerr := disk.ReadFile(p)
+		w, werr := mem.ReadFile(p)
+		same("ReadFile "+p, fmt.Sprint(string(g), gerr), fmt.Sprint(string(w), werr))
+	}
+}
+
+// TestBackendParity drives identical mutation histories through both
+// backends and requires each step's outcome and the whole observable
+// state to agree after every step, and again after the disk backend is
+// closed and reopened. The namespace and the version rule are one
+// implementation (index); this is the check that persistence, the only
+// thing Disk adds, neither bends them nor forgets a bump.
+func TestBackendParity(t *testing.T) {
+	dirs, files := parityPaths()
+	probes := append(append([]string{"", "tmp", "tmp/q1/j1", "restore", "restore/q1", "restore/q1/op2",
+		"restore/q1/op3", "sys", "sys/repo/MANIFEST", "sys/repo/log/r1", "sys/locks/fp"}, dirs...), files...)
+	for name, history := range map[string][]parityOp{
+		"scripted": scriptedHistory(),
+		"random":   randomHistory(1, 400),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			mem, disk := New(), openDiskT(t, dir)
+			for i, op := range history {
+				if g, w := op(disk), op(mem); g != w {
+					t.Fatalf("step %d: disk %s, memory %s", i, g, w)
+				}
+				if g, w := disk.BytesWritten(), mem.BytesWritten(); g != w {
+					t.Fatalf("step %d: BytesWritten: disk %d, memory %d", i, g, w)
+				}
+				requireSameState(t, fmt.Sprintf("step %d", i), disk, mem, probes)
+			}
+			if err := disk.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened := openDiskT(t, dir)
+			defer reopened.Close()
+			requireSameState(t, "after reopen", reopened, mem, probes)
+			if name != "scripted" {
+				return
+			}
+			// Deleted and vacated datasets carry tombstone versions:
+			// "absent" is never "version zero" once a dataset existed.
+			for _, ds := range []string{"sys/repo/log/r1", "tmp/q1/j1", "sys/locks/fp"} {
+				if mem.Exists(ds) || mem.Version(ds) == 0 {
+					t.Errorf("tombstone %s: exists %v, version %d", ds, mem.Exists(ds), mem.Version(ds))
+				}
+			}
+		})
 	}
 }

@@ -12,15 +12,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 )
 
-// Disk is the on-disk Backend: the same namespace, dataset-version and
-// CAS semantics as the in-memory FS, persisted under one host
-// directory so the repository, event log and leases survive process
-// restarts. The layout splits files by shape:
+// Disk is the on-disk Backend: the shared index, persisted under one
+// host directory so the repository, event log and leases survive
+// process restarts. Every mutation is written through to disk first and
+// applied to the index after. The layout splits files by shape:
 //
 //   - Part files (paths whose last component is "part-*", i.e. dataset
 //     members) live as real files under "<dir>/objects/<path>" — a
@@ -54,10 +53,7 @@ type Disk struct {
 	dir  string
 	lock *os.File
 
-	mu       sync.RWMutex
-	files    map[string]*diskFile
-	version  map[string]int64 // per dataset; monotone per dataset
-	datasets map[string]*dsInfo
+	index
 
 	log      *os.File
 	logRecs  int             // records in dfs.log
@@ -65,19 +61,6 @@ type Disk struct {
 	syncLog  bool
 
 	recompacts atomic.Int64
-
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-
-	writeFault func(path string, data []byte) ([]byte, error)
-}
-
-// diskFile is one live logical file: inline content (standalone files,
-// stored in the record log) or a size-only stub backed by an object
-// file under objects/.
-type diskFile struct {
-	size   int64
-	inline []byte // nil ⇒ stored at objects/<path>
 }
 
 // Record log format constants.
@@ -103,13 +86,7 @@ const (
 // log. It takes an exclusive flock on "<dir>/LOCK" and fails if another
 // live process holds the directory.
 func OpenDisk(dir string) (*Disk, error) {
-	d := &Disk{
-		dir:      dir,
-		files:    make(map[string]*diskFile),
-		version:  make(map[string]int64),
-		datasets: make(map[string]*dsInfo),
-		liveKeys: make(map[string]bool),
-	}
+	d := &Disk{dir: dir, index: newIndex(), liveKeys: make(map[string]bool)}
 	for _, sub := range []string{"", "objects", "fences"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("dfs: disk open: %w", err)
@@ -190,9 +167,7 @@ func (d *Disk) loadObjects() error {
 		if ierr != nil {
 			return ierr
 		}
-		p := filepath.ToSlash(rel)
-		d.files[p] = &diskFile{size: info.Size()}
-		d.accountLocked(p, info.Size(), 1)
+		d.insert(filepath.ToSlash(rel), &file{size: info.Size()})
 		return nil
 	})
 }
@@ -296,19 +271,12 @@ func (d *Disk) applyRecordLocked(payload []byte) {
 	d.liveKeys[recordKey(op, path)] = true
 	switch op {
 	case opFilePut:
-		if old, ok := d.files[path]; ok {
-			d.accountLocked(path, -old.size, -1)
-		}
-		d.files[path] = &diskFile{size: int64(len(data)), inline: append([]byte(nil), data...)}
-		d.accountLocked(path, int64(len(data)), 1)
+		d.insert(path, &file{size: int64(len(data)), data: append([]byte(nil), data...)})
 		if ver > 0 {
 			d.version[datasetOf(path)] = ver
 		}
 	case opFileDel:
-		if old, ok := d.files[path]; ok {
-			d.accountLocked(path, -old.size, -1)
-			delete(d.files, path)
-		}
+		d.drop(path)
 		if ver > 0 {
 			d.version[datasetOf(path)] = ver
 		}
@@ -398,8 +366,8 @@ func (d *Disk) recompactLocked() error {
 	}
 	inline := make([]string, 0, len(d.files))
 	covered := make(map[string]bool)
-	for p, f := range d.files {
-		if f.inline != nil {
+	for p := range d.files {
+		if isInline(p) {
 			inline = append(inline, p)
 		}
 	}
@@ -411,7 +379,7 @@ func (d *Disk) recompactLocked() error {
 			ver = d.version[p]
 			covered[p] = true
 		}
-		if err := emit(opFilePut, p, ver, d.files[p].inline); err != nil {
+		if err := emit(opFilePut, p, ver, d.files[p].data); err != nil {
 			f.Close()
 			return fmt.Errorf("dfs: recompact: %w", err)
 		}
@@ -492,449 +460,217 @@ func (d *Disk) writeObject(p string, data []byte) error {
 	return os.Rename(tmp, full)
 }
 
-// removeObject deletes objects/<p> and prunes now-empty parent
-// directories up to the objects root.
+// removeObject deletes objects/<p> and prunes its parents.
 func (d *Disk) removeObject(p string) {
-	full := d.objectPath(p)
-	_ = os.Remove(full)
+	_ = os.Remove(d.objectPath(p))
+	d.pruneObjectDirs(p)
+}
+
+// pruneObjectDirs removes the now-empty parent directories of
+// objects/<p>, up to the objects root.
+func (d *Disk) pruneObjectDirs(p string) {
 	root := filepath.Join(d.dir, "objects")
-	for dir := filepath.Dir(full); dir != root && strings.HasPrefix(dir, root); dir = filepath.Dir(dir) {
+	for dir := filepath.Dir(d.objectPath(p)); dir != root && strings.HasPrefix(dir, root); dir = filepath.Dir(dir) {
 		if os.Remove(dir) != nil {
 			break // not empty (or gone)
 		}
 	}
 }
 
-// accountLocked mirrors FS.accountLocked over the dataset accounting.
-func (d *Disk) accountLocked(path string, bytes int64, files int) {
-	ds := datasetOf(path)
-	info := d.datasets[ds]
-	if info == nil {
-		info = &dsInfo{}
-		d.datasets[ds] = info
-	}
-	info.bytes += bytes
-	info.files += files
-	if info.files <= 0 {
-		delete(d.datasets, ds)
-	}
-}
-
 // Create opens a new file for writing; Close commits it.
 func (d *Disk) Create(path string) io.WriteCloser {
-	return &diskFileWriter{d: d, path: clean(path)}
-}
-
-type diskFileWriter struct {
-	d    *Disk
-	path string
-	buf  bytes.Buffer
-	ver  int64
-}
-
-func (w *diskFileWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
-
-func (w *diskFileWriter) Close() error {
-	w.d.mu.Lock()
-	defer w.d.mu.Unlock()
-	err := w.d.commitLocked(w.path, append([]byte(nil), w.buf.Bytes()...), true)
-	w.ver = w.d.version[datasetOf(w.path)]
-	w.d.maybeRecompactLocked()
-	return err
-}
-
-// CommittedVersion returns the dataset version this writer's Close
-// committed, captured inside Close's critical section. Zero before
-// Close.
-func (w *diskFileWriter) CommittedVersion() int64 { return w.ver }
-
-// commitLocked is the single file-commit path (mu held): applies the
-// write fault when asked, stores content in the right class, bumps the
-// dataset version and persists both through the record log.
-func (d *Disk) commitLocked(p string, data []byte, applyFault bool) error {
-	var faultErr error
-	if applyFault && d.writeFault != nil {
-		data, faultErr = d.writeFault(p, data)
-		if faultErr != nil && data == nil {
-			return faultErr // crash before any byte hit the disk
-		}
-	}
-	ds := datasetOf(p)
-	newVer := d.version[ds] + 1
-	if isInline(p) {
-		if err := d.appendRecordLocked(opFilePut, p, newVer, data); err != nil {
-			return err
-		}
-		if old, ok := d.files[p]; ok {
-			d.accountLocked(p, -old.size, -1)
-		}
-		d.files[p] = &diskFile{size: int64(len(data)), inline: append([]byte(nil), data...)}
-	} else {
-		if err := d.writeObject(p, data); err != nil {
-			return err
-		}
-		if err := d.appendRecordLocked(opVersionSet, ds, newVer, nil); err != nil {
-			return err
-		}
-		if old, ok := d.files[p]; ok {
-			d.accountLocked(p, -old.size, -1)
-		}
-		d.files[p] = &diskFile{size: int64(len(data))}
-	}
-	d.version[ds] = newVer
-	d.bytesWritten.Add(int64(len(data)))
-	d.accountLocked(p, int64(len(data)), 1)
-	return faultErr
+	return &writer{path: clean(path), commit: d.commit}
 }
 
 // WriteFile writes data to path in one call.
 func (d *Disk) WriteFile(path string, data []byte) error {
-	w := d.Create(path)
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	return w.Close()
+	_, err := d.commit(clean(path), append([]byte(nil), data...))
+	return err
 }
 
-// SetWriteFault installs the crash-injection commit interceptor; see
-// (*FS).SetWriteFault for the contract.
-func (d *Disk) SetWriteFault(fn func(path string, data []byte) ([]byte, error)) {
+// commit is the file-commit path of Create and WriteFile. It owns data.
+func (d *Disk) commit(p string, data []byte) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.writeFault = fn
+	data, faultErr := d.fault(p, data)
+	if faultErr != nil && data == nil {
+		return 0, faultErr // crash before any byte hit the disk
+	}
+	ver, err := d.storeLocked(p, data)
+	if err != nil {
+		return 0, err
+	}
+	return ver, faultErr
+}
+
+// storeLocked makes one file commit last and then applies it (mu
+// held): content goes to the record log or an object by the path's
+// class, together with the dataset's next version. It owns data.
+func (d *Disk) storeLocked(p string, data []byte) (int64, error) {
+	ds := datasetOf(p)
+	f := &file{size: int64(len(data))}
+	if isInline(p) {
+		if err := d.appendRecordLocked(opFilePut, p, d.next(ds), data); err != nil {
+			return 0, err
+		}
+		f.data = data
+	} else {
+		if err := d.writeObject(p, data); err != nil {
+			return 0, err
+		}
+		if err := d.appendRecordLocked(opVersionSet, ds, d.next(ds), nil); err != nil {
+			return 0, err
+		}
+	}
+	ver := d.put(p, f)
+	d.maybeRecompactLocked()
+	return ver, nil
 }
 
 // Open returns a reader over the file at path.
 func (d *Disk) Open(path string) (io.Reader, error) {
-	data, err := d.ReadFile(path)
+	data, err := d.read("open", path)
 	if err != nil {
-		return nil, &PathError{Op: "open", Path: path, Err: ErrNotExist}
+		return nil, err
 	}
 	return bytes.NewReader(data), nil
 }
 
 // ReadFile returns the contents of the file at path.
 func (d *Disk) ReadFile(path string) ([]byte, error) {
-	d.mu.RLock()
+	return d.read("read", path)
+}
+
+// read returns a copy of the file at path. Only a path the index does
+// not hold is ErrNotExist; an indexed object that cannot be read
+// reports what the operating system said.
+func (d *Disk) read(op, path string) ([]byte, error) {
 	p := clean(path)
+	d.mu.RLock()
 	f, ok := d.files[p]
 	var data []byte
-	var err error
+	err := ErrNotExist
 	if ok {
-		if f.inline != nil {
-			data = append([]byte(nil), f.inline...)
-		} else {
-			data, err = os.ReadFile(d.objectPath(p))
-		}
+		data, err = d.contentLocked(p, f)
 	}
 	d.mu.RUnlock()
-	if !ok || err != nil {
-		return nil, &PathError{Op: "read", Path: path, Err: ErrNotExist}
+	if err != nil {
+		return nil, &PathError{Op: op, Path: path, Err: err}
 	}
 	d.bytesRead.Add(int64(len(data)))
 	return data, nil
 }
 
-// Exists reports whether path names a file or a directory prefix.
-func (d *Disk) Exists(path string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(path)
-	if _, ok := d.files[p]; ok {
-		return true
+// contentLocked returns a private copy of the content of the live file
+// f at p (mu held, shared or exclusive).
+func (d *Disk) contentLocked(p string, f *file) ([]byte, error) {
+	if isInline(p) {
+		return append([]byte(nil), f.data...), nil
 	}
-	if _, ok := d.datasets[p]; ok {
-		return true
-	}
-	prefix := p + "/"
-	for name := range d.datasets {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
+	return os.ReadFile(d.objectPath(p))
 }
 
-// List returns the file paths under path, sorted.
-func (d *Disk) List(path string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(path)
-	var out []string
-	if p == "" {
-		for name := range d.files {
-			out = append(out, name)
-		}
-		sort.Strings(out)
-		return out
-	}
-	if _, ok := d.files[p]; ok {
-		out = append(out, p)
-	}
-	prefix := p + "/"
-	for name := range d.files {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FileStats returns the per-file sizes under path, sorted by path.
-func (d *Disk) FileStats(path string) []FileStat {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(path)
-	var out []FileStat
-	if f, ok := d.files[p]; ok {
-		out = append(out, FileStat{Path: p, Size: f.size})
-	}
-	prefix := p + "/"
-	for name, f := range d.files {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, FileStat{Path: name, Size: f.size})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Size returns the total bytes stored under path.
-func (d *Disk) Size(path string) int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(path)
-	var n int64
-	if info, ok := d.datasets[p]; ok {
-		n += info.bytes
-	} else if f, ok := d.files[p]; ok {
-		n += f.size
-	}
-	prefix := p + "/"
-	for name, info := range d.datasets {
-		if strings.HasPrefix(name, prefix) {
-			n += info.bytes
-		}
-	}
-	return n
-}
-
-// Stat returns bytes, dataset version and leafness in one acquisition;
-// see (*FS).Stat for the contract.
-func (d *Disk) Stat(path string) (bytes int64, version int64, leaf bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(path)
-	version = d.version[datasetOf(p)]
-	if info, ok := d.datasets[p]; ok {
-		return info.bytes, version, true
-	}
-	if f, ok := d.files[p]; ok {
-		return f.size, version, true
-	}
-	prefix := p + "/"
-	for name, info := range d.datasets {
-		if strings.HasPrefix(name, prefix) {
-			bytes += info.bytes
-		}
-	}
-	return bytes, version, false
-}
-
-// Datasets returns the dataset paths holding data under prefix, sorted.
-func (d *Disk) Datasets(prefix string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := clean(prefix)
-	var out []string
-	for name := range d.datasets {
-		if p == "" || name == p || strings.HasPrefix(name, p+"/") {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Delete removes the file or directory tree at path, bumping the
-// dataset version of path itself (matching FS semantics).
+// Delete removes the file or directory tree at path, bumping — and
+// logging — the version of every dataset that loses a file.
 func (d *Disk) Delete(path string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p := clean(path)
-	victims := d.underLocked(p)
-	if len(victims) == 0 {
-		return &PathError{Op: "delete", Path: path, Err: ErrNotExist}
-	}
-	for _, name := range victims {
-		if err := d.dropFileLocked(name); err != nil {
-			return err
-		}
-	}
-	ds := datasetOf(p)
-	newVer := d.version[ds] + 1
-	if err := d.appendRecordLocked(opVersionSet, ds, newVer, nil); err != nil {
+	c, err := d.planDelete(path)
+	if err != nil {
 		return err
 	}
-	d.version[ds] = newVer
-	d.maybeRecompactLocked()
-	return nil
-}
-
-// underLocked lists the live file paths at p and under p/ (mu held).
-func (d *Disk) underLocked(p string) []string {
-	var out []string
-	if _, ok := d.files[p]; ok {
-		out = append(out, p)
-	}
-	prefix := p + "/"
-	for name := range d.files {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// dropFileLocked removes one live file (content + accounting) without
-// touching versions.
-func (d *Disk) dropFileLocked(name string) error {
-	f := d.files[name]
-	if f == nil {
-		return nil
-	}
-	if f.inline != nil {
-		if err := d.appendRecordLocked(opFileDel, name, 0, nil); err != nil {
-			return err
-		}
-	} else {
-		d.removeObject(name)
-	}
-	d.accountLocked(name, -f.size, -1)
-	delete(d.files, name)
-	return nil
+	return d.persistAndApplyLocked(c)
 }
 
 // Rename atomically moves the file or tree at oldPath to newPath,
-// replacing the destination; every touched dataset's version is bumped
-// inside the critical section, matching the fixed FS semantics.
+// replacing the destination; see (*FS).Rename for the contract.
 func (d *Disk) Rename(oldPath, newPath string) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	op, np := clean(oldPath), clean(newPath)
-	srcs := d.underLocked(op)
-	if len(srcs) == 0 {
-		return 0, &PathError{Op: "rename", Path: oldPath, Err: ErrNotExist}
+	c, err := d.planRename(oldPath, newPath)
+	if err != nil {
+		return 0, err
 	}
-	touched := map[string]bool{datasetOf(op): true, datasetOf(np): true}
-	type move struct {
-		src, dst string
-		data     []byte
+	if err := d.persistAndApplyLocked(c); err != nil {
+		return 0, err
 	}
-	moves := make([]move, 0, len(srcs))
-	for _, src := range srcs {
-		dst := np
-		if src != op {
-			dst = np + "/" + src[len(op)+1:]
-		}
-		touched[datasetOf(src)] = true
-		touched[datasetOf(dst)] = true
-		f := d.files[src]
-		var data []byte
-		// Content crosses storage classes (or is replayed into the log)
-		// by value; object-to-object moves rename on disk.
-		if f.inline != nil || isInline(dst) {
-			var err error
-			if data, err = d.readLocked(src); err != nil {
-				return 0, err
-			}
-		}
-		moves = append(moves, move{src: src, dst: dst, data: data})
-	}
-	// Clobber the destination tree.
-	for _, name := range d.underLocked(np) {
-		touched[datasetOf(name)] = true
-		if err := d.dropFileLocked(name); err != nil {
-			return 0, err
-		}
-	}
-	for _, mv := range moves {
-		f := d.files[mv.src]
-		switch {
-		case f.inline == nil && !isInline(mv.dst):
-			full := d.objectPath(mv.dst)
-			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-				return 0, err
-			}
-			if err := os.Rename(d.objectPath(mv.src), full); err != nil {
-				return 0, err
-			}
-			d.removeObjectDirs(mv.src)
-			d.files[mv.dst] = &diskFile{size: f.size}
-		case f.inline == nil: // object → inline
-			d.removeObject(mv.src)
-			if err := d.appendRecordLocked(opFilePut, mv.dst, 0, mv.data); err != nil {
-				return 0, err
-			}
-			d.files[mv.dst] = &diskFile{size: int64(len(mv.data)), inline: append([]byte(nil), mv.data...)}
-		case !isInline(mv.dst): // inline → object
-			if err := d.appendRecordLocked(opFileDel, mv.src, 0, nil); err != nil {
-				return 0, err
-			}
-			if err := d.writeObject(mv.dst, mv.data); err != nil {
-				return 0, err
-			}
-			d.files[mv.dst] = &diskFile{size: int64(len(mv.data))}
-		default: // inline → inline
-			if err := d.appendRecordLocked(opFileDel, mv.src, 0, nil); err != nil {
-				return 0, err
-			}
-			if err := d.appendRecordLocked(opFilePut, mv.dst, 0, mv.data); err != nil {
-				return 0, err
-			}
-			d.files[mv.dst] = &diskFile{size: int64(len(mv.data)), inline: append([]byte(nil), mv.data...)}
-		}
-		d.accountLocked(mv.src, -f.size, -1)
-		delete(d.files, mv.src)
-		d.accountLocked(mv.dst, d.files[mv.dst].size, 1)
-	}
-	dss := make([]string, 0, len(touched))
-	for ds := range touched {
-		dss = append(dss, ds)
-	}
-	sort.Strings(dss)
-	for _, ds := range dss {
-		newVer := d.version[ds] + 1
-		if err := d.appendRecordLocked(opVersionSet, ds, newVer, nil); err != nil {
-			return 0, err
-		}
-		d.version[ds] = newVer
-	}
+	return d.version[datasetOf(newPath)], nil
+}
+
+// persistAndApplyLocked writes c through to disk in plan order —
+// removals, moves, then one version record per touched dataset — and
+// applies it to the index (mu held). If a step fails, the steps that
+// did reach the disk are still applied, so the index never disagrees
+// with what a reopen would rebuild.
+func (d *Disk) persistAndApplyLocked(c change) error {
+	err := d.persistLocked(&c)
+	d.apply(c)
 	d.maybeRecompactLocked()
-	return d.version[datasetOf(np)], nil
+	return err
 }
 
-// removeObjectDirs prunes empty parents after an object moved away.
-func (d *Disk) removeObjectDirs(p string) {
-	root := filepath.Join(d.dir, "objects")
-	for dir := filepath.Dir(d.objectPath(p)); dir != root && strings.HasPrefix(dir, root); dir = filepath.Dir(dir) {
-		if os.Remove(dir) != nil {
-			break
+// persistLocked is the disk half of persistAndApplyLocked. On failure
+// it cuts c back to the steps that were persisted.
+func (d *Disk) persistLocked(c *change) error {
+	for i, name := range c.removed {
+		if isInline(name) {
+			if err := d.appendRecordLocked(opFileDel, name, 0, nil); err != nil {
+				*c = change{removed: c.removed[:i]}
+				return err
+			}
+		} else {
+			d.removeObject(name)
 		}
 	}
+	for i := range c.moved {
+		if err := d.persistMoveLocked(&c.moved[i]); err != nil {
+			c.moved, c.touched = c.moved[:i], nil
+			return err
+		}
+	}
+	for i, ds := range c.touched {
+		if err := d.appendRecordLocked(opVersionSet, ds, d.next(ds), nil); err != nil {
+			c.touched = c.touched[:i]
+			return err
+		}
+	}
+	return nil
 }
 
-// readLocked reads a live file's content with mu already held.
-func (d *Disk) readLocked(p string) ([]byte, error) {
-	f := d.files[p]
-	if f == nil {
-		return nil, &PathError{Op: "read", Path: p, Err: ErrNotExist}
+// persistMoveLocked moves one file's content on disk. An object moving
+// to an object path is renamed; anything else crosses storage classes
+// (or is replayed into the log) by value, and mv.f becomes the file
+// describing the content's new home.
+func (d *Disk) persistMoveLocked(mv *move) error {
+	srcInline, dstInline := isInline(mv.src), isInline(mv.dst)
+	if !srcInline && !dstInline {
+		full := d.objectPath(mv.dst)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			return err
+		}
+		if err := os.Rename(d.objectPath(mv.src), full); err != nil {
+			return err
+		}
+		d.pruneObjectDirs(mv.src)
+		return nil
 	}
-	if f.inline != nil {
-		return append([]byte(nil), f.inline...), nil
+	data, err := d.contentLocked(mv.src, mv.f)
+	if err != nil {
+		return err
 	}
-	return os.ReadFile(d.objectPath(p))
+	if srcInline {
+		if err := d.appendRecordLocked(opFileDel, mv.src, 0, nil); err != nil {
+			return err
+		}
+	} else {
+		d.removeObject(mv.src)
+	}
+	mv.f = &file{size: int64(len(data))}
+	if !dstInline {
+		return d.writeObject(mv.dst, data)
+	}
+	mv.f.data = data
+	return d.appendRecordLocked(opFilePut, mv.dst, 0, data)
 }
 
 // fenceName maps a dataset + from-version to its fence file.
@@ -972,21 +708,14 @@ func (d *Disk) WriteFileIf(path string, data []byte, expect int64) (int64, bool)
 		return d.version[ds], false
 	}
 	defer release()
-	torn := false
-	if d.writeFault != nil {
-		faulted, faultErr := d.writeFault(p, append([]byte(nil), data...))
-		if faultErr != nil {
-			if faulted == nil {
-				return d.version[ds], false // dropped: nothing hit the disk
-			}
-			data, torn = faulted, true
-		}
+	data, faultErr := d.fault(p, append([]byte(nil), data...))
+	if faultErr != nil && data == nil {
+		return d.version[ds], false // dropped: nothing hit the disk
 	}
-	if err := d.commitLocked(p, data, false); err != nil {
+	if _, err := d.storeLocked(p, data); err != nil {
 		return d.version[ds], false
 	}
-	d.maybeRecompactLocked()
-	return d.version[ds], !torn
+	return d.version[ds], faultErr == nil
 }
 
 // RemoveFileIf deletes the file at path only if its dataset version
@@ -994,52 +723,14 @@ func (d *Disk) WriteFileIf(path string, data []byte, expect int64) (int64, bool)
 func (d *Disk) RemoveFileIf(path string, expect int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p := clean(path)
-	ds := datasetOf(p)
-	if d.version[ds] != expect {
+	c, ok := d.planRemoveIf(path, expect)
+	if !ok {
 		return false
 	}
-	if _, ok := d.files[p]; !ok {
-		return false
-	}
-	release, ok := d.takeFence(ds, expect)
+	release, ok := d.takeFence(datasetOf(path), expect)
 	if !ok {
 		return false
 	}
 	defer release()
-	if err := d.dropFileLocked(p); err != nil {
-		return false
-	}
-	newVer := d.version[ds] + 1
-	if err := d.appendRecordLocked(opVersionSet, ds, newVer, nil); err != nil {
-		return false
-	}
-	d.version[ds] = newVer
-	d.maybeRecompactLocked()
-	return true
-}
-
-// Version returns the modification version of the dataset containing
-// path; zero means never written.
-func (d *Disk) Version(path string) int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.version[datasetOf(path)]
-}
-
-// BytesRead returns the cumulative bytes read through the backend.
-func (d *Disk) BytesRead() int64 { return d.bytesRead.Load() }
-
-// BytesWritten returns the cumulative bytes written through the backend.
-func (d *Disk) BytesWritten() int64 { return d.bytesWritten.Load() }
-
-// TotalBytes returns the total bytes currently stored.
-func (d *Disk) TotalBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var n int64
-	for _, info := range d.datasets {
-		n += info.bytes
-	}
-	return n
+	return d.persistAndApplyLocked(c) == nil
 }

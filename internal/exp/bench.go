@@ -1,20 +1,14 @@
 package exp
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"time"
 )
 
 // BenchArtifact is the machine-readable perf artifact CI uploads as
-// BENCH_<sha>.json — the diffable perf curve the ROADMAP asks for. One
-// document carries the service-level load-harness report and the
-// parsed `go test -bench` microbenchmarks, so a later PR's artifact
-// diffs cleanly against this one.
+// BENCH_<sha>.json: the service-level load-harness report of one
+// commit, so a later PR's artifact diffs cleanly against this one.
 type BenchArtifact struct {
 	// SHA identifies the commit the artifact measures.
 	SHA string `json:"sha"`
@@ -23,9 +17,6 @@ type BenchArtifact struct {
 	// Load is the restore-load harness report, when a load run was part
 	// of the job.
 	Load *LoadReport `json:"load,omitempty"`
-	// Microbench carries the parsed `go test -bench` records, when the
-	// text output was fed in.
-	Microbench []BenchRecord `json:"microbench,omitempty"`
 }
 
 // WriteJSON writes the artifact as one indented JSON document.
@@ -129,74 +120,6 @@ type TenantLoad struct {
 	JobsReused       int64   `json:"jobsReused"`
 	Rewrites         int64   `json:"rewrites"`
 	QueriesWithReuse int64   `json:"queriesWithReuse"`
-}
-
-// BenchRecord is one parsed `go test -bench` result line.
-type BenchRecord struct {
-	// Name is the benchmark's full name including the -cpu suffix
-	// (e.g. "BenchmarkRewrite/indexed-1k-8").
-	Name string `json:"name"`
-	// Iterations is b.N.
-	Iterations int64 `json:"iterations"`
-	// NsPerOp is the headline metric.
-	NsPerOp float64 `json:"nsPerOp"`
-	// BytesPerOp and AllocsPerOp are present when the benchmark
-	// reported allocations (-1 when absent).
-	BytesPerOp  int64 `json:"bytesPerOp"`
-	AllocsPerOp int64 `json:"allocsPerOp"`
-	// Extra holds any further "value unit" pairs (MB/s, custom
-	// ReportMetric units), keyed by unit.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// ParseGoBench parses `go test -bench` text output into records,
-// skipping non-benchmark lines (goos/pkg headers, PASS/ok trailers).
-// It never fails on malformed lines — a perf artifact with a few
-// unparsed lines beats no artifact — it just drops them.
-func ParseGoBench(r io.Reader) ([]BenchRecord, error) {
-	var out []BenchRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		rec := BenchRecord{Name: fields[0], Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
-		// The tail is "value unit" pairs: 123 ns/op [45 B/op 6 allocs/op ...].
-		for i := 2; i+1 < len(fields); i += 2 {
-			val, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				rec.NsPerOp = val
-			case "B/op":
-				rec.BytesPerOp = int64(val)
-			case "allocs/op":
-				rec.AllocsPerOp = int64(val)
-			default:
-				if rec.Extra == nil {
-					rec.Extra = map[string]float64{}
-				}
-				rec.Extra[unit] = val
-			}
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("exp: reading bench output: %w", err)
-	}
-	return out, nil
 }
 
 // Percentile returns the p-th percentile (0..100) of sorted

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -61,41 +60,6 @@ func TestZipfMixRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewZipfMix([]string{"x"}, -0.5, 1); err == nil {
 		t.Fatal("negative skew accepted")
-	}
-}
-
-func TestParseGoBench(t *testing.T) {
-	const text = `goos: linux
-goarch: amd64
-pkg: repro/internal/core
-cpu: whatever
-BenchmarkMatcherIndexed-8   	  123456	      9876 ns/op	     512 B/op	       7 allocs/op
-BenchmarkMatcherLinear/1k-8 	    2000	    654321 ns/op
-BenchmarkThroughput-8       	    1000	   1000000 ns/op	  88.25 MB/s
-garbage line that is not a benchmark
-BenchmarkBroken-8           	  notanumber	 10 ns/op
-PASS
-ok  	repro/internal/core	3.21s
-`
-	recs, err := ParseGoBench(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("parsed %d records, want 3: %+v", len(recs), recs)
-	}
-	r0 := recs[0]
-	if r0.Name != "BenchmarkMatcherIndexed-8" || r0.Iterations != 123456 ||
-		r0.NsPerOp != 9876 || r0.BytesPerOp != 512 || r0.AllocsPerOp != 7 {
-		t.Fatalf("bad first record: %+v", r0)
-	}
-	r1 := recs[1]
-	if r1.Name != "BenchmarkMatcherLinear/1k-8" || r1.NsPerOp != 654321 ||
-		r1.BytesPerOp != -1 || r1.AllocsPerOp != -1 {
-		t.Fatalf("bad second record: %+v", r1)
-	}
-	if got := recs[2].Extra["MB/s"]; got != 88.25 {
-		t.Fatalf("MB/s = %v, want 88.25", got)
 	}
 }
 

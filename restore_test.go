@@ -2,6 +2,7 @@ package restore
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -113,6 +114,44 @@ func TestReuseAcrossExecutes(t *testing.T) {
 	}
 	if sys.Repository().Len() == 0 {
 		t.Errorf("repository empty after storing runs")
+	}
+}
+
+// TestDeletedInputTreeIsNotReused is the end-to-end regression for
+// eviction Rule 4 under a tree delete: results stored over
+// 'logs/events' must stop being valid when 'logs' — the input's parent
+// directory, not the input dataset itself — is deleted. The repeated
+// query must fail on the missing input exactly as it does when the
+// leaf is deleted; answering it from the repository would return rows
+// of data that no longer exists.
+func TestDeletedInputTreeIsNotReused(t *testing.T) {
+	for _, victim := range []string{"logs/events", "logs"} {
+		sys := newTestSystem(Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive})
+		if err := sys.WriteDataset("logs/events", []Tuple{{"alice", int64(10)}, {"bob", int64(5)}}); err != nil {
+			t.Fatalf("WriteDataset: %v", err)
+		}
+		const script = `
+A = load 'logs/events' as (user, amount);
+B = group A by user;
+C = foreach B generate group, SUM(A.amount);
+store C into '%s';
+`
+		r1, err := sys.Execute(fmt.Sprintf(script, "totals"))
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if len(r1.Stored) == 0 {
+			t.Fatalf("first run stored nothing")
+		}
+		if err := sys.FS().Delete(victim); err != nil {
+			t.Fatalf("Delete(%s): %v", victim, err)
+		}
+		r2, err := sys.Execute(fmt.Sprintf(script, "totals2"))
+		if err == nil {
+			rows, _ := r2.Output("totals2")
+			t.Errorf("after Delete(%s) the query succeeded with %d rewrites and rows %v; its input does not exist",
+				victim, len(r2.Rewrites), rows)
+		}
 	}
 }
 
