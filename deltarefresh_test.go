@@ -331,17 +331,28 @@ func TestDeltaRefreshDurable(t *testing.T) {
 // bytes per run, the cold arm O(whole log) — and the log keeps
 // growing, so the gap widens with b.N. The delta-bytes/op and
 // log-bytes metrics land in BENCH_<sha>.json next to the ns/op gap.
+// The crowded arm is the same refresh with 20 k unrelated files
+// resident: what a refresh costs must not depend on what else the
+// store holds.
 func BenchmarkDeltaRefresh(b *testing.B) {
 	const baseDays = 10
 	for _, mode := range []struct {
-		name string
-		opts restore.Options
+		name  string
+		opts  restore.Options
+		crowd int
 	}{
-		{"refresh", reuseOpts()},
-		{"cold", restore.Options{}},
+		{"refresh", reuseOpts(), 0},
+		{"refresh-crowded", reuseOpts(), 20000},
+		{"cold", restore.Options{}, 0},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys := netSystem(b, mode.opts, baseDays)
+			for i := 0; i < mode.crowd; i++ {
+				p := fmt.Sprintf("crowd/q%03d/out/part-%05d", i/28, i%28)
+				if err := sys.FS().WriteFile(p, []byte("x\n")); err != nil {
+					b.Fatal(err)
+				}
+			}
 			runNet(b, sys, "N1") // populate (or just warm) the repository
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

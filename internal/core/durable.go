@@ -568,7 +568,7 @@ func (dl *DurableLog) maybeResync(next uint64) (bool, error) {
 // version and whether one exists.
 func (dl *DurableLog) readManifest() (*manifestFile, int64, bool, error) {
 	mp := dl.manifestPath()
-	_, ver, _ := dl.fs.Stat(mp)
+	ver := dl.fs.Version(mp)
 	data, err := dl.fs.ReadFile(mp)
 	if err != nil {
 		return nil, 0, false, nil
@@ -730,7 +730,7 @@ func (dl *DurableLog) trim(folded uint64) {
 func allocWriter(fs dfs.Backend, root string) string {
 	p := root + "/writers"
 	for {
-		_, ver, _ := fs.Stat(p)
+		ver := fs.Version(p)
 		n := 0
 		if data, err := fs.ReadFile(p); err == nil {
 			n, _ = strconv.Atoi(strings.TrimSpace(string(data)))

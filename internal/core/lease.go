@@ -137,7 +137,7 @@ func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 	for {
 		// Version before content: a write sneaking in between makes the
 		// CAS fail instead of clobbering the sneaking writer's lease.
-		_, ver, _ := lm.fs.Stat(path)
+		ver := lm.fs.Version(path)
 		data, err := lm.fs.ReadFile(path)
 		fence := uint64(1)
 		if err == nil {
@@ -269,7 +269,7 @@ func (lm *LeaseManager) WaitFree(ctx context.Context, fp string) error {
 	t := time.NewTicker(lm.poll)
 	defer t.Stop()
 	for {
-		_, ver, _ := lm.fs.Stat(path)
+		ver := lm.fs.Version(path)
 		data, err := lm.fs.ReadFile(path)
 		if err != nil {
 			return nil // released
@@ -298,7 +298,7 @@ func (lm *LeaseManager) ReapExpired() int {
 		if ds == lm.root {
 			continue
 		}
-		_, ver, _ := lm.fs.Stat(ds)
+		ver := lm.fs.Version(ds)
 		data, err := lm.fs.ReadFile(ds)
 		if err != nil {
 			continue

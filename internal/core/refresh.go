@@ -147,7 +147,7 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 	dstats, err := eng.Run(ctx, djob, nil)
 	tr.End(deltaSpan)
 	if err != nil {
-		_ = fs.Delete(deltaPath)
+		_ = eng.DeleteDataset(deltaPath)
 		return fail(), spent
 	}
 	tr.Sim(deltaSpan, dstats.SimTime)
@@ -163,9 +163,9 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 	mergeSpan := tr.Start(span, obs.KindRefreshMerge, mjob.ID)
 	mstats, err := eng.Run(ctx, mjob, nil)
 	tr.End(mergeSpan)
-	_ = fs.Delete(deltaPath)
+	_ = eng.DeleteDataset(deltaPath)
 	if err != nil {
-		_ = fs.Delete(mergedPath)
+		_ = eng.DeleteDataset(mergedPath)
 		return fail(), spent
 	}
 	tr.Sim(mergeSpan, mstats.SimTime)
@@ -175,7 +175,7 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 	// replaced it mid-merge, the merged result mixes versions. The
 	// entry is pinned (no vacuum) but the dataset itself is not sealed.
 	if fs.Version(e.OutputPath) != e.OutputVersion {
-		_ = fs.Delete(mergedPath)
+		_ = eng.DeleteDataset(mergedPath)
 		return fail(), spent
 	}
 

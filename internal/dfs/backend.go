@@ -27,6 +27,17 @@ import "io"
 //     replaces. An entry derived from any of them stops being valid
 //     (repository eviction Rule 4).
 //
+//   - What a namespace operation costs. The namespace is a directory
+//     tree. Exists, Size, Stat and Version cost a lookup and a walk down
+//     the components of their path, present or absent; List, FileStats
+//     and Datasets add one visit per path returned (Datasets also visits
+//     the directories below its prefix, never their part files), and a
+//     sort of the result; Delete and Rename cost the files they remove
+//     and move. Each is proportional to its result and the path depth,
+//     never to the store, so a caller may put one on its per-query path
+//     without asking what else is stored. Only the empty path — List("")
+//     and Datasets("") — and TotalBytes speak for the whole store.
+//
 //   - Version CAS. WriteFileIf/RemoveFileIf apply only when the
 //     dataset's version still equals the caller's last observation, as
 //     one atomic read-check-write even across processes sharing the
@@ -55,14 +66,16 @@ type Backend interface {
 	ReadFile(path string) ([]byte, error)
 	// Exists reports whether path names a file or a directory prefix.
 	Exists(path string) bool
-	// List returns the file paths under path, sorted.
+	// List returns the file paths under path, sorted; the empty path
+	// lists every file.
 	List(path string) []string
 	// Size returns the total bytes stored under path.
 	Size(path string) int64
 	// Stat returns the bytes under path, the version of path's dataset,
 	// and whether path names a single dataset or file (a leaf).
 	Stat(path string) (bytes int64, version int64, leaf bool)
-	// Datasets returns the dataset paths holding data under prefix.
+	// Datasets returns the dataset paths holding data under prefix,
+	// sorted; the empty prefix lists every dataset.
 	Datasets(prefix string) []string
 	// Delete removes the file or directory tree at path, bumping the
 	// version of every dataset that loses a file.

@@ -9,14 +9,19 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // forEachBackend runs fn against every Backend implementation, so
-// semantic contracts are asserted once and enforced on both.
-func forEachBackend(t *testing.T, fn func(t *testing.T, fs Backend)) {
-	t.Run("memory", func(t *testing.T) { fn(t, New()) })
-	t.Run("disk", func(t *testing.T) {
+// semantic contracts are asserted once and enforced on both. T is
+// *testing.T or *testing.B.
+func forEachBackend[T interface {
+	testing.TB
+	Run(string, func(T)) bool
+}](t T, fn func(t T, fs Backend)) {
+	t.Run("memory", func(t T) { fn(t, New()) })
+	t.Run("disk", func(t T) {
 		d, err := OpenDisk(t.TempDir())
 		if err != nil {
 			t.Fatalf("OpenDisk: %v", err)
@@ -261,7 +266,7 @@ func scriptedHistory() []parityOp {
 	} {
 		ops = append(ops, func(fs Backend) string { return fmt.Sprint(fs.WriteFile(w.p, []byte(w.data))) })
 	}
-	return append(ops,
+	ops = append(ops,
 		func(fs Backend) string { return fmt.Sprint(fs.Delete("sys/repo/log/r1")) },
 		func(fs Backend) string { return fmt.Sprint(fs.Rename("tmp/q1/j1", "restore/q1/op3")) },
 		func(fs Backend) string {
@@ -271,6 +276,33 @@ func scriptedHistory() []parityOp {
 			return fmt.Sprint(fs.RemoveFileIf("sys/locks/fp", fs.Version("sys/locks/fp")))
 		},
 	)
+	// The shapes a directory tree can get wrong, one by one.
+	write := func(p string) parityOp {
+		return func(fs Backend) string { return fmt.Sprint(fs.WriteFile(p, []byte(p))) }
+	}
+	remove := func(p string) parityOp {
+		return func(fs Backend) string { return fmt.Sprint(fs.Delete(p)) }
+	}
+	rename := func(src, dst string) parityOp {
+		return func(fs Backend) string { return fmt.Sprint(fs.Rename(src, dst)) }
+	}
+	return append(ops,
+		// The only file of a deep directory goes: so does every ancestor.
+		write("deep/e/f/g/part-00000"),
+		remove("deep/e/f/g/part-00000"),
+		// m/x is a file and a directory, and the directory holds part
+		// files beside a standalone one: a dataset is not a directory.
+		write("m/x"), write("m/x/part-00000"), write("m/x/rec"),
+		// Datasets nested under a dataset: m > m/x > m/x/y.
+		write("m/part-00000"), write("m/x/y/part-00000"),
+		// One part file moves inside its dataset.
+		rename("m/x/part-00000", "m/x/part-00007"),
+		// A tree moves onto a populated tree, replacing all of it.
+		write("n/x/part-00000"), write("n/x/z/part-00000"), write("n/rec"),
+		rename("m", "n"),
+		// Deleting a name that is both takes the file and the tree.
+		remove("n/x"),
+	)
 }
 
 // parityPaths is the namespace the random history plays in: nested and
@@ -278,7 +310,7 @@ func scriptedHistory() []parityOp {
 // and renames hit trees, single datasets, files, storage-class
 // crossings, occupied destinations and each other's tombstones.
 func parityPaths() (dirs, files []string) {
-	dirs = []string{"a", "a/b", "a/b/c", "a/d", "e", "e/f", "sys/log"}
+	dirs = []string{"a", "a/b", "a/b/c", "a/d", "e", "e/f", "sys/log", "deep/x/y/z"}
 	for _, d := range dirs {
 		files = append(files, d+"/part-00000", d+"/part-00001", d+"/rec")
 	}
@@ -292,6 +324,10 @@ func randomHistory(seed int64, steps int) []parityOp {
 	rng := rand.New(rand.NewSource(seed))
 	dirs, files := parityPaths()
 	any := append(append([]string(nil), dirs...), files...)
+	// Writes also land on two directory names, which makes each a file
+	// and a directory at once. They stay out of files, so the file-onto-
+	// file renames below never move a tree onto a part-file name.
+	writable := append(append([]string(nil), files...), "a/b", "e")
 	pick := func(from []string) string { return from[rng.Intn(len(from))] }
 	ops := make([]parityOp, steps)
 	for i := range ops {
@@ -299,10 +335,10 @@ func randomHistory(seed int64, steps int) []parityOp {
 		stale := int64(rng.Intn(2))
 		switch k := rng.Intn(10); {
 		case k < 3:
-			p := pick(files)
+			p := pick(writable)
 			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.WriteFile(p, data)) }
 		case k < 4:
-			p := pick(files)
+			p := pick(writable)
 			ops[i] = func(fs Backend) string {
 				w := fs.Create(p)
 				w.Write(data[:len(data)/2])
@@ -323,88 +359,162 @@ func randomHistory(seed int64, steps int) []parityOp {
 			}
 			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.Rename(src, dst)) }
 		case k < 9:
-			p := pick(files)
+			p := pick(writable)
 			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.WriteFileIf(p, data, fs.Version(p)-stale)) }
 		default:
-			p := pick(files)
+			p := pick(writable)
 			ops[i] = func(fs Backend) string { return fmt.Sprint(fs.RemoveFileIf(p, fs.Version(p)-stale)) }
 		}
 	}
 	return ops
 }
 
-// requireSameState fails unless every observable of the namespace —
-// listings, per-file sizes, dataset sets, Size, Stat, contents and the
-// exact Version of every probe path, live, deleted or never written —
-// agrees between disk and mem.
-func requireSameState(t *testing.T, when string, disk, mem Backend, probes []string) {
-	t.Helper()
-	same := func(what string, g, w any) {
-		t.Helper()
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: %s: disk %v, memory %v", when, what, g, w)
+// probePaths is every path worth asking about in ref's present state:
+// the fixed ones, every live file, every dataset that ever had a
+// version (tombstones included), every ancestor prefix of all of those,
+// a never-written path and the empty path.
+func probePaths(ref *flatFS, fixed []string) []string {
+	set := map[string]bool{"": true, "never/written": true}
+	add := func(p string) {
+		for ; !set[p]; p = p[:max(strings.LastIndex(p, "/"), 0)] {
+			set[p] = true
 		}
 	}
-	same("TotalBytes", disk.TotalBytes(), mem.TotalBytes())
-	for _, p := range probes {
-		same("List "+p, disk.List(p), mem.List(p))
-		same("FileStats "+p, disk.FileStats(p), mem.FileStats(p))
-		same("Datasets "+p, disk.Datasets(p), mem.Datasets(p))
-		same("Exists "+p, disk.Exists(p), mem.Exists(p))
-		same("Size "+p, disk.Size(p), mem.Size(p))
-		same("Version "+p, disk.Version(p), mem.Version(p))
-		gb, gv, gl := disk.Stat(p)
-		wb, wv, wl := mem.Stat(p)
-		same("Stat "+p, []any{gb, gv, gl}, []any{wb, wv, wl})
+	for _, p := range fixed {
+		add(p)
 	}
-	for _, p := range mem.List("") {
-		g, gerr := disk.ReadFile(p)
-		w, werr := mem.ReadFile(p)
-		same("ReadFile "+p, fmt.Sprint(string(g), gerr), fmt.Sprint(string(w), werr))
+	for p := range ref.files {
+		add(p)
+	}
+	for ds := range ref.version {
+		add(ds)
+	}
+	return sortedKeys(set)
+}
+
+// observation is one namespace read and what it returned.
+type observation struct {
+	what string
+	val  any
+}
+
+// observe records every observable of the namespace — listings, per-file
+// sizes, dataset sets, Exists, Size, Stat and the exact Version of
+// every probe path, live, deleted or never written, then the content of
+// every file.
+func observe(fs Backend, probes []string) []observation {
+	obs := []observation{{"TotalBytes", fs.TotalBytes()}}
+	for _, p := range probes {
+		b, v, leaf := fs.Stat(p)
+		obs = append(obs,
+			observation{"List " + p, fs.List(p)},
+			observation{"FileStats " + p, fs.FileStats(p)},
+			observation{"Datasets " + p, fs.Datasets(p)},
+			observation{"Exists " + p, fs.Exists(p)},
+			observation{"Size " + p, fs.Size(p)},
+			observation{"Version " + p, fs.Version(p)},
+			observation{"Stat " + p, []any{b, v, leaf}})
+	}
+	for _, p := range fs.List("") {
+		data, err := fs.ReadFile(p)
+		obs = append(obs, observation{"ReadFile " + p, fmt.Sprint(string(data), err)})
+	}
+	return obs
+}
+
+// requireSameState fails at the first observation of got that differs
+// from the reference's.
+func requireSameState(t *testing.T, when string, got Backend, probes []string, want []observation) {
+	t.Helper()
+	for i, g := range observe(got, probes) {
+		if i >= len(want) || !reflect.DeepEqual(g, want[i]) {
+			t.Fatalf("%s: got %v, reference %v", when, g, want[min(i, len(want)-1)])
+		}
 	}
 }
 
+// underReaders runs the mutation op on fs while two other goroutines
+// make every namespace read, so the race detector sees the tree read
+// while it is rewritten.
+func underReaders(fs Backend, probes []string, op parityOp) string {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(probes); i += 2 {
+				p := probes[i]
+				fs.List(p)
+				fs.FileStats(p)
+				fs.Datasets(p)
+				fs.Exists(p)
+				fs.Size(p)
+				fs.Stat(p)
+				fs.TotalBytes()
+			}
+		}()
+	}
+	defer wg.Wait()
+	return op(fs)
+}
+
 // TestBackendParity drives identical mutation histories through both
-// backends and requires each step's outcome and the whole observable
-// state to agree after every step, and again after the disk backend is
-// closed and reopened. The namespace and the version rule are one
-// implementation (index); this is the check that persistence, the only
-// thing Disk adds, neither bends them nor forgets a bump.
+// backends and the flat-scan reference and requires each step's outcome
+// and the whole observable state to agree after every step, and again
+// after the disk backend is closed and reopened. The namespace and the
+// version rule are one implementation (index); this is the check that
+// its directory tree answers exactly what a scan of every file would —
+// Delete and Rename remove, move and bump the same sets — and that
+// persistence, the only thing Disk adds, neither bends them nor forgets
+// a bump.
 func TestBackendParity(t *testing.T) {
 	dirs, files := parityPaths()
-	probes := append(append([]string{"", "tmp", "tmp/q1/j1", "restore", "restore/q1", "restore/q1/op2",
-		"restore/q1/op3", "sys", "sys/repo/MANIFEST", "sys/repo/log/r1", "sys/locks/fp"}, dirs...), files...)
+	fixed := append(append([]string{"tmp/q1/j1", "restore/q1/op2", "restore/q1/op3",
+		"sys/repo/MANIFEST", "sys/repo/log/r1", "sys/locks/fp"}, dirs...), files...)
 	for name, history := range map[string][]parityOp{
 		"scripted": scriptedHistory(),
-		"random":   randomHistory(1, 400),
+		"random":   randomHistory(1, 1200),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			mem, disk := New(), openDiskT(t, dir)
+			ref, mem, disk := newFlatFS(), New(), openDiskT(t, dir)
 			for i, op := range history {
-				if g, w := op(disk), op(mem); g != w {
-					t.Fatalf("step %d: disk %s, memory %s", i, g, w)
+				w := op(ref)
+				if g := underReaders(mem, dirs, op); g != w {
+					t.Fatalf("step %d: memory %s, reference %s", i, g, w)
 				}
-				if g, w := disk.BytesWritten(), mem.BytesWritten(); g != w {
-					t.Fatalf("step %d: BytesWritten: disk %d, memory %d", i, g, w)
+				if g := underReaders(disk, dirs, op); g != w {
+					t.Fatalf("step %d: disk %s, reference %s", i, g, w)
 				}
-				requireSameState(t, fmt.Sprintf("step %d", i), disk, mem, probes)
+				if g, d, w := mem.BytesWritten(), disk.BytesWritten(), ref.BytesWritten(); g != w || d != w {
+					t.Fatalf("step %d: BytesWritten: memory %d, disk %d, reference %d", i, g, d, w)
+				}
+				probes := probePaths(ref, fixed)
+				want := observe(ref, probes)
+				requireSameState(t, fmt.Sprintf("step %d: memory", i), mem, probes, want)
+				requireSameState(t, fmt.Sprintf("step %d: disk", i), disk, probes, want)
 			}
 			if err := disk.Close(); err != nil {
 				t.Fatal(err)
 			}
 			reopened := openDiskT(t, dir)
 			defer reopened.Close()
-			requireSameState(t, "after reopen", reopened, mem, probes)
+			probes := probePaths(ref, fixed)
+			requireSameState(t, "after reopen", reopened, probes, observe(ref, probes))
 			if name != "scripted" {
 				return
 			}
 			// Deleted and vacated datasets carry tombstone versions:
 			// "absent" is never "version zero" once a dataset existed.
-			for _, ds := range []string{"sys/repo/log/r1", "tmp/q1/j1", "sys/locks/fp"} {
+			for _, ds := range []string{"sys/repo/log/r1", "tmp/q1/j1", "sys/locks/fp", "deep/e/f/g"} {
 				if mem.Exists(ds) || mem.Version(ds) == 0 {
 					t.Errorf("tombstone %s: exists %v, version %d", ds, mem.Exists(ds), mem.Version(ds))
 				}
+			}
+			// The emptied deep directory took its ancestors with it.
+			if mem.Exists("deep") || mem.Datasets("deep") != nil || mem.List("deep") != nil {
+				t.Errorf("emptied directory survives: exists %v, datasets %v, files %v",
+					mem.Exists("deep"), mem.Datasets("deep"), mem.List("deep"))
 			}
 		})
 	}

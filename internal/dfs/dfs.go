@@ -8,11 +8,12 @@
 // modification versions (repository eviction Rule 4 evicts entries whose
 // inputs were deleted or modified — versions are tracked at dataset
 // granularity, where a dataset is the directory holding a job's part
-// files), per-dataset byte accounting (the storage manager's budget
-// enforcement and the janitor's orphan sweep read dataset sizes in
-// O(datasets), never O(files)), and global byte meters that feed the
-// cluster cost model. It is implemented once (index) and stored twice:
-// FS keeps file contents in memory, Disk under a host directory.
+// files), byte totals per dataset and per directory subtree (kept in a
+// directory tree, so every namespace operation costs its result and the
+// depth of its path, never the size of the store), and global byte
+// meters that feed the cluster cost model. It is implemented once
+// (index) and stored twice: FS keeps file contents in memory, Disk
+// under a host directory.
 package dfs
 
 import (

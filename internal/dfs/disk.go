@@ -110,7 +110,7 @@ func OpenDisk(dir string) (*Disk, error) {
 		return nil, err
 	}
 	// Normalize: a dataset holding files was written at least once.
-	for ds := range d.datasets {
+	for _, ds := range d.Datasets("") {
 		if d.version[ds] == 0 {
 			d.version[ds] = 1
 		}

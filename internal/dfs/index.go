@@ -10,23 +10,26 @@ import (
 )
 
 // index is the namespace both backends share: which files exist and how
-// big they are, the modification version of every dataset, the live
-// byte and file totals per dataset, the traffic meters and the
-// write-fault hook. Every namespace read of the Backend contract, the
-// one version-bump rule and the change a Delete or Rename makes are
-// defined here, once; FS and Disk embed it and add only where content
-// lives and how a mutation is made to last.
+// big they are, the directory tree over them, the modification version
+// of every dataset, the traffic meters and the write-fault hook. Every
+// namespace read of the Backend contract, the one version-bump rule and
+// the change a Delete or Rename makes are defined here, once; FS and
+// Disk embed it and add only where content lives and how a mutation is
+// made to last.
 type index struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// files is the point-lookup table by full path, what Open and
+	// ReadFile ask. Everything about directories is answered by root.
 	files map[string]*file
+	// root is the directory tree over files — the shape of an HDFS
+	// NameNode — kept by insert and drop, the only two places a file
+	// enters or leaves. A directory operation walks to its directory and
+	// visits what it returns; it never looks at the rest of the store.
+	root dir
 	// version is per dataset and moves by +1 per mutation. Entries are
 	// never removed: a deleted dataset keeps its last version as a
 	// tombstone, so "absent" stays distinguishable from "never written".
 	version map[string]int64
-	// datasets holds the live byte and file totals of every dataset,
-	// maintained on every mutation, so size queries and the storage
-	// manager's budget accounting iterate datasets instead of files.
-	datasets map[string]*dsInfo
 
 	// The byte meters are atomics, not mu-guarded fields, so the read
 	// path can meter under the shared read lock instead of serializing
@@ -50,51 +53,149 @@ type file struct {
 	data []byte
 }
 
-// dsInfo is the live accounting of one dataset.
-type dsInfo struct {
-	bytes int64
-	files int
+// dir is one directory of the namespace tree. Its immediate files are
+// split the way datasetOf splits them — parts are the members of the
+// dataset this directory is, alone are files that are each their own
+// dataset — so a walk that wants datasets never visits part files. Both
+// maps are keyed by full path, sharing the key strings of index.files.
+// A directory exists only while a file lives somewhere below it (adjust
+// keeps the totals and prunes).
+type dir struct {
+	path  string           // full path; "" for the root
+	parts map[string]*file // immediate part files
+	alone map[string]*file // immediate standalone files
+	dirs  map[string]*dir  // child directories by path component
+
+	partBytes int64 // bytes in parts: the directory's own dataset
+	bytes     int64 // bytes in the whole subtree
+	count     int   // files in the whole subtree
 }
 
 func newIndex() index {
 	return index{
-		files:    make(map[string]*file),
-		version:  make(map[string]int64),
-		datasets: make(map[string]*dsInfo),
+		files:   make(map[string]*file),
+		version: make(map[string]int64),
 	}
 }
 
-// insert installs f at p, replacing any file already there, and keeps
-// the dataset accounting exact (mu held). It does not touch versions.
+// insert installs f at p, replacing any file already there (mu held).
+// It does not touch versions.
 func (ix *index) insert(p string, f *file) {
 	ix.drop(p)
 	ix.files[p] = f
-	ds := datasetOf(p)
-	info := ix.datasets[ds]
-	if info == nil {
-		info = &dsInfo{}
-		ix.datasets[ds] = info
+	d := ix.adjust(p, f.size, 1)
+	if isInline(p) {
+		if d.alone == nil {
+			d.alone = make(map[string]*file)
+		}
+		d.alone[p] = f
+		return
 	}
-	info.bytes += f.size
-	info.files++
+	if d.parts == nil {
+		d.parts = make(map[string]*file)
+	}
+	d.parts[p] = f
+	d.partBytes += f.size
 }
 
-// drop removes the file at p, if any (mu held). A dataset whose last
-// file is removed leaves the accounting, so Datasets reports only live
-// data. It does not touch versions.
+// drop removes the file at p, if any (mu held). It does not touch
+// versions.
 func (ix *index) drop(p string) {
 	f, ok := ix.files[p]
 	if !ok {
 		return
 	}
 	delete(ix.files, p)
-	ds := datasetOf(p)
-	info := ix.datasets[ds]
-	info.bytes -= f.size
-	info.files--
-	if info.files == 0 {
-		delete(ix.datasets, ds)
+	d := ix.adjust(p, -f.size, -1)
+	if d == nil {
+		return
 	}
+	if isInline(p) {
+		delete(d.alone, p)
+		return
+	}
+	delete(d.parts, p)
+	d.partBytes -= f.size
+}
+
+// adjust adds n files of bytes bytes in all — both negative when a file
+// leaves — to the totals of every directory from the root down to the
+// one holding p, and returns that directory (mu held). On the way in it
+// creates the directories that do not exist yet. On the way out the
+// first directory left with no file below it is cut from its parent,
+// every emptied directory under it going with it, and adjust returns
+// nil: Exists and Datasets report only live data.
+func (ix *index) adjust(p string, bytes int64, n int) *dir {
+	d := &ix.root
+	for start := 0; ; {
+		d.bytes += bytes
+		d.count += n
+		i := strings.IndexByte(p[start:], '/')
+		if i < 0 {
+			return d
+		}
+		end := start + i
+		name := p[start:end]
+		child := d.dirs[name]
+		switch {
+		case child == nil:
+			if d.dirs == nil {
+				d.dirs = make(map[string]*dir)
+			}
+			child = &dir{path: p[:end]}
+			d.dirs[name] = child
+		case child.count+n == 0:
+			delete(d.dirs, name)
+			return nil
+		}
+		d, start = child, end+1
+	}
+}
+
+// dirAt returns the directory at p, nil when no file lives below p/ (mu
+// held). The empty path is not a directory: only List and Datasets read
+// it as the whole namespace.
+func (ix *index) dirAt(p string) *dir {
+	if p == "" {
+		return nil
+	}
+	d := &ix.root
+	for more := true; more && d != nil; {
+		var name string
+		name, p, more = strings.Cut(p, "/")
+		d = d.dirs[name]
+	}
+	return d
+}
+
+// files appends the path of every file in the subtree to out.
+func (d *dir) files(out []string) []string {
+	for p := range d.parts {
+		out = append(out, p)
+	}
+	for p := range d.alone {
+		out = append(out, p)
+	}
+	for _, child := range d.dirs {
+		out = child.files(out)
+	}
+	return out
+}
+
+// datasets appends every dataset strictly below d to out: each
+// standalone file, and each directory holding part files (once, when a
+// standalone file has the directory's name).
+func (d *dir) datasets(out []string) []string {
+	for p := range d.alone {
+		out = append(out, p)
+	}
+	for _, child := range d.dirs {
+		if _, named := d.alone[child.path]; len(child.parts) > 0 && !named {
+			out = append(out, child.path)
+		}
+		out = child.datasets(out)
+	}
+	return out
 }
 
 // next is the version ds moves to on its next mutation — the one bump
@@ -178,18 +279,22 @@ type move struct {
 }
 
 // under returns the live file paths at p and under p/, sorted (mu
-// held).
+// held): a lookup, a walk to p's directory and one visit per path
+// returned.
 func (ix *index) under(p string) []string {
-	var out []string
-	if _, ok := ix.files[p]; ok {
+	_, isFile := ix.files[p]
+	d := ix.dirAt(p)
+	if d == nil {
+		if isFile {
+			return []string{p}
+		}
+		return nil
+	}
+	out := make([]string, 0, d.count+1)
+	if isFile {
 		out = append(out, p)
 	}
-	prefix := p + "/"
-	for name := range ix.files {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
-	}
+	out = d.files(out)
 	sort.Strings(out)
 	return out
 }
@@ -284,28 +389,14 @@ func (ix *index) apply(c change) {
 	}
 }
 
-// Exists reports whether path names a file or a directory prefix. The
-// check runs against the dataset accounting, not the file table: one
-// map lookup for the common cases (a file, or a dataset holding part
-// files — the repository validates stored outputs on every match), and
-// a prefix scan proportional to datasets, not files, otherwise.
+// Exists reports whether path names a file or a directory prefix: a
+// lookup and a walk to path's directory, whatever the store holds.
 func (ix *index) Exists(path string) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	p := clean(path)
-	if _, ok := ix.files[p]; ok {
-		return true
-	}
-	if _, ok := ix.datasets[p]; ok {
-		return true
-	}
-	prefix := p + "/"
-	for name := range ix.datasets {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
+	_, isFile := ix.files[p]
+	return isFile || ix.dirAt(p) != nil
 }
 
 // List returns the file paths under the directory path, sorted. A file's
@@ -317,10 +408,7 @@ func (ix *index) List(path string) []string {
 	if p != "" {
 		return ix.under(p)
 	}
-	out := make([]string, 0, len(ix.files))
-	for name := range ix.files {
-		out = append(out, name)
-	}
+	out := ix.root.files(make([]string, 0, ix.root.count))
 	sort.Strings(out)
 	return out
 }
@@ -331,32 +419,29 @@ func (ix *index) List(path string) []string {
 func (ix *index) FileStats(path string) []FileStat {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var out []FileStat
-	for _, name := range ix.under(clean(path)) {
-		out = append(out, FileStat{Path: name, Size: ix.files[name].size})
+	names := ix.under(clean(path))
+	if len(names) == 0 {
+		return nil
+	}
+	out := make([]FileStat, len(names))
+	for i, name := range names {
+		out[i] = FileStat{Path: name, Size: ix.files[name].size}
 	}
 	return out
 }
 
-// Size returns the total bytes stored under path (file or directory).
-// Dataset and directory totals come from the per-dataset accounting, so
-// the cost is proportional to the number of datasets, not files.
+// Size returns the total bytes stored under path (file or directory),
+// read off the subtree total its directory carries.
 func (ix *index) Size(path string) int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	p := clean(path)
 	var n int64
-	if info, ok := ix.datasets[p]; ok {
-		n += info.bytes
-	} else if f, ok := ix.files[p]; ok {
-		// p names a part file inside a dataset, not a dataset itself.
-		n += f.size
+	if f, ok := ix.files[p]; ok {
+		n = f.size
 	}
-	prefix := p + "/"
-	for name, info := range ix.datasets {
-		if strings.HasPrefix(name, prefix) {
-			n += info.bytes
-		}
+	if d := ix.dirAt(p); d != nil {
+		n += d.bytes
 	}
 	return n
 }
@@ -367,40 +452,51 @@ func (ix *index) Size(path string) int64 {
 // way the engine materializes stored outputs — as opposed to a prefix
 // grouping several datasets; a leaf's version covers every byte counted,
 // so callers may cache the size keyed by the version, while a prefix's
-// nested datasets version independently and must be re-sized.
+// nested datasets version independently and must be re-sized. Like
+// Exists and Size it costs a lookup and a walk to path's directory, for
+// an absent path too.
 func (ix *index) Stat(path string) (bytes int64, version int64, leaf bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	p := clean(path)
 	version = ix.version[datasetOf(p)]
-	if info, ok := ix.datasets[p]; ok {
-		return info.bytes, version, true
-	}
-	if f, ok := ix.files[p]; ok {
-		// p names a part file inside a dataset, not a dataset itself.
+	f, isFile := ix.files[p]
+	d := ix.dirAt(p)
+	switch {
+	case isFile && isInline(p) && d != nil:
+		// A dataset made of a standalone file and the part files of the
+		// directory by its name.
+		return f.size + d.partBytes, version, true
+	case isFile:
 		return f.size, version, true
+	case d == nil:
+		return 0, version, false
+	case len(d.parts) > 0:
+		// A dataset: its own part files, not what is nested below them.
+		return d.partBytes, version, true
 	}
-	prefix := p + "/"
-	for name, info := range ix.datasets {
-		if strings.HasPrefix(name, prefix) {
-			bytes += info.bytes
-		}
-	}
-	return bytes, version, false
+	return d.bytes, version, false
 }
 
 // Datasets returns the dataset paths holding data under prefix, sorted;
 // the empty prefix lists every dataset. A dataset is the directory
-// grouping a job's part files (or a standalone file's own path).
+// grouping a job's part files (or a standalone file's own path). The
+// walk visits the directories below prefix and the datasets it returns,
+// not their part files.
 func (ix *index) Datasets(prefix string) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	p := clean(prefix)
 	var out []string
-	for name := range ix.datasets {
-		if p == "" || name == p || strings.HasPrefix(name, p+"/") {
-			out = append(out, name)
+	d := &ix.root
+	if p != "" {
+		d = ix.dirAt(p)
+		if _, isFile := ix.files[p]; isFile && isInline(p) || d != nil && len(d.parts) > 0 {
+			out = append(out, p)
 		}
+	}
+	if d != nil {
+		out = d.datasets(out)
 	}
 	sort.Strings(out)
 	return out
@@ -424,9 +520,5 @@ func (ix *index) BytesWritten() int64 { return ix.bytesWritten.Load() }
 func (ix *index) TotalBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var n int64
-	for _, info := range ix.datasets {
-		n += info.bytes
-	}
-	return n
+	return ix.root.bytes
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"container/list"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +20,9 @@ const DefaultMaxCachedBatchBytes int64 = 256 << 20
 // time. Invalidation rides the same version bumps that drive
 // Repository.Valid — any write, delete, or rename under a dataset moves
 // its version, so a stale entry simply stops matching and is dropped on
-// its next lookup. The cache therefore works identically over the
+// its next lookup (or at once, when the deletion goes through
+// Engine.DeleteDataset: a path nobody asks for again has no next
+// lookup). The cache therefore works identically over the
 // in-memory and on-disk DFS backends, and write-through entries from
 // one query feed cache hits in every other query of the System.
 //
@@ -119,6 +122,35 @@ func (c *BatchCache) Put(ds *cachedDataset) {
 		c.evictions++
 		c.evictedBytes += victim.mem
 	}
+}
+
+// Drop discards the entry for path, if any, and counts an invalidation:
+// what Get would do on the next lookup of a deleted dataset, done now.
+func (c *BatchCache) Drop(path string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.entries[path]; el != nil {
+		c.removeLocked(el)
+		c.invalidations++
+	}
+}
+
+// Paths lists the datasets the cache holds an entry for, sorted.
+func (c *BatchCache) Paths() []string {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, len(c.entries))
+	for path := range c.entries {
+		out = append(out, path)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // noteMiss accounts the decode cost of a miss (bytes read from the

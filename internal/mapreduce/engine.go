@@ -585,6 +585,20 @@ func equalStrings(a, b []string) bool {
 // CacheStats snapshots the engine's decoded-dataset cache counters.
 func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 
+// CachedPaths lists the datasets the decoded-dataset cache holds, sorted.
+func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
+
+// DeleteDataset deletes the dataset at path from the DFS and drops its
+// decoded copy from the cache. A deleted dataset's entry is otherwise
+// reclaimed only when the same path is looked up again or the budget
+// evicts it, so scratch written once and never named again — a job's
+// write-through puts it in the cache — would sit there as dead weight.
+func (e *Engine) DeleteDataset(path string) error {
+	err := e.fs.Delete(path)
+	e.cache.Drop(path)
+	return err
+}
+
 // mapResult carries one map task's shuffle output and cost accounting.
 type mapResult struct {
 	parts   [][]rec // per reduce partition
