@@ -9,9 +9,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -125,6 +127,21 @@ type JobStats struct {
 	AvgRedTime time.Duration
 	SimTime    time.Duration
 	WallTime   time.Duration
+
+	// Where the text codec's share of WallTime went, summed over the
+	// job's tasks (tasks run concurrently, so the sum can exceed
+	// WallTime): DecodeTime is DecodeTextBatch over input part files the
+	// batch cache did not hold, EncodeTime is encoding output part files
+	// and writing them to the DFS, CaptureDecodeTime is decoding those
+	// same bytes back for cache write-through.
+	DecodeTime        time.Duration
+	CaptureDecodeTime time.Duration
+	EncodeTime        time.Duration
+}
+
+func (s *JobStats) addStages(st stageTimes) {
+	s.EncodeTime += st.encode
+	s.CaptureDecodeTime += st.captureDecode
 }
 
 // rec is one shuffled record.
@@ -188,7 +205,8 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
-	splits, err := e.makeSplits(job.Plan)
+	stats := &JobStats{JobID: job.ID, Outputs: map[string]OutputStat{}}
+	splits, err := e.makeSplits(job.Plan, &stats.DecodeTime)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
@@ -210,8 +228,6 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 	} else if numRed <= 0 {
 		numRed = 1
 	}
-
-	stats := &JobStats{JobID: job.ID, Outputs: map[string]OutputStat{}}
 
 	var tracker *progressTracker
 	if progress != nil {
@@ -364,7 +380,7 @@ type split struct {
 // version stamp is taken before the reads and re-checked before
 // publishing, so a concurrent writer can only cause a skipped insert,
 // never a stale entry.
-func (e *Engine) loadDataset(path string) (*cachedDataset, error) {
+func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset, error) {
 	if e.cache != nil {
 		if ds := e.cache.Get(e.fs, path); ds != nil {
 			return ds, nil
@@ -377,13 +393,9 @@ func (e *Engine) loadDataset(path string) (*cachedDataset, error) {
 	}
 	ds := &cachedDataset{path: path, version: v0, files: files}
 	for _, f := range files {
-		data, err := e.fs.ReadFile(f)
+		b, err := e.decodeFile(f, decode)
 		if err != nil {
 			return nil, err
-		}
-		b, err := tuple.DecodeTextBatch(data)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", f, err)
 		}
 		ds.batches = append(ds.batches, b)
 		ds.mem += b.MemBytes()
@@ -398,12 +410,28 @@ func (e *Engine) loadDataset(path string) (*cachedDataset, error) {
 	return ds, nil
 }
 
+// decodeFile reads one part file and decodes it, adding the decode's
+// wall-clock to *decode.
+func (e *Engine) decodeFile(f string, decode *time.Duration) (*tuple.Batch, error) {
+	data, err := e.fs.ReadFile(f)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	b, err := tuple.DecodeTextBatch(data)
+	*decode += time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", f, err)
+	}
+	return b, nil
+}
+
 // makeSplits decodes every Load's part files (through the batch cache
 // when enabled) and slices them into map inputs of roughly SplitSize
 // simulated bytes. Split sizing works from each batch's source byte
 // length, so cached and uncached runs produce identical splits — and
 // therefore identical task counts, costs, and outputs.
-func (e *Engine) makeSplits(p *physical.Plan) ([]split, error) {
+func (e *Engine) makeSplits(p *physical.Plan, decode *time.Duration) ([]split, error) {
 	var out []split
 	for _, op := range p.Ops() {
 		if op.Kind != physical.KLoad {
@@ -413,9 +441,9 @@ func (e *Engine) makeSplits(p *physical.Plan) ([]split, error) {
 		var ds *cachedDataset
 		var err error
 		if restricted {
-			ds, err = e.loadFiles(op.Path, op.Files)
+			ds, err = e.loadFiles(op.Path, op.Files, decode)
 		} else {
-			ds, err = e.loadDataset(op.Path)
+			ds, err = e.loadDataset(op.Path, decode)
 		}
 		if err != nil {
 			return nil, err
@@ -461,7 +489,7 @@ func (e *Engine) makeSplits(p *physical.Plan) ([]split, error) {
 // re-read, so a delta run whose base is warm touches the DFS only for
 // the files it actually needs; a restricted view is never inserted
 // into the cache (it is not the dataset).
-func (e *Engine) loadFiles(path string, files []string) (*cachedDataset, error) {
+func (e *Engine) loadFiles(path string, files []string, decode *time.Duration) (*cachedDataset, error) {
 	ds := &cachedDataset{path: path}
 	if len(files) == 0 {
 		return ds, nil
@@ -492,13 +520,9 @@ func (e *Engine) loadFiles(path string, files []string) (*cachedDataset, error) 
 	sorted := append([]string{}, files...)
 	sort.Strings(sorted)
 	for _, f := range sorted {
-		data, err := e.fs.ReadFile(f)
+		b, err := e.decodeFile(f, decode)
 		if err != nil {
 			return nil, err
-		}
-		b, err := tuple.DecodeTextBatch(data)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", f, err)
 		}
 		ds.files = append(ds.files, f)
 		ds.batches = append(ds.batches, b)
@@ -606,6 +630,7 @@ type mapResult struct {
 	outs    map[string]OutputStat
 	records int64
 	writes  []writtenPart // part files for cache write-through
+	stages  stageTimes
 }
 
 // partitioner assigns shuffle partitions for one map task. On a warm
@@ -702,6 +727,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 		stats.InputRecords += int64(float64(results[i].records) * e.cfg.RecordScale)
 		stats.ShuffleSimBytes += int64(float64(results[i].work.ShuffleBytes))
 		mergeOutputs(stats.Outputs, results[i].outs)
+		stats.addStages(results[i].stages)
 	}
 	return results, nil
 }
@@ -778,6 +804,7 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 		return mr, err
 	}
 	mr.writes = px.writtenParts()
+	mr.stages = px.stages
 	if acc != nil {
 		mr.parts = acc.drain()
 	}
@@ -848,7 +875,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	errs := make([]error, numRed)
 	outs := make([]map[string]OutputStat, numRed)
 	writes := make([][]writtenPart, numRed)
-	shuffleIn := make([]int64, numRed)
+	stages := make([]stageTimes, numRed)
 	var wg sync.WaitGroup
 	for r := 0; r < numRed; r++ {
 		wg.Add(1)
@@ -866,7 +893,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 				recs = append(recs, mr.parts[r]...)
 			}
 			outs[r] = map[string]OutputStat{}
-			times[r], shuffleIn[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
+			times[r], stages[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
 			if errs[r] == nil {
 				tracker.tick(times[r])
 			}
@@ -879,20 +906,20 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 			return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, errs[r])
 		}
 		mergeOutputs(stats.Outputs, outs[r])
+		stats.addStages(stages[r])
 		allWrites = append(allWrites, writes[r]...)
 	}
 	return times, allWrites, nil
 }
 
-func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, int64, []writtenPart, error) {
+func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, stageTimes, []writtenPart, error) {
 	// Sort by key (respecting ORDER BY direction), then branch, stable.
 	desc := seg.pkg.Desc
-	sort.SliceStable(recs, func(i, j int) bool {
-		c := compareKeys(recs[i].key, recs[j].key, desc)
-		if c != 0 {
-			return c < 0
+	slices.SortStableFunc(recs, func(a, b rec) int {
+		if c := compareKeys(a.key, b.key, desc); c != 0 {
+			return c
 		}
-		return recs[i].branch < recs[j].branch
+		return cmp.Compare(a.branch, b.branch)
 	})
 
 	px := newExec(seg.plan, seg.succ, nil)
@@ -919,12 +946,12 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 			err = e.emitGroup(px, seg, group)
 		}
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, stageTimes{}, nil, err
 		}
 		i = j
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
-		return 0, 0, nil, err
+		return 0, stageTimes{}, nil, err
 	}
 
 	var storeBytes int64
@@ -940,7 +967,7 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		SortRecords:  int64(float64(len(recs)) * e.cfg.RecordScale),
 		NumStores:    px.numStores,
 	}
-	return e.cfg.Cost.TaskTime(work), int64(float64(shuffleBytes) * scale), px.writtenParts(), nil
+	return e.cfg.Cost.TaskTime(work), px.stages, px.writtenParts(), nil
 }
 
 func compareKeys(a, b tuple.Value, desc []bool) int {

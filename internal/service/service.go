@@ -888,9 +888,15 @@ func (s *Server) handleQueryOutput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	// A write error means the client went away; there is no one left to
+	// report it to.
+	tw := tuple.NewWriter(w)
 	for _, row := range rows {
-		fmt.Fprintln(w, tuple.EncodeText(row))
+		if tw.Write(row) != nil {
+			return
+		}
 	}
+	_ = tw.Flush()
 }
 
 func (s *Server) handleQueryCancel(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,6 @@
 package tuple
 
-import "bytes"
+import "strings"
 
 // Batch is an immutable columnar representation of a decoded dataset
 // slice: one part file's tuples held as typed column vectors instead of
@@ -140,8 +140,12 @@ func (c *column) value(i int) Value {
 
 // BatchBuilder accumulates tuples into a Batch.
 type BatchBuilder struct {
-	cols     []column
-	n        int
+	cols []column
+	n    int
+	// hint is the row count the builder was sized for: a column vector
+	// is allocated at that capacity when its first value arrives, so a
+	// builder told the truth never regrows one.
+	hint     int
 	widths   []int32
 	ragged   bool
 	srcBytes int64
@@ -152,39 +156,66 @@ func NewBatchBuilder(n int) *BatchBuilder {
 	if n < 0 {
 		n = 0
 	}
-	return &BatchBuilder{widths: make([]int32, 0, n)}
+	return &BatchBuilder{hint: n, widths: make([]int32, 0, n)}
 }
 
 // Append adds one row. The builder keeps references to t's values; the
 // caller must not mutate them afterwards.
 func (bb *BatchBuilder) Append(t Tuple) {
-	if len(t) > len(bb.cols) && bb.n > 0 {
-		// Earlier rows are narrower than this one: the batch is ragged
-		// even though the column count will now match len(t), so mark
-		// it before the widening loop erases the evidence.
-		bb.ragged = true
+	for j, v := range t {
+		bb.col(j).append(v, bb.n, bb.hint)
 	}
-	for len(bb.cols) < len(t) {
-		// A wider row introduces a column late: pad it with absent
-		// slots for every earlier row (never read back — widths gates
-		// them) so vectors stay row-index aligned.
-		bb.cols = append(bb.cols, column{kind: colInt})
-		c := &bb.cols[len(bb.cols)-1]
-		for i := 0; i < bb.n; i++ {
-			c.appendNull(i)
-		}
-	}
-	if len(t) != len(bb.cols) {
-		bb.ragged = true
-	}
-	bb.widths = append(bb.widths, int32(len(t)))
-	for j := range bb.cols {
-		if j < len(t) {
-			bb.cols[j].append(t[j], bb.n)
+	bb.endRow(len(t))
+}
+
+// appendLine adds the row one storage line decodes to — DecodeText
+// followed by Append, without the tuple in between: each field goes
+// from the line straight into its column.
+func (bb *BatchBuilder) appendLine(line string, escaped bool) {
+	w := 0
+	for more := line != ""; more; w++ {
+		f := line
+		if tab := strings.IndexByte(line, '\t'); tab >= 0 {
+			f, line = line[:tab], line[tab+1:]
 		} else {
-			bb.cols[j].appendNull(bb.n)
+			more = false
+		}
+		if escaped {
+			f = unescapeField(f)
+		}
+		bb.col(w).appendField(f, bb.n, bb.hint)
+	}
+	bb.endRow(w)
+}
+
+// col returns column j of the row being added, creating it when the
+// row is the first this wide.
+func (bb *BatchBuilder) col(j int) *column {
+	if j == len(bb.cols) {
+		// A wider row introduces a column late: the batch is ragged, and
+		// the column is padded with absent slots for every earlier row
+		// (never read back — widths gates them) so vectors stay
+		// row-index aligned.
+		bb.cols = append(bb.cols, column{kind: colInt})
+		c := &bb.cols[j]
+		for i := 0; i < bb.n; i++ {
+			c.appendNull(i, bb.hint)
+		}
+		bb.ragged = bb.ragged || bb.n > 0
+	}
+	return &bb.cols[j]
+}
+
+// endRow closes a row of width w whose fields are already in their
+// columns.
+func (bb *BatchBuilder) endRow(w int) {
+	if w != len(bb.cols) {
+		bb.ragged = true
+		for j := w; j < len(bb.cols); j++ {
+			bb.cols[j].appendNull(bb.n, bb.hint)
 		}
 	}
+	bb.widths = append(bb.widths, int32(w))
 	bb.n++
 }
 
@@ -192,81 +223,128 @@ func (bb *BatchBuilder) Append(t Tuple) {
 // stands for.
 func (bb *BatchBuilder) AddSrcBytes(n int64) { bb.srcBytes += n }
 
+// The column appends take n, the column's current height, and hint,
+// the height it is expected to reach (see sized).
+
 // append adds v to the column, promoting the column to boxed values on
-// the first type mismatch. n is the column's current height.
-func (c *column) append(v Value, n int) {
+// the first type mismatch.
+func (c *column) append(v Value, n, hint int) {
 	if c.kind == colAny {
-		c.vals = append(c.vals, v)
-		return
-	}
-	if v == nil {
-		c.appendNull(n)
+		c.vals = append(c.vals, v) // already boxed: do not box it again
 		return
 	}
 	switch x := v.(type) {
+	case nil:
+		c.appendNull(n, hint)
 	case int64:
-		if !c.fixed {
-			c.setKind(colInt, n)
-		}
-		if c.kind == colInt {
-			c.ints = append(c.ints, x)
-			c.padNulls()
-			return
-		}
+		c.appendInt(x, n, hint)
 	case float64:
-		if !c.fixed {
-			c.setKind(colFloat, n)
-		}
-		if c.kind == colFloat {
-			c.floats = append(c.floats, x)
-			c.padNulls()
-			return
-		}
+		c.appendFloat(x, n, hint)
 	case string:
-		if !c.fixed {
-			c.setKind(colString, n)
-		}
-		if c.kind == colString {
-			c.strs = append(c.strs, x)
-			c.padNulls()
-			return
-		}
+		c.appendString(x, n, hint)
+	default:
+		c.appendBoxed(v, n)
 	}
-	c.promote(n)
+}
+
+// appendField adds the value one unescaped text field decodes to,
+// boxing it only when it is nested or the column is already mixed.
+func (c *column) appendField(s string, n, hint int) {
+	if s == "" {
+		c.appendNull(n, hint)
+		return
+	}
+	if v, ok := parseBracketed(s); ok {
+		c.appendBoxed(v, n)
+		return
+	}
+	switch kind, x, f := scanScalar(s); kind {
+	case colInt:
+		c.appendInt(x, n, hint)
+	case colFloat:
+		c.appendFloat(f, n, hint)
+	default:
+		c.appendString(s, n, hint)
+	}
+}
+
+func (c *column) appendInt(x int64, n, hint int) {
+	if c.typedAs(colInt, n, hint) {
+		c.ints = append(sized(c.ints, hint), x)
+		c.padNulls()
+		return
+	}
+	c.appendBoxed(x, n)
+}
+
+func (c *column) appendFloat(x float64, n, hint int) {
+	if c.typedAs(colFloat, n, hint) {
+		c.floats = append(sized(c.floats, hint), x)
+		c.padNulls()
+		return
+	}
+	c.appendBoxed(x, n)
+}
+
+func (c *column) appendString(x string, n, hint int) {
+	if c.typedAs(colString, n, hint) {
+		c.strs = append(sized(c.strs, hint), x)
+		c.padNulls()
+		return
+	}
+	c.appendBoxed(x, n)
+}
+
+// appendBoxed adds v as a boxed value, converting a typed column first.
+func (c *column) appendBoxed(v Value, n int) {
+	if c.kind != colAny {
+		c.promote(n)
+	}
 	c.vals = append(c.vals, v)
 }
 
-// setKind decides a provisional column's kind on its first non-null
-// value, re-homing any leading-null placeholders into the new kind's
-// vector.
-func (c *column) setKind(k colKind, n int) {
-	if c.kind == k {
+// typedAs reports whether a non-null value of kind k belongs in the
+// column's typed vector. The first non-null value decides a provisional
+// column's kind, re-homing any leading-null placeholders into the new
+// kind's vector.
+func (c *column) typedAs(k colKind, n, hint int) bool {
+	if !c.fixed && c.kind != colAny {
 		c.fixed = true
-		return
+		if c.kind != k {
+			c.kind = k
+			c.ints = nil
+			switch k {
+			case colFloat:
+				c.floats = make([]float64, n, max(hint, n+8))
+			case colString:
+				c.strs = make([]string, n, max(hint, n+8))
+			}
+		}
 	}
-	c.kind = k
-	c.fixed = true
-	c.ints, c.floats, c.strs = nil, nil, nil
-	switch k {
-	case colFloat:
-		c.floats = make([]float64, n, n+8)
-	case colString:
-		c.strs = make([]string, n, n+8)
-	}
+	return c.kind == k
 }
 
-func (c *column) appendNull(n int) {
+// sized returns s, allocated at the expected final height if it has no
+// storage yet.
+func sized[T any](s []T, hint int) []T {
+	if s == nil && hint > 0 {
+		return make([]T, 0, hint)
+	}
+	return s
+}
+
+func (c *column) appendNull(n, hint int) {
 	if c.kind == colAny {
 		c.vals = append(c.vals, nil)
 		return
 	}
 	if c.nulls == nil {
-		c.nulls = make([]bool, n, n+8)
+		c.nulls = make([]bool, n, max(hint, n+8))
 	}
 	c.nulls = append(c.nulls, true)
 	switch c.kind {
 	case colInt:
-		c.ints = append(c.ints, 0)
+		c.ints = append(sized(c.ints, hint), 0)
 	case colFloat:
 		c.floats = append(c.floats, 0)
 	case colString:
@@ -356,21 +434,35 @@ func BatchOf(rows []Tuple, srcBytes int64) *Batch {
 	return bb.Finish()
 }
 
-// DecodeTextBatch decodes one part file's text bytes into a Batch. It
-// is equivalent to reading every line through Reader and collecting the
-// tuples, with SrcBytes set to len(data).
+// DecodeTextBatch decodes one part file's text bytes into a Batch,
+// with SrcBytes set to len(data). The result is the batch that
+// DecodeText of every line, appended in order, would build — but no
+// line, tuple or boxed scalar is materialized on the way: the file is
+// copied into one string, and each tab-separated field is typed (see
+// the grammar in codec.go) and appended to its column vector. String
+// fields without escapes are substrings of that one copy, so a batch's
+// string columns share a single backing allocation of len(data) bytes:
+// MemBytes counts each string's own bytes (and nothing for the numeric
+// text between them), while keeping any one string alive retains the
+// whole file's text.
 func DecodeTextBatch(data []byte) (*Batch, error) {
-	bb := NewBatchBuilder(bytes.Count(data, []byte{'\n'}) + 1)
-	bb.AddSrcBytes(int64(len(data)))
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		if nl < 0 {
-			line, data = data, nil
+	s := string(data)
+	rows := strings.Count(s, "\n")
+	if s != "" && s[len(s)-1] != '\n' {
+		rows++
+	}
+	bb := NewBatchBuilder(rows)
+	bb.AddSrcBytes(int64(len(s)))
+	// Escapes are rare: one scan of the file spares every field its own.
+	escaped := strings.IndexByte(s, '\\') >= 0
+	for s != "" {
+		line := s
+		if nl := strings.IndexByte(s, '\n'); nl >= 0 {
+			line, s = s[:nl], s[nl+1:]
 		} else {
-			line, data = data[:nl], data[nl+1:]
+			s = ""
 		}
-		bb.Append(DecodeText(string(line)))
+		bb.appendLine(line, escaped)
 	}
 	return bb.Finish(), nil
 }

@@ -194,23 +194,6 @@ func TestHash64Determinism(t *testing.T) {
 	}
 }
 
-func BenchmarkDecodeTextBatch(b *testing.B) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 1000; i++ {
-		w.Write(Tuple{int64(i), "user" + string(rune('a'+i%26)), float64(i) * 1.5, "payload-string-of-some-width"})
-	}
-	w.Flush()
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeTextBatch(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBatchRowIterate(b *testing.B) {
 	rows := make([]Tuple, 1000)
 	for i := range rows {

@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -10,39 +9,126 @@ import (
 )
 
 // The text codec stores one tuple per line with tab-separated fields,
-// matching PigStorage('\t'). Nested tuples/bags render with (…) and {…}
-// delimiters and are parsed back on load. Tabs and newlines inside
-// strings are escaped.
+// matching PigStorage('\t'). It is schema-less: the type of a field is
+// decided from its text alone, by the first rule that accepts the WHOLE
+// field —
+//
+//   - empty → null;
+//   - "(…)" / "{…}" that parse completely as the nested rendering of a
+//     tuple or bag → Tuple / *Bag (items separated by commas, each
+//     typed by the scalar rules below; a field that merely starts with
+//     a bracket stays a string);
+//   - [+-]digits that fit an int64 → int64 ("007", "-0" and "+5" are
+//     ints);
+//   - "+Inf" and "-Inf" exactly, or the decimal grammar
+//     [+-](digits[.digits] | .digits)[(e|E)[+-]digits] when
+//     strconv.ParseFloat accepts it without a range error → float64
+//     ("1e5", ".5", "5.", an integer too large for int64);
+//   - anything else → string. In particular a numeric-looking prefix
+//     does not make a number: "192.168.13.7", "2012-01-05", "555-0123",
+//     "1e999", "0x10", "1_000", "NaN" and "-inf" are strings.
+//
+// Tab, newline and backslash inside strings are written as \t, \n and
+// \\ and read back (a backslash before any other byte yields that byte;
+// a lone trailing backslash stays).
+//
+// What round-trips: what the decoder produced. For any bytes x,
+// decode(encode(decode(x))) equals decode(x) row for row under Equal,
+// which compares numbers across int64 and float64. What changes type:
+// encode does not record types, so a float with an integral value comes
+// back an int ("5.0" decodes to the float 5, is written "5" and
+// re-reads as the int 5; -0.0 re-reads as the int 0). Values the
+// decoder never produces do not survive at all: the string "12"
+// re-reads as an int, an empty string as null, NaN as the string
+// "NaN", a row holding a single null as the empty row, and a string
+// with "," or brackets inside a nested tuple splits differently. The
+// engine therefore never trusts the values it encoded: the cached copy
+// of a part file is the decode of the bytes that landed (mapreduce's
+// exec.close).
+//
+// DecodeTextBatch is the production decoder (bytes → typed columns);
+// DecodeText is the row API over the same field rules and the oracle
+// the batch kernel is fuzzed against.
+
+// AppendText appends t's storage line (no trailing newline) to dst.
+func AppendText(dst []byte, t Tuple) []byte {
+	for i, v := range t {
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		dst = appendText(dst, v)
+	}
+	return dst
+}
 
 // EncodeText renders t as one storage line (no trailing newline).
 func EncodeText(t Tuple) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = escapeField(encodeTextValue(v))
-	}
-	return strings.Join(parts, "\t")
+	var buf [256]byte
+	return string(AppendText(buf[:0], t))
 }
 
-func encodeTextValue(v Value) string { return ToString(v) }
-
-func escapeField(s string) string {
-	if !strings.ContainsAny(s, "\t\n\\") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\t':
-			b.WriteString(`\t`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			b.WriteRune(r)
+// appendText appends the escaped text form of one value: ToString(v)
+// with tab, newline and backslash escaped, without building the string.
+func appendText(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case nil:
+		return dst
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case string:
+		return appendEscaped(dst, x)
+	case Tuple:
+		return appendNestedTuple(dst, x)
+	case *Bag:
+		dst = append(dst, '{')
+		for i, t := range x.Tuples {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendNestedTuple(dst, t)
 		}
+		return append(dst, '}')
 	}
-	return b.String()
+	panic(fmt.Sprintf("tuple: unsupported value type %T", v))
+}
+
+func appendNestedTuple(dst []byte, t Tuple) []byte {
+	dst = append(dst, '(')
+	for i, f := range t {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendText(dst, f)
+	}
+	return append(dst, ')')
+}
+
+// appendEscaped copies s in runs, breaking only at the bytes that need
+// a backslash.
+func appendEscaped(dst []byte, s string) []byte {
+	if longAndClean(s) {
+		return append(dst, s...)
+	}
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var e byte
+		switch s[i] {
+		case '\t':
+			e = 't'
+		case '\n':
+			e = 'n'
+		case '\\':
+			e = '\\'
+		default:
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', e)
+		start = i + 1
+	}
+	return append(dst, s[start:]...)
 }
 
 // EncodeTextLen returns len(EncodeText(t)) without materializing the
@@ -68,7 +154,7 @@ func TextLen(v Value) int {
 }
 
 // textLen returns the rendered length of ToString(v) and how many of
-// its bytes escapeField would double (tab, newline, backslash).
+// its bytes appendEscaped would double (tab, newline, backslash).
 func textLen(v Value) (raw, esc int) {
 	switch x := v.(type) {
 	case nil:
@@ -107,7 +193,18 @@ func textLen(v Value) (raw, esc int) {
 	panic(fmt.Sprintf("tuple: unsupported value type %T", v))
 }
 
+// longAndClean reports that s needs no escaping, for strings long
+// enough that three vectorized scans beat one byte loop; most of a part
+// file's bytes are in such strings.
+func longAndClean(s string) bool {
+	return len(s) >= 32 && strings.IndexByte(s, '\\') < 0 &&
+		strings.IndexByte(s, '\t') < 0 && strings.IndexByte(s, '\n') < 0
+}
+
 func countEscapable(s string) int {
+	if longAndClean(s) {
+		return 0
+	}
 	n := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -162,91 +259,137 @@ func decodeTextField(s string) Value {
 	if s == "" {
 		return nil
 	}
-	if s[0] == '(' && s[len(s)-1] == ')' {
-		if v, ok := parseNested(s); ok {
-			return v
-		}
-	}
-	if s[0] == '{' && s[len(s)-1] == '}' {
-		if v, ok := parseNested(s); ok {
-			return v
-		}
+	if v, ok := parseBracketed(s); ok {
+		return v
 	}
 	return parseScalar(s)
 }
 
-func parseScalar(s string) Value {
-	// Integers first, then floats; everything else stays a string.
-	if n, err := parseInt(s); err == nil {
-		return n
+// parseBracketed parses a field that is entirely one nested tuple or
+// bag; anything else that happens to start with a bracket is a scalar.
+func parseBracketed(s string) (Value, bool) {
+	if (s[0] == '(' && s[len(s)-1] == ')') || (s[0] == '{' && s[len(s)-1] == '}') {
+		return parseNested(s)
 	}
-	if f, err := parseFloat(s); err == nil {
+	return nil, false
+}
+
+func parseScalar(s string) Value {
+	switch kind, n, f := scanScalar(s); kind {
+	case colInt:
+		return n
+	case colFloat:
 		return f
 	}
 	return s
 }
 
-func parseInt(s string) (int64, error) {
-	if s == "" {
-		return 0, errNotNumeric
+// scanScalar types a non-empty scalar field: integers first, then
+// floats; everything else stays a string. Both consumers — the boxed
+// row path (parseScalar) and the typed column path (column.appendField)
+// — decide through it, so the two cannot drift.
+func scanScalar(s string) (kind colKind, n int64, f float64) {
+	// Numbers start with a digit, sign, or dot ("NaNCy" and "Inf" are
+	// strings); one byte settles most string fields.
+	c := s[0]
+	if c != '+' && c != '-' && c != '.' && (c < '0' || c > '9') {
+		return colString, 0, 0
 	}
+	if n, ok := parseInt(s); ok {
+		return colInt, n, 0
+	}
+	if f, ok := parseFloat(s); ok {
+		return colFloat, 0, f
+	}
+	return colString, 0, 0
+}
+
+func parseInt(s string) (int64, bool) {
 	neg := false
 	i := 0
 	if s[0] == '+' || s[0] == '-' {
 		neg = s[0] == '-'
 		i++
 		if i == len(s) {
-			return 0, errNotNumeric
+			return 0, false
 		}
 	}
 	var n int64
 	for ; i < len(s); i++ {
 		c := s[i]
 		if c < '0' || c > '9' {
-			return 0, errNotNumeric
+			return 0, false
 		}
 		d := int64(c - '0')
 		if n > (math.MaxInt64-d)/10 {
-			return 0, errNotNumeric // overflow: treat as non-integer
+			return 0, false // overflow: treat as non-integer
 		}
 		n = n*10 + d
 	}
 	if neg {
 		n = -n
 	}
-	return n, nil
+	return n, true
 }
 
-var errNotNumeric = fmt.Errorf("tuple: not numeric")
-
-func parseFloat(s string) (float64, error) {
-	// Only accept strings that start with a digit, sign, or dot to avoid
-	// treating e.g. "NaNCy" as numeric.
-	c := s[0]
-	if c != '+' && c != '-' && c != '.' && (c < '0' || c > '9') {
-		return 0, errNotNumeric
+// parseFloat accepts a field only if the whole of it is a float:
+// "+Inf"/"-Inf" (what ToString writes), or strconv's decimal grammar
+// within float64 range. The grammar is checked here first because a
+// strconv syntax error allocates, and fields like "192.168.13.7" or
+// "555-0123" reach this point on every row.
+func parseFloat(s string) (float64, bool) {
+	if !isDecimalFloat(s) {
+		switch s {
+		case "+Inf":
+			return math.Inf(1), true
+		case "-Inf":
+			return math.Inf(-1), true
+		}
+		return 0, false
 	}
-	var f float64
-	if _, err := fmt.Sscanf(s, "%g", &f); err != nil {
-		return 0, errNotNumeric
-	}
-	// Reject trailing junk.
-	if ToString(f) != s && !floatRoundTrips(s) {
-		return 0, errNotNumeric
-	}
-	return f, nil
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
-func floatRoundTrips(s string) bool {
-	for _, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-		case r == '.' || r == '+' || r == '-' || r == 'e' || r == 'E':
-		default:
+// isDecimalFloat reports whether s is
+// [+-](digits[.digits] | .digits)[(e|E)[+-]digits] — exactly the
+// strings over 0-9.+-eE for which strconv.ParseFloat reports no syntax
+// error.
+func isDecimalFloat(s string) bool {
+	i := 0
+	if s[i] == '+' || s[i] == '-' {
+		i++
+	}
+	end := skipDigits(s, i)
+	digits := end - i
+	if i = end; i < len(s) && s[i] == '.' {
+		end = skipDigits(s, i+1)
+		digits += end - (i + 1)
+		i = end
+	}
+	if digits == 0 {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if end = skipDigits(s, i); end == i {
 			return false
 		}
+		i = end
 	}
-	return true
+	return i == len(s)
+}
+
+// skipDigits returns the index of the first byte of s at or after i
+// that is not a decimal digit.
+func skipDigits(s string, i int) int {
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // parseNested parses the (…)/{…} nested rendering produced by ToString.
@@ -333,64 +476,45 @@ func parseItem(s string, close byte) (Value, string, bool) {
 	return parseScalar(raw), s[i:], true
 }
 
-// Writer streams tuples in text form to an io.Writer.
+// Writer streams tuples in text form to an io.Writer. Rows are encoded
+// straight into one reusable buffer that is handed to the underlying
+// writer whenever it passes writerFlushAt, and by Flush.
 type Writer struct {
-	w     *bufio.Writer
+	w     io.Writer
+	buf   []byte
 	bytes int64
 	rows  int64
 }
 
+const writerFlushAt = 64 << 10
+
 // NewWriter returns a text-format tuple writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Write appends one tuple as a line.
 func (tw *Writer) Write(t Tuple) error {
-	line := EncodeText(t)
-	if _, err := tw.w.WriteString(line); err != nil {
-		return err
-	}
-	if err := tw.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	tw.bytes += int64(len(line)) + 1
+	before := len(tw.buf)
+	tw.buf = append(AppendText(tw.buf, t), '\n')
+	tw.bytes += int64(len(tw.buf) - before)
 	tw.rows++
+	if len(tw.buf) >= writerFlushAt {
+		return tw.Flush()
+	}
 	return nil
 }
 
-// Flush flushes buffered output.
-func (tw *Writer) Flush() error { return tw.w.Flush() }
+// Flush hands buffered output to the underlying writer.
+func (tw *Writer) Flush() error {
+	if len(tw.buf) == 0 {
+		return nil
+	}
+	_, err := tw.w.Write(tw.buf)
+	tw.buf = tw.buf[:0]
+	return err
+}
 
 // Bytes returns the number of bytes written so far.
 func (tw *Writer) Bytes() int64 { return tw.bytes }
 
 // Rows returns the number of tuples written so far.
 func (tw *Writer) Rows() int64 { return tw.rows }
-
-// Reader streams tuples in text form from an io.Reader.
-type Reader struct {
-	s     *bufio.Scanner
-	bytes int64
-}
-
-// NewReader returns a text-format tuple reader over r.
-func NewReader(r io.Reader) *Reader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	return &Reader{s: s}
-}
-
-// Read returns the next tuple, or io.EOF when the input is exhausted.
-func (tr *Reader) Read() (Tuple, error) {
-	if !tr.s.Scan() {
-		if err := tr.s.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	line := tr.s.Text()
-	tr.bytes += int64(len(line)) + 1
-	return DecodeText(line), nil
-}
-
-// Bytes returns the number of bytes consumed so far.
-func (tr *Reader) Bytes() int64 { return tr.bytes }

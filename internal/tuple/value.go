@@ -1,6 +1,6 @@
 // Package tuple defines the data model shared by every layer of the
 // system: dynamically typed values, tuples, bags, and schemas, together
-// with comparison, hashing, and the text/binary codecs used by the
+// with comparison, hashing, and the text codec (codec.go) used by the
 // MapReduce engine's load, store, and shuffle paths.
 //
 // The model mirrors Pig's: a relation is a bag of tuples, a tuple is an
