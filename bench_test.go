@@ -388,11 +388,10 @@ store B into 'stored/e%d';
 
 // BenchmarkWarmRepeat measures the steady-state per-query cost of a
 // repeated PigMix query against 1k- and 10k-entry repositories, batch
-// cache on and off. The CI artifact tracks two curves: cache-on must
-// beat cache-off at every size (the decode is paid once, not per run),
-// and the 1k→10k growth must stay ~flat (submit-path overhead does not
-// scale with repository size). The hit-ratio metric lands in
-// BENCH_<sha>.json via the custom-unit column.
+// cache on and off. Two curves matter: cache-on must beat cache-off at
+// every size (the decode is paid once, not per run), and the 1k→10k
+// growth must stay ~flat (submit-path overhead does not scale with
+// repository size). The hit ratio is reported as a custom metric.
 func BenchmarkWarmRepeat(b *testing.B) {
 	q, err := pigmix.Get("L2")
 	if err != nil {

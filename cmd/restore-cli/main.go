@@ -261,10 +261,10 @@ func main() {
 	}
 	bc := sys.BatchCacheStats()
 	if bc.Hits+bc.Misses > 0 {
-		fmt.Printf("batch cache: %d hits / %d misses (%.0f%% hit ratio), %.1f MB resident of %.1f MB budget, %d evictions, %d invalidations, %d partition replays\n",
+		fmt.Printf("batch cache: %d hits / %d misses (%.0f%% hit ratio), %.1f MB resident of %.1f MB budget, %d evictions, %d invalidations\n",
 			bc.Hits, bc.Misses, 100*bc.HitRatio(),
 			float64(bc.UsedBytes)/(1<<20), float64(bc.BudgetBytes)/(1<<20),
-			bc.Evictions, bc.Invalidations, bc.PartitionReplays)
+			bc.Evictions, bc.Invalidations)
 	}
 	if dl := sys.DeltaStats(); dl.Refreshes+dl.Failed > 0 {
 		fmt.Printf("delta refresh: %d refreshed (%d failed), %.1f MB appended bytes read, %.1f MB cold recompute avoided\n",

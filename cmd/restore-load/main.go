@@ -1,21 +1,19 @@
 // Command restore-load drives a running restore-server with thousands
 // of concurrent sessions issuing a Zipf-distributed PigMix query mix,
-// and emits a machine-readable BENCH_<sha>.json artifact: latency
-// percentiles, throughput, reuse-hit ratio and admission rejections,
-// in total and per tenant.
+// and prints what it saw: completions, latency percentiles, throughput,
+// reuse and admission rejections, in total and per tenant.
 //
 // Usage:
 //
 //	restore-load -addr http://localhost:8080 -sessions 1000 -queries 3
-//	restore-load -tenants heavy:3,light:1 -skew 1.2 -out BENCH_abc.json
+//	restore-load -tenants heavy:3,light:1 -skew 1.2
 //
 // -tenants shares the sessions among named tenants by weight (heavy:3
 // light:1 → 3/4 of sessions are heavy). Each session submits -queries
 // queries back-to-back, drawing names from the Zipfian mix (-mix,
 // -skew, -seed); a 429 response is counted as a rejection and retried
 // after its Retry-After hint, up to -retry429 times. "-mix net"
-// selects the append-heavy net-traffic log-analytics suite (N1..N4);
-// the artifact then carries the server's delta-refresh counters.
+// selects the append-heavy net-traffic log-analytics suite (N1..N4).
 //
 // The assertion flags (-min-completed, -min-reuse-queries,
 // -min-rejected, -require-tenant-reuse) turn the harness into a CI
@@ -42,13 +40,29 @@ import (
 	"repro/internal/pigmix"
 )
 
+// report is the harness's service-level summary of one run, in total
+// and per tenant.
+type report struct {
+	completed, failed, canceled, rejected int64
+	wallSeconds, throughput               float64
+	p50Ms, p95Ms, p99Ms                   float64
+	queriesWithReuse                      int64
+	reuseHitRatio                         float64
+	perTenant                             map[string]*tenantReport
+}
+
+// tenantReport is one tenant's slice of a run.
+type tenantReport struct {
+	completed, rejected, queriesWithReuse int64
+	p50Ms                                 float64
+}
+
 // queryOutcome is one query's client-side measurement.
 type queryOutcome struct {
 	tenant    string
 	state     string
 	latencyMs float64
 	rejected  int64 // 429s seen on the way in
-	jobsRun   int64
 	reused    int64
 	rewrites  int64
 }
@@ -59,7 +73,6 @@ type resultBody struct {
 	State  string `json:"state"`
 	Error  string `json:"error"`
 	Result *struct {
-		JobsRun    int64 `json:"jobsRun"`
 		JobsReused int64 `json:"jobsReused"`
 		Rewrites   []struct {
 			WholeJob bool `json:"wholeJob"`
@@ -78,30 +91,12 @@ func main() {
 		seedFlag     = flag.Int64("seed", 1, "query-mix RNG seed")
 		timeoutFlag  = flag.Duration("timeout", 10*time.Minute, "whole-run deadline")
 		retryFlag    = flag.Int("retry429", 50, "retries after a 429 before giving the query up")
-		outFlag      = flag.String("out", "", "artifact path (default BENCH_<sha>.json)")
-		shaFlag      = flag.String("sha", "", "commit SHA stamped into the artifact (default $GITHUB_SHA or dev)")
 		minDoneFlag  = flag.Int64("min-completed", 0, "assert at least this many queries completed")
 		minReuseFlag = flag.Int64("min-reuse-queries", 0, "assert at least this many completed queries reused the repository")
 		minRejFlag   = flag.Int64("min-rejected", 0, "assert at least this many 429 rejections were observed")
 		reqReuseFlag = flag.String("require-tenant-reuse", "", "comma-separated tenants that must each show reuse")
-		minDeltaFlag = flag.Int64("min-delta-refreshes", 0, "assert at least this many delta refreshes on the server's /metrics")
 	)
 	flag.Parse()
-
-	sha := *shaFlag
-	if sha == "" {
-		sha = os.Getenv("GITHUB_SHA")
-	}
-	if sha == "" {
-		sha = "dev"
-	}
-	if len(sha) > 12 {
-		sha = sha[:12]
-	}
-	outPath := *outFlag
-	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", sha)
-	}
 
 	names := pigmix.Names()
 	if *mixFlag != "" {
@@ -172,65 +167,32 @@ func main() {
 	wg.Wait()
 	wall := time.Since(start)
 
-	report := buildReport(*addrFlag, *sessionsFlag, *queriesFlag, *skewFlag,
-		names, sessionCount, outcomes, wall)
-	scrapeBatchCache(ctx, client, *addrFlag, report)
-	art := &exp.BenchArtifact{SHA: sha, GeneratedAt: time.Now().UTC(), Load: report}
-	out, err := os.Create(outPath)
-	if err != nil {
-		fail(err)
-	}
-	if err := art.WriteJSON(out); err != nil {
-		fail(err)
-	}
-	out.Close()
-
+	rep := buildReport(sessionCount, outcomes, wall)
 	fmt.Printf("restore-load: %d completed, %d failed, %d canceled, %d rejected in %.1fs (%.1f q/s)\n",
-		report.Completed, report.Failed, report.Canceled, report.Rejected,
-		report.WallSeconds, report.Throughput)
+		rep.completed, rep.failed, rep.canceled, rep.rejected, rep.wallSeconds, rep.throughput)
 	fmt.Printf("restore-load: latency p50 %.1fms p95 %.1fms p99 %.1fms; reuse-hit %.2f (%d/%d queries)\n",
-		report.LatencyP50Ms, report.LatencyP95Ms, report.LatencyP99Ms,
-		report.ReuseHitRatio, report.QueriesWithReuse, report.Completed)
-	if report.BatchCacheHits+report.BatchCacheMisses > 0 {
-		fmt.Printf("restore-load: batch cache %d hits / %d misses (%.2f hit ratio)\n",
-			report.BatchCacheHits, report.BatchCacheMisses, report.BatchCacheHitRatio)
-	}
-	if report.DeltaRefreshes+report.DeltaRefreshFailed > 0 {
-		fmt.Printf("restore-load: delta refresh %d entries (%d failed), %.1f MB appended read, %.1f MB cold avoided\n",
-			report.DeltaRefreshes, report.DeltaRefreshFailed,
-			float64(report.DeltaBytesRead)/(1<<20), float64(report.DeltaColdBytesAvoided)/(1<<20))
-	}
-	if report.ProbeLatency.Count > 0 {
-		fmt.Printf("restore-load: server stages — probe p50 %.2fms p95 %.2fms p99 %.2fms (%d); claim-wait p99 %.2fms (%d); refresh p99 %.2fms (%d)\n",
-			report.ProbeLatency.P50Ms, report.ProbeLatency.P95Ms, report.ProbeLatency.P99Ms, report.ProbeLatency.Count,
-			report.ClaimWaitLatency.P99Ms, report.ClaimWaitLatency.Count,
-			report.RefreshLatency.P99Ms, report.RefreshLatency.Count)
-	}
-	for name, tl := range report.PerTenant {
+		rep.p50Ms, rep.p95Ms, rep.p99Ms, rep.reuseHitRatio, rep.queriesWithReuse, rep.completed)
+	for name, tl := range rep.perTenant {
 		fmt.Printf("restore-load:   %s: %d completed, %d rejected, p50 %.1fms, %d queries with reuse\n",
-			name, tl.Completed, tl.Rejected, tl.LatencyP50Ms, tl.QueriesWithReuse)
+			name, tl.completed, tl.rejected, tl.p50Ms, tl.queriesWithReuse)
 	}
-	fmt.Printf("restore-load: artifact written to %s\n", outPath)
 
-	if report.Completed < *minDoneFlag {
-		fail(fmt.Errorf("assertion: completed %d < %d", report.Completed, *minDoneFlag))
+	if rep.completed < *minDoneFlag {
+		fail(fmt.Errorf("assertion: completed %d < %d", rep.completed, *minDoneFlag))
 	}
-	if report.QueriesWithReuse < *minReuseFlag {
-		fail(fmt.Errorf("assertion: queries with reuse %d < %d", report.QueriesWithReuse, *minReuseFlag))
+	if rep.queriesWithReuse < *minReuseFlag {
+		fail(fmt.Errorf("assertion: queries with reuse %d < %d", rep.queriesWithReuse, *minReuseFlag))
 	}
-	if report.Rejected < *minRejFlag {
-		fail(fmt.Errorf("assertion: rejected %d < %d", report.Rejected, *minRejFlag))
+	if rep.rejected < *minRejFlag {
+		fail(fmt.Errorf("assertion: rejected %d < %d", rep.rejected, *minRejFlag))
 	}
 	if *reqReuseFlag != "" {
 		for _, tenant := range strings.Split(*reqReuseFlag, ",") {
-			tl := report.PerTenant[tenant]
-			if tl == nil || tl.QueriesWithReuse == 0 {
+			tl := rep.perTenant[tenant]
+			if tl == nil || tl.queriesWithReuse == 0 {
 				fail(fmt.Errorf("assertion: tenant %q shows no reuse", tenant))
 			}
 		}
-	}
-	if report.DeltaRefreshes < *minDeltaFlag {
-		fail(fmt.Errorf("assertion: delta refreshes %d < %d", report.DeltaRefreshes, *minDeltaFlag))
 	}
 }
 
@@ -259,71 +221,6 @@ func parseTenants(spec string) ([]string, error) {
 		return nil, fmt.Errorf("empty -tenants")
 	}
 	return out, nil
-}
-
-// scrapeBatchCache folds the server's decoded-dataset cache and
-// incremental-maintenance counters from /metrics into the report; a
-// scrape failure leaves them zero (the report stays usable without the
-// warm-path columns).
-func scrapeBatchCache(ctx context.Context, c *http.Client, addr string, rep *exp.LoadReport) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var doc struct {
-		BatchCache struct {
-			Hits   int64
-			Misses int64
-		} `json:"batchCache"`
-		Delta struct {
-			Refreshes        int64 `json:"refreshes"`
-			Failed           int64 `json:"failed"`
-			DeltaBytesRead   int64 `json:"deltaBytesRead"`
-			ColdBytesAvoided int64 `json:"coldBytesAvoided"`
-		} `json:"delta"`
-		Latency struct {
-			Probe     histDoc `json:"probe"`
-			ClaimWait histDoc `json:"claimWait"`
-			Refresh   histDoc `json:"refresh"`
-		} `json:"latency"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return
-	}
-	rep.BatchCacheHits = doc.BatchCache.Hits
-	rep.BatchCacheMisses = doc.BatchCache.Misses
-	if total := doc.BatchCache.Hits + doc.BatchCache.Misses; total > 0 {
-		rep.BatchCacheHitRatio = float64(doc.BatchCache.Hits) / float64(total)
-	}
-	rep.DeltaRefreshes = doc.Delta.Refreshes
-	rep.DeltaRefreshFailed = doc.Delta.Failed
-	rep.DeltaBytesRead = doc.Delta.DeltaBytesRead
-	rep.DeltaColdBytesAvoided = doc.Delta.ColdBytesAvoided
-	rep.ProbeLatency = doc.Latency.Probe.stage()
-	rep.ClaimWaitLatency = doc.Latency.ClaimWait.stage()
-	rep.RefreshLatency = doc.Latency.Refresh.stage()
-}
-
-// histDoc is the slice of a /metrics histogram snapshot the harness
-// keeps: the precomputed percentiles, interpolated server-side from the
-// cumulative buckets.
-type histDoc struct {
-	Count int64   `json:"count"`
-	P50Ms float64 `json:"p50Ms"`
-	P95Ms float64 `json:"p95Ms"`
-	P99Ms float64 `json:"p99Ms"`
-}
-
-func (h histDoc) stage() exp.StageLatency {
-	return exp.StageLatency{Count: h.Count, P50Ms: h.P50Ms, P95Ms: h.P95Ms, P99Ms: h.P99Ms}
 }
 
 func openSession(ctx context.Context, c *http.Client, addr, tenant string) (string, error) {
@@ -420,78 +317,56 @@ func runQuery(ctx context.Context, c *http.Client, addr, session, tenant, query 
 	oc.state = res.State
 	oc.latencyMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if res.Result != nil {
-		oc.jobsRun = res.Result.JobsRun
 		oc.reused = res.Result.JobsReused
 		oc.rewrites = int64(len(res.Result.Rewrites))
 	}
 	return oc
 }
 
-func buildReport(addr string, sessions, queries int, skew float64, mix []string,
-	sessionCount map[string]int, outcomes []queryOutcome, wall time.Duration) *exp.LoadReport {
-	rep := &exp.LoadReport{
-		Addr:              addr,
-		Sessions:          sessions,
-		QueriesPerSession: queries,
-		Skew:              skew,
-		Mix:               mix,
-		WallSeconds:       wall.Seconds(),
-		PerTenant:         map[string]*exp.TenantLoad{},
-	}
+func buildReport(sessionCount map[string]int, outcomes []queryOutcome, wall time.Duration) *report {
+	rep := &report{wallSeconds: wall.Seconds(), perTenant: map[string]*tenantReport{}}
 	latAll := []float64{}
 	latTenant := map[string][]float64{}
-	for name, n := range sessionCount {
-		rep.PerTenant[name] = &exp.TenantLoad{Sessions: n}
+	for name := range sessionCount {
+		rep.perTenant[name] = &tenantReport{}
 	}
 	for _, oc := range outcomes {
-		tl := rep.PerTenant[oc.tenant]
+		tl := rep.perTenant[oc.tenant]
 		if tl == nil {
-			tl = &exp.TenantLoad{}
-			rep.PerTenant[oc.tenant] = tl
+			tl = &tenantReport{}
+			rep.perTenant[oc.tenant] = tl
 		}
-		rep.Rejected += oc.rejected
-		tl.Rejected += oc.rejected
+		rep.rejected += oc.rejected
+		tl.rejected += oc.rejected
 		switch oc.state {
 		case "done":
-			rep.Completed++
-			tl.Completed++
-			rep.JobsRun += oc.jobsRun
-			rep.JobsReused += oc.reused
-			rep.Rewrites += oc.rewrites
-			tl.JobsRun += oc.jobsRun
-			tl.JobsReused += oc.reused
-			tl.Rewrites += oc.rewrites
+			rep.completed++
+			tl.completed++
 			if oc.reused > 0 || oc.rewrites > 0 {
-				rep.QueriesWithReuse++
-				tl.QueriesWithReuse++
+				rep.queriesWithReuse++
+				tl.queriesWithReuse++
 			}
 			latAll = append(latAll, oc.latencyMs)
 			latTenant[oc.tenant] = append(latTenant[oc.tenant], oc.latencyMs)
 		case "canceled":
-			rep.Canceled++
-			tl.Canceled++
+			rep.canceled++
 		default:
-			rep.Failed++
-			tl.Failed++
+			rep.failed++
 		}
 	}
 	sort.Float64s(latAll)
-	rep.LatencyP50Ms = exp.Percentile(latAll, 50)
-	rep.LatencyP95Ms = exp.Percentile(latAll, 95)
-	rep.LatencyP99Ms = exp.Percentile(latAll, 99)
-	if len(latAll) > 0 {
-		rep.LatencyMaxMs = latAll[len(latAll)-1]
+	rep.p50Ms = exp.Percentile(latAll, 50)
+	rep.p95Ms = exp.Percentile(latAll, 95)
+	rep.p99Ms = exp.Percentile(latAll, 99)
+	if rep.wallSeconds > 0 {
+		rep.throughput = float64(rep.completed) / rep.wallSeconds
 	}
-	if rep.WallSeconds > 0 {
-		rep.Throughput = float64(rep.Completed) / rep.WallSeconds
-	}
-	if rep.Completed > 0 {
-		rep.ReuseHitRatio = float64(rep.QueriesWithReuse) / float64(rep.Completed)
+	if rep.completed > 0 {
+		rep.reuseHitRatio = float64(rep.queriesWithReuse) / float64(rep.completed)
 	}
 	for name, lats := range latTenant {
 		sort.Float64s(lats)
-		rep.PerTenant[name].LatencyP50Ms = exp.Percentile(lats, 50)
-		rep.PerTenant[name].LatencyP99Ms = exp.Percentile(lats, 99)
+		rep.perTenant[name].p50Ms = exp.Percentile(lats, 50)
 	}
 	return rep
 }

@@ -61,8 +61,7 @@ type (
 	// LeaseStats snapshots the cross-process lease manager.
 	LeaseStats = core.LeaseStats
 	// BatchCacheStats snapshots the engine's decoded-dataset cache:
-	// hits, misses, resident bytes, evictions, invalidations, and
-	// shuffle partition replay counts.
+	// hits, misses, resident bytes, evictions and invalidations.
 	BatchCacheStats = mapreduce.BatchCacheStats
 	// DeltaStats snapshots incremental maintenance: stored entries
 	// delta-refreshed after input appends, appended bytes read, and

@@ -330,7 +330,7 @@ func TestDeltaRefreshDurable(t *testing.T) {
 // (off the clock) and reruns N1: the refresh arm reads O(day) input
 // bytes per run, the cold arm O(whole log) — and the log keeps
 // growing, so the gap widens with b.N. The delta-bytes/op and
-// log-bytes metrics land in BENCH_<sha>.json next to the ns/op gap.
+// log-bytes metrics are reported next to the ns/op gap.
 // The crowded arm is the same refresh with 20 k unrelated files
 // resident: what a refresh costs must not depend on what else the
 // store holds.

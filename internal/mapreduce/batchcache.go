@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dfs"
 	"repro/internal/tuple"
@@ -42,12 +41,10 @@ type BatchCache struct {
 	inserts, evictions  int64
 	evictedBytes        int64
 	invalidations       int64
-	partRecs, partPlays atomic.Int64
 }
 
 // cachedDataset is one decoded dataset: its part files in fs.List
-// order, each as a columnar batch, plus any shuffle-partition
-// recordings made over it (see runMapTask).
+// order, each as a columnar batch, and their sizes.
 type cachedDataset struct {
 	path    string
 	version int64
@@ -55,9 +52,14 @@ type cachedDataset struct {
 	batches []*tuple.Batch
 	mem     int64 // sum of batch MemBytes
 	src     int64 // sum of batch SrcBytes (DFS reads saved per hit)
+}
 
-	mu    sync.Mutex
-	parts map[string][]int32
+// add appends one part file's decoded batch and charges its sizes.
+func (ds *cachedDataset) add(file string, b *tuple.Batch) {
+	ds.files = append(ds.files, file)
+	ds.batches = append(ds.batches, b)
+	ds.mem += b.MemBytes()
+	ds.src += b.SrcBytes()
 }
 
 // NewBatchCache returns a cache bounded to budget bytes of decoded
@@ -168,32 +170,8 @@ func (c *BatchCache) removeLocked(el *list.Element) {
 	c.used -= ds.mem
 }
 
-// partitions returns the recorded shuffle partition sequence for key
-// and whether one exists (an empty recording is a valid sequence).
-func (ds *cachedDataset) partitions(key string) ([]int32, bool) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	p, ok := ds.parts[key]
-	return p, ok
-}
-
-// storePartitions records a shuffle partition sequence; the first
-// recording for a key wins (all recorders compute identical sequences).
-func (ds *cachedDataset) storePartitions(key string, parts []int32) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.parts == nil {
-		ds.parts = map[string][]int32{}
-	}
-	if _, ok := ds.parts[key]; !ok {
-		ds.parts[key] = parts
-	}
-}
-
 // BatchCacheStats is a point-in-time snapshot of the decoded-dataset
-// cache. HitBytes totals the DFS bytes hits avoided re-reading;
-// PartitionReplays counts map tasks that skipped re-partitioning by
-// replaying a recorded shuffle placement.
+// cache. HitBytes totals the DFS bytes hits avoided re-reading.
 type BatchCacheStats struct {
 	Entries     int
 	UsedBytes   int64
@@ -209,7 +187,10 @@ type BatchCacheStats struct {
 	EvictedBytes  int64
 	Invalidations int64
 
-	PartitionRecords int64
+	// PartitionReplays is always zero: shuffle partitions are computed
+	// from the key, never replayed. It remains only because the
+	// benchmark's mapreduce.cache.partition_replays metric reads it; the
+	// benchmark change that drops that metric deletes this field.
 	PartitionReplays int64
 }
 
@@ -230,18 +211,16 @@ func (c *BatchCache) Stats() BatchCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return BatchCacheStats{
-		Entries:          len(c.entries),
-		UsedBytes:        c.used,
-		BudgetBytes:      c.budget,
-		Hits:             c.hits,
-		Misses:           c.misses,
-		HitBytes:         c.hitBytes,
-		MissBytes:        c.missBytes,
-		Inserts:          c.inserts,
-		Evictions:        c.evictions,
-		EvictedBytes:     c.evictedBytes,
-		Invalidations:    c.invalidations,
-		PartitionRecords: c.partRecs.Load(),
-		PartitionReplays: c.partPlays.Load(),
+		Entries:       len(c.entries),
+		UsedBytes:     c.used,
+		BudgetBytes:   c.budget,
+		Hits:          c.hits,
+		Misses:        c.misses,
+		HitBytes:      c.hitBytes,
+		MissBytes:     c.missBytes,
+		Inserts:       c.inserts,
+		Evictions:     c.evictions,
+		EvictedBytes:  c.evictedBytes,
+		Invalidations: c.invalidations,
 	}
 }

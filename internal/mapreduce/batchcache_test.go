@@ -26,14 +26,9 @@ func putDataset(c *BatchCache, fs *dfs.FS, path string, rows int) {
 	if err != nil {
 		panic(err)
 	}
-	c.Put(&cachedDataset{
-		path:    path,
-		version: fs.Version(path),
-		files:   []string{path + "/part-00000"},
-		batches: []*tuple.Batch{b},
-		mem:     b.MemBytes(),
-		src:     b.SrcBytes(),
-	})
+	ds := &cachedDataset{path: path, version: fs.Version(path)}
+	ds.add(path+"/part-00000", b)
+	c.Put(ds)
 }
 
 func TestBatchCacheHitMissInvalidate(t *testing.T) {
@@ -141,8 +136,8 @@ store C into 'out';
 `
 
 // TestEngineCacheWarmRunsIdentical runs one job cold then warm and
-// checks the warm run hits the cache, replays partitions, and writes
-// byte-identical output with identical simulated time.
+// checks the warm run hits the cache and writes byte-identical output
+// with identical simulated time.
 func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	fs := dfs.New()
 	seedInput(t, fs, "in", 200, 0)
@@ -178,9 +173,6 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	ws := eng.CacheStats()
 	if ws.Hits == 0 {
 		t.Fatalf("warm run missed the cache: %+v", ws)
-	}
-	if ws.PartitionReplays == 0 {
-		t.Fatalf("warm run did not replay partitions: %+v", ws)
 	}
 	if cold.SimTime != warm.SimTime {
 		t.Fatalf("SimTime diverged: cold %v, warm %v", cold.SimTime, warm.SimTime)
@@ -324,7 +316,7 @@ func TestEngineCacheDisabledRun(t *testing.T) {
 }
 
 // TestBatchCacheConcurrentChurn races engine runs against input
-// rewrites, direct cache traffic, and partition recordings. Run under
+// rewrites and direct cache traffic. Run under
 // -race it is the cache's concurrency proof; the invariant checked is
 // that a final quiescent run still produces the fresh-decode output.
 func TestBatchCacheConcurrentChurn(t *testing.T) {

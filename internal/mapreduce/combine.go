@@ -194,8 +194,8 @@ func newCombineAccumulator(spec *combineSpec, numRed int) *combineAccumulator {
 	return &combineAccumulator{spec: spec, parts: parts}
 }
 
-func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple, pt *partitioner) {
-	p := pt.next(key)
+func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple) {
+	p := partitionOf(key, len(c.parts))
 	ks := tuple.ToString(key)
 	pk := c.parts[p][ks]
 	if pk == nil {

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -234,12 +233,7 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 		tracker = &progressTracker{fn: progress, total: len(splits) + numRed}
 	}
 
-	var shufSig string
-	if seg.shuffle != nil && e.cache != nil {
-		shufSig = mapSegmentSig(seg, numRed)
-	}
-
-	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker, shufSig)
+	mapResults, err := e.runMapPhase(ctx, job, seg, splits, numRed, stats, tracker)
 	if err != nil {
 		return nil, err
 	}
@@ -366,13 +360,9 @@ func segments(p *physical.Plan) (*segmentation, error) {
 // file's columnar batch.
 type split struct {
 	loadID int
-	file   string
 	batch  *tuple.Batch
 	lo, hi int
 	bytes  int64 // actual bytes attributed to this slice
-	// ds is the cache entry the batch belongs to (nil when the cache is
-	// off); it carries shuffle partition recordings.
-	ds *cachedDataset
 }
 
 // loadDataset decodes every part file of the dataset at path into
@@ -391,15 +381,13 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 	if len(files) == 0 {
 		return nil, fmt.Errorf("input %q does not exist", path)
 	}
-	ds := &cachedDataset{path: path, version: v0, files: files}
+	ds := &cachedDataset{path: path, version: v0}
 	for _, f := range files {
 		b, err := e.decodeFile(f, decode)
 		if err != nil {
 			return nil, err
 		}
-		ds.batches = append(ds.batches, b)
-		ds.mem += b.MemBytes()
-		ds.src += b.SrcBytes()
+		ds.add(f, b)
 	}
 	if e.cache != nil {
 		e.cache.noteMiss(ds.src)
@@ -437,10 +425,9 @@ func (e *Engine) makeSplits(p *physical.Plan, decode *time.Duration) ([]split, e
 		if op.Kind != physical.KLoad {
 			continue
 		}
-		restricted := op.Files != nil
 		var ds *cachedDataset
 		var err error
-		if restricted {
+		if op.Files != nil {
 			ds, err = e.loadFiles(op.Path, op.Files, decode)
 		} else {
 			ds, err = e.loadDataset(op.Path, decode)
@@ -448,7 +435,7 @@ func (e *Engine) makeSplits(p *physical.Plan, decode *time.Duration) ([]split, e
 		if err != nil {
 			return nil, err
 		}
-		for fi, b := range ds.batches {
+		for _, b := range ds.batches {
 			actualBytes := b.SrcBytes()
 			nrows := b.Len()
 			simBytes := int64(float64(actualBytes) * e.cfg.SimScale)
@@ -470,13 +457,7 @@ func (e *Engine) makeSplits(p *physical.Plan, decode *time.Duration) ([]split, e
 					j = nrows
 				}
 				chunkBytes := actualBytes * int64(j-i) / int64(nrows)
-				sp := split{loadID: op.ID, file: ds.files[fi], batch: b, lo: i, hi: j, bytes: chunkBytes}
-				if e.cache != nil && !restricted {
-					// Restricted views are ad-hoc datasets; they carry
-					// no shuffle-partition recordings.
-					sp.ds = ds
-				}
-				out = append(out, sp)
+				out = append(out, split{loadID: op.ID, batch: b, lo: i, hi: j, bytes: chunkBytes})
 			}
 		}
 	}
@@ -504,11 +485,7 @@ func (e *Engine) loadFiles(path string, files []string, decode *time.Duration) (
 				if !want[f] {
 					continue
 				}
-				b := full.batches[i]
-				ds.files = append(ds.files, f)
-				ds.batches = append(ds.batches, b)
-				ds.mem += b.MemBytes()
-				ds.src += b.SrcBytes()
+				ds.add(f, full.batches[i])
 			}
 			if len(ds.files) == len(want) {
 				return ds, nil
@@ -524,29 +501,9 @@ func (e *Engine) loadFiles(path string, files []string, decode *time.Duration) (
 		if err != nil {
 			return nil, err
 		}
-		ds.files = append(ds.files, f)
-		ds.batches = append(ds.batches, b)
-		ds.mem += b.MemBytes()
-		ds.src += b.SrcBytes()
+		ds.add(f, b)
 	}
 	return ds, nil
-}
-
-// mapSegmentSig fingerprints the map segment's structure — every
-// map-side op's identity, signature, and wiring, plus the reducer
-// count. Two runs with equal signatures over the same split emit the
-// same keyed sequence, which is what makes shuffle partition replay
-// sound (see partitioner).
-func mapSegmentSig(seg *segmentation, numRed int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "R%d", numRed)
-	for _, op := range seg.plan.Ops() {
-		if !seg.inMap[op.ID] {
-			continue
-		}
-		fmt.Fprintf(&b, ";%d:%s<-%v", op.ID, op.Signature(), op.InputIDs)
-	}
-	return b.String()
 }
 
 // writeThrough populates the cache with the datasets a finished job
@@ -570,10 +527,7 @@ func (e *Engine) writeThrough(parts []writtenPart) {
 		sort.Slice(ps, func(i, j int) bool { return ps[i].file < ps[j].file })
 		ds := &cachedDataset{path: dir}
 		for _, wp := range ps {
-			ds.files = append(ds.files, wp.file)
-			ds.batches = append(ds.batches, wp.batch)
-			ds.mem += wp.batch.MemBytes()
-			ds.src += wp.batch.SrcBytes()
+			ds.add(wp.file, wp.batch)
 			if wp.ver > ds.version {
 				ds.version = wp.ver
 			}
@@ -633,69 +587,14 @@ type mapResult struct {
 	stages  stageTimes
 }
 
-// partitioner assigns shuffle partitions for one map task. On a warm
-// split from the cache it replays the partition sequence a previous
-// identical task recorded — skipping the per-record key hash — and
-// falls back to live hashing past the end of a recording, so replay is
-// an optimization, never a correctness dependency. Recordings key on
-// the map-segment signature plus the exact split, and live on the
-// cache entry, so a dataset version bump drops them with the batches.
-type partitioner struct {
-	numRed   int
-	ds       *cachedDataset
-	cache    *BatchCache
-	key      string
-	replay   []int32
-	ri       int
-	record   bool
-	recorded []int32
-	replayed bool
+// partitionOf places a record in a shuffle partition: its reducer is a pure
+// function of its key and the reducer count, so cached and uncached,
+// cold and warm runs place every record in the same partition.
+func partitionOf(key tuple.Value, numRed int) int {
+	return int(tuple.Hash(key) % uint64(numRed))
 }
 
-func newPartitioner(sp split, shufSig string, numRed int, cache *BatchCache) *partitioner {
-	pt := &partitioner{numRed: numRed}
-	if numRed <= 0 || cache == nil || sp.ds == nil || shufSig == "" {
-		return pt
-	}
-	pt.ds = sp.ds
-	pt.cache = cache
-	pt.key = fmt.Sprintf("%s|%s|%d:%d", shufSig, sp.file, sp.lo, sp.hi)
-	var ok bool
-	pt.replay, ok = sp.ds.partitions(pt.key)
-	pt.record = !ok
-	return pt
-}
-
-func (pt *partitioner) next(key tuple.Value) int {
-	if pt.ri < len(pt.replay) {
-		p := int(pt.replay[pt.ri])
-		pt.ri++
-		pt.replayed = true
-		return p
-	}
-	p := int(tuple.Hash(key) % uint64(pt.numRed))
-	if pt.record {
-		pt.recorded = append(pt.recorded, int32(p))
-	}
-	return p
-}
-
-// finish publishes the recording after the task's emissions completed
-// without error.
-func (pt *partitioner) finish() {
-	if pt.record && pt.ds != nil {
-		if pt.recorded == nil {
-			pt.recorded = []int32{}
-		}
-		pt.ds.storePartitions(pt.key, pt.recorded)
-		pt.cache.partRecs.Add(1)
-	}
-	if pt.replayed {
-		pt.cache.partPlays.Add(1)
-	}
-}
-
-func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker, shufSig string) ([]mapResult, error) {
+func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
 	results := make([]mapResult, len(splits))
 	errs := make([]error, len(splits))
 	var wg sync.WaitGroup
@@ -710,7 +609,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 				return
 			}
 			defer func() { <-e.sem }()
-			results[idx], errs[idx] = e.runMapTask(job, seg, splits[idx], idx, numRed, shufSig)
+			results[idx], errs[idx] = e.runMapTask(seg, splits[idx], idx, numRed)
 			if errs[idx] == nil {
 				tracker.tick(e.cfg.Cost.TaskTime(results[idx].work))
 			}
@@ -741,22 +640,21 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 	}
 }
 
-func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, taskIdx, numRed int, shufSig string) (mapResult, error) {
+func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
 	if numRed > 0 {
 		mr.parts = make([][]rec, numRed)
 	}
-	px := newExec(seg.plan, seg.succ, seg.inMap)
+	px := newExec(seg, false)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
 	px.capture = e.cache != nil
-	pt := newPartitioner(sp, shufSig, numRed, e.cache)
 	var acc *combineAccumulator
 	switch {
 	case seg.combine != nil:
 		// Algebraic combiner: pre-aggregate per key in the map task.
 		acc = newCombineAccumulator(seg.combine, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			acc.add(key, t, pt)
+			acc.add(key, t)
 		}
 	case seg.pkg != nil && seg.pkg.Mode == physical.PkgDistinct:
 		// Map-side duplicate elimination (Pig's distinct combiner).
@@ -765,7 +663,7 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			seen[i] = map[string]bool{}
 		}
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			p := pt.next(key)
+			p := partitionOf(key, numRed)
 			ks := tuple.ToString(key)
 			if seen[p][ks] {
 				return
@@ -779,9 +677,8 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
 			n := int64(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			r := rec{key: key, branch: branch, t: t, bytes: n}
-			p := pt.next(key)
-			mr.parts[p] = append(mr.parts[p], r)
+			p := partitionOf(key, numRed)
+			mr.parts[p] = append(mr.parts[p], rec{key: key, branch: branch, t: t, bytes: n})
 		}
 	}
 
@@ -799,7 +696,6 @@ func (e *Engine) runMapTask(job *physical.Job, seg *segmentation, sp split, task
 			return mr, err
 		}
 	}
-	pt.finish()
 	if err := px.close(e.fs, e.cfg.SimScale, mr.outs); err != nil {
 		return mr, err
 	}
@@ -922,7 +818,7 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		return cmp.Compare(a.branch, b.branch)
 	})
 
-	px := newExec(seg.plan, seg.succ, nil)
+	px := newExec(seg, true)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
 	px.capture = e.cache != nil
 

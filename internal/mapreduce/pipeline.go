@@ -18,10 +18,11 @@ import (
 type exec struct {
 	plan *physical.Plan
 	succ map[int][]int
-	// inMap restricts the walk to map-segment ops (nil means no
-	// restriction — used by reduce tasks whose roots are already in the
-	// reduce segment).
-	inMap map[int]bool
+	// inMap marks the map-segment ops and reduce says which side of the
+	// segmentation this task runs: a map task walks and stores only the
+	// ops in inMap, a reduce task only the others.
+	inMap  map[int]bool
+	reduce bool
 
 	// keyed receives LocalRearrange emissions (map tasks only).
 	keyed func(branch int, key tuple.Value, t tuple.Tuple)
@@ -54,20 +55,25 @@ type taskWriter struct {
 	ver   int64        // dataset version committed by this part's write
 }
 
-func newExec(plan *physical.Plan, succ map[int][]int, inMap map[int]bool) *exec {
+func newExec(seg *segmentation, reduce bool) *exec {
 	return &exec{
-		plan:    plan,
-		succ:    succ,
-		inMap:   inMap,
+		plan:    seg.plan,
+		succ:    seg.succ,
+		inMap:   seg.inMap,
+		reduce:  reduce,
 		writers: map[int]*taskWriter{},
 		limits:  map[int]int64{},
 	}
 }
 
+// runs reports whether op id belongs to this task's side of the
+// segmentation.
+func (x *exec) runs(id int) bool { return x.inMap[id] != x.reduce }
+
 // push delivers t to every successor of op fromID.
 func (x *exec) push(fromID int, t tuple.Tuple) error {
 	for _, sid := range x.succ[fromID] {
-		if x.inMap != nil && !x.inMap[sid] {
+		if !x.runs(sid) {
 			continue
 		}
 		if err := x.apply(sid, t); err != nil {
@@ -213,25 +219,12 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 // per Store, created even when empty, as Hadoop does) and accumulates
 // output statistics scaled to simulated bytes.
 func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]OutputStat) error {
-	// Count every Store op in this segment (reachable ones), not just
-	// those that received rows: empty part files still get created and
-	// still pay the setup cost.
+	// Count every Store op on this task's side, not just those that
+	// received rows: empty part files still get created and still pay
+	// the setup cost.
 	for _, op := range x.plan.Ops() {
-		if op.Kind != physical.KStore {
+		if op.Kind != physical.KStore || !x.runs(op.ID) {
 			continue
-		}
-		if x.inMap != nil && !x.inMap[op.ID] {
-			continue
-		}
-		if x.inMap == nil {
-			// Reduce task: only reduce-segment stores apply; a map-only
-			// store would have inMap set. Reduce tasks pass inMap=nil,
-			// so restrict to stores downstream of the package by
-			// checking the writer map OR reachability; simplest: stores
-			// whose ancestors include a Package.
-			if !storeInReduce(x.plan, op.ID) {
-				continue
-			}
 		}
 		w := x.writers[op.ID]
 		if w == nil {
@@ -315,14 +308,4 @@ func (x *exec) writtenParts() []writtenPart {
 		out = append(out, writtenPart{dir: w.path, file: w.path + "/" + x.suffix, batch: w.batch, ver: w.ver})
 	}
 	return out
-}
-
-func storeInReduce(p *physical.Plan, storeID int) bool {
-	anc := p.Ancestors(storeID)
-	for id := range anc {
-		if p.Op(id).Kind == physical.KPackage {
-			return true
-		}
-	}
-	return false
 }
