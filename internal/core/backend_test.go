@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/mapreduce"
 )
 
 // newTestFS returns the DFS backend the durability, lease and
@@ -22,4 +23,10 @@ func newTestFS(t testing.TB) dfs.Backend {
 		return d
 	}
 	return dfs.New()
+}
+
+// newTestStorage returns a storage manager over repo that reclaims
+// datasets through a default engine on fs, as a System's does.
+func newTestStorage(repo *Repository, fs dfs.Backend, cfg StorageConfig) *StorageManager {
+	return NewStorageManager(repo, mapreduce.New(fs, mapreduce.Config{}), cfg)
 }

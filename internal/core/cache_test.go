@@ -1,0 +1,148 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/pigmix"
+)
+
+// TestNoDeadCacheEntries: a job's outputs enter the batch cache
+// write-through, and most of them — temporaries, STORE staging, refresh
+// deltas, rejected or evicted sub-job outputs — are deleted or renamed
+// away soon after and never named again. Nothing but that delete or
+// rename can then take the decoded copy out of the cache, so each one
+// must go through the engine. After every step below, each dataset the
+// cache holds must still exist on the DFS; every step reaches at least
+// one of the driver's or storage manager's delete or rename sites.
+func TestNoDeadCacheEntries(t *testing.T) {
+	h := newHarness(t, Options{})
+	h.workers = 1
+	if _, err := pigmix.Generate(h.fs, pigmix.TinyScale, 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := pigmix.GenerateNetTraffic(h.fs, pigmix.NetTrafficDays, 150, 42); err != nil {
+		t.Fatal(err)
+	}
+	noDeadEntries := func(step string) {
+		t.Helper()
+		for _, path := range h.eng.CachedPaths() {
+			if !h.fs.Exists(path) {
+				t.Fatalf("%s: the batch cache still holds %s, which was deleted", step, path)
+			}
+		}
+	}
+	l11, err := pigmix.Get("L11")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Stock Pig: a three-job query deletes its two temporaries and
+	// renames its staged output onto the user path.
+	h.opts = Options{DeleteTemps: true}
+	h.run(t, l11.Script)
+	noDeadEntries("DeleteTemps")
+	h.opts = Options{}
+	h.run(t, l11.Script)
+	noDeadEntries("STORE commit")
+
+	// The sub-job selector rejects a materialized candidate — here a
+	// projection wider than its input (Rule 1; at this scale Rule 2
+	// admits it) — and deletes its output at once.
+	wide := fmt.Sprintf(`
+A = load '%s' as (%s);
+B = foreach A generate %[2]s, user;
+G = group B by user;
+S = foreach G generate group, COUNT(B);
+store S into 'out/wide';
+`, pigmix.PathPageViews, pigmix.PageViewsSchema)
+	h.opts = Options{Reuse: true, Heuristic: Aggressive, AdmitOnlyReducing: true, AdmitOnlyBeneficial: true}
+	res := h.run(t, wide)
+	rejected := 0
+	for path := range res.JobStats[0].Outputs {
+		if !h.fs.Exists(path) {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("the selector rejected no candidate; the step reaches nothing")
+	}
+	noDeadEntries("selector rejection")
+
+	// A query cancelled after one of its two final jobs committed to
+	// staging discards that staging.
+	two := fmt.Sprintf(`
+A = load '%s' as (%s);
+B = foreach A generate user, timespent, estimated_revenue;
+G = group B by user;
+S = foreach G generate group, MAX(B.estimated_revenue);
+store S into 'out/c1';
+H = group B all;
+T = foreach H generate SUM(B.timespent);
+store T into 'out/c2';
+`, pigmix.PathPageViews, pigmix.PageViewsSchema)
+	h.opts = Options{}
+	wf := h.compile(t, two)
+	final := map[string]bool{}
+	for _, j := range wf.Jobs {
+		if _, ok := wf.FinalOutputs[j.OutputPath]; ok {
+			final[j.ID] = true
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	staged := 0
+	_, err = h.driver.Execute(ctx, wf, fmt.Sprintf("q%d", h.nquery), ExecConfig{
+		Opts:    h.opts,
+		Workers: 1,
+		OnJobState: func(id string, s JobState) {
+			if s == JobDone && final[id] {
+				staged++
+				cancel()
+			}
+		},
+	})
+	if len(final) != 2 || staged != 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: err %v after %d of %d final job(s); want context.Canceled after 1 of 2", err, staged, len(final))
+	}
+	noDeadEntries("aborted staging")
+
+	// Sub-job outputs evicted under a byte budget, then the janitor's
+	// orphan sweep over the temporaries of every finished query.
+	h.opts = Options{Reuse: true, Heuristic: Aggressive}
+	h.run(t, l11.Script)
+	h.run(t, two)
+	if h.repo.Len() == 0 {
+		t.Fatal("nothing stored; the eviction step reaches nothing")
+	}
+	tight := NewStorageManager(h.repo, h.eng, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}})
+	if res := tight.Sweep(h.driver.Now(), 0); res.EntriesEvicted == 0 {
+		t.Fatalf("budget sweep evicted nothing: %+v", res)
+	}
+	noDeadEntries("budget eviction")
+	if n, _ := tight.VacuumOrphans(func(string) bool { return false }); n == 0 {
+		t.Fatal("the orphan sweep reclaimed nothing")
+	}
+	noDeadEntries("orphan sweep")
+
+	// Delta refresh: each append makes the next N1 merge a delta into
+	// its stored aggregate and delete the delta.
+	h.opts = Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive}
+	n1, err := pigmix.Get("N1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, n1.Script)
+	for cycle := 1; cycle <= 20; cycle++ {
+		if _, err := pigmix.AppendNetTrafficDay(h.fs, 150, 42); err != nil {
+			t.Fatal(err)
+		}
+		h.run(t, n1.Script)
+		if got := h.driver.DeltaStats(); got.Refreshes < int64(cycle) || got.Failed != 0 {
+			t.Fatalf("cycle %d did not refresh: %+v", cycle, got)
+		}
+		noDeadEntries(fmt.Sprintf("refresh cycle %d", cycle))
+	}
+}

@@ -665,7 +665,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		// Abort: discard staged outputs so a cancelled or failed query
 		// publishes nothing (user paths keep whatever they held before).
 		for stage := range staged {
-			_ = eng.FS().Delete(stage)
+			_ = eng.DeleteDataset(stage)
 		}
 		return nil, err
 	}
@@ -676,7 +676,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	committedVer := make(map[string]int64, len(staged)) // user path -> version
 	for stage, user := range staged {
 		commitSpan := tr.Start(root, obs.KindStoreCommit, user)
-		v, err := eng.FS().Rename(stage, user)
+		v, err := eng.RenameDataset(stage, user)
 		tr.End(commitSpan)
 		if err != nil {
 			return nil, fmt.Errorf("core: committing %s output %s: %w", queryID, user, err)
@@ -845,7 +845,7 @@ func (d *Driver) register(opts Options, job *physical.Job, cleanPlan *physical.P
 			e.OutputVersion = fs.Version(e.OutputPath)
 			stored = append(stored, repo.Insert(e))
 		} else if !c.Existing {
-			_ = fs.Delete(c.Path) // rejected by the selector: reclaim now
+			_ = eng.DeleteDataset(c.Path) // rejected by the selector: reclaim now
 		}
 	}
 	return stored, deferred, extraBytes
@@ -875,7 +875,7 @@ func deleteTemps(eng *mapreduce.Engine, wf *physical.Workflow, jobs []*physical.
 	}
 	for _, j := range jobs {
 		if !finals[j.OutputPath] {
-			_ = eng.FS().Delete(j.OutputPath)
+			_ = eng.DeleteDataset(j.OutputPath)
 		}
 	}
 }

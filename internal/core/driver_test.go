@@ -12,6 +12,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/mapreduce"
 	"repro/internal/mrcompile"
+	"repro/internal/physical"
 	"repro/internal/piglatin"
 	"repro/internal/tuple"
 )
@@ -33,7 +34,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 	fs := dfs.New()
 	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
 	repo := NewRepository()
-	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}), 0)
+	driver := NewDriver(eng, NewStorageManager(repo, eng, StorageConfig{}), 0)
 	return &harness{fs: fs, eng: eng, repo: repo, driver: driver, opts: opts}
 }
 
@@ -51,6 +52,18 @@ func (h *harness) write(t *testing.T, path string, rows ...tuple.Tuple) {
 
 func (h *harness) run(t *testing.T, src string) *Result {
 	t.Helper()
+	wf := h.compile(t, src)
+	res, err := h.driver.Execute(context.Background(), wf, fmt.Sprintf("q%d", h.nquery), ExecConfig{Opts: h.opts, Workers: h.workers})
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return res
+}
+
+// compile parses and compiles src as the harness's next query, whose
+// ID is fmt.Sprintf("q%d", h.nquery) afterwards.
+func (h *harness) compile(t *testing.T, src string) *physical.Workflow {
+	t.Helper()
 	h.nquery++
 	script, err := piglatin.Parse(src)
 	if err != nil {
@@ -67,11 +80,7 @@ func (h *harness) run(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	res, err := h.driver.Execute(context.Background(), wf, fmt.Sprintf("q%d", h.nquery), ExecConfig{Opts: h.opts, Workers: h.workers})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	return res
+	return wf
 }
 
 func (h *harness) read(t *testing.T, res *Result, userPath string) []tuple.Tuple {

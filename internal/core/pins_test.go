@@ -21,8 +21,8 @@ func pinWorld(t *testing.T) (fs dfs.Backend, repoA *Repository, mB *StorageManag
 	psA.SetClock(clock.Now)
 	psB.SetClock(clock.Now)
 	// A's manager is built only to wire psA into rA's pin transitions.
-	NewStorageManager(rA, fs, StorageConfig{Policy: LRUPolicy{}, Pins: psA})
-	mB = NewStorageManager(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Pins: psB})
+	newTestStorage(rA, fs, StorageConfig{Policy: LRUPolicy{}, Pins: psA})
+	mB = newTestStorage(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Pins: psB})
 	return fs, rA, mB, psA, psB, dlB, clock
 }
 

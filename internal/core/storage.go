@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dfs"
+	"repro/internal/mapreduce"
 )
 
 // StorageManager is the active half of the repository: where Repository
@@ -38,7 +38,7 @@ import (
 // All methods are safe for concurrent use.
 type StorageManager struct {
 	repo *Repository
-	fs   dfs.Backend
+	eng  *mapreduce.Engine // every dataset delete goes through it
 	cfg  StorageConfig
 
 	mu     sync.Mutex
@@ -99,9 +99,10 @@ type StorageConfig struct {
 	Pins *PinSet
 }
 
-// NewStorageManager returns a manager over the repository and file
-// system.
-func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *StorageManager {
+// NewStorageManager returns a manager over the repository and the
+// engine's file system. Datasets it reclaims are deleted through the
+// engine, so their decoded copies leave the batch cache with them.
+func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfig) *StorageManager {
 	if cfg.Policy == nil {
 		cfg.Policy = CostBenefitPolicy{}
 	}
@@ -111,7 +112,7 @@ func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *Sto
 		repo.pinHook = cfg.Pins
 		repo.pinMu.Unlock()
 	}
-	return &StorageManager{repo: repo, fs: fs, cfg: cfg, claims: map[string]*Claim{}}
+	return &StorageManager{repo: repo, eng: eng, cfg: cfg, claims: map[string]*Claim{}}
 }
 
 // namespaces returns the managed per-query namespace roots the orphan
@@ -237,7 +238,7 @@ func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
 		// (the caller re-rewrites against it, as a lease waiter would).
 		if m.cfg.Durable != nil {
 			m.cfg.Durable.Refresh()
-			if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.fs) {
+			if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
 				m.cfg.Leases.Release(lease)
 				m.leaseShared.Add(1)
 				m.Commit(c, e)
@@ -264,7 +265,7 @@ func (m *StorageManager) relayRemote(c *Claim) {
 	if m.cfg.Durable != nil {
 		m.cfg.Durable.Refresh()
 	}
-	if e := m.repo.lookupFP(c.fp); e != nil && m.repo.Valid(e, m.fs) {
+	if e := m.repo.lookupFP(c.fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
 		m.leaseShared.Add(1)
 		m.Commit(c, e)
 		return
@@ -463,7 +464,7 @@ func (m *StorageManager) usage() ([]EntryUsage, int64) {
 	var out []EntryUsage
 	seen := map[string]int64{}
 	m.repo.Scan(func(e *Entry) bool {
-		u := EntryUsage{Entry: e, Bytes: e.storedBytes(m.fs)}
+		u := EntryUsage{Entry: e, Bytes: e.storedBytes(m.eng.FS())}
 		u.LastUse, u.TimesReused = e.StoredAt, e.TimesReused
 		if e.LastReused > u.LastUse {
 			u.LastUse = e.LastReused
@@ -540,7 +541,7 @@ func (m *StorageManager) deleteOwnedOutputs(removed []*Entry) {
 	})
 	for _, e := range removed {
 		if !e.WholeJob && m.managed(e.OutputPath) && !stillRef[e.OutputPath] && !m.peerPinned(e.ID) {
-			_ = m.fs.Delete(e.OutputPath)
+			_ = m.eng.DeleteDataset(e.OutputPath)
 		}
 	}
 }
@@ -577,7 +578,7 @@ type SweepResult struct {
 func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	m.sweeps.Add(1)
 	var res SweepResult
-	vacuumed := m.repo.Vacuum(m.fs, now, window)
+	vacuumed := m.repo.Vacuum(m.eng.FS(), now, window)
 	res.EntriesVacuumed = len(vacuumed)
 	m.deleteOwnedOutputs(vacuumed)
 	res.EntriesEvicted = len(m.EnforceBudget(now))
@@ -628,7 +629,7 @@ func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int
 	var count int
 	var bytes int64
 	for _, ns := range m.namespaces() {
-		for _, ds := range m.fs.Datasets(ns) {
+		for _, ds := range m.eng.FS().Datasets(ns) {
 			qid := queryIDUnder(ns, ds)
 			if qid == "" || live(qid) || referenced(ds) {
 				continue
@@ -636,8 +637,8 @@ func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int
 			if m.cfg.QueryPrefix != "" && !strings.HasPrefix(qid, m.cfg.QueryPrefix) {
 				continue // another process's query; its own janitor decides
 			}
-			n := m.fs.Size(ds)
-			if m.fs.Delete(ds) == nil {
+			n := m.eng.FS().Size(ds)
+			if m.eng.DeleteDataset(ds) == nil {
 				count++
 				bytes += n
 			}

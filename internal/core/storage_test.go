@@ -29,7 +29,7 @@ store B into 'o';
 }
 
 func TestClaimProtocolBasics(t *testing.T) {
-	m := NewStorageManager(NewRepository(), newTestFS(t), StorageConfig{})
+	m := newTestStorage(NewRepository(), newTestFS(t), StorageConfig{})
 
 	c1, won := m.TryClaim("fp1", "q1")
 	if !won {
@@ -86,7 +86,7 @@ func TestClaimProtocolBasics(t *testing.T) {
 }
 
 func TestClaimWaitRespectsContext(t *testing.T) {
-	m := NewStorageManager(NewRepository(), newTestFS(t), StorageConfig{})
+	m := newTestStorage(NewRepository(), newTestFS(t), StorageConfig{})
 	c, _ := m.TryClaim("fp", "winner")
 	other, won := m.TryClaim("fp", "loser")
 	if won {
@@ -164,7 +164,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 		t.Run(policy.Name(), func(t *testing.T) {
 			fs := newTestFS(t)
 			repo := NewRepository()
-			m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy})
+			m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy})
 			var pinnedEntry *Entry
 			for i := 0; i < 5; i++ {
 				e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000,
@@ -217,7 +217,7 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 func TestVacuumOrphans(t *testing.T) {
 	fs := newTestFS(t)
 	repo := NewRepository()
-	m := NewStorageManager(repo, fs, StorageConfig{})
+	m := newTestStorage(repo, fs, StorageConfig{})
 
 	write := func(path string) {
 		if err := fs.WriteFile(path, []byte("data")); err != nil {
@@ -318,7 +318,7 @@ func TestStoredBytesCache(t *testing.T) {
 func TestStoredBytesCacheSurvivesBudgetSweeps(t *testing.T) {
 	fs := newTestFS(t)
 	repo := NewRepository()
-	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
+	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
 	for i := 0; i < 4; i++ {
 		e := storedEntry(t, repo, fs, fmt.Sprintf("s%d", i), fmt.Sprintf("sin%d", i), 1000, EntryStats{})
 		e.StoredAt = time.Duration(i) * time.Minute
@@ -364,7 +364,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 	// The driver builds its per-query prefixes through the same helper,
 	// so a raw root with a trailing slash cannot divorce its layout
 	// from the janitor's.
-	d := &Driver{store: NewStorageManager(NewRepository(), newTestFS(t), StorageConfig{NamespaceRoot: "sys/"})}
+	d := &Driver{store: newTestStorage(NewRepository(), newTestFS(t), StorageConfig{NamespaceRoot: "sys/"})}
 	if got := d.namespace("tmp", "q3"); got != "sys/tmp/q3" {
 		t.Errorf("driver namespace = %q, want sys/tmp/q3", got)
 	}
@@ -376,7 +376,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 // that happen to live under top-level tmp/ or restore/ are untouched.
 func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
 	fs := newTestFS(t)
-	m := NewStorageManager(NewRepository(), fs, StorageConfig{NamespaceRoot: "sys"})
+	m := newTestStorage(NewRepository(), fs, StorageConfig{NamespaceRoot: "sys"})
 
 	write := func(path string) {
 		if err := fs.WriteFile(path, []byte("data")); err != nil {
@@ -430,7 +430,7 @@ store B into 'o';
 	for i := 0; i < b.N; i++ {
 		// A budget above usage: the sweep scans and accounts but evicts
 		// nothing, so the repository stays populated across iterations.
-		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1 << 40, Policy: CostBenefitPolicy{}})
+		m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1 << 40, Policy: CostBenefitPolicy{}})
 		m.EnforceBudget(time.Hour)
 	}
 }
@@ -438,7 +438,7 @@ store B into 'o';
 // BenchmarkClaims measures the uncontended claim round-trip every
 // storing job pays.
 func BenchmarkClaims(b *testing.B) {
-	m := NewStorageManager(NewRepository(), newTestFS(b), StorageConfig{})
+	m := newTestStorage(NewRepository(), newTestFS(b), StorageConfig{})
 	entry := &Entry{ID: "e"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

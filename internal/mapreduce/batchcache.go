@@ -16,14 +16,16 @@ const DefaultMaxCachedBatchBytes int64 = 256 << 20
 // BatchCache is the engine's decoded-dataset cache: each entry holds
 // one dataset's part files as columnar tuple.Batch vectors, keyed by
 // dataset path and stamped with the dataset's DFS version at decode
-// time. Invalidation rides the same version bumps that drive
-// Repository.Valid — any write, delete, or rename under a dataset moves
-// its version, so a stale entry simply stops matching and is dropped on
-// its next lookup (or at once, when the deletion goes through
-// Engine.DeleteDataset: a path nobody asks for again has no next
-// lookup). The cache therefore works identically over the
-// in-memory and on-disk DFS backends, and write-through entries from
-// one query feed cache hits in every other query of the System.
+// time. Invalidation is eager: every delete or rename of a dataset a
+// job may have written goes through Engine.DeleteDataset or
+// Engine.RenameDataset, which drop the decoded copy in the same call,
+// so the cache never holds a dataset the DFS no longer has. Writers
+// outside the engine (appends, a user's WriteDataset) are covered by
+// the version stamp instead: they move the dataset's DFS version, the
+// same bump that drives Repository.Valid, and Get drops an entry whose
+// stamp no longer matches. The cache therefore works identically over
+// the in-memory and on-disk DFS backends, and write-through entries
+// from one query feed cache hits in every other query of the System.
 //
 // Entries are evicted least-recently-used under the byte budget (a
 // reuse refreshes recency, so hot repository outputs stay resident

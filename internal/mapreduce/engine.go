@@ -11,6 +11,7 @@ package mapreduce
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -213,9 +214,11 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 	// outputs are cleared instead so reruns replace rather than
 	// accumulate part files. Inputs are already in memory (makeSplits),
 	// so clearing is safe even when a job overwrites its own input.
+	// A concurrent run of the same job may clear the output between
+	// Exists and the delete; it is cleared either way.
 	for _, op := range job.Plan.Ops() {
 		if op.Kind == physical.KStore && e.fs.Exists(op.Path) {
-			if err := e.fs.Delete(op.Path); err != nil {
+			if err := e.DeleteDataset(op.Path); err != nil && !errors.Is(err, dfs.ErrNotExist) {
 				return nil, fmt.Errorf("mapreduce: clearing output %s: %w", op.Path, err)
 			}
 		}
@@ -567,7 +570,8 @@ func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
 
 // DeleteDataset deletes the dataset at path from the DFS and drops its
-// decoded copy from the cache. A deleted dataset's entry is otherwise
+// decoded copy from the cache. Every delete of a dataset a job may have
+// written goes through here: a deleted dataset's entry is otherwise
 // reclaimed only when the same path is looked up again or the budget
 // evicts it, so scratch written once and never named again — a job's
 // write-through puts it in the cache — would sit there as dead weight.
@@ -575,6 +579,17 @@ func (e *Engine) DeleteDataset(path string) error {
 	err := e.fs.Delete(path)
 	e.cache.Drop(path)
 	return err
+}
+
+// RenameDataset renames the dataset at from to to on the DFS, returning
+// the new version, and drops the decoded copies of both paths: the
+// source no longer exists and the destination's old contents were
+// replaced.
+func (e *Engine) RenameDataset(from, to string) (int64, error) {
+	v, err := e.fs.Rename(from, to)
+	e.cache.Drop(from)
+	e.cache.Drop(to)
+	return v, err
 }
 
 // mapResult carries one map task's shuffle output and cost accounting.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,10 @@ func TestMetricsFieldPlumbing(t *testing.T) {
 		{"latency.probe.count", digHist("probe", "count"), 23},
 		{"latency.claimWait.count", digHist("claimWait", "count"), 1},
 		{"latency.refresh.count", digHist("refresh", "count"), 4},
+		{"memory.heap_live_bytes", dig("memory", "heap_live_bytes"), 1 << 20},
+		{"memory.heap_goal_bytes", dig("memory", "heap_goal_bytes"), 2 << 20},
+		{"memory.batch_cache_bytes", dig("memory", "batch_cache_bytes"), 512},
+		{"memory.dfs_bytes", dig("memory", "dfs_bytes"), 65536},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -109,6 +114,11 @@ func TestMetricsPrometheus(t *testing.T) {
 		"restore_batch_cache_hits_total 13",
 		"restore_delta_refreshes_total 4",
 		"restore_service_submitted_total 0",
+		"# TYPE restore_memory_heap_live_bytes gauge",
+		"restore_memory_heap_live_bytes 1048576",
+		"restore_memory_heap_goal_bytes 2097152",
+		"restore_memory_batch_cache_bytes 512",
+		"restore_memory_dfs_bytes 65536",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -122,6 +132,28 @@ func TestMetricsPrometheus(t *testing.T) {
 		if len(strings.Fields(line)) != 2 {
 			t.Errorf("malformed sample line %q", line)
 		}
+	}
+}
+
+// TestSystemStatsMemory: on a real System the memory block carries the
+// runtime's heap readings, the batches the query's job decoded into
+// the cache, and the DFS's stored bytes.
+func TestSystemStatsMemory(t *testing.T) {
+	srv, base, client := newRealServer(t, Config{})
+	id, resp, data := submit(t, client, base, submitRequest{
+		Session: newSession(t, client, base, "acme"),
+		Script:  fmt.Sprintf(eventsScript, "out/totals"),
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	if info := waitResult(t, client, base, id); info.State != StateDone {
+		t.Fatalf("query info = %+v, want done", info)
+	}
+	runtime.GC() // heap_live_bytes is what the last GC found: 0 before the first
+	m := srv.Stats().Memory
+	if m.HeapLiveBytes == 0 || m.HeapGoalBytes == 0 || m.BatchCacheBytes == 0 || m.DFSBytes == 0 {
+		t.Fatalf("memory = %+v, want every reading nonzero", m)
 	}
 }
 

@@ -46,6 +46,11 @@ func (b StatsBundle) WritePrometheus(w io.Writer) {
 
 	counter("restore_durable_dropped_appends_total", b.Durability.DroppedAppends)
 
+	gauge("restore_memory_heap_live_bytes", b.Memory.HeapLiveBytes)
+	gauge("restore_memory_heap_goal_bytes", b.Memory.HeapGoalBytes)
+	gauge("restore_memory_batch_cache_bytes", b.Memory.BatchCacheBytes)
+	gauge("restore_memory_dfs_bytes", b.Memory.DFSBytes)
+
 	if svc := b.Service; svc != nil {
 		gauge("restore_service_sessions_active", svc.SessionsActive)
 		counter("restore_service_submitted_total", svc.Submitted)

@@ -110,6 +110,7 @@ func (e *fakeEngine) Stats() StatsBundle {
 	b.Latency.Probe.Count = 23
 	b.Latency.ClaimWait.Count = 1
 	b.Latency.Refresh.Count = 4
+	b.Memory = MemoryStats{HeapLiveBytes: 1 << 20, HeapGoalBytes: 2 << 20, BatchCacheBytes: 512, DFSBytes: 65536}
 	return b
 }
 func (e *fakeEngine) Close() error {

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"runtime/metrics"
 
 	"repro"
 )
@@ -29,6 +30,8 @@ type StatsBundle struct {
 	// claim-wait, refresh) with interpolated p50/p95/p99 and cumulative
 	// buckets; always present so scrapers can rely on the shape.
 	Latency restore.LatencySnapshot `json:"latency"`
+	// Memory is the process's memory at snapshot time.
+	Memory MemoryStats `json:"memory"`
 	// Service carries the serving front-end's per-tenant counters; nil
 	// when the bundle was taken from a System with no server in front
 	// (restore-cli).
@@ -46,6 +49,33 @@ func SystemStats(sys *restore.System) StatsBundle {
 		BatchCache: sys.BatchCacheStats(),
 		Delta:      sys.DeltaStats(),
 		Latency:    sys.LatencyStats(),
+		Memory:     memoryStats(sys),
+	}
+}
+
+// MemoryStats is the process's memory: the Go heap as the garbage
+// collector sees it, beside the two resident data sets of a System —
+// the decoded-dataset cache and the DFS's stored bytes (in memory on
+// the memory backend, on disk on the disk backend).
+type MemoryStats struct {
+	// HeapLiveBytes is the heap the last GC found live;
+	// HeapGoalBytes the heap size at which the next GC starts.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	// BatchCacheBytes is the decoded batches the cache holds.
+	BatchCacheBytes int64 `json:"batch_cache_bytes"`
+	// DFSBytes is the bytes the DFS stores.
+	DFSBytes int64 `json:"dfs_bytes"`
+}
+
+func memoryStats(sys *restore.System) MemoryStats {
+	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(heap)
+	return MemoryStats{
+		HeapLiveBytes:   heap[0].Value.Uint64(),
+		HeapGoalBytes:   heap[1].Value.Uint64(),
+		BatchCacheBytes: sys.BatchCacheStats().UsedBytes,
+		DFSBytes:        sys.FS().TotalBytes(),
 	}
 }
 

@@ -135,7 +135,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		sc.Pins = core.NewPinSet(fs, core.NamespacePath(cfg.NamespaceRoot, "pins"),
 			durable.Writer(), cfg.Durability.LeaseTTL)
 	}
-	store := core.NewStorageManager(repo, fs, sc)
+	store := core.NewStorageManager(repo, eng, sc)
 	driver := core.NewDriver(eng, store, cfg.MaxClusterJobs)
 	s := &System{
 		fs:        fs,
