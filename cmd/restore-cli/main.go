@@ -33,7 +33,6 @@
 // recovers a second System over the same DFS — as a restarted process
 // would — and reruns the script warm, proving the recovered repository
 // answers with reuse and that recovery decoded no stored plans.
-// -neg-cache sizes the cross-query negative-containment cache.
 // -stats-json replaces the human-readable closing stats with one JSON
 // document in the same schema a restore-server's /metrics endpoint
 // serves, so dashboards parse one format for both.
@@ -254,9 +253,9 @@ func main() {
 	}
 	ms := sys.MatcherStats()
 	if ms.Probes > 0 || ms.Scans > 0 {
-		fmt.Printf("matcher: %d probes (%d candidates), %d scans (%d visited), %d traversals, %d matches, %d memo hits (%d cross-query); index %d entries / %d signatures\n",
+		fmt.Printf("matcher: %d probes (%d candidates), %d scans (%d visited), %d traversals, %d matches, %d negative-cache hits; index %d entries / %d signatures\n",
 			ms.Probes, ms.Candidates, ms.Scans, ms.ScanVisited,
-			ms.FullTraversals, ms.Matches, ms.NegativeHits, ms.SharedNegHits,
+			ms.FullTraversals, ms.Matches, ms.NegativeHits,
 			ms.IndexEntries, ms.IndexSignatures)
 	}
 	bc := sys.BatchCacheStats()

@@ -179,12 +179,6 @@ type Config struct {
 	// compactions. Zero disables the goroutine; Sweep still runs a pass
 	// on demand.
 	JanitorInterval time.Duration
-	// NegCacheEntries bounds the cross-query negative-containment cache
-	// (rejected containment tests memoized across submissions, keyed by
-	// entry version and job fingerprint and invalidated on entry
-	// replacement or removal). Zero keeps the default
-	// (core.DefaultNegCacheSize); negative disables the cache.
-	NegCacheEntries int
 	// Durability makes the repository survive restarts and lets several
 	// Systems opened over one DFS (see Recover) share it.
 	Durability DurabilityConfig

@@ -344,10 +344,6 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		PathFor: func(job *physical.Job, opID int) string {
 			return fmt.Sprintf("%s/%s/op%d", d.namespace("restore", queryID), job.ID, opID)
 		},
-		SkipExisting: func(prefix PlanSig) bool {
-			e := repo.Lookup(prefix)
-			return e != nil && repo.Valid(e, eng.FS())
-		},
 	}
 
 	jobs, err := wf.TopoJobs()
@@ -460,6 +456,14 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		var injectable []*physical.Op // targets this job actually materializes
 
 		for attempt := 0; ; attempt++ {
+			// Entries published after seen are invisible to the rewrite
+			// below. Finding one later — a target Choose skips as
+			// already stored, or a claim that was free because a peer
+			// registered its sub-job and released it — means the
+			// rewrite is stale: rewrite again rather than recompute or
+			// re-materialize what the repository already answers.
+			seen := repo.generation()
+			stale := false
 			wfMu.Lock()
 			_, isFinal := finalJob[job.ID]
 			if opts.Reuse {
@@ -492,7 +496,19 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 			wfMu.Unlock()
 
 			// Choose materialization points on the rewritten plan.
-			existing, targets = enum.Choose(job)
+			choose := *enum
+			choose.SkipExisting = func(prefix PlanSig) bool {
+				e := repo.Lookup(prefix)
+				if e == nil || !repo.Valid(e, eng.FS()) {
+					return false
+				}
+				stale = stale || e.gen > seen
+				return true
+			}
+			existing, targets = choose.Choose(job)
+			if stale && opts.Reuse && attempt < maxClaimAttempts {
+				continue
+			}
 			if !claimsOn {
 				injectable = targets
 				break
@@ -559,6 +575,17 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 				tr.Note(acqSpan, fmt.Sprintf("%d fingerprint(s) wanted, %d held", len(order), len(held)))
 			}
 			tr.End(acqSpan)
+			raced := false
+			for fp, c := range held {
+				if attempt < maxClaimAttempts && repo.registeredSince(fp, seen) {
+					store.Abort(c)
+					delete(held, fp)
+					raced = true
+				}
+			}
+			if raced {
+				continue
+			}
 			if waitOn == nil {
 				injectable = targets
 				break

@@ -262,19 +262,22 @@ type MatcherStats struct {
 
 	// FullTraversals counts Algorithm 1 pairwise traversals actually
 	// run; Matches how many succeeded; NegativeHits how many traversals
-	// were skipped because a submission had already memoized the
-	// rejection for the same entry version and job fingerprint.
+	// were skipped because the negative-containment cache already held
+	// the rejection of the same entry version against the same job
+	// fingerprint, paid by this submission or an earlier one.
 	FullTraversals int64
 	Matches        int64
 	NegativeHits   int64
 
-	// Cross-query negative cache: traversals skipped because another
-	// submission had already rejected the same entry version against the
-	// same job fingerprint, rejections evicted by the LRU bound, and the
-	// cache's current size (0 size with 0 hits means it is disabled).
-	SharedNegHits      int64
-	SharedNegEvictions int64
-	SharedNegSize      int
+	// NegCacheEvictions counts rejections the negative cache's LRU bound
+	// evicted; NegCacheSize is the number it holds now.
+	NegCacheEvictions int64
+	NegCacheSize      int
+
+	// SharedNegHits is always zero: NegativeHits counts every hit of the
+	// one negative cache. It remains only because the benchmark's
+	// core.matcher.neg_hit_ratio metric adds it in.
+	SharedNegHits int64
 
 	// IndexEntries and IndexSignatures size the inverted index: entries
 	// currently indexed and distinct frontier signatures posted.

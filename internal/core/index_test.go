@@ -250,9 +250,9 @@ store C into 'f';
 	}
 }
 
-// TestNegativeMemoScopedToEntryVersion checks the submission memo never
+// TestNegativeMemoScopedToEntryVersion checks the negative cache never
 // suppresses entries that arrive (or are replaced) after a rejection
-// was recorded: the memo keys on the entry pointer, and new entries are
+// was recorded: the cache keys on the entry pointer, and new entries are
 // new pointers.
 func TestNegativeMemoScopedToEntryVersion(t *testing.T) {
 	fs := dfs.New()
@@ -299,17 +299,17 @@ store B into 'o';
 		InputVersions: map[string]int64{"x": fs.Version("x")}})
 	ev := rw.RewriteJob(cloneJob(job), false, obs.NoSpan)
 	if len(ev) != 1 || ev[0].Path != "stored/hit" {
-		t.Fatalf("memo suppressed a fresh entry: %v", ev)
+		t.Fatalf("negative cache suppressed a fresh entry: %v", ev)
 	}
 	repo.Unpin(ev[0].EntryID)
 
-	// And the rejection itself must have been memoized: re-probing the
+	// And the rejection itself must have been cached: re-probing the
 	// unchanged plan skips the miss entry's traversal.
 	before := repo.MatcherStats()
 	rw.RewriteJob(cloneJob(job), false, obs.NoSpan)
 	after := repo.MatcherStats()
 	if after.NegativeHits == before.NegativeHits {
-		t.Errorf("no negative-memo hits on a repeated probe: %+v", after)
+		t.Errorf("no negative-cache hits on a repeated probe: %+v", after)
 	}
 }
 

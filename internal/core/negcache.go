@@ -1,41 +1,39 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// DefaultNegCacheSize bounds the cross-query negative-containment cache
-// when no explicit size is configured.
-const DefaultNegCacheSize = 4096
+// negCacheSize bounds the negative-containment cache.
+const negCacheSize = 4096
 
-// negCache is the bounded, repository-wide memo of failed containment
-// tests (the PR-4 follow-up): fleets of near-identical submissions —
-// dashboards re-running the same script — re-test the same entries
-// against the same job fingerprints, and the per-submission memo in
-// Rewriter forgets every rejection when the submission ends. This cache
-// carries them across queries.
+// negKey identifies one cached rejection: this entry version's plan is
+// not contained in the job plan with this fingerprint.
+type negKey struct {
+	entry *Entry
+	jobFP string
+}
+
+// negCache is the repository's one memo of failed containment tests.
+// It serves every probe: the claim protocol's repeated re-rewrites of an
+// unchanged plan within one submission, and fleets of near-identical
+// submissions — dashboards re-running the same script — re-testing the
+// same entries against the same job fingerprints.
 //
-// Soundness matches the per-submission memo's argument: a key pairs one
-// entry *version* (entries are immutable; replacement swaps a fresh
-// pointer) with one job-plan fingerprint (a pure function of the plan),
-// so a cached rejection can never suppress a live match. Replacement
-// and removal still invalidate eagerly so the bounded capacity is not
-// wasted on dead entries.
+// A key pairs one entry *version* (entries are immutable; replacement
+// swaps a fresh pointer) with one job-plan fingerprint (a pure function
+// of the plan), so a cached rejection can never suppress a live match.
+// Replacement and removal still invalidate eagerly so the bounded
+// capacity is not wasted on dead entries.
 //
-// The structure is an LRU over a doubly linked list; all methods are
-// nil-safe so a disabled cache costs one nil check.
+// The structure is an LRU over a doubly linked list.
 type negCache struct {
 	mu    sync.Mutex
-	cap   int
 	nodes map[negKey]*negNode
 	// byEntry indexes keys by entry for O(keys-of-entry) invalidation.
 	byEntry map[*Entry]map[string]struct{}
 	// head is most recent, tail least; evictions pop the tail.
 	head, tail *negNode
-
-	hits      atomic.Int64
-	evictions atomic.Int64
+	cap        int
+	evictions  int64
 }
 
 type negNode struct {
@@ -44,9 +42,6 @@ type negNode struct {
 }
 
 func newNegCache(capacity int) *negCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &negCache{
 		cap:     capacity,
 		nodes:   map[negKey]*negNode{},
@@ -57,9 +52,6 @@ func newNegCache(capacity int) *negCache {
 // lookup reports whether the rejection is cached, refreshing its
 // recency on a hit.
 func (c *negCache) lookup(k negKey) bool {
-	if c == nil {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.nodes[k]
@@ -68,16 +60,12 @@ func (c *negCache) lookup(k negKey) bool {
 	}
 	c.unlink(n)
 	c.pushFront(n)
-	c.hits.Add(1)
 	return true
 }
 
 // add caches a rejection, evicting the least recently used one when the
 // cache is full.
 func (c *negCache) add(k negKey) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := c.nodes[k]; n != nil {
@@ -95,18 +83,14 @@ func (c *negCache) add(k negKey) {
 	}
 	fps[k.jobFP] = struct{}{}
 	for len(c.nodes) > c.cap {
-		victim := c.tail
-		c.removeLocked(victim.key)
-		c.evictions.Add(1)
+		c.removeLocked(c.tail.key)
+		c.evictions++
 	}
 }
 
 // invalidate drops every cached rejection of the entry — called under
 // the repository lock when an entry is replaced or removed.
 func (c *negCache) invalidate(e *Entry) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for fp := range c.byEntry[e] {
@@ -155,13 +139,9 @@ func (c *negCache) pushFront(n *negNode) {
 	}
 }
 
-// stats snapshots the cache counters for MatcherStats.
-func (c *negCache) stats() (hits, evictions int64, size int) {
-	if c == nil {
-		return 0, 0, 0
-	}
+// stats snapshots the cache's eviction count and size for MatcherStats.
+func (c *negCache) stats() (evictions int64, size int) {
 	c.mu.Lock()
-	size = len(c.nodes)
-	c.mu.Unlock()
-	return c.hits.Load(), c.evictions.Load(), size
+	defer c.mu.Unlock()
+	return c.evictions, len(c.nodes)
 }

@@ -30,13 +30,13 @@ store C into 'neg_out';
 // TestSharedNegCacheAcrossRewriters: a containment rejection paid by
 // one submission's rewriter is reused by the next — the traversal count
 // stops growing — and replacement of the rejected entry invalidates the
-// memo so the fresh entry version is re-tested.
+// cache so the fresh entry version is re-tested.
 func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 	fs := dfs.New()
 	repo := NewRepository()
 	repo.Insert(durableEntry(t, fs, negEntrySrc, 0))
 
-	run := func() (traversals, sharedHits int64) {
+	run := func() (traversals, negHits int64) {
 		before := repo.MatcherStats()
 		rw := &Rewriter{Repo: repo, FS: fs}
 		wf := compileJobs(t, negProbeSrc, "tmp/sn")
@@ -45,7 +45,7 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 			repo.Unpin(ev.EntryID)
 		}
 		after := repo.MatcherStats()
-		return after.FullTraversals - before.FullTraversals, after.SharedNegHits - before.SharedNegHits
+		return after.FullTraversals - before.FullTraversals, after.NegativeHits - before.NegativeHits
 	}
 
 	t1, h1 := run()
@@ -54,10 +54,10 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 	}
 	t2, h2 := run()
 	if h2 != 1 {
-		t.Fatalf("second submission hit the shared cache %d times, want 1", h2)
+		t.Fatalf("second submission hit the negative cache %d times, want 1", h2)
 	}
 	if t2 != 0 {
-		t.Fatalf("shared cache saved nothing: %d traversals on the second pass", t2)
+		t.Fatalf("negative cache saved nothing: %d traversals on the second pass", t2)
 	}
 
 	// Replacement invalidates: the fresh entry version is re-tested.
@@ -70,8 +70,8 @@ func TestSharedNegCacheAcrossRewriters(t *testing.T) {
 	}
 }
 
-// TestSharedNegCacheBound: the cache never exceeds its configured
-// capacity and counts evictions.
+// TestSharedNegCacheBound: the cache never exceeds its capacity and
+// counts evictions.
 func TestSharedNegCacheBound(t *testing.T) {
 	c := newNegCache(4)
 	e := make([]*Entry, 3)
@@ -81,7 +81,7 @@ func TestSharedNegCacheBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.add(negKey{entry: e[i%3], jobFP: fmt.Sprintf("job%d", i)})
 	}
-	hits, evictions, size := c.stats()
+	evictions, size := c.stats()
 	if size > 4 {
 		t.Fatalf("cache size %d over capacity 4", size)
 	}
@@ -95,10 +95,6 @@ func TestSharedNegCacheBound(t *testing.T) {
 	if c.lookup(negKey{entry: e[0], jobFP: "job0"}) {
 		t.Fatal("oldest key survived a full wrap")
 	}
-	if h, _, _ := c.stats(); h != hits+1 {
-		t.Fatalf("hit counter = %d, want %d", h, hits+1)
-	}
-
 	// Invalidation drops every key of an entry.
 	c.invalidate(e[0])
 	for i := 0; i < 10; i++ {
@@ -106,12 +102,4 @@ func TestSharedNegCacheBound(t *testing.T) {
 			t.Fatalf("invalidated entry still cached (job%d)", i)
 		}
 	}
-
-	// A disabled (nil) cache is inert.
-	var nc *negCache
-	nc.add(negKey{entry: e[0], jobFP: "x"})
-	if nc.lookup(negKey{entry: e[0], jobFP: "x"}) {
-		t.Fatal("nil cache returned a hit")
-	}
-	nc.invalidate(e[0])
 }

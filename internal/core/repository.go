@@ -107,6 +107,10 @@ type Entry struct {
 	// wrote this entry (zero outside durable repositories). Replaying a
 	// log record older than the entry's current state is a no-op.
 	logSeq uint64
+
+	// gen is the repository's publication count when this version was
+	// published (see Repository.registeredSince).
+	gen int64
 }
 
 // lazyPlan defers decoding a recovered entry's plan until a matcher
@@ -217,6 +221,9 @@ type Repository struct {
 	nextID  int
 	byFP    map[string]*Entry
 	index   *planIndex
+	// gen counts published entry versions: inserts, replacements and
+	// replayed puts.
+	gen int64
 
 	// idPrefix prefixes generated entry IDs ("e3" → "<prefix>e3") so
 	// repositories journaling into one shared durable log — each process
@@ -231,12 +238,11 @@ type Repository struct {
 	// applyPut/applyRemove, which bypass it.
 	jn journal
 
-	// negs is the bounded cross-query negative-containment cache; a nil
-	// pointer disables it. It is read on the match path while the
-	// repository read lock is already held, so it hangs off an atomic
-	// pointer rather than the lock. Keys hold entry pointers, so it is
+	// negs is the negative-containment cache. It is read and fed on the
+	// match path while the repository read lock is already held, so it
+	// has a lock of its own. Keys hold entry pointers, so it is
 	// invalidated whenever an entry is replaced or removed.
-	negs atomic.Pointer[negCache]
+	negs *negCache
 
 	// pinMu guards pins. Lock order: mu before pinMu (Pin is called
 	// from Scan callbacks holding mu's read side; Vacuum checks pins
@@ -254,8 +260,7 @@ type Repository struct {
 	pinHook pinBroadcast
 
 	// Matcher counters (MatcherStats), all monotonic. The traversal
-	// counters are fed by Rewriters, which own the per-submission
-	// negative memo but report here so stats span submissions.
+	// counters are fed by Rewriters and span submissions.
 	probes          atomic.Int64
 	probeCandidates atomic.Int64
 	scans           atomic.Int64
@@ -265,16 +270,14 @@ type Repository struct {
 	negHits         atomic.Int64
 }
 
-// NewRepository returns an empty repository with the default-sized
-// cross-query negative cache.
+// NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	r := &Repository{
+	return &Repository{
 		byFP:  map[string]*Entry{},
 		pins:  map[string]int{},
 		index: newPlanIndex(),
+		negs:  newNegCache(negCacheSize),
 	}
-	r.negs.Store(newNegCache(DefaultNegCacheSize))
-	return r
 }
 
 // journal receives repository mutations under the write lock; the
@@ -284,12 +287,6 @@ func NewRepository() *Repository {
 type journal interface {
 	appendPut(e *Entry, f *footprint, pos int)
 	appendRemove(e *Entry)
-}
-
-// SetNegCacheSize resizes the cross-query negative-containment cache to
-// hold at most n rejections (n <= 0 disables it). The cache is cleared.
-func (r *Repository) SetNegCacheSize(n int) {
-	r.negs.Store(newNegCache(n))
 }
 
 // Len returns the number of entries.
@@ -377,20 +374,8 @@ func (r *Repository) MatcherStats() MatcherStats {
 		IndexEntries:    entries,
 		IndexSignatures: sigs,
 	}
-	st.SharedNegHits, st.SharedNegEvictions, st.SharedNegSize = r.negs.Load().stats()
+	st.NegCacheEvictions, st.NegCacheSize = r.negs.stats()
 	return st
-}
-
-// sharedNegCached reports whether the cross-query cache has memoized
-// this entry-version/job rejection. It takes no repository lock (the
-// match path calls it while already holding the read side).
-func (r *Repository) sharedNegCached(k negKey) bool {
-	return r.negs.Load().lookup(k)
-}
-
-// cacheSharedNeg memoizes a failed containment test across queries.
-func (r *Repository) cacheSharedNeg(k negKey) {
-	r.negs.Load().add(k)
 }
 
 // Lookup returns the entry whose plan fingerprint equals that of sig,
@@ -434,10 +419,10 @@ func (r *Repository) Insert(e *Entry) *Entry {
 			}
 		}
 		r.index.remove(old)
-		r.negs.Load().invalidate(old)
+		r.negs.invalidate(old)
 		r.index.add(&ne)
 		r.insertOrdered(&ne)
-		r.byFP[fp] = &ne
+		r.publish(&ne)
 		r.journalPut(&ne)
 		return &ne
 	}
@@ -451,9 +436,33 @@ func (r *Repository) Insert(e *Entry) *Entry {
 	}
 	r.index.add(e)
 	r.insertOrdered(e)
-	r.byFP[fp] = e
+	r.publish(e)
 	r.journalPut(e)
 	return e
+}
+
+// publish makes e the entry of its fingerprint and stamps its
+// publication count (mu held).
+func (r *Repository) publish(e *Entry) {
+	r.gen++
+	e.gen = r.gen
+	r.byFP[e.fp] = e
+}
+
+// generation returns the number of entry versions published so far.
+func (r *Repository) generation() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.gen
+}
+
+// registeredSince reports whether the entry of fingerprint fp was
+// published after generation g, which a job rewritten at g did not see.
+func (r *Repository) registeredSince(fp string, g int64) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e := r.byFP[fp]
+	return e != nil && e.gen > g
 }
 
 // journalPut reports an inserted or replaced entry to the journal with
@@ -525,7 +534,7 @@ func (r *Repository) EvictUnpinned(ids []string) []*Entry {
 				r.entries = append(r.entries[:i], r.entries[i+1:]...)
 				delete(r.byFP, e.fingerprint())
 				r.index.remove(e)
-				r.negs.Load().invalidate(e)
+				r.negs.invalidate(e)
 				r.journalRemove(e)
 				removed = append(removed, e)
 				break
@@ -547,7 +556,7 @@ func (r *Repository) Remove(id string) *Entry {
 			r.entries = append(r.entries[:i], r.entries[i+1:]...)
 			delete(r.byFP, e.fingerprint())
 			r.index.remove(e)
-			r.negs.Load().invalidate(e)
+			r.negs.invalidate(e)
 			r.journalRemove(e)
 			r.index.renumber(r.entries)
 			return e
@@ -603,7 +612,7 @@ func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Durat
 		if bad {
 			delete(r.byFP, e.fingerprint())
 			r.index.remove(e)
-			r.negs.Load().invalidate(e)
+			r.negs.invalidate(e)
 			r.journalRemove(e)
 			removed = append(removed, e)
 		} else {
@@ -693,7 +702,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 			}
 		}
 		r.index.remove(old)
-		r.negs.Load().invalidate(old)
+		r.negs.invalidate(old)
 	}
 	e.logSeq = seq
 	if e.size == nil {
@@ -707,7 +716,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 	r.entries[pos] = e
 	r.index.addWithFootprint(e, f)
 	r.index.renumber(r.entries)
-	r.byFP[e.fp] = e
+	r.publish(e)
 }
 
 // applyRemove applies a replayed durable-log remove without journaling;
@@ -725,7 +734,7 @@ func (r *Repository) applyRemove(id string, seq uint64) {
 		r.entries = append(r.entries[:i], r.entries[i+1:]...)
 		delete(r.byFP, e.fingerprint())
 		r.index.remove(e)
-		r.negs.Load().invalidate(e)
+		r.negs.invalidate(e)
 		r.index.renumber(r.entries)
 		return
 	}

@@ -103,6 +103,31 @@ store B into 'o';
 	}
 }
 
+// TestRegisteredSince: a job rewritten at a generation can tell which
+// fingerprints were published after it looked — a new entry or a
+// replacement of one it had already seen — and which were not.
+func TestRegisteredSince(t *testing.T) {
+	repo := NewRepository()
+	src := `
+A = load 'pv' as (u, r);
+B = foreach A generate u;
+store B into 'o';
+`
+	seen := repo.generation()
+	e := repo.Insert(entryFor(t, src, "", EntryStats{InputSimBytes: 10, OutputSimBytes: 5}))
+	if !repo.registeredSince(e.fp, seen) {
+		t.Fatal("an entry published after the look is not reported")
+	}
+	if repo.registeredSince(e.fp, repo.generation()) || repo.registeredSince("no-such-fp", seen) {
+		t.Fatal("registeredSince reports an entry published before the look, or a missing one")
+	}
+	seen = repo.generation()
+	repo.Insert(entryFor(t, src, "", EntryStats{InputSimBytes: 99, OutputSimBytes: 1}))
+	if !repo.registeredSince(e.fp, seen) {
+		t.Fatal("a replacement published after the look is not reported")
+	}
+}
+
 func TestRemoveEntry(t *testing.T) {
 	repo := NewRepository()
 	e := entryFor(t, `

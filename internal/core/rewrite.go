@@ -22,10 +22,11 @@ import (
 // traversal per repository entry. LinearScan restores the paper's
 // sequential scan; both modes choose identical entries.
 //
-// Failed containment tests are memoized for the Rewriter's lifetime —
-// one driver submission — keyed by entry version and job-plan
-// fingerprint, so the claim protocol's repeated re-rewrites of an
-// unchanged plan skip straight past entries already rejected.
+// Failed containment tests are memoized in the repository's negative
+// cache, keyed by entry version and job-plan fingerprint, so the claim
+// protocol's repeated re-rewrites of an unchanged plan, and later
+// submissions of the same plan, skip straight past entries already
+// rejected.
 //
 // Repository probes are internally synchronized, but RewriteJob mutates
 // the job's plan in place: the caller must ensure no other goroutine
@@ -66,16 +67,9 @@ type Rewriter struct {
 	// individual query is untraced.
 	Metrics *obs.Metrics
 
-	// negMu guards neg, the submission-scoped memo of failed
-	// containment tests. Entries are immutable — re-registration swaps
-	// in a fresh pointer — so the entry pointer identifies exactly one
-	// entry version, and a rewritten plan changes its fingerprint; a
-	// stale negative can therefore never suppress a live match.
-	// noRefresh (same lock) marks entry versions whose refresh already
-	// failed this submission, so one bad delta does not retry on every
-	// probe round.
-	negMu     sync.Mutex
-	neg       map[negKey]bool
+	// noRefresh marks entry versions whose refresh already failed this
+	// submission, so one bad delta does not retry on every probe round.
+	refreshMu sync.Mutex
 	noRefresh map[*Entry]bool
 }
 
@@ -91,42 +85,18 @@ type RefreshCandidate struct {
 	Growth map[string]dfs.Growth
 }
 
-// negKey identifies one memoized rejection: this entry version's plan
-// is not contained in the job plan with this fingerprint.
-type negKey struct {
-	entry *Entry
-	jobFP string
-}
-
-// negCached reports whether the containment test is known to fail.
-func (rw *Rewriter) negCached(k negKey) bool {
-	rw.negMu.Lock()
-	defer rw.negMu.Unlock()
-	return rw.neg[k]
-}
-
-// cacheNeg memoizes a failed containment test.
-func (rw *Rewriter) cacheNeg(k negKey) {
-	rw.negMu.Lock()
-	defer rw.negMu.Unlock()
-	if rw.neg == nil {
-		rw.neg = map[negKey]bool{}
-	}
-	rw.neg[k] = true
-}
-
 // refreshBlocked reports whether this entry version's refresh already
 // failed in this submission.
 func (rw *Rewriter) refreshBlocked(e *Entry) bool {
-	rw.negMu.Lock()
-	defer rw.negMu.Unlock()
+	rw.refreshMu.Lock()
+	defer rw.refreshMu.Unlock()
 	return rw.noRefresh[e]
 }
 
 // blockRefresh marks this entry version as not worth re-attempting.
 func (rw *Rewriter) blockRefresh(e *Entry) {
-	rw.negMu.Lock()
-	defer rw.negMu.Unlock()
+	rw.refreshMu.Lock()
+	defer rw.refreshMu.Unlock()
 	if rw.noRefresh == nil {
 		rw.noRefresh = map[*Entry]bool{}
 	}
@@ -191,9 +161,8 @@ type RewriteEvent struct {
 // matches"), so several entries can contribute to one job — a rewrite
 // changes the plan, and the fresh Load over a stored output can expose
 // matches the previous round could not see. Each round costs one index
-// probe, not a repository scan, and entries rejected against an
-// unchanged plan earlier in the submission are skipped via the negative
-// memo. It returns the rewrite events applied, with WholeJob set when
+// probe, not a repository scan, and entries already rejected against an
+// unchanged plan are skipped via the negative cache. It returns the rewrite events applied, with WholeJob set when
 // an entry covered the entire job (the caller then drops the job and
 // rewires its dependants).
 //
@@ -296,25 +265,15 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 		// a containment failure and must not be memoized either — the
 		// same plan can recur with allowWhole true.
 		k := negKey{entry: e, jobFP: jobFP}
-		if rw.negCached(k) {
+		if rw.Repo.negs.lookup(k) {
 			negHits++
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonNegCache)
-			return true
-		}
-		// The shared cross-query cache is consulted after the local memo
-		// (which is free of locks shared with other submissions) and fed
-		// on every rejection, so fleets of near-identical submissions
-		// skip traversals their predecessors already paid for.
-		if rw.Repo.sharedNegCached(k) {
-			rw.cacheNeg(k)
-			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonSharedNegCache)
 			return true
 		}
 		traversals++
 		res, ok := matchEntry(e, job.Plan, jobSig, mainStoreInput)
 		if !ok {
-			rw.cacheNeg(k)
-			rw.Repo.cacheSharedNeg(k)
+			rw.Repo.negs.add(k)
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonContainmentFail)
 			return true
 		}

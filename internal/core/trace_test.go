@@ -87,27 +87,14 @@ func TestRejectionReasons(t *testing.T) {
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
 				e := durableEntry(t, fs, negEntrySrc, 2)
 				repo.Insert(e)
-				// The same rewriter pays the containment traversal once;
-				// this probe must answer from its local memo.
-				if rs, _ := candidateReasons(t, rw, negProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
-					t.Fatalf("warmup verdict = %v", rs[e.ID])
-				}
-				return map[string]string{e.ID: obs.ReasonNegCache}
-			},
-		},
-		{
-			name:  "shared-neg-cache",
-			probe: negProbeSrc,
-			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negEntrySrc, 3)
-				repo.Insert(e)
-				// A different rewriter pays the rejection; this one must
-				// answer from the repository's shared cache.
+				// Another submission's rewriter pays the containment
+				// traversal once; this probe must answer from the
+				// repository's negative cache.
 				other := &Rewriter{Repo: repo, FS: fs}
 				if rs, _ := candidateReasons(t, other, negProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
 					t.Fatalf("warmup verdict = %v", rs[e.ID])
 				}
-				return map[string]string{e.ID: obs.ReasonSharedNegCache}
+				return map[string]string{e.ID: obs.ReasonNegCache}
 			},
 		},
 		{

@@ -20,7 +20,7 @@ import (
 type Flags struct {
 	Scale, Heuristic, Evict, NSRoot, DurablePath, Backend, DataDir string
 	Reuse, WholeJobs, Durable                                      bool
-	Workers, MaxClusterJobs, CompactEvery, NegCache                int
+	Workers, MaxClusterJobs, CompactEvery                          int
 	MaxRepoMB, BatchCacheMB                                        int64
 	EvictWindow, Janitor, LeaseTTL                                 time.Duration
 }
@@ -43,7 +43,6 @@ func Register(fs *flag.FlagSet, scale string, reuse bool, heuristic string) *Fla
 	fs.DurationVar(&f.EvictWindow, "evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)")
 	fs.DurationVar(&f.Janitor, "janitor", 0, "background storage-janitor sweep interval (0 = off)")
 	fs.StringVar(&f.NSRoot, "ns-root", "", "root of ReStore's managed namespaces (default: top-level tmp/ and restore/)")
-	fs.IntVar(&f.NegCache, "neg-cache", 0, "cross-query negative-containment cache entries (0 = default 4096, negative = off)")
 	fs.BoolVar(&f.Durable, "durable", false, "journal the repository to a manifest + event log on the DFS (crash-safe, multi-process)")
 	fs.StringVar(&f.DurablePath, "durable-path", "", "DFS directory of the manifest and event log (default <ns-root>/repo)")
 	fs.IntVar(&f.CompactEvery, "compact-every", 0, "records between automatic log compactions (0 = default 64, negative = never)")
@@ -95,7 +94,6 @@ func (f *Flags) Resolve() (Resolved, error) {
 	cfg.Eviction = policy
 	cfg.JanitorInterval = f.Janitor
 	cfg.NamespaceRoot = f.NSRoot
-	cfg.NegCacheEntries = f.NegCache
 	cfg.Durability = restore.DurabilityConfig{
 		Enabled:      f.Durable,
 		Path:         f.DurablePath,

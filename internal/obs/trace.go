@@ -16,8 +16,8 @@
 //	    probe           one matcher probe against the repository
 //	      probe.candidate   one nominated entry; Note is the verdict:
 //	                        footprint-miss, invalid, neg-cache,
-//	                        shared-neg-cache, containment-fail,
-//	                        whole-plan-skipped, refresh-candidate, win
+//	                        containment-fail, whole-plan-skipped,
+//	                        refresh-candidate, win
 //	    reuse           a rewrite applied; Ref names the winning entry,
 //	                    BytesIn the stored input bytes the reuse avoids
 //	    claim.acquire   claiming this job's materialization fingerprints
@@ -63,7 +63,6 @@ const (
 	ReasonFootprintMiss    = "footprint-miss"
 	ReasonInvalid          = "invalid"
 	ReasonNegCache         = "neg-cache"
-	ReasonSharedNegCache   = "shared-neg-cache"
 	ReasonContainmentFail  = "containment-fail"
 	ReasonWholePlanSkipped = "whole-plan-skipped"
 	ReasonRefreshCandidate = "refresh-candidate"

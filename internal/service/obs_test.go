@@ -68,6 +68,8 @@ func TestMetricsFieldPlumbing(t *testing.T) {
 		{"matcher.Probes", dig("matcher", "Probes"), 23},
 		{"matcher.Matches", dig("matcher", "Matches"), 5},
 		{"matcher.NegativeHits", dig("matcher", "NegativeHits"), 3},
+		{"matcher.NegCacheEvictions", dig("matcher", "NegCacheEvictions"), 6},
+		{"matcher.NegCacheSize", dig("matcher", "NegCacheSize"), 17},
 		{"batchCache.Hits", dig("batchCache", "Hits"), 13},
 		{"delta.refreshes", dig("delta", "refreshes"), 4},
 		{"delta.coldBytesAvoided", dig("delta", "coldBytesAvoided"), 8192},
@@ -111,6 +113,10 @@ func TestMetricsPrometheus(t *testing.T) {
 		"restore_storage_entries 7",
 		"# TYPE restore_matcher_matches_total counter",
 		"restore_matcher_matches_total 5",
+		"restore_matcher_negative_hits_total 3",
+		"restore_matcher_neg_cache_evictions_total 6",
+		"# TYPE restore_matcher_neg_cache_entries gauge",
+		"restore_matcher_neg_cache_entries 17",
 		"restore_batch_cache_hits_total 13",
 		"restore_delta_refreshes_total 4",
 		"restore_service_submitted_total 0",

@@ -121,9 +121,6 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	} else {
 		repo = core.NewRepository()
 	}
-	if cfg.NegCacheEntries != 0 {
-		repo.SetNegCacheSize(cfg.NegCacheEntries)
-	}
 
 	sc := core.StorageConfig{
 		MaxBytes:      cfg.MaxRepositoryBytes,
