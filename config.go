@@ -188,18 +188,19 @@ type Config struct {
 }
 
 // DurabilityConfig configures the durable repository: a crash-safe
-// manifest + append-only event log on the DFS, plus cross-process claim
-// leases. Zero-valued, durability is off and the repository lives in
-// process memory exactly as before.
+// manifest + append-only event log on the DFS, and the lifetime of the
+// claim leases. Zero-valued, durability is off and the repository lives
+// in process memory exactly as before.
 type DurabilityConfig struct {
 	// Enabled turns the subsystem on: every repository mutation is
-	// journaled to the DFS before it is acknowledged, recovery (Recover,
-	// or opening over a DFS that already holds a log) replays
+	// journaled to the DFS before it is acknowledged, and recovery
+	// (Recover, or opening over a DFS that already holds a log) replays
 	// manifest + log — rebuilding the signature index from persisted
-	// footprints without decoding any stored plan — and materialization
-	// claims are backed by TTL'd lease records under "<ns-root>/locks/",
-	// so Systems in different processes sharing one DFS share in-flight
-	// materializations instead of duplicating them.
+	// footprints without decoding any stored plan. A claim waiter reads
+	// the holder's entry from the log, so Systems in different processes
+	// sharing one DFS share in-flight materializations (serialized by
+	// the claim leases under "<ns-root>/locks/") instead of duplicating
+	// them.
 	Enabled bool
 	// Path is the DFS directory holding the manifest and event log;
 	// empty defaults to "<NamespaceRoot>/repo".
@@ -209,10 +210,9 @@ type DurabilityConfig struct {
 	// automatically).
 	CompactEvery int
 	// LeaseTTL bounds how long a crashed process's claims can block
-	// peers (0 = default 1 minute); LeasePoll is the cross-process lease
-	// polling interval (0 = default 2ms).
-	LeaseTTL  time.Duration
-	LeasePoll time.Duration
+	// peers (0 = default 1 minute). It applies to every System's claim
+	// leases, durable or not.
+	LeaseTTL time.Duration
 }
 
 // DefaultConfig returns a configuration mirroring the paper's testbed

@@ -92,11 +92,13 @@
 // resource:
 //
 //   - Claims. Before materializing a sub-job output, a query claims its
-//     plan fingerprint; a concurrent query about to materialize the
-//     same sub-job blocks until the winner commits, then rewrites
-//     against the freshly committed entry instead of duplicating the
-//     work. Claims are on whenever a query stores anything; when a
-//     winner aborts, the waiters contend for the claim again.
+//     plan fingerprint by taking a TTL'd lease record in a locks
+//     namespace on the DFS; a concurrent query about to materialize the
+//     same sub-job blocks until the winner releases the lease, then
+//     rewrites against the freshly committed entry instead of
+//     duplicating the work. Claims are on whenever a query stores
+//     anything; when a winner aborts, the waiters contend for the claim
+//     again.
 //
 //   - Budget. Config.MaxRepositoryBytes bounds the bytes the repository
 //     retains; when exceeded, the Config.Eviction policy (reuse-window,
@@ -131,10 +133,9 @@
 //     A crash at any boundary recovers to exactly the acknowledged
 //     state.
 //
-//   - Claim leases. Materialization claims are backed by TTL'd lease
-//     records with fencing versions in a locks namespace on the DFS, so
-//     two processes about to materialize the same sub-job resolve to
-//     one winner; the loser waits on the lease, folds the winner's log
+//   - Shared claims. A claim is a lease on the shared DFS, so two
+//     processes about to materialize the same sub-job resolve to one
+//     winner; the loser waits on the lease, folds the winner's log
 //     records into its own repository, and reuses the committed entry.
 //     The janitor reaps expired leases, so a crashed process's
 //     in-flight claims unblock its peers within the TTL.

@@ -278,7 +278,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for sysB.StorageStats().LeaseWaits == 0 {
+	for sysB.StorageStats().ClaimWaits == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("B never blocked on A's lease")
 		}
@@ -324,7 +324,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 
 	// If B contended, it must have shared the winner's entry rather
 	// than re-materializing.
-	if st := sysB.StorageStats(); st.LeaseWaits > 0 && st.LeasesShared == 0 && st.ClaimsShared == 0 {
+	if st := sysB.StorageStats(); st.ClaimWaits > 0 && st.ClaimsShared == 0 {
 		t.Errorf("B waited on a lease but shared nothing: %+v", st)
 	}
 }

@@ -564,7 +564,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 				if held[fp] != nil {
 					continue
 				}
-				if c, won := store.TryClaim(fp, queryID); won {
+				if c, won := store.TryClaim(fp); won {
 					held[fp] = c
 				} else {
 					waitOn = c
@@ -665,13 +665,13 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		// waiting queries wake and reuse it; claims whose entries the
 		// sub-job selector rejected abort, releasing the fingerprint.
 		if len(held) > 0 {
-			byFP := make(map[string]*Entry, len(out.stored))
+			stored := make(map[string]bool, len(out.stored))
 			for _, e := range out.stored {
-				byFP[e.fingerprint()] = e
+				stored[e.fingerprint()] = true
 			}
 			for fp, c := range held {
-				if e := byFP[fp]; e != nil {
-					store.Commit(c, e)
+				if stored[fp] {
+					store.Commit(c)
 				} else {
 					store.Abort(c)
 				}

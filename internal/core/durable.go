@@ -63,9 +63,15 @@ const compactFingerprint = "\x00compact"
 type DurableConfig struct {
 	// Root is the DFS directory the manifest and log live under.
 	Root string
+	// Writer is this process's writer ID, from AllocWriter.
+	Writer string
 	// CompactEvery is the append count between automatic compactions
 	// (0 = DefaultCompactEvery, negative = never auto-compact).
 	CompactEvery int
+	// Leases, when non-nil, makes compaction mutually exclusive across
+	// processes through a lease; without it, only one process may
+	// compact.
+	Leases *LeaseManager
 }
 
 // logOp is the record type tag.
@@ -233,15 +239,15 @@ type DurableLog struct {
 }
 
 // OpenDurableLog opens (or initializes) the durable repository at
-// cfg.Root on fs: it allocates a unique writer ID through the DFS CAS,
-// rebuilds a Repository from the manifest and event log — using the
-// persisted footprints, fingerprints and positions; no stored plan is
-// decoded — and attaches itself as the repository's journal, so every
-// subsequent mutation is logged before it is acknowledged.
+// cfg.Root on fs as writer cfg.Writer: it rebuilds a Repository from
+// the manifest and event log — using the persisted footprints,
+// fingerprints and positions; no stored plan is decoded — and attaches
+// itself as the repository's journal, so every subsequent mutation is
+// logged before it is acknowledged.
 func OpenDurableLog(fs dfs.Backend, cfg DurableConfig) (*DurableLog, *Repository, error) {
 	root := cleanPath(cfg.Root)
-	if root == "" {
-		return nil, nil, fmt.Errorf("core: durable log needs a root path")
+	if root == "" || cfg.Writer == "" {
+		return nil, nil, fmt.Errorf("core: durable log needs a root path and a writer ID")
 	}
 	every := cfg.CompactEvery
 	if every == 0 {
@@ -250,8 +256,9 @@ func OpenDurableLog(fs dfs.Backend, cfg DurableConfig) (*DurableLog, *Repository
 	dl := &DurableLog{
 		fs:           fs,
 		root:         root,
-		writer:       allocWriter(fs, root),
+		writer:       cfg.Writer,
 		compactEvery: every,
+		compactLock:  cfg.Leases,
 		nextSeq:      1, // sequence numbers start at 1; replay reads applied+1
 		self:         map[uint64]bool{},
 	}
@@ -294,10 +301,6 @@ func (dl *DurableLog) Root() string { return dl.root }
 // recovered entries, so a recovered driver can resume its clock past
 // every persisted event.
 func (dl *DurableLog) MaxSimTime() time.Duration { return time.Duration(dl.maxSim.Load()) }
-
-// SetCompactLock makes compaction mutually exclusive across processes
-// through a lease; without it, only one process may compact.
-func (dl *DurableLog) SetCompactLock(lm *LeaseManager) { dl.compactLock = lm }
 
 // SetFailpoint installs the crash-injection hook: fn is called at every
 // named write boundary ("append", "append-done", "compact-begin",
@@ -725,10 +728,10 @@ func (dl *DurableLog) trim(folded uint64) {
 	dl.seqMu.Unlock()
 }
 
-// allocWriter allocates a process-unique writer ID through a CAS
-// counter file under the log root.
-func allocWriter(fs dfs.Backend, root string) string {
-	p := root + "/writers"
+// AllocWriter allocates a process-unique writer ID ("w1", "w2", ...)
+// through a CAS counter file under the durable log's root.
+func AllocWriter(fs dfs.Backend, root string) string {
+	p := cleanPath(root) + "/writers"
 	for {
 		ver := fs.Version(p)
 		n := 0

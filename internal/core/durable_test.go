@@ -69,7 +69,7 @@ func probeState(t *testing.T, r *Repository) string {
 
 func openDurable(t *testing.T, fs dfs.Backend, root string) (*DurableLog, *Repository) {
 	t.Helper()
-	dl, repo, err := OpenDurableLog(fs, DurableConfig{Root: root, CompactEvery: -1})
+	dl, repo, err := OpenDurableLog(fs, DurableConfig{Root: root, Writer: AllocWriter(fs, root), CompactEvery: -1})
 	if err != nil {
 		t.Fatalf("OpenDurableLog: %v", err)
 	}

@@ -14,13 +14,13 @@ import (
 )
 
 // LeaseManager materializes claims as TTL'd lease records in a DFS
-// namespace ("<ns-root>/locks/"), so the claim protocol — one
-// materializer per plan fingerprint, everyone else waits and reuses —
-// holds across processes, not just across the queries of one System.
-// Where the in-process claim table hands waiters the committed *Entry
-// directly, a cross-process waiter learns of the winner's entry through
-// the shared durable event log: the lease only serializes, the log
-// propagates.
+// namespace ("<ns-root>/locks/"): every claim StorageManager grants is
+// one lease, so the claim protocol — one materializer per plan
+// fingerprint, everyone else waits and reuses — holds alike between the
+// queries of one System and between processes sharing the DFS. The
+// lease only serializes: a waiter learns of the holder's entry from the
+// repository, which a peer process's entries reach through the shared
+// durable event log.
 //
 // A lease is one file per fingerprint holding the owner, an expiry
 // deadline, and a fencing version that increments on every takeover of
@@ -56,7 +56,8 @@ type LeaseManager struct {
 // in-flight claims unblock waiters within a minute.
 const DefaultLeaseTTL = time.Minute
 
-// DefaultLeasePoll is the cross-process lease polling interval.
+// DefaultLeasePoll is the interval at which a claim waiter polls the
+// holder's lease.
 const DefaultLeasePoll = 2 * time.Millisecond
 
 // NewLeaseManager returns a manager over the locks namespace at root.

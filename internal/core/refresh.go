@@ -101,7 +101,7 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 	}
 
 	var spent time.Duration
-	claim, won := store.TryClaim(e.fingerprint(), queryID)
+	claim, won := store.TryClaim(e.fingerprint())
 	if !won {
 		d.delta.failed.Add(1)
 		return nil, 0
@@ -216,7 +216,7 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 		coldBytes += ne.InputBases[p].Bytes
 	}
 	ins := store.repo.Insert(ne)
-	store.Commit(claim, ins)
+	store.Commit(claim)
 	d.delta.refreshes.Add(1)
 	d.delta.deltaBytesRead.Add(deltaBytes)
 	d.delta.coldBytesAvoided.Add(coldBytes - deltaBytes)

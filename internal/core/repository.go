@@ -418,8 +418,7 @@ func (r *Repository) Insert(e *Entry) *Entry {
 				break
 			}
 		}
-		r.index.remove(old)
-		r.negs.invalidate(old)
+		r.unlink(old)
 		r.index.add(&ne)
 		r.insertOrdered(&ne)
 		r.publish(&ne)
@@ -439,6 +438,15 @@ func (r *Repository) Insert(e *Entry) *Entry {
 	r.publish(e)
 	r.journalPut(e)
 	return e
+}
+
+// unlink drops e from the fingerprint map, the signature index and the
+// negative cache (mu held). The caller takes e out of the scan order,
+// renumbers, and journals the removal when it is a local one.
+func (r *Repository) unlink(e *Entry) {
+	delete(r.byFP, e.fingerprint())
+	r.index.remove(e)
+	r.negs.invalidate(e)
 }
 
 // publish makes e the entry of its fingerprint and stamps its
@@ -532,9 +540,7 @@ func (r *Repository) EvictUnpinned(ids []string) []*Entry {
 		for i, e := range r.entries {
 			if e.ID == id {
 				r.entries = append(r.entries[:i], r.entries[i+1:]...)
-				delete(r.byFP, e.fingerprint())
-				r.index.remove(e)
-				r.negs.invalidate(e)
+				r.unlink(e)
 				r.journalRemove(e)
 				removed = append(removed, e)
 				break
@@ -554,9 +560,7 @@ func (r *Repository) Remove(id string) *Entry {
 	for i, e := range r.entries {
 		if e.ID == id {
 			r.entries = append(r.entries[:i], r.entries[i+1:]...)
-			delete(r.byFP, e.fingerprint())
-			r.index.remove(e)
-			r.negs.invalidate(e)
+			r.unlink(e)
 			r.journalRemove(e)
 			r.index.renumber(r.entries)
 			return e
@@ -610,9 +614,7 @@ func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Durat
 			}
 		}
 		if bad {
-			delete(r.byFP, e.fingerprint())
-			r.index.remove(e)
-			r.negs.invalidate(e)
+			r.unlink(e)
 			r.journalRemove(e)
 			removed = append(removed, e)
 		} else {
@@ -701,8 +703,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 				break
 			}
 		}
-		r.index.remove(old)
-		r.negs.invalidate(old)
+		r.unlink(old)
 	}
 	e.logSeq = seq
 	if e.size == nil {
@@ -732,9 +733,7 @@ func (r *Repository) applyRemove(id string, seq uint64) {
 			return
 		}
 		r.entries = append(r.entries[:i], r.entries[i+1:]...)
-		delete(r.byFP, e.fingerprint())
-		r.index.remove(e)
-		r.negs.invalidate(e)
+		r.unlink(e)
 		r.index.renumber(r.entries)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +16,12 @@ import (
 // concurrent queries. It provides three services:
 //
 //   - The claim protocol. Before materializing a sub-job output, an
-//     execution claims the output's plan fingerprint; a concurrent
-//     execution hitting a claimed fingerprint blocks (context-aware)
-//     until the winner commits, then reuses the freshly committed entry
-//     instead of materializing its own copy. Duplicate cross-query work
-//     becomes in-flight sharing.
+//     execution claims the output's plan fingerprint by taking its DFS
+//     lease (LeaseManager); a concurrent execution — in this process or
+//     another sharing the DFS — that finds the lease held blocks
+//     (context-aware) until the holder releases it, then reuses the
+//     freshly committed entry instead of materializing its own copy.
+//     Duplicate cross-query work becomes in-flight sharing.
 //
 //   - Byte-budgeted eviction. MaxBytes bounds the bytes the repository
 //     retains; when an execution or the janitor sweeps while over
@@ -41,17 +41,12 @@ type StorageManager struct {
 	eng  *mapreduce.Engine // every dataset delete goes through it
 	cfg  StorageConfig
 
-	mu     sync.Mutex
-	claims map[string]*Claim
-
 	// Counters for StorageStats, all monotonic.
 	claimsGranted   atomic.Int64
 	claimsCommitted atomic.Int64
 	claimsAborted   atomic.Int64
 	claimWaits      atomic.Int64
 	claimReuses     atomic.Int64
-	leaseWaits      atomic.Int64
-	leaseShared     atomic.Int64
 	evictions       atomic.Int64
 	evictedBytes    atomic.Int64
 	sweeps          atomic.Int64
@@ -60,7 +55,7 @@ type StorageManager struct {
 }
 
 // StorageConfig is what a StorageManager is built from, fixed for its
-// lifetime; the zero value is an unbudgeted, process-local store on the
+// lifetime; the zero value is an unbudgeted, non-durable store on the
 // legacy top-level namespaces.
 type StorageConfig struct {
 	// MaxBytes is the byte budget (<= 0 disables enforcement) and
@@ -84,18 +79,21 @@ type StorageConfig struct {
 	// would look dead.
 	QueryPrefix string
 
-	// Durable and Leases extend the claim protocol across processes:
-	// the durable event log propagates committed entries between
-	// repositories sharing one DFS, and leases serialize materialization
-	// per fingerprint fleet-wide. Both nil for a process-local store.
+	// Leases backs every claim: one lease per fingerprint serializes
+	// materialization across every execution sharing the DFS. Nil builds
+	// a manager over "<NamespaceRoot>/locks".
+	Leases *LeaseManager
+
+	// Durable, the durable event log, propagates committed entries
+	// between repositories sharing one DFS, so a claim waiter in another
+	// process sees the holder's entry. Nil for a non-durable store.
 	Durable *DurableLog
-	Leases  *LeaseManager
 
 	// Pins mirrors the repository's pin table into shared storage (it
 	// is wired into the repository's pin transitions) and answers
 	// whether a peer process holds a live pin on an entry; the eviction
 	// and vacuum delete paths spare such entries' outputs. Nil for a
-	// process-local store.
+	// non-durable store.
 	Pins *PinSet
 }
 
@@ -107,12 +105,15 @@ func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfi
 		cfg.Policy = CostBenefitPolicy{}
 	}
 	cfg.NamespaceRoot = cleanPath(cfg.NamespaceRoot)
+	if cfg.Leases == nil {
+		cfg.Leases = NewLeaseManager(eng.FS(), NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
+	}
 	if cfg.Pins != nil {
 		repo.pinMu.Lock()
 		repo.pinHook = cfg.Pins
 		repo.pinMu.Unlock()
 	}
-	return &StorageManager{repo: repo, eng: eng, cfg: cfg, claims: map[string]*Claim{}}
+	return &StorageManager{repo: repo, eng: eng, cfg: cfg}
 }
 
 // namespaces returns the managed per-query namespace roots the orphan
@@ -147,7 +148,7 @@ func (m *StorageManager) peerPinned(id string) bool {
 }
 
 // RefreshShared folds other processes' committed entries into the local
-// repository (a no-op for process-local stores); the driver calls it
+// repository (a no-op for non-durable stores); the driver calls it
 // when an execution starts, so a cold process reuses what its peers
 // stored without waiting for lease contention.
 func (m *StorageManager) RefreshShared() {
@@ -164,20 +165,16 @@ func (m *StorageManager) MaintainDurable() {
 	}
 }
 
-// Claim is one granted materialization right: the holder is the only
-// execution allowed to materialize the output of the claimed plan
-// fingerprint until it commits or aborts.
+// Claim is one attempt on a plan fingerprint's materialization lease.
+// A won claim holds the lease: its holder is the only execution, in
+// this process or any other sharing the DFS, allowed to materialize the
+// fingerprint's output until it commits or aborts. A lost claim holds
+// nothing; the loser waits on it with WaitShared.
 type Claim struct {
-	fp    string
-	owner string
-	done  chan struct{}
-	// entry is written by Commit before done closes; readers observe it
-	// only after <-done.
-	entry *Entry
-	// lease is the cross-process lease backing a won claim when lease
-	// mode is on; released when the claim resolves. stopRenew halts the
-	// holder-side heartbeat that keeps the lease alive while the
-	// materialization outlives the TTL.
+	fp string
+	// lease backs a won claim (nil on a lost one) and is released when
+	// the claim resolves; stopRenew halts the heartbeat that keeps it
+	// alive while the materialization outlives the TTL.
 	lease     *Lease
 	stopRenew func()
 }
@@ -185,104 +182,48 @@ type Claim struct {
 // Fingerprint returns the claimed plan fingerprint.
 func (c *Claim) Fingerprint() string { return c.fp }
 
-// Owner returns the query ID the claim was granted to.
-func (c *Claim) Owner() string { return c.owner }
-
-// Wait blocks until the claim resolves or ctx is cancelled. It returns
-// the committed entry, nil if the winner aborted without committing, or
-// ctx.Err().
-func (c *Claim) Wait(ctx context.Context) (*Entry, error) {
-	select {
-	case <-c.done:
-		return c.entry, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// TryClaim grants the fingerprint to owner if it is unclaimed. It
-// returns (claim, true) when the caller won and must later Commit or
-// Abort it, or (other holder's claim, false) for the caller to Wait on.
-//
-// In lease mode (StorageConfig.Leases), winning the local
-// claim table is necessary but not sufficient: the fingerprint's DFS
-// lease must be acquired too. When another process holds it, the local
-// claim stays registered — queued local queries wait on it as usual —
-// and a relay goroutine resolves it when the remote holder finishes:
-// with the holder's committed entry (read from the shared log) exactly
-// as if a local winner had committed, or as an abort when the holder
-// released (or its lease expired) without a matching entry.
-func (m *StorageManager) TryClaim(fp, owner string) (*Claim, bool) {
-	m.mu.Lock()
-	if c := m.claims[fp]; c != nil {
-		m.mu.Unlock()
+// TryClaim takes the fingerprint's lease. It returns (claim, true) when
+// the caller won and must later Commit or Abort it, or (claim, false)
+// for the caller to WaitShared on: another execution holds the lease,
+// or a valid entry for the fingerprint is already published — a peer
+// materialized it and released its lease since the caller's rewrite —
+// in which case the wait returns at once.
+func (m *StorageManager) TryClaim(fp string) (*Claim, bool) {
+	c := &Claim{fp: fp}
+	lease, ok := m.cfg.Leases.TryAcquire(fp)
+	if !ok {
 		return c, false
 	}
-	c := &Claim{fp: fp, owner: owner, done: make(chan struct{})}
-	m.claims[fp] = c
-	m.mu.Unlock()
-	if m.cfg.Leases != nil {
-		lease, ok := m.cfg.Leases.TryAcquire(fp)
-		if !ok {
-			// Lost to another process: a relay goroutine watches the
-			// holder's lease and resolves this claim from the shared
-			// log when it frees.
-			m.leaseWaits.Add(1)
-			go m.relayRemote(c)
-			return c, false
-		}
-		// Won — but a peer may have materialized this fingerprint and
-		// released its lease since our last refresh. Fold the log and
-		// re-check before claiming the right to materialize: if the
-		// entry already exists, resolve the claim with it immediately
-		// (the caller re-rewrites against it, as a lease waiter would).
-		if m.cfg.Durable != nil {
-			m.cfg.Durable.Refresh()
-			if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
-				m.cfg.Leases.Release(lease)
-				m.leaseShared.Add(1)
-				m.Commit(c, e)
-				return c, false
-			}
-		}
-		c.lease = lease
-		// Heartbeat the lease while the materialization runs: a live
-		// holder slower than the TTL keeps its lease; a dead one stops
-		// renewing and is taken over as before.
-		c.stopRenew = m.cfg.Leases.KeepAlive(lease)
+	if m.published(fp) != nil {
+		m.cfg.Leases.Release(lease)
+		return c, false
 	}
+	c.lease = lease
+	// Heartbeat the lease while the materialization runs: a live holder
+	// slower than the TTL keeps its lease; a dead one stops renewing and
+	// is taken over.
+	c.stopRenew = m.cfg.Leases.KeepAlive(lease)
 	m.claimsGranted.Add(1)
 	return c, true
 }
 
-// relayRemote resolves a claim whose fingerprint another process is
-// materializing: wait for the holder's lease to free (or expire), fold
-// its log records into the local repository, and commit the claim with
-// the entry it published — or abort, sending waiters back through their
-// fallback policy.
-func (m *StorageManager) relayRemote(c *Claim) {
-	_ = m.cfg.Leases.WaitFree(context.Background(), c.fp)
-	if m.cfg.Durable != nil {
-		m.cfg.Durable.Refresh()
+// published folds peers' committed entries into the repository and
+// returns the valid entry of the fingerprint, or nil.
+func (m *StorageManager) published(fp string) *Entry {
+	m.RefreshShared()
+	if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
+		return e
 	}
-	if e := m.repo.lookupFP(c.fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
-		m.leaseShared.Add(1)
-		m.Commit(c, e)
-		return
-	}
-	m.Abort(c)
+	return nil
 }
 
-// Commit resolves a won claim with the entry the winner registered;
-// waiters wake and reuse it. The entry itself is already in the
-// repository (the driver inserts at registration time), and — when
-// durability is on — so is its log record: the journal appends inside
-// Insert, so by the time the lease releases here, a remote waiter's
-// refresh is guaranteed to see the entry.
-func (m *StorageManager) Commit(c *Claim, e *Entry) {
+// Commit resolves a won claim after the winner registered its entry.
+// The entry is already in the repository (the driver inserts at
+// registration time) and — when durability is on — so is its log
+// record: the journal appends inside Insert, so by the time the lease
+// releases here, every waiter's refresh is guaranteed to see the entry.
+func (m *StorageManager) Commit(c *Claim) {
 	m.release(c)
-	c.entry = e
-	close(c.done)
 	m.claimsCommitted.Add(1)
 }
 
@@ -291,36 +232,27 @@ func (m *StorageManager) Commit(c *Claim, e *Entry) {
 // Waiters wake and contend for the claim again.
 func (m *StorageManager) Abort(c *Claim) {
 	m.release(c)
-	close(c.done)
 	m.claimsAborted.Add(1)
 }
 
 func (m *StorageManager) release(c *Claim) {
-	m.mu.Lock()
-	if m.claims[c.fp] == c {
-		delete(m.claims, c.fp)
-	}
-	m.mu.Unlock()
-	if c.stopRenew != nil {
-		c.stopRenew()
-		c.stopRenew = nil
-	}
-	if c.lease != nil && m.cfg.Leases != nil {
-		m.cfg.Leases.Release(c.lease)
-		c.lease = nil
-	}
+	c.stopRenew()
+	m.cfg.Leases.Release(c.lease)
 }
 
-// WaitShared blocks on another execution's claim, recording the wait
-// for StorageStats. A non-nil entry means the winner committed and the
-// waiting execution will reuse its output.
+// WaitShared blocks until the lost claim's lease is released (or
+// expires), recording the wait for StorageStats. It returns the entry
+// the holder published, nil if it resolved without one, or ctx.Err().
 func (m *StorageManager) WaitShared(ctx context.Context, c *Claim) (*Entry, error) {
 	m.claimWaits.Add(1)
-	e, err := c.Wait(ctx)
+	if err := m.cfg.Leases.WaitFree(ctx, c.fp); err != nil {
+		return nil, err
+	}
+	e := m.published(c.fp)
 	if e != nil {
 		m.claimReuses.Add(1)
 	}
-	return e, err
+	return e, nil
 }
 
 // EntryUsage is the eviction-relevant snapshot of one entry: its stored
@@ -564,16 +496,15 @@ type SweepResult struct {
 	// reclaimed (janitor sweeps only).
 	OrphanDatasets int
 	OrphanBytes    int64
-	// LeasesReaped counts expired cross-process lease records deleted
-	// (janitor sweeps of a durable store only).
+	// LeasesReaped counts expired lease records deleted — the claims
+	// of a crashed process.
 	LeasesReaped int
 }
 
 // Sweep runs one maintenance pass: Rule 4 (invalid entries), Rule 3
 // (entries idle beyond window, when window > 0), then budget
-// enforcement; on a durable store it also reaps expired cross-process
-// leases (a crashed peer's in-flight claims) and compacts the event log
-// when due. The driver calls it after executions that store or evict;
+// enforcement; it also reaps expired leases (a crashed peer's in-flight
+// claims) and, on a durable store, compacts the event log when due. The driver calls it after executions that store or evict;
 // the janitor calls it periodically with the orphan vacuum.
 func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	m.sweeps.Add(1)
@@ -582,9 +513,7 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	res.EntriesVacuumed = len(vacuumed)
 	m.deleteOwnedOutputs(vacuumed)
 	res.EntriesEvicted = len(m.EnforceBudget(now))
-	if m.cfg.Leases != nil {
-		res.LeasesReaped = m.cfg.Leases.ReapExpired()
-	}
+	res.LeasesReaped = m.cfg.Leases.ReapExpired()
 	if m.cfg.Pins != nil {
 		// Heartbeat our own pin records and clear crashed peers' — the
 		// same liveness discipline leases get, applied to pins.
@@ -679,24 +608,19 @@ type StorageStats struct {
 	Policy      string
 
 	// Claim protocol counters. ActiveClaims is the current in-flight
-	// count; Granted/Committed/Aborted are cumulative. Waits counts
-	// executions that blocked on another query's claim, and Shared how
-	// many of those woke to a committed entry they then reused.
+	// count of claims won here; Granted/Committed/Aborted are
+	// cumulative. Waits counts executions that blocked on another
+	// execution's claim, in this process or another, and Shared how many
+	// of those woke to a committed entry they then reused. Leases
+	// carries the lease manager's own counters (grants, takeovers,
+	// reaps, fencing).
 	ActiveClaims    int
 	ClaimsGranted   int64
 	ClaimsCommitted int64
 	ClaimsAborted   int64
 	ClaimWaits      int64
 	ClaimsShared    int64
-
-	// Cross-process lease counters (durable stores only). LeaseWaits
-	// counts claims lost to another process's lease; LeasesShared how
-	// many of those resolved to that process's committed entry, reused
-	// here instead of re-materialized. Leases carries the lease
-	// manager's own counters (grants, takeovers, reaps, fencing).
-	LeaseWaits   int64
-	LeasesShared int64
-	Leases       LeaseStats
+	Leases          LeaseStats
 
 	// Eviction and janitor counters.
 	Evictions      int64
@@ -708,30 +632,26 @@ type StorageStats struct {
 
 // Stats snapshots the manager's counters and current usage.
 func (m *StorageManager) Stats() StorageStats {
-	m.mu.Lock()
-	active := len(m.claims)
-	m.mu.Unlock()
-	st := StorageStats{
+	// Resolutions load before grants, so a claim resolving between the
+	// loads never drives ActiveClaims negative.
+	committed, aborted := m.claimsCommitted.Load(), m.claimsAborted.Load()
+	granted := m.claimsGranted.Load()
+	return StorageStats{
 		Entries:         m.repo.Len(),
 		UsageBytes:      m.UsageBytes(),
 		BudgetBytes:     m.cfg.MaxBytes,
 		Policy:          m.cfg.Policy.Name(),
-		ActiveClaims:    active,
-		ClaimsGranted:   m.claimsGranted.Load(),
-		ClaimsCommitted: m.claimsCommitted.Load(),
-		ClaimsAborted:   m.claimsAborted.Load(),
+		ActiveClaims:    int(granted - committed - aborted),
+		ClaimsGranted:   granted,
+		ClaimsCommitted: committed,
+		ClaimsAborted:   aborted,
 		ClaimWaits:      m.claimWaits.Load(),
 		ClaimsShared:    m.claimReuses.Load(),
-		LeaseWaits:      m.leaseWaits.Load(),
-		LeasesShared:    m.leaseShared.Load(),
+		Leases:          m.cfg.Leases.Stats(),
 		Evictions:       m.evictions.Load(),
 		EvictedBytes:    m.evictedBytes.Load(),
 		Sweeps:          m.sweeps.Load(),
 		OrphanDatasets:  m.orphanDatasets.Load(),
 		OrphanBytes:     m.orphanBytes.Load(),
 	}
-	if m.cfg.Leases != nil {
-		st.Leases = m.cfg.Leases.Stats()
-	}
-	return st
 }

@@ -13,6 +13,13 @@ import (
 // with size bytes, so budget accounting sees real data.
 func storedEntry(t *testing.T, repo *Repository, fs dfs.Backend, id, loadPath string, size int, stats EntryStats) *Entry {
 	t.Helper()
+	return repo.Insert(outputEntry(t, fs, id, loadPath, size, stats))
+}
+
+// outputEntry is storedEntry's entry before it is inserted: a claim
+// test takes its fingerprint first and publishes it later.
+func outputEntry(t *testing.T, fs dfs.Backend, id, loadPath string, size int, stats EntryStats) *Entry {
+	t.Helper()
 	e := entryFor(t, fmt.Sprintf(`
 A = load '%s' as (a, b);
 B = foreach A generate a;
@@ -25,77 +32,122 @@ store B into 'o';
 		t.Fatal(err)
 	}
 	e.InputVersions = map[string]int64{loadPath: fs.Version(loadPath)}
-	return repo.Insert(e)
+	return e
+}
+
+// noLeaseFiles fails the test if a resolved claim left its lease file
+// behind.
+func noLeaseFiles(t *testing.T, fs dfs.Backend) {
+	t.Helper()
+	if n := len(fs.Datasets("locks")); n != 0 {
+		t.Errorf("%d lease files outlived their claims", n)
+	}
 }
 
 func TestClaimProtocolBasics(t *testing.T) {
-	m := newTestStorage(NewRepository(), newTestFS(t), StorageConfig{})
+	fs := newTestFS(t)
+	repo := NewRepository()
+	m := newTestStorage(repo, fs, StorageConfig{})
+	entry := outputEntry(t, fs, "e1", "in", 10, EntryStats{})
+	fp := entry.fingerprint()
 
-	c1, won := m.TryClaim("fp1", "q1")
+	c1, won := m.TryClaim(fp)
 	if !won {
 		t.Fatal("first TryClaim lost")
 	}
-	c2, won := m.TryClaim("fp1", "q2")
+	if c1.Fingerprint() != fp {
+		t.Errorf("claim fingerprint = %s, want %s", c1.Fingerprint(), fp)
+	}
+	c2, won := m.TryClaim(fp)
 	if won {
 		t.Fatal("second TryClaim of a held fingerprint won")
 	}
-	if c2 != c1 {
-		t.Fatal("loser did not receive the holder's claim")
-	}
-	if c1.Owner() != "q1" || c1.Fingerprint() != "fp1" {
-		t.Errorf("claim identity = %s/%s", c1.Owner(), c1.Fingerprint())
-	}
 
-	// A waiter wakes with the committed entry.
-	entry := &Entry{ID: "e1"}
+	// A waiter wakes with the entry the winner published.
 	got := make(chan *Entry, 1)
 	go func() {
 		e, _ := m.WaitShared(context.Background(), c2)
 		got <- e
 	}()
-	m.Commit(c1, entry)
-	if e := <-got; e != entry {
+	published := repo.Insert(entry)
+	m.Commit(c1)
+	if e := <-got; e != published {
 		t.Fatalf("waiter got %v, want the committed entry", e)
 	}
 
-	// The fingerprint is claimable again after resolution.
-	c3, won := m.TryClaim("fp1", "q3")
+	// Aborting wakes waiters with nil and frees the fingerprint.
+	c3, won := m.TryClaim("fp2")
 	if !won {
-		t.Fatal("fingerprint not released after commit")
+		t.Fatal("TryClaim of a fresh fingerprint lost")
 	}
-	// Aborting wakes waiters with nil.
-	if e, err := func() (*Entry, error) {
-		ch := make(chan struct{})
-		var e *Entry
-		var err error
-		go func() { e, err = m.WaitShared(context.Background(), c3); close(ch) }()
-		m.Abort(c3)
-		<-ch
-		return e, err
-	}(); e != nil || err != nil {
+	c4, won := m.TryClaim("fp2")
+	if won {
+		t.Fatal("second TryClaim of a held fingerprint won")
+	}
+	done := make(chan struct{})
+	var e *Entry
+	var err error
+	go func() { e, err = m.WaitShared(context.Background(), c4); close(done) }()
+	m.Abort(c3)
+	<-done
+	if e != nil || err != nil {
 		t.Fatalf("aborted claim: entry=%v err=%v, want nil/nil", e, err)
 	}
+	c5, won := m.TryClaim("fp2")
+	if !won {
+		t.Fatal("fingerprint not released after abort")
+	}
+	m.Abort(c5)
 
 	st := m.Stats()
-	if st.ClaimsGranted != 2 || st.ClaimsCommitted != 1 || st.ClaimsAborted != 1 {
+	if st.ClaimsGranted != 3 || st.ClaimsCommitted != 1 || st.ClaimsAborted != 2 || st.ActiveClaims != 0 {
 		t.Errorf("claim counters = %+v", st)
 	}
 	if st.ClaimWaits != 2 || st.ClaimsShared != 1 {
 		t.Errorf("wait counters = %+v", st)
 	}
+	noLeaseFiles(t, fs)
+}
+
+// TestClaimLostToPublishedEntry: a lease won over a fingerprint whose
+// valid entry is already published — a peer materialized it and
+// released its lease since the caller's rewrite — is given back and
+// reported lost, and the wait returns the entry at once.
+func TestClaimLostToPublishedEntry(t *testing.T) {
+	fs := newTestFS(t)
+	repo := NewRepository()
+	m := newTestStorage(repo, fs, StorageConfig{})
+	entry := storedEntry(t, repo, fs, "e1", "in", 10, EntryStats{})
+
+	c, won := m.TryClaim(entry.fingerprint())
+	if won {
+		t.Fatal("TryClaim won a fingerprint whose entry is already published")
+	}
+	// A cancelled context proves the wait does not block: a held lease
+	// would return context.Canceled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if e, err := m.WaitShared(ctx, c); e != entry || err != nil {
+		t.Fatalf("WaitShared = %v, %v; want the published entry at once", e, err)
+	}
+	st := m.Stats()
+	if st.ClaimsGranted != 0 || st.ActiveClaims != 0 || st.ClaimWaits != 1 || st.ClaimsShared != 1 {
+		t.Errorf("counters = %+v", st)
+	}
+	noLeaseFiles(t, fs)
 }
 
 func TestClaimWaitRespectsContext(t *testing.T) {
 	m := newTestStorage(NewRepository(), newTestFS(t), StorageConfig{})
-	c, _ := m.TryClaim("fp", "winner")
-	other, won := m.TryClaim("fp", "loser")
+	c, _ := m.TryClaim("fp")
+	other, won := m.TryClaim("fp")
 	if won {
 		t.Fatal("expected to lose")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := other.Wait(ctx); err != context.Canceled {
-		t.Fatalf("Wait under cancelled ctx = %v, want context.Canceled", err)
+	if _, err := m.WaitShared(ctx, other); err != context.Canceled {
+		t.Fatalf("WaitShared under cancelled ctx = %v, want context.Canceled", err)
 	}
 	m.Abort(c)
 }
@@ -439,13 +491,12 @@ store B into 'o';
 // storing job pays.
 func BenchmarkClaims(b *testing.B) {
 	m := newTestStorage(NewRepository(), newTestFS(b), StorageConfig{})
-	entry := &Entry{ID: "e"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, won := m.TryClaim("fp", "q")
+		c, won := m.TryClaim("fp")
 		if !won {
 			b.Fatal("lost an uncontended claim")
 		}
-		m.Commit(c, entry)
+		m.Commit(c)
 	}
 }

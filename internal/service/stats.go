@@ -14,7 +14,7 @@ import (
 // watch a server or a one-shot run.
 type StatsBundle struct {
 	// Storage, Matcher, Durability and Leases are the engine
-	// subsystems' snapshots (Durability and Leases are zero without
+	// subsystems' snapshots (Durability is zero without
 	// Config.Durability).
 	Storage    restore.StorageStats    `json:"storage"`
 	Matcher    restore.MatcherStats    `json:"matcher"`

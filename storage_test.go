@@ -71,6 +71,11 @@ func TestConcurrentSameSignatureSubmissions(t *testing.T) {
 			}
 			rows = append(rows, sorted(out))
 		}
+		// Every claim is a lease file under locks/ while it is held, and
+		// gone once it resolves.
+		if n := len(sys.FS().Datasets("locks")); n != 0 {
+			t.Errorf("%d lease files outlived the queries", n)
+		}
 		return sims, rows, len(sys.FS().Datasets("restore")), sys.Repository().Len()
 	}
 

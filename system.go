@@ -67,7 +67,7 @@ func New(cfg Config) *System {
 // persisted event; on a DFS holding no log yet, it initializes one.
 // Several Systems may be recovered over one DFS concurrently: they
 // share the repository through the event log and serialize sub-job
-// materialization through cross-process claim leases, and each gets a
+// materialization through claim leases on the DFS, and each gets a
 // process-unique writer identity (query IDs, entry IDs and the
 // janitor's orphan sweep are all scoped by it).
 //
@@ -98,26 +98,30 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	var (
 		repo    *core.Repository
 		durable *core.DurableLog
-		leases  *core.LeaseManager
-		prefix  string
+		prefix  string // the writer ID; "" without durability
 	)
+	root := strings.Trim(cfg.Durability.Path, "/")
+	if root == "" {
+		root = core.NamespacePath(cfg.NamespaceRoot, "repo")
+	}
 	if cfg.Durability.Enabled {
-		root := strings.Trim(cfg.Durability.Path, "/")
-		if root == "" {
-			root = core.NamespacePath(cfg.NamespaceRoot, "repo")
-		}
+		prefix = core.AllocWriter(fs, root)
+	}
+	// One lease manager per System: every materialization claim is one
+	// of its leases, and a durable log compacts under one.
+	leases := core.NewLeaseManager(fs, core.NamespacePath(cfg.NamespaceRoot, "locks"),
+		prefix, cfg.Durability.LeaseTTL, core.DefaultLeasePoll)
+	if cfg.Durability.Enabled {
 		var err error
 		durable, repo, err = core.OpenDurableLog(fs, core.DurableConfig{
 			Root:         root,
+			Writer:       prefix,
 			CompactEvery: cfg.Durability.CompactEvery,
+			Leases:       leases,
 		})
 		if err != nil {
 			return nil, err
 		}
-		leases = core.NewLeaseManager(fs, core.NamespacePath(cfg.NamespaceRoot, "locks"),
-			durable.Writer(), cfg.Durability.LeaseTTL, cfg.Durability.LeasePoll)
-		durable.SetCompactLock(leases)
-		prefix = durable.Writer()
 	} else {
 		repo = core.NewRepository()
 	}
@@ -126,9 +130,10 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		MaxBytes:      cfg.MaxRepositoryBytes,
 		Policy:        cfg.Eviction,
 		NamespaceRoot: cfg.NamespaceRoot,
+		Leases:        leases,
 	}
 	if durable != nil {
-		sc.Durable, sc.Leases, sc.QueryPrefix = durable, leases, prefix+"q"
+		sc.Durable, sc.QueryPrefix = durable, prefix+"q"
 		sc.Pins = core.NewPinSet(fs, core.NamespacePath(cfg.NamespaceRoot, "pins"),
 			durable.Writer(), cfg.Durability.LeaseTTL)
 	}
@@ -231,10 +236,8 @@ func (s *System) MatcherStats() MatcherStats {
 	return s.repo.MatcherStats()
 }
 
-// LeaseStats snapshots the cross-process claim-lease manager (grants,
-// takeovers, reaps, fencing losses, renewals). The zero value is
-// returned when durability is off: leases exist only on a durable
-// store.
+// LeaseStats snapshots the claim-lease manager (grants, takeovers,
+// reaps, fencing losses, renewals).
 func (s *System) LeaseStats() LeaseStats {
 	return s.StorageStats().Leases
 }
