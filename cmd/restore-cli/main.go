@@ -216,9 +216,9 @@ func main() {
 			// Where each executed job's wall time went inside the text
 			// codec, summed over its (concurrent) tasks.
 			for _, js := range res.JobStats {
-				fmt.Printf("  job %s text codec: decode %v, encode+write %v, write-through decode %v — summed over %d tasks, job wall %v\n",
+				fmt.Printf("  job %s text codec: decode %v, encode+write %v — summed over %d tasks, job wall %v\n",
 					js.JobID, js.DecodeTime.Round(time.Microsecond), js.EncodeTime.Round(time.Microsecond),
-					js.CaptureDecodeTime.Round(time.Microsecond), js.MapTasks+js.RedTasks, js.WallTime.Round(time.Microsecond))
+					js.MapTasks+js.RedTasks, js.WallTime.Round(time.Microsecond))
 			}
 		}
 		if *traceFlag {

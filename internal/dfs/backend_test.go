@@ -1,13 +1,16 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +60,47 @@ func TestCreateCommittedVersion(t *testing.T) {
 		}
 		if fs.Version("ds") <= v {
 			t.Fatalf("rewrite did not move Version past the commit: %d <= %d", fs.Version("ds"), v)
+		}
+	})
+}
+
+// TestCreateCopiesOnce: a Create writer commits its own buffer, so a
+// part's bytes are copied once on their way in (by Write), not a second
+// time by Close; and a closed writer refuses further use.
+func TestCreateCopiesOnce(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789abcde\n"), 4096) // 64 KiB
+	forEachBackend(t, func(t *testing.T, fs Backend) {
+		var ms runtime.MemStats
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			w := fs.Create(fmt.Sprintf("ds/part-%05d", i))
+			if _, err := w.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		if limit := uint64(len(data)) * 5 / 4; least > limit {
+			t.Fatalf("committing a %d-byte part allocated %d bytes, want at most %d", len(data), least, limit)
+		}
+
+		w := fs.Create("ds/part-closed")
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Write after Close: %v, want ErrClosed", err)
+		}
+		if err := w.Close(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("second Close: %v, want ErrClosed", err)
+		}
+		if got, err := fs.ReadFile("ds/part-closed"); err != nil || len(got) != 0 {
+			t.Fatalf("closed empty part holds %d bytes (%v), want 0", len(got), err)
 		}
 	})
 }

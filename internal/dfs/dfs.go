@@ -190,6 +190,9 @@ func (fs *FS) RemoveFileIf(path string, expect int64) bool {
 // ErrNotExist reports a missing path.
 var ErrNotExist = fmt.Errorf("file does not exist")
 
+// ErrClosed reports a Write or Close on a file writer already closed.
+var ErrClosed = fmt.Errorf("file already closed")
+
 // PathError records an error, the operation, and the path that caused it.
 type PathError struct {
 	Op   string

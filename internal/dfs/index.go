@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"errors"
 	"sort"
 	"strings"
@@ -239,19 +238,46 @@ func (ix *index) SetWriteFault(fn func(path string, data []byte) ([]byte, error)
 	ix.writeFault = fn
 }
 
-// writer buffers the bytes of a Create; Close hands them to the
-// backend's commit.
+// writer buffers the bytes of a Create; Close hands the buffer itself
+// to the backend's commit, which owns it from then on, so a part
+// written in one Write (how tasks write their parts) is copied once on
+// its way in.
 type writer struct {
 	path   string
-	buf    bytes.Buffer
+	buf    []byte
+	writes int
+	closed bool
 	commit func(p string, data []byte) (int64, error)
 	ver    int64
 }
 
-func (w *writer) Write(p []byte) (int, error) { return w.buf.Write(p) }
+func (w *writer) Write(p []byte) (int, error) {
+	if w.closed {
+		return 0, &PathError{Op: "write", Path: w.path, Err: ErrClosed}
+	}
+	w.writes++
+	if len(w.buf) > 0 && cap(w.buf)-len(w.buf) < len(p) {
+		// Double, as bytes.Buffer does, so a file written in many pieces
+		// is copied a bounded number of times.
+		w.buf = append(make([]byte, 0, max(2*cap(w.buf), len(w.buf)+len(p))), w.buf...)
+	}
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
 
 func (w *writer) Close() (err error) {
-	w.ver, err = w.commit(w.path, append([]byte(nil), w.buf.Bytes()...))
+	if w.closed {
+		return &PathError{Op: "close", Path: w.path, Err: ErrClosed}
+	}
+	w.closed = true
+	data := w.buf
+	if w.writes > 1 {
+		// A buffer grown across writes has spare capacity the committed
+		// file would hold for its lifetime: commit just its bytes.
+		data = append([]byte(nil), data...)
+	}
+	w.buf = nil
+	w.ver, err = w.commit(w.path, data)
 	return err
 }
 

@@ -13,9 +13,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,18 +132,12 @@ type JobStats struct {
 
 	// Where the text codec's share of WallTime went, summed over the
 	// job's tasks (tasks run concurrently, so the sum can exceed
-	// WallTime): DecodeTime is DecodeTextBatch over input part files the
-	// batch cache did not hold, EncodeTime is encoding output part files
-	// and writing them to the DFS, CaptureDecodeTime is decoding those
-	// same bytes back for cache write-through.
-	DecodeTime        time.Duration
-	CaptureDecodeTime time.Duration
-	EncodeTime        time.Duration
-}
-
-func (s *JobStats) addStages(st stageTimes) {
-	s.EncodeTime += st.encode
-	s.CaptureDecodeTime += st.captureDecode
+	// WallTime): DecodeTime is decoding input part files the batch cache
+	// did not hold, EncodeTime is encoding output part files,
+	// writing them to the DFS and building their cache batches from the
+	// rows.
+	DecodeTime time.Duration
+	EncodeTime time.Duration
 }
 
 // rec is one shuffled record.
@@ -302,6 +298,9 @@ type segmentation struct {
 	// counts of pipeline ops per segment for the CPU cost model.
 	mapOps int
 	redOps int
+	// the Store ops each side runs, sorted by ID: every task writes one
+	// part file per Store on its side.
+	mapStores, redStores []*physical.Op
 	// combine is non-nil when the job qualifies for Pig's algebraic
 	// combiner (see combine.go).
 	combine *combineSpec
@@ -355,6 +354,13 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		} else {
 			s.redOps++
 		}
+		if op.Kind == physical.KStore {
+			if reduceSet[op.ID] {
+				s.redStores = append(s.redStores, op)
+			} else {
+				s.mapStores = append(s.mapStores, op)
+			}
+		}
 	}
 	return s, nil
 }
@@ -404,12 +410,18 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 // decodeFile reads one part file and decodes it, adding the decode's
 // wall-clock to *decode.
 func (e *Engine) decodeFile(f string, decode *time.Duration) (*tuple.Batch, error) {
-	data, err := e.fs.ReadFile(f)
+	// Read the part straight into the string the batch shares: the
+	// DFS reader's one copy is the only one.
+	r, err := e.fs.Open(f)
 	if err != nil {
 		return nil, err
 	}
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, fmt.Errorf("reading %s: %w", f, err)
+	}
 	start := time.Now()
-	b, err := tuple.DecodeTextBatch(data)
+	b, err := tuple.DecodeTextBatchString(text.String())
 	*decode += time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", f, err)
@@ -599,7 +611,7 @@ type mapResult struct {
 	outs    map[string]OutputStat
 	records int64
 	writes  []writtenPart // part files for cache write-through
-	stages  stageTimes
+	encode  time.Duration
 }
 
 // partitionOf places a record in a shuffle partition: its reducer is a pure
@@ -641,7 +653,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 		stats.InputRecords += int64(float64(results[i].records) * e.cfg.RecordScale)
 		stats.ShuffleSimBytes += int64(float64(results[i].work.ShuffleBytes))
 		mergeOutputs(stats.Outputs, results[i].outs)
-		stats.addStages(results[i].stages)
+		stats.EncodeTime += results[i].encode
 	}
 	return results, nil
 }
@@ -715,7 +727,7 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		return mr, err
 	}
 	mr.writes = px.writtenParts()
-	mr.stages = px.stages
+	mr.encode = px.encode
 	if acc != nil {
 		mr.parts = acc.drain()
 	}
@@ -738,7 +750,7 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		Records:      int64(float64(mr.records) * e.cfg.RecordScale),
 		PipelineOps:  seg.mapOps,
 		SortRecords:  int64(float64(shuffleRecs) * e.cfg.RecordScale),
-		NumStores:    px.numStores,
+		NumStores:    len(px.stores),
 	}
 	return mr, nil
 }
@@ -786,7 +798,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	errs := make([]error, numRed)
 	outs := make([]map[string]OutputStat, numRed)
 	writes := make([][]writtenPart, numRed)
-	stages := make([]stageTimes, numRed)
+	encode := make([]time.Duration, numRed)
 	var wg sync.WaitGroup
 	for r := 0; r < numRed; r++ {
 		wg.Add(1)
@@ -804,7 +816,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 				recs = append(recs, mr.parts[r]...)
 			}
 			outs[r] = map[string]OutputStat{}
-			times[r], stages[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
+			times[r], encode[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
 			if errs[r] == nil {
 				tracker.tick(times[r])
 			}
@@ -817,13 +829,15 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 			return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, errs[r])
 		}
 		mergeOutputs(stats.Outputs, outs[r])
-		stats.addStages(stages[r])
+		stats.EncodeTime += encode[r]
 		allWrites = append(allWrites, writes[r]...)
 	}
 	return times, allWrites, nil
 }
 
-func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, stageTimes, []writtenPart, error) {
+// runReduceTask returns the task's simulated time, the wall-clock its
+// close spent encoding, and its written parts.
+func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, []writtenPart, error) {
 	// Sort by key (respecting ORDER BY direction), then branch, stable.
 	desc := seg.pkg.Desc
 	slices.SortStableFunc(recs, func(a, b rec) int {
@@ -857,12 +871,12 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 			err = e.emitGroup(px, seg, group)
 		}
 		if err != nil {
-			return 0, stageTimes{}, nil, err
+			return 0, 0, nil, err
 		}
 		i = j
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
-		return 0, stageTimes{}, nil, err
+		return 0, 0, nil, err
 	}
 
 	var storeBytes int64
@@ -876,9 +890,9 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		Records:      int64(float64(len(recs)) * e.cfg.RecordScale),
 		PipelineOps:  seg.redOps,
 		SortRecords:  int64(float64(len(recs)) * e.cfg.RecordScale),
-		NumStores:    px.numStores,
+		NumStores:    len(px.stores),
 	}
-	return e.cfg.Cost.TaskTime(work), px.stages, px.writtenParts(), nil
+	return e.cfg.Cost.TaskTime(work), px.encode, px.writtenParts(), nil
 }
 
 func compareKeys(a, b tuple.Value, desc []bool) int {

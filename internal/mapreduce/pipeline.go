@@ -23,6 +23,7 @@ type exec struct {
 	// ops in inMap, a reduce task only the others.
 	inMap  map[int]bool
 	reduce bool
+	stores []*physical.Op // the Store ops on this task's side
 
 	// keyed receives LocalRearrange emissions (map tasks only).
 	keyed func(branch int, key tuple.Value, t tuple.Tuple)
@@ -30,40 +31,39 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	// capture keeps a decoded batch of every part file this task
-	// writes, for cache write-through (see Engine.writeThrough).
+	// capture keeps a batch of every part file this task writes, for
+	// cache write-through (see Engine.writeThrough).
 	capture bool
 
-	writers   map[int]*taskWriter // per Store op
-	limits    map[int]int64       // per Limit op counter
-	numStores int
+	writers map[int]*taskWriter // per Store op
+	limits  map[int]int64       // per Limit op counter
 
-	stages stageTimes // what close spent, for JobStats
-}
-
-// stageTimes is the wall-clock one task's close spent on its part
-// files: encoding them and writing them to the DFS, and decoding them
-// back for cache write-through.
-type stageTimes struct {
-	encode, captureDecode time.Duration
+	// encode is the wall-clock close spent encoding part files, writing
+	// them to the DFS and building their batches, for JobStats.
+	encode time.Duration
 }
 
 type taskWriter struct {
 	path  string
 	rows  []tuple.Tuple
-	batch *tuple.Batch // decode of the written bytes, when capturing
+	batch *tuple.Batch // the written part as the cache holds it, when capturing
 	ver   int64        // dataset version committed by this part's write
 }
 
 func newExec(seg *segmentation, reduce bool) *exec {
-	return &exec{
+	x := &exec{
 		plan:    seg.plan,
 		succ:    seg.succ,
 		inMap:   seg.inMap,
 		reduce:  reduce,
+		stores:  seg.mapStores,
 		writers: map[int]*taskWriter{},
 		limits:  map[int]int64{},
 	}
+	if reduce {
+		x.stores = seg.redStores
+	}
+	return x
 }
 
 // runs reports whether op id belongs to this task's side of the
@@ -219,25 +219,17 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 // per Store, created even when empty, as Hadoop does) and accumulates
 // output statistics scaled to simulated bytes.
 func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]OutputStat) error {
-	// Count every Store op on this task's side, not just those that
-	// received rows: empty part files still get created and still pay
-	// the setup cost.
-	for _, op := range x.plan.Ops() {
-		if op.Kind != physical.KStore || !x.runs(op.ID) {
-			continue
+	// Every Store op on this task's side writes a part, not just those
+	// that received rows: empty part files still get created and still
+	// pay the setup cost.
+	for _, op := range x.stores {
+		if x.writers[op.ID] == nil {
+			x.writers[op.ID] = &taskWriter{path: op.Path}
 		}
-		w := x.writers[op.ID]
-		if w == nil {
-			w = &taskWriter{path: op.Path}
-			x.writers[op.ID] = w
-		}
-		x.numStores++
 	}
 	bp := partBufs.Get().(*[]byte)
 	buf := *bp
 	for _, w := range x.writers {
-		// One buffer per part: the bytes the DFS gets are the bytes the
-		// capture decodes.
 		start := time.Now()
 		buf = buf[:0]
 		for _, t := range w.rows {
@@ -250,7 +242,6 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 		if err := f.Close(); err != nil {
 			return err
 		}
-		x.stages.encode += time.Since(start)
 		// The version of this part's own commit, for write-through
 		// staleness detection. Both DFS backends capture it inside
 		// Close's critical section; the Version fallback for other
@@ -262,16 +253,12 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 			w.ver = fs.Version(w.path)
 		}
 		if x.capture {
-			// Decode the exact bytes that landed on the DFS, so the
-			// cached batch is indistinguishable from a later re-read
-			// (text round-trips can change value types, e.g. a float
-			// written as "5" re-reads as an int).
-			start = time.Now()
-			if b, err := tuple.DecodeTextBatch(buf); err == nil {
-				w.batch = b
-			}
-			x.stages.captureDecode += time.Since(start)
+			// The batch a later re-read of these bytes decodes to, built
+			// from the rows (text round-trips can change value types,
+			// e.g. a float written as "5" re-reads as an int).
+			w.batch = tuple.BatchOfText(w.rows, int64(len(buf)))
 		}
+		x.encode += time.Since(start)
 		cur := outStats[w.path]
 		cur.SimBytes += int64(float64(len(buf)) * simScale)
 		cur.Records += int64(float64(len(w.rows)) * simScale)
@@ -283,12 +270,12 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 }
 
 // partBufs recycles close's encode buffers across tasks: a part's bytes
-// are dead once the DFS writer has copied them and the capture has
-// decoded them, and growing a fresh buffer per part was 5 % of
-// cold-store's CPU.
+// are dead once the DFS writer has copied them, and growing a fresh
+// buffer per part was 5 % of cold-store's CPU.
 var partBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writtenPart is one part file a task wrote, decoded for write-through.
+// writtenPart is one part file a task wrote, with its batch for
+// write-through.
 type writtenPart struct {
 	dir   string // the Store dataset directory
 	file  string // full part-file path
@@ -297,8 +284,7 @@ type writtenPart struct {
 }
 
 // writtenParts returns the task's written part files with their
-// decoded batches; call after close. Parts without a captured batch
-// (capture off, or a decode failure) are skipped.
+// batches; call after close. With capture off there are none.
 func (x *exec) writtenParts() []writtenPart {
 	var out []writtenPart
 	for _, w := range x.writers {

@@ -1,6 +1,10 @@
 package tuple
 
-import "strings"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Batch is an immutable columnar representation of a decoded dataset
 // slice: one part file's tuples held as typed column vectors instead of
@@ -189,21 +193,26 @@ func (bb *BatchBuilder) appendLine(line string, escaped bool) {
 }
 
 // col returns column j of the row being added, creating it when the
-// row is the first this wide.
+// row is the first this wide. It inlines: every field of every row
+// passes through it.
 func (bb *BatchBuilder) col(j int) *column {
 	if j == len(bb.cols) {
-		// A wider row introduces a column late: the batch is ragged, and
-		// the column is padded with absent slots for every earlier row
-		// (never read back — widths gates them) so vectors stay
-		// row-index aligned.
-		bb.cols = append(bb.cols, column{kind: colInt})
-		c := &bb.cols[j]
-		for i := 0; i < bb.n; i++ {
-			c.appendNull(i, bb.hint)
-		}
-		bb.ragged = bb.ragged || bb.n > 0
+		bb.addCol()
 	}
 	return &bb.cols[j]
+}
+
+// addCol appends a column introduced by a row wider than all before it:
+// the batch is ragged, and the column is padded with absent slots for
+// every earlier row (never read back — widths gates them) so vectors
+// stay row-index aligned.
+func (bb *BatchBuilder) addCol() {
+	bb.cols = append(bb.cols, column{kind: colInt})
+	c := &bb.cols[len(bb.cols)-1]
+	for i := 0; i < bb.n; i++ {
+		c.appendNull(i, bb.hint)
+	}
+	bb.ragged = bb.ragged || bb.n > 0
 }
 
 // endRow closes a row of width w whose fields are already in their
@@ -407,31 +416,269 @@ func valueMem(v Value) int64 {
 	case string:
 		return 16 + int64(len(x))
 	case Tuple:
-		m := int64(24)
-		for _, f := range x {
-			m += 16 + valueMem(f)
-		}
-		return m
+		return tupleMem(x)
 	case *Bag:
 		m := int64(24)
 		for _, t := range x.Tuples {
-			m += valueMem(t)
+			m += tupleMem(t)
 		}
 		return m
 	}
 	return 16
 }
 
-// BatchOf builds a batch from already-decoded rows, stamping it with
-// the text-encoded byte length the rows occupy on the DFS (the write
-// path knows it from the Writer).
-func BatchOf(rows []Tuple, srcBytes int64) *Batch {
-	bb := NewBatchBuilder(len(rows))
-	for _, t := range rows {
-		bb.Append(t)
+func tupleMem(t Tuple) int64 {
+	m := int64(24)
+	for _, f := range t {
+		m += 16 + valueMem(f)
 	}
+	return m
+}
+
+// BatchOfText returns the batch DecodeTextBatch builds from the text
+// encoding of rows (one AppendText line per row), stamped with
+// srcBytes, the length of that encoding. It builds it from the values
+// instead of the bytes: each value is typed the way its text field
+// would decode (see codec.go) and goes into its column through the same
+// appends the decoder uses, so kinds, null masks, widths and MemBytes
+// come out identical. The write path uses it to cache the part files a
+// task writes without parsing back what it just encoded.
+//
+// String bytes are copied into one backing string per batch, and nested
+// values are rebuilt, so the batch never retains the rows' own strings
+// (and through them an input file's text).
+func BatchOfText(rows []Tuple, srcBytes int64) *Batch {
+	bb := NewBatchBuilder(len(rows))
 	bb.AddSrcBytes(srcBytes)
+	var z sizes
+	for _, t := range rows {
+		for _, v := range t {
+			z.add(v)
+		}
+	}
+	k := &backing{items: make([]Value, z.items), tuples: make([]Tuple, z.tuples), bags: make([]Bag, z.bags)}
+	k.b.Grow(z.str)
+	for _, t := range rows {
+		if len(t) == 1 && (t[0] == nil || t[0] == "") {
+			bb.endRow(0) // the line is empty: it decodes to the empty row
+			continue
+		}
+		for j, v := range t {
+			bb.col(j).appendEncoded(v, bb.n, bb.hint, k)
+		}
+		bb.endRow(len(t))
+	}
 	return bb.Finish()
+}
+
+// appendEncoded adds the value v's text field decodes to.
+func (c *column) appendEncoded(v Value, n, hint int, k *backing) {
+	switch x := v.(type) {
+	case nil:
+		c.appendNull(n, hint)
+	case int64:
+		if x == math.MinInt64 {
+			// Its digits overflow the int grammar: the text is a float.
+			c.appendFloat(float64(x), n, hint)
+			return
+		}
+		c.append(v, n, hint) // a mixed column keeps v's box
+	case float64:
+		switch floatKind(x) {
+		case colInt:
+			c.appendInt(int64(x), n, hint)
+		case colFloat:
+			c.append(v, n, hint)
+		default:
+			c.appendString("NaN", n, hint)
+		}
+	case string:
+		switch {
+		case x == "":
+			c.appendNull(n, hint)
+		case plainString(x[0]):
+			c.appendString(k.add(x), n, hint)
+		default:
+			c.appendField(k.add(x), n, hint)
+		}
+	case Tuple, *Bag:
+		if nv, ok := k.addNested(v); ok {
+			c.appendBoxed(nv, n)
+			return
+		}
+		// A string inside would split differently (see splitsNested):
+		// go through the text itself.
+		c.appendField(k.addText(v), n, hint)
+	default:
+		panic(fmt.Sprintf("tuple: unsupported value type %T", v))
+	}
+}
+
+// floatKind says how x's text re-reads. x is written as its shortest
+// round-trip text ('g', -1), which spells an integral value below 1e6
+// as plain digits ("5", "-0", "123456") that re-read as an int, and NaN
+// as a string; every other text ("0.5", "1e+06", "+Inf") re-reads as x
+// itself.
+func floatKind(x float64) colKind {
+	switch {
+	case x != x:
+		return colString
+	case x == math.Trunc(x) && math.Abs(x) < 1e6:
+		return colInt
+	}
+	return colFloat
+}
+
+// plainString reports that a string starting with byte c decodes as
+// itself: it cannot start a number or a nested tuple or bag.
+func plainString(c byte) bool {
+	return c != '+' && c != '-' && c != '.' && (c < '0' || c > '9') && c != '(' && c != '{'
+}
+
+// backing holds what a built batch's values share: one allocation for
+// the string bytes, and one each that nested tuples' fields, bags'
+// tuple lists and bags are carved from.
+type backing struct {
+	b      strings.Builder
+	items  []Value
+	tuples []Tuple
+	bags   []Bag
+}
+
+// sizes counts what values take from a backing: string bytes, nested
+// tuple fields, bag tuple lists and bags.
+type sizes struct{ str, items, tuples, bags int }
+
+func (z *sizes) add(v Value) {
+	switch x := v.(type) {
+	case string:
+		z.str += len(x)
+	case Tuple:
+		z.addTuple(x)
+	case *Bag:
+		z.bags++
+		z.tuples += len(x.Tuples)
+		for _, t := range x.Tuples {
+			z.addTuple(t)
+		}
+	}
+}
+
+func (z *sizes) addTuple(t Tuple) {
+	z.items += len(t)
+	for _, f := range t {
+		z.add(f)
+	}
+}
+
+// add copies s into the backing and returns the copy. A Builder never
+// rewrites bytes it has handed out, so earlier copies stay valid.
+func (k *backing) add(s string) string {
+	start := k.b.Len()
+	k.b.WriteString(s)
+	return k.b.String()[start:]
+}
+
+// carve returns the next n slots of *chunk. A chunk runs out only
+// after a nested value fell back to its text (see addNested); the
+// slots are then allocated on their own.
+func carve[T any](chunk *[]T, n int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, n)
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
+}
+
+// addNested returns the value the text of the nested value v (a Tuple
+// or *Bag) parses back to, built from v, or false when a string inside
+// would split differently (see addTuple).
+func (k *backing) addNested(v Value) (Value, bool) {
+	if b, ok := v.(*Bag); ok {
+		return k.addBag(b)
+	}
+	return k.addTuple(v.(Tuple))
+}
+
+func (k *backing) addBag(b *Bag) (*Bag, bool) {
+	out := &carve(&k.bags, 1)[0]
+	if len(b.Tuples) > 0 {
+		out.Tuples = carve(&k.tuples, len(b.Tuples))
+	}
+	for i, t := range b.Tuples {
+		nt, ok := k.addTuple(t)
+		if !ok {
+			return nil, false
+		}
+		out.Tuples[i] = nt
+	}
+	return out, true
+}
+
+// addTuple returns the tuple the text of the nested tuple t parses back
+// to, built from t: its scalars typed as the nested grammar types them
+// (a scalar that keeps its type is shared, not boxed again) and its
+// strings copied into the backing. It reports false when a string
+// inside would split differently (splitsNested).
+func (k *backing) addTuple(t Tuple) (Tuple, bool) {
+	if len(t) == 0 || (len(t) == 1 && (t[0] == nil || t[0] == "")) {
+		return nil, true // "()": the parse yields no items
+	}
+	out := Tuple(carve(&k.items, len(t)))
+	for i, f := range t {
+		switch x := f.(type) {
+		case nil:
+		case int64:
+			if x == math.MinInt64 {
+				out[i] = float64(x)
+			} else {
+				out[i] = f
+			}
+		case float64:
+			switch floatKind(x) {
+			case colInt:
+				out[i] = int64(x)
+			case colFloat:
+				out[i] = f
+			default:
+				out[i] = "NaN"
+			}
+		case string:
+			if x == "" {
+				break
+			}
+			if splitsNested(x) {
+				return nil, false
+			}
+			if s := k.add(x); plainString(s[0]) {
+				out[i] = s
+			} else {
+				out[i] = parseScalar(s)
+			}
+		case Tuple, *Bag:
+			nv, ok := k.addNested(x)
+			if !ok {
+				return nil, false
+			}
+			out[i] = nv
+		}
+	}
+	return out, true
+}
+
+// splitsNested reports whether the non-empty string s, as an item of a
+// nested tuple, parses back as something else: it starts a nested
+// value, or a comma or closing parenthesis inside it ends the item
+// early. Other brackets inside an item are its own bytes.
+func splitsNested(s string) bool {
+	return s[0] == '(' || s[0] == '{' || strings.IndexByte(s, ',') >= 0 || strings.IndexByte(s, ')') >= 0
+}
+
+// addText copies the unescaped text rendering of a nested value — the
+// field the decoder sees — into the backing.
+func (k *backing) addText(v Value) string {
+	return k.add(unescapeField(string(appendText(nil, v))))
 }
 
 // DecodeTextBatch decodes one part file's text bytes into a Batch,
@@ -446,7 +693,14 @@ func BatchOf(rows []Tuple, srcBytes int64) *Batch {
 // text between them), while keeping any one string alive retains the
 // whole file's text.
 func DecodeTextBatch(data []byte) (*Batch, error) {
-	s := string(data)
+	return DecodeTextBatchString(string(data))
+}
+
+// DecodeTextBatchString is DecodeTextBatch over a part file's text
+// already held in a string, which the batch's strings then share: a
+// reader that lands a file in one string pays for one copy of it, not
+// two.
+func DecodeTextBatchString(s string) (*Batch, error) {
 	rows := strings.Count(s, "\n")
 	if s != "" && s[len(s)-1] != '\n' {
 		rows++

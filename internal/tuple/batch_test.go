@@ -27,7 +27,7 @@ func batchRows() []Tuple {
 
 func TestBatchRoundTripRows(t *testing.T) {
 	rows := batchRows()
-	b := BatchOf(rows, 123)
+	b := BatchOfText(rows, 123)
 	if b.Len() != len(rows) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(rows))
 	}
@@ -104,7 +104,7 @@ func TestBatchWideningRows(t *testing.T) {
 			}
 		}
 	}
-	b := BatchOf(rows, 0)
+	b := BatchOfText(rows, 0)
 	check(b, "built")
 
 	tb, err := DecodeTextBatch([]byte("1\t2\n1\t2\t3\t4\n"))
@@ -115,7 +115,7 @@ func TestBatchWideningRows(t *testing.T) {
 }
 
 func TestBatchEmpty(t *testing.T) {
-	b := BatchOf(nil, 0)
+	b := BatchOfText(nil, 0)
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -199,7 +199,7 @@ func BenchmarkBatchRowIterate(b *testing.B) {
 	for i := range rows {
 		rows[i] = Tuple{int64(i), "user", float64(i), "payload-string-of-some-width"}
 	}
-	batch := BatchOf(rows, 0)
+	batch := BatchOfText(rows, 0)
 	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -241,7 +241,7 @@ func mixedKindRows(n int) []Tuple {
 // call. This is what makes the engine's warm-split cursor feed
 // zero-copy rather than merely cheaper.
 func TestRowCursorZeroAlloc(t *testing.T) {
-	batch := BatchOf(mixedKindRows(1000), 0)
+	batch := BatchOfText(mixedKindRows(1000), 0)
 	cur := batch.Cursor()
 	perRow := testing.AllocsPerRun(10, func() {
 		for r := 0; r < batch.Len(); r++ {

@@ -42,7 +42,8 @@ func BenchmarkHash(b *testing.B) {
 // codecShapes are the files the codec benchmarks run over: the clean
 // four typed columns, the generator's page_views row (mostly two long
 // filler strings, with the ip address that is not a number), and the
-// narrow numeric rows stored sub-job outputs are made of.
+// narrow numeric rows stored sub-job outputs are made of, and a stored
+// GROUP output's key and bag.
 var codecShapes = []struct {
 	name string
 	rows int
@@ -53,6 +54,7 @@ var codecShapes = []struct {
 	}},
 	{"pageviews", 200, pageViewsRow},
 	{"narrow-numeric", 2000, narrowNumericRow},
+	{"grouped", 500, groupedRow},
 }
 
 func BenchmarkDecodeTextBatch(b *testing.B) {
@@ -69,6 +71,28 @@ func BenchmarkDecodeTextBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchOfText builds the batch DecodeTextBatch would decode
+// from the same files, from their rows; MB/s is over the encoded bytes
+// so the two read side by side.
+func BenchmarkBatchOfText(b *testing.B) {
+	for _, sh := range codecShapes {
+		rows := make([]Tuple, sh.rows)
+		for i := range rows {
+			rows[i] = sh.row(i)
+		}
+		n := int64(len(encodeRows(sh.rows, sh.row)))
+		b.Run(sh.name, func(b *testing.B) {
+			b.SetBytes(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				builtBatch = BatchOfText(rows, n)
+			}
+		})
+	}
+}
+
+var builtBatch *Batch
 
 func BenchmarkWriter(b *testing.B) {
 	for _, sh := range codecShapes {

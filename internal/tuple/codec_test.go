@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
@@ -167,11 +168,13 @@ func FuzzEncodeText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkEncode(t, data) })
 }
 
-func checkEncode(t *testing.T, data []byte) {
-	t.Helper()
-	// Rows the decoder yields, plus one carrying what it never does: raw
-	// bytes as strings (empty, number-like, invalid UTF-8), NaN and -0,
-	// a null alone in a row.
+// valueRows returns the rows data decodes to, plus rows carrying what
+// the decoder never yields, drawn from data: raw bytes as strings
+// (empty, number-like, bracketed, holding commas and brackets inside a
+// nested tuple, invalid UTF-8), any float64 including NaN, -0 and ±Inf
+// (the first eight bytes are its bits, big-endian), any int64, and a
+// null or an empty string alone in a row.
+func valueRows(data []byte) []Tuple {
 	decoded := rowDecodeBatch(data)
 	var rows []Tuple
 	for i := 0; i < decoded.Len(); i++ {
@@ -181,13 +184,23 @@ func checkEncode(t *testing.T, data []byte) {
 	for i := 0; i < len(data) && i < 8; i++ {
 		bits = bits<<8 | uint64(data[i])
 	}
-	head, tail := string(data[:len(data)/2]), string(data[len(data)/2:])
+	whole, head, tail := string(data), string(data[:len(data)/2]), string(data[len(data)/2:])
 	fl := math.Float64frombits(bits)
-	rows = append(rows,
+	return append(rows,
 		Tuple{head, int64(bits), fl, nil, tail},
 		Tuple{Tuple{tail, fl, nil}, &Bag{Tuples: []Tuple{{head}, {}, {int64(bits), Tuple{tail}}}}},
+		Tuple{whole},
+		Tuple{Tuple{whole, head}},
+		Tuple{fl},
 		Tuple{nil},
+		Tuple{""},
 	)
+}
+
+func checkEncode(t *testing.T, data []byte) {
+	t.Helper()
+	decoded := rowDecodeBatch(data)
+	rows := valueRows(data)
 
 	var out bytes.Buffer
 	w := NewWriter(&out)
@@ -250,7 +263,76 @@ func checkEncode(t *testing.T, data []byte) {
 	}
 }
 
-// TestKernelsMatchRowCodec runs both fuzz properties over the seeds
+// FuzzBatchOfText: the batch the write path builds from a task's values
+// is exactly the batch the decoder builds from their encoding.
+func FuzzBatchOfText(f *testing.F) {
+	for _, s := range codecSeeds {
+		f.Add([]byte(s))
+	}
+	// Strings that are not themselves once decoded, alone and nested.
+	for _, s := range []string{"12", "007", "1e5", "+Inf", "-inf", "", "(1,2)", "{(a)}", "(x", "{x", "a,b", "x)", "y}", "a(b", "a{b", "{(1),(2}", "a\tb\\"} {
+		f.Add([]byte(s))
+	}
+	// Floats written as ints, as exponents, or not as numbers at all;
+	// -0's bits are also MinInt64's, whose digits overflow the int rule.
+	for _, x := range []float64{5.0, math.Copysign(0, -1), 123456.0, 999999.0, -999999.0, 1e6, 1e21, 1e-4, 1e-5, math.NaN(), math.Inf(1), math.Inf(-1), 0.1} {
+		f.Add(binary.BigEndian.AppendUint64(nil, math.Float64bits(x)))
+	}
+	f.Add(binary.BigEndian.AppendUint64(nil, math.MaxInt64))
+	f.Fuzz(func(t *testing.T, data []byte) { checkBatchOfText(t, valueRows(data)) })
+}
+
+// checkBatchOfText holds BatchOfText to DecodeTextBatch over rows as one
+// batch, and over each row alone so that every value also meets an
+// empty column and sets its kind.
+func checkBatchOfText(t *testing.T, rows []Tuple) {
+	t.Helper()
+	check := func(rows []Tuple) {
+		t.Helper()
+		var text []byte
+		for _, r := range rows {
+			text = append(AppendText(text, r), '\n')
+		}
+		want, err := DecodeTextBatch(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := BatchOfText(rows, int64(len(text)))
+		if got.SrcBytes() != want.SrcBytes() || got.MemBytes() != want.MemBytes() {
+			t.Fatalf("BatchOfText(%v): SrcBytes %d, MemBytes %d; decoding %q gives %d, %d",
+				rows, got.SrcBytes(), got.MemBytes(), text, want.SrcBytes(), want.MemBytes())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("BatchOfText(%v)\n got %+v\nwant %+v (the decode of %q)", rows, got, want, text)
+		}
+	}
+	check(rows)
+	for _, r := range rows {
+		check([]Tuple{r})
+	}
+}
+
+// TestBatchOfTextFloats holds BatchOfText's float rule to the text
+// over the values near its edges — integral or not, around 1e6 and
+// 1e-4 where the shortest text changes form — that random bits rarely
+// reach.
+func TestBatchOfTextFloats(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	var rows []Tuple
+	for e := -8; e <= 22; e++ {
+		p := math.Pow(10, float64(e))
+		for _, x := range []float64{p, -p, p - 1, p + 1, p - 0.5, p + 0.5, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))} {
+			rows = append(rows, Tuple{x})
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		x := math.Round(r.NormFloat64() * math.Pow(10, float64(r.Intn(9))))
+		rows = append(rows, Tuple{x}, Tuple{x / 4}, Tuple{-x / 1e4})
+	}
+	checkBatchOfText(t, rows)
+}
+
+// TestKernelsMatchRowCodec runs the fuzz properties over the seeds
 // and over 5 000 random files cut from an alphabet dense in the
 // codec's structure, so the differential runs in every `go test`, not
 // only under -fuzz.
@@ -258,6 +340,7 @@ func TestKernelsMatchRowCodec(t *testing.T) {
 	for _, s := range codecSeeds {
 		checkDecode(t, []byte(s))
 		checkEncode(t, []byte(s))
+		checkBatchOfText(t, valueRows([]byte(s)))
 	}
 	pieces := []string{
 		"\t", "\t", "\t", "\n", "\n", "\\", "\\t", "\\n", "(", ")", "{", "}", ",",
@@ -272,6 +355,7 @@ func TestKernelsMatchRowCodec(t *testing.T) {
 		}
 		checkDecode(t, b)
 		checkEncode(t, b)
+		checkBatchOfText(t, valueRows(b))
 	}
 }
 
@@ -318,6 +402,20 @@ func TestDecodeTextBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchOfTextAllocs: building the batch from values allocates per
+// file and per column, like the decoder: the string backing, the
+// builder and its widths, one vector per column, the batch.
+func TestBatchOfTextAllocs(t *testing.T) {
+	rows := make([]Tuple, 1000)
+	for i := range rows {
+		rows[i] = Tuple{int64(i), "user" + string(rune('a'+i%26)), float64(i) + 0.5, "payload-string-of-some-width"}
+	}
+	perFile := testing.AllocsPerRun(20, func() { BatchOfText(rows, 0) })
+	if perFile > 16 {
+		t.Fatalf("BatchOfText allocates %.0f times for 1000 four-column rows, want at most 16", perFile)
+	}
+}
+
 var filler = strings.Repeat("abcdefghijklmnopqrstuvwxyz", 31)
 
 // pageViewsRow is the generator's page_views row (pigmix/datagen.go):
@@ -345,6 +443,17 @@ func pageViewsRow(i int) Tuple {
 // and a few aggregates.
 func narrowNumericRow(i int) Tuple {
 	return Tuple{"u" + string(rune('0'+i%10)) + "00", int64(i), float64(i) * 0.25}
+}
+
+// groupedRow is a stored GROUP output: the key and the bag of its
+// projected rows.
+func groupedRow(i int) Tuple {
+	user := "u100" + string(rune('0'+i%10)) + "00"
+	bag := &Bag{}
+	for j := 0; j < 4; j++ {
+		bag.Add(Tuple{user, int64(j % 3), int64((i + j) % 60), float64((i*7+j)%10000) / 100.0})
+	}
+	return Tuple{user, bag}
 }
 
 func encodeRows(n int, row func(int) Tuple) []byte {
