@@ -257,8 +257,10 @@ func (w *writer) Write(p []byte) (int, error) {
 	}
 	w.writes++
 	if len(w.buf) > 0 && cap(w.buf)-len(w.buf) < len(p) {
-		// Double, as bytes.Buffer does, so a file written in many pieces
-		// is copied a bounded number of times.
+		// Double, as bytes.Buffer does: append grows a large slice by
+		// only 1.25×, which made loading a file written in 64 KiB pieces
+		// measurably slower. (bytes.Buffer itself allocates twice per
+		// growth when built with -race.)
 		w.buf = append(make([]byte, 0, max(2*cap(w.buf), len(w.buf)+len(p))), w.buf...)
 	}
 	w.buf = append(w.buf, p...)

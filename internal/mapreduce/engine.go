@@ -13,11 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -410,18 +408,12 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 // decodeFile reads one part file and decodes it, adding the decode's
 // wall-clock to *decode.
 func (e *Engine) decodeFile(f string, decode *time.Duration) (*tuple.Batch, error) {
-	// Read the part straight into the string the batch shares: the
-	// DFS reader's one copy is the only one.
-	r, err := e.fs.Open(f)
+	data, err := e.fs.ReadFile(f)
 	if err != nil {
 		return nil, err
 	}
-	var text strings.Builder
-	if _, err := io.Copy(&text, r); err != nil {
-		return nil, fmt.Errorf("reading %s: %w", f, err)
-	}
 	start := time.Now()
-	b, err := tuple.DecodeTextBatchString(text.String())
+	b, err := tuple.DecodeTextBatch(data)
 	*decode += time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", f, err)

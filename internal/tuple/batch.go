@@ -3,6 +3,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -444,27 +445,29 @@ func tupleMem(t Tuple) int64 {
 // come out identical. The write path uses it to cache the part files a
 // task writes without parsing back what it just encoded.
 //
-// String bytes are copied into one backing string per batch, and nested
-// values are rebuilt, so the batch never retains the rows' own strings
+// A nested value is rebuilt from its fields, each typed as the nested
+// grammar types it, unless a string inside would re-split; then it is
+// parsed from its text. String bytes are copied into one backing
+// string per batch, so the batch never retains the rows' own strings
 // (and through them an input file's text).
 func BatchOfText(rows []Tuple, srcBytes int64) *Batch {
 	bb := NewBatchBuilder(len(rows))
 	bb.AddSrcBytes(srcBytes)
-	var z sizes
+	size := 0
 	for _, t := range rows {
 		for _, v := range t {
-			z.add(v)
+			size += stringBytes(v)
 		}
 	}
-	k := &backing{items: make([]Value, z.items), tuples: make([]Tuple, z.tuples), bags: make([]Bag, z.bags)}
-	k.b.Grow(z.str)
+	var k backing
+	k.Grow(size)
 	for _, t := range rows {
 		if len(t) == 1 && (t[0] == nil || t[0] == "") {
 			bb.endRow(0) // the line is empty: it decodes to the empty row
 			continue
 		}
 		for j, v := range t {
-			bb.col(j).appendEncoded(v, bb.n, bb.hint, k)
+			bb.col(j).appendEncoded(v, bb.n, bb.hint, &k)
 		}
 		bb.endRow(len(t))
 	}
@@ -482,203 +485,128 @@ func (c *column) appendEncoded(v Value, n, hint int, k *backing) {
 			c.appendFloat(float64(x), n, hint)
 			return
 		}
-		c.append(v, n, hint) // a mixed column keeps v's box
+		c.appendInt(x, n, hint)
 	case float64:
-		switch floatKind(x) {
+		switch kind, i := floatText(x); kind {
 		case colInt:
-			c.appendInt(int64(x), n, hint)
+			c.appendInt(i, n, hint)
 		case colFloat:
-			c.append(v, n, hint)
+			c.appendFloat(x, n, hint)
 		default:
 			c.appendString("NaN", n, hint)
 		}
 	case string:
-		switch {
-		case x == "":
-			c.appendNull(n, hint)
-		case plainString(x[0]):
-			c.appendString(k.add(x), n, hint)
-		default:
-			c.appendField(k.add(x), n, hint)
-		}
+		c.appendField(k.add(x), n, hint)
 	case Tuple, *Bag:
-		if nv, ok := k.addNested(v); ok {
+		if nv, ok := k.nested(v); ok {
 			c.appendBoxed(nv, n)
 			return
 		}
-		// A string inside would split differently (see splitsNested):
-		// go through the text itself.
-		c.appendField(k.addText(v), n, hint)
+		// A string inside would parse differently: go through the
+		// unescaped text, the field the decoder sees.
+		c.appendField(unescapeField(string(appendText(nil, v))), n, hint)
 	default:
 		panic(fmt.Sprintf("tuple: unsupported value type %T", v))
 	}
 }
 
-// floatKind says how x's text re-reads. x is written as its shortest
-// round-trip text ('g', -1), which spells an integral value below 1e6
-// as plain digits ("5", "-0", "123456") that re-read as an int, and NaN
-// as a string; every other text ("0.5", "1e+06", "+Inf") re-reads as x
-// itself.
-func floatKind(x float64) colKind {
-	switch {
-	case x != x:
-		return colString
-	case x == math.Trunc(x) && math.Abs(x) < 1e6:
-		return colInt
-	}
-	return colFloat
+// floatText types the text the encoder writes for x: "5" and "-0"
+// re-read as ints, "NaN" as a string, every other float text as x.
+func floatText(x float64) (colKind, int64) {
+	var buf [32]byte
+	kind, i, _ := scanScalar(string(strconv.AppendFloat(buf[:0], x, 'g', -1, 64)))
+	return kind, i
 }
 
-// plainString reports that a string starting with byte c decodes as
-// itself: it cannot start a number or a nested tuple or bag.
-func plainString(c byte) bool {
-	return c != '+' && c != '-' && c != '.' && (c < '0' || c > '9') && c != '(' && c != '{'
-}
-
-// backing holds what a built batch's values share: one allocation for
-// the string bytes, and one each that nested tuples' fields, bags'
-// tuple lists and bags are carved from.
-type backing struct {
-	b      strings.Builder
-	items  []Value
-	tuples []Tuple
-	bags   []Bag
-}
-
-// sizes counts what values take from a backing: string bytes, nested
-// tuple fields, bag tuple lists and bags.
-type sizes struct{ str, items, tuples, bags int }
-
-func (z *sizes) add(v Value) {
-	switch x := v.(type) {
-	case string:
-		z.str += len(x)
-	case Tuple:
-		z.addTuple(x)
-	case *Bag:
-		z.bags++
-		z.tuples += len(x.Tuples)
-		for _, t := range x.Tuples {
-			z.addTuple(t)
-		}
-	}
-}
-
-func (z *sizes) addTuple(t Tuple) {
-	z.items += len(t)
-	for _, f := range t {
-		z.add(f)
-	}
-}
+// backing is the one string a built batch's strings are cut from.
+type backing struct{ strings.Builder }
 
 // add copies s into the backing and returns the copy. A Builder never
 // rewrites bytes it has handed out, so earlier copies stay valid.
 func (k *backing) add(s string) string {
-	start := k.b.Len()
-	k.b.WriteString(s)
-	return k.b.String()[start:]
+	start := k.Len()
+	k.WriteString(s)
+	return k.String()[start:]
 }
 
-// carve returns the next n slots of *chunk. A chunk runs out only
-// after a nested value fell back to its text (see addNested); the
-// slots are then allocated on their own.
-func carve[T any](chunk *[]T, n int) []T {
-	if len(*chunk) < n {
-		*chunk = make([]T, n)
-	}
-	s := (*chunk)[:n:n]
-	*chunk = (*chunk)[n:]
-	return s
-}
-
-// addNested returns the value the text of the nested value v (a Tuple
-// or *Bag) parses back to, built from v, or false when a string inside
-// would split differently (see addTuple).
-func (k *backing) addNested(v Value) (Value, bool) {
-	if b, ok := v.(*Bag); ok {
-		return k.addBag(b)
-	}
-	return k.addTuple(v.(Tuple))
-}
-
-func (k *backing) addBag(b *Bag) (*Bag, bool) {
-	out := &carve(&k.bags, 1)[0]
-	if len(b.Tuples) > 0 {
-		out.Tuples = carve(&k.tuples, len(b.Tuples))
-	}
-	for i, t := range b.Tuples {
-		nt, ok := k.addTuple(t)
-		if !ok {
-			return nil, false
+// stringBytes returns the bytes of the strings in v, nested ones
+// included: what v takes from a backing.
+func stringBytes(v Value) int {
+	n := 0
+	switch x := v.(type) {
+	case string:
+		n = len(x)
+	case Tuple:
+		for _, f := range x {
+			n += stringBytes(f)
 		}
-		out.Tuples[i] = nt
+	case *Bag:
+		for _, t := range x.Tuples {
+			n += stringBytes(t)
+		}
 	}
-	return out, true
+	return n
 }
 
-// addTuple returns the tuple the text of the nested tuple t parses back
-// to, built from t: its scalars typed as the nested grammar types them
-// (a scalar that keeps its type is shared, not boxed again) and its
-// strings copied into the backing. It reports false when a string
-// inside would split differently (splitsNested).
-func (k *backing) addTuple(t Tuple) (Tuple, bool) {
-	if len(t) == 0 || (len(t) == 1 && (t[0] == nil || t[0] == "")) {
-		return nil, true // "()": the parse yields no items
+// nested returns the value the text of v, a Tuple or *Bag, parses back
+// to, built from v with its strings copied into the backing and its
+// numbers boxed anew, as the column appends box them: sharing v's boxes
+// would keep the task's row allocations alive for as long as the batch
+// is cached. It reports
+// false when a string inside would parse differently: one that starts a
+// nested value, or holds a ',' or ')' that ends its item early.
+func (k *backing) nested(v Value) (Value, bool) {
+	if b, ok := v.(*Bag); ok {
+		out := &Bag{}
+		for _, t := range b.Tuples {
+			nt, ok := k.nested(t)
+			if !ok {
+				return nil, false
+			}
+			out.Add(nt.(Tuple))
+		}
+		return out, true
 	}
-	out := Tuple(carve(&k.items, len(t)))
+	t := v.(Tuple)
+	if len(t) == 0 || (len(t) == 1 && (t[0] == nil || t[0] == "")) {
+		return Tuple(nil), true // "()": no items
+	}
+	out := make(Tuple, len(t))
 	for i, f := range t {
 		switch x := f.(type) {
 		case nil:
 		case int64:
+			out[i] = x
 			if x == math.MinInt64 {
 				out[i] = float64(x)
-			} else {
-				out[i] = f
 			}
 		case float64:
-			switch floatKind(x) {
+			switch kind, n := floatText(x); kind {
 			case colInt:
-				out[i] = int64(x)
+				out[i] = n
 			case colFloat:
-				out[i] = f
+				out[i] = x
 			default:
 				out[i] = "NaN"
 			}
 		case string:
-			if x == "" {
-				break
-			}
-			if splitsNested(x) {
+			if x != "" && (x[0] == '(' || x[0] == '{' || strings.ContainsAny(x, ",)")) {
 				return nil, false
 			}
-			if s := k.add(x); plainString(s[0]) {
-				out[i] = s
-			} else {
-				out[i] = parseScalar(s)
+			if x != "" {
+				out[i] = parseScalar(k.add(x))
 			}
 		case Tuple, *Bag:
-			nv, ok := k.addNested(x)
+			nv, ok := k.nested(x)
 			if !ok {
 				return nil, false
 			}
 			out[i] = nv
+		default:
+			return nil, false
 		}
 	}
 	return out, true
-}
-
-// splitsNested reports whether the non-empty string s, as an item of a
-// nested tuple, parses back as something else: it starts a nested
-// value, or a comma or closing parenthesis inside it ends the item
-// early. Other brackets inside an item are its own bytes.
-func splitsNested(s string) bool {
-	return s[0] == '(' || s[0] == '{' || strings.IndexByte(s, ',') >= 0 || strings.IndexByte(s, ')') >= 0
-}
-
-// addText copies the unescaped text rendering of a nested value — the
-// field the decoder sees — into the backing.
-func (k *backing) addText(v Value) string {
-	return k.add(unescapeField(string(appendText(nil, v))))
 }
 
 // DecodeTextBatch decodes one part file's text bytes into a Batch,
@@ -693,14 +621,7 @@ func (k *backing) addText(v Value) string {
 // text between them), while keeping any one string alive retains the
 // whole file's text.
 func DecodeTextBatch(data []byte) (*Batch, error) {
-	return DecodeTextBatchString(string(data))
-}
-
-// DecodeTextBatchString is DecodeTextBatch over a part file's text
-// already held in a string, which the batch's strings then share: a
-// reader that lands a file in one string pays for one copy of it, not
-// two.
-func DecodeTextBatchString(s string) (*Batch, error) {
+	s := string(data)
 	rows := strings.Count(s, "\n")
 	if s != "" && s[len(s)-1] != '\n' {
 		rows++

@@ -42,8 +42,7 @@ func BenchmarkHash(b *testing.B) {
 // codecShapes are the files the codec benchmarks run over: the clean
 // four typed columns, the generator's page_views row (mostly two long
 // filler strings, with the ip address that is not a number), and the
-// narrow numeric rows stored sub-job outputs are made of, and a stored
-// GROUP output's key and bag.
+// narrow numeric rows stored sub-job outputs are made of.
 var codecShapes = []struct {
 	name string
 	rows int
@@ -54,7 +53,6 @@ var codecShapes = []struct {
 	}},
 	{"pageviews", 200, pageViewsRow},
 	{"narrow-numeric", 2000, narrowNumericRow},
-	{"grouped", 500, groupedRow},
 }
 
 func BenchmarkDecodeTextBatch(b *testing.B) {

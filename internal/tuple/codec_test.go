@@ -445,17 +445,6 @@ func narrowNumericRow(i int) Tuple {
 	return Tuple{"u" + string(rune('0'+i%10)) + "00", int64(i), float64(i) * 0.25}
 }
 
-// groupedRow is a stored GROUP output: the key and the bag of its
-// projected rows.
-func groupedRow(i int) Tuple {
-	user := "u100" + string(rune('0'+i%10)) + "00"
-	bag := &Bag{}
-	for j := 0; j < 4; j++ {
-		bag.Add(Tuple{user, int64(j % 3), int64((i + j) % 60), float64((i*7+j)%10000) / 100.0})
-	}
-	return Tuple{user, bag}
-}
-
 func encodeRows(n int, row func(int) Tuple) []byte {
 	var buf []byte
 	for i := 0; i < n; i++ {
