@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/physical"
@@ -173,9 +174,12 @@ func (s *aggState) final(kind expr.AggKind) tuple.Value {
 	return nil
 }
 
-// partialKey groups partial states per key within a map task.
+// partialKey groups partial states per key within a map task; hash is
+// tuple.Hash(key), computed once for its partition and carried on the
+// shuffled record.
 type partialKey struct {
 	key    tuple.Value
+	hash   uint64
 	states []*aggState
 }
 
@@ -195,11 +199,12 @@ func newCombineAccumulator(spec *combineSpec, numRed int) *combineAccumulator {
 }
 
 func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple) {
-	p := partitionOf(key, len(c.parts))
+	h := tuple.Hash(key)
+	p := partitionOf(h, len(c.parts))
 	ks := tuple.ToString(key)
 	pk := c.parts[p][ks]
 	if pk == nil {
-		pk = &partialKey{key: key}
+		pk = &partialKey{key: key, hash: h}
 		for _, e := range c.spec.exprs {
 			if _, isAgg := e.(expr.Agg); isAgg {
 				pk.states = append(pk.states, newAggState())
@@ -220,12 +225,14 @@ func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple) {
 func (c *combineAccumulator) drain() [][]rec {
 	out := make([][]rec, len(c.parts))
 	for p, m := range c.parts {
-		// Deterministic order: sort keys.
+		// Deterministic order: sort keys. Keys Compare equates but that
+		// print apart ("0" and "-0") are separate partials here and meet
+		// in one reduce group.
 		keys := make([]string, 0, len(m))
 		for k := range m {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		for _, ks := range keys {
 			pk := m[ks]
 			t := make(tuple.Tuple, 0, len(pk.states))
@@ -233,18 +240,10 @@ func (c *combineAccumulator) drain() [][]rec {
 				t = append(t, st.encode())
 			}
 			n := int64(tuple.EncodeTextLen(t) + len(ks) + 2)
-			out[p] = append(out[p], rec{key: pk.key, t: t, bytes: n})
+			out[p] = append(out[p], rec{key: pk.key, hash: pk.hash, t: t, bytes: n})
 		}
 	}
 	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // mergeCombined merges one key's partial records and emits the final

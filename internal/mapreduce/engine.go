@@ -1,7 +1,8 @@
 // Package mapreduce executes physical MapReduce jobs: it splits inputs,
-// runs map tasks over the map segment of the job's plan, partitions and
-// sorts the keyed output, runs reduce tasks over the reduce segment, and
-// writes part files to the DFS — a faithful, laptop-scale Hadoop.
+// runs map tasks over the map segment of the job's plan, partitions the
+// keyed output and groups it in key order, runs reduce tasks over the
+// reduce segment, and writes part files to the DFS — a faithful,
+// laptop-scale Hadoop.
 //
 // Every task's byte and record counts are scaled by the configured
 // SimScale and fed through the cluster cost model, so each job reports
@@ -9,12 +10,10 @@
 package mapreduce
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -138,9 +137,12 @@ type JobStats struct {
 	EncodeTime time.Duration
 }
 
-// rec is one shuffled record.
+// rec is one shuffled record. hash is tuple.Hash(key): the map task
+// computes it once to pick the record's partition and carries it, so
+// the reducer groups by it (groupByKey) without hashing the key again.
 type rec struct {
 	key    tuple.Value
+	hash   uint64
 	branch int
 	t      tuple.Tuple
 	bytes  int64
@@ -606,11 +608,12 @@ type mapResult struct {
 	encode  time.Duration
 }
 
-// partitionOf places a record in a shuffle partition: its reducer is a pure
-// function of its key and the reducer count, so cached and uncached,
-// cold and warm runs place every record in the same partition.
-func partitionOf(key tuple.Value, numRed int) int {
-	return int(tuple.Hash(key) % uint64(numRed))
+// partitionOf places a record in a shuffle partition from its key's
+// hash, tuple.Hash(key): its reducer is a pure function of its key and
+// the reducer count, so cached and uncached, cold and warm runs place
+// every record in the same partition.
+func partitionOf(hash uint64, numRed int) int {
+	return int(hash % uint64(numRed))
 }
 
 func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
@@ -682,22 +685,24 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 			seen[i] = map[string]bool{}
 		}
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			p := partitionOf(key, numRed)
+			h := tuple.Hash(key)
+			p := partitionOf(h, numRed)
 			ks := tuple.ToString(key)
 			if seen[p][ks] {
 				return
 			}
 			seen[p][ks] = true
 			n := int64(len(ks) + 2)
-			mr.parts[p] = append(mr.parts[p], rec{key: key, branch: branch, t: t, bytes: n})
+			mr.parts[p] = append(mr.parts[p], rec{key: key, hash: h, branch: branch, t: t, bytes: n})
 		}
 	default:
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
 			n := int64(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			p := partitionOf(key, numRed)
-			mr.parts[p] = append(mr.parts[p], rec{key: key, branch: branch, t: t, bytes: n})
+			h := tuple.Hash(key)
+			p := partitionOf(h, numRed)
+			mr.parts[p] = append(mr.parts[p], rec{key: key, hash: h, branch: branch, t: t, bytes: n})
 		}
 	}
 
@@ -803,12 +808,12 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 				return
 			}
 			defer func() { <-e.sem }()
-			var recs []rec
-			for _, mr := range mapResults {
-				recs = append(recs, mr.parts[r]...)
+			parts := make([][]rec, len(mapResults))
+			for i, mr := range mapResults {
+				parts[i] = mr.parts[r]
 			}
 			outs[r] = map[string]OutputStat{}
-			times[r], encode[r], writes[r], errs[r] = e.runReduceTask(seg, recs, r, outs[r])
+			times[r], encode[r], writes[r], errs[r] = e.runReduceTask(seg, parts, r, outs[r])
 			if errs[r] == nil {
 				tracker.tick(times[r])
 			}
@@ -827,17 +832,15 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	return times, allWrites, nil
 }
 
-// runReduceTask returns the task's simulated time, the wall-clock its
-// close spent encoding, and its written parts.
-func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, []writtenPart, error) {
-	// Sort by key (respecting ORDER BY direction), then branch, stable.
-	desc := seg.pkg.Desc
-	slices.SortStableFunc(recs, func(a, b rec) int {
-		if c := compareKeys(a.key, b.key, desc); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.branch, b.branch)
-	})
+// runReduceTask runs reduce task taskIdx over its partition of every
+// map task's output, parts[m] from map task m. It pushes the key groups
+// in the order Hadoop's sort delivers them — by key (respecting ORDER BY
+// direction), then branch, each (key, branch) run in map-task order —
+// which groupByKey builds without sorting the records. It returns the
+// task's simulated time, the wall-clock its close spent encoding, and its
+// written parts.
+func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, []writtenPart, error) {
+	recs, starts := groupByKey(parts, seg.pkg.Desc)
 
 	px := newExec(seg, true)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
@@ -848,14 +851,12 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		shuffleBytes += r.bytes
 	}
 
-	// Walk key groups.
-	i := 0
-	for i < len(recs) {
-		j := i
-		for j < len(recs) && compareKeys(recs[j].key, recs[i].key, desc) == 0 {
-			j++
+	for g, lo := range starts {
+		hi := len(recs)
+		if g+1 < len(starts) {
+			hi = starts[g+1]
 		}
-		group := recs[i:j]
+		group := recs[lo:hi]
 		var err error
 		if seg.combine != nil {
 			err = mergeCombined(px, seg.combine, group)
@@ -865,7 +866,6 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		i = j
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
 		return 0, 0, nil, err
@@ -885,38 +885,6 @@ func (e *Engine) runReduceTask(seg *segmentation, recs []rec, taskIdx int, outSt
 		NumStores:    len(px.stores),
 	}
 	return e.cfg.Cost.TaskTime(work), px.encode, px.writtenParts(), nil
-}
-
-func compareKeys(a, b tuple.Value, desc []bool) int {
-	if len(desc) == 0 {
-		return tuple.Compare(a, b)
-	}
-	// Composite ORDER BY keys compare per component with direction.
-	at, aok := a.(tuple.Tuple)
-	bt, bok := b.(tuple.Tuple)
-	if !aok || !bok {
-		c := tuple.Compare(a, b)
-		if len(desc) > 0 && desc[0] {
-			return -c
-		}
-		return c
-	}
-	for i := range at {
-		if i >= len(bt) {
-			return 1
-		}
-		c := tuple.Compare(at[i], bt[i])
-		if c != 0 {
-			if i < len(desc) && desc[i] {
-				return -c
-			}
-			return c
-		}
-	}
-	if len(at) < len(bt) {
-		return -1
-	}
-	return 0
 }
 
 // emitGroup packages one key group and pushes it through the reduce

@@ -66,11 +66,12 @@ func leUint64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// Hash returns a 64-bit hash of v, consistent with Equal for the scalar
-// types (values that compare equal hash equally — in particular the
-// int64 3 and the float64 3.0, which Compare treats as equal, hash to
-// the same value). The MapReduce engine uses it to partition map output
-// across reducers.
+// Hash returns a 64-bit hash of v, consistent with Compare: values that
+// compare equal hash equally. A number hashes through its float64 image,
+// so the int64 3 and the float64 3.0 agree; -0.0 hashes as 0.0 and every
+// NaN payload as one NaN, because Compare treats each pair as equal.
+// The MapReduce engine uses it to partition map output across reducers
+// and, carried on each shuffled record, to group a reducer's input.
 func Hash(v Value) uint64 {
 	return hashValue(v, 0)
 }
@@ -82,9 +83,9 @@ func hashValue(v Value, seed uint64) uint64 {
 	case int64:
 		// Hash through the float64 image so int/float values that
 		// compare equal hash equally.
-		return foldMul(seed^hashTagNum, math.Float64bits(float64(x))^hashK2)
+		return hashFloat(float64(x), seed)
 	case float64:
-		return foldMul(seed^hashTagNum, math.Float64bits(x)^hashK2)
+		return hashFloat(x, seed)
 	case string:
 		return Hash64(x, seed^hashTagString)
 	case Tuple:
@@ -101,4 +102,16 @@ func hashValue(v Value, seed uint64) uint64 {
 		return foldMul(h^uint64(len(x.Tuples)), hashK3)
 	}
 	return 0
+}
+
+// hashFloat hashes a number's float64 image, folding the values Compare
+// equates but whose bits differ: -0.0 onto 0.0, every NaN onto one.
+func hashFloat(f float64, seed uint64) uint64 {
+	switch {
+	case f == 0:
+		f = 0
+	case math.IsNaN(f):
+		f = math.NaN()
+	}
+	return foldMul(seed^hashTagNum, math.Float64bits(f)^hashK2)
 }

@@ -3,6 +3,7 @@ package tuple
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,11 @@ func TestCompareScalars(t *testing.T) {
 		{nil, int64(0), -1},
 		{nil, nil, 0},
 		{int64(5), "5", -1}, // numbers sort before strings
+		{math.Copysign(0, -1), int64(0), 0},
+		{math.NaN(), math.NaN(), 0}, // NaN is one value, above +Inf
+		{math.NaN(), math.Inf(1), 1},
+		{int64(math.MaxInt64), math.NaN(), -1},
+		{math.NaN(), "a", -1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -171,16 +177,28 @@ func randomValue(r *rand.Rand, depth int) Value {
 	}
 }
 
+// TestQuickCompareTotalOrder checks over random values and edgeValues
+// that Compare is a total order (antisymmetric and transitive) and that
+// Equal and Hash agree with it: Equal(a, b) is Compare(a, b) == 0, which
+// implies Hash(a) == Hash(b). The shuffle groups a reducer's records by
+// hash, so an equal pair that hashed apart would split one key into two
+// groups on two reducers.
 func TestQuickCompareTotalOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	vals := make([]Value, 60)
-	for i := range vals {
-		vals[i] = randomValue(r, 1)
+	vals := edgeValues()
+	for i := 0; i < 60; i++ {
+		vals = append(vals, randomValue(r, 1))
 	}
 	for _, a := range vals {
 		for _, b := range vals {
 			if Compare(a, b) != -Compare(b, a) {
 				t.Fatalf("antisymmetry violated for %v, %v", a, b)
+			}
+			if Equal(a, b) != (Compare(a, b) == 0) {
+				t.Fatalf("Equal(%v, %v) disagrees with Compare", a, b)
+			}
+			if Equal(a, b) && Hash(a) != Hash(b) {
+				t.Fatalf("%v and %v compare equal but hash differently", a, b)
 			}
 			for _, c := range vals {
 				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
@@ -189,6 +207,29 @@ func TestQuickCompareTotalOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// edgeValues is a pool of the values where Compare and Hash are easiest
+// to get wrong: the numbers Compare equates across bit patterns (0, 0.0
+// and -0.0; two NaN payloads; 2^53 and 2^53+1, which share a float64
+// image), the infinities, and the same values inside tuples and bags.
+func edgeValues() []Value {
+	negZero := math.Copysign(0, -1)
+	nan2 := math.Float64frombits(0x7ff8000000000001)
+	scalars := []Value{
+		nil, int64(0), 0.0, negZero, math.NaN(), nan2, math.Inf(1), math.Inf(-1),
+		int64(1 << 53), int64(1<<53 + 1), float64(1 << 53), float64(1<<53) + 2,
+		int64(-1), 2.5, "", "0", "a", "NaN",
+	}
+	vals := append([]Value{}, scalars...)
+	vals = append(vals,
+		Tuple{}, Tuple{int64(0)}, Tuple{negZero}, Tuple{math.NaN()}, Tuple{nan2},
+		Tuple{int64(1), "x"}, Tuple{1.0, "x"}, Tuple{int64(1 << 53), Tuple{negZero}},
+		Tuple{float64(1 << 53), Tuple{int64(0)}}, Tuple{Tuple{}},
+		NewBag(), NewBag(Tuple{int64(0)}), NewBag(Tuple{negZero}),
+		NewBag(Tuple{math.NaN()}, Tuple{"a"}), NewBag(Tuple{nan2}, Tuple{"a"}),
+	)
+	return vals
 }
 
 func TestQuickHashEqualConsistency(t *testing.T) {
