@@ -174,10 +174,11 @@ type Config struct {
 	NamespaceRoot string
 	// JanitorInterval starts a background janitor goroutine sweeping
 	// the storage every interval: invalid entries (Rule 4), orphaned
-	// per-query namespaces of dead queries, over-budget entries, and —
-	// on a durable store — expired cross-process leases and due log
-	// compactions. Zero disables the goroutine; Sweep still runs a pass
-	// on demand.
+	// per-query namespaces of dead queries, over-budget entries, expired
+	// claims and pins of dead processes, and — on a durable store — due
+	// log compactions. Zero disables the goroutine; Sweep still runs a
+	// pass on demand. Held claims and pins are renewed by the lease
+	// heartbeat, not the janitor.
 	JanitorInterval time.Duration
 	// Durability makes the repository survive restarts and lets several
 	// Systems opened over one DFS (see Recover) share it.
@@ -210,8 +211,9 @@ type DurabilityConfig struct {
 	// automatically).
 	CompactEvery int
 	// LeaseTTL bounds how long a crashed process's claims can block
-	// peers (0 = default 1 minute). It applies to every System's claim
-	// leases, durable or not.
+	// peers and its pins can shield entries from their eviction (0 =
+	// default 1 minute). It applies to every System's claims and pins,
+	// durable or not; a live System renews both every third of it.
 	LeaseTTL time.Duration
 }
 

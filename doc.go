@@ -103,7 +103,8 @@
 //   - Budget. Config.MaxRepositoryBytes bounds the bytes the repository
 //     retains; when exceeded, the Config.Eviction policy (reuse-window,
 //     LRU, or the default cost-benefit) picks victims. Entries read by
-//     in-flight rewrites are pinned and never evicted.
+//     in-flight rewrites are pinned and never evicted — by this System
+//     or, through the pin records beside the claim leases, by a peer.
 //
 //   - Janitor. With Config.JanitorInterval > 0, a background goroutine
 //     owned by the System periodically vacuums invalid entries, dead
@@ -137,8 +138,9 @@
 //     processes about to materialize the same sub-job resolve to one
 //     winner; the loser waits on the lease, folds the winner's log
 //     records into its own repository, and reuses the committed entry.
-//     The janitor reaps expired leases, so a crashed process's
-//     in-flight claims unblock its peers within the TTL.
+//     Sweeps reap expired leases and pins, so a crashed process's
+//     in-flight claims unblock its peers within the TTL; a live
+//     process's one lease heartbeat renews what it holds.
 //
 // Each recovered System gets a process-unique writer identity: query
 // IDs, repository entry IDs and the janitor's orphan sweep are scoped

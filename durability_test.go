@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -329,6 +330,40 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 	}
 }
 
+// TestDurableHeartbeatLifecycle: a System holding no claim or pin runs
+// no lease heartbeat — after Recover, between queries that claimed and
+// pinned, and after Close — so no renewer outlives what it renews.
+func TestDurableHeartbeatLifecycle(t *testing.T) {
+	fs := newTestFS(t)
+	settled := func(want int) int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	base := runtime.NumGoroutine()
+	sys, err := Recover(durableConfig(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEvents(t, sys)
+	if got := settled(base); got > base {
+		t.Fatalf("idle System: %d goroutines, want %d", got, base)
+	}
+	durableWorkload(t, sys, "out")
+	if st := sys.LeaseStats(); st.Granted == 0 {
+		t.Fatal("the workload took no claim")
+	}
+	if got := settled(base); got > base {
+		t.Fatalf("after the queries: %d goroutines, want %d", got, base)
+	}
+	sys.Close()
+	if got := settled(base); got > base {
+		t.Fatalf("after Close: %d goroutines, want %d", got, base)
+	}
+}
+
 // TestDurableJanitorReapsLeases: the background sweep deletes a dead
 // peer's expired lease records.
 func TestDurableJanitorReapsLeases(t *testing.T) {
@@ -347,6 +382,7 @@ func TestDurableJanitorReapsLeases(t *testing.T) {
 	if _, ok := dead.TryAcquire("orphaned-fingerprint"); !ok {
 		t.Fatal("setup acquire failed")
 	}
+	dead.Close() // the peer dies: its heartbeat stops renewing
 	time.Sleep(5 * time.Millisecond)
 	rep := sys.Sweep()
 	if rep.LeasesReaped == 0 {

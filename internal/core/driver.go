@@ -311,7 +311,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 		return obs.NoSpan
 	}
 
-	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: cfg.LinearScan, Trace: tr, Metrics: d.Metrics}
+	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: cfg.LinearScan, Leases: store.cfg.Leases, Trace: tr, Metrics: d.Metrics}
 	// Incremental maintenance: when the matcher's only candidate is a
 	// stale-but-mergeable entry whose inputs merely grew, refresh it
 	// from the appended slice instead of recomputing cold. The hook
@@ -398,12 +398,14 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	}
 	outcomes := make([]jobOutcome, len(jobs))
 
-	// Entries pinned by this execution's rewrites stay vacuum-proof
-	// until the workflow finishes (rewritten jobs read their outputs).
+	// Entries pinned by this execution's rewrites stay vacuum-proof,
+	// here and at every peer, until the workflow finishes (rewritten
+	// jobs read their outputs).
 	var pinned []string
 	defer func() {
 		for _, id := range pinned {
 			repo.Unpin(id)
+			store.cfg.Leases.Unpin(id)
 		}
 	}()
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,26 +14,39 @@ import (
 	"repro/internal/tuple"
 )
 
-// LeaseManager materializes claims as TTL'd lease records in a DFS
-// namespace ("<ns-root>/locks/"): every claim StorageManager grants is
-// one lease, so the claim protocol — one materializer per plan
-// fingerprint, everyone else waits and reuses — holds alike between the
-// queries of one System and between processes sharing the DFS. The
-// lease only serializes: a waiter learns of the holder's entry from the
-// repository, which a peer process's entries reach through the shared
-// durable event log.
+// LeaseManager keeps this process's TTL'd records in a DFS namespace
+// ("<ns-root>/locks/"). Two kinds of record share one format, one
+// reaper and one heartbeat:
 //
-// A lease is one file per fingerprint holding the owner, an expiry
-// deadline, and a fencing version that increments on every takeover of
-// an expired lease. All writes go through the DFS's version
-// compare-and-swap, so two processes racing for one fingerprint resolve
-// to exactly one holder, and a holder whose lease expired and was taken
-// over can never release (or believe it still holds) the successor's
-// lease. A live holder extends its lease through Renew (the same CAS:
-// a takeover after expiry always wins over a late renewal), so a
-// materialization longer than the TTL keeps its lease as long as the
-// process heartbeats — see KeepAlive — while a dead holder's lease
-// still expires and is taken over or reaped.
+//   - A claim lease, one file per plan fingerprint: every claim
+//     StorageManager grants is one, so the claim protocol — one
+//     materializer per plan fingerprint, everyone else waits and
+//     reuses — holds alike between the queries of one System and
+//     between processes sharing the DFS. The lease only serializes: a
+//     waiter learns of the holder's entry from the repository, which a
+//     peer process's entries reach through the shared durable event
+//     log. A lease holds the owner, an expiry deadline, and a fencing
+//     version that increments on every takeover of an expired lease.
+//     All writes go through the DFS's version compare-and-swap, so two
+//     processes racing for one fingerprint resolve to exactly one
+//     holder, and a holder whose lease expired and was taken over can
+//     never release (or believe it still holds) the successor's lease.
+//
+//   - A pin, one file per (entry, owner) pair: while a rewrite of this
+//     process reads an entry's stored output, the pin record tells the
+//     eviction and vacuum of every peer sharing the DFS to spare that
+//     output (Repository.Pin guards it from this process's own). The
+//     manager counts pins per entry: the first writes the record, the
+//     last deletes it. Only its owner writes a pin record (the owner is
+//     in the name), so a plain write is enough.
+//
+// One heartbeat goroutine renews every record the process holds, every
+// third of the TTL, and runs only while it holds at least one. A claim
+// renews through the same CAS it was taken with — a takeover after
+// expiry always wins over a late renewal — and a claim fenced out is
+// dropped. So a materialization or a read longer than the TTL keeps its
+// records while the process lives; once it dies, renewals stop, its
+// claims are taken over or reaped and its pins stop shielding entries.
 //
 // All methods are safe for concurrent use.
 type LeaseManager struct {
@@ -43,6 +57,17 @@ type LeaseManager struct {
 	poll  time.Duration
 	// now is the wall clock, injectable so expiry tests need not sleep.
 	now func() time.Time
+
+	// mu guards the held claims, the pin counts and the heartbeat. Pin
+	// records are written and deleted under it, so a record exists
+	// exactly while its entry's count is above zero.
+	mu     sync.Mutex
+	claims map[*Lease]bool // claim leases held here
+	pins   map[string]int  // entry ID → local pin count
+	// stopBeat stops the running heartbeat; nil when none runs.
+	stopBeat chan struct{}
+	closed   bool
+	beats    sync.WaitGroup
 
 	granted   atomic.Int64
 	takeovers atomic.Int64
@@ -70,7 +95,10 @@ func NewLeaseManager(fs dfs.Backend, root, owner string, ttl, poll time.Duration
 	if poll <= 0 {
 		poll = DefaultLeasePoll
 	}
-	return &LeaseManager{fs: fs, root: cleanPath(root), owner: owner, ttl: ttl, poll: poll, now: time.Now}
+	return &LeaseManager{
+		fs: fs, root: cleanPath(root), owner: owner, ttl: ttl, poll: poll, now: time.Now,
+		claims: map[*Lease]bool{}, pins: map[string]int{},
+	}
 }
 
 // SetClock injects the wall clock (tests drive expiry without
@@ -80,8 +108,8 @@ func (lm *LeaseManager) SetClock(now func() time.Time) { lm.now = now }
 // Lease is one held materialization lease. The version is the lease
 // file's DFS version as of the last acquisition or renewal: release
 // and still-held checks CAS against it, so a takeover after expiry is
-// always detected. The mutex makes a background renewer (KeepAlive)
-// safe against a concurrent Release or StillHeld.
+// always detected. The mutex makes the heartbeat safe against a
+// concurrent Release or StillHeld.
 type Lease struct {
 	mu      sync.Mutex
 	path    string
@@ -95,8 +123,10 @@ type Lease struct {
 // fence can be told from the successor's.
 func (l *Lease) Fence() uint64 { return l.fence }
 
-// leaseRecord is the serialized lease file.
+// leaseRecord is the serialized record file, claim or pin.
 type leaseRecord struct {
+	// Fingerprint is the claimed plan fingerprint, or the pinned
+	// entry's ID.
 	Fingerprint string
 	Owner       string
 	Fence       uint64
@@ -132,44 +162,64 @@ func (lm *LeaseManager) leasePath(fp string) string {
 // TryAcquire attempts to take the fingerprint's lease: it succeeds when
 // no lease file exists or the existing one has expired (a takeover,
 // bumping the fence). It returns (nil, false) when another holder's
-// lease is live.
+// lease is live. A taken lease is held — the heartbeat renews it —
+// until Release.
 func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 	path := lm.leasePath(fp)
 	for {
 		// Version before content: a write sneaking in between makes the
 		// CAS fail instead of clobbering the sneaking writer's lease.
 		ver := lm.fs.Version(path)
-		data, err := lm.fs.ReadFile(path)
 		fence := uint64(1)
-		if err == nil {
-			var old leaseRecord
-			if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&old); decErr == nil {
-				if lm.now().UnixNano() < old.ExpiresUnixNano {
-					return nil, false // held and live
-				}
-				fence = old.Fence + 1
+		if old, err := lm.read(path); err == nil {
+			if lm.live(old) {
+				return nil, false // held and live
 			}
+			fence = old.Fence + 1
 		}
-		rec := leaseRecord{
-			Fingerprint:     fp,
-			Owner:           lm.owner,
-			Fence:           fence,
-			ExpiresUnixNano: lm.now().Add(lm.ttl).UnixNano(),
-		}
-		var buf bytes.Buffer
-		if encErr := gob.NewEncoder(&buf).Encode(rec); encErr != nil {
-			return nil, false
-		}
-		newVer, ok := lm.fs.WriteFileIf(path, buf.Bytes(), ver)
-		if ok {
+		if newVer, ok := lm.fs.WriteFileIf(path, lm.record(fp, fence), ver); ok {
 			lm.granted.Add(1)
 			if fence > 1 {
 				lm.takeovers.Add(1)
 			}
-			return &Lease{path: path, fp: fp, fence: fence, version: newVer}, true
+			l := &Lease{path: path, fp: fp, fence: fence, version: newVer}
+			lm.mu.Lock()
+			lm.claims[l] = true
+			lm.beatLocked()
+			lm.mu.Unlock()
+			return l, true
 		}
 		// Lost the CAS; re-read — the winner's lease is probably live.
 	}
+}
+
+// read decodes the record at path; the error is a missing or
+// undecodable record.
+func (lm *LeaseManager) read(path string) (leaseRecord, error) {
+	var rec leaseRecord
+	data, err := lm.fs.ReadFile(path)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(data)).Decode(&rec)
+	}
+	return rec, err
+}
+
+// live reports whether a record's deadline is still ahead.
+func (lm *LeaseManager) live(rec leaseRecord) bool {
+	return lm.now().UnixNano() < rec.ExpiresUnixNano
+}
+
+// record encodes a record for key expiring a TTL from now.
+func (lm *LeaseManager) record(key string, fence uint64) []byte {
+	var buf bytes.Buffer
+	// Encoding a struct of strings and integers cannot fail.
+	_ = gob.NewEncoder(&buf).Encode(leaseRecord{
+		Fingerprint:     key,
+		Owner:           lm.owner,
+		Fence:           fence,
+		ExpiresUnixNano: lm.now().Add(lm.ttl).UnixNano(),
+	})
+	return buf.Bytes()
 }
 
 // Renew extends a held lease's expiry by a full TTL through the same
@@ -177,24 +227,14 @@ func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 // holder last wrote it — it expired and was taken over, or was reaped —
 // the renewal loses and returns false, keeping takeover-on-death
 // semantics intact. A true return means the lease is live for another
-// TTL from now.
+// TTL from now. The heartbeat calls it for every held claim.
 func (lm *LeaseManager) Renew(l *Lease) bool {
 	if l == nil {
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := leaseRecord{
-		Fingerprint:     l.fp,
-		Owner:           lm.owner,
-		Fence:           l.fence,
-		ExpiresUnixNano: lm.now().Add(lm.ttl).UnixNano(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return false
-	}
-	newVer, ok := lm.fs.WriteFileIf(l.path, buf.Bytes(), l.version)
+	newVer, ok := lm.fs.WriteFileIf(l.path, lm.record(l.fp, l.fence), l.version)
 	if !ok {
 		lm.fenceLost.Add(1)
 		return false
@@ -204,45 +244,16 @@ func (lm *LeaseManager) Renew(l *Lease) bool {
 	return true
 }
 
-// KeepAlive renews the lease in the background every third of the TTL
-// until the returned stop function is called or a renewal loses the
-// lease. It is the holder-side heartbeat that lets a materialization
-// outlive the TTL while the process is alive; once the process dies,
-// renewals stop and expiry hands the lease over as before. Call stop
-// before Release.
-func (lm *LeaseManager) KeepAlive(l *Lease) (stop func()) {
-	if l == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	interval := lm.ttl / 3
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if !lm.Renew(l) {
-					return // fenced out; the successor owns it now
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // Release gives the lease up. The conditional delete means a lease that
 // expired and was taken over is left to its new holder.
 func (lm *LeaseManager) Release(l *Lease) {
 	if l == nil {
 		return
 	}
+	lm.mu.Lock()
+	delete(lm.claims, l)
+	lm.idleLocked()
+	lm.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !lm.fs.RemoveFileIf(l.path, l.version) {
@@ -262,6 +273,142 @@ func (lm *LeaseManager) StillHeld(l *Lease) bool {
 	return lm.fs.Version(l.path) == l.version
 }
 
+// pinPath maps an (entry, owner) pair to its pin record. Entry and
+// writer IDs ("w2e17", "w3") are path-safe and dot-free by construction.
+func (lm *LeaseManager) pinPath(id string) string {
+	return lm.root + "/pin." + id + "." + lm.owner
+}
+
+// Pin counts one pin of an entry by this process; the first writes the
+// entry's pin record. The rewriter pins after the repository probe
+// returns and before the rewritten job reads the entry's output. A nil
+// manager pins nothing.
+func (lm *LeaseManager) Pin(id string) {
+	if lm == nil {
+		return
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	lm.pins[id]++
+	if lm.pins[id] == 1 {
+		lm.writePin(id)
+		lm.beatLocked()
+	}
+}
+
+// Unpin releases one Pin; the last deletes the entry's pin record.
+func (lm *LeaseManager) Unpin(id string) {
+	if lm == nil {
+		return
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.pins[id] > 1 {
+		lm.pins[id]--
+		return
+	}
+	delete(lm.pins, id)
+	_ = lm.fs.Delete(lm.pinPath(id))
+	lm.idleLocked()
+}
+
+// writePin writes (or renews) this process's pin record of an entry.
+func (lm *LeaseManager) writePin(id string) {
+	_ = lm.fs.WriteFile(lm.pinPath(id), lm.record(id, 0))
+}
+
+// PeerPins returns the entries another process holds a live pin on,
+// from one listing of the namespace. The eviction and vacuum delete
+// paths take one snapshot before deleting: an entry in it keeps its
+// stored output, which a peer's in-flight rewrite is reading.
+func (lm *LeaseManager) PeerPins() map[string]bool {
+	pinned := map[string]bool{}
+	for _, ds := range lm.fs.Datasets(lm.root) {
+		if !lm.peerPin(ds) {
+			continue
+		}
+		if rec, err := lm.read(ds); err == nil && lm.live(rec) {
+			pinned[rec.Fingerprint] = true
+		}
+	}
+	return pinned
+}
+
+// peerPin reports whether the record at path is another process's pin.
+// This process's own pins are not: its local pins already guard them.
+func (lm *LeaseManager) peerPin(path string) bool {
+	return strings.HasPrefix(path, lm.root+"/pin.") && !strings.HasSuffix(path, "."+lm.owner)
+}
+
+// beatLocked starts the heartbeat if none runs.
+func (lm *LeaseManager) beatLocked() {
+	if lm.stopBeat == nil && !lm.closed {
+		lm.stopBeat = make(chan struct{})
+		lm.beats.Add(1)
+		go lm.heartbeat(lm.stopBeat)
+	}
+}
+
+// idleLocked stops the heartbeat once nothing is held.
+func (lm *LeaseManager) idleLocked() {
+	if len(lm.claims) == 0 && len(lm.pins) == 0 && lm.stopBeat != nil {
+		close(lm.stopBeat)
+		lm.stopBeat = nil
+	}
+}
+
+// heartbeat renews every held record each third of the TTL until stop
+// closes.
+func (lm *LeaseManager) heartbeat(stop chan struct{}) {
+	defer lm.beats.Done()
+	t := time.NewTicker(max(lm.ttl/3, time.Microsecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			lm.beat()
+		}
+	}
+}
+
+// beat is one heartbeat pass: it rewrites every pin record this
+// process holds and renews every claim, dropping a claim whose renewal
+// lost — it was fenced out by a successor.
+func (lm *LeaseManager) beat() {
+	lm.mu.Lock()
+	for id := range lm.pins {
+		lm.writePin(id)
+	}
+	claims := make([]*Lease, 0, len(lm.claims))
+	for l := range lm.claims {
+		claims = append(claims, l)
+	}
+	lm.mu.Unlock()
+	for _, l := range claims {
+		if !lm.Renew(l) {
+			lm.mu.Lock()
+			delete(lm.claims, l)
+			lm.idleLocked()
+			lm.mu.Unlock()
+		}
+	}
+}
+
+// Close stops the heartbeat for good; records still held expire within
+// a TTL unless released first. System.Close calls it.
+func (lm *LeaseManager) Close() {
+	lm.mu.Lock()
+	lm.closed = true
+	if lm.stopBeat != nil {
+		close(lm.stopBeat)
+		lm.stopBeat = nil
+	}
+	lm.mu.Unlock()
+	lm.beats.Wait()
+}
+
 // WaitFree blocks until the fingerprint's lease is released or expires
 // (expired leases are reaped on sight), polling the lease file; it
 // returns ctx.Err() on cancellation.
@@ -276,7 +423,7 @@ func (lm *LeaseManager) WaitFree(ctx context.Context, fp string) error {
 			return nil // released
 		}
 		var rec leaseRecord
-		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr != nil || lm.now().UnixNano() >= rec.ExpiresUnixNano {
+		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr != nil || !lm.live(rec) {
 			if lm.fs.RemoveFileIf(path, ver) {
 				lm.reaped.Add(1)
 			}
@@ -290,11 +437,13 @@ func (lm *LeaseManager) WaitFree(ctx context.Context, fp string) error {
 	}
 }
 
-// ReapExpired deletes every expired (or undecodable) lease record in
-// the locks namespace, returning how many went; the janitor calls it so
-// a crashed process's claims cannot outlive their TTL by much.
-func (lm *LeaseManager) ReapExpired() int {
-	n := 0
+// ReapExpired deletes every expired (or undecodable) record in the
+// locks namespace — claims and pins, in one listing — so a crashed
+// process's claims and pins cannot outlive their TTL by much. It
+// returns how many went and, from the same listing, the live peer pins
+// PeerPins would return: a sweep spares those without listing again.
+func (lm *LeaseManager) ReapExpired() (int, map[string]bool) {
+	n, peers := 0, map[string]bool{}
 	for _, ds := range lm.fs.Datasets(lm.root) {
 		if ds == lm.root {
 			continue
@@ -305,7 +454,10 @@ func (lm *LeaseManager) ReapExpired() int {
 			continue
 		}
 		var rec leaseRecord
-		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr == nil && lm.now().UnixNano() < rec.ExpiresUnixNano {
+		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr == nil && lm.live(rec) {
+			if lm.peerPin(ds) {
+				peers[rec.Fingerprint] = true
+			}
 			continue
 		}
 		if lm.fs.RemoveFileIf(ds, ver) {
@@ -313,7 +465,7 @@ func (lm *LeaseManager) ReapExpired() int {
 			n++
 		}
 	}
-	return n
+	return n, peers
 }
 
 // LeaseStats is a point-in-time snapshot of the lease manager.

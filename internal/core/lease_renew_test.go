@@ -12,7 +12,7 @@ import (
 func TestLeaseRenewExtendsExpiry(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a, b := leasePair(fs, clock, "w1"), leasePair(fs, clock, "w2")
+	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
 	la, ok := a.TryAcquire("fp")
 	if !ok {
@@ -59,16 +59,17 @@ func TestLeaseRenewExtendsExpiry(t *testing.T) {
 	}
 }
 
-// TestLeaseKeepAliveHeartbeat: the background renewer keeps a lease
-// live across many TTLs while the holder runs, and stops cleanly.
+// TestLeaseKeepAliveHeartbeat: the manager's heartbeat keeps a held
+// lease live across many TTLs while the holder runs, and stops cleanly
+// once the lease is released.
 func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 	fs := newTestFS(t)
 	lm := NewLeaseManager(fs, "sys/locks", "w1", 30*time.Millisecond, time.Millisecond)
+	defer lm.Close()
 	l, ok := lm.TryAcquire("fp")
 	if !ok {
 		t.Fatal("acquire failed")
 	}
-	stop := lm.KeepAlive(l)
 	deadline := time.Now().Add(5 * time.Second)
 	for lm.Stats().Renewals < 5 {
 		if time.Now().After(deadline) {
@@ -79,15 +80,21 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 	if !lm.StillHeld(l) {
 		t.Fatal("lease lost while the heartbeat runs")
 	}
-	stop()
-	stop() // idempotent
 	lm.Release(l)
+	lm.Release(l) // a second release neither fails nor restarts anything
+	lm.mu.Lock()
+	running := lm.stopBeat != nil
+	lm.mu.Unlock()
+	if running {
+		t.Fatal("heartbeat still running with nothing held")
+	}
 
 	// Released: a peer acquires immediately, no takeover needed.
 	peer := NewLeaseManager(fs, "sys/locks", "w2", 30*time.Millisecond, time.Millisecond)
+	defer peer.Close()
 	lp, ok := peer.TryAcquire("fp")
 	if !ok {
-		t.Fatal("acquire after stop+release failed")
+		t.Fatal("acquire after release failed")
 	}
 	if lp.Fence() != 1 {
 		t.Fatalf("post-release fence = %d, want 1 (clean release deletes the record)", lp.Fence())
@@ -95,11 +102,12 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 }
 
 // TestLeaseKeepAliveStopsOnFenceLoss: once a lease is taken over, the
-// holder's heartbeat gives up instead of fighting the successor.
+// holder's heartbeat gives up instead of fighting the successor: the
+// fenced-out claim leaves the held set, and the heartbeat with it.
 func TestLeaseKeepAliveStopsOnFenceLoss(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a, b := leasePair(fs, clock, "w1"), leasePair(fs, clock, "w2")
+	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 	la, _ := a.TryAcquire("fp")
 	clock.Advance(2 * time.Minute)
 	lb, ok := b.TryAcquire("fp")
@@ -107,12 +115,17 @@ func TestLeaseKeepAliveStopsOnFenceLoss(t *testing.T) {
 		t.Fatal("takeover failed")
 	}
 	// The late heartbeat must lose and stay lost.
-	stop := a.KeepAlive(la)
-	defer stop()
+	a.beat()
 	if a.Renew(la) {
 		t.Fatal("fenced-out renewal succeeded")
 	}
 	if !b.StillHeld(lb) {
 		t.Fatal("successor lost its lease to a dead holder's heartbeat")
+	}
+	a.mu.Lock()
+	held, running := len(a.claims), a.stopBeat != nil
+	a.mu.Unlock()
+	if held != 0 || running {
+		t.Fatalf("fenced-out holder still holds %d records, heartbeat running %v", held, running)
 	}
 }

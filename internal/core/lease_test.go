@@ -29,9 +29,10 @@ func (c *testClock) Advance(d time.Duration) {
 	c.now = c.now.Add(d)
 }
 
-func leasePair(fs dfs.Backend, clock *testClock, owner string) *LeaseManager {
+func leasePair(t *testing.T, fs dfs.Backend, clock *testClock, owner string) *LeaseManager {
 	lm := NewLeaseManager(fs, "sys/locks", owner, time.Minute, time.Millisecond)
 	lm.SetClock(clock.Now)
+	t.Cleanup(lm.Close)
 	return lm
 }
 
@@ -40,7 +41,7 @@ func leasePair(fs dfs.Backend, clock *testClock, owner string) *LeaseManager {
 func TestLeaseMutualExclusion(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a, b := leasePair(fs, clock, "w1"), leasePair(fs, clock, "w2")
+	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
 	la, ok := a.TryAcquire("fp1")
 	if !ok {
@@ -71,7 +72,7 @@ func TestLeaseMutualExclusion(t *testing.T) {
 func TestLeaseExpiryTakeoverAndFencing(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a, b := leasePair(fs, clock, "w1"), leasePair(fs, clock, "w2")
+	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
 	la, ok := a.TryAcquire("fp")
 	if !ok {
@@ -103,7 +104,7 @@ func TestLeaseExpiryTakeoverAndFencing(t *testing.T) {
 func TestLeaseWaitFree(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a, b := leasePair(fs, clock, "w1"), leasePair(fs, clock, "w2")
+	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
 	la, _ := a.TryAcquire("fp")
 	done := make(chan error, 1)
@@ -138,22 +139,39 @@ func TestLeaseWaitFree(t *testing.T) {
 	}
 }
 
-// TestLeaseReapExpired: the janitor-facing sweep deletes only expired
-// records.
+// TestLeaseReapExpired: the sweep-facing reap deletes only expired
+// records, claims and pins alike, in one pass, and reports the live
+// peer pins it saw.
 func TestLeaseReapExpired(t *testing.T) {
 	fs := newTestFS(t)
 	clock := newTestClock()
-	a := leasePair(fs, clock, "w1")
+	a := leasePair(t, fs, clock, "w1")
+	dead := leasePair(t, fs, clock, "w2")
+	peer := leasePair(t, fs, clock, "w3")
 
 	a.TryAcquire("old1")
 	a.TryAcquire("old2")
+	dead.Pin("e-old")
+	dead.Close() // its owner dies: the pin is never renewed
 	clock.Advance(2 * time.Minute)
 	live, _ := a.TryAcquire("live")
-	if n := a.ReapExpired(); n != 2 {
-		t.Fatalf("reaped %d leases, want 2", n)
+	a.Pin("e-live")
+	peer.Pin("e-peer")
+	n, peers := a.ReapExpired()
+	if n != 3 {
+		t.Fatalf("reaped %d records, want 3 (two claims, one pin)", n)
+	}
+	if len(peers) != 1 || !peers["e-peer"] {
+		t.Fatalf("live peer pins = %v, want only e-peer (own and expired pins are not)", peers)
 	}
 	if !a.StillHeld(live) {
 		t.Fatal("reap deleted a live lease")
+	}
+	if !fs.Exists(a.pinPath("e-live")) {
+		t.Fatal("reap deleted a live pin")
+	}
+	if fs.Exists(dead.pinPath("e-old")) {
+		t.Fatal("expired pin survived the reap")
 	}
 	if _, ok := a.TryAcquire("old1"); !ok {
 		t.Fatal("reaped fingerprint not reacquirable")

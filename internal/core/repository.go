@@ -253,11 +253,6 @@ type Repository struct {
 	// client's eviction pass cannot delete an output between this
 	// client's rewrite and its engine run.
 	pins map[string]int
-	// pinHook, when non-nil, mirrors pin transitions to shared storage
-	// (PinSet): 0→1 broadcasts the pin to peer processes, 1→0 withdraws
-	// it. Called under pinMu, so the broadcast is placed before the
-	// match that pinned returns to its caller.
-	pinHook pinBroadcast
 
 	// Matcher counters (MatcherStats), all monotonic. The traversal
 	// counters are fed by Rewriters and span submissions.
@@ -646,9 +641,6 @@ func (r *Repository) Pin(id string) {
 	r.pinMu.Lock()
 	defer r.pinMu.Unlock()
 	r.pins[id]++
-	if r.pins[id] == 1 && r.pinHook != nil {
-		r.pinHook.notePin(id)
-	}
 }
 
 // Unpin releases one Pin.
@@ -657,19 +649,9 @@ func (r *Repository) Unpin(id string) {
 	defer r.pinMu.Unlock()
 	if r.pins[id] <= 1 {
 		delete(r.pins, id)
-		if r.pinHook != nil {
-			r.pinHook.noteUnpin(id)
-		}
 	} else {
 		r.pins[id]--
 	}
-}
-
-// pinBroadcast mirrors local pin transitions to shared storage so
-// peer processes see them; see PinSet.
-type pinBroadcast interface {
-	notePin(id string)
-	noteUnpin(id string)
 }
 
 // pinned reports whether the entry has in-flight references.

@@ -56,6 +56,12 @@ type Rewriter struct {
 	// entries. The driver installs it.
 	Refresher func(cand RefreshCandidate) *Entry
 
+	// Leases, when non-nil, publishes every pin a match takes as a pin
+	// record, so peer processes sharing the DFS spare the entry's
+	// output too; the driver installs its store's lease manager and
+	// unpins both when the execution finishes.
+	Leases *LeaseManager
+
 	// Trace, when non-nil, receives the matcher's decision provenance:
 	// a probe span per matching round with one probe.candidate child
 	// per entry considered, carrying its verdict (footprint-miss,
@@ -224,8 +230,9 @@ func (rw *Rewriter) noteReuseSpan(parent obs.SpanID, res *MatchResult) {
 // ordered by Rules 1 and 2 (Section 3), the first match is the best
 // match. The matched entry is pinned before the probe's read lock is
 // released, so a concurrent Vacuum cannot delete its stored output
-// before the rewritten job runs; the driver unpins when the execution
-// finishes.
+// before the rewritten job runs; its pin record is written once the
+// probe returns, before the rewritten job reads the output. The driver
+// unpins when the execution finishes.
 func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs.SpanID) *MatchResult {
 	probeStart := time.Now()
 	probeSpan := rw.Trace.Start(parent, obs.KindProbe, job.ID)
@@ -313,9 +320,11 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 		if refresh != nil {
 			rw.Repo.Unpin(refresh.Match.Entry.ID)
 		}
+		rw.Leases.Pin(found.Entry.ID)
 		return found
 	}
 	if refresh != nil {
+		rw.Leases.Pin(refresh.Match.Entry.ID)
 		// Refresh outside the probe (the hook runs jobs and inserts
 		// into the repository). The refreshed entry keeps its identity
 		// — replacement preserves the ID — so the pin taken at match
@@ -326,6 +335,7 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 			res.Entry = ne
 			return &res
 		}
+		rw.Leases.Unpin(refresh.Match.Entry.ID)
 		rw.Repo.Unpin(refresh.Match.Entry.ID)
 		rw.blockRefresh(refresh.Match.Entry)
 	}

@@ -26,8 +26,9 @@ import (
 //   - Byte-budgeted eviction. MaxBytes bounds the bytes the repository
 //     retains; when an execution or the janitor sweeps while over
 //     budget, the configured EvictionPolicy picks victims. Evictions
-//     run under the repository's pin machinery, so entries referenced
-//     by in-flight rewrites are never deleted.
+//     run under the pin machinery — this process's repository pins and
+//     its peers' pin records — so entries referenced by in-flight
+//     rewrites are never deleted.
 //
 //   - Orphan reclamation. VacuumOrphans deletes per-query DFS
 //     namespaces (restore/<qid>, tmp/<qid>) whose query is no longer
@@ -79,22 +80,17 @@ type StorageConfig struct {
 	// would look dead.
 	QueryPrefix string
 
-	// Leases backs every claim: one lease per fingerprint serializes
-	// materialization across every execution sharing the DFS. Nil builds
-	// a manager over "<NamespaceRoot>/locks".
+	// Leases backs every claim and pin: one lease per fingerprint
+	// serializes materialization across every execution sharing the
+	// DFS, and peers' pin records spare the outputs their rewrites read
+	// from eviction and vacuum. Nil builds a manager over
+	// "<NamespaceRoot>/locks".
 	Leases *LeaseManager
 
 	// Durable, the durable event log, propagates committed entries
 	// between repositories sharing one DFS, so a claim waiter in another
 	// process sees the holder's entry. Nil for a non-durable store.
 	Durable *DurableLog
-
-	// Pins mirrors the repository's pin table into shared storage (it
-	// is wired into the repository's pin transitions) and answers
-	// whether a peer process holds a live pin on an entry; the eviction
-	// and vacuum delete paths spare such entries' outputs. Nil for a
-	// non-durable store.
-	Pins *PinSet
 }
 
 // NewStorageManager returns a manager over the repository and the
@@ -107,11 +103,6 @@ func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfi
 	cfg.NamespaceRoot = cleanPath(cfg.NamespaceRoot)
 	if cfg.Leases == nil {
 		cfg.Leases = NewLeaseManager(eng.FS(), NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
-	}
-	if cfg.Pins != nil {
-		repo.pinMu.Lock()
-		repo.pinHook = cfg.Pins
-		repo.pinMu.Unlock()
 	}
 	return &StorageManager{repo: repo, eng: eng, cfg: cfg}
 }
@@ -141,12 +132,6 @@ func NamespacePath(root string, parts ...string) string {
 	return p
 }
 
-// peerPinned reports whether another process holds a live pin record
-// on the entry.
-func (m *StorageManager) peerPinned(id string) bool {
-	return m.cfg.Pins != nil && m.cfg.Pins.PeerPinned(id)
-}
-
 // RefreshShared folds other processes' committed entries into the local
 // repository (a no-op for non-durable stores); the driver calls it
 // when an execution starts, so a cold process reuses what its peers
@@ -173,10 +158,9 @@ func (m *StorageManager) MaintainDurable() {
 type Claim struct {
 	fp string
 	// lease backs a won claim (nil on a lost one) and is released when
-	// the claim resolves; stopRenew halts the heartbeat that keeps it
-	// alive while the materialization outlives the TTL.
-	lease     *Lease
-	stopRenew func()
+	// the claim resolves; until then the lease manager's heartbeat keeps
+	// it alive while the materialization outlives the TTL.
+	lease *Lease
 }
 
 // Fingerprint returns the claimed plan fingerprint.
@@ -199,10 +183,6 @@ func (m *StorageManager) TryClaim(fp string) (*Claim, bool) {
 		return c, false
 	}
 	c.lease = lease
-	// Heartbeat the lease while the materialization runs: a live holder
-	// slower than the TTL keeps its lease; a dead one stops renewing and
-	// is taken over.
-	c.stopRenew = m.cfg.Leases.KeepAlive(lease)
 	m.claimsGranted.Add(1)
 	return c, true
 }
@@ -236,7 +216,6 @@ func (m *StorageManager) Abort(c *Claim) {
 }
 
 func (m *StorageManager) release(c *Claim) {
-	c.stopRenew()
 	m.cfg.Leases.Release(c.lease)
 }
 
@@ -420,6 +399,12 @@ func (m *StorageManager) usage() ([]EntryUsage, int64) {
 // the repository only points at, and are left for the janitor or the
 // user.
 func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
+	return m.enforceBudget(now, nil)
+}
+
+// enforceBudget is EnforceBudget with the first round's live peer pins
+// already listed; nil lists them.
+func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool) []*Entry {
 	if m.cfg.MaxBytes <= 0 {
 		return nil
 	}
@@ -435,10 +420,14 @@ func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
 		// refuses to drop). An entry a peer process has pinned is spared
 		// the same way: its in-flight rewrite reads the stored output,
 		// and this process's budget pass must not delete it out from
-		// under them.
+		// under them. One listing of the pin records per round serves
+		// both the candidates and the deletes.
+		if peers == nil {
+			peers = m.cfg.Leases.PeerPins()
+		}
 		candidates := usage[:0]
 		for _, u := range usage {
-			if !m.repo.pinned(u.Entry.ID) && !m.peerPinned(u.Entry.ID) {
+			if !m.repo.pinned(u.Entry.ID) && !peers[u.Entry.ID] {
 				candidates = append(candidates, u)
 			}
 		}
@@ -447,7 +436,8 @@ func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
 		if len(removed) == 0 {
 			break // everything left is pinned (or the policy yielded nothing)
 		}
-		m.deleteOwnedOutputs(removed)
+		m.deleteOwnedOutputs(removed, peers)
+		peers = nil // the next round lists afresh
 		m.evictions.Add(int64(len(removed)))
 		_, after := m.usage()
 		m.evictedBytes.Add(total - after)
@@ -460,19 +450,20 @@ func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
 // whose paths no surviving entry references. Only paths inside the
 // managed namespaces are ever deleted: whatever an entry's flags say,
 // a path outside them is a user's dataset (or an input) the repository
-// merely points at. An entry still carrying a live peer pin record
-// keeps its output: the entry itself may already be gone from this
-// repository (vacuumed as invalid, or removed by a replayed record),
-// but a peer's in-flight rewrite is reading the path, and its janitor
-// will reclaim the bytes once the pin releases.
-func (m *StorageManager) deleteOwnedOutputs(removed []*Entry) {
+// merely points at. An entry in peers, the caller's snapshot of live
+// peer pins (from PeerPins or ReapExpired, listed right before), keeps
+// its output: the entry itself may already be gone from this repository
+// (vacuumed as invalid, or removed by a replayed record), but a peer's
+// in-flight rewrite is reading the path, and its janitor will reclaim
+// the bytes once the pin releases.
+func (m *StorageManager) deleteOwnedOutputs(removed []*Entry, peers map[string]bool) {
 	stillRef := map[string]bool{}
 	m.repo.Scan(func(e *Entry) bool {
 		stillRef[e.OutputPath] = true
 		return true
 	})
 	for _, e := range removed {
-		if !e.WholeJob && m.managed(e.OutputPath) && !stillRef[e.OutputPath] && !m.peerPinned(e.ID) {
+		if !e.WholeJob && m.managed(e.OutputPath) && !stillRef[e.OutputPath] && !peers[e.ID] {
 			_ = m.eng.DeleteDataset(e.OutputPath)
 		}
 	}
@@ -496,30 +487,30 @@ type SweepResult struct {
 	// reclaimed (janitor sweeps only).
 	OrphanDatasets int
 	OrphanBytes    int64
-	// LeasesReaped counts expired lease records deleted — the claims
-	// of a crashed process.
+	// LeasesReaped counts expired records deleted — the claims and
+	// pins of a crashed process.
 	LeasesReaped int
 }
 
-// Sweep runs one maintenance pass: Rule 4 (invalid entries), Rule 3
-// (entries idle beyond window, when window > 0), then budget
-// enforcement; it also reaps expired leases (a crashed peer's in-flight
-// claims) and, on a durable store, compacts the event log when due. The driver calls it after executions that store or evict;
-// the janitor calls it periodically with the orphan vacuum.
+// Sweep runs one maintenance pass: it reaps expired claims and pins (a
+// crashed peer's), then applies Rule 4 (invalid entries), Rule 3
+// (entries idle beyond window, when window > 0) and budget enforcement,
+// and, on a durable store, compacts the event log when due.
+//
+// The driver calls Sweep after executions that store or evict; the
+// janitor calls it periodically with the orphan vacuum.
 func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	m.sweeps.Add(1)
 	var res SweepResult
+	// Reap first: its one listing of the locks namespace also yields the
+	// live peer pins that the vacuum's deletes and the first eviction
+	// round spare.
+	var peers map[string]bool
+	res.LeasesReaped, peers = m.cfg.Leases.ReapExpired()
 	vacuumed := m.repo.Vacuum(m.eng.FS(), now, window)
 	res.EntriesVacuumed = len(vacuumed)
-	m.deleteOwnedOutputs(vacuumed)
-	res.EntriesEvicted = len(m.EnforceBudget(now))
-	res.LeasesReaped = m.cfg.Leases.ReapExpired()
-	if m.cfg.Pins != nil {
-		// Heartbeat our own pin records and clear crashed peers' — the
-		// same liveness discipline leases get, applied to pins.
-		m.cfg.Pins.RenewHeld()
-		m.cfg.Pins.ReapExpired()
-	}
+	m.deleteOwnedOutputs(vacuumed, peers)
+	res.EntriesEvicted = len(m.enforceBudget(now, peers))
 	m.MaintainDurable()
 	return res
 }

@@ -27,6 +27,7 @@ type System struct {
 	eng    *mapreduce.Engine
 	repo   *core.Repository
 	store  *core.StorageManager
+	leases *core.LeaseManager
 	driver *core.Driver
 	cfg    Config
 	nquery atomic.Int64
@@ -107,8 +108,9 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	if cfg.Durability.Enabled {
 		prefix = core.AllocWriter(fs, root)
 	}
-	// One lease manager per System: every materialization claim is one
-	// of its leases, and a durable log compacts under one.
+	// One lease manager per System: every materialization claim and
+	// every pin is one of its records, renewed by its one heartbeat, and
+	// a durable log compacts under one.
 	leases := core.NewLeaseManager(fs, core.NamespacePath(cfg.NamespaceRoot, "locks"),
 		prefix, cfg.Durability.LeaseTTL, core.DefaultLeasePoll)
 	if cfg.Durability.Enabled {
@@ -134,8 +136,6 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	}
 	if durable != nil {
 		sc.Durable, sc.QueryPrefix = durable, prefix+"q"
-		sc.Pins = core.NewPinSet(fs, core.NamespacePath(cfg.NamespaceRoot, "pins"),
-			durable.Writer(), cfg.Durability.LeaseTTL)
 	}
 	store := core.NewStorageManager(repo, eng, sc)
 	driver := core.NewDriver(eng, store, cfg.MaxClusterJobs)
@@ -144,6 +144,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		eng:       eng,
 		repo:      repo,
 		store:     store,
+		leases:    leases,
 		driver:    driver,
 		cfg:       cfg,
 		durable:   durable,
@@ -206,10 +207,12 @@ func (s *System) Sweep() SweepReport {
 	return res
 }
 
-// Close stops the background janitor and marks the System closed: new
-// submissions fail with ErrClosed, while queries already in flight run
-// to completion (Wait on their handles to drain them). Close is
-// idempotent and safe to call concurrently.
+// Close stops the background janitor and the lease heartbeat and marks
+// the System closed: new submissions fail with ErrClosed, while queries
+// already in flight run to completion (Wait on their handles to drain
+// them; their claims and pins are no longer renewed, so one outliving
+// Config.Durability.LeaseTTL may be taken over). Close is idempotent
+// and safe to call concurrently.
 func (s *System) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -218,6 +221,7 @@ func (s *System) Close() error {
 		close(s.janitorStop)
 		<-s.janitorDone
 	}
+	s.leases.Close()
 	return nil
 }
 
