@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/tuple"
@@ -272,48 +273,52 @@ func IsScalarFunc(name string) bool {
 	return false
 }
 
-// Columns returns the set of top-level input columns the expression
-// reads, used by optimizer rules and the sub-job enumerator.
-func Columns(e Expr) []int {
+// Columns returns the top-level input columns the expression reads, in
+// ascending order. It reports false when e holds an expression kind it
+// cannot see into: the caller must then assume every column is read.
+// The map engine uses it to choose the columns a task's row feed
+// fills; under-reporting there would hide a value the expression
+// reads, so an unknown kind is reported, never skipped.
+func Columns(e Expr) ([]int, bool) {
 	seen := map[int]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
+	var walk func(Expr) bool
+	walk = func(e Expr) bool {
 		switch x := e.(type) {
 		case Col:
 			seen[x.Index] = true
 		case Const:
 		case Binary:
-			walk(x.L)
-			walk(x.R)
+			return walk(x.L) && walk(x.R)
 		case Compare:
-			walk(x.L)
-			walk(x.R)
+			return walk(x.L) && walk(x.R)
 		case Logic:
-			walk(x.L)
-			walk(x.R)
+			return walk(x.L) && walk(x.R)
 		case Not:
-			walk(x.E)
+			return walk(x.E)
 		case Agg:
-			walk(x.Bag)
+			return walk(x.Bag)
 		case BagField:
-			walk(x.Bag)
+			return walk(x.Bag)
 		case Func:
 			for _, a := range x.Args {
-				walk(a)
+				if !walk(a) {
+					return false
+				}
 			}
+		default:
+			return false
 		}
+		return true
 	}
-	walk(e)
+	if !walk(e) {
+		return nil, false
+	}
 	out := make([]int, 0, len(seen))
 	for i := range seen {
 		out = append(out, i)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return out, true
 }
 
 // Remap rewrites every column reference through m (old index → new

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tuple"
@@ -249,19 +250,34 @@ func TestStringInjectiveOnStructure(t *testing.T) {
 	}
 }
 
+// opaque is an Expr kind Columns does not know.
+type opaque struct{}
+
+func (opaque) Eval(t tuple.Tuple) (tuple.Value, error) { return int64(len(t)), nil }
+func (opaque) String() string                          { return "opaque" }
+
 func TestColumns(t *testing.T) {
 	e := Logic{LogicAnd,
 		Compare{CmpEq, NewCol(3), Const{V: "x"}},
 		Compare{CmpLt, Binary{OpAdd, NewCol(1), NewCol(3)}, NewCol(0)},
 	}
-	got := Columns(e)
-	want := []int{0, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Columns = %v, want %v", got, want)
+	cases := []struct {
+		e    Expr
+		want []int
+		ok   bool
+	}{
+		{e, []int{0, 1, 3}, true},
+		{Const{V: int64(1)}, []int{}, true},
+		{Func{"CONCAT", []Expr{NewCol(7), Not{NewCol(2)}}}, []int{2, 7}, true},
+		{Agg{AggSum, BagField{NewCol(4), 1}, 0}, []int{4}, true},
+		{opaque{}, nil, false},
+		{Binary{OpAdd, NewCol(1), opaque{}}, nil, false},
+		{Func{"CONCAT", []Expr{NewCol(0), opaque{}}}, nil, false},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Columns = %v, want %v", got, want)
+	for _, c := range cases {
+		got, ok := Columns(c.e)
+		if ok != c.ok || !slices.Equal(got, c.want) {
+			t.Errorf("Columns(%s) = %v, %v; want %v, %v", c.e, got, ok, c.want, c.ok)
 		}
 	}
 }

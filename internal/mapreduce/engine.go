@@ -14,12 +14,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/expr"
 	"repro/internal/physical"
 	"repro/internal/tuple"
 )
@@ -190,15 +192,20 @@ func (p *progressTracker) tick(taskTime time.Duration) {
 // cancelled job writes no statistics and must not be registered in the
 // repository.
 func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) (*JobStats, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
-	}
 	if err := job.Plan.Validate(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
 	seg, err := segments(job.Plan)
 	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
+	}
+	return e.run(ctx, job, seg, progress)
+}
+
+// run executes job as seg splits it.
+func (e *Engine) run(ctx context.Context, job *physical.Job, seg *segmentation, progress Progress) (*JobStats, error) {
+	start := time.Now()
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
 	stats := &JobStats{JobID: job.ID, Outputs: map[string]OutputStat{}}
@@ -304,6 +311,8 @@ type segmentation struct {
 	// combine is non-nil when the job qualifies for Pig's algebraic
 	// combiner (see combine.go).
 	combine *combineSpec
+	// feeds holds each Load's map feed, by Load ID.
+	feeds map[int]feed
 }
 
 func segments(p *physical.Plan) (*segmentation, error) {
@@ -362,7 +371,79 @@ func segments(p *physical.Plan) (*segmentation, error) {
 			}
 		}
 	}
+	s.feeds = map[int]feed{}
+	for _, op := range p.Ops() {
+		if op.Kind == physical.KLoad {
+			s.feeds[op.ID] = s.mapFeed(op.ID)
+		}
+	}
 	return s, nil
+}
+
+// feed is how a map task hands one Load's rows to its segment. The zero
+// value, every column in a fresh tuple per row, is always correct.
+type feed struct {
+	// reuse: rows may share one buffer, because no op on a map path from
+	// the Load retains its input tuple.
+	reuse bool
+	// cols are the columns the segment reads, ascending, when reuse is
+	// set; nil reads every column.
+	cols []int
+}
+
+// mapFeed walks the map segment from the Load loadID and returns its
+// feed. A ForEach builds a fresh tuple from the columns its expressions
+// read, ending both the buffer's reach and the walk. A Filter reads its
+// condition's columns and passes the tuple on, as Union, Split and
+// Limit do without reading any. Any other op — Store appends its input
+// to the task writer, LocalRearrange hands it to the shuffle — keeps
+// the tuple, so the feed is the zero one. An expression whose columns
+// cannot be listed reads every column.
+func (s *segmentation) mapFeed(loadID int) feed {
+	cols := []int{}
+	all := false
+	read := func(e expr.Expr) {
+		c, ok := expr.Columns(e)
+		all = all || !ok
+		cols = append(cols, c...)
+	}
+	seen := map[int]bool{}
+	var walk func(id int) bool
+	walk = func(id int) bool {
+		for _, sid := range s.succ[id] {
+			if !s.inMap[sid] || seen[sid] {
+				continue
+			}
+			seen[sid] = true // a DAG: a shared descendant is walked once
+			op := s.plan.Op(sid)
+			switch op.Kind {
+			case physical.KForEach:
+				for _, e := range op.Exprs {
+					read(e)
+				}
+				continue
+			case physical.KFilter:
+				read(op.Cond)
+			case physical.KUnion, physical.KSplit, physical.KLimit:
+			default:
+				return false
+			}
+			if !walk(sid) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case !walk(loadID):
+		return feed{}
+	case all:
+		return feed{reuse: true}
+	}
+	slices.Sort(cols)
+	// A negative reference reads nothing (expr.Col).
+	cols = slices.DeleteFunc(slices.Compact(cols), func(c int) bool { return c < 0 })
+	return feed{reuse: true, cols: cols}
 }
 
 // split is one map task's input slice: rows [lo, hi) of one part
@@ -706,13 +787,15 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		}
 	}
 
-	// Feed rows through a reusable cursor when the plan shape allows
-	// it (every map path from this Load reaches a ForEach — which
-	// allocates fresh output tuples — before anything that retains its
-	// input), so warm splits stop allocating one tuple view per record.
+	// Feed rows through a reusable cursor that boxes only the columns
+	// the segment reads, when the Load's feed allows it.
 	row := sp.batch.Row
-	if sp.batch != nil && cursorFeedSafe(seg, sp.loadID) {
-		row = sp.batch.Cursor().Row
+	if f := seg.feeds[sp.loadID]; sp.batch != nil && f.reuse {
+		if f.cols != nil {
+			row = sp.batch.ColumnCursor(f.cols).Row
+		} else {
+			row = sp.batch.Cursor().Row
+		}
 	}
 	for i := sp.lo; i < sp.hi; i++ {
 		mr.records++
@@ -750,44 +833,6 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		NumStores:    len(px.stores),
 	}
 	return mr, nil
-}
-
-// cursorFeedSafe reports whether rows pushed from loadID may share one
-// reused buffer: true when every map-segment path from the load hits a
-// ForEach (which builds a fresh output tuple, ending the buffer's
-// reach) before any operator that retains its input tuple — Store
-// appends it to the task writer, LocalRearrange hands it to the
-// shuffle accumulator. Filter, Union, Split and Limit pass tuples
-// through unretained; any other kind is conservatively unsafe.
-func cursorFeedSafe(seg *segmentation, loadID int) bool {
-	safe := map[int]bool{}
-	var visit func(id int) bool
-	visit = func(id int) bool {
-		if ok, done := safe[id]; done {
-			return ok
-		}
-		safe[id] = true // DAG: a revisit mid-walk sees the optimistic value
-		ok := true
-		for _, sid := range seg.succ[id] {
-			if !seg.inMap[sid] {
-				continue
-			}
-			switch seg.plan.Op(sid).Kind {
-			case physical.KForEach:
-				// Fresh allocation boundary: downstream retention holds
-				// the ForEach's tuple, not the cursor buffer.
-			case physical.KFilter, physical.KUnion, physical.KSplit, physical.KLimit:
-				if !visit(sid) {
-					ok = false
-				}
-			default:
-				ok = false
-			}
-		}
-		safe[id] = ok
-		return ok
-	}
-	return visit(loadID)
 }
 
 func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, []writtenPart, error) {

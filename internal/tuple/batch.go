@@ -88,23 +88,40 @@ func (b *Batch) Row(i int) Tuple {
 }
 
 // RowCursor materializes rows through one reusable buffer, avoiding
-// Row's per-call tuple allocation. The tuple returned by Row is valid
-// only until the next Row call on the same cursor — callers must hand
-// it exclusively to consumers that do not retain it (the engine checks
-// the plan shape before choosing cursor feeds). Field values are
-// shared with the batch, exactly as with Batch.Row. A cursor is not
-// safe for concurrent use; each task takes its own.
+// Row's per-call tuple allocation, and boxes only the columns it was
+// built to read. The tuple returned by Row keeps the row's full width,
+// so positional references and len(t) behave as with Batch.Row, but a
+// field the cursor does not read is nil. It is valid only until the
+// next Row call on the same cursor — callers must hand it exclusively
+// to consumers that do not retain it and read no other column. The
+// engine derives both facts from the plan once per job (see
+// mapreduce's map feed). Field values are shared with the batch,
+// exactly as with Batch.Row. A cursor is not safe for concurrent use;
+// each task takes its own.
 type RowCursor struct {
-	b   *Batch
-	buf Tuple
+	b    *Batch
+	cols []int // the columns Row fills, ascending
+	buf  Tuple
 }
 
-// Cursor returns a reusable row cursor over the batch.
+// Cursor returns a reusable row cursor over every column of the batch.
 func (b *Batch) Cursor() *RowCursor {
-	return &RowCursor{b: b, buf: make(Tuple, len(b.cols))}
+	cols := make([]int, len(b.cols))
+	for j := range cols {
+		cols[j] = j
+	}
+	return b.ColumnCursor(cols)
 }
 
-// Row returns row i backed by the cursor's buffer.
+// ColumnCursor returns a reusable row cursor that fills only cols, which
+// must be ascending; every other field of its rows is nil. Columns the
+// batch does not have are skipped, as a row too short for them is.
+func (b *Batch) ColumnCursor(cols []int) *RowCursor {
+	return &RowCursor{b: b, cols: cols, buf: make(Tuple, len(b.cols))}
+}
+
+// Row returns row i backed by the cursor's buffer. Fields outside the
+// cursor's columns are never written, so they stay nil.
 func (c *RowCursor) Row(i int) Tuple {
 	b := c.b
 	w := len(b.cols)
@@ -115,7 +132,10 @@ func (c *RowCursor) Row(i int) Tuple {
 		c.buf = make(Tuple, w)
 	}
 	t := c.buf[:w]
-	for j := 0; j < w; j++ {
+	for _, j := range c.cols {
+		if j >= w {
+			break
+		}
 		t[j] = b.cols[j].value(i)
 	}
 	return t

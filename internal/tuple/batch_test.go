@@ -221,6 +221,107 @@ func BenchmarkBatchRowIterate(b *testing.B) {
 			}
 		}
 	})
+	// The PigMix prologue: page_views rows of which a FOREACH keeps two
+	// columns (user, estimated_revenue), read whole and read pruned.
+	pv := make([]Tuple, 1000)
+	for i := range pv {
+		pv[i] = pageViewsRow(i)
+	}
+	pvBatch := BatchOfText(pv, 0)
+	for _, c := range []struct {
+		name string
+		cur  *RowCursor
+	}{
+		{"pageviews-cursor", pvBatch.Cursor()},
+		{"pageviews-pruned", pvBatch.ColumnCursor([]int{0, 6})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < pvBatch.Len(); r++ {
+					if t := c.cur.Row(r); len(t) != 9 {
+						b.Fatal("bad row")
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestColumnCursor checks a pruned row against Batch.Row over a ragged
+// batch: the same width, the read columns equal, every other field nil,
+// also after a wider row has filled the shared buffer.
+func TestColumnCursor(t *testing.T) {
+	rows := []Tuple{
+		{int64(1), "a", 2.5, Tuple{"n", int64(1)}},
+		{int64(2)},
+		{int64(3), "c", nil, NewBag(Tuple{"x"}), "extra", int64(9)},
+		{},
+		{int64(5), "e", 0.5},
+	}
+	batch := BatchOfText(rows, 0)
+	for _, cols := range [][]int{{}, {0}, {1, 3}, {0, 2, 5}, {4, 7}, {0, 1, 2, 3, 4, 5}} {
+		read := map[int]bool{}
+		for _, j := range cols {
+			read[j] = true
+		}
+		cur := batch.ColumnCursor(cols)
+		for i := 0; i < batch.Len(); i++ {
+			got, want := cur.Row(i), batch.Row(i)
+			if len(got) != len(want) {
+				t.Fatalf("cols %v row %d: width %d, want %d", cols, i, len(got), len(want))
+			}
+			for j := range want {
+				if read[j] && !Equal(got[j], want[j]) || !read[j] && got[j] != nil {
+					t.Fatalf("cols %v row %d: got %v, full row %v", cols, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestColumnCursorAllocs pins what pruning buys: a cursor allocates
+// only to box the columns it reads. Over page_views-shaped rows, the
+// allocations of any column set are the sum of its columns' own, and
+// reading no column allocates nothing.
+func TestColumnCursorAllocs(t *testing.T) {
+	pv := make([]Tuple, 200)
+	for i := range pv {
+		pv[i] = pageViewsRow(i)
+	}
+	batch := BatchOfText(pv, 0)
+	allocs := func(cols []int) float64 {
+		cur := batch.ColumnCursor(cols)
+		return testing.AllocsPerRun(10, func() {
+			for r := 0; r < batch.Len(); r++ {
+				if tp := cur.Row(r); len(tp) != 9 {
+					t.Fatal("bad row")
+				}
+			}
+		})
+	}
+	if n := allocs([]int{}); n != 0 {
+		t.Fatalf("reading no column allocates %v per batch", n)
+	}
+	own := make([]float64, 9)
+	for j := range own {
+		own[j] = allocs([]int{j})
+	}
+	if own[3] != float64(batch.Len()) {
+		t.Fatalf("boxing the query_term strings allocates %v for %d rows", own[3], batch.Len())
+	}
+	for _, cols := range [][]int{{0, 6}, {3, 4}, {1, 2, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+		var want float64
+		for _, j := range cols {
+			want += own[j]
+		}
+		if got := allocs(cols); got != want {
+			t.Errorf("cursor over %v allocates %v, its columns alone %v", cols, got, want)
+		}
+	}
+	if full, pruned := allocs([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}), allocs([]int{0, 6}); pruned >= full {
+		t.Errorf("pruned cursor allocates %v, full cursor %v", pruned, full)
+	}
 }
 
 // mixedKindRows forces every column to the boxed (colAny) path, where
