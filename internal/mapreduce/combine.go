@@ -1,31 +1,42 @@
 package mapreduce
 
 import (
-	"fmt"
-	"slices"
+	"math/bits"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/physical"
 	"repro/internal/tuple"
 )
 
-// Pig's combiner: when the statement after a GROUP only applies
+// Pig's combiners: when the statement after a GROUP only applies
 // algebraic aggregates (COUNT/SUM/AVG/MIN/MAX), map tasks pre-aggregate
-// each key into a partial state, the shuffle carries one record per key
+// each key into partial states, the shuffle carries one record per key
 // per task, and reducers merge partials instead of materializing bags.
+// A DISTINCT takes the same map-side path with no aggregates: each task
+// ships every distinct key once.
 //
-// The combiner is disabled whenever the Package output has any consumer
-// other than that single ForEach — in particular when ReStore injects a
-// Store to materialize the Group's output, the raw bags must be shipped
-// and written, which is exactly the overhead the paper observes on L6.
+// The algebraic combiner is disabled whenever the Package output has
+// any consumer other than that single ForEach — in particular when
+// ReStore injects a Store to materialize the Group's output, the raw
+// bags must be shipped and written, which is exactly the overhead the
+// paper observes on L6.
+//
+// A map task numbers its distinct keys in a keyIndex, by key hash and
+// tuple.Equal — the identity the reducer's groupByKey groups by — and
+// keeps every key's partial states in one slice. The shuffle record
+// points at its key's states as they are (rec.states): nothing is
+// rendered to strings or boxed into tuples on the way to the reducer,
+// which folds them with aggState.merge.
 
-// combineSpec describes a combinable job.
+// combineSpec describes a combinable GROUP job.
 type combineSpec struct {
-	pkgID int
-	feID  int
+	feID int
 	// exprs are the ForEach's output expressions: Col(0) (the group) or
-	// Agg over the bag column.
+	// Agg over the bag column; aggs are its aggregates in order, one
+	// partial state each.
 	exprs []expr.Expr
+	aggs  []expr.Agg
 }
 
 // detectCombine inspects the reduce segment and returns a spec when the
@@ -42,6 +53,7 @@ func detectCombine(p *physical.Plan, succ map[int][]int, pkg *physical.Op) *comb
 	if fe.Kind != physical.KForEach {
 		return nil
 	}
+	spec := &combineSpec{feID: fe.ID, exprs: fe.Exprs}
 	for _, e := range fe.Exprs {
 		switch x := e.(type) {
 		case expr.Col:
@@ -53,34 +65,40 @@ func detectCombine(p *physical.Plan, succ map[int][]int, pkg *physical.Op) *comb
 			if !ok || bag.Index != 1 {
 				return nil
 			}
+			spec.aggs = append(spec.aggs, x)
 		default:
 			return nil
 		}
 	}
-	return &combineSpec{pkgID: pkg.ID, feID: fe.ID, exprs: fe.Exprs}
+	return spec
 }
 
-// aggState is the partial state of one aggregate.
+// aggState is the partial state of one aggregate; the zero value is the
+// state of no rows.
 type aggState struct {
-	count  int64
-	sumI   int64
-	sumF   float64
-	allInt bool
-	minV   tuple.Value
-	maxV   tuple.Value
+	count int64
+	sumI  int64
+	sumF  float64
+	// mixed: a summed number was not an int64, so SUM is sumF.
+	mixed bool
+	minV  tuple.Value
+	maxV  tuple.Value
 }
 
-func newAggState() *aggState { return &aggState{allInt: true} }
-
-// accumulate folds one raw (pre-package) tuple into the state.
+// accumulate folds one raw (pre-package) tuple into the state, reading
+// it the way expr.Agg.Eval reads a bag's tuple.
 func (s *aggState) accumulate(a expr.Agg, t tuple.Tuple) {
-	if a.Field < 0 {
+	var v tuple.Value
+	switch {
+	case a.Field < 0 && a.Kind == expr.AggCount:
 		// COUNT(bag): counts tuples.
 		s.count++
 		return
-	}
-	var v tuple.Value
-	if a.Field < len(t) {
+	case a.Field < 0:
+		if len(t) > 0 {
+			v = t[0]
+		}
+	case a.Field < len(t):
 		v = t[a.Field]
 	}
 	if tuple.IsNull(v) {
@@ -99,7 +117,7 @@ func (s *aggState) accumulate(a expr.Agg, t tuple.Tuple) {
 		if i, isInt := v.(int64); isInt {
 			s.sumI += i
 		} else {
-			s.allInt = false
+			s.mixed = true
 		}
 	case expr.AggMin:
 		if s.minV == nil || tuple.Compare(v, s.minV) < 0 {
@@ -112,40 +130,20 @@ func (s *aggState) accumulate(a expr.Agg, t tuple.Tuple) {
 	}
 }
 
-// encode renders the state as a tuple for the shuffle.
-func (s *aggState) encode() tuple.Tuple {
-	allInt := int64(0)
-	if s.allInt {
-		allInt = 1
+// merge folds the partial o into the state. On a MIN or MAX tie the
+// state's value stays, so merging partials in map-task order keeps the
+// first arrival, as Eval over the whole bag would.
+func (s *aggState) merge(o *aggState) {
+	s.count += o.count
+	s.sumI += o.sumI
+	s.sumF += o.sumF
+	s.mixed = s.mixed || o.mixed
+	if o.minV != nil && (s.minV == nil || tuple.Compare(o.minV, s.minV) < 0) {
+		s.minV = o.minV
 	}
-	return tuple.Tuple{s.count, s.sumI, s.sumF, allInt, s.minV, s.maxV}
-}
-
-// mergeEncoded folds a shuffled partial into the state.
-func (s *aggState) mergeEncoded(t tuple.Tuple) error {
-	if len(t) != 6 {
-		return fmt.Errorf("mapreduce: bad combiner partial %v", t)
+	if o.maxV != nil && (s.maxV == nil || tuple.Compare(o.maxV, s.maxV) > 0) {
+		s.maxV = o.maxV
 	}
-	cnt, _ := tuple.ToInt(t[0])
-	sumI, _ := tuple.ToInt(t[1])
-	var sumF float64
-	if f, ok := tuple.ToFloat(t[2]); ok {
-		sumF = f
-	}
-	allInt, _ := tuple.ToInt(t[3])
-	s.count += cnt
-	s.sumI += sumI
-	s.sumF += sumF
-	if allInt == 0 {
-		s.allInt = false
-	}
-	if t[4] != nil && (s.minV == nil || tuple.Compare(t[4], s.minV) < 0) {
-		s.minV = t[4]
-	}
-	if t[5] != nil && (s.maxV == nil || tuple.Compare(t[5], s.maxV) > 0) {
-		s.maxV = t[5]
-	}
-	return nil
 }
 
 // final produces the aggregate's value.
@@ -157,7 +155,7 @@ func (s *aggState) final(kind expr.AggKind) tuple.Value {
 		if s.count == 0 {
 			return nil
 		}
-		if s.allInt {
+		if !s.mixed {
 			return s.sumI
 		}
 		return s.sumF
@@ -174,115 +172,167 @@ func (s *aggState) final(kind expr.AggKind) tuple.Value {
 	return nil
 }
 
-// partialKey groups partial states per key within a map task; hash is
-// tuple.Hash(key), computed once for its partition and carried on the
-// shuffled record.
-type partialKey struct {
-	key    tuple.Value
-	hash   uint64
-	states []*aggState
+// textLen is the state's shuffle volume: the width of its text
+// rendering as the nested tuple (count,sumI,sumF,allInt,min,max), where
+// allInt is 1 or 0 and min and max are escaped like stored fields.
+func (s *aggState) textLen() int {
+	const fixed = 2 + 5 + 1 // parentheses, commas, the allInt digit
+	return fixed + intTextLen(s.count) + intTextLen(s.sumI) + floatTextLen(s.sumF) +
+		tuple.EncodeTextLen(tuple.Tuple{s.minV}) + tuple.EncodeTextLen(tuple.Tuple{s.maxV})
 }
 
-// combineAccumulator builds per-partition partial aggregates in a map
-// task.
+func intTextLen(n int64) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], n, 10))
+}
+
+func floatTextLen(f float64) int {
+	var buf [32]byte
+	return len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+}
+
+// partialBytes is a shuffled record's volume: its states' renderings
+// joined by tabs, plus the key's text and two bytes of framing — what
+// the shuffle would carry for the key and partial as one text line.
+func partialBytes(key tuple.Value, states []aggState) int64 {
+	n := tuple.TextLen(key) + 2
+	for i := range states {
+		if i > 0 {
+			n++
+		}
+		n += states[i].textLen()
+	}
+	return int64(n)
+}
+
+// keyIndex numbers the distinct keys of one map task in first-seen
+// order. slots is an open-addressing table over the keys' hashes whose
+// entries hold a key number + 1 (0 is empty); keys with equal hashes
+// are told apart by tuple.Equal.
+type keyIndex struct {
+	slots  []int32
+	shift  uint
+	keys   []tuple.Value
+	hashes []uint64
+}
+
+// add returns the number of key and whether key is new.
+func (x *keyIndex) add(key tuple.Value) (int, bool) {
+	h := tuple.Hash(key)
+	if 2*(len(x.keys)+1) > len(x.slots) {
+		x.grow()
+	}
+	mask := uint64(len(x.slots) - 1)
+	for slot := x.slot(h); ; slot = (slot + 1) & mask {
+		g := x.slots[slot]
+		if g == 0 {
+			x.keys = append(x.keys, key)
+			x.hashes = append(x.hashes, h)
+			x.slots[slot] = int32(len(x.keys))
+			return len(x.keys) - 1, true
+		}
+		if x.hashes[g-1] == h && tuple.Equal(x.keys[g-1], key) {
+			return int(g - 1), false
+		}
+	}
+}
+
+// slot is h's home slot, from the top bits of a multiplied hash.
+func (x *keyIndex) slot(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> x.shift }
+
+// grow doubles the table (16 slots to start) and re-slots every key.
+func (x *keyIndex) grow() {
+	size := max(16, 2*len(x.slots))
+	x.slots = make([]int32, size)
+	x.shift = 64 - uint(bits.Len(uint(size-1)))
+	mask := uint64(size - 1)
+	for i, h := range x.hashes {
+		slot := x.slot(h)
+		for x.slots[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		x.slots[slot] = int32(i + 1)
+	}
+}
+
+// combineAccumulator builds one map task's partials: per distinct key,
+// len(spec.aggs) states, none for a DISTINCT (nil spec).
 type combineAccumulator struct {
-	spec  *combineSpec
-	parts []map[string]*partialKey
+	aggs   []expr.Agg
+	numRed int
+	keys   keyIndex
+	states []aggState // key i's are states[i*k : (i+1)*k], k = len(aggs)
 }
 
 func newCombineAccumulator(spec *combineSpec, numRed int) *combineAccumulator {
-	parts := make([]map[string]*partialKey, numRed)
-	for i := range parts {
-		parts[i] = map[string]*partialKey{}
+	c := &combineAccumulator{numRed: numRed}
+	if spec != nil {
+		c.aggs = spec.aggs
 	}
-	return &combineAccumulator{spec: spec, parts: parts}
+	return c
 }
 
 func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple) {
-	h := tuple.Hash(key)
-	p := partitionOf(h, len(c.parts))
-	ks := tuple.ToString(key)
-	pk := c.parts[p][ks]
-	if pk == nil {
-		pk = &partialKey{key: key, hash: h}
-		for _, e := range c.spec.exprs {
-			if _, isAgg := e.(expr.Agg); isAgg {
-				pk.states = append(pk.states, newAggState())
-			}
-		}
-		c.parts[p][ks] = pk
+	i, added := c.keys.add(key)
+	k := len(c.aggs)
+	if added {
+		c.states = append(c.states, make([]aggState, k)...)
 	}
-	si := 0
-	for _, e := range c.spec.exprs {
-		if a, isAgg := e.(expr.Agg); isAgg {
-			pk.states[si].accumulate(a, t)
-			si++
-		}
+	st := c.states[i*k : (i+1)*k]
+	for j, a := range c.aggs {
+		st[j].accumulate(a, t)
 	}
 }
 
-// drain converts the accumulated partials into shuffle records.
+// drain returns the task's shuffle output: for each partition, one
+// record per distinct key in first-seen order, holding the first
+// arrival of the key and its states. The order within a partition is
+// free: each key has one record per task, and groupByKey orders the
+// reducer's input by key.
 func (c *combineAccumulator) drain() [][]rec {
-	out := make([][]rec, len(c.parts))
-	for p, m := range c.parts {
-		// Deterministic order: sort keys. Keys Compare equates but that
-		// print apart ("0" and "-0") are separate partials here and meet
-		// in one reduce group.
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, ks := range keys {
-			pk := m[ks]
-			t := make(tuple.Tuple, 0, len(pk.states))
-			for _, st := range pk.states {
-				t = append(t, st.encode())
-			}
-			n := int64(tuple.EncodeTextLen(t) + len(ks) + 2)
-			out[p] = append(out[p], rec{key: pk.key, hash: pk.hash, t: t, bytes: n})
-		}
+	counts := make([]int, c.numRed)
+	for _, h := range c.keys.hashes {
+		counts[partitionOf(h, c.numRed)]++
+	}
+	recs := make([]rec, len(c.keys.keys))
+	out := make([][]rec, c.numRed)
+	off := 0
+	for p, n := range counts {
+		out[p] = recs[off : off : off+n]
+		off += n
+	}
+	k := len(c.aggs)
+	states := make([][]aggState, len(c.keys.keys)) // what each record points at
+	for i, key := range c.keys.keys {
+		h := c.keys.hashes[i]
+		p := partitionOf(h, c.numRed)
+		states[i] = c.states[i*k : (i+1)*k : (i+1)*k]
+		out[p] = append(out[p], rec{key: key, hash: h, states: &states[i], bytes: partialBytes(key, states[i])})
 	}
 	return out
 }
 
-// mergeCombined merges one key's partial records and emits the final
-// ForEach output row downstream.
-func mergeCombined(px *exec, spec *combineSpec, group []rec) error {
-	var states []*aggState
-	for _, e := range spec.exprs {
-		if _, isAgg := e.(expr.Agg); isAgg {
-			states = append(states, newAggState())
+// row merges one key group's partial records into acc, len(aggs)
+// states reused across a reducer's groups, and returns the ForEach's
+// output row.
+func (c *combineSpec) row(group []rec, acc []aggState) tuple.Tuple {
+	clear(acc)
+	for g := range group {
+		st := *group[g].states
+		for j := range acc {
+			acc[j].merge(&st[j])
 		}
 	}
-	for _, r := range group {
-		si := 0
-		for i := range spec.exprs {
-			if _, isAgg := spec.exprs[i].(expr.Agg); !isAgg {
-				continue
-			}
-			if si < len(r.t) {
-				part, ok := r.t[si].(tuple.Tuple)
-				if !ok {
-					return fmt.Errorf("mapreduce: combiner partial field %d is %T", si, r.t[si])
-				}
-				if err := states[si].mergeEncoded(part); err != nil {
-					return err
-				}
-			}
-			si++
-		}
-	}
-	row := make(tuple.Tuple, len(spec.exprs))
-	si := 0
-	for i, e := range spec.exprs {
+	row := make(tuple.Tuple, len(c.exprs))
+	j := 0
+	for i, e := range c.exprs {
 		switch x := e.(type) {
 		case expr.Col:
 			row[i] = group[0].key
 		case expr.Agg:
-			row[i] = states[si].final(x.Kind)
-			si++
+			row[i] = acc[j].final(x.Kind)
+			j++
 		}
 	}
-	return px.push(spec.feID, row)
+	return row
 }

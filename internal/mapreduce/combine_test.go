@@ -1,11 +1,16 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
 	"repro/internal/piglatin"
@@ -240,4 +245,362 @@ S = foreach G generate group, SUM(A.v);
 store S into 'out';
 `)
 	wantRows(t, fs, "out", tuple.Tuple{"g", 3.5})
+}
+
+// TestCombinerEdgeKeys runs GROUPs with COUNT, MIN, MAX and an integer
+// SUM, and DISTINCTs, over keys that are equal but typed or printed
+// apart — the int 5 and the float 5.0, 0 and -0.0, NaN, the infinities
+// and a null — and over strings that print like those numbers, and
+// holds every byte the combined run writes to a run of the same job
+// with the combiners off. The text decoder produces none of these keys,
+// so the plan computes them: x * y makes 5.0, -0.0 and (from the string
+// "NaN") NaN, and CONCAT makes "-0", "NaN", "+Inf" and "-Inf" strings.
+// One GROUP aggregates whole tuples (SUM(B) reads each tuple's first
+// field, as expr.Agg.Eval does).
+func TestCombinerEdgeKeys(t *testing.T) {
+	// x, y, s, u, v, w: the key is x * y or CONCAT(s, u); v (numbers
+	// again, ties included) feeds MIN and MAX, w (ints) feeds SUM.
+	base := []string{
+		"5\t1\t5\t.0\t5\t1",
+		"2.5\t2\t-\t0\t5.0\t2",
+		"0\t7\tNa\tN\t0\t3",
+		"-1.5\t0\t+\tInf\t-0.0\t4",
+		"NaN\t1\tNa\tN\tNaN\t5",
+		"+Inf\t1\t-\tInf\t+Inf\t6",
+		"-Inf\t1\ta\tb\t-Inf\t7",
+		"abc\t1\t0\t0\tabc\t8",
+		"10\t0.5\t5\t\t2.5\t9",
+		"-3\t0\t-\t0\t-0\t10",
+	}
+	// Every map task meets the int 0 before -0.0, and 5.0 before 5.
+	var data []byte
+	r := rand.New(rand.NewSource(38))
+	for task := 0; task < 6; task++ {
+		for _, i := range []int{2, 3, 1, 0} {
+			data = append(data, base[i]+"\n"...)
+		}
+		for i := 0; i < 40; i++ {
+			data = append(data, base[r.Intn(len(base))]+"\n"...)
+		}
+	}
+	heads := []string{
+		`B = foreach A generate x * y as k, v, w;
+G = group B by k parallel %d;
+C = foreach G generate group, COUNT(B), MIN(B.v), MAX(B.v), SUM(B.w), COUNT(B.v);`,
+		`B1 = foreach A generate x * y as k, v, w;
+B2 = foreach A generate CONCAT(s, u) as k, v, w;
+B = union B1, B2;
+G = group B by k parallel %d;
+C = foreach G generate COUNT(B), group, MAX(B.v), MIN(B.v), SUM(B.w);`,
+		`B = foreach A generate x * y as k, w;
+G = group B by k parallel %d;
+C = foreach G generate group, SUM(B), MIN(B), AVG(B), COUNT(B);`,
+		`B = foreach A generate x * y as k, CONCAT(s, u) as c, w;
+G = group B by (k, c) parallel %d;
+C = foreach G generate group, SUM(B.w);`,
+		`B = foreach A generate x * y, v;
+C = distinct B parallel %d;`,
+		`B1 = foreach A generate x * y;
+B2 = foreach A generate CONCAT(s, u);
+B = union B1, B2;
+C = distinct B parallel %d;`,
+	}
+	for h, head := range heads {
+		for _, parallel := range []int{1, 3, 5} {
+			script := "A = load 'in' as (x, y, s, u, v, w);\n" + fmt.Sprintf(head, parallel) + "\nstore C into 'out';\n"
+			jobs := compileScript(t, script)
+			run := func(combine bool) map[string]string {
+				fs := dfs.New()
+				if err := fs.WriteFile("in/part-00000", data); err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig()
+				cfg.SplitSize = int64(len(data)/6 + 1) // one task per preamble
+				e := New(fs, cfg)
+				for _, job := range jobs {
+					seg, err := segments(job.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if combine && seg.combine == nil && !seg.distinct {
+						t.Fatalf("head %d: no combiner engaged", h)
+					}
+					if !combine {
+						seg.combine, seg.distinct = nil, false
+					}
+					st, err := e.run(context.Background(), job, seg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.MapTasks < 6 {
+						t.Fatalf("head %d: %d map tasks, want at least 6", h, st.MapTasks)
+					}
+				}
+				return fsFiles(t, fs)
+			}
+			sameFiles(t, fmt.Sprintf("head %d parallel %d", h, parallel), run(true), run(false))
+		}
+	}
+}
+
+// encodePartials is the text rendering the map-side combiner once
+// shipped for a key's states, one nested (count,sumI,sumF,allInt,min,max)
+// tuple per aggregate: the shuffle still accounts a partial at its
+// width (partialBytes).
+func encodePartials(states []aggState) tuple.Tuple {
+	t := tuple.Tuple{}
+	for _, s := range states {
+		allInt := int64(1)
+		if s.mixed {
+			allInt = 0
+		}
+		t = append(t, tuple.Tuple{s.count, s.sumI, s.sumF, allInt, s.minV, s.maxV})
+	}
+	return t
+}
+
+// identical reports whether a and b are the same value: the same type,
+// a float with the same bits (any two NaNs match, since they print
+// alike), and tuples field by field — stricter than tuple.Equal, which
+// equates 5 with 5.0 and 0 with -0.0.
+func identical(a, b tuple.Value) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && (math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y))
+	case tuple.Tuple:
+		y, ok := b.(tuple.Tuple)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !identical(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a == b
+}
+
+// combineKeys are the keys where map-side combining is easiest to get
+// wrong: numbers equal across types and bit patterns (5 and 5.0; 0, 0.0
+// and -0.0; two NaN payloads), the infinities, null, and strings that
+// print like those numbers.
+func combineKeys() []tuple.Value {
+	negZero := math.Copysign(0, -1)
+	return []tuple.Value{
+		int64(5), 5.0, int64(0), 0.0, negZero, math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		math.Inf(1), math.Inf(-1), nil, "5", "0", "-0", "NaN", "+Inf", "a",
+	}
+}
+
+// combineValues are aggregated fields: numbers whose sums are exact in
+// any order (small ints and halves, the infinities, NaN), numeric and
+// other strings, and null.
+var combineValues = []tuple.Value{
+	int64(-3), int64(0), int64(1), int64(5), int64(7), 0.5, -1.5, 5.0, math.Copysign(0, -1),
+	math.NaN(), math.Inf(1), math.Inf(-1), "7", "2.5", "NaN", "x", nil,
+}
+
+// checkMapCombine cuts a random stream of (key, row) pairs into map
+// tasks and runs each through a combineAccumulator, then every
+// reducer's share through groupByKey and combineSpec.row. It requires
+// that
+//
+//	(a) each group's row is the ForEach's output over the group's whole
+//	    bag: the first arrival of its key and expr.Agg.Eval of each
+//	    aggregate, value for value;
+//	(b) a task ships one record per tuple.Equal-distinct key, holding
+//	    the key's first arrival in the task, to partition Hash(key) mod R;
+//	(c) each record's bytes is the width of the rendering the partials
+//	    once had, plus the key's text and two.
+func checkMapCombine(t *testing.T, c *chooser) {
+	t.Helper()
+	keys := combineKeys()
+	drawKey := func() tuple.Value {
+		if c.n(4) == 0 {
+			return tuple.Tuple{keys[c.n(len(keys))], keys[c.n(len(keys))]}
+		}
+		return keys[c.n(len(keys))]
+	}
+	spec := &combineSpec{}
+	if c.n(2) == 0 {
+		spec.exprs = append(spec.exprs, expr.NewCol(0))
+	}
+	for i := c.n(4); i >= 0; i-- {
+		a := expr.Agg{Kind: expr.AggKind(c.n(5)), Bag: expr.NewCol(1), Field: c.n(4) - 1}
+		spec.exprs = append(spec.exprs, a)
+		spec.aggs = append(spec.aggs, a)
+	}
+	type pair struct {
+		key tuple.Value
+		row tuple.Tuple
+	}
+	stream := make([]pair, c.n(120))
+	for i := range stream {
+		row := make(tuple.Tuple, 1+c.n(3))
+		for j := range row {
+			row[j] = combineValues[c.n(len(combineValues))]
+		}
+		stream[i] = pair{drawKey(), row}
+	}
+	numRed := 1 + c.n(6)
+	var tasks [][][]rec
+	for lo := 0; lo < len(stream); {
+		hi := min(len(stream), lo+1+c.n(40))
+		acc := newCombineAccumulator(spec, numRed)
+		var firsts []tuple.Value // the task's distinct keys, first arrivals
+		for _, p := range stream[lo:hi] {
+			acc.add(p.key, p.row)
+			if !slices.ContainsFunc(firsts, func(k tuple.Value) bool { return tuple.Equal(k, p.key) }) {
+				firsts = append(firsts, p.key)
+			}
+		}
+		parts := acc.drain()
+		n := 0
+		for p, recs := range parts {
+			for _, r := range recs {
+				n++
+				i := slices.IndexFunc(firsts, func(k tuple.Value) bool { return tuple.Equal(k, r.key) })
+				switch {
+				case i < 0 || !identical(firsts[i], r.key):
+					t.Fatalf("task [%d,%d): record key %v is not a first arrival %v", lo, hi, r.key, firsts)
+				case r.hash != tuple.Hash(r.key) || p != partitionOf(r.hash, numRed):
+					t.Fatalf("task [%d,%d): key %v in partition %d, hash %x", lo, hi, r.key, p, r.hash)
+				case len(*r.states) != len(spec.aggs):
+					t.Fatalf("task [%d,%d): key %v carries %d states, want %d", lo, hi, r.key, len(*r.states), len(spec.aggs))
+				}
+				if want := int64(tuple.EncodeTextLen(encodePartials(*r.states)) + tuple.TextLen(r.key) + 2); r.bytes != want {
+					t.Fatalf("key %v, partials %v: bytes %d, want %d", r.key, encodePartials(*r.states), r.bytes, want)
+				}
+			}
+		}
+		if n != len(firsts) {
+			t.Fatalf("task [%d,%d): %d records for %d distinct keys", lo, hi, n, len(firsts))
+		}
+		tasks = append(tasks, parts)
+		lo = hi
+	}
+
+	groups := 0
+	acc := make([]aggState, len(spec.aggs))
+	for r := 0; r < numRed; r++ {
+		parts := make([][]rec, len(tasks))
+		for m := range tasks {
+			parts[m] = tasks[m][r]
+		}
+		recs, starts := groupByKey(parts, nil)
+		for g, lo := range starts {
+			hi := len(recs)
+			if g+1 < len(starts) {
+				hi = starts[g+1]
+			}
+			got := spec.row(recs[lo:hi], acc)
+			groups++
+			var first tuple.Value
+			bag := &tuple.Bag{}
+			for _, p := range stream {
+				if tuple.Equal(p.key, recs[lo].key) {
+					if bag.Len() == 0 {
+						first = p.key
+					}
+					bag.Add(p.row)
+				}
+			}
+			for i, e := range spec.exprs {
+				want, err := e.Eval(tuple.Tuple{first, bag})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !identical(got[i], want) {
+					t.Fatalf("group %v, %v over %v: got %v (%T), want %v (%T)", first, e, bag.Tuples, got[i], got[i], want, want)
+				}
+			}
+		}
+	}
+	var distinct []tuple.Value
+	for _, p := range stream {
+		if !slices.ContainsFunc(distinct, func(k tuple.Value) bool { return tuple.Equal(k, p.key) }) {
+			distinct = append(distinct, p.key)
+		}
+	}
+	if groups != len(distinct) {
+		t.Fatalf("%d groups for %d distinct keys", groups, len(distinct))
+	}
+}
+
+// TestMapCombine runs checkMapCombine over random streams.
+func TestMapCombine(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 1000; trial++ {
+		data := make([]byte, 400)
+		r.Read(data)
+		checkMapCombine(t, &chooser{data: data})
+	}
+}
+
+// FuzzMapCombine is TestMapCombine with the stream, the aggregates, the
+// task cuts and the reducer count drawn from the fuzzer's bytes.
+func FuzzMapCombine(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 1, 2, 0, 4, 0, 100, 5, 0, 3, 2, 1, 7, 1, 1, 9, 2, 2, 3, 4})
+	f.Add([]byte("map-side combining over keys equal under Compare but typed apart"))
+	f.Fuzz(func(t *testing.T, data []byte) { checkMapCombine(t, &chooser{data: data}) })
+}
+
+// BenchmarkMapCombine times one map task's combining, add for every row
+// and drain, and the reducers' merge of its partials (groupByKey and
+// combineSpec.row per partition), for COUNT, an integer SUM, MIN and
+// MAX by a string key. It runs at engine-scan's shape — map tasks of
+// about 70 rows, 24 reducers — and over a 10 000-row task, reporting
+// time and allocations per row.
+func BenchmarkMapCombine(b *testing.B) {
+	spec := &combineSpec{exprs: []expr.Expr{
+		expr.NewCol(0),
+		expr.Agg{Kind: expr.AggCount, Bag: expr.NewCol(1), Field: -1},
+		expr.Agg{Kind: expr.AggSum, Bag: expr.NewCol(1), Field: 1},
+		expr.Agg{Kind: expr.AggMin, Bag: expr.NewCol(1), Field: 2},
+		expr.Agg{Kind: expr.AggMax, Bag: expr.NewCol(1), Field: 2},
+	}}
+	for _, e := range spec.exprs[1:] {
+		spec.aggs = append(spec.aggs, e.(expr.Agg))
+	}
+	for _, shape := range []struct{ rows, keys, reducers int }{{70, 40, 24}, {10000, 2000, 24}} {
+		r := rand.New(rand.NewSource(1))
+		keys := make([]tuple.Value, shape.rows)
+		rows := make([]tuple.Tuple, shape.rows)
+		for i := range rows {
+			keys[i] = fmt.Sprintf("user%05d", r.Intn(shape.keys))
+			rows[i] = tuple.Tuple{keys[i], int64(r.Intn(1000)), float64(r.Intn(4000)) / 4}
+		}
+		b.Run(fmt.Sprintf("rows=%d", shape.rows), func(b *testing.B) {
+			b.ReportAllocs()
+			acc := make([]aggState, len(spec.aggs))
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := newCombineAccumulator(spec, shape.reducers)
+				for j, row := range rows {
+					c.add(keys[j], row)
+				}
+				for _, part := range c.drain() {
+					recs, starts := groupByKey([][]rec{part}, nil)
+					for g, lo := range starts {
+						hi := len(recs)
+						if g+1 < len(starts) {
+							hi = starts[g+1]
+						}
+						spec.row(recs[lo:hi], acc)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			n := float64(b.N * shape.rows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/row")
+		})
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -41,10 +42,11 @@ type Config struct {
 	RecordScale float64
 	// SplitSize is the simulated input split size (default 128 MiB).
 	SplitSize int64
-	// Parallelism bounds real goroutines running tasks (default
-	// NumCPU). The bound is engine-wide: concurrent Run calls — the
-	// driver's DAG scheduler and multiple client queries — share one
-	// pool of task slots instead of each oversubscribing the CPU.
+	// Parallelism bounds the tasks running at once (default NumCPU).
+	// The bound is engine-wide: concurrent Run calls — the driver's DAG
+	// scheduler and multiple client queries — share one pool of task
+	// slots instead of each oversubscribing the CPU. Each phase of a job
+	// runs its tasks on at most Parallelism worker goroutines.
 	Parallelism int
 	// MaxCachedBatchBytes bounds the decoded-dataset batch cache. Zero
 	// selects DefaultMaxCachedBatchBytes; a negative value disables the
@@ -63,8 +65,8 @@ func DefaultConfig() Config {
 }
 
 // Engine executes jobs against a DFS. Run is safe for concurrent use:
-// each call keeps its state on its own stack, and real task goroutines
-// across all in-flight jobs share the engine-wide Parallelism slots.
+// each call keeps its state on its own stack, and the tasks of all
+// in-flight jobs share the engine-wide Parallelism slots.
 type Engine struct {
 	fs    dfs.Backend
 	cfg   Config
@@ -142,11 +144,16 @@ type JobStats struct {
 // rec is one shuffled record. hash is tuple.Hash(key): the map task
 // computes it once to pick the record's partition and carries it, so
 // the reducer groups by it (groupByKey) without hashing the key again.
+// A combined GROUP's record points at its key's partial states instead
+// of carrying a tuple (a pointer: a record that carries a tuple pays one
+// word for it, not a slice header). bytes is the record's shuffle
+// volume.
 type rec struct {
 	key    tuple.Value
 	hash   uint64
 	branch int
 	t      tuple.Tuple
+	states *[]aggState
 	bytes  int64
 }
 
@@ -158,7 +165,7 @@ type rec struct {
 type Progress func(done, total int, simSoFar time.Duration)
 
 // progressTracker serializes Progress callbacks across the concurrent
-// task goroutines of one job.
+// task workers of one job.
 type progressTracker struct {
 	mu    sync.Mutex
 	fn    Progress
@@ -309,8 +316,10 @@ type segmentation struct {
 	// part file per Store on its side.
 	mapStores, redStores []*physical.Op
 	// combine is non-nil when the job qualifies for Pig's algebraic
-	// combiner (see combine.go).
-	combine *combineSpec
+	// combiner, and distinct is set for a DISTINCT, whose map tasks ship
+	// each key once (see combine.go).
+	combine  *combineSpec
+	distinct bool
 	// feeds holds each Load's map feed, by Load ID.
 	feeds map[int]feed
 }
@@ -340,6 +349,7 @@ func segments(p *physical.Plan) (*segmentation, error) {
 			return nil, fmt.Errorf("shuffle has no Package")
 		}
 		s.combine = detectCombine(p, s.succ, s.pkg)
+		s.distinct = s.pkg.Mode == physical.PkgDistinct
 	}
 	// Reduce side = descendants of the shuffle; everything else is map.
 	reduceSet := map[int]bool{}
@@ -697,32 +707,56 @@ func partitionOf(hash uint64, numRed int) int {
 	return int(hash % uint64(numRed))
 }
 
-func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
-	results := make([]mapResult, len(splits))
-	errs := make([]error, len(splits))
+// runTasks runs task(i) for every i in [0, n) on min(n, Parallelism)
+// worker goroutines, which take the indices in order. Each task holds
+// one of the engine-wide slots while it runs, so Parallelism bounds the
+// running tasks of every in-flight job together. A task that finds ctx
+// done before it gets a slot does not run and fails with ctx.Err().
+// runTasks returns when every task has run or failed, with the lowest
+// failed index and its error (nil if none failed).
+func (e *Engine) runTasks(ctx context.Context, n int, task func(i int) error) (int, error) {
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range splits {
+	for range min(n, e.cfg.Parallelism) {
 		wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[idx] = ctx.Err()
-				return
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if errs[i] = ctx.Err(); errs[i] != nil {
+					continue
+				}
+				select {
+				case e.sem <- struct{}{}:
+				case <-ctx.Done():
+					errs[i] = ctx.Err()
+					continue
+				}
+				errs[i] = task(i)
+				<-e.sem
 			}
-			defer func() { <-e.sem }()
-			results[idx], errs[idx] = e.runMapTask(seg, splits[idx], idx, numRed)
-			if errs[idx] == nil {
-				tracker.tick(e.cfg.Cost.TaskTime(results[idx].work))
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
+			return i, err
 		}
+	}
+	return -1, nil
+}
+
+func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
+	results := make([]mapResult, len(splits))
+	_, err := e.runTasks(ctx, len(splits), func(i int) error {
+		var err error
+		if results[i], err = e.runMapTask(seg, splits[i], i, numRed); err == nil {
+			tracker.tick(e.cfg.Cost.TaskTime(results[i].work))
+		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 	}
 	for i := range results {
 		stats.InputSimBytes += int64(float64(splits[i].bytes) * e.cfg.SimScale)
@@ -745,38 +779,19 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 
 func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
-	if numRed > 0 {
-		mr.parts = make([][]rec, numRed)
-	}
 	px := newExec(seg, false)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
 	px.capture = e.cache != nil
 	var acc *combineAccumulator
-	switch {
-	case seg.combine != nil:
-		// Algebraic combiner: pre-aggregate per key in the map task.
+	if seg.combine != nil || seg.distinct {
+		// Pig's combiners: pre-aggregate (or, for a DISTINCT, drop
+		// repeats of) each key in the map task.
 		acc = newCombineAccumulator(seg.combine, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
 			acc.add(key, t)
 		}
-	case seg.pkg != nil && seg.pkg.Mode == physical.PkgDistinct:
-		// Map-side duplicate elimination (Pig's distinct combiner).
-		seen := make([]map[string]bool, numRed)
-		for i := range seen {
-			seen[i] = map[string]bool{}
-		}
-		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			h := tuple.Hash(key)
-			p := partitionOf(h, numRed)
-			ks := tuple.ToString(key)
-			if seen[p][ks] {
-				return
-			}
-			seen[p][ks] = true
-			n := int64(len(ks) + 2)
-			mr.parts[p] = append(mr.parts[p], rec{key: key, hash: h, branch: branch, t: t, bytes: n})
-		}
-	default:
+	} else if numRed > 0 {
+		mr.parts = make([][]rec, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
@@ -837,39 +852,26 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 
 func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, []writtenPart, error) {
 	times := make([]time.Duration, numRed)
-	errs := make([]error, numRed)
 	outs := make([]map[string]OutputStat, numRed)
 	writes := make([][]writtenPart, numRed)
 	encode := make([]time.Duration, numRed)
-	var wg sync.WaitGroup
-	for r := 0; r < numRed; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[r] = ctx.Err()
-				return
-			}
-			defer func() { <-e.sem }()
-			parts := make([][]rec, len(mapResults))
-			for i, mr := range mapResults {
-				parts[i] = mr.parts[r]
-			}
-			outs[r] = map[string]OutputStat{}
-			times[r], encode[r], writes[r], errs[r] = e.runReduceTask(seg, parts, r, outs[r])
-			if errs[r] == nil {
-				tracker.tick(times[r])
-			}
-		}(r)
+	r, err := e.runTasks(ctx, numRed, func(r int) error {
+		parts := make([][]rec, len(mapResults))
+		for i, mr := range mapResults {
+			parts[i] = mr.parts[r]
+		}
+		outs[r] = map[string]OutputStat{}
+		var err error
+		if times[r], encode[r], writes[r], err = e.runReduceTask(seg, parts, r, outs[r]); err == nil {
+			tracker.tick(times[r])
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, err)
 	}
-	wg.Wait()
 	var allWrites []writtenPart
 	for r := 0; r < numRed; r++ {
-		if errs[r] != nil {
-			return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, errs[r])
-		}
 		mergeOutputs(stats.Outputs, outs[r])
 		stats.EncodeTime += encode[r]
 		allWrites = append(allWrites, writes[r]...)
@@ -892,8 +894,12 @@ func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, ou
 	px.capture = e.cache != nil
 
 	var shuffleBytes int64
-	for _, r := range recs {
-		shuffleBytes += r.bytes
+	for i := range recs {
+		shuffleBytes += recs[i].bytes
+	}
+	var acc []aggState // the combiner's merge states, reused per group
+	if seg.combine != nil {
+		acc = make([]aggState, len(seg.combine.aggs))
 	}
 
 	for g, lo := range starts {
@@ -904,7 +910,7 @@ func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, ou
 		group := recs[lo:hi]
 		var err error
 		if seg.combine != nil {
-			err = mergeCombined(px, seg.combine, group)
+			err = px.push(seg.combine.feID, seg.combine.row(group, acc))
 		} else {
 			err = e.emitGroup(px, seg, group)
 		}

@@ -3,9 +3,12 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/logical"
@@ -503,8 +506,10 @@ store B into 'out';
 
 // TestRunCancelled proves engine-level cancellation: a cancelled
 // context aborts the job with its error before (or while) tasks acquire
-// slots, and the engine stays usable afterwards.
+// slots, no task goroutine outlives Run, and the engine stays usable
+// afterwards.
 func TestRunCancelled(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	fs := dfs.New()
 	writeDataset(t, fs, "in",
 		tuple.Tuple{"a", int64(1)}, tuple.Tuple{"b", int64(2)})
@@ -532,9 +537,59 @@ store S into 'out';
 	if _, err := eng.Run(ctx, wf.Jobs[0], nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
+	// A worker that has returned may take a moment to leave the count.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a cancelled Run, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// All task slots were released: the same job runs fine with a live
 	// context.
 	if _, err := runJob(eng, wf.Jobs[0]); err != nil {
 		t.Fatalf("Run after cancellation: %v", err)
+	}
+}
+
+// TestTaskGoroutinesBounded runs a job of 2 000 map tasks and holds the
+// goroutines alive during it, sampled at every task completion, to the
+// engine's Parallelism plus a little slack: tasks run on a fixed pool
+// of workers, not one goroutine each.
+func TestTaskGoroutinesBounded(t *testing.T) {
+	const splits, parallelism = 2000, 4
+	fs := dfs.New()
+	var b strings.Builder
+	for i := 0; i < splits; i++ {
+		fmt.Fprintf(&b, "k%d\t%d\n", i%13, i)
+	}
+	if err := fs.WriteFile("in/part-00000", []byte(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	jobs := compileScript(t, `
+A = load 'in' as (k, v);
+G = group A by k;
+S = foreach G generate group, SUM(A.v);
+store S into 'out';
+`)
+	cfg := DefaultConfig()
+	cfg.SplitSize = 1 // one task per row
+	cfg.Parallelism = parallelism
+	eng := New(fs, cfg)
+
+	baseline := runtime.NumGoroutine()
+	peak, ticks := 0, 0
+	st, err := eng.Run(context.Background(), jobs[0], func(done, total int, _ time.Duration) {
+		ticks++
+		peak = max(peak, runtime.NumGoroutine())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MapTasks != splits || ticks != splits+st.RedTasks {
+		t.Fatalf("%d map tasks and %d progress ticks, want %d and %d", st.MapTasks, ticks, splits, splits+st.RedTasks)
+	}
+	if limit := baseline + parallelism + 2; peak > limit {
+		t.Errorf("%d goroutines alive during the job, want at most %d (baseline %d + Parallelism %d + 2)",
+			peak, limit, baseline, parallelism)
 	}
 }

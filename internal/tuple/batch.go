@@ -3,7 +3,6 @@ package tuple
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -530,12 +529,20 @@ func (c *column) appendEncoded(v Value, n, hint int, k *backing) {
 	}
 }
 
-// floatText types the text the encoder writes for x: "5" and "-0"
-// re-read as ints, "NaN" as a string, every other float text as x.
+// floatText types the text the encoder writes for x without writing
+// it: "NaN" re-reads as a string, and an integral x below 1e6 in
+// magnitude as the int x ("5", and "-0" as 0), because the shortest 'g'
+// form writes such a value as bare digits and every other finite value
+// with a '.' or an exponent; every other float text, "+Inf" and "-Inf"
+// included, re-reads as x.
 func floatText(x float64) (colKind, int64) {
-	var buf [32]byte
-	kind, i, _ := scanScalar(string(strconv.AppendFloat(buf[:0], x, 'g', -1, 64)))
-	return kind, i
+	switch {
+	case math.IsNaN(x):
+		return colString, 0
+	case math.Abs(x) < 1e6 && x == math.Trunc(x):
+		return colInt, int64(x)
+	}
+	return colFloat, 0
 }
 
 // backing is the one string a built batch's strings are cut from.

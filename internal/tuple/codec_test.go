@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -330,6 +331,53 @@ func TestBatchOfTextFloats(t *testing.T) {
 		rows = append(rows, Tuple{x}, Tuple{x / 4}, Tuple{-x / 1e4})
 	}
 	checkBatchOfText(t, rows)
+}
+
+// floatTextOracle types x by writing its text and scanning it back,
+// the way a decoder meets it: the definition floatText computes in
+// closed form.
+func floatTextOracle(x float64) (colKind, int64) {
+	kind, i, _ := scanScalar(strconv.FormatFloat(x, 'g', -1, 64))
+	return kind, i
+}
+
+// TestFloatTextMatchesFormatting holds floatText to the text over the
+// edges of its rule — ±0, the 1e6 boundary, subnormals, the largest
+// floats, the infinities and NaN — and over random values of every
+// magnitude and random bit patterns.
+func TestFloatTextMatchesFormatting(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		gk, gi := floatText(x)
+		wk, wi := floatTextOracle(x)
+		if gk != wk || gi != wi {
+			t.Fatalf("floatText(%v) = (%v, %d), the text %q scans as (%v, %d)",
+				x, gk, gi, strconv.FormatFloat(x, 'g', -1, 64), wk, wi)
+		}
+	}
+	edges := []float64{0, 999999, 1e6, 999999.5, 999999.9999999999, 1e6 + 1, 0.5, 1, 123456,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.Nextafter(2.2250738585072014e-308, 0),
+		math.MaxFloat64, 1e21, 1 << 53, 1<<53 + 2, 1e-4, 1e-5, 9.223372036854776e18}
+	for _, x := range edges {
+		check(x)
+		check(-x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, math.Inf(1)))
+		check(math.Nextafter(-x, math.Inf(-1)))
+	}
+	check(math.Copysign(0, -1))
+	check(math.Inf(1))
+	check(math.Inf(-1))
+	check(math.NaN())
+	check(math.Float64frombits(0x7ff8000000000042)) // a NaN with a payload
+	r := rand.New(rand.NewSource(38))
+	for i := 0; i < 200000; i++ {
+		check(math.Float64frombits(r.Uint64()))
+		x := r.NormFloat64() * math.Pow(10, float64(r.Intn(16)-4))
+		check(x)
+		check(math.Round(x))
+		check(math.Round(x*2) / 2)
+	}
 }
 
 // TestKernelsMatchRowCodec runs the fuzz properties over the seeds
