@@ -77,11 +77,15 @@
 //     different options interleave freely and none changes mid-flight.
 //
 //   - Output staging. Every query writes its user STORE outputs under
-//     its private temp namespace and atomically renames them into place
-//     when the workflow commits, so concurrent queries storing to the
-//     same path leave it holding exactly one query's complete dataset —
-//     never an interleaving of part files — and cancelled or failed
-//     queries publish nothing.
+//     its private temp namespace and atomically renames them into place,
+//     in path order, when the workflow commits, so concurrent queries
+//     storing to the same path leave it holding exactly one query's
+//     complete dataset — never an interleaving of part files — and
+//     queries cancelled or failed before the commit publish nothing. A
+//     rename failing mid-commit leaves the outputs renamed before it in
+//     place and discards the rest. One script's STORE paths may not be
+//     equal or nested, and no STORE path may contain the query's own
+//     stage path (on the default layout, 'tmp' does).
 //
 // To size the simulated clock to loaded data, load the DFS first, set
 // Config.SimScale and Config.RecordScale from it, then Recover over it.

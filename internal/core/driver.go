@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,24 +235,6 @@ func (d *Driver) advance(by time.Duration) {
 	d.clock.Add(int64(by))
 }
 
-// jobOutcome accumulates the per-job results of one workflow execution;
-// each scheduled job writes only its own slot, and the outcomes are
-// merged in topological order after the DAG drains so reports stay
-// deterministic under concurrent scheduling.
-type jobOutcome struct {
-	events      []RewriteEvent
-	reusedWhole bool
-	stats       *mapreduce.JobStats
-	deps        []string
-	stored      []*Entry
-	extraBytes  int64
-	// deferred is the whole-job entry of a job whose primary output is
-	// staged: it is inserted only after the output is renamed into its
-	// user-visible place, so the repository never references data that
-	// has not been committed.
-	deferred *Entry
-}
-
 // Execute runs a workflow through the full ReStore pipeline under ctx
 // with a per-execution configuration snapshot, and returns its report.
 // queryID must be unique per execution. The caller's workflow is never
@@ -260,541 +244,523 @@ type jobOutcome struct {
 // Cancelling ctx (or exceeding its deadline) aborts the workflow
 // promptly: jobs that have not started stay pending forever, in-flight
 // jobs abort at the engine's next task-slot acquisition and release
-// their slots, and Execute returns ctx.Err(). Cancellation
-// leaves the repository consistent — no entry is ever registered for a
-// job that did not run to completion — and leaves user STORE outputs
-// untouched: each query's final outputs are written under its private
-// temp namespace and renamed into place only when the whole workflow
-// commits, so a cancelled (or failed) query publishes nothing and two
-// queries storing to the same path cannot interleave part files.
+// their slots, and Execute returns ctx.Err(). No entry is ever
+// registered for a job that did not run to completion. Each query's
+// final outputs are written under its private temp namespace and
+// renamed into place in user-path order once every job has completed,
+// so a query cancelled or failed before that publishes nothing, and two
+// queries storing to one path cannot interleave part files. A rename
+// failing mid-commit leaves the outputs renamed before it published.
 func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*Result, error) {
 	start := time.Now()
-	opts := cfg.Opts
-	eng, store := d.eng, d.store
-	repo := store.repo
-	notify := cfg.OnJobState
-	if notify == nil {
-		notify = func(string, JobState) {}
-	}
-	progress := cfg.OnJobProgress
-	if progress == nil {
-		progress = func(string, int, int, time.Duration) {}
-	}
-	wf = wf.Clone()
-
-	// On a shared durable store, fold peers' committed entries into the
-	// local repository before matching: what another process stored is
-	// reusable here from the first probe.
-	if opts.Reuse {
-		store.RefreshShared()
-	}
-
-	res := &Result{QueryID: queryID, FinalOutputs: map[string]string{}}
-	for p, v := range wf.FinalOutputs {
-		res.FinalOutputs[p] = v
-	}
-
-	tr := cfg.Trace
-	root := tr.Root()
-	// jobSpans lets the Refresher closure — created once per execution,
-	// without job context — parent its refresh span under the probing
-	// job's span. Written at each job's dispatch, read under wfMu when
-	// a probe triggers a refresh; only traced executions populate it.
-	var spanMu sync.Mutex
-	jobSpans := map[string]obs.SpanID{}
-	jobSpanOf := func(jobID string) obs.SpanID {
-		spanMu.Lock()
-		defer spanMu.Unlock()
-		if id, ok := jobSpans[jobID]; ok {
-			return id
-		}
-		return obs.NoSpan
-	}
-
-	rewriter := &Rewriter{Repo: repo, FS: eng.FS(), LinearScan: cfg.LinearScan, Leases: store.cfg.Leases, Trace: tr, Metrics: d.Metrics}
-	// Incremental maintenance: when the matcher's only candidate is a
-	// stale-but-mergeable entry whose inputs merely grew, refresh it
-	// from the appended slice instead of recomputing cold. The hook
-	// runs jobs through the engine, so rewrites of sibling jobs wait on
-	// the workflow lock while a refresh runs — execution itself is not
-	// serialized, and the refreshed entry is what they would match
-	// anyway.
-	// refreshSim accumulates the simulated time this query's entry
-	// refreshes consumed; it is added to the result's SimTime below —
-	// the delta and merge jobs run on the probing query's critical path,
-	// so a refreshed reuse is never reported as free.
-	var refreshSim atomic.Int64
-	rewriter.Refresher = func(cand RefreshCandidate) *Entry {
-		refreshSpan := tr.Start(jobSpanOf(cand.Job.ID), obs.KindRefresh, cand.Match.Entry.ID)
-		refreshStart := time.Now()
-		e, spent := d.refreshEntry(ctx, queryID, cand, tr, refreshSpan)
-		d.Metrics.ObserveRefresh(time.Since(refreshStart))
-		tr.Sim(refreshSpan, spent)
-		if e == nil {
-			tr.Note(refreshSpan, "failed — cold fallback")
-		} else {
-			tr.Note(refreshSpan, "refreshed")
-		}
-		tr.End(refreshSpan)
-		refreshSim.Add(int64(spent))
-		return e
-	}
-	enum := &Enumerator{
-		Heuristic: opts.Heuristic,
-		PathFor: func(job *physical.Job, opID int) string {
-			return fmt.Sprintf("%s/%s/op%d", d.namespace("restore", queryID), job.ID, opID)
-		},
-	}
-
-	jobs, err := wf.TopoJobs()
+	x, err := d.newExecution(ctx, wf, queryID, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Stage user STORE outputs: each final job writes under the query's
-	// private temp namespace, and the staged dataset is renamed into its
-	// user-visible place only when the whole workflow commits. finalJob
-	// remembers which jobs write a user output (by ID, since their
-	// OutputPath now points at the stage), and staged maps each stage
-	// path back to the user path for the commit and for re-keying
-	// JobStats.Outputs.
-	finalJob := make(map[string]string, len(wf.FinalOutputs)) // job ID -> user path
-	staged := make(map[string]string, len(wf.FinalOutputs))   // stage path -> user path
-	for _, job := range jobs {
-		user := job.OutputPath
-		if _, ok := wf.FinalOutputs[user]; !ok {
-			continue
-		}
-		stage := d.namespace("tmp", queryID) + "/.staged/" + user
-		for _, op := range job.Plan.Ops() {
-			if op.Kind == physical.KStore && op.Path == user {
-				op.Path = stage
-			}
-		}
-		job.OutputPath = stage
-		finalJob[job.ID] = user
-		staged[stage] = user
-		for _, other := range jobs {
-			if other != job {
-				other.RewriteLoadPath(user, stage)
-			}
-		}
+	defer x.unpin()
+	if err := x.stage(); err != nil {
+		return nil, err
 	}
-
-	slot := make(map[string]int, len(jobs))
-	for i, j := range jobs {
-		slot[j.ID] = i
+	if err := x.run(); err != nil {
+		x.discard(0)
+		return nil, err
 	}
+	versions, err := x.commit()
+	if err != nil {
+		return nil, err
+	}
+	res := x.merge(versions)
+	d.advance(res.SimTime)
+	x.maintain()
+	res.WallTime = time.Since(start)
+	x.tr.Sim(x.root, res.SimTime)
+	d.Metrics.ObserveQuery(res.WallTime)
+	return res, nil
+}
+
+// execution is one Execute call. Its methods are the workflow stages —
+// stage, run, commit, merge, maintain — and run drives one jobRun per
+// job through the DAG scheduler.
+type execution struct {
+	d        *Driver
+	ctx      context.Context
+	cfg      ExecConfig
+	queryID  string
+	tr       *obs.Trace
+	root     obs.SpanID
+	notify   func(jobID string, state JobState)
+	progress func(jobID string, done, total int, sim time.Duration)
+
+	wf   *physical.Workflow // the private clone
+	jobs []*physical.Job    // in topological order
+	runs map[string]*jobRun // by job ID
 	// dependants of a job are the only jobs whole-job reuse may touch
-	// besides the job itself; they cannot have started yet (they depend
-	// on it), so mutating them is safe — unlike a workflow-wide sweep,
-	// which would read sibling jobs' plans while their goroutines
-	// mutate them.
-	dependants := make(map[string][]*physical.Job, len(jobs))
-	for _, j := range jobs {
-		for _, dep := range j.DependsOn {
-			dependants[dep] = append(dependants[dep], j)
-		}
-	}
-	outcomes := make([]jobOutcome, len(jobs))
+	// besides the job itself: they cannot have started (they depend on
+	// it), unlike siblings whose goroutines may be mutating their plans.
+	dependants map[string][]*physical.Job
+	staged     []stagedOutput // in user-path order
 
-	// Entries pinned by this execution's rewrites stay vacuum-proof,
-	// here and at every peer, until the workflow finishes (rewritten
-	// jobs read their outputs).
-	var pinned []string
-	defer func() {
-		for _, id := range pinned {
-			repo.Unpin(id)
-			store.cfg.Leases.Unpin(id)
-		}
-	}()
+	rewriter *Rewriter
+	enum     *Enumerator
+	// refreshSim is the simulated time this query's entry refreshes
+	// consumed: they run on its critical path, so a refreshed reuse is
+	// never free.
+	refreshSim atomic.Int64
 
 	// wfMu serializes every mutation of the shared workflow structure:
 	// rewriting a job's plan, dropping a whole-job-reused job, and
 	// redirecting its dependants' Load paths and dependency lists. A job
 	// is scheduled only after its producers completed (including their
 	// dependant redirects), so outside this lock each job's plan and
-	// DependsOn list are private to the goroutine running it.
-	var wfMu sync.Mutex
+	// DependsOn list are private to the goroutine running it. It also
+	// guards pinned, the entries rewritten jobs read: vacuum-proof here
+	// and at every peer until the execution finishes.
+	wfMu   sync.Mutex
+	pinned []string
+}
 
-	// claimsOn: every execution that stores participates in the claim
-	// protocol. With claims on, a sub-job another query is currently
-	// materializing is waited for and reused instead of materialized
-	// twice.
-	claimsOn := opts.storesAnything()
-	// maxClaimAttempts bounds the rewrite/claim loop: each iteration
-	// either wins every needed claim, absorbs a freshly committed entry,
-	// or retries an aborted claim. The bound only matters under
-	// pathological abort storms; on overflow the job proceeds without
-	// the unresolved claims.
-	const maxClaimAttempts = 16
+// stagedOutput is a user STORE output and the private path it is
+// written to until the commit renames it into place.
+type stagedOutput struct{ stage, user string }
 
-	process := func(job *physical.Job) error {
-		if err := ctx.Err(); err != nil {
-			return err // cancelled before dispatch: the job stays pending
-		}
-		out := &outcomes[slot[job.ID]]
-		notify(job.ID, JobRunning)
-		jobSpan := tr.Start(root, obs.KindJob, job.ID)
-		if tr != nil {
-			spanMu.Lock()
-			jobSpans[job.ID] = jobSpan
-			spanMu.Unlock()
-		}
-		defer tr.End(jobSpan)
+// maxClaimAttempts bounds a job's rewrite/claim loop. It only matters
+// under pathological abort storms; on overflow the job proceeds without
+// the unresolved claims.
+const maxClaimAttempts = 16
 
-		// held maps claimed plan fingerprints to the claims this job
-		// won; every exit path must Commit or Abort them all.
-		held := map[string]*Claim{}
-		abortHeld := func() {
-			for _, c := range held {
-				store.Abort(c)
-			}
-			held = map[string]*Claim{}
-		}
-
-		var existing []Candidate      // zero-cost candidates of the final plan
-		var targets []*physical.Op    // injectable targets of the final plan
-		var injectable []*physical.Op // targets this job actually materializes
-
-		for attempt := 0; ; attempt++ {
-			// Entries published after seen are invisible to the rewrite
-			// below. Finding one later — a target Choose skips as
-			// already stored, or a claim that was free because a peer
-			// registered its sub-job and released it — means the
-			// rewrite is stale: rewrite again rather than recompute or
-			// re-materialize what the repository already answers.
-			seen := repo.generation()
-			stale := false
-			wfMu.Lock()
-			_, isFinal := finalJob[job.ID]
-			if opts.Reuse {
-				events := rewriter.RewriteJob(job, !isFinal, jobSpan)
-				for _, ev := range events {
-					pinned = append(pinned, ev.EntryID)
-					repo.NoteReuse(ev.entry, d.Now())
-				}
-				out.events = append(out.events, events...)
-				if n := len(events); n > 0 && events[n-1].WholeJob {
-					// Drop the job; its dependants — which cannot have
-					// started — read the stored output instead.
-					wf.DropJob(job.ID)
-					for _, dep := range dependants[job.ID] {
-						dep.RemoveDependency(job.ID)
-						dep.RewriteLoadPath(job.OutputPath, events[n-1].Path)
-					}
-					out.reusedWhole = true
-					wfMu.Unlock()
-					abortHeld()
-					tr.Note(jobSpan, "whole job reused — never executed")
-					notify(job.ID, JobReused)
-					return nil
-				}
-			}
-			// Snapshot the dependency list for Equation 1 while the lock
-			// is held: whole-job reuse of a producer strips it from
-			// DependsOn.
-			out.deps = append([]string(nil), job.DependsOn...)
-			wfMu.Unlock()
-
-			// Choose materialization points on the rewritten plan.
-			choose := *enum
-			choose.SkipExisting = func(prefix PlanSig) bool {
-				e := repo.Lookup(prefix)
-				if e == nil || !repo.Valid(e, eng.FS()) {
-					return false
-				}
-				stale = stale || e.gen > seen
-				return true
-			}
-			existing, targets = choose.Choose(job)
-			if stale && opts.Reuse && attempt < maxClaimAttempts {
-				continue
-			}
-			if !claimsOn {
-				injectable = targets
-				break
-			}
-
-			// The claim set: every sub-job this job would register. The
-			// whole-job and existing-candidate fingerprints are claimed
-			// only when reuse is on — a loser can only profit from them
-			// by rewriting against the committed entry — and only for
-			// non-final jobs (a final job's own output is staged under
-			// the query's private namespace until commit, so other
-			// queries must not wait on, or rewrite to, its entries).
-			fps := map[string]*physical.Op{}
-			if !isFinal && opts.Reuse {
-				if opts.KeepWholeJobs {
-					sig := SigOf(job.Plan)
-					fps[sig.Fingerprint()] = nil
-				}
-				for _, c := range existing {
-					sig := SigOf(job.Plan.PrefixPlan(c.OpID, c.Path))
-					fps[sig.Fingerprint()] = nil
-				}
-			}
-			targetFP := make(map[int]string, len(targets))
-			for _, op := range targets {
-				sig := SigOf(job.Plan.PrefixPlan(op.ID, "claim"))
-				fp := sig.Fingerprint()
-				targetFP[op.ID] = fp
-				fps[fp] = op
-			}
-
-			// Release claims the rewritten plan no longer needs (a
-			// committed entry absorbed the sub-job).
-			for fp, c := range held {
-				if _, ok := fps[fp]; !ok {
-					store.Abort(c)
-					delete(held, fp)
-				}
-			}
-
-			// Acquire in sorted fingerprint order, waiting at the first
-			// contended claim while holding only smaller ones — the
-			// hierarchical order makes cross-query claim waits
-			// deadlock-free.
-			order := make([]string, 0, len(fps))
-			for fp := range fps {
-				order = append(order, fp)
-			}
-			sort.Strings(order)
-			acqSpan := tr.Start(jobSpan, obs.KindClaimAcquire, job.ID)
-			var waitOn *Claim
-			for _, fp := range order {
-				if held[fp] != nil {
-					continue
-				}
-				if c, won := store.TryClaim(fp); won {
-					held[fp] = c
-				} else {
-					waitOn = c
-					break
-				}
-			}
-			if tr != nil {
-				tr.Note(acqSpan, fmt.Sprintf("%d fingerprint(s) wanted, %d held", len(order), len(held)))
-			}
-			tr.End(acqSpan)
-			raced := false
-			for fp, c := range held {
-				if attempt < maxClaimAttempts && repo.registeredSince(fp, seen) {
-					store.Abort(c)
-					delete(held, fp)
-					raced = true
-				}
-			}
-			if raced {
-				continue
-			}
-			if waitOn == nil {
-				injectable = targets
-				break
-			}
-			if attempt >= maxClaimAttempts {
-				// Stop contending: materialize only what this job holds.
-				injectable = injectable[:0]
-				for _, op := range targets {
-					if held[targetFP[op.ID]] != nil {
-						injectable = append(injectable, op)
-					}
-				}
-				break
-			}
-			// The deadlock-freedom invariant — while blocked, hold only
-			// fingerprints smaller than the one waited on — must survive
-			// re-rewrites: an absorbed entry can put new, smaller
-			// fingerprints into the claim set. Release any held claim
-			// above the wait target before blocking; the next iteration
-			// re-contends for it.
-			for fp, c := range held {
-				if fp > waitOn.Fingerprint() {
-					store.Abort(c)
-					delete(held, fp)
-				}
-			}
-			waitSpan := tr.Start(jobSpan, obs.KindClaimWait, waitOn.Fingerprint())
-			waitStart := time.Now()
-			_, err := store.WaitShared(ctx, waitOn)
-			d.Metrics.ObserveClaimWait(time.Since(waitStart))
-			tr.End(waitSpan)
-			if err != nil {
-				abortHeld()
-				notify(job.ID, JobCanceled)
-				return fmt.Errorf("core: executing %s/%s: %w", queryID, job.ID, err)
-			}
-			// Re-rewrite: a committed entry is absorbed by the matcher
-			// (or skipped by Choose); an aborted one is contended again.
-		}
-
-		// Snapshot the plan before Store injection: the whole-job
-		// repository entry must describe the job without ReStore's
-		// instrumentation.
-		cleanPlan := job.Plan.Clone()
-
-		candidates := append(existing, enum.Inject(job, injectable)...)
-
-		execSpan := tr.Start(jobSpan, obs.KindJobExec, job.ID)
-		onProgress := func(done, total int, sim time.Duration) {
-			progress(job.ID, done, total, sim)
-		}
-		if tr.TaskSpans() {
-			inner := onProgress
-			onProgress = func(done, total int, sim time.Duration) {
-				tr.Event(execSpan, obs.KindTask,
-					fmt.Sprintf("%s task %d/%d", job.ID, done, total), sim.String())
-				inner(done, total, sim)
-			}
-		}
-		stats, err := eng.Run(ctx, job, onProgress)
-		tr.End(execSpan)
-		if err != nil {
-			abortHeld()
-			if ctx.Err() != nil {
-				notify(job.ID, JobCanceled)
-			} else {
-				notify(job.ID, JobFailed)
-			}
-			return fmt.Errorf("core: executing %s/%s: %w", queryID, job.ID, err)
-		}
-		tr.Sim(execSpan, stats.SimTime)
-		tr.Bytes(execSpan, stats.InputSimBytes, stats.OutputSimBytes)
-		out.stats = stats
-		out.stored, out.deferred, out.extraBytes = d.register(opts, job, cleanPlan, candidates, stats, finalJob[job.ID])
-
-		// Resolve claims: every registered entry commits its claim so
-		// waiting queries wake and reuse it; claims whose entries the
-		// sub-job selector rejected abort, releasing the fingerprint.
-		if len(held) > 0 {
-			stored := make(map[string]bool, len(out.stored))
-			for _, e := range out.stored {
-				stored[e.fingerprint()] = true
-			}
-			for fp, c := range held {
-				if stored[fp] {
-					store.Commit(c)
-				} else {
-					store.Abort(c)
-				}
-			}
-			held = map[string]*Claim{}
-		}
-
-		progress(job.ID, stats.MapTasks+stats.RedTasks, stats.MapTasks+stats.RedTasks, stats.SimTime)
-		notify(job.ID, JobDone)
-		return nil
+func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*execution, error) {
+	x := &execution{d: d, ctx: ctx, cfg: cfg, queryID: queryID, tr: cfg.Trace, root: cfg.Trace.Root(),
+		notify: cfg.OnJobState, progress: cfg.OnJobProgress, wf: wf.Clone()}
+	if x.notify == nil {
+		x.notify = func(string, JobState) {}
 	}
+	if x.progress == nil {
+		x.progress = func(string, int, int, time.Duration) {}
+	}
+	// Fold a shared durable store's peer entries into the repository
+	// first: what another process stored is reusable from the first probe.
+	if cfg.Opts.Reuse {
+		d.store.RefreshShared()
+	}
+	x.rewriter = &Rewriter{Repo: d.store.repo, FS: d.eng.FS(), LinearScan: cfg.LinearScan,
+		Leases: d.store.cfg.Leases, Trace: x.tr, Metrics: d.Metrics, Refresher: x.refresh}
+	x.enum = &Enumerator{Heuristic: cfg.Opts.Heuristic, PathFor: func(job *physical.Job, opID int) string {
+		return fmt.Sprintf("%s/%s/op%d", d.namespace("restore", queryID), job.ID, opID)
+	}}
+	jobs, err := x.wf.TopoJobs()
+	if err != nil {
+		return nil, err
+	}
+	x.jobs, x.runs = jobs, make(map[string]*jobRun, len(jobs))
+	x.dependants = make(map[string][]*physical.Job, len(jobs))
+	for _, j := range jobs {
+		x.runs[j.ID] = &jobRun{x: x, job: j, claims: claimSet{store: d.store, held: map[string]*Claim{}}}
+		for _, dep := range j.DependsOn {
+			x.dependants[dep] = append(x.dependants[dep], j)
+		}
+	}
+	return x, nil
+}
 
-	workers := cfg.Workers
+// unpin releases the pins this execution's rewrites took.
+func (x *execution) unpin() {
+	for _, id := range x.pinned {
+		x.d.store.repo.Unpin(id)
+		x.d.store.cfg.Leases.Unpin(id)
+	}
+}
+
+// stage points every user STORE output at the query's private stage
+// path, <root>/tmp/<qid>/.staged/<user>, and every job reading it at the
+// stage. A user path that equals or contains its stage path could never
+// be renamed onto, so it is rejected before any job runs.
+func (x *execution) stage() error {
+	prefix := x.d.namespace("tmp", x.queryID) + "/.staged/"
+	for _, job := range x.jobs {
+		user := job.OutputPath
+		if _, ok := x.wf.FinalOutputs[user]; !ok {
+			continue
+		}
+		stage := prefix + user
+		if u := cleanPath(user); u == "" || strings.HasPrefix(cleanPath(stage), u+"/") {
+			return fmt.Errorf("core: STORE path %q contains the query's stage path %q", user, stage)
+		}
+		for _, op := range job.Plan.Ops() {
+			if op.Kind == physical.KStore && op.Path == user {
+				op.Path = stage
+			}
+		}
+		job.OutputPath = stage
+		x.runs[job.ID].user = user
+		x.staged = append(x.staged, stagedOutput{stage: stage, user: user})
+		for _, other := range x.jobs {
+			if other != job {
+				other.RewriteLoadPath(user, stage)
+			}
+		}
+	}
+	sort.Slice(x.staged, func(i, j int) bool { return x.staged[i].user < x.staged[j].user })
+	return nil
+}
+
+// run schedules the jobs over their dependency DAG on the worker pool.
+func (x *execution) run() error {
+	workers := x.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if err := runDAG(ctx, jobs, workers, d.admission, process); err != nil {
-		// Abort: discard staged outputs so a cancelled or failed query
-		// publishes nothing (user paths keep whatever they held before).
-		for stage := range staged {
-			_ = eng.DeleteDataset(stage)
-		}
-		return nil, err
-	}
+	return runDAG(x.ctx, x.jobs, workers, x.d.admission, func(job *physical.Job) error {
+		return x.runs[job.ID].run()
+	})
+}
 
-	// Commit: atomically rename each staged user output into place.
-	// Renames serialize on the DFS lock, so concurrent queries storing
-	// to one path leave it holding exactly one query's complete dataset.
-	committedVer := make(map[string]int64, len(staged)) // user path -> version
-	for stage, user := range staged {
-		commitSpan := tr.Start(root, obs.KindStoreCommit, user)
-		v, err := eng.RenameDataset(stage, user)
-		tr.End(commitSpan)
+// commit renames each staged output into place in user-path order and
+// returns the dataset version each rename produced. Renames serialize
+// on the DFS lock, so concurrent queries storing to one path leave it
+// holding exactly one query's complete dataset. A failed rename
+// discards the stages not yet renamed; those renamed before it stay.
+func (x *execution) commit() (map[string]int64, error) {
+	versions := make(map[string]int64, len(x.staged))
+	for i, s := range x.staged {
+		span := x.tr.Start(x.root, obs.KindStoreCommit, s.user)
+		v, err := x.d.eng.RenameDataset(s.stage, s.user)
+		x.tr.End(span)
 		if err != nil {
-			return nil, fmt.Errorf("core: committing %s output %s: %w", queryID, user, err)
+			x.discard(i)
+			return nil, fmt.Errorf("core: committing %s output %s: %w", x.queryID, s.user, err)
 		}
-		committedVer[user] = v
+		versions[s.user] = v
 	}
-	// Re-key per-job output statistics from stage paths to the user
-	// paths callers (and the experiment harness) look up.
-	if len(staged) > 0 {
-		for i := range outcomes {
-			st := outcomes[i].stats
-			if st == nil {
-				continue
-			}
-			for stage, user := range staged {
-				if o, ok := st.Outputs[stage]; ok {
-					delete(st.Outputs, stage)
-					st.Outputs[user] = o
-				}
-			}
-		}
-	}
+	return versions, nil
+}
 
-	// Merge per-job outcomes in topological order so Rewrites, Stored
-	// and JobStats read the same regardless of scheduling interleaving.
+// discard deletes the staged outputs from the from-th on.
+func (x *execution) discard(from int) {
+	for _, s := range x.staged[from:] {
+		_ = x.d.eng.DeleteDataset(s.stage)
+	}
+}
+
+// merge folds the job runs into the report in topological order, so it
+// reads the same under any scheduling. It re-keys output statistics to
+// user paths and inserts each deferred whole-job entry bound to exactly
+// the dataset version its rename produced: an overwrite by any other
+// query — even one that slipped in before this insert — invalidates it.
+func (x *execution) merge(versions map[string]int64) *Result {
+	res := &Result{QueryID: x.queryID, FinalOutputs: x.wf.FinalOutputs}
 	jobTimes := map[string]time.Duration{}
 	jobDeps := map[string][]string{}
-	for i, job := range jobs {
-		out := &outcomes[i]
-		res.Rewrites = append(res.Rewrites, out.events...)
-		if out.reusedWhole {
+	for _, job := range x.jobs {
+		r := x.runs[job.ID]
+		res.Rewrites = append(res.Rewrites, r.events...)
+		if r.reusedWhole {
 			res.JobsReused++
 			continue
 		}
-		res.JobStats = append(res.JobStats, out.stats)
-		res.JobsRun++
-		jobTimes[job.ID] = out.stats.SimTime
-		jobDeps[job.ID] = out.deps
-		if out.deferred != nil {
-			// The job's user output is committed now; its whole-job
-			// entry (pointing at the user path) becomes registrable,
-			// bound to exactly the dataset version this query's rename
-			// produced: an overwrite by any other query — even one that
-			// slipped in before this insert — invalidates it.
-			out.deferred.OutputVersion = committedVer[out.deferred.OutputPath]
-			res.Stored = append(res.Stored, repo.Insert(out.deferred))
+		for _, s := range x.staged {
+			if o, ok := r.stats.Outputs[s.stage]; ok {
+				delete(r.stats.Outputs, s.stage)
+				r.stats.Outputs[s.user] = o
+			}
 		}
-		res.Stored = append(res.Stored, out.stored...)
-		res.ExtraStoredSimBytes += out.extraBytes
+		res.JobStats = append(res.JobStats, r.stats)
+		res.JobsRun++
+		jobTimes[job.ID] = r.stats.SimTime
+		jobDeps[job.ID] = r.deps
+		if r.deferred != nil {
+			r.deferred.OutputVersion = versions[r.deferred.OutputPath]
+			res.Stored = append(res.Stored, x.d.store.repo.Insert(r.deferred))
+		}
+		res.Stored = append(res.Stored, r.stored...)
+		res.ExtraStoredSimBytes += r.extraBytes
 	}
+	res.SimTime = cluster.CriticalPath(jobTimes, jobDeps) + time.Duration(x.refreshSim.Load())
+	return res
+}
 
-	res.SimTime = cluster.CriticalPath(jobTimes, jobDeps) + time.Duration(refreshSim.Load())
-	d.advance(res.SimTime)
-
+// maintain runs the post-execution storage maintenance: the reuse-window
+// and validity vacuum (Rules 3 and 4; user-visible whole-job outputs
+// stay in place) and, under a byte budget, eviction back under it. A
+// durable store's event log is compacted when due in any case.
+func (x *execution) maintain() {
+	opts, store := x.cfg.Opts, x.d.store
 	if opts.DeleteTemps && !opts.storesAnything() {
-		deleteTemps(eng, wf, jobs)
+		deleteTemps(x.d.eng, x.wf, x.jobs)
 	}
-	// Post-execution storage maintenance: the reuse-window and validity
-	// vacuum (Rules 3 and 4, reclaiming evicted sub-job outputs;
-	// user-visible whole-job outputs are left in place) and, when a byte
-	// budget is configured, policy-driven eviction back under it. On a
-	// durable store, the event log is compacted when due even without a
-	// budget or window.
 	if opts.EvictionWindow > 0 || store.cfg.MaxBytes > 0 {
-		store.Sweep(d.Now(), opts.EvictionWindow)
+		store.Sweep(x.d.Now(), opts.EvictionWindow)
 	} else {
 		store.MaintainDurable()
 	}
-
-	res.WallTime = time.Since(start)
-	tr.Sim(root, res.SimTime)
-	d.Metrics.ObserveQuery(res.WallTime)
-	return res, nil
 }
 
-// register stores the whole-job output and the enumerated sub-job
-// outputs in the repository (the enumerated sub-job selector) and
-// returns the entries kept plus the extra simulated bytes materialized.
-// finalUser, when non-empty, is the user path the job's staged primary
-// output will be renamed to at commit: the whole-job entry is then
-// returned as deferred (pointing at the user path) instead of being
-// inserted, so the repository never references an uncommitted output.
-func (d *Driver) register(opts Options, job *physical.Job, cleanPlan *physical.Plan, candidates []Candidate, stats *mapreduce.JobStats, finalUser string) ([]*Entry, *Entry, int64) {
-	eng, repo := d.eng, d.store.repo
-	fs := eng.FS()
-	var stored []*Entry
-	var deferred *Entry
-	var extraBytes int64
+// jobRun is one job's pass through the ReStore steps — rewrite, choose,
+// claim, exec, register, resolve — and the outcome merge reads.
+type jobRun struct {
+	x          *execution
+	job        *physical.Job
+	user       string // the user path of the job's staged output, if any
+	span       obs.SpanID
+	claims     claimSet
+	seen       int64          // the repository generation the last rewrite saw
+	existing   []Candidate    // zero-cost candidates of the final plan
+	targets    []*physical.Op // injectable targets of the final plan
+	injectable []*physical.Op // targets this job actually materializes
 
+	events      []RewriteEvent
+	reusedWhole bool
+	stats       *mapreduce.JobStats
+	deps        []string
+	stored      []*Entry
+	extraBytes  int64
+	// deferred is the whole-job entry of a job whose output is staged:
+	// inserted only after the commit, so the repository never references
+	// data that has not been committed.
+	deferred *Entry
+}
+
+func (r *jobRun) run() error {
+	x, job := r.x, r.job
+	if err := x.ctx.Err(); err != nil {
+		return err // cancelled before dispatch: the job stays pending
+	}
+	x.notify(job.ID, JobRunning)
+	r.span = x.tr.Start(x.root, obs.KindJob, job.ID)
+	defer x.tr.End(r.span)
+
+	reused, err := r.claim()
+	if err != nil {
+		return r.fail(err)
+	}
+	if reused {
+		r.claims.abortAll()
+		x.tr.Note(r.span, "whole job reused — never executed")
+		x.notify(job.ID, JobReused)
+		return nil
+	}
+	// The whole-job entry describes the plan before Store injection.
+	cleanPlan := job.Plan.Clone()
+	candidates := append(r.existing, x.enum.Inject(job, r.injectable)...)
+	stats, err := r.exec()
+	if err != nil {
+		return r.fail(err)
+	}
+	r.stats = stats
+	r.register(cleanPlan, candidates)
+	r.claims.resolve(r.stored)
+	x.progress(job.ID, stats.MapTasks+stats.RedTasks, stats.MapTasks+stats.RedTasks, stats.SimTime)
+	x.notify(job.ID, JobDone)
+	return nil
+}
+
+// fail aborts the job's claims and reports it canceled or failed.
+func (r *jobRun) fail(err error) error {
+	r.claims.abortAll()
+	if r.x.ctx.Err() != nil {
+		r.x.notify(r.job.ID, JobCanceled)
+	} else {
+		r.x.notify(r.job.ID, JobFailed)
+	}
+	return fmt.Errorf("core: executing %s/%s: %w", r.x.queryID, r.job.ID, err)
+}
+
+// rewrite matches and rewrites the job against the repository under the
+// workflow lock, and reports whether the whole job was reused: it is
+// then dropped, and its dependants read the stored output instead.
+func (r *jobRun) rewrite() bool {
+	x, job := r.x, r.job
+	x.wfMu.Lock()
+	defer x.wfMu.Unlock()
+	if x.cfg.Opts.Reuse {
+		events := x.rewriter.RewriteJob(job, r.user == "", r.span)
+		for _, ev := range events {
+			x.pinned = append(x.pinned, ev.EntryID)
+			x.d.store.repo.NoteReuse(ev.entry, x.d.Now())
+		}
+		r.events = append(r.events, events...)
+		if n := len(events); n > 0 && events[n-1].WholeJob {
+			x.wf.DropJob(job.ID)
+			for _, dep := range x.dependants[job.ID] {
+				dep.RemoveDependency(job.ID)
+				dep.RewriteLoadPath(job.OutputPath, events[n-1].Path)
+			}
+			r.reusedWhole = true
+			return true
+		}
+	}
+	// Snapshot the dependency list for Equation 1 while the lock is
+	// held: whole-job reuse of a producer strips it from DependsOn.
+	r.deps = append([]string(nil), job.DependsOn...)
+	return false
+}
+
+// choose picks the materialization points of the rewritten plan, and
+// reports whether the rewrite is stale: it skipped a target as stored
+// by an entry published after the rewrite's generation.
+func (r *jobRun) choose() (stale bool) {
+	repo, fs := r.x.d.store.repo, r.x.d.eng.FS()
+	enum := *r.x.enum
+	enum.SkipExisting = func(prefix PlanSig) bool {
+		e := repo.Lookup(prefix)
+		if e == nil || !repo.Valid(e, fs) {
+			return false
+		}
+		stale = stale || e.gen > r.seen
+		return true
+	}
+	r.existing, r.targets = enum.Choose(r.job)
+	return stale
+}
+
+// claim rewrites, chooses and claims until the job holds every claim it
+// needs, or reports that the whole job was reused. Every execution that
+// stores claims: a sub-job another query is materializing is waited for
+// and reused, not materialized twice. Each iteration wins every needed
+// claim, absorbs a freshly committed entry, or retries an aborted one.
+func (r *jobRun) claim() (reused bool, err error) {
+	x, repo := r.x, r.x.d.store.repo
+	for attempt := 0; ; attempt++ {
+		// Entries published after seen are invisible to the rewrite.
+		// Finding one later — a target Choose skips as already stored,
+		// or a claim that was free because a peer registered its
+		// sub-job and released it — means the rewrite is stale: rewrite
+		// again rather than recompute or re-materialize what the
+		// repository already answers.
+		r.seen = repo.generation()
+		if r.rewrite() {
+			return true, nil
+		}
+		if r.choose() && x.cfg.Opts.Reuse && attempt < maxClaimAttempts {
+			continue
+		}
+		if !x.cfg.Opts.storesAnything() {
+			r.injectable = r.targets
+			return false, nil
+		}
+		fps, targetFP := r.wanted()
+		// Release claims a committed entry absorbed.
+		r.claims.release(func(fp string) bool { return !fps[fp] })
+		waitOn := r.acquire(fps)
+		if attempt < maxClaimAttempts && r.claims.release(func(fp string) bool { return repo.registeredSince(fp, r.seen) }) {
+			continue
+		}
+		if waitOn == nil {
+			r.injectable = r.targets
+			return false, nil
+		}
+		if attempt >= maxClaimAttempts {
+			// Stop contending: materialize only what this job holds.
+			for _, op := range r.targets {
+				if r.claims.held[targetFP[op.ID]] != nil {
+					r.injectable = append(r.injectable, op)
+				}
+			}
+			return false, nil
+		}
+		// The deadlock-freedom invariant — while blocked, hold only
+		// fingerprints smaller than the one waited on — must survive
+		// re-rewrites: an absorbed entry can put new, smaller
+		// fingerprints into the claim set. Release any held claim above
+		// the wait target before blocking; the next iteration
+		// re-contends for it.
+		r.claims.release(func(fp string) bool { return fp > waitOn.Fingerprint() })
+		waitSpan := x.tr.Start(r.span, obs.KindClaimWait, waitOn.Fingerprint())
+		waitStart := time.Now()
+		_, err := x.d.store.WaitShared(x.ctx, waitOn)
+		x.d.Metrics.ObserveClaimWait(time.Since(waitStart))
+		x.tr.End(waitSpan)
+		if err != nil {
+			return false, err
+		}
+		// Re-rewrite: a committed entry is absorbed by the matcher (or
+		// skipped by Choose); an aborted one is contended again.
+	}
+}
+
+// wanted returns the fingerprint of every sub-job the job would
+// register, and each injectable target's. The whole-job and existing
+// candidates are claimed only with reuse on — a loser profits from them
+// only by rewriting against the committed entry — and only for
+// non-final jobs, whose outputs other queries must not wait on or
+// rewrite to until the commit.
+func (r *jobRun) wanted() (map[string]bool, map[int]string) {
+	opts, plan := r.x.cfg.Opts, r.job.Plan
+	fps := map[string]bool{}
+	if r.user == "" && opts.Reuse {
+		if opts.KeepWholeJobs {
+			sig := SigOf(plan)
+			fps[sig.Fingerprint()] = true
+		}
+		for _, c := range r.existing {
+			sig := SigOf(plan.PrefixPlan(c.OpID, c.Path))
+			fps[sig.Fingerprint()] = true
+		}
+	}
+	targetFP := make(map[int]string, len(r.targets))
+	for _, op := range r.targets {
+		sig := SigOf(plan.PrefixPlan(op.ID, "claim"))
+		targetFP[op.ID] = sig.Fingerprint()
+		fps[targetFP[op.ID]] = true
+	}
+	return fps, targetFP
+}
+
+// acquire takes the wanted claims in sorted fingerprint order up to the
+// first contended one, which it returns: waiting while holding only
+// smaller fingerprints makes cross-query claim waits deadlock-free.
+func (r *jobRun) acquire(fps map[string]bool) (waitOn *Claim) {
+	order := make([]string, 0, len(fps))
+	for fp := range fps {
+		order = append(order, fp)
+	}
+	sort.Strings(order)
+	span := r.x.tr.Start(r.span, obs.KindClaimAcquire, r.job.ID)
+	for _, fp := range order {
+		if r.claims.held[fp] != nil {
+			continue
+		}
+		c, won := r.x.d.store.TryClaim(fp)
+		if !won {
+			waitOn = c
+			break
+		}
+		r.claims.held[fp] = c
+	}
+	if r.x.tr != nil {
+		r.x.tr.Note(span, fmt.Sprintf("%d fingerprint(s) wanted, %d held", len(order), len(r.claims.held)))
+	}
+	r.x.tr.End(span)
+	return waitOn
+}
+
+// exec runs the instrumented job on the engine under a job.exec span.
+func (r *jobRun) exec() (*mapreduce.JobStats, error) {
+	x, job := r.x, r.job
+	span := x.tr.Start(r.span, obs.KindJobExec, job.ID)
+	stats, err := x.d.eng.Run(x.ctx, job, func(done, total int, sim time.Duration) {
+		if x.tr.TaskSpans() {
+			x.tr.Event(span, obs.KindTask, fmt.Sprintf("%s task %d/%d", job.ID, done, total), sim.String())
+		}
+		x.progress(job.ID, done, total, sim)
+	})
+	x.tr.End(span)
+	if err != nil {
+		return nil, err
+	}
+	x.tr.Sim(span, stats.SimTime)
+	x.tr.Bytes(span, stats.InputSimBytes, stats.OutputSimBytes)
+	return stats, nil
+}
+
+// register is the enumerated sub-job selector: it keeps the whole-job
+// output and the enumerated sub-job outputs the admission rules accept
+// as repository entries, and deletes the rejected sub-job outputs. A
+// final job's whole-job entry points at its user path, which holds
+// nothing until the commit, so it is deferred instead of inserted.
+func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
+	x, job, stats := r.x, r.job, r.stats
+	opts, eng, repo := x.cfg.Opts, x.d.eng, x.d.store.repo
+	fs := eng.FS()
 	admit := func(e *Entry) bool {
 		if e.Plan.OpCount() <= 1 {
 			return false // a bare Load: reusing it is just re-reading the input
@@ -802,82 +768,92 @@ func (d *Driver) register(opts Options, job *physical.Job, cleanPlan *physical.P
 		if opts.AdmitOnlyReducing && e.Stats.OutputSimBytes >= e.Stats.InputSimBytes {
 			return false
 		}
-		if opts.AdmitOnlyBeneficial && !beneficial(eng, e) {
-			return false
-		}
-		return true
+		return !opts.AdmitOnlyBeneficial || beneficial(eng, e)
 	}
-
-	versionsOf := func(sig PlanSig) map[string]int64 {
+	entry := func(plan *physical.Plan, outPath string, outBytes int64) *Entry {
+		sig := SigOf(plan)
 		vs := map[string]int64{}
 		for _, p := range sig.loadPaths() {
 			vs[p] = fs.Version(p)
 		}
-		return vs
+		return &Entry{Plan: sig, OutputPath: outPath, InputVersions: vs, StoredAt: x.d.Now(), Stats: EntryStats{
+			InputSimBytes:  stats.InputSimBytes,
+			OutputSimBytes: outBytes,
+			AvgMapTime:     stats.AvgMapTime,
+			AvgRedTime:     stats.AvgRedTime,
+			JobSimTime:     stats.SimTime,
+		}}
 	}
 
 	if opts.KeepWholeJobs {
-		outPath := job.OutputPath
-		if finalUser != "" {
-			outPath = finalUser
-		}
-		sig := SigOf(cleanPlan)
-		e := &Entry{
-			Plan:       sig,
-			OutputPath: outPath,
-			WholeJob:   true,
-			Stats: EntryStats{
-				InputSimBytes:  stats.InputSimBytes,
-				OutputSimBytes: stats.OutputSimBytes,
-				AvgMapTime:     stats.AvgMapTime,
-				AvgRedTime:     stats.AvgRedTime,
-				JobSimTime:     stats.SimTime,
-			},
-			InputVersions: versionsOf(sig),
-			StoredAt:      d.Now(),
-		}
+		e := entry(cleanPlan, cmp.Or(r.user, job.OutputPath), stats.OutputSimBytes)
+		e.WholeJob = true
 		if admit(e) {
 			stampMergeable(fs, e, cleanPlan)
-			if finalUser != "" {
-				// OutputVersion is unknown until the staged output is
-				// renamed into place; the commit path fills it in.
-				deferred = e
+			if r.user != "" {
+				r.deferred = e // OutputVersion is set at commit
 			} else {
 				e.OutputVersion = fs.Version(e.OutputPath)
-				stored = append(stored, repo.Insert(e))
+				r.stored = append(r.stored, repo.Insert(e))
 			}
 		}
 	}
-
 	for _, c := range candidates {
-		out := stats.Outputs[c.Path]
+		o := stats.Outputs[c.Path]
 		if !c.Existing {
-			extraBytes += out.SimBytes
+			r.extraBytes += o.SimBytes
 		}
 		prefixPlan := job.Plan.PrefixPlan(c.OpID, c.Path)
-		prefix := SigOf(prefixPlan)
-		e := &Entry{
-			Plan:       prefix,
-			OutputPath: c.Path,
-			Stats: EntryStats{
-				InputSimBytes:  stats.InputSimBytes,
-				OutputSimBytes: out.SimBytes,
-				AvgMapTime:     stats.AvgMapTime,
-				AvgRedTime:     stats.AvgRedTime,
-				JobSimTime:     stats.SimTime,
-			},
-			InputVersions: versionsOf(prefix),
-			StoredAt:      d.Now(),
-		}
+		e := entry(prefixPlan, c.Path, o.SimBytes)
 		if admit(e) {
 			stampMergeable(fs, e, prefixPlan)
 			e.OutputVersion = fs.Version(e.OutputPath)
-			stored = append(stored, repo.Insert(e))
+			r.stored = append(r.stored, repo.Insert(e))
 		} else if !c.Existing {
 			_ = eng.DeleteDataset(c.Path) // rejected by the selector: reclaim now
 		}
 	}
-	return stored, deferred, extraBytes
+}
+
+// claimSet holds the claims one job won, by plan fingerprint; every
+// exit path of the job must commit or abort them all.
+type claimSet struct {
+	store *StorageManager
+	held  map[string]*Claim
+}
+
+func (s *claimSet) abortAll() { s.release(func(string) bool { return true }) }
+
+// release aborts the held claims drop selects and reports whether there
+// were any.
+func (s *claimSet) release(drop func(fp string) bool) bool {
+	dropped := false
+	for fp, c := range s.held {
+		if drop(fp) {
+			s.store.Abort(c)
+			delete(s.held, fp)
+			dropped = true
+		}
+	}
+	return dropped
+}
+
+// resolve commits the claim of every entry the job registered, so
+// waiting queries wake and reuse it, and aborts the claims whose
+// entries the sub-job selector rejected.
+func (s *claimSet) resolve(stored []*Entry) {
+	registered := make(map[string]bool, len(stored))
+	for _, e := range stored {
+		registered[e.fingerprint()] = true
+	}
+	for fp, c := range s.held {
+		if registered[fp] {
+			s.store.Commit(c)
+		} else {
+			s.store.Abort(c)
+		}
+	}
+	clear(s.held)
 }
 
 // beneficial estimates Section 5 Rule 2: reusing the entry must beat

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/physical"
 )
@@ -78,49 +78,104 @@ func stampMergeable(fs dfs.Backend, e *Entry, plan *physical.Plan) {
 	e.InputBases = bases
 }
 
-// refreshEntry is the driver's Refresher: it runs the delta sub-plan
-// over the appended input slices, merges the result with the entry's
-// stored output, and re-registers the entry at the grown input
-// versions. It returns the refreshed entry — nil when the refresh
-// failed or was lost to a concurrent query (the caller then falls back
-// to the cold path) — and the simulated time the refresh jobs
-// consumed, which the probing query's SimTime must absorb: the delta
-// and merge work happens on its critical path.
+// refresh is the rewriter's Refresher: it delta-refreshes the
+// candidate's entry under a refresh span parented by the probing job's
+// span, and charges the refresh jobs' simulated time to this query. It
+// runs jobs under the workflow lock, so sibling jobs' rewrites wait for
+// it; their execution does not, and the refreshed entry is what they
+// would match anyway.
+func (x *execution) refresh(cand RefreshCandidate) *Entry {
+	span := x.tr.Start(cand.Span, obs.KindRefresh, cand.Match.Entry.ID)
+	start := time.Now()
+	e, spent := x.refreshEntry(cand, span)
+	x.d.Metrics.ObserveRefresh(time.Since(start))
+	x.tr.Sim(span, spent)
+	if e == nil {
+		x.tr.Note(span, "failed — cold fallback")
+	} else {
+		x.tr.Note(span, "refreshed")
+	}
+	x.tr.End(span)
+	x.refreshSim.Add(int64(spent))
+	return e
+}
+
+// refreshEntry runs the delta sub-plan over the appended input slices,
+// merges the result with the entry's stored output, and re-registers
+// the entry at the grown input versions. It returns the refreshed entry
+// (nil when the refresh failed or was lost to a concurrent query, which
+// sends the job down the cold path) and the simulated time it spent.
 //
 // The refresh claims the entry's plan fingerprint, so two queries
 // probing the same stale entry never run the same delta twice; the
-// loser goes cold (its own materialization heuristics may still store a
-// fresh copy, which replaces the entry just like the refresh would).
-func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshCandidate, tr *obs.Trace, span obs.SpanID) (*Entry, time.Duration) {
+// loser goes cold (and may store a fresh copy, replacing the entry just
+// like the refresh would).
+func (x *execution) refreshEntry(cand RefreshCandidate, span obs.SpanID) (*Entry, time.Duration) {
 	e := cand.Match.Entry
-	eng, store := d.eng, d.store
-	fs := eng.FS()
+	d, tr := x.d, x.tr
 	if tr != nil {
 		tr.Event(span, obs.KindRefreshClassify, e.ID,
 			fmt.Sprintf("%d input(s) grew by pure append", len(cand.Growth)))
 	}
-
-	var spent time.Duration
-	claim, won := store.TryClaim(e.fingerprint())
+	claim, won := d.store.TryClaim(e.fingerprint())
 	if !won {
 		d.delta.failed.Add(1)
 		return nil, 0
 	}
-	fail := func() *Entry {
-		store.Abort(claim)
+	fail := func(path string) *Entry {
+		_ = d.eng.DeleteDataset(path)
+		d.store.Abort(claim)
 		d.delta.failed.Add(1)
 		return nil
 	}
 
-	base := fmt.Sprintf("%s/refresh/%s-r%d", d.namespace("restore", queryID), e.ID, d.delta.seq.Add(1))
-	deltaPath := base + "/delta"
-	mergedPath := base + "/out"
+	base := fmt.Sprintf("%s/refresh/%s-r%d", d.namespace("restore", x.queryID), e.ID, d.delta.seq.Add(1))
+	deltaPath, mergedPath := base+"/delta", base+"/out"
+	dstats, deltaBytes, err := x.refreshDelta(cand, deltaPath, span)
+	if err != nil {
+		return fail(deltaPath), 0
+	}
+	spent := dstats.SimTime
 
-	// The delta plan is the probing job's prefix up to the matched
-	// frontier — the entry stores only a signature DAG, but containment
-	// guarantees the frontier's ancestor cone in the job computes the
-	// same result — with every Load restricted to the appended part
-	// files of its dataset (unchanged inputs contribute no delta rows).
+	mjob := &physical.Job{
+		ID:          fmt.Sprintf("refresh-%s-merge", e.ID),
+		Plan:        physical.BuildMergePlan(e.Merge, e.OutputPath, deltaPath, mergedPath),
+		OutputPath:  mergedPath,
+		NumReducers: cand.Job.NumReducers,
+	}
+	mergeSpan := tr.Start(span, obs.KindRefreshMerge, mjob.ID)
+	mstats, err := d.eng.Run(x.ctx, mjob, nil)
+	tr.End(mergeSpan)
+	_ = d.eng.DeleteDataset(deltaPath)
+	if err != nil {
+		return fail(mergedPath), spent
+	}
+	tr.Sim(mergeSpan, mstats.SimTime)
+	tr.Bytes(mergeSpan, dstats.OutputSimBytes+e.Stats.OutputSimBytes, mstats.OutputSimBytes)
+	spent += mstats.SimTime
+	// The merge read the stored output unlocked; if a concurrent writer
+	// replaced it mid-merge, the merged result mixes versions. The
+	// entry is pinned (no vacuum) but the dataset itself is not sealed.
+	if d.eng.FS().Version(e.OutputPath) != e.OutputVersion {
+		return fail(mergedPath), spent
+	}
+
+	ne, coldBytes := x.refreshedEntry(cand, mergedPath, dstats.InputSimBytes, dstats.SimTime, mstats.OutputSimBytes)
+	ins := d.store.repo.Insert(ne)
+	d.store.Commit(claim)
+	d.delta.refreshes.Add(1)
+	d.delta.deltaBytesRead.Add(deltaBytes)
+	d.delta.coldBytesAvoided.Add(coldBytes - deltaBytes)
+	return ins, spent
+}
+
+// refreshDelta runs the entry's sub-plan over only the appended input
+// slices into deltaPath, and returns its statistics and the bytes read.
+// The delta plan is the probing job's prefix up to the matched frontier
+// — the entry stores only a signature DAG, but containment guarantees
+// the frontier's ancestor cone in the job computes the same result —
+// with every Load restricted to its dataset's appended part files.
+func (x *execution) refreshDelta(cand RefreshCandidate, deltaPath string, span obs.SpanID) (*mapreduce.JobStats, int64, error) {
 	dp := cand.Job.Plan.PrefixPlan(cand.Match.Frontier, deltaPath)
 	var deltaBytes int64
 	for _, op := range dp.Ops() {
@@ -136,54 +191,31 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 	for _, g := range cand.Growth {
 		deltaBytes += g.NewBytes
 	}
-
 	djob := &physical.Job{
-		ID:          fmt.Sprintf("refresh-%s-delta", e.ID),
+		ID:          fmt.Sprintf("refresh-%s-delta", cand.Match.Entry.ID),
 		Plan:        dp,
 		OutputPath:  deltaPath,
 		NumReducers: cand.Job.NumReducers,
 	}
-	deltaSpan := tr.Start(span, obs.KindRefreshDelta, djob.ID)
-	dstats, err := eng.Run(ctx, djob, nil)
-	tr.End(deltaSpan)
+	deltaSpan := x.tr.Start(span, obs.KindRefreshDelta, djob.ID)
+	dstats, err := x.d.eng.Run(x.ctx, djob, nil)
+	x.tr.End(deltaSpan)
 	if err != nil {
-		_ = eng.DeleteDataset(deltaPath)
-		return fail(), spent
+		return nil, 0, err
 	}
-	tr.Sim(deltaSpan, dstats.SimTime)
-	tr.Bytes(deltaSpan, deltaBytes, dstats.OutputSimBytes)
-	spent += dstats.SimTime
+	x.tr.Sim(deltaSpan, dstats.SimTime)
+	x.tr.Bytes(deltaSpan, deltaBytes, dstats.OutputSimBytes)
+	return dstats, deltaBytes, nil
+}
 
-	mjob := &physical.Job{
-		ID:          fmt.Sprintf("refresh-%s-merge", e.ID),
-		Plan:        physical.BuildMergePlan(e.Merge, e.OutputPath, deltaPath, mergedPath),
-		OutputPath:  mergedPath,
-		NumReducers: cand.Job.NumReducers,
-	}
-	mergeSpan := tr.Start(span, obs.KindRefreshMerge, mjob.ID)
-	mstats, err := eng.Run(ctx, mjob, nil)
-	tr.End(mergeSpan)
-	_ = eng.DeleteDataset(deltaPath)
-	if err != nil {
-		_ = eng.DeleteDataset(mergedPath)
-		return fail(), spent
-	}
-	tr.Sim(mergeSpan, mstats.SimTime)
-	tr.Bytes(mergeSpan, dstats.OutputSimBytes+e.Stats.OutputSimBytes, mstats.OutputSimBytes)
-	spent += mstats.SimTime
-	// The merge read the stored output unlocked; if a concurrent writer
-	// replaced it mid-merge, the merged result mixes versions. The
-	// entry is pinned (no vacuum) but the dataset itself is not sealed.
-	if fs.Version(e.OutputPath) != e.OutputVersion {
-		_ = eng.DeleteDataset(mergedPath)
-		return fail(), spent
-	}
-
-	// Re-register at the grown input versions. The recorded base for a
-	// grown input is base ∪ the files this refresh consumed — not a
-	// fresh observation, which could already include appends the delta
-	// never read. Replacement preserves the entry's identity, so the
-	// pin taken at match time now protects the refreshed entry.
+// refreshedEntry is the candidate's entry re-registered at the grown
+// input versions with its output at mergedPath, and the bytes a cold
+// recompute would read. A grown input's base is base ∪ the files the
+// delta consumed — not a fresh observation, which could include appends
+// it never read. Replacement keeps the entry's identity, so the pin
+// taken at match time protects the refreshed entry.
+func (x *execution) refreshedEntry(cand RefreshCandidate, mergedPath string, deltaIn int64, deltaSim time.Duration, mergedOut int64) (*Entry, int64) {
+	e := cand.Match.Entry
 	ne := &Entry{
 		Plan:       e.Plan,
 		OutputPath: mergedPath,
@@ -192,17 +224,17 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 			// Approximate grown-recompute costs: a cold run would read
 			// the base and the delta and take at least the original job
 			// plus the delta job.
-			InputSimBytes:  e.Stats.InputSimBytes + dstats.InputSimBytes,
-			OutputSimBytes: mstats.OutputSimBytes,
+			InputSimBytes:  e.Stats.InputSimBytes + deltaIn,
+			OutputSimBytes: mergedOut,
 			AvgMapTime:     e.Stats.AvgMapTime,
 			AvgRedTime:     e.Stats.AvgRedTime,
-			JobSimTime:     e.Stats.JobSimTime + dstats.SimTime,
+			JobSimTime:     e.Stats.JobSimTime + deltaSim,
 		},
 		InputVersions: make(map[string]int64, len(e.InputVersions)),
-		OutputVersion: fs.Version(mergedPath),
+		OutputVersion: x.d.eng.FS().Version(mergedPath),
 		InputBases:    make(map[string]dfs.Snapshot, len(e.InputBases)),
 		Merge:         e.Merge,
-		StoredAt:      d.Now(),
+		StoredAt:      x.d.Now(),
 	}
 	var coldBytes int64
 	for p, v := range e.InputVersions {
@@ -215,10 +247,5 @@ func (d *Driver) refreshEntry(ctx context.Context, queryID string, cand RefreshC
 		}
 		coldBytes += ne.InputBases[p].Bytes
 	}
-	ins := store.repo.Insert(ne)
-	store.Commit(claim)
-	d.delta.refreshes.Add(1)
-	d.delta.deltaBytesRead.Add(deltaBytes)
-	d.delta.coldBytesAvoided.Add(coldBytes - deltaBytes)
-	return ins, spent
+	return ne, coldBytes
 }

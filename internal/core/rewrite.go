@@ -84,11 +84,13 @@ type Rewriter struct {
 // the entry itself stores only a signature DAG, so the executable
 // delta plan is carved from the job via Match.Frontier), the
 // containment result, and the per-input growth classifications listing
-// exactly the appended files the delta must read.
+// exactly the appended files the delta must read. Span is the probing
+// job's span, which the refresh is recorded under.
 type RefreshCandidate struct {
 	Job    *physical.Job
 	Match  *MatchResult
 	Growth map[string]dfs.Growth
+	Span   obs.SpanID
 }
 
 // refreshBlocked reports whether this entry version's refresh already
@@ -290,7 +292,7 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 		}
 		rw.Repo.Pin(e.ID)
 		if refreshable {
-			refresh = &RefreshCandidate{Job: job, Match: res, Growth: growth}
+			refresh = &RefreshCandidate{Job: job, Match: res, Growth: growth, Span: parent}
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonRefreshCandidate)
 			return true // keep scanning: a valid match beats a refresh
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/physical"
@@ -11,12 +12,10 @@ import (
 // runDAG executes every job of a workflow through process, running
 // independent jobs concurrently on a bounded worker pool while
 // respecting DependsOn edges: a job starts only after all of its
-// dependencies have completed. This replaces the serial topological
-// loop of the pre-concurrent driver; the paper's Equation 1 already
-// models workflow completion as the critical path over the job DAG, so
-// executing the DAG width-first leaves the simulated time accounting
-// unchanged while cutting real wall time to roughly
-// serial/min(width, workers).
+// dependencies have completed. The paper's Equation 1 models workflow
+// completion as the critical path over the job DAG, so running the DAG
+// width-first leaves simulated time unchanged while cutting real wall
+// time to roughly serial/min(width, workers).
 //
 // Cancelling ctx stops the workflow promptly: jobs that have not
 // started never run, in-flight jobs are aborted at the engine's next
@@ -27,9 +26,8 @@ import (
 // across dependency waits, so the cap cannot deadlock the DAG).
 //
 // The first process error cancels jobs not yet started (in-flight jobs
-// finish) and is returned. Dependencies on IDs outside jobs are treated
-// as already satisfied, matching the serial driver's behaviour for
-// workflows whose producers were dropped by whole-job reuse.
+// finish) and is returned. Dependencies on IDs outside jobs, such as
+// producers whole-job reuse dropped, are treated as already satisfied.
 func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission chan struct{}, process func(*physical.Job) error) error {
 	if len(jobs) == 0 {
 		return ctx.Err()
@@ -41,54 +39,9 @@ func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission ch
 		workers = len(jobs)
 	}
 
-	inSet := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		inSet[j.ID] = true
-	}
-	// Snapshot the dependency edges up front: process may legitimately
-	// mutate DependsOn slices (whole-job reuse removes producers), and
-	// the scheduler must not race with that.
-	indeg := make(map[string]int, len(jobs))
-	dependants := make(map[string][]*physical.Job, len(jobs))
-	for _, j := range jobs {
-		for _, dep := range j.DependsOn {
-			if !inSet[dep] {
-				continue
-			}
-			indeg[j.ID]++
-			dependants[dep] = append(dependants[dep], j)
-		}
-	}
-
-	// Cycle guard: TopoJobs rejects cyclic workflows before scheduling,
-	// but a cycle reaching this point would leave workers blocked forever
-	// on an open empty channel, so verify completability up front.
-	{
-		deg := make(map[string]int, len(indeg))
-		for id, n := range indeg {
-			deg[id] = n
-		}
-		var q []*physical.Job
-		for _, j := range jobs {
-			if deg[j.ID] == 0 {
-				q = append(q, j)
-			}
-		}
-		reach := 0
-		for len(q) > 0 {
-			j := q[0]
-			q = q[1:]
-			reach++
-			for _, dep := range dependants[j.ID] {
-				deg[dep.ID]--
-				if deg[dep.ID] == 0 {
-					q = append(q, dep)
-				}
-			}
-		}
-		if reach != len(jobs) {
-			return fmt.Errorf("core: workflow dependency cycle: %d of %d jobs unreachable", len(jobs)-reach, len(jobs))
-		}
+	indeg, dependants, err := dagEdges(jobs)
+	if err != nil {
+		return err
 	}
 
 	ready := make(chan *physical.Job, len(jobs))
@@ -187,4 +140,46 @@ func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission ch
 	mu.Lock()
 	defer mu.Unlock()
 	return firstErr
+}
+
+// dagEdges snapshots the dependency edges among jobs up front — process
+// may legitimately mutate DependsOn slices (whole-job reuse removes
+// producers), and the scheduler must not race with that — and rejects
+// a cycle. TopoJobs rejects cyclic workflows before scheduling, but a
+// cycle reaching runDAG would leave workers blocked forever on an open
+// empty channel.
+func dagEdges(jobs []*physical.Job) (map[string]int, map[string][]*physical.Job, error) {
+	inSet := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		inSet[j.ID] = true
+	}
+	indeg := make(map[string]int, len(jobs))
+	dependants := make(map[string][]*physical.Job, len(jobs))
+	for _, j := range jobs {
+		for _, dep := range j.DependsOn {
+			if inSet[dep] {
+				indeg[j.ID]++
+				dependants[dep] = append(dependants[dep], j)
+			}
+		}
+	}
+	deg := maps.Clone(indeg)
+	var q []*physical.Job
+	for _, j := range jobs {
+		if deg[j.ID] == 0 {
+			q = append(q, j)
+		}
+	}
+	for i := 0; i < len(q); i++ { // q doubles as the reached list
+		for _, dep := range dependants[q[i].ID] {
+			deg[dep.ID]--
+			if deg[dep.ID] == 0 {
+				q = append(q, dep)
+			}
+		}
+	}
+	if len(q) != len(jobs) {
+		return nil, nil, fmt.Errorf("core: workflow dependency cycle: %d of %d jobs unreachable", len(jobs)-len(q), len(jobs))
+	}
+	return indeg, dependants, nil
 }

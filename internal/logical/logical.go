@@ -159,6 +159,9 @@ func Build(script *piglatin.Script) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			if err := checkStorePath(plan.Stores, s.Path); err != nil {
+				return nil, err
+			}
 			plan.Stores = append(plan.Stores, &Store{
 				base: base{sch: in.Schema()},
 				In:   in,
@@ -172,6 +175,22 @@ func Build(script *piglatin.Script) (*Plan, error) {
 		return nil, fmt.Errorf("logical: script has no STORE statement")
 	}
 	return plan, nil
+}
+
+// checkStorePath rejects a STORE path that equals, contains or lies
+// within an earlier STORE path of the script: one output would replace
+// or nest inside the other. Paths compare as the DFS names them, with no
+// leading or trailing slash.
+func checkStorePath(stores []*Store, path string) error {
+	dfsPath := func(p string) string { return strings.TrimSuffix(strings.TrimPrefix(p, "/"), "/") }
+	p := dfsPath(path)
+	for _, st := range stores {
+		q := dfsPath(st.Path)
+		if p == q || strings.HasPrefix(p, q+"/") || strings.HasPrefix(q, p+"/") {
+			return fmt.Errorf("logical: STORE into %q overlaps STORE into %q", path, st.Path)
+		}
+	}
+	return nil
 }
 
 type builder struct {

@@ -164,6 +164,34 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsOverlappingStores(t *testing.T) {
+	bad := [][2]string{
+		{"out", "out"},
+		{"out", "/out/"},
+		{"out", "out/sub"},
+		{"out/sub/", "out"},
+		{"/a/b", "a/b/c/d"},
+	}
+	for _, c := range bad {
+		src := "A = load 'x' as (a); B = foreach A generate a; store A into '" + c[0] + "'; store B into '" + c[1] + "';"
+		script, err := piglatin.Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		_, err = Build(script)
+		if err == nil {
+			t.Errorf("Build(%q) succeeded, want an overlap error", src)
+			continue
+		}
+		if !strings.Contains(err.Error(), c[0]) || !strings.Contains(err.Error(), c[1]) {
+			t.Errorf("Build(%q) error %q does not name both paths", src, err)
+		}
+	}
+	for _, ok := range [][2]string{{"out", "out2"}, {"out/a", "out/b"}, {"out/ab", "out/a"}} {
+		mustBuild(t, "A = load 'x' as (a); store A into '"+ok[0]+"'; store A into '"+ok[1]+"';")
+	}
+}
+
 func TestAmbiguousShortName(t *testing.T) {
 	src := `
 A = load 'x' as (k, v);

@@ -274,3 +274,60 @@ func keysOf(m map[string][]*restore.TraceSpan) []string {
 	}
 	return out
 }
+
+// TestRefreshSpanUnderJob: a traced delta refresh (append, then
+// requery) is recorded under the job whose probe triggered it — its
+// refresh span is a child of that job's job span and carries the
+// classify event and the delta and merge children.
+func TestRefreshSpanUnderJob(t *testing.T) {
+	sys := netSystem(t, reuseOpts(), pigmix.NetTrafficDays)
+	runNet(t, sys, "N1")
+	if _, err := pigmix.AppendNetTrafficDay(sys.FS(), netRows, netSeed); err != nil {
+		t.Fatal(err)
+	}
+	n1, err := pigmix.Get("N1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sys.Submit(context.Background(), n1.Script, restore.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := sys.DeltaStats(); ds.Refreshes != 1 {
+		t.Fatalf("append-then-requery refreshed %d entries, want 1: %+v", ds.Refreshes, ds)
+	}
+
+	refreshes := 0
+	var walk func(parent *restore.TraceSpan, spans []*restore.TraceSpan)
+	walk = func(parent *restore.TraceSpan, spans []*restore.TraceSpan) {
+		for _, sp := range spans {
+			if sp.Kind == "refresh" {
+				refreshes++
+				if parent == nil || parent.Kind != "job" {
+					t.Errorf("refresh span %q has parent %+v, want a job span", sp.Ref, parent)
+				}
+				kids := map[string]int{}
+				for _, c := range sp.Children {
+					kids[c.Kind]++
+				}
+				for _, k := range []string{"refresh.classify", "refresh.delta", "refresh.merge"} {
+					if kids[k] != 1 {
+						t.Errorf("refresh span %q has %d %s children, want 1 (children %v)", sp.Ref, kids[k], k, kids)
+					}
+				}
+			}
+			walk(sp, sp.Children)
+		}
+	}
+	tr := q.Trace()
+	if tr == nil {
+		t.Fatal("query recorded no trace")
+	}
+	walk(nil, tr.Spans)
+	if refreshes != 1 {
+		t.Fatalf("trace has %d refresh spans, want 1", refreshes)
+	}
+}
