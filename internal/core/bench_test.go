@@ -145,10 +145,7 @@ store R into 'out/miss';
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rw := &Rewriter{Repo: repo, FS: fs, LinearScan: linear}
-			res := rw.findBestMatch(job, false, obs.NoSpan)
-			if res != nil {
-				repo.Unpin(res.Entry.ID)
-			}
+			rw.findBestMatch(job, false, obs.NoSpan)
 		}
 	}
 	rewriteEnvs[n] = env

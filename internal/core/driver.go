@@ -365,7 +365,6 @@ func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryI
 // unpin releases the pins this execution's rewrites took.
 func (x *execution) unpin() {
 	for _, id := range x.pinned {
-		x.d.store.repo.Unpin(id)
 		x.d.store.cfg.Leases.Unpin(id)
 	}
 }

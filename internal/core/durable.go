@@ -184,7 +184,6 @@ func entryOf(rec *entryRecord) (*Entry, *footprint) {
 		TimesReused:   rec.TimesReused,
 		fp:            rec.Fingerprint,
 		lazy:          &lazyPlan{enc: rec.Plan},
-		size:          &outputSize{},
 	}
 	f := &footprint{frontier: rec.Frontier, sigs: rec.Sigs, loads: rec.Loads}
 	return e, f

@@ -122,7 +122,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	repo.Remove(inserted[3].ID)
 	check("remove")
 
-	if removed := repo.EvictUnpinned([]string{inserted[4].ID}); len(removed) != 1 {
+	if removed := repo.EvictUnpinned([]string{inserted[4].ID}, nil); len(removed) != 1 {
 		t.Fatalf("evict removed %d entries", len(removed))
 	}
 	check("evict")
@@ -131,7 +131,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	if err := fs.Delete(inserted[5].OutputPath); err != nil {
 		t.Fatal(err)
 	}
-	if removed := repo.Vacuum(fs, 0, 0); len(removed) != 1 {
+	if removed := repo.Vacuum(fs, 0, 0, nil); len(removed) != 1 {
 		t.Fatalf("vacuum removed %d entries, want 1", len(removed))
 	}
 	check("vacuum")
@@ -318,9 +318,6 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	wf := compileJobs(t, q2, "tmp/lz")
 	liveJob := cloneJob(wf.Jobs[0])
 	liveEvents := liveRW.RewriteJob(liveJob, true, obs.NoSpan)
-	for _, ev := range liveEvents {
-		repo.Unpin(ev.EntryID)
-	}
 	if len(liveEvents) == 0 {
 		t.Fatal("live repository matched nothing; test premise broken")
 	}
@@ -340,9 +337,6 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 	recRW := &Rewriter{Repo: recovered, FS: fs}
 	recJob := cloneJob(wf.Jobs[0])
 	recEvents := recRW.RewriteJob(recJob, true, obs.NoSpan)
-	for _, ev := range recEvents {
-		recovered.Unpin(ev.EntryID)
-	}
 	if PlanDecodes() == before {
 		t.Fatal("a full traversal on recovered entries decoded nothing")
 	}

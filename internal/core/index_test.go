@@ -146,12 +146,6 @@ func TestIndexedMatchesScan(t *testing.T) {
 				idxRW := &Rewriter{Repo: repo, FS: fs}
 				evScan := scanRW.RewriteJob(jobScan, allowWhole, obs.NoSpan)
 				evIdx := idxRW.RewriteJob(jobIdx, allowWhole, obs.NoSpan)
-				for _, ev := range evScan {
-					repo.Unpin(ev.EntryID)
-				}
-				for _, ev := range evIdx {
-					repo.Unpin(ev.EntryID)
-				}
 
 				if len(evScan) != len(evIdx) {
 					t.Fatalf("probe %d job %d allowWhole=%v: scan %d rewrites, indexed %d",
@@ -301,7 +295,6 @@ store B into 'o';
 	if len(ev) != 1 || ev[0].Path != "stored/hit" {
 		t.Fatalf("negative cache suppressed a fresh entry: %v", ev)
 	}
-	repo.Unpin(ev[0].EntryID)
 
 	// And the rejection itself must have been cached: re-probing the
 	// unchanged plan skips the miss entry's traversal.
@@ -410,18 +403,16 @@ store S into 'p%d';
 					})
 				case 2: // rewrite through the matcher
 					job := cloneJob(probes[k])
-					for _, ev := range rw.RewriteJob(job, false, obs.NoSpan) {
-						repo.Unpin(ev.EntryID)
-					}
+					rw.RewriteJob(job, false, obs.NoSpan)
 				case 3: // evict whatever is present
 					var ids []string
 					repo.Scan(func(e *Entry) bool {
 						ids = append(ids, e.ID)
 						return len(ids) < 2
 					})
-					repo.EvictUnpinned(ids)
+					repo.EvictUnpinned(ids, nil)
 				case 4:
-					repo.Vacuum(fs, 0, 0)
+					repo.Vacuum(fs, 0, 0, nil)
 					if e := repo.Lookup(sigs[k]); e != nil {
 						repo.Remove(e.ID)
 					}
@@ -475,7 +466,7 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 
 	// Evict two by ID.
 	es := repo.Entries()
-	repo.EvictUnpinned([]string{es[0].ID, es[1].ID})
+	repo.EvictUnpinned([]string{es[0].ID, es[1].ID}, nil)
 	checkIndexCoherent(t, repo)
 
 	// Invalidate the rest and vacuum.
@@ -484,7 +475,7 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	repo.Vacuum(fs, 0, 0)
+	repo.Vacuum(fs, 0, 0, nil)
 	if repo.Len() != 0 {
 		t.Fatalf("repository holds %d entries after full vacuum", repo.Len())
 	}

@@ -35,10 +35,11 @@ import (
 //   - A pin, one file per (entry, owner) pair: while a rewrite of this
 //     process reads an entry's stored output, the pin record tells the
 //     eviction and vacuum of every peer sharing the DFS to spare that
-//     output (Repository.Pin guards it from this process's own). The
-//     manager counts pins per entry: the first writes the record, the
-//     last deletes it. Only its owner writes a pin record (the owner is
-//     in the name), so a plain write is enough.
+//     output. The manager's per-entry pin count is the only one: the
+//     first pin writes the record, the last unpin deletes it, and this
+//     process's own vacuum and eviction ask Pinned. Only its owner
+//     writes a pin record (the owner is in the name), so a plain write
+//     is enough.
 //
 // One heartbeat goroutine renews every record the process holds, every
 // third of the TTL, and runs only while it holds at least one. A claim
@@ -60,7 +61,11 @@ type LeaseManager struct {
 
 	// mu guards the held claims, the pin counts and the heartbeat. Pin
 	// records are written and deleted under it, so a record exists
-	// exactly while its entry's count is above zero.
+	// exactly while its entry's count is above zero. Lock order: the
+	// repository lock before mu — the rewriter pins from a probe
+	// callback, and Vacuum and EvictUnpinned ask Pinned under the
+	// repository write lock; nothing holding mu takes the repository
+	// lock.
 	mu     sync.Mutex
 	claims map[*Lease]bool // claim leases held here
 	pins   map[string]int  // entry ID → local pin count
@@ -280,9 +285,9 @@ func (lm *LeaseManager) pinPath(id string) string {
 }
 
 // Pin counts one pin of an entry by this process; the first writes the
-// entry's pin record. The rewriter pins after the repository probe
-// returns and before the rewritten job reads the entry's output. A nil
-// manager pins nothing.
+// entry's pin record. The rewriter pins at match time, still under the
+// probe's read lock, so no vacuum or eviction can slip between matching
+// an entry and protecting it. Pins nest. A nil manager pins nothing.
 func (lm *LeaseManager) Pin(id string) {
 	if lm == nil {
 		return
@@ -312,6 +317,17 @@ func (lm *LeaseManager) Unpin(id string) {
 	lm.idleLocked()
 }
 
+// Pinned reports whether this process holds a pin on the entry. A nil
+// manager holds none.
+func (lm *LeaseManager) Pinned(id string) bool {
+	if lm == nil {
+		return false
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.pins[id] > 0
+}
+
 // writePin writes (or renews) this process's pin record of an entry.
 func (lm *LeaseManager) writePin(id string) {
 	_ = lm.fs.WriteFile(lm.pinPath(id), lm.record(id, 0))
@@ -335,7 +351,7 @@ func (lm *LeaseManager) PeerPins() map[string]bool {
 }
 
 // peerPin reports whether the record at path is another process's pin.
-// This process's own pins are not: its local pins already guard them.
+// This process's own pins are not: Pinned already reports them.
 func (lm *LeaseManager) peerPin(path string) bool {
 	return strings.HasPrefix(path, lm.root+"/pin.") && !strings.HasSuffix(path, "."+lm.owner)
 }

@@ -41,17 +41,11 @@ func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
 	return &pinWorld{fs: fs, repoA: rA, lmA: lmA, lmB: lmB, mB: mB, dlB: dlB}
 }
 
-// pinA and unpinA pin as A's rewriter and driver do: the local count
-// and the pin record.
-func (w *pinWorld) pinA(id string) {
-	w.repoA.Pin(id)
-	w.lmA.Pin(id)
-}
+// pinA and unpinA pin as A's rewriter and driver do: through A's lease
+// manager, whose count writes and deletes the pin record.
+func (w *pinWorld) pinA(id string) { w.lmA.Pin(id) }
 
-func (w *pinWorld) unpinA(id string) {
-	w.repoA.Unpin(id)
-	w.lmA.Unpin(id)
-}
+func (w *pinWorld) unpinA(id string) { w.lmA.Unpin(id) }
 
 // insertShared stores an entry in A and lets B's repository see it.
 func (w *pinWorld) insertShared(t *testing.T) *Entry {
@@ -210,21 +204,42 @@ func TestPinRecordTracksCount(t *testing.T) {
 	}
 }
 
-// countingFS counts Datasets listings under one prefix.
+// countingFS counts Datasets listings, and Stat, Size and Version
+// calls (sizing), under one prefix.
 type countingFS struct {
 	dfs.Backend
 	prefix string
 	mu     sync.Mutex
 	lists  int
+	sizing int
+}
+
+func (c *countingFS) count(path string, n *int) {
+	if strings.HasPrefix(path, c.prefix) {
+		c.mu.Lock()
+		*n++
+		c.mu.Unlock()
+	}
 }
 
 func (c *countingFS) Datasets(prefix string) []string {
-	if strings.HasPrefix(prefix, c.prefix) {
-		c.mu.Lock()
-		c.lists++
-		c.mu.Unlock()
-	}
+	c.count(prefix, &c.lists)
 	return c.Backend.Datasets(prefix)
+}
+
+func (c *countingFS) Stat(path string) (int64, int64, bool) {
+	c.count(path, &c.sizing)
+	return c.Backend.Stat(path)
+}
+
+func (c *countingFS) Size(path string) int64 {
+	c.count(path, &c.sizing)
+	return c.Backend.Size(path)
+}
+
+func (c *countingFS) Version(path string) int64 {
+	c.count(path, &c.sizing)
+	return c.Backend.Version(path)
 }
 
 // oneVictim evicts one entry per round, the least recently used, so an

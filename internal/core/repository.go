@@ -59,7 +59,8 @@ type Entry struct {
 	// Valid invalidates the entry if the dataset is later overwritten —
 	// e.g. another query renaming its own result over the same user
 	// STORE path — so reuse can never serve data the entry's plan did
-	// not produce. Zero (legacy saved repositories) skips the check.
+	// not produce. Zero skips the check: the driver always sets it, so
+	// only entries built by hand carry it.
 	OutputVersion int64
 
 	// InputBases records, per input dataset, the file-inventory
@@ -85,12 +86,10 @@ type Entry struct {
 	LastReused  time.Duration
 	TimesReused int
 
-	// size memoizes the stored output's byte total, stamped with the
-	// output dataset's version, so budget sweeps stop re-sizing every
-	// entry on every pass. Installed by Insert and by journal replay;
-	// entries outside a repository carry nil and fall back to uncached
-	// sizing.
-	size *outputSize
+	// size holds the stored output's byte total, measured once (see
+	// storedBytes). publish installs a fresh one for every published
+	// version.
+	size *measuredSize
 
 	// fp caches the plan's canonical fingerprint. Stamped before the
 	// entry is published (Insert, recovery), so recovered entries answer
@@ -159,37 +158,21 @@ func (e *Entry) fingerprint() string {
 	return p.Fingerprint()
 }
 
-// outputSize is the version-stamped size cache of one entry's stored
-// output. Concurrent sweeps share entries, so the pair is swapped
-// atomically as one value.
-type outputSize struct {
-	v atomic.Pointer[sizedVersion]
-}
-
-type sizedVersion struct {
-	version int64
-	bytes   int64
+// measuredSize is an entry's stored byte total, measured on first use.
+// Concurrent sweeps share entries, so the measurement is a Once.
+type measuredSize struct {
+	once  sync.Once
+	bytes int64
 }
 
 // storedBytes returns the byte total of the entry's stored output,
-// memoized until the output dataset's version changes — any write,
-// delete or rename touching the dataset bumps its version and so
-// invalidates the cache. Only leaf outputs (the path is itself one
-// dataset or file, the way the engine materializes them) are cached;
-// the rare prefix-of-several-datasets path is re-sized every call,
-// since its nested datasets version independently.
+// measured once per published entry: the output of a valid entry cannot
+// change — a write, delete or rename of it moves its version past
+// OutputVersion, and Sweep vacuums invalid entries before it enforces
+// the budget — and a replaced entry is a new version measured anew.
 func (e *Entry) storedBytes(fs dfs.Backend) int64 {
-	c := e.size
-	if c != nil {
-		if s := c.v.Load(); s != nil && s.version == fs.Version(e.OutputPath) {
-			return s.bytes
-		}
-	}
-	n, ver, leaf := fs.Stat(e.OutputPath)
-	if c != nil && leaf {
-		c.v.Store(&sizedVersion{version: ver, bytes: n})
-	}
-	return n
+	e.size.once.Do(func() { e.size.bytes, _, _ = fs.Stat(e.OutputPath) })
+	return e.size.bytes
 }
 
 // Repository manages the stored job outputs. Plans are kept ordered so
@@ -214,7 +197,8 @@ func (e *Entry) storedBytes(fs dfs.Backend) int64 {
 // map. The policies that make it a managed shared resource (the
 // cross-query claim protocol, the byte budget and its eviction
 // policies, orphan reclamation) live in StorageManager, which wraps a
-// Repository and drives Vacuum/EvictUnpinned under the pin machinery.
+// Repository and drives Vacuum/EvictUnpinned, passing them the lease
+// manager whose pin counts say which entries in-flight rewrites read.
 type Repository struct {
 	mu      sync.RWMutex
 	entries []*Entry
@@ -244,16 +228,6 @@ type Repository struct {
 	// invalidated whenever an entry is replaced or removed.
 	negs *negCache
 
-	// pinMu guards pins. Lock order: mu before pinMu (Pin is called
-	// from Scan callbacks holding mu's read side; Vacuum checks pins
-	// while holding mu's write side; nothing takes pinMu then mu).
-	pinMu sync.Mutex
-	// pins counts in-flight executions whose rewritten jobs read an
-	// entry's stored output; Vacuum spares pinned entries so another
-	// client's eviction pass cannot delete an output between this
-	// client's rewrite and its engine run.
-	pins map[string]int
-
 	// Matcher counters (MatcherStats), all monotonic. The traversal
 	// counters are fed by Rewriters and span submissions.
 	probes          atomic.Int64
@@ -269,7 +243,6 @@ type Repository struct {
 func NewRepository() *Repository {
 	return &Repository{
 		byFP:  map[string]*Entry{},
-		pins:  map[string]int{},
 		index: newPlanIndex(),
 		negs:  newNegCache(negCacheSize),
 	}
@@ -404,9 +377,6 @@ func (r *Repository) Insert(e *Entry) *Entry {
 		ne.InputBases = e.InputBases
 		ne.Merge = e.Merge
 		ne.StoredAt = e.StoredAt
-		// The replacement may point at a different output; never inherit
-		// the old entry's memoized size.
-		ne.size = &outputSize{}
 		for i, x := range r.entries {
 			if x == old {
 				r.entries = append(r.entries[:i], r.entries[i+1:]...)
@@ -425,9 +395,6 @@ func (r *Repository) Insert(e *Entry) *Entry {
 		e.ID = fmt.Sprintf("%se%d", r.idPrefix, r.nextID)
 	}
 	e.fp = fp
-	if e.size == nil {
-		e.size = &outputSize{}
-	}
 	r.index.add(e)
 	r.insertOrdered(e)
 	r.publish(e)
@@ -444,11 +411,13 @@ func (r *Repository) unlink(e *Entry) {
 	r.negs.invalidate(e)
 }
 
-// publish makes e the entry of its fingerprint and stamps its
-// publication count (mu held).
+// publish makes e the entry of its fingerprint, stamps its publication
+// count and gives it a size of its own to measure: a replacement may
+// point at a different output (mu held).
 func (r *Repository) publish(e *Entry) {
 	r.gen++
 	e.gen = r.gen
+	e.size = &measuredSize{}
 	r.byFP[e.fp] = e
 }
 
@@ -521,15 +490,16 @@ func (r *Repository) before(a, b *Entry) bool {
 }
 
 // EvictUnpinned removes the entries with the given IDs under the
-// repository lock, sparing pinned ones — an in-flight rewrite reading a
-// stored output keeps it alive regardless of what the eviction policy
-// chose — and returns the entries actually removed, in the given order.
-func (r *Repository) EvictUnpinned(ids []string) []*Entry {
+// repository lock, sparing the ones pins reports pinned — an in-flight
+// rewrite reading a stored output keeps it alive regardless of what the
+// eviction policy chose — and returns the entries actually removed, in
+// the given order. A nil pins spares nothing.
+func (r *Repository) EvictUnpinned(ids []string, pins *LeaseManager) []*Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var removed []*Entry
 	for _, id := range ids {
-		if r.pinned(id) {
+		if pins.Pinned(id) {
 			continue
 		}
 		for i, e := range r.entries {
@@ -585,16 +555,17 @@ func (r *Repository) Valid(e *Entry, fs dfs.Backend) bool {
 }
 
 // Vacuum removes invalid entries (Rule 4) and, when window > 0, entries
-// not reused within the window of simulated time (Rule 3). It returns
-// the removed entries; the caller decides whether to also delete their
+// not reused within the window of simulated time (Rule 3), sparing the
+// ones pins reports pinned (a nil pins spares nothing). It returns the
+// removed entries; the caller decides whether to also delete their
 // stored outputs from the DFS.
-func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration) []*Entry {
+func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager) []*Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var removed []*Entry
 	kept := r.entries[:0]
 	for _, e := range r.entries {
-		if r.pinned(e.ID) {
+		if pins.Pinned(e.ID) {
 			kept = append(kept, e)
 			continue
 		}
@@ -632,35 +603,6 @@ func (r *Repository) NoteReuse(e *Entry, now time.Duration) {
 	e.LastReused = now
 }
 
-// Pin marks the entry as referenced by an in-flight execution: Vacuum
-// will not remove it (nor let its output be deleted) until a matching
-// Unpin. Pins nest. Safe to call from a Scan or Probe callback — the
-// rewriter pins at match time, while still under the read lock, so no
-// vacuum can slip between matching an entry and protecting it.
-func (r *Repository) Pin(id string) {
-	r.pinMu.Lock()
-	defer r.pinMu.Unlock()
-	r.pins[id]++
-}
-
-// Unpin releases one Pin.
-func (r *Repository) Unpin(id string) {
-	r.pinMu.Lock()
-	defer r.pinMu.Unlock()
-	if r.pins[id] <= 1 {
-		delete(r.pins, id)
-	} else {
-		r.pins[id]--
-	}
-}
-
-// pinned reports whether the entry has in-flight references.
-func (r *Repository) pinned(id string) bool {
-	r.pinMu.Lock()
-	defer r.pinMu.Unlock()
-	return r.pins[id] > 0
-}
-
 // lookupFP returns the entry with the given plan fingerprint, or nil.
 func (r *Repository) lookupFP(fp string) *Entry {
 	r.mu.RLock()
@@ -688,9 +630,6 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 		r.unlink(old)
 	}
 	e.logSeq = seq
-	if e.size == nil {
-		e.size = &outputSize{}
-	}
 	if pos < 0 || pos > len(r.entries) {
 		pos = len(r.entries)
 	}

@@ -190,7 +190,7 @@ func TestVacuumRules(t *testing.T) {
 	repo.byFP["f1"] = fresh
 	repo.byFP["f2"] = stale
 
-	removed := repo.Vacuum(fs, 2*time.Hour, time.Hour)
+	removed := repo.Vacuum(fs, 2*time.Hour, time.Hour, nil)
 	if len(removed) != 1 || removed[0].ID != "stale" {
 		t.Fatalf("removed = %v", removed)
 	}
@@ -359,7 +359,7 @@ store B into 'o%d';
 				_ = repo.Len()
 				if i%50 == 0 {
 					vacStarted.Add(1)
-					repo.Vacuum(fs, time.Hour, 0)
+					repo.Vacuum(fs, time.Hour, 0, nil)
 					vacDone.Add(1)
 				}
 			}
@@ -368,7 +368,7 @@ store B into 'o%d';
 	wg.Wait()
 	// Vacuum drops everything (outputs never existed in fs), proving the
 	// index stayed coherent: no orphaned fingerprints.
-	repo.Vacuum(fs, time.Hour, 0)
+	repo.Vacuum(fs, time.Hour, 0, nil)
 	if repo.Len() != 0 {
 		t.Errorf("repository left %d entries with nonexistent outputs", repo.Len())
 	}
@@ -390,11 +390,13 @@ store B into 'o';
 `, "", EntryStats{InputSimBytes: 10, OutputSimBytes: 5})
 	e.OutputPath = "stored/e"
 	ins := repo.Insert(e)
+	lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+	t.Cleanup(lm.Close)
 
 	// Pinned: neither the reuse window nor output deletion may evict it.
-	repo.Pin(ins.ID)
+	lm.Pin(ins.ID)
 	fs.Delete("stored/e") // makes the entry invalid (Rule 4)...
-	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour); len(removed) != 0 {
+	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 0 {
 		t.Fatalf("vacuum removed a pinned entry: %v", removed)
 	}
 	if repo.Len() != 1 {
@@ -402,15 +404,15 @@ store B into 'o';
 	}
 
 	// Pins nest: one Unpin of two leaves it protected.
-	repo.Pin(ins.ID)
-	repo.Unpin(ins.ID)
-	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour); len(removed) != 0 {
+	lm.Pin(ins.ID)
+	lm.Unpin(ins.ID)
+	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 0 {
 		t.Fatalf("vacuum removed an entry with a remaining pin: %v", removed)
 	}
 
 	// Fully unpinned: ...and is collected on the next pass.
-	repo.Unpin(ins.ID)
-	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour); len(removed) != 1 {
+	lm.Unpin(ins.ID)
+	if removed := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 1 {
 		t.Fatalf("unpinned invalid entry survived: %d removed", len(removed))
 	}
 	if repo.Len() != 0 {

@@ -56,10 +56,11 @@ type Rewriter struct {
 	// entries. The driver installs it.
 	Refresher func(cand RefreshCandidate) *Entry
 
-	// Leases, when non-nil, publishes every pin a match takes as a pin
-	// record, so peer processes sharing the DFS spare the entry's
-	// output too; the driver installs its store's lease manager and
-	// unpins both when the execution finishes.
+	// Leases, when non-nil, pins every entry a match takes: the pin
+	// count spares the entry from this process's vacuum and eviction,
+	// the pin record from those of every peer sharing the DFS. The
+	// driver installs its store's lease manager and unpins when the
+	// execution finishes. A nil Leases pins nothing.
 	Leases *LeaseManager
 
 	// Trace, when non-nil, receives the matcher's decision provenance:
@@ -230,11 +231,10 @@ func (rw *Rewriter) noteReuseSpan(parent obs.SpanID, res *MatchResult) {
 // findBestMatch returns the first valid entry contained in the job's
 // plan, in repository preference order. Because candidates arrive
 // ordered by Rules 1 and 2 (Section 3), the first match is the best
-// match. The matched entry is pinned before the probe's read lock is
-// released, so a concurrent Vacuum cannot delete its stored output
-// before the rewritten job runs; its pin record is written once the
-// probe returns, before the rewritten job reads the output. The driver
-// unpins when the execution finishes.
+// match. The matched entry is pinned through the lease manager before
+// the probe's read lock is released, so neither a concurrent Vacuum nor
+// a peer's can delete its stored output before the rewritten job runs.
+// The driver unpins when the execution finishes.
 func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs.SpanID) *MatchResult {
 	probeStart := time.Now()
 	probeSpan := rw.Trace.Start(parent, obs.KindProbe, job.ID)
@@ -290,7 +290,7 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonWholePlanSkipped)
 			return true
 		}
-		rw.Repo.Pin(e.ID)
+		rw.Leases.Pin(e.ID)
 		if refreshable {
 			refresh = &RefreshCandidate{Job: job, Match: res, Growth: growth, Span: parent}
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonRefreshCandidate)
@@ -320,13 +320,11 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 	rw.Repo.noteMatchWork(traversals, negHits, found != nil)
 	if found != nil {
 		if refresh != nil {
-			rw.Repo.Unpin(refresh.Match.Entry.ID)
+			rw.Leases.Unpin(refresh.Match.Entry.ID)
 		}
-		rw.Leases.Pin(found.Entry.ID)
 		return found
 	}
 	if refresh != nil {
-		rw.Leases.Pin(refresh.Match.Entry.ID)
 		// Refresh outside the probe (the hook runs jobs and inserts
 		// into the repository). The refreshed entry keeps its identity
 		// — replacement preserves the ID — so the pin taken at match
@@ -338,7 +336,6 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 			return &res
 		}
 		rw.Leases.Unpin(refresh.Match.Entry.ID)
-		rw.Repo.Unpin(refresh.Match.Entry.ID)
 		rw.blockRefresh(refresh.Match.Entry)
 	}
 	return nil

@@ -26,9 +26,10 @@ import (
 //   - Byte-budgeted eviction. MaxBytes bounds the bytes the repository
 //     retains; when an execution or the janitor sweeps while over
 //     budget, the configured EvictionPolicy picks victims. Evictions
-//     run under the pin machinery — this process's repository pins and
-//     its peers' pin records — so entries referenced by in-flight
-//     rewrites are never deleted.
+//     and the vacuum spare every pinned entry — this process's pins,
+//     counted by its lease manager, and its peers' pin records — so
+//     entries referenced by in-flight rewrites are never deleted. Each
+//     entry's output is sized once (Entry.storedBytes).
 //
 //   - Orphan reclamation. VacuumOrphans deletes per-query DFS
 //     namespaces (restore/<qid>, tmp/<qid>) whose query is no longer
@@ -363,14 +364,10 @@ func (m *StorageManager) UsageBytes() int64 {
 }
 
 // usage snapshots per-entry usage and the distinct-path byte total
-// (two entries can share one output path; it is stored once). Sizes
-// come from each entry's version-stamped cache (Entry.storedBytes):
-// stored outputs are leaf datasets the engine writes part files
-// directly under, so after the first sweep an unchanged entry costs one
-// version lookup instead of a sizing pass — EnforceBudget's
-// loop-to-convergence re-snapshots repeatedly, and repositories with
-// tens of thousands of entries sweep without touching the FS accounting
-// for every entry every time.
+// (two entries can share one output path; it is stored once). Each
+// entry's size is measured once (Entry.storedBytes), so EnforceBudget's
+// loop-to-convergence re-snapshots, and every Stats call, make no DFS
+// call for an entry already measured.
 func (m *StorageManager) usage() ([]EntryUsage, int64) {
 	var out []EntryUsage
 	seen := map[string]int64{}
@@ -427,43 +424,69 @@ func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool)
 		}
 		candidates := usage[:0]
 		for _, u := range usage {
-			if !m.repo.pinned(u.Entry.ID) && !peers[u.Entry.ID] {
+			if !m.cfg.Leases.Pinned(u.Entry.ID) && !peers[u.Entry.ID] {
 				candidates = append(candidates, u)
 			}
 		}
 		victims := m.cfg.Policy.Victims(candidates, now, total-m.cfg.MaxBytes)
-		removed := m.repo.EvictUnpinned(victims)
+		removed := m.repo.EvictUnpinned(victims, m.cfg.Leases)
 		if len(removed) == 0 {
 			break // everything left is pinned (or the policy yielded nothing)
 		}
-		m.deleteOwnedOutputs(removed, peers)
+		gone := m.released(removed)
+		m.evictedBytes.Add(m.distinctBytes(gone)) // measured before the delete
+		m.deleteOwnedOutputs(gone, peers)
 		peers = nil // the next round lists afresh
 		m.evictions.Add(int64(len(removed)))
-		_, after := m.usage()
-		m.evictedBytes.Add(total - after)
 		all = append(all, removed...)
 	}
 	return all
 }
 
-// deleteOwnedOutputs removes the DFS outputs of evicted sub-job entries
-// whose paths no surviving entry references. Only paths inside the
-// managed namespaces are ever deleted: whatever an entry's flags say,
-// a path outside them is a user's dataset (or an input) the repository
-// merely points at. An entry in peers, the caller's snapshot of live
-// peer pins (from PeerPins or ReapExpired, listed right before), keeps
-// its output: the entry itself may already be gone from this repository
-// (vacuumed as invalid, or removed by a replayed record), but a peer's
-// in-flight rewrite is reading the path, and its janitor will reclaim
-// the bytes once the pin releases.
-func (m *StorageManager) deleteOwnedOutputs(removed []*Entry, peers map[string]bool) {
+// released returns the removed entries whose output paths no surviving
+// entry references: the outputs the repository no longer retains.
+func (m *StorageManager) released(removed []*Entry) []*Entry {
 	stillRef := map[string]bool{}
 	m.repo.Scan(func(e *Entry) bool {
 		stillRef[e.OutputPath] = true
 		return true
 	})
+	var out []*Entry
 	for _, e := range removed {
-		if !e.WholeJob && m.managed(e.OutputPath) && !stillRef[e.OutputPath] && !peers[e.ID] {
+		if !stillRef[e.OutputPath] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// distinctBytes is the measured size of the entries' outputs, a path
+// shared by several entries counted once.
+func (m *StorageManager) distinctBytes(entries []*Entry) int64 {
+	var n int64
+	seen := map[string]bool{}
+	for _, e := range entries {
+		if !seen[e.OutputPath] {
+			seen[e.OutputPath] = true
+			n += e.storedBytes(m.eng.FS())
+		}
+	}
+	return n
+}
+
+// deleteOwnedOutputs removes the DFS outputs of released sub-job
+// entries. Only paths inside the managed namespaces are ever deleted:
+// whatever an entry's flags say, a path outside them is a user's
+// dataset (or an input) the repository merely points at. An entry in
+// peers, the caller's snapshot of live peer pins (from PeerPins or
+// ReapExpired, listed right before), keeps its output: the entry itself
+// may already be gone from this repository (vacuumed as invalid, or
+// removed by a replayed record), but a peer's in-flight rewrite is
+// reading the path, and its janitor will reclaim the bytes once the pin
+// releases.
+func (m *StorageManager) deleteOwnedOutputs(released []*Entry, peers map[string]bool) {
+	for _, e := range released {
+		if !e.WholeJob && m.managed(e.OutputPath) && !peers[e.ID] {
 			_ = m.eng.DeleteDataset(e.OutputPath)
 		}
 	}
@@ -507,9 +530,9 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	// round spare.
 	var peers map[string]bool
 	res.LeasesReaped, peers = m.cfg.Leases.ReapExpired()
-	vacuumed := m.repo.Vacuum(m.eng.FS(), now, window)
+	vacuumed := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases)
 	res.EntriesVacuumed = len(vacuumed)
-	m.deleteOwnedOutputs(vacuumed, peers)
+	m.deleteOwnedOutputs(m.released(vacuumed), peers)
 	res.EntriesEvicted = len(m.enforceBudget(now, peers))
 	m.MaintainDurable()
 	return res

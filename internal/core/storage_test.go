@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -216,7 +217,9 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 		t.Run(policy.Name(), func(t *testing.T) {
 			fs := newTestFS(t)
 			repo := NewRepository()
-			m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy})
+			lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+			t.Cleanup(lm.Close)
+			m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy, Leases: lm})
 			var pinnedEntry *Entry
 			for i := 0; i < 5; i++ {
 				e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000,
@@ -224,7 +227,8 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 				e.StoredAt = time.Duration(i) * time.Minute
 				if i == 0 {
 					pinnedEntry = e
-					repo.Pin(e.ID)
+					lm.Pin(e.ID)
+					lm.Pin(e.ID) // pins nest
 				}
 			}
 			if got := m.UsageBytes(); got != 5000 {
@@ -245,7 +249,29 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 			if !fs.Exists(pinnedEntry.OutputPath) {
 				t.Errorf("pinned entry's output deleted")
 			}
-			repo.Unpin(pinnedEntry.ID)
+
+			// One unpin of two keeps it spared; after the last, the next
+			// pass over budget takes it first: it is the idlest entry and
+			// the one of least benefit per byte.
+			overBudget := func(i int) []*Entry {
+				e := storedEntry(t, repo, fs, fmt.Sprintf("x%d", i), fmt.Sprintf("xin%d", i), 1000,
+					EntryStats{InputSimBytes: 100_000, OutputSimBytes: 100})
+				e.StoredAt = 9 * time.Hour
+				return m.EnforceBudget(10 * time.Hour)
+			}
+			lm.Unpin(pinnedEntry.ID)
+			for _, e := range overBudget(0) {
+				if e.ID == pinnedEntry.ID {
+					t.Fatal("entry with a remaining pin evicted")
+				}
+			}
+			lm.Unpin(pinnedEntry.ID)
+			for _, e := range overBudget(1) {
+				if e.ID == pinnedEntry.ID {
+					return
+				}
+			}
+			t.Errorf("entry survived the budget pass after its last unpin")
 		})
 	}
 }
@@ -255,15 +281,25 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 	repo := NewRepository()
 	a := storedEntry(t, repo, fs, "a", "in1", 10, EntryStats{})
 	b := storedEntry(t, repo, fs, "b", "in2", 10, EntryStats{})
-	repo.Pin(a.ID)
-	removed := repo.EvictUnpinned([]string{a.ID, b.ID})
+	lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+	t.Cleanup(lm.Close)
+	lm.Pin(a.ID)
+	lm.Pin(a.ID)
+	removed := repo.EvictUnpinned([]string{a.ID, b.ID}, lm)
 	if len(removed) != 1 || removed[0].ID != b.ID {
 		t.Fatalf("removed = %v, want only b", removed)
 	}
 	if repo.Lookup(a.Plan) == nil {
 		t.Error("pinned entry removed from repository")
 	}
-	repo.Unpin(a.ID)
+	lm.Unpin(a.ID)
+	if removed := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 0 {
+		t.Fatalf("entry with a remaining pin evicted: %v", removed)
+	}
+	lm.Unpin(a.ID)
+	if removed := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 1 {
+		t.Fatalf("entry survived eviction after its last unpin: %v", removed)
+	}
 }
 
 func TestVacuumOrphans(t *testing.T) {
@@ -316,88 +352,86 @@ store B into 'o';
 	}
 }
 
-// TestStoredBytesCache checks the entry size cache: a hit reuses the
-// memoized total without re-sizing (stable snapshot pointer), and any
-// version bump of the output dataset — write, delete — invalidates it.
-func TestStoredBytesCache(t *testing.T) {
-	fs := newTestFS(t)
-	repo := NewRepository()
-	e := storedEntry(t, repo, fs, "c1", "in1", 100, EntryStats{})
-
-	if got := e.storedBytes(fs); got != 100 {
-		t.Fatalf("storedBytes = %d, want 100", got)
-	}
-	snap := e.size.v.Load()
-	if snap == nil || snap.bytes != 100 {
-		t.Fatalf("cache not populated: %+v", snap)
-	}
-	if e.storedBytes(fs); e.size.v.Load() != snap {
-		t.Errorf("unchanged output re-sized: cache snapshot replaced")
-	}
-
-	// Writing another part file bumps the dataset version: the next
-	// storedBytes must see the new total.
-	if err := fs.WriteFile(e.OutputPath+"/part-00001", make([]byte, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.storedBytes(fs); got != 150 {
-		t.Errorf("storedBytes after append = %d, want 150", got)
-	}
-
-	// Deleting empties it (and bumps the version again).
-	if err := fs.Delete(e.OutputPath); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.storedBytes(fs); got != 0 {
-		t.Errorf("storedBytes after delete = %d, want 0", got)
-	}
-
-	// Entries outside a repository (no cache installed) still size
-	// correctly.
-	bare := &Entry{OutputPath: "elsewhere/ds"}
-	if err := fs.WriteFile("elsewhere/ds/part-00000", make([]byte, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if got := bare.storedBytes(fs); got != 7 {
-		t.Errorf("uncached storedBytes = %d, want 7", got)
-	}
-}
-
-// TestStoredBytesCacheSurvivesBudgetSweeps checks the budget loop runs
-// off the cache: after a converging EnforceBudget, surviving entries'
-// snapshots are reused on the next sweep, and a fingerprint
-// replacement never inherits the old entry's memoized size.
-func TestStoredBytesCacheSurvivesBudgetSweeps(t *testing.T) {
-	fs := newTestFS(t)
+// TestStoredBytesMeasuredOnce: concurrent budget passes measure each
+// entry exactly once; further passes and Stats over the unchanged
+// entries make no sizing call on their outputs, and a replacement with
+// the same fingerprint and a new output is measured anew, not
+// inherited.
+func TestStoredBytesMeasuredOnce(t *testing.T) {
+	fs := &countingFS{Backend: newTestFS(t), prefix: "restore/"}
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
 	for i := 0; i < 4; i++ {
-		e := storedEntry(t, repo, fs, fmt.Sprintf("s%d", i), fmt.Sprintf("sin%d", i), 1000, EntryStats{})
-		e.StoredAt = time.Duration(i) * time.Minute
+		storedEntry(t, repo, fs, fmt.Sprintf("s%d", i), fmt.Sprintf("sin%d", i), 1000, EntryStats{})
 	}
-	m.EnforceBudget(time.Hour) // under budget: sizes everything, caches it
-	snaps := map[string]*sizedVersion{}
-	repo.Scan(func(e *Entry) bool {
-		snaps[e.ID] = e.size.v.Load()
-		return true
-	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.EnforceBudget(time.Hour) // under budget: measures every entry
+		}()
+	}
+	wg.Wait()
+	if fs.sizing != 4 {
+		t.Fatalf("4 concurrent first passes over 4 entries made %d sizing calls, want 4", fs.sizing)
+	}
+	fs.sizing = 0
 	m.EnforceBudget(2 * time.Hour)
-	repo.Scan(func(e *Entry) bool {
-		if e.size.v.Load() != snaps[e.ID] {
-			t.Errorf("entry %s re-sized on an unchanged sweep", e.ID)
-		}
-		return true
-	})
+	if st := m.Stats(); st.UsageBytes != 4000 {
+		t.Fatalf("usage = %d, want 4000", st.UsageBytes)
+	}
+	if fs.sizing != 0 {
+		t.Fatalf("%d Stat/Size/Version calls on unchanged outputs, want 0", fs.sizing)
+	}
 
-	// Replacement: same fingerprint, different output — fresh cache.
 	old := repo.Entries()[0]
-	repl := repo.Insert(&Entry{Plan: old.Plan, OutputPath: "stored/replaced",
+	repo.Insert(&Entry{Plan: old.Plan, OutputPath: "restore/q1/replaced",
 		Stats: EntryStats{InputSimBytes: 1, OutputSimBytes: 1}})
-	if err := fs.WriteFile("stored/replaced/part-00000", make([]byte, 42)); err != nil {
+	if err := fs.WriteFile("restore/q1/replaced/part-00000", make([]byte, 42)); err != nil {
 		t.Fatal(err)
 	}
-	if got := repl.storedBytes(fs); got != 42 {
-		t.Errorf("replacement storedBytes = %d, want 42 (stale cache inherited?)", got)
+	if got := m.UsageBytes(); got != 3042 {
+		t.Errorf("usage after replacement = %d, want 3042 (old size inherited?)", got)
+	}
+}
+
+// registeringPolicy evicts the least recently used entry and, the first
+// time it is asked, registers a 500-byte entry the way a concurrent
+// query would between the manager's usage snapshot and its eviction.
+type registeringPolicy struct {
+	t    *testing.T
+	repo *Repository
+	fs   dfs.Backend
+	done bool
+}
+
+func (p *registeringPolicy) Name() string { return "registering" }
+
+func (p *registeringPolicy) Victims(usage []EntryUsage, now time.Duration, reclaim int64) []string {
+	if !p.done {
+		p.done = true
+		storedEntry(p.t, p.repo, p.fs, "late", "late-in", 500, EntryStats{})
+	}
+	return oneVictim{}.Victims(usage, now, reclaim)
+}
+
+// TestEvictedBytesIgnoresConcurrentRegistration: EvictedBytes counts the
+// bytes of what was evicted, not the drop in usage, so an entry
+// registered during the pass cannot shrink it.
+func TestEvictedBytesIgnoresConcurrentRegistration(t *testing.T) {
+	fs := newTestFS(t)
+	repo := NewRepository()
+	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2600, Policy: &registeringPolicy{t: t, repo: repo, fs: fs}})
+	for i := 0; i < 3; i++ {
+		e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000, EntryStats{})
+		e.StoredAt = time.Duration(i) * time.Minute
+	}
+	if removed := m.EnforceBudget(time.Hour); len(removed) != 1 {
+		t.Fatalf("evicted %d entries, want 1", len(removed))
+	}
+	if st := m.Stats(); st.EvictedBytes != 1000 || st.UsageBytes != 2500 {
+		t.Fatalf("evicted %d bytes leaving %d, want 1000 leaving 2500", st.EvictedBytes, st.UsageBytes)
 	}
 }
 

@@ -27,9 +27,7 @@ func candidateReasons(t *testing.T, rw *Rewriter, src string, allowWhole bool) (
 	rw.Trace = tr
 	wf := compileJobs(t, src, "tmp/tr")
 	job := cloneJob(wf.Jobs[0])
-	for _, ev := range rw.RewriteJob(job, allowWhole, root) {
-		rw.Repo.Unpin(ev.EntryID)
-	}
+	rw.RewriteJob(job, allowWhole, root)
 	tr.End(root)
 
 	reasons := map[string][]string{}

@@ -152,7 +152,6 @@ func measureMatch(repo *core.Repository, fs dfs.Backend, jobs []*physical.Job, l
 		for _, j := range jobs {
 			jc := j.Clone()
 			for _, ev := range rw.RewriteJob(jc, false, obs.NoSpan) {
-				repo.Unpin(ev.EntryID)
 				evs = append(evs, fmt.Sprintf("%s->%s@%s", jc.ID, ev.EntryID, ev.Path))
 			}
 		}
