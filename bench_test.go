@@ -147,7 +147,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 		sys := pigmixSystem(b, restore.Options{Heuristic: restore.Aggressive, KeepWholeJobs: true})
 		runPigMix(b, sys, "L3")
 		total := sys.Repository().Len()
-		removed := sys.Repository().Vacuum(sys.FS(), 1000*time.Hour, time.Hour, nil)
+		removed, _ := sys.Repository().Vacuum(sys.FS(), 1000*time.Hour, time.Hour, nil)
 		evicted = len(removed)
 		kept = sys.Repository().Len()
 		if kept != 0 {

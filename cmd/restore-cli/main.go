@@ -28,7 +28,8 @@
 // print after the runs.
 //
 // -durable journals every repository mutation to a manifest + event
-// log on the DFS (-durable-path, -compact-every, -lease-ttl tune it)
+// log on the DFS under <ns-root>/repo (-compact-every, -lease-ttl tune
+// it)
 // and prints the log's statistics after the runs; -recover-check then
 // recovers a second System over the same DFS — as a restarted process
 // would — and reruns the script warm, proving the recovered repository

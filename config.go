@@ -203,9 +203,6 @@ type DurabilityConfig struct {
 	// the claim leases under "<ns-root>/locks/") instead of duplicating
 	// them.
 	Enabled bool
-	// Path is the DFS directory holding the manifest and event log;
-	// empty defaults to "<NamespaceRoot>/repo".
-	Path string
 	// CompactEvery folds the event log into a fresh manifest after this
 	// many appended records (0 = default 64, negative = never compact
 	// automatically).

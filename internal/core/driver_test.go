@@ -356,7 +356,7 @@ func TestVacuumWindowEviction(t *testing.T) {
 	}
 	// Nothing is reused; advancing the clock beyond the window must
 	// evict everything.
-	removed := h.repo.Vacuum(h.fs, h.driver.Now()+100*time.Hour, time.Hour, nil)
+	removed, _ := h.repo.Vacuum(h.fs, h.driver.Now()+100*time.Hour, time.Hour, nil)
 	if len(removed) == 0 || h.repo.Len() != 0 {
 		t.Errorf("window eviction removed %d, left %d", len(removed), h.repo.Len())
 	}

@@ -459,34 +459,40 @@ func (dl *DurableLog) Refresh() int {
 	return n
 }
 
+// refreshLocked replays the log from applied+1 (refreshMu held). A slot
+// this process wrote is already reflected in its repository, so it is
+// passed over unread.
 func (dl *DurableLog) refreshLocked() (int, error) {
 	n := 0
 	for {
 		dl.seqMu.Lock()
 		next := dl.applied + 1
+		own := dl.self[next]
 		dl.seqMu.Unlock()
-		data, err := dl.fs.ReadFile(dl.recPath(next))
-		if err != nil {
-			resynced, rerr := dl.maybeResync(next)
-			if rerr != nil {
-				return n, rerr
+		if !own {
+			data, err := dl.fs.ReadFile(dl.recPath(next))
+			if err != nil {
+				resynced, rerr := dl.maybeResync(next)
+				if rerr != nil {
+					return n, rerr
+				}
+				if !resynced {
+					return n, nil
+				}
+				continue
 			}
-			if !resynced {
-				return n, nil
+			var rec logRecord
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+				// An undecodable record is a torn CAS write: the writer
+				// crashed mid-append, so the record was never
+				// acknowledged and losing it is correct — skip the slot
+				// and keep replaying. (The writer itself saw the failed
+				// CAS and moved its record up one sequence.)
+				dl.torn.Add(1)
+			} else if rec.Writer != dl.writer {
+				dl.applyRecord(&rec)
+				n++
 			}
-			continue
-		}
-		var rec logRecord
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-			// An undecodable record is a torn CAS write: the writer
-			// crashed mid-append, so the record was never acknowledged
-			// and losing it is correct — skip the slot and keep
-			// replaying. (The writer itself saw the failed CAS and
-			// moved its record up one sequence.)
-			dl.torn.Add(1)
-		} else if rec.Writer != dl.writer {
-			dl.applyRecord(&rec)
-			n++
 		}
 		dl.seqMu.Lock()
 		dl.applied = next
@@ -541,11 +547,7 @@ func (dl *DurableLog) maybeResync(next uint64) (bool, error) {
 	for _, rec := range m.Entries {
 		inManifest[rec.Fingerprint] = true
 	}
-	for _, e := range dl.repo.Entries() {
-		if e.logSeq != 0 && e.logSeq <= m.FoldedThrough && !inManifest[e.fingerprint()] {
-			dl.repo.applyRemove(e.ID, m.FoldedThrough)
-		}
-	}
+	dl.repo.applyFold(m.FoldedThrough, inManifest)
 	for _, rec := range m.Entries {
 		e, f := entryOf(rec)
 		dl.repo.applyPut(e, f, rec.Pos, rec.Seq)

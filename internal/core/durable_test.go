@@ -122,7 +122,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	repo.Remove(inserted[3].ID)
 	check("remove")
 
-	if removed := repo.EvictUnpinned([]string{inserted[4].ID}, nil); len(removed) != 1 {
+	if removed, _ := repo.EvictUnpinned([]string{inserted[4].ID}, nil); len(removed) != 1 {
 		t.Fatalf("evict removed %d entries", len(removed))
 	}
 	check("evict")
@@ -131,7 +131,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	if err := fs.Delete(inserted[5].OutputPath); err != nil {
 		t.Fatal(err)
 	}
-	if removed := repo.Vacuum(fs, 0, 0, nil); len(removed) != 1 {
+	if removed, _ := repo.Vacuum(fs, 0, 0, nil); len(removed) != 1 {
 		t.Fatalf("vacuum removed %d entries, want 1", len(removed))
 	}
 	check("vacuum")
@@ -393,5 +393,39 @@ func TestDurableLaggingWriterSkipsTrimmedSlots(t *testing.T) {
 	}
 	if recovered.lookupFP(e.fingerprint()) == nil {
 		t.Fatal("recovery lost the lagging writer's insert")
+	}
+}
+
+// TestRefreshSkipsOwnRecords: a log's refresh passes over the record
+// slots it appended itself without reading them — its repository
+// already holds those mutations — and still applies every record a
+// peer sharing the DFS appended.
+func TestRefreshSkipsOwnRecords(t *testing.T) {
+	fs := &countingFS{Backend: newTestFS(t), prefix: "sys/repo/log/"}
+	dlA, repoA := openDurable(t, fs, "sys/repo")
+	_, repoB := openDurable(t, fs, "sys/repo")
+	for i, src := range indexCorpus[:3] {
+		repoA.Insert(durableEntry(t, fs, src, i))
+	}
+	fs.reads = 0
+	// The one read is of the empty slot after A's three records.
+	if n := dlA.Refresh(); n != 0 || fs.reads != 1 {
+		t.Fatalf("refresh over its own 3 records applied %d and read %d files, want 0 and 1", n, fs.reads)
+	}
+	var peer []*Entry
+	for i, src := range indexCorpus[3:5] {
+		peer = append(peer, repoB.Insert(durableEntry(t, fs, src, 3+i)))
+	}
+	fs.reads = 0
+	if n := dlA.Refresh(); n != 2 || fs.reads != 3 {
+		t.Fatalf("refresh over 2 peer records applied %d and read %d files, want 2 and 3", n, fs.reads)
+	}
+	for _, e := range peer {
+		if got := repoA.lookupFP(e.fingerprint()); got == nil || got.ID != e.ID {
+			t.Fatalf("peer entry %s not applied: %v", e.ID, got)
+		}
+	}
+	if repoA.Len() != 5 {
+		t.Fatalf("repository holds %d entries, want 5", repoA.Len())
 	}
 }

@@ -204,14 +204,16 @@ func TestPinRecordTracksCount(t *testing.T) {
 	}
 }
 
-// countingFS counts Datasets listings, and Stat, Size and Version
-// calls (sizing), under one prefix.
+// countingFS counts Datasets listings, Stat, Size and Version calls
+// (sizing), deletes and file reads under one prefix.
 type countingFS struct {
 	dfs.Backend
-	prefix string
-	mu     sync.Mutex
-	lists  int
-	sizing int
+	prefix  string
+	mu      sync.Mutex
+	lists   int
+	sizing  int
+	deletes int
+	reads   int
 }
 
 func (c *countingFS) count(path string, n *int) {
@@ -240,6 +242,16 @@ func (c *countingFS) Size(path string) int64 {
 func (c *countingFS) Version(path string) int64 {
 	c.count(path, &c.sizing)
 	return c.Backend.Version(path)
+}
+
+func (c *countingFS) Delete(path string) error {
+	c.count(path, &c.deletes)
+	return c.Backend.Delete(path)
+}
+
+func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	c.count(path, &c.reads)
+	return c.Backend.ReadFile(path)
 }
 
 // oneVictim evicts one entry per round, the least recently used, so an

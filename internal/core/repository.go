@@ -187,7 +187,10 @@ func (e *Entry) storedBytes(fs dfs.Backend) int64 {
 // preference order the scan would visit them. Every mutation — Insert
 // (including fingerprint-replacement re-sorts), Remove, EvictUnpinned,
 // Vacuum, journal replay — keeps the index coherent under the
-// repository lock.
+// repository lock. Every removal goes through one function, remove,
+// which also counts references to output paths: it reports which
+// outputs no surviving entry points at any more, so the storage
+// manager never rescans the repository to find them.
 //
 // All methods are safe for concurrent use: ReStore sits between many
 // clients and the cluster, and concurrent Execute calls insert, match
@@ -205,6 +208,10 @@ type Repository struct {
 	nextID  int
 	byFP    map[string]*Entry
 	index   *planIndex
+	// refs counts the entries pointing at each output path: publish
+	// increments it, remove decrements it and reports the entry that
+	// drops a path to zero as released.
+	refs map[string]int
 	// gen counts published entry versions: inserts, replacements and
 	// replayed puts.
 	gen int64
@@ -216,10 +223,11 @@ type Repository struct {
 	idPrefix string
 
 	// jn, when non-nil, receives every entry mutation under the write
-	// lock: the durable event log appends a record per Insert
-	// (including replacement), Remove, EvictUnpinned and Vacuum.
-	// Replayed records from other processes are applied through
-	// applyPut/applyRemove, which bypass it.
+	// lock: the durable event log appends a put per Insert (including
+	// replacement) and a remove per entry that Remove, EvictUnpinned
+	// and Vacuum drop. Replayed records from other processes are
+	// applied through applyPut, applyRemove and applyFold, which
+	// bypass it.
 	jn journal
 
 	// negs is the negative-containment cache. It is read and fed on the
@@ -244,6 +252,7 @@ func NewRepository() *Repository {
 	return &Repository{
 		byFP:  map[string]*Entry{},
 		index: newPlanIndex(),
+		refs:  map[string]int{},
 		negs:  newNegCache(negCacheSize),
 	}
 }
@@ -377,13 +386,7 @@ func (r *Repository) Insert(e *Entry) *Entry {
 		ne.InputBases = e.InputBases
 		ne.Merge = e.Merge
 		ne.StoredAt = e.StoredAt
-		for i, x := range r.entries {
-			if x == old {
-				r.entries = append(r.entries[:i], r.entries[i+1:]...)
-				break
-			}
-		}
-		r.unlink(old)
+		r.remove(func(x *Entry) bool { return x == old }, false)
 		r.index.add(&ne)
 		r.insertOrdered(&ne)
 		r.publish(&ne)
@@ -402,23 +405,51 @@ func (r *Repository) Insert(e *Entry) *Entry {
 	return e
 }
 
-// unlink drops e from the fingerprint map, the signature index and the
-// negative cache (mu held). The caller takes e out of the scan order,
-// renumbers, and journals the removal when it is a local one.
-func (r *Repository) unlink(e *Entry) {
-	delete(r.byFP, e.fingerprint())
-	r.index.remove(e)
-	r.negs.invalidate(e)
+// remove is the one way out of the repository (mu held). In one pass
+// over the scan order it drops every entry drop selects from the scan
+// order, the fingerprint map, the signature index and the negative
+// cache, journals each removal when journal is set (a replacement
+// journals a put instead, and replayed records are already in the
+// log), and renumbers the scan positions once. It returns the entries
+// removed, in scan order, and the released ones among them: those that
+// held the last reference to their output path, each path reported
+// once.
+func (r *Repository) remove(drop func(*Entry) bool, journal bool) (removed, released []*Entry) {
+	kept := r.entries[:0]
+	for _, e := range r.entries {
+		if !drop(e) {
+			kept = append(kept, e)
+			continue
+		}
+		delete(r.byFP, e.fingerprint())
+		r.index.remove(e)
+		r.negs.invalidate(e)
+		if journal && r.jn != nil {
+			r.jn.appendRemove(e)
+		}
+		removed = append(removed, e)
+		if r.refs[e.OutputPath]--; r.refs[e.OutputPath] <= 0 {
+			delete(r.refs, e.OutputPath)
+			released = append(released, e)
+		}
+	}
+	if len(removed) > 0 {
+		r.entries = kept
+		r.index.renumber(r.entries)
+	}
+	return removed, released
 }
 
 // publish makes e the entry of its fingerprint, stamps its publication
-// count and gives it a size of its own to measure: a replacement may
-// point at a different output (mu held).
+// count, gives it a size of its own to measure — a replacement may
+// point at a different output — and counts its reference to that
+// output (mu held).
 func (r *Repository) publish(e *Entry) {
 	r.gen++
 	e.gen = r.gen
 	e.size = &measuredSize{}
 	r.byFP[e.fp] = e
+	r.refs[e.OutputPath]++
 }
 
 // generation returns the number of entry versions published so far.
@@ -442,13 +473,6 @@ func (r *Repository) registeredSince(fp string, g int64) bool {
 func (r *Repository) journalPut(e *Entry) {
 	if r.jn != nil {
 		r.jn.appendPut(e, r.index.footprintFor(e), r.index.pos[e.ID])
-	}
-}
-
-// journalRemove reports a removed entry to the journal (mu held).
-func (r *Repository) journalRemove(e *Entry) {
-	if r.jn != nil {
-		r.jn.appendRemove(e)
 	}
 }
 
@@ -492,44 +516,25 @@ func (r *Repository) before(a, b *Entry) bool {
 // EvictUnpinned removes the entries with the given IDs under the
 // repository lock, sparing the ones pins reports pinned — an in-flight
 // rewrite reading a stored output keeps it alive regardless of what the
-// eviction policy chose — and returns the entries actually removed, in
-// the given order. A nil pins spares nothing.
-func (r *Repository) EvictUnpinned(ids []string, pins *LeaseManager) []*Entry {
+// eviction policy chose — and returns the entries actually removed and
+// the released ones among them (see remove), in scan order. A nil pins
+// spares nothing.
+func (r *Repository) EvictUnpinned(ids []string, pins *LeaseManager) (removed, released []*Entry) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var removed []*Entry
-	for _, id := range ids {
-		if pins.Pinned(id) {
-			continue
-		}
-		for i, e := range r.entries {
-			if e.ID == id {
-				r.entries = append(r.entries[:i], r.entries[i+1:]...)
-				r.unlink(e)
-				r.journalRemove(e)
-				removed = append(removed, e)
-				break
-			}
-		}
-	}
-	if len(removed) > 0 {
-		r.index.renumber(r.entries)
-	}
-	return removed
+	return r.remove(func(e *Entry) bool { return want[e.ID] && !pins.Pinned(e.ID) }, true)
 }
 
 // Remove deletes an entry by ID and returns it, or nil.
 func (r *Repository) Remove(id string) *Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, e := range r.entries {
-		if e.ID == id {
-			r.entries = append(r.entries[:i], r.entries[i+1:]...)
-			r.unlink(e)
-			r.journalRemove(e)
-			r.index.renumber(r.entries)
-			return e
-		}
+	if removed, _ := r.remove(func(e *Entry) bool { return e.ID == id }, true); len(removed) > 0 {
+		return removed[0]
 	}
 	return nil
 }
@@ -557,41 +562,21 @@ func (r *Repository) Valid(e *Entry, fs dfs.Backend) bool {
 // Vacuum removes invalid entries (Rule 4) and, when window > 0, entries
 // not reused within the window of simulated time (Rule 3), sparing the
 // ones pins reports pinned (a nil pins spares nothing). It returns the
-// removed entries; the caller decides whether to also delete their
-// stored outputs from the DFS.
-func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager) []*Entry {
+// removed entries and the released ones among them (see remove); the
+// caller decides whether to also delete their stored outputs from the
+// DFS.
+func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager) (removed, released []*Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var removed []*Entry
-	kept := r.entries[:0]
-	for _, e := range r.entries {
+	return r.remove(func(e *Entry) bool {
 		if pins.Pinned(e.ID) {
-			kept = append(kept, e)
-			continue
+			return false
 		}
-		bad := !r.Valid(e, fs)
-		if !bad && window > 0 {
-			last := e.StoredAt
-			if e.LastReused > last {
-				last = e.LastReused
-			}
-			if now-last > window {
-				bad = true
-			}
+		if !r.Valid(e, fs) {
+			return true
 		}
-		if bad {
-			r.unlink(e)
-			r.journalRemove(e)
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	r.entries = kept
-	if len(removed) > 0 {
-		r.index.renumber(r.entries)
-	}
-	return removed
+		return window > 0 && now-max(e.StoredAt, e.LastReused) > window
+	}, true)
 }
 
 // NoteReuse records that an entry's output answered (part of) a query at
@@ -621,13 +606,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 		if old.logSeq >= seq {
 			return
 		}
-		for i, x := range r.entries {
-			if x == old {
-				r.entries = append(r.entries[:i], r.entries[i+1:]...)
-				break
-			}
-		}
-		r.unlink(old)
+		r.remove(func(x *Entry) bool { return x == old }, false)
 	}
 	e.logSeq = seq
 	if pos < 0 || pos > len(r.entries) {
@@ -646,16 +625,16 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 func (r *Repository) applyRemove(id string, seq uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, e := range r.entries {
-		if e.ID != id {
-			continue
-		}
-		if e.logSeq > seq {
-			return
-		}
-		r.entries = append(r.entries[:i], r.entries[i+1:]...)
-		r.unlink(e)
-		r.index.renumber(r.entries)
-		return
-	}
+	r.remove(func(e *Entry) bool { return e.ID == id && e.logSeq <= seq }, false)
+}
+
+// applyFold applies a manifest that folded the log through sequence
+// folded, without journaling: it drops the local entries written by a
+// folded record whose fingerprint the manifest no longer keeps.
+func (r *Repository) applyFold(folded uint64, kept map[string]bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.remove(func(e *Entry) bool {
+		return e.logSeq != 0 && e.logSeq <= folded && !kept[e.fingerprint()]
+	}, false)
 }

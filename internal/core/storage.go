@@ -29,7 +29,10 @@ import (
 //     and the vacuum spare every pinned entry — this process's pins,
 //     counted by its lease manager, and its peers' pin records — so
 //     entries referenced by in-flight rewrites are never deleted. Each
-//     entry's output is sized once (Entry.storedBytes).
+//     entry's output is sized once (Entry.storedBytes). The repository
+//     counts the entries pointing at each output path, so eviction and
+//     the vacuum return the outputs they released, and the manager
+//     deletes and counts those without rescanning the repository.
 //
 //   - Orphan reclamation. VacuumOrphans deletes per-query DFS
 //     namespaces (restore/<qid>, tmp/<qid>) whose query is no longer
@@ -429,49 +432,19 @@ func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool)
 			}
 		}
 		victims := m.cfg.Policy.Victims(candidates, now, total-m.cfg.MaxBytes)
-		removed := m.repo.EvictUnpinned(victims, m.cfg.Leases)
+		removed, released := m.repo.EvictUnpinned(victims, m.cfg.Leases)
 		if len(removed) == 0 {
 			break // everything left is pinned (or the policy yielded nothing)
 		}
-		gone := m.released(removed)
-		m.evictedBytes.Add(m.distinctBytes(gone)) // measured before the delete
-		m.deleteOwnedOutputs(gone, peers)
+		for _, e := range released {
+			m.evictedBytes.Add(e.storedBytes(m.eng.FS())) // measured before the delete
+		}
+		m.deleteOwnedOutputs(released, peers)
 		peers = nil // the next round lists afresh
 		m.evictions.Add(int64(len(removed)))
 		all = append(all, removed...)
 	}
 	return all
-}
-
-// released returns the removed entries whose output paths no surviving
-// entry references: the outputs the repository no longer retains.
-func (m *StorageManager) released(removed []*Entry) []*Entry {
-	stillRef := map[string]bool{}
-	m.repo.Scan(func(e *Entry) bool {
-		stillRef[e.OutputPath] = true
-		return true
-	})
-	var out []*Entry
-	for _, e := range removed {
-		if !stillRef[e.OutputPath] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// distinctBytes is the measured size of the entries' outputs, a path
-// shared by several entries counted once.
-func (m *StorageManager) distinctBytes(entries []*Entry) int64 {
-	var n int64
-	seen := map[string]bool{}
-	for _, e := range entries {
-		if !seen[e.OutputPath] {
-			seen[e.OutputPath] = true
-			n += e.storedBytes(m.eng.FS())
-		}
-	}
-	return n
 }
 
 // deleteOwnedOutputs removes the DFS outputs of released sub-job
@@ -530,9 +503,9 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	// round spare.
 	var peers map[string]bool
 	res.LeasesReaped, peers = m.cfg.Leases.ReapExpired()
-	vacuumed := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases)
+	vacuumed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases)
 	res.EntriesVacuumed = len(vacuumed)
-	m.deleteOwnedOutputs(m.released(vacuumed), peers)
+	m.deleteOwnedOutputs(released, peers)
 	res.EntriesEvicted = len(m.enforceBudget(now, peers))
 	m.MaintainDurable()
 	return res

@@ -285,7 +285,7 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 	t.Cleanup(lm.Close)
 	lm.Pin(a.ID)
 	lm.Pin(a.ID)
-	removed := repo.EvictUnpinned([]string{a.ID, b.ID}, lm)
+	removed, _ := repo.EvictUnpinned([]string{a.ID, b.ID}, lm)
 	if len(removed) != 1 || removed[0].ID != b.ID {
 		t.Fatalf("removed = %v, want only b", removed)
 	}
@@ -293,11 +293,11 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 		t.Error("pinned entry removed from repository")
 	}
 	lm.Unpin(a.ID)
-	if removed := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 0 {
+	if removed, _ := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 0 {
 		t.Fatalf("entry with a remaining pin evicted: %v", removed)
 	}
 	lm.Unpin(a.ID)
-	if removed := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 1 {
+	if removed, _ := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 1 {
 		t.Fatalf("entry survived eviction after its last unpin: %v", removed)
 	}
 }
@@ -533,4 +533,101 @@ func BenchmarkClaims(b *testing.B) {
 		}
 		m.Commit(c)
 	}
+}
+
+// victimList evicts exactly the entries it names, whatever the budget.
+type victimList struct{ ids []string }
+
+func (p *victimList) Name() string { return "victim-list" }
+
+func (p *victimList) Victims([]EntryUsage, time.Duration, int64) []string { return p.ids }
+
+// TestReleasedSet: an output path is released — deleted and counted in
+// EvictedBytes — only with the last entry that points at it, once, by
+// budget eviction and by the vacuum alike. A replacement that moves an
+// entry to a new path releases nothing: the old path is left to the
+// janitor's orphan sweep.
+func TestReleasedSet(t *testing.T) {
+	// shared inserts two entries over different inputs whose outputs are
+	// one 1000-byte path.
+	shared := func(t *testing.T, fs dfs.Backend, repo *Repository) (a, b *Entry) {
+		a = storedEntry(t, repo, fs, "a", "in-a", 1000, EntryStats{})
+		nb := outputEntry(t, fs, "b", "in-b", 1, EntryStats{})
+		nb.OutputPath = a.OutputPath
+		return a, repo.Insert(nb)
+	}
+	t.Run("evict", func(t *testing.T) {
+		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		repo := NewRepository()
+		policy := &victimList{}
+		m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
+		a, b := shared(t, fs, repo)
+		policy.ids = []string{a.ID}
+		m.EnforceBudget(time.Hour)
+		if st := m.Stats(); st.Evictions != 1 || st.EvictedBytes != 0 || fs.deletes != 0 || !fs.Exists(a.OutputPath) {
+			t.Fatalf("first of two evicted: %d evictions, %d bytes, %d deletes; want 1, 0, 0 and the output kept",
+				st.Evictions, st.EvictedBytes, fs.deletes)
+		}
+		policy.ids = []string{b.ID}
+		m.EnforceBudget(time.Hour)
+		if st := m.Stats(); st.Evictions != 2 || st.EvictedBytes != 1000 || fs.deletes != 1 || fs.Exists(a.OutputPath) {
+			t.Fatalf("last evicted: %d evictions, %d bytes, %d deletes; want 2, 1000, 1 and the output gone",
+				st.Evictions, st.EvictedBytes, fs.deletes)
+		}
+	})
+	t.Run("vacuum", func(t *testing.T) {
+		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		repo := NewRepository()
+		m := newTestStorage(repo, fs, StorageConfig{})
+		a, b := shared(t, fs, repo)
+		for i, in := range []string{"in-a", "in-b"} {
+			if err := fs.WriteFile(in+"/part-00000", []byte("x\n")); err != nil {
+				t.Fatal(err)
+			}
+			removed, released := repo.Vacuum(fs, time.Hour, 0, nil)
+			want := []*Entry{a, b}[i]
+			if len(removed) != 1 || removed[0] != want {
+				t.Fatalf("vacuum %d removed %v, want %s", i, removed, want.ID)
+			}
+			if got := len(released); got != i {
+				t.Fatalf("vacuum %d released %d entries, want %d", i, got, i)
+			}
+			m.deleteOwnedOutputs(released, nil)
+			if fs.deletes != i || fs.Exists(a.OutputPath) != (i == 0) {
+				t.Fatalf("vacuum %d: %d deletes, output exists %v", i, fs.deletes, fs.Exists(a.OutputPath))
+			}
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		repo := NewRepository()
+		m := newTestStorage(repo, fs, StorageConfig{})
+		shared(t, fs, repo)
+		for i, in := range []string{"in-a", "in-b"} {
+			if err := fs.WriteFile(in+"/part-00000", []byte("x\n")); err != nil {
+				t.Fatal(err)
+			}
+			if res := m.Sweep(time.Hour, 0); res.EntriesVacuumed != 1 || fs.deletes != i {
+				t.Fatalf("sweep %d vacuumed %d entries with %d deletes, want 1 and %d", i, res.EntriesVacuumed, fs.deletes, i)
+			}
+		}
+	})
+	t.Run("replacement", func(t *testing.T) {
+		fs := newTestFS(t)
+		repo := NewRepository()
+		a := storedEntry(t, repo, fs, "a", "in-a", 1000, EntryStats{})
+		moved := outputEntry(t, fs, "a2", "in-a", 10, EntryStats{})
+		moved.Plan = a.Plan
+		ne := repo.Insert(moved)
+		if ne.ID != a.ID || ne.OutputPath == a.OutputPath {
+			t.Fatalf("replacement %s at %s, want %s at a new path", ne.ID, ne.OutputPath, a.ID)
+		}
+		removed, released := repo.EvictUnpinned([]string{a.ID}, nil)
+		if len(removed) != 1 || len(released) != 1 || released[0].OutputPath != ne.OutputPath {
+			t.Fatalf("evicting the replacement released %v, want only %s", released, ne.OutputPath)
+		}
+		if !fs.Exists(a.OutputPath) {
+			t.Fatal("the replaced path was deleted")
+		}
+	})
 }

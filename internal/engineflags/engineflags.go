@@ -18,11 +18,11 @@ import (
 
 // Flags holds the parsed values of the shared engine flags.
 type Flags struct {
-	Scale, Heuristic, Evict, NSRoot, DurablePath, Backend, DataDir string
-	Reuse, WholeJobs, Durable                                      bool
-	Workers, MaxClusterJobs, CompactEvery                          int
-	MaxRepoMB, BatchCacheMB                                        int64
-	EvictWindow, Janitor, LeaseTTL                                 time.Duration
+	Scale, Heuristic, Evict, NSRoot, Backend, DataDir string
+	Reuse, WholeJobs, Durable                         bool
+	Workers, MaxClusterJobs, CompactEvery             int
+	MaxRepoMB, BatchCacheMB                           int64
+	EvictWindow, Janitor, LeaseTTL                    time.Duration
 }
 
 // Register declares the shared flags on fs. The two commands differ
@@ -44,7 +44,6 @@ func Register(fs *flag.FlagSet, scale string, reuse bool, heuristic string) *Fla
 	fs.DurationVar(&f.Janitor, "janitor", 0, "background storage-janitor sweep interval (0 = off)")
 	fs.StringVar(&f.NSRoot, "ns-root", "", "root of ReStore's managed namespaces (default: top-level tmp/ and restore/)")
 	fs.BoolVar(&f.Durable, "durable", false, "journal the repository to a manifest + event log on the DFS (crash-safe, multi-process)")
-	fs.StringVar(&f.DurablePath, "durable-path", "", "DFS directory of the manifest and event log (default <ns-root>/repo)")
 	fs.IntVar(&f.CompactEvery, "compact-every", 0, "records between automatic log compactions (0 = default 64, negative = never)")
 	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "cross-process claim lease TTL (0 = default 1m)")
 	fs.StringVar(&f.Backend, "backend", "memory", "DFS backend: memory (volatile) or disk (persistent, needs -data-dir)")
@@ -96,7 +95,6 @@ func (f *Flags) Resolve() (Resolved, error) {
 	cfg.NamespaceRoot = f.NSRoot
 	cfg.Durability = restore.DurabilityConfig{
 		Enabled:      f.Durable,
-		Path:         f.DurablePath,
 		CompactEvery: f.CompactEvery,
 		LeaseTTL:     f.LeaseTTL,
 	}

@@ -11,6 +11,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/tuple"
 )
@@ -49,10 +50,18 @@ type Const struct {
 // Eval returns the literal.
 func (c Const) Eval(tuple.Tuple) (tuple.Value, error) { return c.V, nil }
 
+// String tags a numeric literal with its type ("const:i1", "const:f1"):
+// Binary keeps int64 arithmetic integral and takes anything else through
+// float64, so x*1 and x*1.0 differ beyond 2^53 and must not share a
+// signature.
 func (c Const) String() string {
 	switch x := c.V.(type) {
 	case string:
 		return fmt.Sprintf("%q", x)
+	case int64:
+		return "const:i" + strconv.FormatInt(x, 10)
+	case float64:
+		return "const:f" + strconv.FormatFloat(x, 'g', -1, 64)
 	default:
 		return "const:" + tuple.ToString(c.V)
 	}

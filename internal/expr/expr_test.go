@@ -214,7 +214,7 @@ func TestCanonicalStrings(t *testing.T) {
 		Compare{CmpEq, NewCol(0), Const{V: "x"}},
 		Not{Compare{CmpLt, NewCol(3), Const{V: int64(7)}}},
 	}
-	want := `and(eq($0,"x"),not(lt($3,const:7)))`
+	want := `and(eq($0,"x"),not(lt($3,const:i7)))`
 	if e.String() != want {
 		t.Errorf("String = %q, want %q", e.String(), want)
 	}
@@ -239,6 +239,11 @@ func TestStringInjectiveOnStructure(t *testing.T) {
 		Agg{AggSum, NewCol(1), 0},
 		Agg{AggSum, NewCol(1), 1},
 		Agg{AggAvg, NewCol(1), 0},
+		// A literal's type is part of its meaning: int64 arithmetic
+		// stays integral, anything else goes through float64.
+		Const{V: int64(1)}, Const{V: float64(1)}, Const{V: nil}, Const{V: ""},
+		Binary{OpMul, NewCol(0), Const{V: int64(1)}},
+		Binary{OpMul, NewCol(0), Const{V: float64(1)}},
 	}
 	seen := map[string]Expr{}
 	for _, e := range exprs {
@@ -289,7 +294,7 @@ func TestRemap(t *testing.T) {
 	if !ok {
 		t.Fatal("Remap failed")
 	}
-	if ne.String() != "eq($0,const:1)" {
+	if ne.String() != "eq($0,const:i1)" {
 		t.Errorf("Remap = %s", ne)
 	}
 	if _, ok := Remap(Compare{CmpEq, NewCol(5), Const{V: int64(1)}}, m); ok {

@@ -82,7 +82,7 @@ func TestSignatures(t *testing.T) {
 		sigs = append(sigs, op.Signature())
 	}
 	joined := strings.Join(sigs, "|")
-	for _, want := range []string{"load(data)", "filter(gt($1,const:0))", "foreach($0)", "store"} {
+	for _, want := range []string{"load(data)", "filter(gt($1,const:i0))", "foreach($0)", "store"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("signatures %q missing %q", joined, want)
 		}

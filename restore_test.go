@@ -263,3 +263,41 @@ store S into 'counts';
 		t.Errorf("counts = %v", cnt)
 	}
 }
+
+// TestConstantTypeIsPartOfTheSignature is the reproduction of a wrong
+// answer from reuse: x*1 multiplies in int64 and x*1.0 in float64, so
+// over 2^53+1 they differ, and a stored x*1 must not answer x*1.0.
+// Reuse may change what a query costs, never what it returns.
+func TestConstantTypeIsPartOfTheSignature(t *testing.T) {
+	script := func(lit, out string) string {
+		return fmt.Sprintf(`
+a = load 'nums' as (x);
+b = foreach a generate x * %s;
+c = distinct b;
+store c into '%s';
+`, lit, out)
+	}
+	run := func(opts Options) string {
+		t.Helper()
+		sys := newTestSystem(opts)
+		if err := sys.WriteDataset("nums", []Tuple{{int64(9007199254740993)}, {int64(3)}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Execute(script("1", "o1")); err != nil {
+			t.Fatalf("Execute x*1: %v", err)
+		}
+		res, err := sys.Execute(script("1.0", "o2"))
+		if err != nil {
+			t.Fatalf("Execute x*1.0: %v", err)
+		}
+		rows, err := res.Output("o2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(sorted(rows))
+	}
+	want := run(Options{})
+	if got := run(Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive}); got != want {
+		t.Errorf("x*1.0 with reuse = %s, without = %s", got, want)
+	}
+}

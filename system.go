@@ -101,10 +101,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		durable *core.DurableLog
 		prefix  string // the writer ID; "" without durability
 	)
-	root := strings.Trim(cfg.Durability.Path, "/")
-	if root == "" {
-		root = core.NamespacePath(cfg.NamespaceRoot, "repo")
-	}
+	root := core.NamespacePath(cfg.NamespaceRoot, "repo")
 	if cfg.Durability.Enabled {
 		prefix = core.AllocWriter(fs, root)
 	}
