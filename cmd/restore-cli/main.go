@@ -73,19 +73,18 @@ func main() {
 	// …) are declared once for this command and restore-server.
 	ef := engineflags.Register(flag.CommandLine, "15GB", false, "off")
 	var (
-		queryFlag    = flag.String("query", "", "PigMix query name (L2..L8, L11, variants)")
-		scriptFlag   = flag.String("script", "", "path to a Pig Latin script file")
-		repeatFlag   = flag.Int("repeat", 1, "number of times to run the query")
-		listFlag     = flag.Bool("list", false, "list available PigMix queries and exit")
-		printFlag    = flag.Bool("print", false, "print up to 20 output rows")
-		timeoutFlag  = flag.Duration("timeout", 0, "per-run deadline; a run exceeding it is cancelled (0 = none)")
-		tagFlag      = flag.String("tag", "", "label attached to each submitted query")
-		recoverFlag  = flag.Bool("recover-check", false, "after the runs, recover a fresh System from the durable log and verify it reuses identically")
-		statsJSON    = flag.Bool("stats-json", false, "print the final stats as one JSON document (the /metrics schema) instead of text")
-		appendFlag   = flag.Int("append-net-days", 0, "append this many daily partitions to the backend's net-traffic flow log and exit (no query runs)")
-		traceFlag    = flag.Bool("trace", false, "print each run's span trace as JSON")
-		explainFlag  = flag.Bool("explain", false, "print each run's reuse-provenance report (which entries were nominated, rejected and why, and what won)")
-		taskSpanFlag = flag.Bool("trace-tasks", false, "record one trace event per finished task (verbose; implies more trace memory)")
+		queryFlag   = flag.String("query", "", "PigMix query name (L2..L8, L11, variants)")
+		scriptFlag  = flag.String("script", "", "path to a Pig Latin script file")
+		repeatFlag  = flag.Int("repeat", 1, "number of times to run the query")
+		listFlag    = flag.Bool("list", false, "list available PigMix queries and exit")
+		printFlag   = flag.Bool("print", false, "print up to 20 output rows")
+		timeoutFlag = flag.Duration("timeout", 0, "per-run deadline; a run exceeding it is cancelled (0 = none)")
+		tagFlag     = flag.String("tag", "", "label attached to each submitted query")
+		recoverFlag = flag.Bool("recover-check", false, "after the runs, recover a fresh System from the durable log and verify it reuses identically")
+		statsJSON   = flag.Bool("stats-json", false, "print the final stats as one JSON document (the /metrics schema) instead of text")
+		appendFlag  = flag.Int("append-net-days", 0, "append this many daily partitions to the backend's net-traffic flow log and exit (no query runs)")
+		traceFlag   = flag.Bool("trace", false, "print each run's span trace as JSON")
+		explainFlag = flag.Bool("explain", false, "print each run's reuse-provenance report (which entries were nominated, rejected and why, and what won)")
 	)
 	flag.Parse()
 
@@ -159,7 +158,6 @@ func main() {
 	// Reuse policy and worker bound are per-query options on each
 	// submission, not global state: concurrent clients of one System
 	// could each pass their own.
-	eng.Options.TraceTasks = *taskSpanFlag
 	execOpts := []restore.ExecOption{
 		restore.WithOptions(eng.Options),
 		restore.WithWorkers(ef.Workers),

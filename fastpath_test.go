@@ -122,7 +122,9 @@ func TestBatchCacheDifferentialPigMix(t *testing.T) {
 
 // TestBatchCacheDifferentialReuse repeats the check through the
 // repository-reuse path — warm runs that rewrite queries against
-// stored outputs must match with and without the cache.
+// stored outputs must match with and without the cache. The cache
+// fills on read, so run 2 reads the stored outputs into it and run 3
+// hits them.
 func TestBatchCacheDifferentialReuse(t *testing.T) {
 	opts := restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
 	cached := fastpathSystem(t, opts)
@@ -134,7 +136,7 @@ func TestBatchCacheDifferentialReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for run := 0; run < 2; run++ {
+		for run := 0; run < 3; run++ {
 			rc, err := cached.ExecuteContext(ctx, q.Script, restore.WithWorkers(1))
 			if err != nil {
 				t.Fatalf("%s run %d cached: %v", name, run, err)

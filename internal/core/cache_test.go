@@ -9,12 +9,12 @@ import (
 	"repro/internal/pigmix"
 )
 
-// TestNoDeadCacheEntries: a job's outputs enter the batch cache
-// write-through, and most of them — temporaries, STORE staging, refresh
-// deltas, rejected or evicted sub-job outputs — are deleted or renamed
-// away soon after and never named again. Nothing but that delete or
-// rename can then take the decoded copy out of the cache, so each one
-// must go through the engine. After every step below, each dataset the
+// TestNoDeadCacheEntries: a job's output enters the batch cache when a
+// later job reads it, and most outputs — temporaries, STORE staging,
+// refresh deltas, rejected or evicted sub-job outputs — are deleted or
+// renamed away soon after and never named again. Nothing but that
+// delete or rename can then take the decoded copy out of the cache, so
+// each one must go through the engine. After every step below, each dataset the
 // cache holds must still exist on the DFS; every step reaches at least
 // one of the driver's or storage manager's delete or rename sites.
 func TestNoDeadCacheEntries(t *testing.T) {

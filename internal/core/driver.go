@@ -126,11 +126,6 @@ type Options struct {
 	// (differential-tested); the flag exists for that suite and for
 	// callers that want the last few allocations back.
 	DisableTrace bool
-	// TraceTasks additionally records a span per task-completion
-	// callback under each job.exec span. Off by default: a large job
-	// has thousands of tasks and the per-task spans dominate the
-	// arena.
-	TraceTasks bool
 }
 
 // storesAnything reports whether this configuration writes repository
@@ -737,9 +732,6 @@ func (r *jobRun) exec() (*mapreduce.JobStats, error) {
 	x, job := r.x, r.job
 	span := x.tr.Start(r.span, obs.KindJobExec, job.ID)
 	stats, err := x.d.eng.Run(x.ctx, job, func(done, total int, sim time.Duration) {
-		if x.tr.TaskSpans() {
-			x.tr.Event(span, obs.KindTask, fmt.Sprintf("%s task %d/%d", job.ID, done, total), sim.String())
-		}
 		x.progress(job.ID, done, total, sim)
 	})
 	x.tr.End(span)

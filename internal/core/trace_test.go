@@ -22,7 +22,7 @@ store B into 'fp_out';
 // probe.candidate event as entryID → reasons, plus the probe-span count.
 func candidateReasons(t *testing.T, rw *Rewriter, src string, allowWhole bool) (map[string][]string, int) {
 	t.Helper()
-	tr := obs.NewTrace("q", false)
+	tr := obs.NewTrace("q")
 	root := tr.Start(obs.NoSpan, obs.KindSubmit, "q")
 	rw.Trace = tr
 	wf := compileJobs(t, src, "tmp/tr")

@@ -16,7 +16,9 @@ const DefaultMaxCachedBatchBytes int64 = 256 << 20
 // BatchCache is the engine's decoded-dataset cache: each entry holds
 // one dataset's part files as columnar tuple.Batch vectors, keyed by
 // dataset path and stamped with the dataset's DFS version at decode
-// time. Invalidation is eager: every delete or rename of a dataset a
+// time. It fills only when a job reads a dataset it does not hold
+// (Engine.loadDataset); a job's own outputs enter it on their first
+// read. Invalidation is eager: every delete or rename of a dataset a
 // job may have written goes through Engine.DeleteDataset or
 // Engine.RenameDataset, which drop the decoded copy in the same call,
 // so the cache never holds a dataset the DFS no longer has. Writers
@@ -24,8 +26,8 @@ const DefaultMaxCachedBatchBytes int64 = 256 << 20
 // the version stamp instead: they move the dataset's DFS version, the
 // same bump that drives Repository.Valid, and Get drops an entry whose
 // stamp no longer matches. The cache therefore works identically over
-// the in-memory and on-disk DFS backends, and write-through entries
-// from one query feed cache hits in every other query of the System.
+// the in-memory and on-disk DFS backends, and a dataset one query
+// reads feeds cache hits in every other query of the System.
 //
 // Entries are evicted least-recently-used under the byte budget (a
 // reuse refreshes recency, so hot repository outputs stay resident

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -178,8 +179,7 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 		t.Fatalf("SimTime diverged: cold %v, warm %v", cold.SimTime, warm.SimTime)
 	}
 	// The codec's stage timers: a cold run decodes its input, a warm one
-	// does not; both encode their output (and build its batch for
-	// write-through, inside EncodeTime).
+	// does not; both encode their output.
 	if cold.DecodeTime <= 0 || warm.DecodeTime != 0 {
 		t.Fatalf("DecodeTime: cold %v (want > 0), warm %v (want 0)", cold.DecodeTime, warm.DecodeTime)
 	}
@@ -198,78 +198,61 @@ func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineCacheWriteThrough checks a job's own output feeds the next
-// job's input without a decode miss.
-func TestEngineCacheWriteThrough(t *testing.T) {
-	fs := dfs.New()
-	seedInput(t, fs, "in", 100, 0)
-	eng := New(fs, DefaultConfig())
+// TestEngineCacheFillsOnRead checks a job's output enters the cache
+// only when a later job reads it: the first read misses and fills, the
+// second hits, and both give the rows a cache-off engine gives.
+func TestEngineCacheFillsOnRead(t *testing.T) {
 	first := compileScript(t, cacheScript)
-	if _, err := runJob(eng, first[0]); err != nil {
-		t.Fatal(err)
-	}
-	before := eng.CacheStats()
-
 	second := compileScript(t, `
 X = load 'out' as (user, cnt);
 Y = filter X by cnt > 1;
 store Y into 'out2';
 `)
-	if _, err := runJob(eng, second[0]); err != nil {
-		t.Fatal(err)
+	read := func(fs *dfs.FS) string {
+		out := map[string]string{}
+		for _, f := range fs.List("out2") {
+			data, err := fs.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f] = string(data)
+		}
+		return fmt.Sprint(out)
 	}
-	after := eng.CacheStats()
-	if after.Hits != before.Hits+1 {
-		t.Fatalf("reading a just-written dataset should hit write-through: before %+v after %+v", before, after)
+	run := func(eng *Engine, job *physical.Job) {
+		t.Helper()
+		if _, err := runJob(eng, job); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after.Misses != before.Misses {
-		t.Fatalf("unexpected miss on write-through read: before %+v after %+v", before, after)
-	}
-}
 
-// TestWriteThroughStaleVersionSkipped loses the write-through race on
-// purpose: a concurrent writer rewrites the same-named part file after
-// the job's write, so the file list still matches and only the dataset
-// version betrays the rewrite. The stale batches must not publish; a
-// part stamped with the current committed version must.
-func TestWriteThroughStaleVersionSkipped(t *testing.T) {
+	offFS := dfs.New()
+	seedInput(t, offFS, "in", 100, 0)
+	off := New(offFS, Config{MaxCachedBatchBytes: -1})
+	run(off, first[0])
+	run(off, second[0])
+	want := read(offFS)
+
 	fs := dfs.New()
+	seedInput(t, fs, "in", 100, 0)
 	eng := New(fs, DefaultConfig())
-
-	write := func(data string) int64 {
-		w := fs.Create("wt/part-r-00000")
-		if _, err := w.Write([]byte(data)); err != nil {
-			t.Fatal(err)
+	run(eng, first[0])
+	if slices.Contains(eng.CachedPaths(), "out") {
+		t.Fatalf("writing out cached it: %v", eng.CachedPaths())
+	}
+	for i, wantHits := range []int64{0, 1} {
+		before := eng.CacheStats()
+		run(eng, second[0])
+		after := eng.CacheStats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != wantHits || misses != 1-wantHits {
+			t.Fatalf("read %d of out: %d hits and %d misses, want %d and %d", i+1, hits, misses, wantHits, 1-wantHits)
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+		if !slices.Contains(eng.CachedPaths(), "out") {
+			t.Fatalf("read %d of out left it uncached: %v", i+1, eng.CachedPaths())
 		}
-		return w.(interface{ CommittedVersion() int64 }).CommittedVersion()
-	}
-	decode := func(data string) *tuple.Batch {
-		b, err := tuple.DecodeTextBatch([]byte(data))
-		if err != nil {
-			t.Fatal(err)
+		if got := read(fs); got != want {
+			t.Fatalf("read %d of out: rows %s, cache off %s", i+1, got, want)
 		}
-		return b
-	}
-
-	ver := write("1\tone\n")
-	stale := writtenPart{dir: "wt", file: "wt/part-r-00000", batch: decode("1\tone\n"), ver: ver}
-	write("2\ttwo\n") // same-name rewrite between the job's write and writeThrough
-	eng.writeThrough([]writtenPart{stale})
-	if eng.cache.Get(fs, "wt") != nil {
-		t.Fatal("stale write-through entry published after same-name rewrite")
-	}
-
-	ver2 := write("3\tthree\n")
-	eng.writeThrough([]writtenPart{{dir: "wt", file: "wt/part-r-00000", batch: decode("3\tthree\n"), ver: ver2}})
-	ds := eng.cache.Get(fs, "wt")
-	if ds == nil {
-		t.Fatal("current write-through entry did not publish")
-	}
-	if got := ds.batches[0].Row(0); tuple.CompareTuples(got, tuple.Tuple{int64(3), "three"}) != 0 {
-		t.Fatalf("cached batch holds %v, want the last write's rows", got)
 	}
 }
 

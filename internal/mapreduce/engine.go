@@ -134,9 +134,8 @@ type JobStats struct {
 	// Where the text codec's share of WallTime went, summed over the
 	// job's tasks (tasks run concurrently, so the sum can exceed
 	// WallTime): DecodeTime is decoding input part files the batch cache
-	// did not hold, EncodeTime is encoding output part files,
-	// writing them to the DFS and building their cache batches from the
-	// rows.
+	// did not hold, EncodeTime is encoding output part files and writing
+	// them to the DFS.
 	DecodeTime time.Duration
 	EncodeTime time.Duration
 }
@@ -254,21 +253,11 @@ func (e *Engine) run(ctx context.Context, job *physical.Job, seg *segmentation, 
 	for _, mr := range mapResults {
 		mapTimes = append(mapTimes, e.cfg.Cost.TaskTime(mr.work))
 	}
-	var redWrites []writtenPart
 	if seg.shuffle != nil {
-		redTimes, redWrites, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker)
+		redTimes, err = e.runReducePhase(ctx, job, seg, mapResults, numRed, stats, tracker)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	if e.cache != nil {
-		var written []writtenPart
-		for i := range mapResults {
-			written = append(written, mapResults[i].writes...)
-		}
-		written = append(written, redWrites...)
-		e.writeThrough(written)
 	}
 
 	stats.MapTasks = len(mapResults)
@@ -606,60 +595,6 @@ func (e *Engine) loadFiles(path string, files []string, decode *time.Duration) (
 	return ds, nil
 }
 
-// writeThrough populates the cache with the datasets a finished job
-// just wrote. Parts are grouped per Store directory and sorted by file
-// name — the same lexicographic order fs.List returns — and stamped
-// with the version the job's own last write to the directory committed
-// (captured atomically with each part's commit, see exec.close), so
-// the entry is exactly what a fresh decode of the dataset would
-// produce. Stamping the job's own committed version, not a re-read of
-// fs.Version, is what makes a lost race detectable: if a concurrent
-// writer rewrote same-named part files after this job's writes, the
-// directory version has moved past the stamp and the guard below skips
-// the insert instead of caching this job's stale batches under the
-// rewriter's newer version.
-func (e *Engine) writeThrough(parts []writtenPart) {
-	byDir := map[string][]writtenPart{}
-	for _, wp := range parts {
-		byDir[wp.dir] = append(byDir[wp.dir], wp)
-	}
-	for dir, ps := range byDir {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].file < ps[j].file })
-		ds := &cachedDataset{path: dir}
-		for _, wp := range ps {
-			ds.add(wp.file, wp.batch)
-			if wp.ver > ds.version {
-				ds.version = wp.ver
-			}
-		}
-		// Publish only when the directory is still exactly as this job
-		// left it: its version is the one our own last part commit
-		// produced (any later write — including a same-name rewrite the
-		// List comparison cannot see — bumps it past the stamp), and its
-		// file list matches the captured parts (a dropped capture or an
-		// unrelated writer would otherwise cache an incomplete view).
-		if e.fs.Version(dir) != ds.version {
-			continue
-		}
-		if !equalStrings(ds.files, e.fs.List(dir)) {
-			continue
-		}
-		e.cache.Put(ds)
-	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CacheStats snapshots the engine's decoded-dataset cache counters.
 func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 
@@ -670,8 +605,8 @@ func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
 // decoded copy from the cache. Every delete of a dataset a job may have
 // written goes through here: a deleted dataset's entry is otherwise
 // reclaimed only when the same path is looked up again or the budget
-// evicts it, so scratch written once and never named again — a job's
-// write-through puts it in the cache — would sit there as dead weight.
+// evicts it, so a temporary read once and never named again — its read
+// put it in the cache — would sit there as dead weight.
 func (e *Engine) DeleteDataset(path string) error {
 	err := e.fs.Delete(path)
 	e.cache.Drop(path)
@@ -695,7 +630,6 @@ type mapResult struct {
 	work    cluster.TaskWork
 	outs    map[string]OutputStat
 	records int64
-	writes  []writtenPart // part files for cache write-through
 	encode  time.Duration
 }
 
@@ -781,7 +715,6 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	mr := mapResult{outs: map[string]OutputStat{}}
 	px := newExec(seg, false)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
-	px.capture = e.cache != nil
 	var acc *combineAccumulator
 	if seg.combine != nil || seg.distinct {
 		// Pig's combiners: pre-aggregate (or, for a DISTINCT, drop
@@ -821,7 +754,6 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	if err := px.close(e.fs, e.cfg.SimScale, mr.outs); err != nil {
 		return mr, err
 	}
-	mr.writes = px.writtenParts()
 	mr.encode = px.encode
 	if acc != nil {
 		mr.parts = acc.drain()
@@ -850,10 +782,9 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	return mr, nil
 }
 
-func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, []writtenPart, error) {
+func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, error) {
 	times := make([]time.Duration, numRed)
 	outs := make([]map[string]OutputStat, numRed)
-	writes := make([][]writtenPart, numRed)
 	encode := make([]time.Duration, numRed)
 	r, err := e.runTasks(ctx, numRed, func(r int) error {
 		parts := make([][]rec, len(mapResults))
@@ -862,21 +793,19 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 		}
 		outs[r] = map[string]OutputStat{}
 		var err error
-		if times[r], encode[r], writes[r], err = e.runReduceTask(seg, parts, r, outs[r]); err == nil {
+		if times[r], encode[r], err = e.runReduceTask(seg, parts, r, outs[r]); err == nil {
 			tracker.tick(times[r])
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, err)
+		return nil, fmt.Errorf("mapreduce: job %s reduce %d: %w", job.ID, r, err)
 	}
-	var allWrites []writtenPart
 	for r := 0; r < numRed; r++ {
 		mergeOutputs(stats.Outputs, outs[r])
 		stats.EncodeTime += encode[r]
-		allWrites = append(allWrites, writes[r]...)
 	}
-	return times, allWrites, nil
+	return times, nil
 }
 
 // runReduceTask runs reduce task taskIdx over its partition of every
@@ -884,14 +813,12 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 // in the order Hadoop's sort delivers them — by key (respecting ORDER BY
 // direction), then branch, each (key, branch) run in map-task order —
 // which groupByKey builds without sorting the records. It returns the
-// task's simulated time, the wall-clock its close spent encoding, and its
-// written parts.
-func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, []writtenPart, error) {
+// task's simulated time and the wall-clock its close spent encoding.
+func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, error) {
 	recs, starts := groupByKey(parts, seg.pkg.Desc)
 
 	px := newExec(seg, true)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
-	px.capture = e.cache != nil
 
 	var shuffleBytes int64
 	for i := range recs {
@@ -915,11 +842,11 @@ func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, ou
 			err = e.emitGroup(px, seg, group)
 		}
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 
 	var storeBytes int64
@@ -935,7 +862,7 @@ func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, ou
 		SortRecords:  int64(float64(len(recs)) * e.cfg.RecordScale),
 		NumStores:    len(px.stores),
 	}
-	return e.cfg.Cost.TaskTime(work), px.encode, px.writtenParts(), nil
+	return e.cfg.Cost.TaskTime(work), px.encode, nil
 }
 
 // emitGroup packages one key group and pushes it through the reduce

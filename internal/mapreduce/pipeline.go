@@ -31,23 +31,17 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	// capture keeps a batch of every part file this task writes, for
-	// cache write-through (see Engine.writeThrough).
-	capture bool
-
 	writers map[int]*taskWriter // per Store op
 	limits  map[int]int64       // per Limit op counter
 
-	// encode is the wall-clock close spent encoding part files, writing
-	// them to the DFS and building their batches, for JobStats.
+	// encode is the wall-clock close spent encoding part files and
+	// writing them to the DFS, for JobStats.
 	encode time.Duration
 }
 
 type taskWriter struct {
-	path  string
-	rows  []tuple.Tuple
-	batch *tuple.Batch // the written part as the cache holds it, when capturing
-	ver   int64        // dataset version committed by this part's write
+	path string
+	rows []tuple.Tuple
 }
 
 func newExec(seg *segmentation, reduce bool) *exec {
@@ -242,22 +236,6 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 		if err := f.Close(); err != nil {
 			return err
 		}
-		// The version of this part's own commit, for write-through
-		// staleness detection. Both DFS backends capture it inside
-		// Close's critical section; the Version fallback for other
-		// backends leaves a small window a concurrent writer could
-		// slip into, which writeThrough's guard then cannot see.
-		if cv, ok := f.(interface{ CommittedVersion() int64 }); ok {
-			w.ver = cv.CommittedVersion()
-		} else {
-			w.ver = fs.Version(w.path)
-		}
-		if x.capture {
-			// The batch a later re-read of these bytes decodes to, built
-			// from the rows (text round-trips can change value types,
-			// e.g. a float written as "5" re-reads as an int).
-			w.batch = tuple.BatchOfText(w.rows, int64(len(buf)))
-		}
 		x.encode += time.Since(start)
 		cur := outStats[w.path]
 		cur.SimBytes += int64(float64(len(buf)) * simScale)
@@ -273,25 +251,3 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 // are dead once the DFS writer has copied them, and growing a fresh
 // buffer per part was 5 % of cold-store's CPU.
 var partBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writtenPart is one part file a task wrote, with its batch for
-// write-through.
-type writtenPart struct {
-	dir   string // the Store dataset directory
-	file  string // full part-file path
-	batch *tuple.Batch
-	ver   int64 // dataset version committed by this part's write
-}
-
-// writtenParts returns the task's written part files with their
-// batches; call after close. With capture off there are none.
-func (x *exec) writtenParts() []writtenPart {
-	var out []writtenPart
-	for _, w := range x.writers {
-		if w.batch == nil {
-			continue
-		}
-		out = append(out, writtenPart{dir: w.path, file: w.path + "/" + x.suffix, batch: w.batch, ver: w.ver})
-	}
-	return out
-}

@@ -72,8 +72,6 @@ func explainSpan(w io.Writer, s *SpanJSON, depth int) {
 	case KindJobExec:
 		fmt.Fprintf(w, "%sexec: cold run on the engine, %s, sim %s, read %d bytes, wrote %d bytes\n",
 			ind, fmtMs(s.WallMs), fmtMs(s.SimMs), s.BytesIn, s.BytesOut)
-	case KindTask:
-		fmt.Fprintf(w, "%stask %s: sim %s\n", ind, s.Ref, fmtMs(s.SimMs))
 	case KindStoreCommit:
 		fmt.Fprintf(w, "%scommit: %s staged → final (%s)\n", ind, s.Ref, fmtMs(s.WallMs))
 	default:

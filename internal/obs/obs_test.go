@@ -20,9 +20,6 @@ func TestNilTraceNoops(t *testing.T) {
 	tr.Note(id, "x")
 	tr.Sim(id, time.Second)
 	tr.Bytes(id, 1, 2)
-	if tr.TaskSpans() {
-		t.Error("nil TaskSpans = true")
-	}
 	if tr.Root() != NoSpan {
 		t.Error("nil Root != NoSpan")
 	}
@@ -37,7 +34,7 @@ func TestNilTraceNoops(t *testing.T) {
 // TestSnapshotTree checks the span tree nests children under parents
 // and carries wall, sim and byte figures through.
 func TestSnapshotTree(t *testing.T) {
-	tr := NewTrace("q1", false)
+	tr := NewTrace("q1")
 	root := tr.Start(NoSpan, KindSubmit, "q1")
 	job := tr.Start(root, KindJob, "j1")
 	probe := tr.Start(job, KindProbe, "j1")
@@ -74,7 +71,7 @@ func TestSnapshotTree(t *testing.T) {
 // TestSnapshotMidFlight checks snapshotting a live trace closes open
 // spans at the snapshot instant without mutating the trace.
 func TestSnapshotMidFlight(t *testing.T) {
-	tr := NewTrace("q1", false)
+	tr := NewTrace("q1")
 	root := tr.Start(NoSpan, KindSubmit, "q1")
 	tr.Start(root, KindJob, "j1") // left open
 	snap := tr.Snapshot()
@@ -92,7 +89,7 @@ func TestSnapshotMidFlight(t *testing.T) {
 // TestTraceConcurrentSpans hammers one trace from many goroutines (the
 // driver's worker pool does exactly this); run under -race.
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr := NewTrace("q1", true)
+	tr := NewTrace("q1")
 	root := tr.Start(NoSpan, KindSubmit, "q1")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -101,7 +98,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				s := tr.Start(root, KindJob, "j")
-				tr.Event(s, KindTask, "t", "")
+				tr.Event(s, KindCandidate, "e", ReasonWin)
 				tr.Bytes(s, 1, 1)
 				tr.End(s)
 			}
@@ -115,8 +112,8 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		t.Fatalf("job children = %d, want %d", len(jobs), 8*200)
 	}
 	for _, j := range jobs {
-		if len(j.Children) != 1 || j.Children[0].Kind != KindTask {
-			t.Fatalf("job span = %+v, want one task event child", j)
+		if len(j.Children) != 1 || j.Children[0].Kind != KindCandidate {
+			t.Fatalf("job span = %+v, want one candidate event child", j)
 		}
 	}
 }
@@ -189,7 +186,7 @@ func TestMetricsNilSafe(t *testing.T) {
 
 // TestExplainRendering spot-checks the human-readable report.
 func TestExplainRendering(t *testing.T) {
-	tr := NewTrace("q7", false)
+	tr := NewTrace("q7")
 	root := tr.Start(NoSpan, KindSubmit, "q7")
 	job := tr.Start(root, KindJob, "j1")
 	probe := tr.Start(job, KindProbe, "j1")

@@ -27,7 +27,6 @@
 //	      refresh.delta     the delta job over the appended slice
 //	      refresh.merge     the stored ⊎ delta merge job
 //	    job.exec        engine execution of the (possibly rewritten) job
-//	      task          per-task completions (off by default; Options.TraceTasks)
 //	  store.commit    staged STORE output renamed to its user path
 //
 // Spans carry wall-clock start/end, simulated time where the stage has
@@ -54,7 +53,6 @@ const (
 	KindRefreshDelta    = "refresh.delta"
 	KindRefreshMerge    = "refresh.merge"
 	KindJobExec         = "job.exec"
-	KindTask            = "task"
 	KindStoreCommit     = "store.commit"
 )
 
@@ -104,7 +102,6 @@ type Trace struct {
 	mu    sync.Mutex
 	start time.Time
 	spans []Span
-	tasks bool
 }
 
 // arenaCap is the preallocated span capacity: enough for a typical
@@ -112,19 +109,14 @@ type Trace struct {
 // single growth step.
 const arenaCap = 128
 
-// NewTrace builds a trace for one query. taskSpans opts in to
-// per-task spans under job.exec (high volume; off by default).
-func NewTrace(queryID string, taskSpans bool) *Trace {
+// NewTrace builds a trace for one query.
+func NewTrace(queryID string) *Trace {
 	return &Trace{
 		QueryID: queryID,
 		start:   time.Now(),
 		spans:   make([]Span, 0, arenaCap),
-		tasks:   taskSpans,
 	}
 }
-
-// TaskSpans reports whether per-task spans were requested. Nil-safe.
-func (t *Trace) TaskSpans() bool { return t != nil && t.tasks }
 
 // Root returns the root span's id, or NoSpan on a nil or empty trace.
 func (t *Trace) Root() SpanID {

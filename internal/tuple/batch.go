@@ -1,10 +1,6 @@
 package tuple
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "strings"
 
 // Batch is an immutable columnar representation of a decoded dataset
 // slice: one part file's tuples held as typed column vectors instead of
@@ -453,187 +449,6 @@ func tupleMem(t Tuple) int64 {
 		m += 16 + valueMem(f)
 	}
 	return m
-}
-
-// BatchOfText returns the batch DecodeTextBatch builds from the text
-// encoding of rows (one AppendText line per row), stamped with
-// srcBytes, the length of that encoding. It builds it from the values
-// instead of the bytes: each value is typed the way its text field
-// would decode (see codec.go) and goes into its column through the same
-// appends the decoder uses, so kinds, null masks, widths and MemBytes
-// come out identical. The write path uses it to cache the part files a
-// task writes without parsing back what it just encoded.
-//
-// A nested value is rebuilt from its fields, each typed as the nested
-// grammar types it, unless a string inside would re-split; then it is
-// parsed from its text. String bytes are copied into one backing
-// string per batch, so the batch never retains the rows' own strings
-// (and through them an input file's text).
-func BatchOfText(rows []Tuple, srcBytes int64) *Batch {
-	bb := NewBatchBuilder(len(rows))
-	bb.AddSrcBytes(srcBytes)
-	size := 0
-	for _, t := range rows {
-		for _, v := range t {
-			size += stringBytes(v)
-		}
-	}
-	var k backing
-	k.Grow(size)
-	for _, t := range rows {
-		if len(t) == 1 && (t[0] == nil || t[0] == "") {
-			bb.endRow(0) // the line is empty: it decodes to the empty row
-			continue
-		}
-		for j, v := range t {
-			bb.col(j).appendEncoded(v, bb.n, bb.hint, &k)
-		}
-		bb.endRow(len(t))
-	}
-	return bb.Finish()
-}
-
-// appendEncoded adds the value v's text field decodes to.
-func (c *column) appendEncoded(v Value, n, hint int, k *backing) {
-	switch x := v.(type) {
-	case nil:
-		c.appendNull(n, hint)
-	case int64:
-		if x == math.MinInt64 {
-			// Its digits overflow the int grammar: the text is a float.
-			c.appendFloat(float64(x), n, hint)
-			return
-		}
-		c.appendInt(x, n, hint)
-	case float64:
-		switch kind, i := floatText(x); kind {
-		case colInt:
-			c.appendInt(i, n, hint)
-		case colFloat:
-			c.appendFloat(x, n, hint)
-		default:
-			c.appendString("NaN", n, hint)
-		}
-	case string:
-		c.appendField(k.add(x), n, hint)
-	case Tuple, *Bag:
-		if nv, ok := k.nested(v); ok {
-			c.appendBoxed(nv, n)
-			return
-		}
-		// A string inside would parse differently: go through the
-		// unescaped text, the field the decoder sees.
-		c.appendField(unescapeField(string(appendText(nil, v))), n, hint)
-	default:
-		panic(fmt.Sprintf("tuple: unsupported value type %T", v))
-	}
-}
-
-// floatText types the text the encoder writes for x without writing
-// it: "NaN" re-reads as a string, and an integral x below 1e6 in
-// magnitude as the int x ("5", and "-0" as 0), because the shortest 'g'
-// form writes such a value as bare digits and every other finite value
-// with a '.' or an exponent; every other float text, "+Inf" and "-Inf"
-// included, re-reads as x.
-func floatText(x float64) (colKind, int64) {
-	switch {
-	case math.IsNaN(x):
-		return colString, 0
-	case math.Abs(x) < 1e6 && x == math.Trunc(x):
-		return colInt, int64(x)
-	}
-	return colFloat, 0
-}
-
-// backing is the one string a built batch's strings are cut from.
-type backing struct{ strings.Builder }
-
-// add copies s into the backing and returns the copy. A Builder never
-// rewrites bytes it has handed out, so earlier copies stay valid.
-func (k *backing) add(s string) string {
-	start := k.Len()
-	k.WriteString(s)
-	return k.String()[start:]
-}
-
-// stringBytes returns the bytes of the strings in v, nested ones
-// included: what v takes from a backing.
-func stringBytes(v Value) int {
-	n := 0
-	switch x := v.(type) {
-	case string:
-		n = len(x)
-	case Tuple:
-		for _, f := range x {
-			n += stringBytes(f)
-		}
-	case *Bag:
-		for _, t := range x.Tuples {
-			n += stringBytes(t)
-		}
-	}
-	return n
-}
-
-// nested returns the value the text of v, a Tuple or *Bag, parses back
-// to, built from v with its strings copied into the backing and its
-// numbers boxed anew, as the column appends box them: sharing v's boxes
-// would keep the task's row allocations alive for as long as the batch
-// is cached. It reports
-// false when a string inside would parse differently: one that starts a
-// nested value, or holds a ',' or ')' that ends its item early.
-func (k *backing) nested(v Value) (Value, bool) {
-	if b, ok := v.(*Bag); ok {
-		out := &Bag{}
-		for _, t := range b.Tuples {
-			nt, ok := k.nested(t)
-			if !ok {
-				return nil, false
-			}
-			out.Add(nt.(Tuple))
-		}
-		return out, true
-	}
-	t := v.(Tuple)
-	if len(t) == 0 || (len(t) == 1 && (t[0] == nil || t[0] == "")) {
-		return Tuple(nil), true // "()": no items
-	}
-	out := make(Tuple, len(t))
-	for i, f := range t {
-		switch x := f.(type) {
-		case nil:
-		case int64:
-			out[i] = x
-			if x == math.MinInt64 {
-				out[i] = float64(x)
-			}
-		case float64:
-			switch kind, n := floatText(x); kind {
-			case colInt:
-				out[i] = n
-			case colFloat:
-				out[i] = x
-			default:
-				out[i] = "NaN"
-			}
-		case string:
-			if x != "" && (x[0] == '(' || x[0] == '{' || strings.ContainsAny(x, ",)")) {
-				return nil, false
-			}
-			if x != "" {
-				out[i] = parseScalar(k.add(x))
-			}
-		case Tuple, *Bag:
-			nv, ok := k.nested(x)
-			if !ok {
-				return nil, false
-			}
-			out[i] = nv
-		default:
-			return nil, false
-		}
-	}
-	return out, true
 }
 
 // DecodeTextBatch decodes one part file's text bytes into a Batch,

@@ -25,14 +25,29 @@ func batchRows() []Tuple {
 	}
 }
 
+// textBatch returns the batch DecodeTextBatch decodes from the text
+// encoding of rows, one AppendText line per row.
+func textBatch(tb testing.TB, rows []Tuple) *Batch {
+	tb.Helper()
+	var text []byte
+	for _, r := range rows {
+		text = append(AppendText(text, r), '\n')
+	}
+	b, err := DecodeTextBatch(text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 func TestBatchRoundTripRows(t *testing.T) {
 	rows := batchRows()
-	b := BatchOfText(rows, 123)
+	b := textBatch(t, rows)
 	if b.Len() != len(rows) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(rows))
 	}
-	if b.SrcBytes() != 123 {
-		t.Fatalf("SrcBytes = %d", b.SrcBytes())
+	if want := int64(len(encodeRows(len(rows), func(i int) Tuple { return rows[i] }))); b.SrcBytes() != want {
+		t.Fatalf("SrcBytes = %d, want %d", b.SrcBytes(), want)
 	}
 	for i, want := range rows {
 		got := b.Row(i)
@@ -92,33 +107,19 @@ func TestBatchWideningRows(t *testing.T) {
 		{int64(1), int64(2)},
 		{int64(1), int64(2), int64(3), int64(4)},
 	}
-	check := func(b *Batch, label string) {
-		t.Helper()
-		for i, want := range rows {
-			got := b.Row(i)
-			if len(got) != len(want) {
-				t.Fatalf("%s: row %d has width %d, want %d (%v)", label, i, len(got), len(want), got)
-			}
-			if CompareTuples(got, want) != 0 {
-				t.Fatalf("%s: row %d: got %v, want %v", label, i, got, want)
-			}
+	b := textBatch(t, rows)
+	for i, want := range rows {
+		got := b.Row(i)
+		if len(got) != len(want) {
+			t.Fatalf("row %d has width %d, want %d (%v)", i, len(got), len(want), got)
+		}
+		if CompareTuples(got, want) != 0 {
+			t.Fatalf("row %d: got %v, want %v", i, got, want)
 		}
 	}
-	b := BatchOfText(rows, 0)
-	check(b, "built")
-
-	tb, err := DecodeTextBatch([]byte("1\t2\n1\t2\t3\t4\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(tb, "text decode")
 }
 
 func TestBatchEmpty(t *testing.T) {
-	b := BatchOfText(nil, 0)
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d", b.Len())
-	}
 	if eb, err := DecodeTextBatch(nil); err != nil || eb.Len() != 0 {
 		t.Fatalf("empty text decode: %v, %d rows", err, eb.Len())
 	}
@@ -199,7 +200,7 @@ func BenchmarkBatchRowIterate(b *testing.B) {
 	for i := range rows {
 		rows[i] = Tuple{int64(i), "user", float64(i), "payload-string-of-some-width"}
 	}
-	batch := BatchOfText(rows, 0)
+	batch := textBatch(b, rows)
 	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -227,7 +228,7 @@ func BenchmarkBatchRowIterate(b *testing.B) {
 	for i := range pv {
 		pv[i] = pageViewsRow(i)
 	}
-	pvBatch := BatchOfText(pv, 0)
+	pvBatch := textBatch(b, pv)
 	for _, c := range []struct {
 		name string
 		cur  *RowCursor
@@ -259,7 +260,7 @@ func TestColumnCursor(t *testing.T) {
 		{},
 		{int64(5), "e", 0.5},
 	}
-	batch := BatchOfText(rows, 0)
+	batch := textBatch(t, rows)
 	for _, cols := range [][]int{{}, {0}, {1, 3}, {0, 2, 5}, {4, 7}, {0, 1, 2, 3, 4, 5}} {
 		read := map[int]bool{}
 		for _, j := range cols {
@@ -289,7 +290,7 @@ func TestColumnCursorAllocs(t *testing.T) {
 	for i := range pv {
 		pv[i] = pageViewsRow(i)
 	}
-	batch := BatchOfText(pv, 0)
+	batch := textBatch(t, pv)
 	allocs := func(cols []int) float64 {
 		cur := batch.ColumnCursor(cols)
 		return testing.AllocsPerRun(10, func() {
@@ -342,7 +343,7 @@ func mixedKindRows(n int) []Tuple {
 // call. This is what makes the engine's warm-split cursor feed
 // zero-copy rather than merely cheaper.
 func TestRowCursorZeroAlloc(t *testing.T) {
-	batch := BatchOfText(mixedKindRows(1000), 0)
+	batch := textBatch(t, mixedKindRows(1000))
 	cur := batch.Cursor()
 	perRow := testing.AllocsPerRun(10, func() {
 		for r := 0; r < batch.Len(); r++ {

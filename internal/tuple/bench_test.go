@@ -70,28 +70,6 @@ func BenchmarkDecodeTextBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchOfText builds the batch DecodeTextBatch would decode
-// from the same files, from their rows; MB/s is over the encoded bytes
-// so the two read side by side.
-func BenchmarkBatchOfText(b *testing.B) {
-	for _, sh := range codecShapes {
-		rows := make([]Tuple, sh.rows)
-		for i := range rows {
-			rows[i] = sh.row(i)
-		}
-		n := int64(len(encodeRows(sh.rows, sh.row)))
-		b.Run(sh.name, func(b *testing.B) {
-			b.SetBytes(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				builtBatch = BatchOfText(rows, n)
-			}
-		})
-	}
-}
-
-var builtBatch *Batch
-
 func BenchmarkWriter(b *testing.B) {
 	for _, sh := range codecShapes {
 		rows := make([]Tuple, sh.rows)

@@ -42,10 +42,8 @@ import (
 // re-reads as an int, an empty string as null, NaN as the string
 // "NaN", a row holding a single null as the empty row, and a string
 // with "," or brackets inside a nested tuple splits differently. The
-// engine therefore never caches the values it encoded as they are: it
-// builds the cached copy of a part file with BatchOfText, which types
-// each value by these same rules — the batch the bytes that landed
-// decode to, without decoding them. FuzzBatchOfText is the guarantee.
+// engine therefore never caches the values it encoded: the batch cache
+// holds only what DecodeTextBatch made of the bytes that landed.
 //
 // DecodeTextBatch is the production decoder (bytes → typed columns);
 // DecodeText is the row API over the same field rules and the oracle

@@ -2,12 +2,10 @@ package tuple
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -264,122 +262,6 @@ func checkEncode(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzBatchOfText: the batch the write path builds from a task's values
-// is exactly the batch the decoder builds from their encoding.
-func FuzzBatchOfText(f *testing.F) {
-	for _, s := range codecSeeds {
-		f.Add([]byte(s))
-	}
-	// Strings that are not themselves once decoded, alone and nested.
-	for _, s := range []string{"12", "007", "1e5", "+Inf", "-inf", "", "(1,2)", "{(a)}", "(x", "{x", "a,b", "x)", "y}", "a(b", "a{b", "{(1),(2}", "a\tb\\"} {
-		f.Add([]byte(s))
-	}
-	// Floats written as ints, as exponents, or not as numbers at all;
-	// -0's bits are also MinInt64's, whose digits overflow the int rule.
-	for _, x := range []float64{5.0, math.Copysign(0, -1), 123456.0, 999999.0, -999999.0, 1e6, 1e21, 1e-4, 1e-5, math.NaN(), math.Inf(1), math.Inf(-1), 0.1} {
-		f.Add(binary.BigEndian.AppendUint64(nil, math.Float64bits(x)))
-	}
-	f.Add(binary.BigEndian.AppendUint64(nil, math.MaxInt64))
-	f.Fuzz(func(t *testing.T, data []byte) { checkBatchOfText(t, valueRows(data)) })
-}
-
-// checkBatchOfText holds BatchOfText to DecodeTextBatch over rows as one
-// batch, and over each row alone so that every value also meets an
-// empty column and sets its kind.
-func checkBatchOfText(t *testing.T, rows []Tuple) {
-	t.Helper()
-	check := func(rows []Tuple) {
-		t.Helper()
-		var text []byte
-		for _, r := range rows {
-			text = append(AppendText(text, r), '\n')
-		}
-		want, err := DecodeTextBatch(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := BatchOfText(rows, int64(len(text)))
-		if got.SrcBytes() != want.SrcBytes() || got.MemBytes() != want.MemBytes() {
-			t.Fatalf("BatchOfText(%v): SrcBytes %d, MemBytes %d; decoding %q gives %d, %d",
-				rows, got.SrcBytes(), got.MemBytes(), text, want.SrcBytes(), want.MemBytes())
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("BatchOfText(%v)\n got %+v\nwant %+v (the decode of %q)", rows, got, want, text)
-		}
-	}
-	check(rows)
-	for _, r := range rows {
-		check([]Tuple{r})
-	}
-}
-
-// TestBatchOfTextFloats holds BatchOfText's float rule to the text
-// over the values near its edges — integral or not, around 1e6 and
-// 1e-4 where the shortest text changes form — that random bits rarely
-// reach.
-func TestBatchOfTextFloats(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	var rows []Tuple
-	for e := -8; e <= 22; e++ {
-		p := math.Pow(10, float64(e))
-		for _, x := range []float64{p, -p, p - 1, p + 1, p - 0.5, p + 0.5, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))} {
-			rows = append(rows, Tuple{x})
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		x := math.Round(r.NormFloat64() * math.Pow(10, float64(r.Intn(9))))
-		rows = append(rows, Tuple{x}, Tuple{x / 4}, Tuple{-x / 1e4})
-	}
-	checkBatchOfText(t, rows)
-}
-
-// floatTextOracle types x by writing its text and scanning it back,
-// the way a decoder meets it: the definition floatText computes in
-// closed form.
-func floatTextOracle(x float64) (colKind, int64) {
-	kind, i, _ := scanScalar(strconv.FormatFloat(x, 'g', -1, 64))
-	return kind, i
-}
-
-// TestFloatTextMatchesFormatting holds floatText to the text over the
-// edges of its rule — ±0, the 1e6 boundary, subnormals, the largest
-// floats, the infinities and NaN — and over random values of every
-// magnitude and random bit patterns.
-func TestFloatTextMatchesFormatting(t *testing.T) {
-	check := func(x float64) {
-		t.Helper()
-		gk, gi := floatText(x)
-		wk, wi := floatTextOracle(x)
-		if gk != wk || gi != wi {
-			t.Fatalf("floatText(%v) = (%v, %d), the text %q scans as (%v, %d)",
-				x, gk, gi, strconv.FormatFloat(x, 'g', -1, 64), wk, wi)
-		}
-	}
-	edges := []float64{0, 999999, 1e6, 999999.5, 999999.9999999999, 1e6 + 1, 0.5, 1, 123456,
-		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.Nextafter(2.2250738585072014e-308, 0),
-		math.MaxFloat64, 1e21, 1 << 53, 1<<53 + 2, 1e-4, 1e-5, 9.223372036854776e18}
-	for _, x := range edges {
-		check(x)
-		check(-x)
-		check(math.Nextafter(x, 0))
-		check(math.Nextafter(x, math.Inf(1)))
-		check(math.Nextafter(-x, math.Inf(-1)))
-	}
-	check(math.Copysign(0, -1))
-	check(math.Inf(1))
-	check(math.Inf(-1))
-	check(math.NaN())
-	check(math.Float64frombits(0x7ff8000000000042)) // a NaN with a payload
-	r := rand.New(rand.NewSource(38))
-	for i := 0; i < 200000; i++ {
-		check(math.Float64frombits(r.Uint64()))
-		x := r.NormFloat64() * math.Pow(10, float64(r.Intn(16)-4))
-		check(x)
-		check(math.Round(x))
-		check(math.Round(x*2) / 2)
-	}
-}
-
 // TestKernelsMatchRowCodec runs the fuzz properties over the seeds
 // and over 5 000 random files cut from an alphabet dense in the
 // codec's structure, so the differential runs in every `go test`, not
@@ -388,7 +270,6 @@ func TestKernelsMatchRowCodec(t *testing.T) {
 	for _, s := range codecSeeds {
 		checkDecode(t, []byte(s))
 		checkEncode(t, []byte(s))
-		checkBatchOfText(t, valueRows([]byte(s)))
 	}
 	pieces := []string{
 		"\t", "\t", "\t", "\n", "\n", "\\", "\\t", "\\n", "(", ")", "{", "}", ",",
@@ -403,7 +284,6 @@ func TestKernelsMatchRowCodec(t *testing.T) {
 		}
 		checkDecode(t, b)
 		checkEncode(t, b)
-		checkBatchOfText(t, valueRows(b))
 	}
 }
 
@@ -447,20 +327,6 @@ func TestDecodeTextBatchAllocs(t *testing.T) {
 	// the column slice, one vector per column, the batch.
 	if perFile > 16 {
 		t.Fatalf("DecodeTextBatch allocates %.0f times for 1000 four-column rows, want at most 16", perFile)
-	}
-}
-
-// TestBatchOfTextAllocs: building the batch from values allocates per
-// file and per column, like the decoder: the string backing, the
-// builder and its widths, one vector per column, the batch.
-func TestBatchOfTextAllocs(t *testing.T) {
-	rows := make([]Tuple, 1000)
-	for i := range rows {
-		rows[i] = Tuple{int64(i), "user" + string(rune('a'+i%26)), float64(i) + 0.5, "payload-string-of-some-width"}
-	}
-	perFile := testing.AllocsPerRun(20, func() { BatchOfText(rows, 0) })
-	if perFile > 16 {
-		t.Fatalf("BatchOfText allocates %.0f times for 1000 four-column rows, want at most 16", perFile)
 	}
 }
 

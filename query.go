@@ -267,7 +267,7 @@ func (s *System) Submit(ctx context.Context, script string, opts ...ExecOption) 
 	var tr *obs.Trace
 	rootSpan := obs.NoSpan
 	if !ec.opts.DisableTrace {
-		tr = obs.NewTrace(qid, ec.opts.TraceTasks)
+		tr = obs.NewTrace(qid)
 		rootSpan = tr.Start(obs.NoSpan, obs.KindSubmit, qid)
 	}
 	compileSpan := tr.Start(rootSpan, obs.KindCompile, "")
