@@ -153,9 +153,9 @@ type Config struct {
 	// bounds real resource use only; simulated times are unchanged.
 	MaxClusterJobs int
 	// MaxRepositoryBytes bounds the bytes the repository retains for
-	// reuse: when a sweep finds the stored outputs over this budget,
-	// the Eviction policy picks entries to drop until they fit. Zero
-	// means unbounded.
+	// reuse: when the maintenance after a query, or a janitor pass,
+	// finds the stored outputs over this budget, the Eviction policy
+	// picks entries to drop until they fit. Zero means unbounded.
 	MaxRepositoryBytes int64
 	// Eviction is the policy ranking entries for budget eviction; nil
 	// defaults to CostBenefitPolicy. ReuseWindowPolicy and LRUPolicy
@@ -173,7 +173,9 @@ type Config struct {
 	// janitor.
 	NamespaceRoot string
 	// JanitorInterval starts a background janitor goroutine sweeping
-	// the storage every interval: invalid entries (Rule 4), orphaned
+	// the storage every interval: invalid entries (Rule 4, every entry,
+	// where the maintenance after each query checks only the entries
+	// over datasets the engine deleted or renamed), orphaned
 	// per-query namespaces of dead queries, over-budget entries, expired
 	// claims and pins of dead processes, and — on a durable store — due
 	// log compactions. Zero disables the goroutine; Sweep still runs a

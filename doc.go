@@ -110,8 +110,15 @@
 //     in-flight rewrites are pinned and never evicted — by this System
 //     or, through the pin records beside the claim leases, by a peer.
 //
+//   - Maintenance. After every query, the entries over datasets the
+//     engine deleted or renamed (and datasets written by WriteDataset)
+//     are checked and removed when invalid; entries idle beyond
+//     Options.EvictionWindow go too, then the budget is enforced.
+//
 //   - Janitor. With Config.JanitorInterval > 0, a background goroutine
-//     owned by the System periodically vacuums invalid entries, dead
+//     owned by the System periodically vacuums every invalid entry
+//     (including those changed outside the System: appended inputs,
+//     raw DFS writes, a peer process's deletes), dead
 //     queries' orphaned namespaces (restore/<qid>/…, tmp/<qid>/… — the
 //     two are reserved, managed prefixes), and over-budget entries.
 //     Sweep runs one pass synchronously. Close stops the janitor; a

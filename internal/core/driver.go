@@ -472,20 +472,18 @@ func (x *execution) merge(versions map[string]int64) *Result {
 	return res
 }
 
-// maintain runs the post-execution storage maintenance: the reuse-window
-// and validity vacuum (Rules 3 and 4; user-visible whole-job outputs
-// stay in place) and, under a byte budget, eviction back under it. A
-// durable store's event log is compacted when due in any case.
+// maintain runs the post-execution storage maintenance
+// (StorageManager.Maintain): the validity vacuum of the entries over
+// the datasets that changed (Rule 4) and the reuse-window vacuum
+// (Rule 3; user-visible whole-job outputs stay in place), eviction back
+// under a byte budget and, on a durable store, log compaction when due.
+// Temporaries are deleted first, so their paths are among the changed.
 func (x *execution) maintain() {
-	opts, store := x.cfg.Opts, x.d.store
+	opts := x.cfg.Opts
 	if opts.DeleteTemps && !opts.storesAnything() {
 		deleteTemps(x.d.eng, x.wf, x.jobs)
 	}
-	if opts.EvictionWindow > 0 || store.cfg.MaxBytes > 0 {
-		store.Sweep(x.d.Now(), opts.EvictionWindow)
-	} else {
-		store.MaintainDurable()
-	}
+	x.d.store.Maintain(x.d.Now(), opts.EvictionWindow)
 }
 
 // jobRun is one job's pass through the ReStore steps — rewrite, choose,

@@ -131,7 +131,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	if err := fs.Delete(inserted[5].OutputPath); err != nil {
 		t.Fatal(err)
 	}
-	if removed, _ := repo.Vacuum(fs, 0, 0, nil); len(removed) != 1 {
+	if removed, _ := repo.Vacuum(fs, 0, 0, nil, nil); len(removed) != 1 {
 		t.Fatalf("vacuum removed %d entries, want 1", len(removed))
 	}
 	check("vacuum")

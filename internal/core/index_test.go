@@ -412,7 +412,7 @@ store S into 'p%d';
 					})
 					repo.EvictUnpinned(ids, nil)
 				case 4:
-					repo.Vacuum(fs, 0, 0, nil)
+					repo.Vacuum(fs, 0, 0, nil, nil)
 					if e := repo.Lookup(sigs[k]); e != nil {
 						repo.Remove(e.ID)
 					}
@@ -475,7 +475,7 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	repo.Vacuum(fs, 0, 0, nil)
+	repo.Vacuum(fs, 0, 0, nil, nil)
 	if repo.Len() != 0 {
 		t.Fatalf("repository holds %d entries after full vacuum", repo.Len())
 	}

@@ -561,22 +561,42 @@ func (r *Repository) Valid(e *Entry, fs dfs.Backend) bool {
 
 // Vacuum removes invalid entries (Rule 4) and, when window > 0, entries
 // not reused within the window of simulated time (Rule 3), sparing the
-// ones pins reports pinned (a nil pins spares nothing). It returns the
-// removed entries and the released ones among them (see remove); the
-// caller decides whether to also delete their stored outputs from the
-// DFS.
-func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager) (removed, released []*Entry) {
+// ones pins reports pinned (a nil pins spares nothing). A nil changed
+// checks every entry's validity; otherwise only the entries whose
+// output or an input is a changed path are checked against the DFS.
+// Rule 3 is an in-memory check over every entry either way. It returns
+// the removed entries and the released ones among them (see remove);
+// the caller decides whether to also delete their stored outputs from
+// the DFS.
+func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager, changed map[string]bool) (removed, released []*Entry) {
+	if changed != nil && len(changed) == 0 && window <= 0 {
+		return nil, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.remove(func(e *Entry) bool {
 		if pins.Pinned(e.ID) {
 			return false
 		}
-		if !r.Valid(e, fs) {
+		if window > 0 && now-max(e.StoredAt, e.LastReused) > window {
 			return true
 		}
-		return window > 0 && now-max(e.StoredAt, e.LastReused) > window
+		return (changed == nil || e.touches(changed)) && !r.Valid(e, fs)
 	}, true)
+}
+
+// touches reports whether the entry's output or one of its inputs is a
+// path in changed (whose paths are cleaned).
+func (e *Entry) touches(changed map[string]bool) bool {
+	if changed[cleanPath(e.OutputPath)] {
+		return true
+	}
+	for p := range e.InputVersions {
+		if changed[cleanPath(p)] {
+			return true
+		}
+	}
+	return false
 }
 
 // NoteReuse records that an entry's output answered (part of) a query at

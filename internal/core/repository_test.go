@@ -190,7 +190,7 @@ func TestVacuumRules(t *testing.T) {
 	repo.byFP["f1"] = fresh
 	repo.byFP["f2"] = stale
 
-	removed, _ := repo.Vacuum(fs, 2*time.Hour, time.Hour, nil)
+	removed, _ := repo.Vacuum(fs, 2*time.Hour, time.Hour, nil, nil)
 	if len(removed) != 1 || removed[0].ID != "stale" {
 		t.Fatalf("removed = %v", removed)
 	}
@@ -359,7 +359,7 @@ store B into 'o%d';
 				_ = repo.Len()
 				if i%50 == 0 {
 					vacStarted.Add(1)
-					repo.Vacuum(fs, time.Hour, 0, nil)
+					repo.Vacuum(fs, time.Hour, 0, nil, nil)
 					vacDone.Add(1)
 				}
 			}
@@ -368,7 +368,7 @@ store B into 'o%d';
 	wg.Wait()
 	// Vacuum drops everything (outputs never existed in fs), proving the
 	// index stayed coherent: no orphaned fingerprints.
-	repo.Vacuum(fs, time.Hour, 0, nil)
+	repo.Vacuum(fs, time.Hour, 0, nil, nil)
 	if repo.Len() != 0 {
 		t.Errorf("repository left %d entries with nonexistent outputs", repo.Len())
 	}
@@ -396,7 +396,7 @@ store B into 'o';
 	// Pinned: neither the reuse window nor output deletion may evict it.
 	lm.Pin(ins.ID)
 	fs.Delete("stored/e") // makes the entry invalid (Rule 4)...
-	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 0 {
+	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm, nil); len(removed) != 0 {
 		t.Fatalf("vacuum removed a pinned entry: %v", removed)
 	}
 	if repo.Len() != 1 {
@@ -406,13 +406,13 @@ store B into 'o';
 	// Pins nest: one Unpin of two leaves it protected.
 	lm.Pin(ins.ID)
 	lm.Unpin(ins.ID)
-	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 0 {
+	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm, nil); len(removed) != 0 {
 		t.Fatalf("vacuum removed an entry with a remaining pin: %v", removed)
 	}
 
 	// Fully unpinned: ...and is collected on the next pass.
 	lm.Unpin(ins.ID)
-	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm); len(removed) != 1 {
+	if removed, _ := repo.Vacuum(fs, 100*time.Hour, time.Hour, lm, nil); len(removed) != 1 {
 		t.Fatalf("unpinned invalid entry survived: %d removed", len(removed))
 	}
 	if repo.Len() != 0 {

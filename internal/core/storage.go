@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,9 +24,21 @@ import (
 //     freshly committed entry instead of materializing its own copy.
 //     Duplicate cross-query work becomes in-flight sharing.
 //
+//   - Maintenance after every execution (Maintain). The engine reports
+//     every dataset path it deletes or renames to the manager, which
+//     keeps the set of changed paths. After each query, Maintain swaps
+//     that set out and checks the validity of only the entries whose
+//     output or an input is in it (Rule 4), removes entries idle beyond
+//     the reuse window (Rule 3), enforces the byte budget and compacts
+//     the journal when due. Changes that do not go through the engine —
+//     appends by another writer, raw DFS writes, a peer process's
+//     deletes — are not reported: the rewriter's probe still checks
+//     Valid before any reuse, so such an entry is never reused, and the
+//     janitor's full pass (Sweep) removes it.
+//
 //   - Byte-budgeted eviction. MaxBytes bounds the bytes the repository
-//     retains; when an execution or the janitor sweeps while over
-//     budget, the configured EvictionPolicy picks victims. Evictions
+//     retains; when maintenance or the janitor finds it over budget,
+//     the configured EvictionPolicy picks victims. Evictions
 //     and the vacuum spare every pinned entry — this process's pins,
 //     counted by its lease manager, and its peers' pin records — so
 //     entries referenced by in-flight rewrites are never deleted. Each
@@ -45,6 +58,11 @@ type StorageManager struct {
 	repo *Repository
 	eng  *mapreduce.Engine // every dataset delete goes through it
 	cfg  StorageConfig
+
+	// changed holds the cleaned dataset paths the engine deleted or
+	// renamed since the last Maintain, which swaps it out.
+	changedMu sync.Mutex
+	changed   map[string]bool
 
 	// Counters for StorageStats, all monotonic.
 	claimsGranted   atomic.Int64
@@ -98,8 +116,10 @@ type StorageConfig struct {
 }
 
 // NewStorageManager returns a manager over the repository and the
-// engine's file system. Datasets it reclaims are deleted through the
-// engine, so their decoded copies leave the batch cache with them.
+// engine's file system, and registers itself as the engine's dataset
+// change hook (an engine reports to one manager). Datasets it reclaims
+// are deleted through the engine, so their decoded copies leave the
+// batch cache with them.
 func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfig) *StorageManager {
 	if cfg.Policy == nil {
 		cfg.Policy = CostBenefitPolicy{}
@@ -108,7 +128,29 @@ func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfi
 	if cfg.Leases == nil {
 		cfg.Leases = NewLeaseManager(eng.FS(), NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
 	}
-	return &StorageManager{repo: repo, eng: eng, cfg: cfg}
+	m := &StorageManager{repo: repo, eng: eng, cfg: cfg, changed: map[string]bool{}}
+	eng.OnDatasetChange(m.NoteChange)
+	return m
+}
+
+// NoteChange records that the dataset at path was deleted, renamed away
+// or replaced, so the next Maintain checks the entries that store or
+// read it. The engine calls it for every DeleteDataset and
+// RenameDataset; a writer that changes a dataset outside the engine
+// calls it itself.
+func (m *StorageManager) NoteChange(path string) {
+	m.changedMu.Lock()
+	m.changed[cleanPath(path)] = true
+	m.changedMu.Unlock()
+}
+
+// takeChanged swaps out the changed-path set.
+func (m *StorageManager) takeChanged() map[string]bool {
+	m.changedMu.Lock()
+	defer m.changedMu.Unlock()
+	changed := m.changed
+	m.changed = map[string]bool{}
+	return changed
 }
 
 // namespaces returns the managed per-query namespace roots the orphan
@@ -146,9 +188,32 @@ func (m *StorageManager) RefreshShared() {
 	}
 }
 
-// MaintainDurable runs post-execution durable upkeep: compacting the
-// event log when enough records accumulated.
-func (m *StorageManager) MaintainDurable() {
+// Maintain is the maintenance pass the driver runs after every
+// execution. In order:
+//
+//  1. Vacuum: the entries whose output or an input changed since the
+//     last pass (NoteChange) are checked against the DFS and removed
+//     when invalid (Rule 4); when window > 0, entries idle beyond it
+//     are removed too (Rule 3). Pinned entries are spared, and the
+//     released sub-job outputs are deleted.
+//  2. Budget: entries are evicted until the retained bytes fit
+//     MaxBytes.
+//  3. Compaction: a durable store's event log is compacted when due.
+//
+// Unlike Sweep, it neither reaps expired leases nor checks the entries
+// nothing reported changed. A change is checked once: an entry spared
+// for its pin is not checked again by later passes (the probe refuses
+// it while it is invalid; Sweep or its replacement removes it).
+func (m *StorageManager) Maintain(now, window time.Duration) {
+	_, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, m.takeChanged())
+	m.deleteOwnedOutputs(released, nil)
+	m.enforceBudget(now, nil)
+	m.compact()
+}
+
+// compact compacts a durable store's event log when enough records
+// accumulated.
+func (m *StorageManager) compact() {
 	if m.cfg.Durable != nil {
 		_ = m.cfg.Durable.MaybeCompact()
 	}
@@ -456,10 +521,17 @@ func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool)
 // may already be gone from this repository (vacuumed as invalid, or
 // removed by a replayed record), but a peer's in-flight rewrite is
 // reading the path, and its janitor will reclaim the bytes once the pin
-// releases.
+// releases. A nil peers lists the pins when the first output is about
+// to be deleted, and not at all when none is.
 func (m *StorageManager) deleteOwnedOutputs(released []*Entry, peers map[string]bool) {
 	for _, e := range released {
-		if !e.WholeJob && m.managed(e.OutputPath) && !peers[e.ID] {
+		if e.WholeJob || !m.managed(e.OutputPath) {
+			continue
+		}
+		if peers == nil {
+			peers = m.cfg.Leases.PeerPins()
+		}
+		if !peers[e.ID] {
 			_ = m.eng.DeleteDataset(e.OutputPath)
 		}
 	}
@@ -488,13 +560,14 @@ type SweepResult struct {
 	LeasesReaped int
 }
 
-// Sweep runs one maintenance pass: it reaps expired claims and pins (a
-// crashed peer's), then applies Rule 4 (invalid entries), Rule 3
-// (entries idle beyond window, when window > 0) and budget enforcement,
-// and, on a durable store, compacts the event log when due.
+// Sweep runs one full maintenance pass: it reaps expired claims and
+// pins (a crashed peer's), then applies Rule 4 to every entry (invalid
+// entries, however they became invalid), Rule 3 (entries idle beyond
+// window, when window > 0) and budget enforcement, and, on a durable
+// store, compacts the event log when due.
 //
-// The driver calls Sweep after executions that store or evict; the
-// janitor calls it periodically with the orphan vacuum.
+// The janitor (System.Sweep) calls it periodically with the orphan
+// vacuum; after each execution the driver runs the cheaper Maintain.
 func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	m.sweeps.Add(1)
 	var res SweepResult
@@ -503,11 +576,11 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	// round spare.
 	var peers map[string]bool
 	res.LeasesReaped, peers = m.cfg.Leases.ReapExpired()
-	vacuumed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases)
+	vacuumed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, nil)
 	res.EntriesVacuumed = len(vacuumed)
 	m.deleteOwnedOutputs(released, peers)
 	res.EntriesEvicted = len(m.enforceBudget(now, peers))
-	m.MaintainDurable()
+	m.compact()
 	return res
 }
 

@@ -584,7 +584,7 @@ func TestReleasedSet(t *testing.T) {
 			if err := fs.WriteFile(in+"/part-00000", []byte("x\n")); err != nil {
 				t.Fatal(err)
 			}
-			removed, released := repo.Vacuum(fs, time.Hour, 0, nil)
+			removed, released := repo.Vacuum(fs, time.Hour, 0, nil, nil)
 			want := []*Entry{a, b}[i]
 			if len(removed) != 1 || removed[0] != want {
 				t.Fatalf("vacuum %d removed %v, want %s", i, removed, want.ID)

@@ -72,6 +72,9 @@ type Engine struct {
 	cfg   Config
 	sem   chan struct{} // engine-wide task slots
 	cache *BatchCache   // nil when MaxCachedBatchBytes < 0
+	// changed, when set, is told every dataset path DeleteDataset and
+	// RenameDataset touch (OnDatasetChange).
+	changed func(path string)
 }
 
 // New returns an engine over fs.
@@ -601,27 +604,47 @@ func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 // CachedPaths lists the datasets the decoded-dataset cache holds, sorted.
 func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
 
-// DeleteDataset deletes the dataset at path from the DFS and drops its
-// decoded copy from the cache. Every delete of a dataset a job may have
-// written goes through here: a deleted dataset's entry is otherwise
-// reclaimed only when the same path is looked up again or the budget
-// evicts it, so a temporary read once and never named again — its read
-// put it in the cache — would sit there as dead weight.
+// OnDatasetChange registers the hook DeleteDataset and RenameDataset
+// report every path they delete, vacate or replace to, after the DFS
+// call. There is one hook; a later registration replaces an earlier
+// one. Register it before the engine is shared: the field is not
+// guarded.
+func (e *Engine) OnDatasetChange(hook func(path string)) {
+	e.changed = hook
+}
+
+// DeleteDataset deletes the dataset at path from the DFS, drops its
+// decoded copy from the cache and reports the path to the change hook.
+// Every delete of a dataset a job may have written goes through here: a
+// deleted dataset's entry is otherwise reclaimed only when the same
+// path is looked up again or the budget evicts it, so a temporary read
+// once and never named again — its read put it in the cache — would sit
+// there as dead weight.
 func (e *Engine) DeleteDataset(path string) error {
 	err := e.fs.Delete(path)
 	e.cache.Drop(path)
+	e.noteChange(path)
 	return err
 }
 
 // RenameDataset renames the dataset at from to to on the DFS, returning
-// the new version, and drops the decoded copies of both paths: the
-// source no longer exists and the destination's old contents were
-// replaced.
+// the new version, and drops the decoded copies of both paths and
+// reports both to the change hook: the source no longer exists and the
+// destination's old contents were replaced.
 func (e *Engine) RenameDataset(from, to string) (int64, error) {
 	v, err := e.fs.Rename(from, to)
 	e.cache.Drop(from)
 	e.cache.Drop(to)
+	e.noteChange(from)
+	e.noteChange(to)
 	return v, err
+}
+
+// noteChange reports path to the change hook, if one is registered.
+func (e *Engine) noteChange(path string) {
+	if e.changed != nil {
+		e.changed(path)
+	}
 }
 
 // mapResult carries one map task's shuffle output and cost accounting.

@@ -276,8 +276,12 @@ func (s *System) Repository() *core.Repository { return s.repo }
 // submission starts from before its ExecOptions apply.
 func (s *System) Options() Options { return s.cfg.Options }
 
-// WriteDataset stores rows as a single-part dataset at path.
+// WriteDataset stores rows as a single-part dataset at path. The write
+// bypasses the engine, so it reports the path to the storage manager
+// itself: the next query's maintenance removes the entries that stored
+// or read the old contents.
 func (s *System) WriteDataset(path string, rows []Tuple) error {
+	defer s.store.NoteChange(path)
 	w := s.fs.Create(strings.TrimSuffix(path, "/") + "/part-00000")
 	tw := tuple.NewWriter(w)
 	for _, r := range rows {
