@@ -252,9 +252,9 @@ func main() {
 	}
 	ms := sys.MatcherStats()
 	if ms.Probes > 0 || ms.Scans > 0 {
-		fmt.Printf("matcher: %d probes (%d candidates), %d scans (%d visited), %d traversals, %d matches, %d negative-cache hits; index %d entries / %d signatures\n",
+		fmt.Printf("matcher: %d probes (%d candidates), %d scans (%d visited), %d traversals, %d matches; index %d entries / %d signatures\n",
 			ms.Probes, ms.Candidates, ms.Scans, ms.ScanVisited,
-			ms.FullTraversals, ms.Matches, ms.NegativeHits,
+			ms.FullTraversals, ms.Matches,
 			ms.IndexEntries, ms.IndexSignatures)
 	}
 	bc := sys.BatchCacheStats()

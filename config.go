@@ -50,8 +50,8 @@ type (
 	// evictions and janitor activity.
 	StorageStats = core.StorageStats
 	// MatcherStats snapshots the plan-matcher subsystem: index probes
-	// and candidate counts, full containment traversals, memoized
-	// rejections, and the signature index's size.
+	// and candidate counts, full containment traversals, matches, and
+	// the signature index's size.
 	MatcherStats = core.MatcherStats
 	// SweepReport reports one janitor pass.
 	SweepReport = core.SweepResult

@@ -260,23 +260,15 @@ type MatcherStats struct {
 	Scans       int64
 	ScanVisited int64
 
-	// FullTraversals counts Algorithm 1 pairwise traversals actually
-	// run; Matches how many succeeded; NegativeHits how many traversals
-	// were skipped because the negative-containment cache already held
-	// the rejection of the same entry version against the same job
-	// fingerprint, paid by this submission or an earlier one.
+	// FullTraversals counts Algorithm 1 pairwise traversals run;
+	// Matches how many matching passes found an entry.
 	FullTraversals int64
 	Matches        int64
-	NegativeHits   int64
 
-	// NegCacheEvictions counts rejections the negative cache's LRU bound
-	// evicted; NegCacheSize is the number it holds now.
-	NegCacheEvictions int64
-	NegCacheSize      int
-
-	// SharedNegHits is always zero: NegativeHits counts every hit of the
-	// one negative cache. It remains only because the benchmark's
-	// core.matcher.neg_hit_ratio metric adds it in.
+	// NegativeHits and SharedNegHits are always zero: no traversal is
+	// skipped. They remain only because the benchmark's
+	// core.matcher.neg_hit_ratio metric reads them.
+	NegativeHits  int64
 	SharedNegHits int64
 
 	// IndexEntries and IndexSignatures size the inverted index: entries

@@ -230,12 +230,6 @@ type Repository struct {
 	// bypass it.
 	jn journal
 
-	// negs is the negative-containment cache. It is read and fed on the
-	// match path while the repository read lock is already held, so it
-	// has a lock of its own. Keys hold entry pointers, so it is
-	// invalidated whenever an entry is replaced or removed.
-	negs *negCache
-
 	// Matcher counters (MatcherStats), all monotonic. The traversal
 	// counters are fed by Rewriters and span submissions.
 	probes          atomic.Int64
@@ -244,7 +238,6 @@ type Repository struct {
 	scanVisited     atomic.Int64
 	traversals      atomic.Int64
 	matches         atomic.Int64
-	negHits         atomic.Int64
 }
 
 // NewRepository returns an empty repository.
@@ -253,7 +246,6 @@ func NewRepository() *Repository {
 		byFP:  map[string]*Entry{},
 		index: newPlanIndex(),
 		refs:  map[string]int{},
-		negs:  newNegCache(negCacheSize),
 	}
 }
 
@@ -327,9 +319,8 @@ func (r *Repository) noteScan(n int64) {
 }
 
 // noteMatchWork records the traversal work of one matching pass.
-func (r *Repository) noteMatchWork(traversals, negHits int64, matched bool) {
+func (r *Repository) noteMatchWork(traversals int64, matched bool) {
 	r.traversals.Add(traversals)
-	r.negHits.Add(negHits)
 	if matched {
 		r.matches.Add(1)
 	}
@@ -340,19 +331,16 @@ func (r *Repository) MatcherStats() MatcherStats {
 	r.mu.RLock()
 	entries, sigs := len(r.index.meta), len(r.index.postings)
 	r.mu.RUnlock()
-	st := MatcherStats{
+	return MatcherStats{
 		Probes:          r.probes.Load(),
 		Candidates:      r.probeCandidates.Load(),
 		Scans:           r.scans.Load(),
 		ScanVisited:     r.scanVisited.Load(),
 		FullTraversals:  r.traversals.Load(),
 		Matches:         r.matches.Load(),
-		NegativeHits:    r.negHits.Load(),
 		IndexEntries:    entries,
 		IndexSignatures: sigs,
 	}
-	st.NegCacheEvictions, st.NegCacheSize = r.negs.stats()
-	return st
 }
 
 // Lookup returns the entry whose plan fingerprint equals that of sig,
@@ -407,13 +395,12 @@ func (r *Repository) Insert(e *Entry) *Entry {
 
 // remove is the one way out of the repository (mu held). In one pass
 // over the scan order it drops every entry drop selects from the scan
-// order, the fingerprint map, the signature index and the negative
-// cache, journals each removal when journal is set (a replacement
-// journals a put instead, and replayed records are already in the
-// log), and renumbers the scan positions once. It returns the entries
-// removed, in scan order, and the released ones among them: those that
-// held the last reference to their output path, each path reported
-// once.
+// order, the fingerprint map and the signature index, journals each
+// removal when journal is set (a replacement journals a put instead,
+// and replayed records are already in the log), and renumbers the scan
+// positions once. It returns the entries removed, in scan order, and
+// the released ones among them: those that held the last reference to
+// their output path, each path reported once.
 func (r *Repository) remove(drop func(*Entry) bool, journal bool) (removed, released []*Entry) {
 	kept := r.entries[:0]
 	for _, e := range r.entries {
@@ -423,7 +410,6 @@ func (r *Repository) remove(drop func(*Entry) bool, journal bool) (removed, rele
 		}
 		delete(r.byFP, e.fingerprint())
 		r.index.remove(e)
-		r.negs.invalidate(e)
 		if journal && r.jn != nil {
 			r.jn.appendRemove(e)
 		}

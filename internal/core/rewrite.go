@@ -20,13 +20,9 @@ import (
 // order, and runs the full Algorithm 1 traversal only on those — so a
 // match costs O(plan) probing plus a handful of traversals instead of a
 // traversal per repository entry. LinearScan restores the paper's
-// sequential scan; both modes choose identical entries.
-//
-// Failed containment tests are memoized in the repository's negative
-// cache, keyed by entry version and job-plan fingerprint, so the claim
-// protocol's repeated re-rewrites of an unchanged plan, and later
-// submissions of the same plan, skip straight past entries already
-// rejected.
+// sequential scan; both modes choose identical entries. The index is
+// the only filter: each candidate gets a validity check and then one
+// traversal, and no rejection is remembered between probes.
 //
 // Repository probes are internally synchronized, but RewriteJob mutates
 // the job's plan in place: the caller must ensure no other goroutine
@@ -66,8 +62,8 @@ type Rewriter struct {
 	// Trace, when non-nil, receives the matcher's decision provenance:
 	// a probe span per matching round with one probe.candidate child
 	// per entry considered, carrying its verdict (footprint-miss,
-	// invalid, neg-cache, containment-fail, … win), and a reuse span
-	// per rewrite applied. A nil Trace records nothing.
+	// invalid, containment-fail, … win), and a reuse span per rewrite
+	// applied. A nil Trace records nothing.
 	Trace *obs.Trace
 	// Metrics, when non-nil, receives each probe's wall latency. The
 	// driver installs its Metrics; histograms record even when the
@@ -170,10 +166,10 @@ type RewriteEvent struct {
 // matches"), so several entries can contribute to one job — a rewrite
 // changes the plan, and the fresh Load over a stored output can expose
 // matches the previous round could not see. Each round costs one index
-// probe, not a repository scan, and entries already rejected against an
-// unchanged plan are skipped via the negative cache. It returns the rewrite events applied, with WholeJob set when
-// an entry covered the entire job (the caller then drops the job and
-// rewires its dependants).
+// probe, not a repository scan: every candidate the index nominates gets
+// a validity check and then one containment traversal. It returns the
+// rewrite events applied, with WholeJob set when an entry covered the
+// entire job (the caller then drops the job and rewires its dependants).
 //
 // allowWhole permits whole-plan matches. The driver passes false for
 // jobs writing a user STORE destination: a requested output is always
@@ -239,14 +235,13 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 	probeStart := time.Now()
 	probeSpan := rw.Trace.Start(parent, obs.KindProbe, job.ID)
 	jobSig := SigOf(job.Plan)
-	jobFP := jobSig.Fingerprint()
 	mainStoreInput := -1
 	if st := job.MainStore(); st != nil && len(st.InputIDs) > 0 {
 		mainStoreInput = st.InputIDs[0]
 	}
 	var found *MatchResult
 	var refresh *RefreshCandidate
-	var visited, traversals, negHits int64
+	var visited, traversals int64
 	visit := func(e *Entry) bool {
 		visited++
 		refreshable := false
@@ -268,21 +263,9 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 				return true
 			}
 		}
-		// Validity is FS-dependent and never memoized; containment is a
-		// pure function of the entry version and the job plan, so its
-		// failures are. A whole-plan match skipped by allowWhole is not
-		// a containment failure and must not be memoized either — the
-		// same plan can recur with allowWhole true.
-		k := negKey{entry: e, jobFP: jobFP}
-		if rw.Repo.negs.lookup(k) {
-			negHits++
-			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonNegCache)
-			return true
-		}
 		traversals++
 		res, ok := matchEntry(e, job.Plan, jobSig, mainStoreInput)
 		if !ok {
-			rw.Repo.negs.add(k)
 			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonContainmentFail)
 			return true
 		}
@@ -317,7 +300,7 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 	}
 	rw.Metrics.ObserveProbe(time.Since(probeStart))
 	rw.Trace.End(probeSpan)
-	rw.Repo.noteMatchWork(traversals, negHits, found != nil)
+	rw.Repo.noteMatchWork(traversals, found != nil)
 	if found != nil {
 		if refresh != nil {
 			rw.Leases.Unpin(refresh.Match.Entry.ID)

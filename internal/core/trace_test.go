@@ -7,7 +7,26 @@ import (
 	"repro/internal/obs"
 )
 
-// traceFootprintSrc has the same filter shape as negProbeSrc but reads
+// rejectEntrySrc and rejectProbeSrc share a signature set — load(x),
+// foreach(a;b), the same filter — but wire it differently (foreach
+// before filter vs after), so the signature index nominates the entry
+// and the full traversal rejects it: a deterministic
+// nominated-but-rejected candidate.
+const rejectEntrySrc = `
+A = load 'x' as (a, b, c);
+B = foreach A generate a, b;
+C = filter B by b > 10;
+store C into 'o';
+`
+
+const rejectProbeSrc = `
+A = load 'x' as (a, b, c);
+B = filter A by b > 10;
+C = foreach B generate a, b;
+store C into 'neg_out';
+`
+
+// traceFootprintSrc has the same filter shape as rejectProbeSrc but reads
 // a different dataset: the signature index nominates it off the shared
 // filter signature and the footprint prefilter rejects it (its load set
 // is not contained in the probe's) — the one rejection a full
@@ -63,7 +82,7 @@ func TestRejectionReasons(t *testing.T) {
 	scenarios := []scenario{
 		{
 			name:  "footprint-miss",
-			probe: negProbeSrc,
+			probe: rejectProbeSrc,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
 				e := durableEntry(t, fs, traceFootprintSrc, 0)
 				repo.Insert(e)
@@ -72,34 +91,34 @@ func TestRejectionReasons(t *testing.T) {
 		},
 		{
 			name:  "containment-fail",
-			probe: negProbeSrc,
+			probe: rejectProbeSrc,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negEntrySrc, 1)
+				e := durableEntry(t, fs, rejectEntrySrc, 1)
 				repo.Insert(e)
 				return map[string]string{e.ID: obs.ReasonContainmentFail}
 			},
 		},
 		{
-			name:  "neg-cache",
-			probe: negProbeSrc,
+			name:  "repeat-probe",
+			probe: rejectProbeSrc,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negEntrySrc, 2)
+				e := durableEntry(t, fs, rejectEntrySrc, 2)
 				repo.Insert(e)
-				// Another submission's rewriter pays the containment
-				// traversal once; this probe must answer from the
-				// repository's negative cache.
+				// Another submission's rewriter pays the same rejection
+				// first; nothing remembers it, so this probe traverses
+				// the entry again and reports the failure itself.
 				other := &Rewriter{Repo: repo, FS: fs}
-				if rs, _ := candidateReasons(t, other, negProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
+				if rs, _ := candidateReasons(t, other, rejectProbeSrc, true); rs[e.ID][0] != obs.ReasonContainmentFail {
 					t.Fatalf("warmup verdict = %v", rs[e.ID])
 				}
-				return map[string]string{e.ID: obs.ReasonNegCache}
+				return map[string]string{e.ID: obs.ReasonContainmentFail}
 			},
 		},
 		{
 			name:  "invalid",
-			probe: negProbeSrc,
+			probe: rejectProbeSrc,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negEntrySrc, 4)
+				e := durableEntry(t, fs, rejectEntrySrc, 4)
 				repo.Insert(e)
 				// Overwriting the input bumps its version: the entry is
 				// stale before any containment test runs.
@@ -111,20 +130,20 @@ func TestRejectionReasons(t *testing.T) {
 		},
 		{
 			name:       "whole-plan-skipped",
-			probe:      negProbeSrc,
+			probe:      rejectProbeSrc,
 			allowWhole: false,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negProbeSrc, 5)
+				e := durableEntry(t, fs, rejectProbeSrc, 5)
 				repo.Insert(e)
 				return map[string]string{e.ID: obs.ReasonWholePlanSkipped}
 			},
 		},
 		{
 			name:       "win",
-			probe:      negProbeSrc,
+			probe:      rejectProbeSrc,
 			allowWhole: true,
 			prepare: func(t *testing.T, fs dfs.Backend, repo *Repository, rw *Rewriter) map[string]string {
-				e := durableEntry(t, fs, negProbeSrc, 6)
+				e := durableEntry(t, fs, rejectProbeSrc, 6)
 				repo.Insert(e)
 				return map[string]string{e.ID: obs.ReasonWin}
 			},
@@ -163,7 +182,7 @@ func TestLinearScanNoFootprintMiss(t *testing.T) {
 	e := durableEntry(t, fs, traceFootprintSrc, 7)
 	repo.Insert(e)
 	rw := &Rewriter{Repo: repo, FS: fs, LinearScan: true}
-	got, _ := candidateReasons(t, rw, negProbeSrc, true)
+	got, _ := candidateReasons(t, rw, rejectProbeSrc, true)
 	rs := got[e.ID]
 	if len(rs) == 0 {
 		t.Fatalf("linear scan skipped the entry entirely: %v", got)

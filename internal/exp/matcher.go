@@ -141,8 +141,8 @@ store R into 'out/p%d';
 // measureMatch replays the probe set matcherReps times against the
 // repository in the given mode and returns the average wall time per
 // job plus the rewrite events of one replay (for the scan-vs-index
-// equality check). Each replay uses a fresh rewriter — fresh negative
-// memo — and fresh job clones, since RewriteJob rewrites in place.
+// equality check). Each replay uses a fresh rewriter and fresh job
+// clones, since RewriteJob rewrites in place.
 func measureMatch(repo *core.Repository, fs dfs.Backend, jobs []*physical.Job, linear bool) (time.Duration, []string, error) {
 	var events []string
 	start := time.Now()

@@ -151,10 +151,13 @@ func (b Binary) Eval(t tuple.Tuple) (tuple.Value, error) {
 		}
 		return lf / rf, nil
 	case OpMod:
-		if rf == 0 {
+		// Both sides truncate to int64; a divisor that truncates to
+		// zero (|rf| < 1) is a modulus by zero, so null.
+		d := int64(rf)
+		if d == 0 {
 			return nil, nil
 		}
-		return float64(int64(lf) % int64(rf)), nil
+		return float64(int64(lf) % d), nil
 	}
 	return nil, fmt.Errorf("expr: unknown binary op %v", b.Op)
 }

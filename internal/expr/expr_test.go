@@ -62,6 +62,11 @@ func TestArithmeticNulls(t *testing.T) {
 	if v := evalOK(t, Binary{OpDiv, NewCol(1), Const{V: int64(0)}}, tu); v != nil {
 		t.Errorf("div by zero = %v, want null", v)
 	}
+	// A float divisor that truncates to zero is a modulus by zero too
+	// (it used to panic with an integer divide by zero).
+	if v := evalOK(t, Binary{OpMod, NewCol(1), Const{V: 0.5}}, tu); v != nil {
+		t.Errorf("3 mod 0.5 = %v, want null", v)
+	}
 }
 
 func TestComparisons(t *testing.T) {

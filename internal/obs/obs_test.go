@@ -190,7 +190,7 @@ func TestExplainRendering(t *testing.T) {
 	root := tr.Start(NoSpan, KindSubmit, "q7")
 	job := tr.Start(root, KindJob, "j1")
 	probe := tr.Start(job, KindProbe, "j1")
-	tr.Event(probe, KindCandidate, "e1", ReasonNegCache)
+	tr.Event(probe, KindCandidate, "e1", ReasonContainmentFail)
 	tr.Event(probe, KindCandidate, "e2", ReasonWin)
 	tr.End(probe)
 	reuse := tr.Start(job, KindReuse, "e2")
@@ -203,7 +203,7 @@ func TestExplainRendering(t *testing.T) {
 	var b strings.Builder
 	Explain(&b, tr.Snapshot())
 	text := b.String()
-	for _, want := range []string{"query q7", "2 candidate(s) nominated", "e1: rejected — neg-cache", "e2: WIN", "rewritten against entry e2"} {
+	for _, want := range []string{"query q7", "2 candidate(s) nominated", "e1: rejected — containment-fail", "e2: WIN", "rewritten against entry e2"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain missing %q in:\n%s", want, text)
 		}

@@ -15,9 +15,8 @@
 //	  job <id>        one MapReduce job of the workflow DAG
 //	    probe           one matcher probe against the repository
 //	      probe.candidate   one nominated entry; Note is the verdict:
-//	                        footprint-miss, invalid, neg-cache,
-//	                        containment-fail, whole-plan-skipped,
-//	                        refresh-candidate, win
+//	                        footprint-miss, invalid, containment-fail,
+//	                        whole-plan-skipped, refresh-candidate, win
 //	    reuse           a rewrite applied; Ref names the winning entry,
 //	                    BytesIn the stored input bytes the reuse avoids
 //	    claim.acquire   claiming this job's materialization fingerprints
@@ -60,7 +59,6 @@ const (
 const (
 	ReasonFootprintMiss    = "footprint-miss"
 	ReasonInvalid          = "invalid"
-	ReasonNegCache         = "neg-cache"
 	ReasonContainmentFail  = "containment-fail"
 	ReasonWholePlanSkipped = "whole-plan-skipped"
 	ReasonRefreshCandidate = "refresh-candidate"

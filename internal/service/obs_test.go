@@ -67,9 +67,6 @@ func TestMetricsFieldPlumbing(t *testing.T) {
 		{"storage.ClaimsGranted", dig("storage", "ClaimsGranted"), 11},
 		{"matcher.Probes", dig("matcher", "Probes"), 23},
 		{"matcher.Matches", dig("matcher", "Matches"), 5},
-		{"matcher.NegativeHits", dig("matcher", "NegativeHits"), 3},
-		{"matcher.NegCacheEvictions", dig("matcher", "NegCacheEvictions"), 6},
-		{"matcher.NegCacheSize", dig("matcher", "NegCacheSize"), 17},
 		{"batchCache.Hits", dig("batchCache", "Hits"), 13},
 		{"delta.refreshes", dig("delta", "refreshes"), 4},
 		{"delta.coldBytesAvoided", dig("delta", "coldBytesAvoided"), 8192},
@@ -113,10 +110,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		"restore_storage_entries 7",
 		"# TYPE restore_matcher_matches_total counter",
 		"restore_matcher_matches_total 5",
-		"restore_matcher_negative_hits_total 3",
-		"restore_matcher_neg_cache_evictions_total 6",
-		"# TYPE restore_matcher_neg_cache_entries gauge",
-		"restore_matcher_neg_cache_entries 17",
 		"restore_batch_cache_hits_total 13",
 		"restore_delta_refreshes_total 4",
 		"restore_service_submitted_total 0",
@@ -128,6 +121,12 @@ func TestMetricsPrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// The matcher has no negative-containment cache, so no series for it.
+	for _, gone := range []string{"restore_matcher_negative_hits_total", "restore_matcher_neg_cache"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 	// Every sample line must be `name{labels} value` or `name value`.

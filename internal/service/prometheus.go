@@ -33,9 +33,6 @@ func (b StatsBundle) WritePrometheus(w io.Writer) {
 	counter("restore_matcher_candidates_total", b.Matcher.Candidates)
 	counter("restore_matcher_traversals_total", b.Matcher.FullTraversals)
 	counter("restore_matcher_matches_total", b.Matcher.Matches)
-	counter("restore_matcher_negative_hits_total", b.Matcher.NegativeHits)
-	counter("restore_matcher_neg_cache_evictions_total", b.Matcher.NegCacheEvictions)
-	gauge("restore_matcher_neg_cache_entries", b.Matcher.NegCacheSize)
 	gauge("restore_matcher_index_entries", b.Matcher.IndexEntries)
 
 	counter("restore_batch_cache_hits_total", b.BatchCache.Hits)

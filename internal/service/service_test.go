@@ -100,9 +100,6 @@ func (e *fakeEngine) Stats() StatsBundle {
 	b.Storage.ClaimsGranted = 11
 	b.Matcher.Probes = 23
 	b.Matcher.Matches = 5
-	b.Matcher.NegativeHits = 3
-	b.Matcher.NegCacheEvictions = 6
-	b.Matcher.NegCacheSize = 17
 	b.BatchCache.Hits = 13
 	b.BatchCache.Misses = 2
 	b.Delta.Refreshes = 4
