@@ -273,9 +273,6 @@ func main() {
 		ds := sys.DurabilityStats()
 		fmt.Printf("durable log (%s at %s): %d appends, %d compactions, %d live records, %d entries recovered at open\n",
 			ds.Writer, ds.Root, ds.Appends, ds.Compactions, ds.LogRecords, ds.RecoveredEntries)
-		if ds.Err != "" {
-			fmt.Printf("durable log wedged: %s\n", ds.Err)
-		}
 	}
 	if *recoverFlag {
 		recoverCheck(eng.Config, sys, script)

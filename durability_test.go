@@ -5,9 +5,7 @@ package restore
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,22 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 )
-
-// newTestFS returns the DFS backend the durability suite runs against:
-// in-memory by default, the on-disk backend in a per-test directory
-// when RESTORE_TEST_BACKEND=disk (CI runs the suite once per backend).
-func newTestFS(t testing.TB) dfs.Backend {
-	if os.Getenv("RESTORE_TEST_BACKEND") == "disk" {
-		d, err := dfs.OpenDisk(t.TempDir())
-		if err != nil {
-			t.Fatalf("OpenDisk: %v", err)
-		}
-		t.Cleanup(func() { d.Close() })
-		return d
-	}
-	return dfs.New()
-}
 
 // durableConfig is a durability-enabled configuration storing
 // aggressively, so workloads populate the repository.
@@ -84,7 +68,7 @@ func repoFingerprint(r *core.Repository) string {
 // plan during recovery.
 func TestRecoverAfterRestart(t *testing.T) {
 	// Reference: one long-lived system, cold run then warm rerun.
-	fsRef := newTestFS(t)
+	fsRef := dfstest.New(t)
 	seedEventsFS(t, fsRef)
 	ref, err := Recover(durableConfig(), fsRef)
 	if err != nil {
@@ -97,7 +81,7 @@ func TestRecoverAfterRestart(t *testing.T) {
 	}
 
 	// Restart flow: same workload, then recovery in a "new process".
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	seedEventsFS(t, fs)
 	sysA, err := Recover(durableConfig(), fs)
 	if err != nil {
@@ -138,13 +122,17 @@ func TestRecoverAfterRestart(t *testing.T) {
 	}
 }
 
-// TestRecoverCrashMatrix injects a crash at every log/compaction
-// boundary of a live workload and requires the recovered System to
-// answer Probe identically to the pre-crash repository and to report
-// the same warm-query SimTime as an uncrashed run.
+// TestRecoverCrashMatrix crashes a live System after every DFS
+// mutation of a CompactLog — the compaction lease, the temporary
+// manifest write, the rename that publishes it, each trimmed record, the
+// lease release — and requires the recovered System to hold the
+// pre-crash repository and to report the same warm-query SimTime as an
+// uncrashed run. A counted subtest is named after the first mutation
+// its crash loses; append-done crashes right after the last record of
+// one more query, with no compaction.
 func TestRecoverCrashMatrix(t *testing.T) {
 	// Uncrashed reference for the warm-query SimTime.
-	fsRef := newTestFS(t)
+	fsRef := dfstest.New(t)
 	seedEventsFS(t, fsRef)
 	ref, err := Recover(durableConfig(), fsRef)
 	if err != nil {
@@ -156,62 +144,89 @@ func TestRecoverCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, point := range []string{"append-done", "compact-begin", "compact-manifest", "compact-rename", "compact-trim", "compact-done"} {
-		t.Run(point, func(t *testing.T) {
-			fs := newTestFS(t)
-			seedEventsFS(t, fs)
-			sysA, err := Recover(durableConfig(), fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			durableWorkload(t, sysA, "m")
+	// setup runs the workload and one more query, every record of which
+	// is durable before the compaction starts.
+	setup := func(t *testing.T) (*dfstest.Faulty, *System) {
+		fs := &dfstest.Faulty{Backend: dfstest.New(t)}
+		seedEventsFS(t, fs)
+		sys, err := Recover(durableConfig(), fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		durableWorkload(t, sys, "m")
+		if _, err := sys.Execute(fmt.Sprintf(oneJobScript, "m/extra")); err != nil {
+			t.Fatal(err)
+		}
+		return fs, sys
+	}
 
-			crash := errors.New("injected crash")
-			switch point {
-			case "append-done":
-				// Crash immediately after the last record of one more
-				// query became durable: everything acknowledged must
-				// survive. The workload query runs to completion (the
-				// wedged log just stops persisting) but we compare
-				// against the pre-wedge state plus whatever the wedged
-				// query managed to append — i.e., the durable prefix.
-				if _, err := sysA.Execute(fmt.Sprintf(oneJobScript, "m/extra")); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				sysA.durable.SetFailpoint(func(p string) error {
-					if p == point {
-						return crash
-					}
-					return nil
-				})
-				if err := sysA.CompactLog(); err == nil {
-					t.Fatalf("CompactLog with a %s crash returned nil", point)
-				}
+	// Count the compaction's mutations on an unfaulted run.
+	fs, sys := setup(t)
+	m0 := fs.Mutations()
+	if err := sys.CompactLog(); err != nil {
+		t.Fatal(err)
+	}
+	n := fs.Mutations() - m0
+	sys.Close()
+	t.Logf("one CompactLog: N = %d mutations", n)
+
+	// run crashes k mutations into a CompactLog, or, for k < 0, right
+	// after setup, with no compaction; it checks the recovered System.
+	run := func(name string, k int) {
+		t.Run(name, func(t *testing.T) {
+			fs, sysA := setup(t)
+			if k < 0 {
+				fs.CrashAfter(0)
+			} else {
+				fs.CrashAfter(k)
+				_ = sysA.CompactLog() // a crashed compaction may or may not report it
 			}
 			want := repoFingerprint(sysA.Repository())
+			sysA.Close()
 
 			decodesBefore := core.PlanDecodes()
-			sysB, err := Recover(durableConfig(), fs)
+			sysB, err := Recover(durableConfig(), fs.Backend)
 			if err != nil {
-				t.Fatalf("Recover after %s crash: %v", point, err)
+				t.Fatalf("Recover after a crash at %s: %v", name, err)
 			}
 			defer sysB.Close()
 			if d := core.PlanDecodes() - decodesBefore; d != 0 {
 				t.Fatalf("recovery decoded %d plans, want 0", d)
 			}
 			if got := repoFingerprint(sysB.Repository()); got != want {
-				t.Fatalf("recovery after %s crash diverged\n--- recovered ---\n%s--- pre-crash ---\n%s", point, got, want)
+				t.Fatalf("recovery after a crash at %s diverged\n--- recovered ---\n%s--- pre-crash ---\n%s", name, got, want)
 			}
 			warm, err := sysB.Execute(fmt.Sprintf(oneJobScript, "m/warm"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if warm.SimTime != refWarm.SimTime {
-				t.Fatalf("warm SimTime after %s crash = %v, uncrashed %v", point, warm.SimTime, refWarm.SimTime)
+				t.Fatalf("warm SimTime after a crash at %s = %v, uncrashed %v", name, warm.SimTime, refWarm.SimTime)
 			}
 		})
 	}
+
+	for k := 0; k <= n; k++ {
+		var name string
+		switch {
+		case k == 0:
+			name = "compact-begin"
+		case k == n:
+			name = "compact-done"
+		case k == n-1:
+			name = "compact-release"
+		case k == 1:
+			name = "compact-manifest"
+		case k == 2:
+			name = "compact-rename"
+		case k == 3:
+			name = "compact-trim"
+		default:
+			name = fmt.Sprintf("compact-trim-%d", k-2)
+		}
+		run(name, k)
+	}
+	run("append-done", -1)
 }
 
 // TestTwoSystemsShareMaterialization is the cross-process acceptance
@@ -222,7 +237,7 @@ func TestRecoverCrashMatrix(t *testing.T) {
 func TestTwoSystemsShareMaterialization(t *testing.T) {
 	// Serial baseline on a single durable system: run the two queries
 	// back to back.
-	fsSerial := newTestFS(t)
+	fsSerial := dfstest.New(t)
 	seedEventsFS(t, fsSerial)
 	serial, err := Recover(durableConfig(), fsSerial)
 	if err != nil {
@@ -241,7 +256,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 
 	// Two "processes" over one DFS. A is gated mid-materialization via
 	// the job observer so B demonstrably contends on the lease.
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	seedEventsFS(t, fs)
 	sysA, err := Recover(durableConfig(), fs)
 	if err != nil {
@@ -334,7 +349,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 // no lease heartbeat — after Recover, between queries that claimed and
 // pinned, and after Close — so no renewer outlives what it renews.
 func TestDurableHeartbeatLifecycle(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	settled := func(want int) int {
 		got := runtime.NumGoroutine()
 		for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
@@ -352,7 +367,7 @@ func TestDurableHeartbeatLifecycle(t *testing.T) {
 		t.Fatalf("idle System: %d goroutines, want %d", got, base)
 	}
 	durableWorkload(t, sys, "out")
-	if st := sys.LeaseStats(); st.Granted == 0 {
+	if st := sys.StorageStats().Leases; st.Granted == 0 {
 		t.Fatal("the workload took no claim")
 	}
 	if got := settled(base); got > base {
@@ -367,7 +382,7 @@ func TestDurableHeartbeatLifecycle(t *testing.T) {
 // TestDurableJanitorReapsLeases: the background sweep deletes a dead
 // peer's expired lease records.
 func TestDurableJanitorReapsLeases(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	cfg := durableConfig()
 	cfg.Durability.LeaseTTL = time.Millisecond
 	sys, err := Recover(cfg, fs)

@@ -43,10 +43,8 @@ import (
 //     other writers' records, which is how a lease-waiting process
 //     learns of the entry the lease holder materialized.
 //
-// Crash injection for the recovery suite goes through SetFailpoint: a
-// tripped failpoint wedges the log — every later write is dropped, as
-// if the process had died at that instant — and the test then recovers
-// a fresh System over the same DFS.
+// The recovery suite checks the crash claim from outside: it crashes
+// the log's DFS (dfstest.Faulty) after every mutation and recovers.
 
 // DefaultCompactEvery is the number of appended records between
 // automatic log compactions.
@@ -218,13 +216,6 @@ type DurableLog struct {
 	// refreshMu serializes refresh and compaction passes.
 	refreshMu sync.Mutex
 
-	// failMu guards the crash-injection hook and the wedge. Once
-	// wedged, every write path no-ops — the process is "dead" to the
-	// log, and the test recovers a fresh one.
-	failMu sync.Mutex
-	fail   func(point string) error
-	wedged error
-
 	appends     atomic.Int64
 	dropped     atomic.Int64
 	replayed    atomic.Int64
@@ -301,41 +292,6 @@ func (dl *DurableLog) Root() string { return dl.root }
 // every persisted event.
 func (dl *DurableLog) MaxSimTime() time.Duration { return time.Duration(dl.maxSim.Load()) }
 
-// SetFailpoint installs the crash-injection hook: fn is called at every
-// named write boundary ("append", "append-done", "compact-begin",
-// "compact-manifest", "compact-rename", "compact-trim", "compact-done")
-// and a non-nil return wedges the log at that instant — all later
-// writes are dropped, as a crashed process's would be. Test-only.
-func (dl *DurableLog) SetFailpoint(fn func(point string) error) {
-	dl.failMu.Lock()
-	defer dl.failMu.Unlock()
-	dl.fail = fn
-}
-
-// Err returns the wedging error, if a failpoint tripped.
-func (dl *DurableLog) Err() error {
-	dl.failMu.Lock()
-	defer dl.failMu.Unlock()
-	return dl.wedged
-}
-
-// failAt runs the failpoint; a non-nil result means the log is (now)
-// wedged and the caller must drop its write.
-func (dl *DurableLog) failAt(point string) error {
-	dl.failMu.Lock()
-	defer dl.failMu.Unlock()
-	if dl.wedged != nil {
-		return dl.wedged
-	}
-	if dl.fail != nil {
-		if err := dl.fail(point); err != nil {
-			dl.wedged = fmt.Errorf("core: durable log crashed at %s: %w", point, err)
-			return dl.wedged
-		}
-	}
-	return nil
-}
-
 func (dl *DurableLog) noteSim(stored, reused time.Duration) {
 	for _, t := range [...]int64{int64(stored), int64(reused)} {
 		for {
@@ -383,19 +339,15 @@ func (dl *DurableLog) appendRemove(e *Entry) {
 // replay ever looks — the writer must jump past the manifest's
 // FoldedThrough instead.
 //
-// A record that cannot be written — unencodable, a tripped failpoint or
-// wedged log, storage that drops the write — is not retried; it is
-// counted in DroppedAppends, the only trace that an acknowledged
-// mutation is not durable.
+// A record that cannot be written — unencodable, or storage that drops
+// the write — is not retried; it is counted in DroppedAppends, the only
+// trace that an acknowledged mutation is not durable.
 func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
 	defer func() {
 		if !ok {
 			dl.dropped.Add(1)
 		}
 	}()
-	if dl.failAt("append") != nil {
-		return 0, false
-	}
 	dl.seqMu.Lock()
 	defer dl.seqMu.Unlock()
 	seq := dl.nextSeq
@@ -422,7 +374,7 @@ func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
 		if dl.fs.Version(p) == 0 {
 			// The CAS expected version zero, the slot is still at
 			// version zero and holds nothing: the write itself was
-			// dropped (crash injection, failing storage). Drop the
+			// dropped (a dead process, failing storage). Drop the
 			// record as a crashed writer would — retrying or probing
 			// upward would spin against storage that accepts nothing.
 			return 0, false
@@ -440,8 +392,6 @@ func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
 	dl.self[seq] = true
 	dl.sinceCompact++
 	dl.appends.Add(1)
-	// The record is durable; a crash here loses nothing.
-	_ = dl.failAt("append-done")
 	return seq, true
 }
 
@@ -450,9 +400,6 @@ func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
 // process that fell behind a compaction (its next record was folded and
 // trimmed) resynchronizes from the manifest first.
 func (dl *DurableLog) Refresh() int {
-	if dl.Err() != nil {
-		return 0
-	}
 	dl.refreshMu.Lock()
 	defer dl.refreshMu.Unlock()
 	n, _ := dl.refreshLocked()
@@ -610,9 +557,6 @@ func (dl *DurableLog) MaybeCompact() error {
 // any point leaves a recoverable combination: the old manifest with the
 // full log, or the new manifest with a harmlessly stale tail.
 func (dl *DurableLog) Compact() error {
-	if err := dl.failAt("compact-begin"); err != nil {
-		return err
-	}
 	dl.refreshMu.Lock()
 	defer dl.refreshMu.Unlock()
 	if _, err := dl.refreshLocked(); err != nil {
@@ -635,14 +579,8 @@ func (dl *DurableLog) Compact() error {
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		return fmt.Errorf("core: encoding manifest: %w", err)
 	}
-	if err := dl.failAt("compact-manifest"); err != nil {
-		return err
-	}
 	tmp := dl.manifestPath() + "." + dl.writer + ".tmp"
 	if err := dl.fs.WriteFile(tmp, buf.Bytes()); err != nil {
-		return err
-	}
-	if err := dl.failAt("compact-rename"); err != nil {
 		return err
 	}
 	ver, err := dl.fs.Rename(tmp, dl.manifestPath())
@@ -653,12 +591,9 @@ func (dl *DurableLog) Compact() error {
 	dl.manifestVer = ver
 	dl.sinceCompact = 0
 	dl.seqMu.Unlock()
-	if err := dl.failAt("compact-trim"); err != nil {
-		return err
-	}
 	dl.trim(folded)
 	dl.compactions.Add(1)
-	return dl.failAt("compact-done")
+	return nil
 }
 
 // snapshot captures the repository in scan order together with the
@@ -763,9 +698,9 @@ type DurabilityStats struct {
 	// TornRecords counts undecodable (torn-write) log records replay
 	// skipped — each one is a record some writer's crash left
 	// unacknowledged. DroppedAppends counts records this process failed
-	// to write (encode failure, wedged log, storage dropping the
-	// write): each is a repository mutation acknowledged in memory that
-	// a restart will not see.
+	// to write (encode failure, storage dropping the write): each is a
+	// repository mutation acknowledged in memory that a restart will not
+	// see.
 	Appends        int64
 	DroppedAppends int64
 	Replayed       int64
@@ -777,8 +712,6 @@ type DurabilityStats struct {
 	// applied.
 	LogRecords int
 	AppliedSeq uint64
-	// Err is the wedging crash-injection error, if one tripped.
-	Err string
 }
 
 // Stats snapshots the log's counters.
@@ -786,7 +719,7 @@ func (dl *DurableLog) Stats() DurabilityStats {
 	dl.seqMu.Lock()
 	applied := dl.applied
 	dl.seqMu.Unlock()
-	st := DurabilityStats{
+	return DurabilityStats{
 		Writer:           dl.writer,
 		Root:             dl.root,
 		RecoveredEntries: dl.recovered,
@@ -800,8 +733,4 @@ func (dl *DurableLog) Stats() DurabilityStats {
 		LogRecords:       len(dl.fs.Datasets(dl.root + "/log")),
 		AppliedSeq:       applied,
 	}
-	if err := dl.Err(); err != nil {
-		st.Err = err.Error()
-	}
-	return st
 }

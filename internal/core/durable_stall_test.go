@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+
+	"repro/internal/dfs/dfstest"
 )
 
 // TestCompactRefreshStallRegression reproduces the compact/refresh
@@ -23,7 +25,7 @@ import (
 // applied across the self-authored records it folds; the assertion is
 // that A still observes writer B's later insert.
 func TestCompactRefreshStallRegression(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 
 	// Seed one entry and drain refresh so applied == head.

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 	"repro/internal/obs"
 )
 
 // durableEntry builds one insertable entry from a corpus script, with a
 // real stored output so it validates.
-func durableEntry(t *testing.T, fs dfs.Backend, src string, i int) *Entry {
+func durableEntry(t testing.TB, fs dfs.Backend, src string, i int) *Entry {
 	t.Helper()
 	sig := firstJobSig(t, src)
 	out := fmt.Sprintf("restore/q0/d%d", i)
@@ -67,7 +68,7 @@ func probeState(t *testing.T, r *Repository) string {
 	return b.String()
 }
 
-func openDurable(t *testing.T, fs dfs.Backend, root string) (*DurableLog, *Repository) {
+func openDurable(t testing.TB, fs dfs.Backend, root string) (*DurableLog, *Repository) {
 	t.Helper()
 	dl, repo, err := OpenDurableLog(fs, DurableConfig{Root: root, Writer: AllocWriter(fs, root), CompactEvery: -1})
 	if err != nil {
@@ -82,7 +83,7 @@ func openDurable(t *testing.T, fs dfs.Backend, root string) (*DurableLog, *Repos
 // rebuilds exactly the acknowledged state, and nominates byte-identical
 // Probe candidates, without decoding one stored plan.
 func TestDurablePrefixDurability(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	_, repo := openDurable(t, fs, "sys/repo")
 
 	check := func(step string) {
@@ -137,81 +138,121 @@ func TestDurablePrefixDurability(t *testing.T) {
 	check("vacuum")
 }
 
-// TestDurableCompactionCrashMatrix injects a crash at every compaction
-// boundary — before the snapshot, before the manifest rename, between
-// the rename and the log trim, mid-maintenance after the trim — and
-// requires recovery to rebuild the exact pre-crash repository each
-// time. "append" and "append-done" wedges cover the log-append
-// boundaries: a record is either fully durable or never acknowledged.
+// TestDurableCompactionCrashMatrix crashes the process after every DFS
+// mutation of one more Insert and one Compact — the record append, the
+// temporary manifest write, the rename that publishes it, each trimmed
+// record — and requires recovery to rebuild exactly the acknowledged
+// repository each time, without decoding a stored plan. A counted
+// subtest is named after the first mutation its crash loses; two more
+// crash between the operations: right after the append, with no
+// compaction (append-done), and as Compact begins (compact-begin).
 func TestDurableCompactionCrashMatrix(t *testing.T) {
-	points := []string{"compact-begin", "compact-manifest", "compact-rename", "compact-trim", "compact-done", "append", "append-done"}
-	for _, point := range points {
-		t.Run(point, func(t *testing.T) {
-			fs := newTestFS(t)
-			dl, repo := openDurable(t, fs, "sys/repo")
-			for i, src := range indexCorpus {
-				repo.Insert(durableEntry(t, fs, src, i))
-			}
-			repo.Remove(repo.Entries()[1].ID)
-			want, wantProbe := repoState(repo), probeState(t, repo)
+	setup := func(t *testing.T) (*dfstest.Faulty, *DurableLog, *Repository, [2]*Entry) {
+		fs := &dfstest.Faulty{Backend: dfstest.New(t)}
+		dl, repo := openDurable(t, fs, "sys/repo")
+		for i, src := range indexCorpus {
+			repo.Insert(durableEntry(t, fs, src, i))
+		}
+		repo.Remove(repo.Entries()[1].ID)
+		extra := [2]*Entry{durableEntry(t, fs, indexCorpus[1], 50), durableEntry(t, fs, indexCorpus[2], 60)}
+		return fs, dl, repo, extra
+	}
 
-			crash := fmt.Errorf("injected crash")
-			dl.SetFailpoint(func(p string) error {
-				if p == point {
-					return crash
-				}
-				return nil
-			})
-			switch point {
-			case "append":
-				// One more mutation; the crash hits before its record is
-				// written — recovery must not see it, and the drop must
-				// be counted.
-				repo.Insert(durableEntry(t, fs, indexCorpus[1], 50))
+	// Count the mutations on an unfaulted run.
+	fs, dl, repo, extra := setup(t)
+	m0 := fs.Mutations()
+	repo.Insert(extra[0])
+	if d := fs.Mutations() - m0; d != 1 {
+		t.Fatalf("an Insert made %d DFS mutations, want its one record write", d)
+	}
+	if err := dl.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	n := fs.Mutations() - m0
+	t.Logf("one append and one compaction: N = %d mutations", n)
+
+	// run crashes k mutations into the Insert and the Compact, or, for
+	// k < 0, right after the Insert; it compacts only if compact, then
+	// checks that recovery rebuilds the acknowledged repository.
+	run := func(name string, k int, compact bool) {
+		t.Run(name, func(t *testing.T) {
+			fs, dl, repo, extra := setup(t)
+			want, wantProbe := repoState(repo), probeState(t, repo)
+			if k >= 0 {
+				fs.CrashAfter(k)
+			}
+			repo.Insert(extra[0])
+			if k == 0 {
+				// The record write is lost: recovery must not see the
+				// insert, and the drop must be counted.
 				if got := dl.Stats().DroppedAppends; got != 1 {
 					t.Fatalf("DroppedAppends = %d after a dropped append, want 1", got)
 				}
-			case "append-done":
-				// One more mutation; its record commits, then the crash
-				// hits immediately after — the mutation must survive.
-				repo.Insert(durableEntry(t, fs, indexCorpus[1], 50))
+			} else {
 				want, wantProbe = repoState(repo), probeState(t, repo)
-			default:
-				if err := dl.Compact(); err == nil {
-					t.Fatalf("Compact with a %s crash returned nil error", point)
-				}
 			}
-			if dl.Err() == nil {
-				t.Fatalf("log not wedged after %s crash", point)
+			if k < 0 {
+				// Crash between the operations: the append is durable
+				// and nothing after it is.
+				fs.CrashAfter(0)
 			}
-			// Writes after the crash must be dropped, like a dead
-			// process's would be.
-			statsBefore := dl.Stats().Appends
-			repo.Insert(durableEntry(t, fs, indexCorpus[2], 60))
-			if dl.Stats().Appends != statsBefore {
-				t.Fatalf("wedged log still appended")
+			if compact {
+				_ = dl.Compact() // a crashed compaction may or may not report it
+			}
+			// A dead process persists nothing more.
+			appends := dl.Stats().Appends
+			repo.Insert(extra[1])
+			if dl.Stats().Appends != appends {
+				t.Fatal("a crashed process still appended")
 			}
 
 			before := PlanDecodes()
-			_, recovered := openDurable(t, fs, "sys/repo")
+			_, recovered := openDurable(t, fs.Backend, "sys/repo")
 			if d := PlanDecodes() - before; d != 0 {
 				t.Fatalf("recovery decoded %d plans, want 0", d)
 			}
 			if got := repoState(recovered); got != want {
-				t.Fatalf("recovered state diverged after %s crash\n--- recovered ---\n%s--- want ---\n%s", point, got, want)
+				t.Fatalf("recovered state diverged after a crash at %s\n--- recovered ---\n%s--- want ---\n%s", name, got, want)
 			}
 			if got := probeState(t, recovered); got != wantProbe {
-				t.Fatalf("recovered Probe diverged after %s crash", point)
+				t.Fatalf("recovered Probe diverged after a crash at %s", name)
 			}
 		})
 	}
+
+	for k := 0; k <= n; k++ {
+		name := "append"
+		if k > 0 {
+			name = compactBoundary(k-1, n-1)
+		}
+		run(name, k, true)
+	}
+	run("append-done", -1, false)
+	run("compact-begin", -1, true)
+}
+
+// compactBoundary names the crash k mutations into a Compact of n by
+// the mutation it loses: the temporary manifest write, the rename that
+// publishes the manifest, then each trimmed log record in turn.
+func compactBoundary(k, n int) string {
+	switch {
+	case k == n:
+		return "compact-done"
+	case k == 0:
+		return "compact-manifest"
+	case k == 1:
+		return "compact-rename"
+	case k == 2:
+		return "compact-trim"
+	}
+	return fmt.Sprintf("compact-trim-%d", k-1)
 }
 
 // TestDurableCompactionFoldsLog: a clean compaction folds everything
 // into the manifest, trims the log, and a recovery from manifest alone
 // is identical; appends after the fold land in the fresh log tail.
 func TestDurableCompactionFoldsLog(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	dl, repo := openDurable(t, fs, "sys/repo")
 	for i, src := range indexCorpus {
 		repo.Insert(durableEntry(t, fs, src, i))
@@ -243,7 +284,7 @@ func TestDurableCompactionFoldsLog(t *testing.T) {
 // refresh, and a writer that fell behind a peer's compaction resyncs
 // from the manifest.
 func TestDurableTwoWritersConverge(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 	dlB, repoB := openDurable(t, fs, "sys/repo")
 	if dlA.Writer() == dlB.Writer() {
@@ -309,7 +350,7 @@ func TestDurableTwoWritersConverge(t *testing.T) {
 // when a containment traversal touches them — Probe alone never does —
 // and the decoded plan matches exactly like the original.
 func TestDurableLazyPlanDecode(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	_, repo := openDurable(t, fs, "sys/repo")
 	for i, src := range indexCorpus {
 		repo.Insert(durableEntry(t, fs, src, i))
@@ -360,7 +401,7 @@ func TestDurableLazyPlanDecode(t *testing.T) {
 // jump past the manifest's FoldedThrough and its record must reach
 // every peer and every recovery.
 func TestDurableLaggingWriterSkipsTrimmedSlots(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 	_, repoB := openDurable(t, fs, "sys/repo")
 
@@ -401,7 +442,7 @@ func TestDurableLaggingWriterSkipsTrimmedSlots(t *testing.T) {
 // already holds those mutations — and still applies every record a
 // peer sharing the DFS appended.
 func TestRefreshSkipsOwnRecords(t *testing.T) {
-	fs := &countingFS{Backend: newTestFS(t), prefix: "sys/repo/log/"}
+	fs := &countingFS{Backend: dfstest.New(t), prefix: "sys/repo/log/"}
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 	_, repoB := openDurable(t, fs, "sys/repo")
 	for i, src := range indexCorpus[:3] {

@@ -1,37 +1,27 @@
 package core
 
 import (
-	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/dfs/dfstest"
 )
 
 // TestDurableAppendTornWriteSkipped: a log append that tears mid-write
 // (the CAS consumes the version slot but the record is garbage) must
-// not be acknowledged, must not wedge the writer — it retries on the
+// not be acknowledged, must not stall the writer — it retries on the
 // next slot — and must be skipped, not fatal, for every reader
 // replaying the log.
 func TestDurableAppendTornWriteSkipped(t *testing.T) {
-	fs := newTestFS(t)
+	fs := &dfstest.Faulty{Backend: dfstest.New(t)}
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 
 	// Tear exactly the first record append; everything else passes
 	// through untouched.
-	torn := false
-	fs.SetWriteFault(func(path string, data []byte) ([]byte, error) {
-		if !torn && strings.HasPrefix(path, "sys/repo/log/") {
-			torn = true
-			return data[:len(data)/2], io.ErrShortWrite
-		}
-		return data, nil
-	})
+	fs.Tear(func(path string) bool { return strings.HasPrefix(path, "sys/repo/log/") })
 	e0 := repoA.Insert(durableEntry(t, fs, indexCorpus[0], 0))
-	fs.SetWriteFault(nil)
 	e1 := repoA.Insert(durableEntry(t, fs, indexCorpus[1], 1))
 
-	if !torn {
-		t.Fatal("fault hook never saw a log append")
-	}
 	// The torn slot is consumed, not reused: the acknowledged records
 	// land on later sequence numbers, in order.
 	if e0.logSeq != 2 || e1.logSeq != e0.logSeq+1 {

@@ -182,7 +182,8 @@ func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 			}
 			fence = old.Fence + 1
 		}
-		if newVer, ok := lm.fs.WriteFileIf(path, lm.record(fp, fence), ver); ok {
+		newVer, ok := lm.fs.WriteFileIf(path, lm.record(fp, fence), ver)
+		if ok {
 			lm.granted.Add(1)
 			if fence > 1 {
 				lm.takeovers.Add(1)
@@ -193,6 +194,11 @@ func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 			lm.beatLocked()
 			lm.mu.Unlock()
 			return l, true
+		}
+		// Lost to no writer: storage dropped the write (a dead process, a
+		// stale fence), and retrying would spin. Report the lease held.
+		if newVer == ver {
+			return nil, false
 		}
 		// Lost the CAS; re-read — the winner's lease is probably live.
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/dfs/dfstest"
 )
 
 // TestLeaseRenewExtendsExpiry: a renewal pushes the deadline a full
@@ -10,7 +12,7 @@ import (
 // through a long materialization is never taken over — while a fenced
 // lost renewal is detected and counted.
 func TestLeaseRenewExtendsExpiry(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
@@ -63,7 +65,7 @@ func TestLeaseRenewExtendsExpiry(t *testing.T) {
 // lease live across many TTLs while the holder runs, and stops cleanly
 // once the lease is released.
 func TestLeaseKeepAliveHeartbeat(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	lm := NewLeaseManager(fs, "sys/locks", "w1", 30*time.Millisecond, time.Millisecond)
 	defer lm.Close()
 	l, ok := lm.TryAcquire("fp")
@@ -105,7 +107,7 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 // holder's heartbeat gives up instead of fighting the successor: the
 // fenced-out claim leaves the held set, and the heartbeat with it.
 func TestLeaseKeepAliveStopsOnFenceLoss(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 	la, _ := a.TryAcquire("fp")

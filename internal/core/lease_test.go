@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 )
 
 // testClock is an injectable wall clock for lease expiry tests.
@@ -36,10 +37,25 @@ func leasePair(t *testing.T, fs dfs.Backend, clock *testClock, owner string) *Le
 	return lm
 }
 
+// TestLeaseAcquireOverDeadStorage: a lease write that storage drops —
+// a crashed process, a stale fence — fails the acquire instead of
+// spinning on a CAS that can never land.
+func TestLeaseAcquireOverDeadStorage(t *testing.T) {
+	fs := &dfstest.Faulty{Backend: dfstest.New(t)}
+	fs.CrashAfter(0)
+	lm := leasePair(t, fs, newTestClock(), "w1")
+	if l, ok := lm.TryAcquire("fp1"); ok || l != nil {
+		t.Fatal("acquired a lease whose record was never written")
+	}
+	if n := fs.Mutations(); n != 1 {
+		t.Fatalf("acquire made %d write attempts, want 1", n)
+	}
+}
+
 // TestLeaseMutualExclusion: one fingerprint, one holder; a second
 // manager acquires only after release.
 func TestLeaseMutualExclusion(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
@@ -70,7 +86,7 @@ func TestLeaseMutualExclusion(t *testing.T) {
 // with a bumped fence; the original holder detects the loss and cannot
 // release the successor's lease.
 func TestLeaseExpiryTakeoverAndFencing(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
@@ -102,7 +118,7 @@ func TestLeaseExpiryTakeoverAndFencing(t *testing.T) {
 // TestLeaseWaitFree: a waiter unblocks on release, and reaps an expired
 // holder instead of waiting out the TTL wall-clock.
 func TestLeaseWaitFree(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a, b := leasePair(t, fs, clock, "w1"), leasePair(t, fs, clock, "w2")
 
@@ -143,7 +159,7 @@ func TestLeaseWaitFree(t *testing.T) {
 // records, claims and pins alike, in one pass, and reports the live
 // peer pins it saw.
 func TestLeaseReapExpired(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	clock := newTestClock()
 	a := leasePair(t, fs, clock, "w1")
 	dead := leasePair(t, fs, clock, "w2")

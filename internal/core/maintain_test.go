@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 	"repro/internal/obs"
 )
 
@@ -61,7 +62,7 @@ func versionedEntry(t *testing.T, repo *Repository, fs dfs.Backend, id string) *
 // survives the pass but is never reused, and the janitor's full Sweep
 // removes it.
 func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
-	fs := &validityFS{Backend: newTestFS(t), probed: map[string]int{}}
+	fs := &validityFS{Backend: dfstest.New(t), probed: map[string]int{}}
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{})
 	var others []*Entry

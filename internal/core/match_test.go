@@ -11,7 +11,7 @@ import (
 )
 
 // compileJobs compiles a script to a workflow for matcher tests.
-func compileJobs(t *testing.T, src, tempPrefix string) *physical.Workflow {
+func compileJobs(t testing.TB, src, tempPrefix string) *physical.Workflow {
 	t.Helper()
 	script, err := piglatin.Parse(src)
 	if err != nil {
@@ -28,7 +28,7 @@ func compileJobs(t *testing.T, src, tempPrefix string) *physical.Workflow {
 	return wf
 }
 
-func firstJobSig(t *testing.T, src string) PlanSig {
+func firstJobSig(t testing.TB, src string) PlanSig {
 	t.Helper()
 	wf := compileJobs(t, src, "tmp/m")
 	return SigOf(wf.Jobs[0].Plan)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 )
 
 // pinWorld is the two-process pin scenario: two durable repositories
@@ -26,7 +27,7 @@ type pinWorld struct {
 // newPinWorld builds the scenario with both managers' records living
 // ttl; a non-nil clock drives their expiry instead of the wall clock.
 func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	dlA, rA := openDurable(t, fs, "sys/repo")
 	dlB, rB := openDurable(t, fs, "sys/repo")
 	lmA := NewLeaseManager(fs, "sys/locks", dlA.Writer(), ttl, time.Millisecond)
@@ -162,7 +163,7 @@ func TestPinOutlivesTTLWithoutSweep(t *testing.T) {
 // right after its Pin and right before its Unpin), and is gone once
 // both are done.
 func TestPinRecordTracksCount(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute, time.Millisecond)
 	peer := NewLeaseManager(fs, "sys/locks", "w2", time.Minute, time.Millisecond)
 	defer lm.Close()
@@ -271,7 +272,7 @@ func (oneVictim) Victims(usage []EntryUsage, now time.Duration, reclaim int64) [
 // listing serves the first round.
 func TestEnforceBudgetListsPinsOncePerRound(t *testing.T) {
 	const n = 8
-	fs := &countingFS{Backend: newTestFS(t), prefix: "locks"}
+	fs := &countingFS{Backend: dfstest.New(t), prefix: "locks"}
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1, Policy: oneVictim{}})
 	fill := func(round int) {
@@ -324,7 +325,7 @@ func settledHeartbeats(want int) int {
 // goroutine; any number of claims and pins share one heartbeat, which
 // exits when the last record goes and never restarts after Close.
 func TestHeartbeatRunsOnlyWhileHeld(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	base := runtime.NumGoroutine()
 	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute, time.Millisecond)
 	if got := settledGoroutines(base); got > base {

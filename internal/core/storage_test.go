@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/dfs/dfstest"
 )
 
 // storedEntry inserts an entry whose output physically exists on fs
@@ -46,7 +47,7 @@ func noLeaseFiles(t *testing.T, fs dfs.Backend) {
 }
 
 func TestClaimProtocolBasics(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{})
 	entry := outputEntry(t, fs, "e1", "in", 10, EntryStats{})
@@ -115,7 +116,7 @@ func TestClaimProtocolBasics(t *testing.T) {
 // released its lease since the caller's rewrite — is given back and
 // reported lost, and the wait returns the entry at once.
 func TestClaimLostToPublishedEntry(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{})
 	entry := storedEntry(t, repo, fs, "e1", "in", 10, EntryStats{})
@@ -139,7 +140,7 @@ func TestClaimLostToPublishedEntry(t *testing.T) {
 }
 
 func TestClaimWaitRespectsContext(t *testing.T) {
-	m := newTestStorage(NewRepository(), newTestFS(t), StorageConfig{})
+	m := newTestStorage(NewRepository(), dfstest.New(t), StorageConfig{})
 	c, _ := m.TryClaim("fp")
 	other, won := m.TryClaim("fp")
 	if won {
@@ -215,7 +216,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 		CostBenefitPolicy{},
 	} {
 		t.Run(policy.Name(), func(t *testing.T) {
-			fs := newTestFS(t)
+			fs := dfstest.New(t)
 			repo := NewRepository()
 			lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
 			t.Cleanup(lm.Close)
@@ -277,7 +278,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 }
 
 func TestEvictUnpinnedSkipsPinned(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	repo := NewRepository()
 	a := storedEntry(t, repo, fs, "a", "in1", 10, EntryStats{})
 	b := storedEntry(t, repo, fs, "b", "in2", 10, EntryStats{})
@@ -303,7 +304,7 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 }
 
 func TestVacuumOrphans(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{})
 
@@ -358,7 +359,7 @@ store B into 'o';
 // the same fingerprint and a new output is measured anew, not
 // inherited.
 func TestStoredBytesMeasuredOnce(t *testing.T) {
-	fs := &countingFS{Backend: newTestFS(t), prefix: "restore/"}
+	fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/"}
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
 	for i := 0; i < 4; i++ {
@@ -420,7 +421,7 @@ func (p *registeringPolicy) Victims(usage []EntryUsage, now time.Duration, recla
 // bytes of what was evicted, not the drop in usage, so an entry
 // registered during the pass cannot shrink it.
 func TestEvictedBytesIgnoresConcurrentRegistration(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	repo := NewRepository()
 	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2600, Policy: &registeringPolicy{t: t, repo: repo, fs: fs}})
 	for i := 0; i < 3; i++ {
@@ -450,7 +451,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 	// The driver builds its per-query prefixes through the same helper,
 	// so a raw root with a trailing slash cannot divorce its layout
 	// from the janitor's.
-	d := &Driver{store: newTestStorage(NewRepository(), newTestFS(t), StorageConfig{NamespaceRoot: "sys/"})}
+	d := &Driver{store: newTestStorage(NewRepository(), dfstest.New(t), StorageConfig{NamespaceRoot: "sys/"})}
 	if got := d.namespace("tmp", "q3"); got != "sys/tmp/q3" {
 		t.Errorf("driver namespace = %q, want sys/tmp/q3", got)
 	}
@@ -461,7 +462,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 // "<root>/restore" and "<root>/tmp" query namespaces — user datasets
 // that happen to live under top-level tmp/ or restore/ are untouched.
 func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
-	fs := newTestFS(t)
+	fs := dfstest.New(t)
 	m := newTestStorage(NewRepository(), fs, StorageConfig{NamespaceRoot: "sys"})
 
 	write := func(path string) {
@@ -497,7 +498,7 @@ func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
 // BenchmarkEnforceBudget measures one over-budget sweep across a
 // populated repository (the storage half of the CI benchmark job).
 func BenchmarkEnforceBudget(b *testing.B) {
-	fs := newTestFS(b)
+	fs := dfstest.New(b)
 	repo := NewRepository()
 	for i := 0; i < 200; i++ {
 		sig := benchSig(b, fmt.Sprintf(`
@@ -524,7 +525,7 @@ store B into 'o';
 // BenchmarkClaims measures the uncontended claim round-trip every
 // storing job pays.
 func BenchmarkClaims(b *testing.B) {
-	m := newTestStorage(NewRepository(), newTestFS(b), StorageConfig{})
+	m := newTestStorage(NewRepository(), dfstest.New(b), StorageConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, won := m.TryClaim("fp")
@@ -557,7 +558,7 @@ func TestReleasedSet(t *testing.T) {
 		return a, repo.Insert(nb)
 	}
 	t.Run("evict", func(t *testing.T) {
-		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
 		policy := &victimList{}
 		m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
@@ -576,7 +577,7 @@ func TestReleasedSet(t *testing.T) {
 		}
 	})
 	t.Run("vacuum", func(t *testing.T) {
-		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
 		m := newTestStorage(repo, fs, StorageConfig{})
 		a, b := shared(t, fs, repo)
@@ -599,7 +600,7 @@ func TestReleasedSet(t *testing.T) {
 		}
 	})
 	t.Run("sweep", func(t *testing.T) {
-		fs := &countingFS{Backend: newTestFS(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
 		m := newTestStorage(repo, fs, StorageConfig{})
 		shared(t, fs, repo)
@@ -613,7 +614,7 @@ func TestReleasedSet(t *testing.T) {
 		}
 	})
 	t.Run("replacement", func(t *testing.T) {
-		fs := newTestFS(t)
+		fs := dfstest.New(t)
 		repo := NewRepository()
 		a := storedEntry(t, repo, fs, "a", "in-a", 1000, EntryStats{})
 		moved := outputEntry(t, fs, "a2", "in-a", 10, EntryStats{})

@@ -44,9 +44,9 @@ import "io"
 //     backend. They are the primitives the durable log's dense sequence
 //     allocation and the lease protocol's fencing are built on.
 //
-//   - Crash injection. SetWriteFault intercepts every file commit
-//     (Create's Close, WriteFile, and the WriteFileIf CAS path) so the
-//     recovery suite can tear or drop writes on any backend.
+// The contract has no crash-injection method: a test that tears or
+// drops writes wraps a backend in dfstest.Faulty, which decides the
+// fate of each mutation before the wrapped backend sees it.
 //
 // All methods are safe for concurrent use.
 type Backend interface {
@@ -106,9 +106,6 @@ type Backend interface {
 	BytesRead() int64
 	BytesWritten() int64
 	TotalBytes() int64
-	// SetWriteFault installs (or removes, with nil) the crash-injection
-	// commit interceptor. Test-only.
-	SetWriteFault(fn func(path string, data []byte) ([]byte, error))
 }
 
 var (

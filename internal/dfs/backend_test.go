@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -147,58 +146,6 @@ func TestRenameBumpsNestedDatasetVersions(t *testing.T) {
 		}
 		if fs.Exists("stage/j") {
 			t.Error("source tree survived the rename")
-		}
-	})
-}
-
-// TestWriteFileIfFaultInjection is the regression for SetWriteFault
-// bypassing the CAS path: WriteFileIf committed whole writes even
-// while the fault hook was tearing or dropping every plain write. A
-// dropped CAS write must leave nothing (version unchanged); a torn one
-// commits the prefix and bumps the version but reports failure, like a
-// writer that died mid-commit.
-func TestWriteFileIfFaultInjection(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs Backend) {
-		v0 := fs.Version("cas/f")
-
-		// Dropped: nothing hit storage, the version is unchanged.
-		fs.SetWriteFault(func(path string, data []byte) ([]byte, error) {
-			return nil, io.ErrClosedPipe
-		})
-		if v, ok := fs.WriteFileIf("cas/f", []byte("one"), v0); ok || v != v0 {
-			t.Fatalf("dropped CAS write: (v=%d ok=%v), want (%d, false)", v, ok, v0)
-		}
-		if fs.Exists("cas/f") {
-			t.Fatal("dropped CAS write left content behind")
-		}
-
-		// Torn: the prefix commits and consumes the version slot, but the
-		// writer is told it failed.
-		fs.SetWriteFault(func(path string, data []byte) ([]byte, error) {
-			return data[:2], io.ErrShortWrite
-		})
-		v1, ok := fs.WriteFileIf("cas/f", []byte("payload"), v0)
-		if ok {
-			t.Fatal("torn CAS write reported success")
-		}
-		if v1 == v0 {
-			t.Fatal("torn CAS write did not consume the version slot")
-		}
-		if got, _ := fs.ReadFile("cas/f"); string(got) != "pa" {
-			t.Fatalf("torn CAS committed %q, want the 2-byte prefix", got)
-		}
-		fs.SetWriteFault(nil)
-
-		// The slot is consumed: the stale expectation loses, the torn
-		// version wins.
-		if _, ok := fs.WriteFileIf("cas/f", []byte("stale"), v0); ok {
-			t.Fatal("CAS against the pre-tear version succeeded")
-		}
-		if _, ok := fs.WriteFileIf("cas/f", []byte("fresh"), v1); !ok {
-			t.Fatal("CAS against the torn version failed")
-		}
-		if got, _ := fs.ReadFile("cas/f"); string(got) != "fresh" {
-			t.Fatalf("post-fault CAS content = %q", got)
 		}
 	})
 }

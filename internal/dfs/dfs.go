@@ -71,11 +71,7 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 func (fs *FS) commit(p string, data []byte) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	data, faultErr := fs.fault(p, data)
-	if faultErr != nil && data == nil {
-		return 0, faultErr // crash before any byte hit the disk
-	}
-	return fs.put(p, &file{size: int64(len(data)), data: data}), faultErr
+	return fs.put(p, &file{size: int64(len(data)), data: data}), nil
 }
 
 // Open returns a reader over the file at path. Reads take the shared
@@ -150,13 +146,6 @@ func (fs *FS) Rename(oldPath, newPath string) (int64, error) {
 // the cross-process lease records are built on. It returns the
 // dataset's new version and whether the write was applied; on a lost
 // race nothing is written.
-//
-// A write fault (SetWriteFault) intercepts the CAS commit exactly like
-// any other commit: a dropped write leaves the slot untouched (version
-// unchanged), a torn write commits the prefix and bumps the version but
-// reports ok=false — the caller's bytes were not acknowledged, yet a
-// later reader can observe the garbage, which is what a real mid-write
-// crash leaves behind.
 func (fs *FS) WriteFileIf(path string, data []byte, expect int64) (int64, bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -165,11 +154,8 @@ func (fs *FS) WriteFileIf(path string, data []byte, expect int64) (int64, bool) 
 	if fs.version[ds] != expect {
 		return fs.version[ds], false
 	}
-	data, faultErr := fs.fault(p, append([]byte(nil), data...))
-	if faultErr != nil && data == nil {
-		return fs.version[ds], false // dropped: nothing hit the disk
-	}
-	return fs.put(p, &file{size: int64(len(data)), data: data}), faultErr == nil
+	data = append([]byte(nil), data...)
+	return fs.put(p, &file{size: int64(len(data)), data: data}), true
 }
 
 // RemoveFileIf deletes the file at path only if its dataset version

@@ -396,42 +396,3 @@ func TestRemoveFileIf(t *testing.T) {
 		}
 	})
 }
-
-func TestWriteFaultTearsAndDrops(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs Backend) {
-		if err := fs.WriteFile("f/data", []byte("intact")); err != nil {
-			t.Fatal(err)
-		}
-		// Torn write: a prefix commits, the error surfaces, accounting and
-		// version reflect the torn content.
-		fs.SetWriteFault(func(path string, data []byte) ([]byte, error) {
-			return data[:2], io.ErrShortWrite
-		})
-		if err := fs.WriteFile("f/data", []byte("replacement")); err == nil {
-			t.Fatal("torn write reported no error")
-		}
-		if got, _ := fs.ReadFile("f/data"); string(got) != "re" {
-			t.Fatalf("torn write committed %q, want the 2-byte prefix", got)
-		}
-		if n := fs.Size("f/data"); n != 2 {
-			t.Fatalf("accounting after torn write = %d bytes, want 2", n)
-		}
-		// Dropped write: nothing committed at all.
-		fs.SetWriteFault(func(path string, data []byte) ([]byte, error) {
-			return nil, io.ErrClosedPipe
-		})
-		if err := fs.WriteFile("f/data", []byte("x")); err == nil {
-			t.Fatal("dropped write reported no error")
-		}
-		if got, _ := fs.ReadFile("f/data"); string(got) != "re" {
-			t.Fatalf("dropped write mutated the file: %q", got)
-		}
-		fs.SetWriteFault(nil)
-		if err := fs.WriteFile("f/data", []byte("healed")); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := fs.ReadFile("f/data"); string(got) != "healed" {
-			t.Fatalf("write after clearing the fault: %q", got)
-		}
-	})
-}

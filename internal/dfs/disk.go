@@ -218,8 +218,10 @@ func (d *Disk) loadLog() error {
 		if recLen == 0 || recLen > maxRecordLen {
 			break
 		}
-		buf := make([]byte, recLen+4)
-		if _, err := io.ReadFull(f, buf); err != nil {
+		// Read what is there, not what the prefix promises: a garbage
+		// length over a short tail must not allocate a gigabyte.
+		buf, err := io.ReadAll(io.LimitReader(f, int64(recLen)+4))
+		if err != nil || len(buf) != int(recLen)+4 {
 			break // torn record
 		}
 		payload, sum := buf[:recLen], binary.LittleEndian.Uint32(buf[recLen:])
@@ -492,15 +494,7 @@ func (d *Disk) WriteFile(path string, data []byte) error {
 func (d *Disk) commit(p string, data []byte) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	data, faultErr := d.fault(p, data)
-	if faultErr != nil && data == nil {
-		return 0, faultErr // crash before any byte hit the disk
-	}
-	ver, err := d.storeLocked(p, data)
-	if err != nil {
-		return 0, err
-	}
-	return ver, faultErr
+	return d.storeLocked(p, data)
 }
 
 // storeLocked makes one file commit last and then applies it (mu
@@ -708,14 +702,10 @@ func (d *Disk) WriteFileIf(path string, data []byte, expect int64) (int64, bool)
 		return d.version[ds], false
 	}
 	defer release()
-	data, faultErr := d.fault(p, append([]byte(nil), data...))
-	if faultErr != nil && data == nil {
-		return d.version[ds], false // dropped: nothing hit the disk
-	}
-	if _, err := d.storeLocked(p, data); err != nil {
+	if _, err := d.storeLocked(p, append([]byte(nil), data...)); err != nil {
 		return d.version[ds], false
 	}
-	return d.version[ds], faultErr == nil
+	return d.version[ds], true
 }
 
 // RemoveFileIf deletes the file at path only if its dataset version

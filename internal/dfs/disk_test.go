@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -112,6 +113,40 @@ func TestDiskTornLogTailTruncated(t *testing.T) {
 	defer r2.Close()
 	if got, _ := r2.ReadFile("sys/b"); string(got) != "after" {
 		t.Fatalf("post-recovery write lost: %q", got)
+	}
+}
+
+// TestDiskGarbageLengthPrefix: a length prefix promising far more bytes
+// than the log holds is a torn tail, found without allocating what it
+// promises.
+func TestDiskGarbageLengthPrefix(t *testing.T) {
+	dir := t.TempDir()
+	d := openDiskT(t, dir)
+	if err := d.WriteFile("sys/a", []byte("intact")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "dfs.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0x3f, 'g', 'a', 'r'}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := openDiskT(t, dir)
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("opening a log with a 1 GiB length prefix allocated %d bytes", n)
+	}
+	if got, _ := r.ReadFile("sys/a"); string(got) != "intact" {
+		t.Fatalf("record before the garbage lost: %q", got)
 	}
 }
 
@@ -263,4 +298,53 @@ func TestDiskCASSingleWinner(t *testing.T) {
 	if string(got) != fmt.Sprintf("w%d", winners[0]) {
 		t.Fatalf("content %q is not the winner's (w%d)", got, winners[0])
 	}
+}
+
+// FuzzDiskLoadLog opens a directory whose record log holds arbitrary
+// bytes, as a torn write or a corrupted disk leaves it. OpenDisk must
+// fail or open an index whose every listed file reads back; it must not
+// panic.
+func FuzzDiskLoadLog(f *testing.F) {
+	dir := f.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d.WriteFile("sys/repo/MANIFEST", []byte("manifest"))
+	d.WriteFile("sys/repo/log/r1", []byte("record"))
+	v := d.Version("locks/l")
+	d.WriteFileIf("locks/l", []byte("lease"), v)
+	d.RemoveFileIf("locks/l", v+1)
+	d.Delete("sys/repo/log/r1")
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "dfs.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(diskLogMagic)+4])
+	f.Add(log[:len(log)-3])
+	f.Add([]byte("garbage"))
+	// A length prefix of almost 1 GiB over a 3-byte tail.
+	f.Add(append(log[:len(diskLogMagic)+4:len(diskLogMagic)+4], 0xff, 0xff, 0xff, 0x3f, 'g', 'a', 'r'))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "dfs.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDisk(dir)
+		if err != nil {
+			return
+		}
+		defer d.Close()
+		for _, p := range d.List("") {
+			if _, err := d.ReadFile(p); err != nil {
+				t.Fatalf("listed file %q does not read: %v", p, err)
+			}
+		}
+		d.Datasets("")
+	})
 }

@@ -10,11 +10,10 @@ import (
 
 // index is the namespace both backends share: which files exist and how
 // big they are, the directory tree over them, the modification version
-// of every dataset, the traffic meters and the write-fault hook. Every
-// namespace read of the Backend contract, the one version-bump rule and
-// the change a Delete or Rename makes are defined here, once; FS and
-// Disk embed it and add only where content lives and how a mutation is
-// made to last.
+// of every dataset and the traffic meters. Every namespace read of the
+// Backend contract, the one version-bump rule and the change a Delete
+// or Rename makes are defined here, once; FS and Disk embed it and add
+// only where content lives and how a mutation is made to last.
 type index struct {
 	mu sync.RWMutex
 	// files is the point-lookup table by full path, what Open and
@@ -35,12 +34,6 @@ type index struct {
 	// every concurrent reader against writers.
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
-
-	// writeFault, when non-nil, intercepts every file commit (the Close
-	// of a Create, WriteFile, and the WriteFileIf CAS path): it may
-	// truncate the committed bytes and/or return an error, simulating a
-	// crash that tears a write mid-flight. Test-only; see SetWriteFault.
-	writeFault func(path string, data []byte) ([]byte, error)
 }
 
 // file is one live file. FS keeps every file's content in data; Disk
@@ -213,29 +206,6 @@ func (ix *index) put(p string, f *file) int64 {
 	ix.insert(p, f)
 	ix.bytesWritten.Add(f.size)
 	return ix.bump(datasetOf(p))
-}
-
-// fault passes a commit's bytes through the write-fault hook (mu held).
-// A nil result with an error is a dropped write: nothing may reach
-// storage. A non-nil result with an error is a torn write: the result
-// is committed and the error still surfaces to the writer.
-func (ix *index) fault(p string, data []byte) ([]byte, error) {
-	if ix.writeFault == nil {
-		return data, nil
-	}
-	return ix.writeFault(p, data)
-}
-
-// SetWriteFault installs (or, with nil, removes) a commit interceptor
-// for crash-injection tests: every file commit passes its bytes through
-// fn, which may truncate them (returning a prefix simulates a torn
-// write: the prefix is committed and the error surfaces to the writer)
-// or drop them entirely (nil bytes plus an error: nothing hits the
-// disk). Production code never sets it.
-func (ix *index) SetWriteFault(fn func(path string, data []byte) ([]byte, error)) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.writeFault = fn
 }
 
 // writer buffers the bytes of a Create; Close hands the buffer itself

@@ -16,7 +16,6 @@ type flatFS struct {
 	files         map[string][]byte
 	version       map[string]int64
 	read, written int64
-	writeFault    func(path string, data []byte) ([]byte, error)
 }
 
 var _ Backend = (*flatFS)(nil)
@@ -57,16 +56,10 @@ func (o *flatFS) members(ds string) []string {
 }
 
 func (o *flatFS) commit(p string, data []byte) (int64, error) {
-	var faultErr error
-	if o.writeFault != nil {
-		if data, faultErr = o.writeFault(p, data); faultErr != nil && data == nil {
-			return 0, faultErr
-		}
-	}
 	o.files[p] = data
 	o.written += int64(len(data))
 	o.version[datasetOf(p)]++
-	return o.version[datasetOf(p)], faultErr
+	return o.version[datasetOf(p)], nil
 }
 
 func (o *flatFS) Create(path string) io.WriteCloser {
@@ -197,8 +190,8 @@ func (o *flatFS) WriteFileIf(path string, data []byte, expect int64) (int64, boo
 	if o.version[ds] != expect {
 		return o.version[ds], false
 	}
-	_, err := o.commit(p, append([]byte(nil), data...))
-	return o.version[ds], err == nil
+	o.commit(p, append([]byte(nil), data...))
+	return o.version[ds], true
 }
 
 func (o *flatFS) RemoveFileIf(path string, expect int64) bool {
@@ -216,7 +209,3 @@ func (o *flatFS) Version(path string) int64 { return o.version[datasetOf(path)] 
 func (o *flatFS) BytesRead() int64          { return o.read }
 func (o *flatFS) BytesWritten() int64       { return o.written }
 func (o *flatFS) TotalBytes() int64         { return o.sum(o.List("")) }
-
-func (o *flatFS) SetWriteFault(fn func(path string, data []byte) ([]byte, error)) {
-	o.writeFault = fn
-}

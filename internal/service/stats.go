@@ -13,13 +13,12 @@ import (
 // -stats-json` prints, so dashboards parse one schema whether they
 // watch a server or a one-shot run.
 type StatsBundle struct {
-	// Storage, Matcher, Durability and Leases are the engine
-	// subsystems' snapshots (Durability is zero without
-	// Config.Durability).
+	// Storage, Matcher and Durability are the engine subsystems'
+	// snapshots (Durability is zero without Config.Durability); the
+	// lease counters are Storage.Leases.
 	Storage    restore.StorageStats    `json:"storage"`
 	Matcher    restore.MatcherStats    `json:"matcher"`
 	Durability restore.DurabilityStats `json:"durability"`
-	Leases     restore.LeaseStats      `json:"leases"`
 	// BatchCache snapshots the engine's decoded-dataset cache (the
 	// in-memory fast path); zero when the cache is disabled.
 	BatchCache restore.BatchCacheStats `json:"batchCache"`
@@ -40,12 +39,10 @@ type StatsBundle struct {
 
 // SystemStats snapshots the engine-side stats of sys into a bundle.
 func SystemStats(sys *restore.System) StatsBundle {
-	st := sys.StorageStats()
 	return StatsBundle{
-		Storage:    st,
+		Storage:    sys.StorageStats(),
 		Matcher:    sys.MatcherStats(),
 		Durability: sys.DurabilityStats(),
-		Leases:     st.Leases,
 		BatchCache: sys.BatchCacheStats(),
 		Delta:      sys.DeltaStats(),
 		Latency:    sys.LatencyStats(),

@@ -237,12 +237,6 @@ func (s *System) MatcherStats() MatcherStats {
 	return s.repo.MatcherStats()
 }
 
-// LeaseStats snapshots the claim-lease manager (grants, takeovers,
-// reaps, fencing losses, renewals).
-func (s *System) LeaseStats() LeaseStats {
-	return s.StorageStats().Leases
-}
-
 // BatchCacheStats snapshots the engine's decoded-dataset cache — the
 // in-memory fast path. The zero value is returned when the cache is
 // disabled (Config.MaxCachedBatchBytes < 0).
@@ -318,8 +312,8 @@ func (s *System) ReadDataset(path string) ([]Tuple, error) {
 }
 
 // DurabilityStats snapshots the durable repository subsystem: recovery
-// size, log append/replay/compaction traffic, and the crash-injection
-// wedge state. The zero value is returned when durability is off.
+// size and log append/replay/compaction traffic. The zero value is
+// returned when durability is off.
 func (s *System) DurabilityStats() DurabilityStats {
 	if s.durable == nil {
 		return DurabilityStats{}
