@@ -145,6 +145,23 @@ func TestDeltaRefreshEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSweepKeepsRefreshableEntries: the janitor decides "dead" as the
+// rewriter does, so a sweep between an append and the re-query spares
+// the entries the append left refreshable, and the re-query refreshes
+// its aggregate instead of recomputing both jobs cold.
+func TestSweepKeepsRefreshableEntries(t *testing.T) {
+	sys := netSystem(t, reuseOpts(), pigmix.NetTrafficDays)
+	runNet(t, sys, "N1")
+	if _, err := pigmix.AppendNetTrafficDay(sys.FS(), netRows, netSeed); err != nil {
+		t.Fatal(err)
+	}
+	sys.Sweep()
+	res := runNet(t, sys, "N1")
+	if ds := sys.DeltaStats(); ds.Refreshes != 1 || res.JobsRun != 1 {
+		t.Fatalf("after a sweep: %d refreshes and %d jobs run, want 1 and 1", ds.Refreshes, res.JobsRun)
+	}
+}
+
 // TestDeltaRefreshDifferential runs the whole net-traffic suite warm
 // (store, append, requery-with-refresh) against a cold system built
 // directly over the identical grown data, and requires both the final

@@ -110,20 +110,20 @@
 //     in-flight rewrites are pinned and never evicted — by this System
 //     or, through the pin records beside the claim leases, by a peer.
 //
-//   - Maintenance. After every query, the entries over datasets the
-//     engine deleted or renamed (and datasets written by WriteDataset)
-//     are checked and removed when invalid; entries idle beyond
-//     Options.EvictionWindow go too, then the budget is enforced.
+//   - Maintenance. After every query, the System reads the DFS change
+//     feed — every dataset version bump, by this System, a raw DFS write
+//     or a peer — and removes the entries it made dead: invalid and not
+//     refreshable by pure append. It deletes the outputs refreshes
+//     replaced, removes entries idle beyond Options.EvictionWindow and
+//     enforces the budget.
 //
 //   - Janitor. With Config.JanitorInterval > 0, a background goroutine
-//     owned by the System periodically vacuums every invalid entry
-//     (including those changed outside the System: appended inputs,
-//     raw DFS writes, a peer process's deletes), dead
-//     queries' orphaned namespaces (restore/<qid>/…, tmp/<qid>/… — the
-//     two are reserved, managed prefixes), and over-budget entries.
-//     Sweep runs one pass synchronously. Close stops the janitor; a
-//     closed System rejects new submissions but lets in-flight queries
-//     finish.
+//     owned by the System periodically reaps expired leases, runs the
+//     same maintenance pass, and reclaims dead queries' orphaned
+//     namespaces (restore/<qid>/…, tmp/<qid>/… — the two are reserved,
+//     managed prefixes). Sweep runs one pass synchronously. Close stops
+//     the janitor; a closed System rejects new submissions but lets
+//     in-flight queries finish.
 //
 // System.Queries lists the in-flight query handles, and Cancel aborts
 // them by ID or tag; StorageStats reports repository usage, claim

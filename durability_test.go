@@ -229,6 +229,71 @@ func TestRecoverCrashMatrix(t *testing.T) {
 	run("append-done", -1)
 }
 
+// TestTwoSystemsVacuumPeerAndRawChanges: every version bump of a shared
+// backend reaches every System's change feed. System A's entries over
+// in/w are vacuumed at A's next query after System B rewrites in/w, and
+// again after a raw DFS delete of it, with no janitor.
+func TestTwoSystemsVacuumPeerAndRawChanges(t *testing.T) {
+	fs := dfstest.New(t)
+	a, err := Recover(durableConfig(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Recover(durableConfig(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rows := func(vals ...int64) []Tuple {
+		var out []Tuple
+		for i, v := range vals {
+			out = append(out, Tuple{fmt.Sprintf("k%d", i%2), v})
+		}
+		return out
+	}
+	const reader = "A = load 'in/w' as (k, v);\nG = group A by k;\nS = foreach G generate group, SUM(A.v);\nstore S into 'out/w';\n"
+	const other = "A = load 'in/other' as (k, v);\nD = distinct A;\nstore D into 'out/other';\n"
+	if err := a.WriteDataset("in/other", rows(7)); err != nil {
+		t.Fatal(err)
+	}
+	readers := func() int {
+		n := 0
+		for _, e := range a.Repository().Entries() {
+			if _, ok := e.InputVersions["in/w"]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	for _, change := range []struct {
+		name string
+		do   func() error
+	}{
+		{"peer write", func() error { return b.WriteDataset("in/w", rows(10, 20)) }},
+		{"raw delete", func() error { return fs.Delete("in/w") }},
+	} {
+		if err := a.WriteDataset("in/w", rows(1, 2, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Execute(reader); err != nil {
+			t.Fatal(err)
+		}
+		if readers() == 0 {
+			t.Fatalf("%s: nothing stored over in/w; test premise broken", change.name)
+		}
+		if err := change.do(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Execute(other); err != nil {
+			t.Fatal(err)
+		}
+		if n := readers(); n != 0 {
+			t.Fatalf("%s: %d entries over in/w survived the next query's maintenance", change.name, n)
+		}
+	}
+}
+
 // TestTwoSystemsShareMaterialization is the cross-process acceptance
 // check: two Systems recovered over one DFS, concurrently submitting an
 // identical sub-job, materialize it exactly once — the loser waits on

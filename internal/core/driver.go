@@ -266,6 +266,7 @@ func (d *Driver) Execute(ctx context.Context, wf *physical.Workflow, queryID str
 	}
 	res := x.merge(versions)
 	d.advance(res.SimTime)
+	x.unpin() // every job has read what it reused: maintenance may reclaim it
 	x.maintain()
 	res.WallTime = time.Since(start)
 	x.tr.Sim(x.root, res.SimTime)
@@ -309,9 +310,12 @@ type execution struct {
 	// dependant redirects), so outside this lock each job's plan and
 	// DependsOn list are private to the goroutine running it. It also
 	// guards pinned, the entries rewritten jobs read: vacuum-proof here
-	// and at every peer until the execution finishes.
+	// and at every peer until the execution has committed.
 	wfMu   sync.Mutex
 	pinned []string
+	// since is the change-feed position before the execution read any
+	// version: what it registers is judged against changes after it.
+	since int64
 }
 
 // stagedOutput is a user STORE output and the private path it is
@@ -325,7 +329,7 @@ const maxClaimAttempts = 16
 
 func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryID string, cfg ExecConfig) (*execution, error) {
 	x := &execution{d: d, ctx: ctx, cfg: cfg, queryID: queryID, tr: cfg.Trace, root: cfg.Trace.Root(),
-		notify: cfg.OnJobState, progress: cfg.OnJobProgress, wf: wf.Clone()}
+		notify: cfg.OnJobState, progress: cfg.OnJobProgress, wf: wf.Clone(), since: d.store.feedHead()}
 	if x.notify == nil {
 		x.notify = func(string, JobState) {}
 	}
@@ -354,14 +358,18 @@ func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryI
 			x.dependants[dep] = append(x.dependants[dep], j)
 		}
 	}
+	d.store.running.Store(queryID, true)
 	return x, nil
 }
 
-// unpin releases the pins this execution's rewrites took.
+// unpin releases what the execution's jobs read: the pins its rewrites
+// took, and its own namespace (see deleteOwnedOutputs).
 func (x *execution) unpin() {
 	for _, id := range x.pinned {
 		x.d.store.cfg.Leases.Unpin(id)
 	}
+	x.pinned = nil
+	x.d.store.running.Delete(x.queryID)
 }
 
 // stage points every user STORE output at the query's private stage
@@ -369,7 +377,7 @@ func (x *execution) unpin() {
 // stage. A user path that equals or contains its stage path could never
 // be renamed onto, so it is rejected before any job runs.
 func (x *execution) stage() error {
-	prefix := x.d.namespace("tmp", x.queryID) + "/.staged/"
+	prefix := x.d.namespace("tmp", x.queryID) + "/" + stagedDir + "/"
 	for _, job := range x.jobs {
 		user := job.OutputPath
 		if _, ok := x.wf.FinalOutputs[user]; !ok {
@@ -463,7 +471,7 @@ func (x *execution) merge(versions map[string]int64) *Result {
 		jobDeps[job.ID] = r.deps
 		if r.deferred != nil {
 			r.deferred.OutputVersion = versions[r.deferred.OutputPath]
-			res.Stored = append(res.Stored, x.d.store.repo.Insert(r.deferred))
+			res.Stored = append(res.Stored, x.d.store.insert(r.deferred, x.since))
 		}
 		res.Stored = append(res.Stored, r.stored...)
 		res.ExtraStoredSimBytes += r.extraBytes
@@ -748,7 +756,7 @@ func (r *jobRun) exec() (*mapreduce.JobStats, error) {
 // nothing until the commit, so it is deferred instead of inserted.
 func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 	x, job, stats := r.x, r.job, r.stats
-	opts, eng, repo := x.cfg.Opts, x.d.eng, x.d.store.repo
+	opts, eng := x.cfg.Opts, x.d.eng
 	fs := eng.FS()
 	admit := func(e *Entry) bool {
 		if e.Plan.OpCount() <= 1 {
@@ -783,7 +791,7 @@ func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 				r.deferred = e // OutputVersion is set at commit
 			} else {
 				e.OutputVersion = fs.Version(e.OutputPath)
-				r.stored = append(r.stored, repo.Insert(e))
+				r.stored = append(r.stored, x.d.store.insert(e, x.since))
 			}
 		}
 	}
@@ -797,7 +805,7 @@ func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 		if admit(e) {
 			stampMergeable(fs, e, prefixPlan)
 			e.OutputVersion = fs.Version(e.OutputPath)
-			r.stored = append(r.stored, repo.Insert(e))
+			r.stored = append(r.stored, x.d.store.insert(e, x.since))
 		} else if !c.Existing {
 			_ = eng.DeleteDataset(c.Path) // rejected by the selector: reclaim now
 		}

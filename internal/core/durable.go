@@ -117,9 +117,11 @@ type logRecord struct {
 	Seq    uint64
 	Writer string
 	Op     logOp
-	// Entry is set for puts, RemoveID for removes.
-	Entry    *entryRecord
-	RemoveID string
+	// Entry is set for puts; RemoveID for removes, with RemoveSeq the
+	// sequence that wrote the removed version (0: never journaled).
+	Entry     *entryRecord
+	RemoveID  string
+	RemoveSeq uint64
 }
 
 // manifestFile is the compacted snapshot: the full entry set in scan
@@ -327,7 +329,7 @@ func (dl *DurableLog) appendPut(e *Entry, f *footprint, pos int) {
 // appendRemove implements journal: one remove record per
 // Remove/Evict/Vacuum victim, called under the repository write lock.
 func (dl *DurableLog) appendRemove(e *Entry) {
-	dl.append(&logRecord{Writer: dl.writer, Op: opRemove, RemoveID: e.ID})
+	dl.append(&logRecord{Writer: dl.writer, Op: opRemove, RemoveID: e.ID, RemoveSeq: e.logSeq})
 }
 
 // append writes one record at the next free sequence number, reserving
@@ -461,7 +463,7 @@ func (dl *DurableLog) applyRecord(rec *logRecord) {
 			dl.noteSim(rec.Entry.StoredAt, rec.Entry.LastReused)
 		}
 	case opRemove:
-		dl.repo.applyRemove(rec.RemoveID, rec.Seq)
+		dl.repo.applyRemove(rec.RemoveID, rec.Seq, rec.RemoveSeq)
 	}
 	dl.replayed.Add(1)
 }

@@ -437,6 +437,32 @@ func TestDurableLaggingWriterSkipsTrimmedSlots(t *testing.T) {
 	}
 }
 
+// TestDurableRemoveKeepsNewerVersion: a remove record removes the
+// version its writer saw. A peer that removes its copy of an entry
+// another writer has since replaced leaves the replacement alive, in
+// that writer's repository and in a cold recovery.
+func TestDurableRemoveKeepsNewerVersion(t *testing.T) {
+	fs := dfstest.New(t)
+	dlA, repoA := openDurable(t, fs, "sys/repo")
+	dlB, repoB := openDurable(t, fs, "sys/repo")
+	e := repoA.Insert(durableEntry(t, fs, indexCorpus[0], 0))
+	dlB.Refresh()
+	ne := repoA.Insert(durableEntry(t, fs, indexCorpus[0], 1))
+	if ne.ID != e.ID || ne.OutputPath == e.OutputPath {
+		t.Fatalf("replacement %s at %s; test premise broken", ne.ID, ne.OutputPath)
+	}
+	if repoB.Remove(e.ID) == nil {
+		t.Fatal("the peer never folded the entry; test premise broken")
+	}
+	dlA.Refresh()
+	_, recovered := openDurable(t, fs, "sys/repo")
+	for name, repo := range map[string]*Repository{"writer": repoA, "recovery": recovered} {
+		if got := repo.lookupFP(e.fingerprint()); got == nil || got.OutputPath != ne.OutputPath {
+			t.Fatalf("%s: a peer's remove of the old version took the replacement at %s with it", name, ne.OutputPath)
+		}
+	}
+}
+
 // TestRefreshSkipsOwnRecords: a log's refresh passes over the record
 // slots it appended itself without reading them — its repository
 // already holds those mutations — and still applies every record a

@@ -9,6 +9,8 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/dfs/dfstest"
 	"repro/internal/obs"
+	"repro/internal/pigmix"
+	"repro/internal/tuple"
 )
 
 // validityFS records the paths of every Exists and Version call: the
@@ -55,12 +57,12 @@ func versionedEntry(t *testing.T, repo *Repository, fs dfs.Backend, id string) *
 }
 
 // TestMaintainValidatesOnlyChangedPaths: the post-query pass checks
-// only the entries over datasets the engine reported changed. An entry
-// whose output was replaced through Engine.RenameDataset is removed
-// without one Exists or Version call on the 200 unrelated entries; an
-// entry invalidated by a raw DFS write, which the engine never sees,
-// survives the pass but is never reused, and the janitor's full Sweep
-// removes it.
+// only the entries the DFS change feed moved. An entry whose output was
+// replaced through Engine.RenameDataset is removed without one Exists
+// or Version call on the 200 unrelated entries, whose own writes are in
+// the feed at the versions they recorded; a non-mergeable entry whose
+// input a raw DFS write changed — a write no engine call reports — is
+// removed by the next pass too.
 func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
 	fs := &validityFS{Backend: dfstest.New(t), probed: map[string]int{}}
 	repo := NewRepository()
@@ -94,7 +96,7 @@ func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
 		}
 	}
 
-	// A raw write bypasses the engine: nothing reports it.
+	// A raw write bypasses the engine; the feed still reports it.
 	stale := others[0]
 	wf := compileJobs(t, fmt.Sprintf("A = load 'in/%s' as (a, b);\nB = foreach A generate a;\nstore B into 'o';\n", stale.ID), "tmp/mt")
 	rw := &Rewriter{Repo: repo, FS: fs}
@@ -104,14 +106,151 @@ func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
 	if err := fs.WriteFile("in/"+stale.ID+"/part-00001", []byte("3\t4\n")); err != nil {
 		t.Fatal(err)
 	}
+	fs.reset()
 	m.Maintain(time.Hour, 0)
-	if repo.lookupFP(stale.fingerprint()) == nil {
-		t.Fatal("maintenance removed an entry no change was reported for")
+	if repo.lookupFP(stale.fingerprint()) != nil {
+		t.Fatal("maintenance kept the entry whose input a raw write changed")
 	}
-	if ev := rw.RewriteJob(cloneJob(wf.Jobs[0]), true, obs.NoSpan); len(ev) != 0 {
-		t.Fatalf("the invalid entry was reused: %+v", ev)
+	for _, e := range others[1:] {
+		for _, p := range append([]string{e.OutputPath}, "in/"+e.ID) {
+			if n := fs.probed[p]; n != 0 {
+				t.Fatalf("maintenance made %d Exists/Version calls on %s, an unchanged entry's path", n, p)
+			}
+		}
 	}
-	if res := m.Sweep(time.Hour, 0); res.EntriesVacuumed != 1 || repo.lookupFP(stale.fingerprint()) != nil {
-		t.Fatalf("the full sweep vacuumed %d entries and kept the invalid one: %v", res.EntriesVacuumed, repo.lookupFP(stale.fingerprint()) != nil)
+}
+
+// TestMaintainAfterFeedOverrun: a manager whose cursor fell more than
+// FeedRing changes behind cannot tell what changed, so its next pass
+// checks every entry. It removes the entries a rewrite the feed no
+// longer holds killed, keeps the ones an append left refreshable, and
+// the next run refreshes them.
+func TestMaintainAfterFeedOverrun(t *testing.T) {
+	h := newHarness(t, Options{Reuse: true, KeepWholeJobs: true, Heuristic: Aggressive})
+	if err := pigmix.GenerateNetTraffic(h.fs, pigmix.NetTrafficDays, 150, 42); err != nil {
+		t.Fatal(err)
+	}
+	n1, err := pigmix.Get("N1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.write(t, "in/b", tuple.Tuple{"k", int64(1)})
+	h.run(t, n1.Script)
+	h.run(t, "A = load 'in/b' as (k, v);\nD = distinct A;\nstore D into 'out/b';\n")
+	over := func(path string) int {
+		n := 0
+		for _, e := range h.repo.Entries() {
+			if _, ok := e.InputVersions[path]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	if over("in/b") == 0 || over(pigmix.PathNetTraffic) == 0 {
+		t.Fatal("nothing stored over an input; test premise broken")
+	}
+
+	if _, err := pigmix.AppendNetTrafficDay(h.fs, 150, 42); err != nil {
+		t.Fatal(err)
+	}
+	h.write(t, "in/b", tuple.Tuple{"k", int64(2)})
+	for i := range dfs.FeedRing {
+		if err := h.fs.WriteFile("noise", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.driver.store.Maintain(h.driver.Now(), 0)
+	if n := over("in/b"); n != 0 {
+		t.Fatalf("%d entries over the rewritten input survived the full pass", n)
+	}
+	if over(pigmix.PathNetTraffic) == 0 {
+		t.Fatal("the full pass removed the entries the append left refreshable")
+	}
+	if res := h.run(t, n1.Script); h.driver.DeltaStats().Refreshes != 1 || res.JobsRun != 1 {
+		t.Fatalf("after the full pass: %d refreshes and %d jobs run, want 1 and 1", h.driver.DeltaStats().Refreshes, res.JobsRun)
+	}
+}
+
+// TestMaintainRechecksSparedAndFoldedEntries: a pass checks an entry
+// again, whatever the feed says, when an earlier pass spared it for its
+// pin, and when it was folded in from the journal after the feed
+// reported the change that killed it.
+func TestMaintainRechecksSparedAndFoldedEntries(t *testing.T) {
+	fs := dfstest.New(t)
+	dlA, repoA := openDurable(t, fs, "sys/repo")
+	_, repoB := openDurable(t, fs, "sys/repo")
+	m := newTestStorage(repoA, fs, StorageConfig{})
+	pinned := versionedEntry(t, repoA, fs, "p")
+	m.cfg.Leases.Pin(pinned.ID)
+	folded := versionedEntry(t, repoB, fs, "f")
+	for _, in := range []string{"in/p", "in/f"} {
+		if err := fs.WriteFile(in+"/part-00000", []byte("9\t9\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Maintain(time.Hour, 0)
+	if repoA.lookupFP(pinned.fingerprint()) == nil {
+		t.Fatal("maintenance removed a pinned entry")
+	}
+	dlA.Refresh()
+	if repoA.lookupFP(folded.fingerprint()) == nil {
+		t.Fatal("the peer's entry was not folded in; test premise broken")
+	}
+	m.cfg.Leases.Unpin(pinned.ID)
+	m.Maintain(time.Hour, 0)
+	for _, e := range []*Entry{pinned, folded} {
+		if repoA.lookupFP(e.fingerprint()) != nil {
+			t.Fatalf("entry %s survived the pass its recheck was due at", e.OutputPath)
+		}
+	}
+}
+
+// TestInsertRechecksChangeAPassConsumed: an input changes after a query
+// read the versions its entry records, and a concurrent pass reads that
+// change before the entry is published. Publishing finds the change in
+// the feed and leaves the entry to the next pass, which removes it.
+func TestInsertRechecksChangeAPassConsumed(t *testing.T) {
+	fs := dfstest.New(t)
+	repo := NewRepository()
+	m := newTestStorage(repo, fs, StorageConfig{})
+	if err := fs.WriteFile("in/x/part-00000", []byte("1\t2\n")); err != nil {
+		t.Fatal(err)
+	}
+	since := m.feedHead()
+	e := outputEntry(t, fs, "x", "in/x", 10, EntryStats{})
+	e.OutputVersion = fs.Version(e.OutputPath)
+	if err := fs.WriteFile("in/x/part-00000", []byte("3\t4\n")); err != nil {
+		t.Fatal(err)
+	}
+	m.Maintain(time.Hour, 0) // reads the rewrite; e is not published yet
+	e = m.insert(e, since)
+	m.Maintain(time.Hour, 0)
+	if repo.lookupFP(e.fingerprint()) != nil {
+		t.Fatal("an entry published after the pass that read its input's rewrite survived the next pass")
+	}
+}
+
+// TestMaintainJudgesUnversionedOutputs: an entry that did not record its
+// output's version is a suspect whenever the feed reports its output,
+// and the pass judges it against the DFS: kept while the output exists,
+// removed once it is deleted.
+func TestMaintainJudgesUnversionedOutputs(t *testing.T) {
+	fs := dfstest.New(t)
+	repo := NewRepository()
+	m := newTestStorage(repo, fs, StorageConfig{})
+	if err := fs.WriteFile("in/u/part-00000", []byte("1\t2\n")); err != nil {
+		t.Fatal(err)
+	}
+	e := storedEntry(t, repo, fs, "u", "in/u", 10, EntryStats{})
+	m.Maintain(time.Hour, 0)
+	if repo.lookupFP(e.fingerprint()) == nil {
+		t.Fatal("maintenance removed an entry whose output exists")
+	}
+	if err := fs.Delete(e.OutputPath); err != nil {
+		t.Fatal(err)
+	}
+	m.Maintain(time.Hour, 0)
+	if repo.lookupFP(e.fingerprint()) != nil {
+		t.Fatal("maintenance kept an entry whose output was deleted")
 	}
 }

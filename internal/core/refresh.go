@@ -161,7 +161,7 @@ func (x *execution) refreshEntry(cand RefreshCandidate, span obs.SpanID) (*Entry
 	}
 
 	ne, coldBytes := x.refreshedEntry(cand, mergedPath, dstats.InputSimBytes, dstats.SimTime, mstats.OutputSimBytes)
-	ins := d.store.repo.Insert(ne)
+	ins := d.store.insert(ne, x.since)
 	d.store.Commit(claim)
 	d.delta.refreshes.Add(1)
 	d.delta.deltaBytesRead.Add(deltaBytes)

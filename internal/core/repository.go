@@ -168,8 +168,9 @@ type measuredSize struct {
 // storedBytes returns the byte total of the entry's stored output,
 // measured once per published entry: the output of a valid entry cannot
 // change — a write, delete or rename of it moves its version past
-// OutputVersion, and Sweep vacuums invalid entries before it enforces
-// the budget — and a replaced entry is a new version measured anew.
+// OutputVersion, and maintenance vacuums such entries before it
+// enforces the budget — and a replaced entry is a new version measured
+// anew.
 func (e *Entry) storedBytes(fs dfs.Backend) int64 {
 	e.size.once.Do(func() { e.size.bytes, _, _ = fs.Stat(e.OutputPath) })
 	return e.size.bytes
@@ -215,6 +216,12 @@ type Repository struct {
 	// gen counts published entry versions: inserts, replacements and
 	// replayed puts.
 	gen int64
+	// recheck holds the IDs of entries the next Vacuum checks against
+	// the DFS whatever the feed says: suspects spared for their pin, and
+	// entries folded in from the journal after the feed passed them.
+	recheck map[string]bool
+	// replaced holds what Insert released; the next Vacuum reports it.
+	replaced []*Entry
 
 	// idPrefix prefixes generated entry IDs ("e3" → "<prefix>e3") so
 	// repositories journaling into one shared durable log — each process
@@ -243,9 +250,10 @@ type Repository struct {
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
-		byFP:  map[string]*Entry{},
-		index: newPlanIndex(),
-		refs:  map[string]int{},
+		byFP:    map[string]*Entry{},
+		index:   newPlanIndex(),
+		refs:    map[string]int{},
+		recheck: map[string]bool{},
 	}
 }
 
@@ -357,9 +365,11 @@ func (r *Repository) Lookup(sig PlanSig) *Entry {
 // output location and WholeJob mark (who owns that location) instead of
 // duplicating it — the replacement is a fresh Entry value carrying over
 // the old identity and usage counters, so readers holding the old
-// pointer are unaffected — and returns the replacement. Replacements are re-sorted and re-indexed: refreshed
-// statistics can change the entry's Rule 2 rank, and the matcher relies
-// on candidate order being the preference order.
+// pointer are unaffected — and returns the replacement. Replacements
+// are re-sorted and re-indexed: refreshed statistics can change the
+// entry's Rule 2 rank, and the matcher relies on candidate order being
+// the preference order. The replaced entry is released (see Vacuum)
+// when nothing else points at its output.
 func (r *Repository) Insert(e *Entry) *Entry {
 	fp := e.fingerprint()
 	r.mu.Lock()
@@ -378,6 +388,9 @@ func (r *Repository) Insert(e *Entry) *Entry {
 		r.index.add(&ne)
 		r.insertOrdered(&ne)
 		r.publish(&ne)
+		if r.refs[old.OutputPath] == 0 {
+			r.replaced = append(r.replaced, old)
+		}
 		r.journalPut(&ne)
 		return &ne
 	}
@@ -525,64 +538,120 @@ func (r *Repository) Remove(id string) *Entry {
 	return nil
 }
 
-// Valid reports whether an entry is usable: its output still exists and
-// none of its inputs were deleted or modified since it was stored
-// (eviction Rule 4's condition, checked at match time). It reads only
-// the entry's immutable fields and the FS, so it takes no repository
-// lock and is safe to call from Scan callbacks.
+// Valid reports whether an entry is usable as it is: alive (see fate)
+// with no moved input (eviction Rule 4's condition). It reads only the
+// entry's immutable fields and the FS, so it takes no repository lock
+// and is safe to call from Scan callbacks.
 func (r *Repository) Valid(e *Entry, fs dfs.Backend) bool {
-	if !fs.Exists(e.OutputPath) {
-		return false
-	}
-	if e.OutputVersion != 0 && fs.Version(e.OutputPath) != e.OutputVersion {
-		return false
-	}
-	for p, v := range e.InputVersions {
-		if fs.Version(p) != v {
-			return false
-		}
-	}
-	return true
+	growth, alive := fate(fs, e, nil)
+	return alive && growth == nil
 }
 
-// Vacuum removes invalid entries (Rule 4) and, when window > 0, entries
-// not reused within the window of simulated time (Rule 3), sparing the
-// ones pins reports pinned (a nil pins spares nothing). A nil changed
-// checks every entry's validity; otherwise only the entries whose
-// output or an input is a changed path are checked against the DFS.
-// Rule 3 is an in-memory check over every entry either way. It returns
-// the removed entries and the released ones among them (see remove);
-// the caller decides whether to also delete their stored outputs from
-// the DFS.
-func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager, changed map[string]bool) (removed, released []*Entry) {
-	if changed != nil && len(changed) == 0 && window <= 0 {
-		return nil, nil
+// fate decides whether an entry can still answer a query (Rule 4): it
+// is alive while valid, and alive with the appended slice of every
+// moved input while a delta refresh can revive it (it is mergeable, its
+// output is untouched, every moved input grew by pure append). The
+// vacuum removes the dead entries; the rewriter refreshes the ones with
+// growth. An output still at the version the entry recorded exists (a
+// delete moves the version); one whose version it did not record must
+// exist. A nil fed reads versions from the DFS; otherwise fed holds
+// every change since the entry was last judged (see Vacuum).
+func fate(fs dfs.Backend, e *Entry, fed map[string]int64) (growth map[string]dfs.Growth, alive bool) {
+	if e.OutputVersion == 0 && !fs.Exists(e.OutputPath) || e.OutputVersion != 0 && past(fs, fed, e.OutputPath, e.OutputVersion) {
+		return nil, false
 	}
+	moved := false
+	for p, v := range e.InputVersions {
+		if !past(fs, fed, p, v) {
+			continue
+		}
+		moved = true
+		base, ok := e.InputBases[p]
+		if e.Merge == nil || e.OutputVersion == 0 || !ok {
+			return nil, false
+		}
+		switch g := dfs.Classify(fs, p, base); g.Kind {
+		case dfs.GrowthAppend:
+			if growth == nil {
+				growth = map[string]dfs.Growth{}
+			}
+			growth[p] = g
+		case dfs.GrowthRewrite:
+			return nil, false
+		}
+	}
+	return growth, !moved || len(growth) > 0
+}
+
+// past reports whether the dataset of path moved past version v: as the
+// DFS says, or as fed says when it is non-nil.
+func past(fs dfs.Backend, fed map[string]int64, path string, v int64) bool {
+	if fed == nil {
+		return fs.Version(path) != v
+	}
+	return fed[dfs.DatasetOf(path)] > v
+}
+
+// movedIn reports whether fed, the latest version of each dataset the
+// change feed reported, moved the entry's output or an input past the
+// version the entry recorded (an output whose version it did not
+// record moves with any change).
+func (e *Entry) movedIn(fed map[string]int64) bool {
+	if past(nil, fed, e.OutputPath, e.OutputVersion) {
+		return true
+	}
+	for p, v := range e.InputVersions {
+		if past(nil, fed, p, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// Vacuum removes dead entries (Rule 4, see fate) and, when window > 0,
+// entries not reused within the window of simulated time (Rule 3),
+// sparing the ones pins reports pinned (a nil pins spares nothing).
+// fed is the latest version of every dataset the DFS change feed
+// reported since the last pass: only the entries it moved are suspects,
+// judged at the feed's versions (every other dataset is where the last
+// pass left it). An entry marked for a recheck, and every entry when
+// fed is nil, is judged at the DFS's versions. A suspect spared for its
+// pin is rechecked next pass. It returns the removed entries and the
+// released ones (see remove), with those Insert replaced.
+func (r *Repository) Vacuum(fs dfs.Backend, now time.Duration, window time.Duration, pins *LeaseManager, fed map[string]int64) (removed, released []*Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.remove(func(e *Entry) bool {
+	replaced, recheck := r.replaced, r.recheck
+	r.replaced, r.recheck = nil, map[string]bool{}
+	removed, released = r.remove(func(e *Entry) bool {
+		view := fed
+		if recheck[e.ID] {
+			view = nil
+		}
+		suspect := view == nil || e.movedIn(view)
 		if pins.Pinned(e.ID) {
+			if suspect {
+				r.recheck[e.ID] = true
+			}
 			return false
 		}
 		if window > 0 && now-max(e.StoredAt, e.LastReused) > window {
 			return true
 		}
-		return (changed == nil || e.touches(changed)) && !r.Valid(e, fs)
+		if !suspect {
+			return false
+		}
+		_, alive := fate(fs, e, view)
+		return !alive
 	}, true)
+	return removed, append(released, replaced...)
 }
 
-// touches reports whether the entry's output or one of its inputs is a
-// path in changed (whose paths are cleaned).
-func (e *Entry) touches(changed map[string]bool) bool {
-	if changed[cleanPath(e.OutputPath)] {
-		return true
-	}
-	for p := range e.InputVersions {
-		if changed[cleanPath(p)] {
-			return true
-		}
-	}
-	return false
+// markRecheck has the next Vacuum judge the entry against the DFS.
+func (r *Repository) markRecheck(id string) {
+	r.mu.Lock()
+	r.recheck[id] = true
+	r.mu.Unlock()
 }
 
 // NoteReuse records that an entry's output answered (part of) a query at
@@ -615,6 +684,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 		r.remove(func(x *Entry) bool { return x == old }, false)
 	}
 	e.logSeq = seq
+	r.recheck[e.ID] = true
 	if pos < 0 || pos > len(r.entries) {
 		pos = len(r.entries)
 	}
@@ -626,9 +696,14 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 	r.publish(e)
 }
 
-// applyRemove applies a replayed durable-log remove without journaling;
-// an entry rewritten locally after seq survives.
-func (r *Repository) applyRemove(id string, seq uint64) {
+// applyRemove applies a replayed durable-log remove without journaling.
+// It removes the version the remover saw, written at sequence of (or
+// older), so a newer one survives; with of zero, an entry rewritten
+// after seq survives.
+func (r *Repository) applyRemove(id string, seq, of uint64) {
+	if of != 0 {
+		seq = of
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.remove(func(e *Entry) bool { return e.ID == id && e.logSeq <= seq }, false)

@@ -108,44 +108,6 @@ func (rw *Rewriter) blockRefresh(e *Entry) {
 	rw.noRefresh[e] = true
 }
 
-// refreshableGrowth classifies a stale entry's inputs against its
-// stored base snapshots. It returns the growth set and true only when
-// the entry could be delta-refreshed: it is mergeable, its own output
-// is untouched, and every input whose version moved did so by pure
-// append (at least one did).
-func (rw *Rewriter) refreshableGrowth(e *Entry) (map[string]dfs.Growth, bool) {
-	if e.Merge == nil || len(e.InputBases) == 0 || rw.refreshBlocked(e) {
-		return nil, false
-	}
-	if !rw.FS.Exists(e.OutputPath) {
-		return nil, false
-	}
-	if e.OutputVersion == 0 || rw.FS.Version(e.OutputPath) != e.OutputVersion {
-		return nil, false
-	}
-	growth := map[string]dfs.Growth{}
-	for p, v := range e.InputVersions {
-		if rw.FS.Version(p) == v {
-			continue
-		}
-		base, ok := e.InputBases[p]
-		if !ok {
-			return nil, false
-		}
-		g := dfs.Classify(rw.FS, p, base)
-		switch g.Kind {
-		case dfs.GrowthNone:
-			// The version settled back between the two observations;
-			// nothing to read for this input.
-		case dfs.GrowthAppend:
-			growth[p] = g
-		default:
-			return nil, false
-		}
-	}
-	return growth, len(growth) > 0
-}
-
 // RewriteEvent records one applied rewrite for reporting.
 type RewriteEvent struct {
 	JobID     string
@@ -244,24 +206,14 @@ func (rw *Rewriter) findBestMatch(job *physical.Job, allowWhole bool, parent obs
 	var visited, traversals int64
 	visit := func(e *Entry) bool {
 		visited++
-		refreshable := false
-		var growth map[string]dfs.Growth
-		if !rw.Repo.Valid(e, rw.FS) {
-			// A stale entry whose inputs merely grew (and whose output
-			// is mergeable) is still worth a containment test: if the
-			// job contains it and nothing valid matches, the rewriter
-			// delta-refreshes it instead of letting the job recompute
-			// cold. Only the first such candidate is kept — it arrives
-			// in preference order, like matches.
-			if rw.Refresher == nil || refresh != nil {
-				rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonInvalid)
-				return true
-			}
-			growth, refreshable = rw.refreshableGrowth(e)
-			if !refreshable {
-				rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonInvalid)
-				return true
-			}
+		// A stale entry a refresh can revive still gets a containment
+		// test: the first in preference order is delta-refreshed if
+		// nothing valid matches, instead of recomputing the job cold.
+		growth, alive := fate(rw.FS, e, nil)
+		refreshable := len(growth) > 0
+		if !alive || refreshable && (rw.Refresher == nil || refresh != nil || rw.refreshBlocked(e)) {
+			rw.Trace.Event(probeSpan, obs.KindCandidate, e.ID, obs.ReasonInvalid)
+			return true
 		}
 		traversals++
 		res, ok := matchEntry(e, job.Plan, jobSig, mainStoreInput)

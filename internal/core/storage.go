@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 )
 
@@ -24,17 +26,14 @@ import (
 //     freshly committed entry instead of materializing its own copy.
 //     Duplicate cross-query work becomes in-flight sharing.
 //
-//   - Maintenance after every execution (Maintain). The engine reports
-//     every dataset path it deletes or renames to the manager, which
-//     keeps the set of changed paths. After each query, Maintain swaps
-//     that set out and checks the validity of only the entries whose
-//     output or an input is in it (Rule 4), removes entries idle beyond
-//     the reuse window (Rule 3), enforces the byte budget and compacts
-//     the journal when due. Changes that do not go through the engine —
-//     appends by another writer, raw DFS writes, a peer process's
-//     deletes — are not reported: the rewriter's probe still checks
-//     Valid before any reuse, so such an entry is never reused, and the
-//     janitor's full pass (Sweep) removes it.
+//   - Maintenance after every execution (Maintain). The manager keeps a
+//     cursor into the DFS change feed, which reports every dataset
+//     version bump: the engine's, a raw write's, a peer's. Maintain
+//     checks only the entries the feed moved and removes the dead ones
+//     (Rule 4), removes entries idle beyond the reuse window (Rule 3),
+//     deletes replaced outputs, enforces the byte budget and compacts
+//     the journal when due. Every entry is checked only when the manager
+//     is built and when the cursor fell over dfs.FeedRing bumps behind.
 //
 //   - Byte-budgeted eviction. MaxBytes bounds the bytes the repository
 //     retains; when maintenance or the janitor finds it over budget,
@@ -59,10 +58,12 @@ type StorageManager struct {
 	eng  *mapreduce.Engine // every dataset delete goes through it
 	cfg  StorageConfig
 
-	// changed holds the cleaned dataset paths the engine deleted or
-	// renamed since the last Maintain, which swaps it out.
-	changedMu sync.Mutex
-	changed   map[string]bool
+	// cursor is the change-feed position the next pass reads from.
+	cursorMu sync.Mutex
+	cursor   int64
+	// running holds the IDs of the queries this process is executing:
+	// their jobs may still read the outputs under their namespaces.
+	running sync.Map
 
 	// Counters for StorageStats, all monotonic.
 	claimsGranted   atomic.Int64
@@ -116,10 +117,10 @@ type StorageConfig struct {
 }
 
 // NewStorageManager returns a manager over the repository and the
-// engine's file system, and registers itself as the engine's dataset
-// change hook (an engine reports to one manager). Datasets it reclaims
-// are deleted through the engine, so their decoded copies leave the
-// batch cache with them.
+// engine's file system, after removing the repository's dead entries:
+// a recovered one may predate the change feed. Datasets it reclaims are
+// deleted through the engine, so their decoded copies leave the batch
+// cache with them.
 func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfig) *StorageManager {
 	if cfg.Policy == nil {
 		cfg.Policy = CostBenefitPolicy{}
@@ -128,29 +129,51 @@ func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfi
 	if cfg.Leases == nil {
 		cfg.Leases = NewLeaseManager(eng.FS(), NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
 	}
-	m := &StorageManager{repo: repo, eng: eng, cfg: cfg, changed: map[string]bool{}}
-	eng.OnDatasetChange(m.NoteChange)
+	m := &StorageManager{repo: repo, eng: eng, cfg: cfg, cursor: -1}
+	_, released := repo.Vacuum(eng.FS(), 0, 0, cfg.Leases, m.fed()) // cursor -1: a full pass
+	m.deleteOwnedOutputs(released, nil)
 	return m
 }
 
-// NoteChange records that the dataset at path was deleted, renamed away
-// or replaced, so the next Maintain checks the entries that store or
-// read it. The engine calls it for every DeleteDataset and
-// RenameDataset; a writer that changes a dataset outside the engine
-// calls it itself.
-func (m *StorageManager) NoteChange(path string) {
-	m.changedMu.Lock()
-	m.changed[cleanPath(path)] = true
-	m.changedMu.Unlock()
+// fed reads the change feed from the cursor on: the latest version of
+// every dataset it reports, or nil when it is incomplete.
+func (m *StorageManager) fed() map[string]int64 {
+	m.cursorMu.Lock()
+	changes, next, complete := m.eng.FS().Changes(m.cursor)
+	m.cursor = next
+	m.cursorMu.Unlock()
+	if !complete {
+		return nil
+	}
+	return latest(changes)
 }
 
-// takeChanged swaps out the changed-path set.
-func (m *StorageManager) takeChanged() map[string]bool {
-	m.changedMu.Lock()
-	defer m.changedMu.Unlock()
-	changed := m.changed
-	m.changed = map[string]bool{}
-	return changed
+// latest maps each dataset in changes to its latest version.
+func latest(changes []dfs.Change) map[string]int64 {
+	fed := make(map[string]int64, len(changes))
+	for _, c := range changes {
+		fed[c.Dataset] = c.Version
+	}
+	return fed
+}
+
+// feedHead returns the change-feed position the next version bump
+// takes.
+func (m *StorageManager) feedHead() int64 {
+	_, next, _ := m.eng.FS().Changes(math.MaxInt64)
+	return next
+}
+
+// insert publishes e, whose versions were read after change-feed
+// position since. A concurrent pass may have read a change of e's
+// datasets before e was in the repository, so an entry the feed moved
+// meanwhile is left for the next pass to judge.
+func (m *StorageManager) insert(e *Entry, since int64) *Entry {
+	e = m.repo.Insert(e)
+	if changes, _, complete := m.eng.FS().Changes(since); !complete || e.movedIn(latest(changes)) {
+		m.repo.markRecheck(e.ID)
+	}
+	return e
 }
 
 // namespaces returns the managed per-query namespace roots the orphan
@@ -191,24 +214,26 @@ func (m *StorageManager) RefreshShared() {
 // Maintain is the maintenance pass the driver runs after every
 // execution. In order:
 //
-//  1. Vacuum: the entries whose output or an input changed since the
-//     last pass (NoteChange) are checked against the DFS and removed
-//     when invalid (Rule 4); when window > 0, entries idle beyond it
-//     are removed too (Rule 3). Pinned entries are spared, and the
-//     released sub-job outputs are deleted.
+//  1. Vacuum: the entries the change feed moved since the last pass
+//     are checked and removed when dead (Rule 4); when window > 0,
+//     entries idle beyond it are removed too (Rule 3). Pinned entries
+//     are spared. The released sub-job outputs are deleted, with those
+//     of entries Insert replaced since the last pass.
 //  2. Budget: entries are evicted until the retained bytes fit
 //     MaxBytes.
 //  3. Compaction: a durable store's event log is compacted when due.
-//
-// Unlike Sweep, it neither reaps expired leases nor checks the entries
-// nothing reported changed. A change is checked once: an entry spared
-// for its pin is not checked again by later passes (the probe refuses
-// it while it is invalid; Sweep or its replacement removes it).
 func (m *StorageManager) Maintain(now, window time.Duration) {
-	_, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, m.takeChanged())
-	m.deleteOwnedOutputs(released, nil)
-	m.enforceBudget(now, nil)
+	m.maintain(now, window, nil)
+}
+
+// maintain is Maintain with the live peer pins already listed (nil
+// lists them when needed), returning the entries vacuumed and evicted.
+func (m *StorageManager) maintain(now, window time.Duration, peers map[string]bool) (vacuumed, evicted int) {
+	removed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, m.fed())
+	m.deleteOwnedOutputs(released, peers)
+	evicted = len(m.enforceBudget(now, peers))
 	m.compact()
+	return len(removed), evicted
 }
 
 // compact compacts a durable store's event log when enough records
@@ -515,17 +540,21 @@ func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool)
 // deleteOwnedOutputs removes the DFS outputs of released sub-job
 // entries. Only paths inside the managed namespaces are ever deleted:
 // whatever an entry's flags say, a path outside them is a user's
-// dataset (or an input) the repository merely points at. An entry in
-// peers, the caller's snapshot of live peer pins (from PeerPins or
-// ReapExpired, listed right before), keeps its output: the entry itself
-// may already be gone from this repository (vacuumed as invalid, or
-// removed by a replayed record), but a peer's in-flight rewrite is
-// reading the path, and its janitor will reclaim the bytes once the pin
-// releases. A nil peers lists the pins when the first output is about
-// to be deleted, and not at all when none is.
+// dataset (or an input) the repository merely points at, and a staged
+// output is its query's to rename into place or discard. An output a
+// reader may still be on is kept for the orphan sweep: one under the
+// namespace of a query this process is still running, whose later jobs
+// read it, and one of a pinned entry — pinned here (a replacement
+// inherits the ID, and with it the pins of the old output's readers) or
+// in peers, the caller's snapshot of live peer pins (from PeerPins or
+// ReapExpired, listed right before); the entry may be gone from this
+// repository. A nil peers lists the pins when the first output is
+// about to be deleted, and not at all when none is.
 func (m *StorageManager) deleteOwnedOutputs(released []*Entry, peers map[string]bool) {
 	for _, e := range released {
-		if e.WholeJob || !m.managed(e.OutputPath) {
+		qid := m.queryOf(e.OutputPath)
+		staged := strings.Contains(cleanPath(e.OutputPath), "/"+stagedDir+"/")
+		if _, running := m.running.Load(qid); e.WholeJob || qid == "" || staged || running || m.cfg.Leases.Pinned(e.ID) {
 			continue
 		}
 		if peers == nil {
@@ -537,16 +566,24 @@ func (m *StorageManager) deleteOwnedOutputs(released []*Entry, peers map[string]
 	}
 }
 
-// managed reports whether path lies inside a managed per-query
-// namespace.
-func (m *StorageManager) managed(path string) bool {
-	ns := m.namespaces()
-	return queryIDUnder(ns[0], cleanPath(path)) != "" || queryIDUnder(ns[1], cleanPath(path)) != ""
+// stagedDir is the directory of a query's tmp namespace its final
+// outputs are staged in until its commit renames them into place.
+const stagedDir = ".staged"
+
+// queryOf returns the query whose managed per-query namespace holds
+// path, or "" when path lies outside them.
+func (m *StorageManager) queryOf(path string) string {
+	for _, ns := range m.namespaces() {
+		if qid := queryIDUnder(ns, cleanPath(path)); qid != "" {
+			return qid
+		}
+	}
+	return ""
 }
 
 // SweepResult reports one storage sweep.
 type SweepResult struct {
-	// EntriesVacuumed counts entries removed by the validity and
+	// EntriesVacuumed counts entries removed by the dead-entry and
 	// reuse-window rules (Rules 3 and 4).
 	EntriesVacuumed int
 	// EntriesEvicted counts entries evicted by the budget policy.
@@ -560,28 +597,17 @@ type SweepResult struct {
 	LeasesReaped int
 }
 
-// Sweep runs one full maintenance pass: it reaps expired claims and
-// pins (a crashed peer's), then applies Rule 4 to every entry (invalid
-// entries, however they became invalid), Rule 3 (entries idle beyond
-// window, when window > 0) and budget enforcement, and, on a durable
-// store, compacts the event log when due.
-//
-// The janitor (System.Sweep) calls it periodically with the orphan
-// vacuum; after each execution the driver runs the cheaper Maintain.
+// Sweep reaps expired claims and pins (a crashed peer's), then runs the
+// Maintain pass. The janitor (System.Sweep) calls it periodically with
+// the orphan vacuum.
 func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 	m.sweeps.Add(1)
-	var res SweepResult
 	// Reap first: its one listing of the locks namespace also yields the
 	// live peer pins that the vacuum's deletes and the first eviction
 	// round spare.
-	var peers map[string]bool
-	res.LeasesReaped, peers = m.cfg.Leases.ReapExpired()
-	vacuumed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, nil)
-	res.EntriesVacuumed = len(vacuumed)
-	m.deleteOwnedOutputs(released, peers)
-	res.EntriesEvicted = len(m.enforceBudget(now, peers))
-	m.compact()
-	return res
+	reaped, peers := m.cfg.Leases.ReapExpired()
+	vacuumed, evicted := m.maintain(now, window, peers)
+	return SweepResult{EntriesVacuumed: vacuumed, EntriesEvicted: evicted, LeasesReaped: reaped}
 }
 
 // VacuumOrphans deletes the per-query DFS namespaces (the

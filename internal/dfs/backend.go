@@ -13,7 +13,7 @@ import "io"
 // built-in backends embed; a backend supplies content storage and
 // persistence, nothing else:
 //
-//   - Dataset versions. Every path belongs to a dataset (datasetOf: the
+//   - Dataset versions. Every path belongs to a dataset (DatasetOf: the
 //     directory holding its part files, or the path itself). A mutation
 //     moves the dataset's version by +1; deletes bump it too, so
 //     "absent" does not imply version zero — a trimmed log slot stays
@@ -26,6 +26,11 @@ import "io"
 //     file moves out of or into, and every destination dataset the move
 //     replaces. An entry derived from any of them stops being valid
 //     (repository eviction Rule 4).
+//
+//   - The change feed. Every version bump, whoever made it through this
+//     backend, is one Change in a global sequence. The feed holds the
+//     last FeedRing bumps; a cursor further behind reads complete ==
+//     false, and its caller must assume any dataset changed.
 //
 //   - What a namespace operation costs. The namespace is a directory
 //     tree. Exists, Size, Stat and Version cost a lookup and a walk down
@@ -95,6 +100,10 @@ type Backend interface {
 	// Version returns the modification version of the dataset
 	// containing path; zero means never written.
 	Version(path string) int64
+	// Changes returns the bumps from feed position since on, oldest
+	// first, at the versions Version returned right after them, and the
+	// next position; complete is false (changes nil) if since is not held.
+	Changes(since int64) (changes []Change, next int64, complete bool)
 	// FileStats returns the per-file sizes under path, sorted by file
 	// path. It is the observation primitive append detection is built
 	// on: a dataset "grew" when its version moved but every previously

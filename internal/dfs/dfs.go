@@ -41,10 +41,11 @@ func clean(path string) string {
 	return path
 }
 
-// datasetOf returns the dataset (top-level directory) a path belongs to.
+// DatasetOf returns the dataset (top-level directory) a path belongs to:
+// the key Version reads and the change feed reports.
 // "pigmix/page_views/part-00000" → "pigmix/page_views" when the path has
 // a part file component, else the path itself.
-func datasetOf(path string) string {
+func DatasetOf(path string) string {
 	path = clean(path)
 	if i := strings.LastIndex(path, "/"); i >= 0 {
 		last := path[i+1:]
@@ -134,7 +135,7 @@ func (fs *FS) Rename(oldPath, newPath string) (int64, error) {
 		return 0, err
 	}
 	fs.apply(c)
-	return fs.version[datasetOf(newPath)], nil
+	return fs.version[DatasetOf(newPath)], nil
 }
 
 // WriteFileIf writes data to path only if the version of path's dataset
@@ -150,7 +151,7 @@ func (fs *FS) WriteFileIf(path string, data []byte, expect int64) (int64, bool) 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p := clean(path)
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	if fs.version[ds] != expect {
 		return fs.version[ds], false
 	}

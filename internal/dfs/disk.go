@@ -275,12 +275,12 @@ func (d *Disk) applyRecordLocked(payload []byte) {
 	case opFilePut:
 		d.insert(path, &file{size: int64(len(data)), data: append([]byte(nil), data...)})
 		if ver > 0 {
-			d.version[datasetOf(path)] = ver
+			d.version[DatasetOf(path)] = ver
 		}
 	case opFileDel:
 		d.drop(path)
 		if ver > 0 {
-			d.version[datasetOf(path)] = ver
+			d.version[DatasetOf(path)] = ver
 		}
 	case opVersionSet:
 		d.version[path] = ver
@@ -375,7 +375,7 @@ func (d *Disk) recompactLocked() error {
 	}
 	sort.Strings(inline)
 	for _, p := range inline {
-		ds := datasetOf(p)
+		ds := DatasetOf(p)
 		ver := int64(0)
 		if ds == p {
 			ver = d.version[p]
@@ -425,7 +425,7 @@ func (d *Disk) recompactLocked() error {
 
 // isInline reports whether path is stored in the record log rather
 // than as an object file: every path that is its own dataset.
-func isInline(p string) bool { return datasetOf(p) == p }
+func isInline(p string) bool { return DatasetOf(p) == p }
 
 // objectPath maps a logical path to its objects/ file.
 func (d *Disk) objectPath(p string) string {
@@ -501,7 +501,7 @@ func (d *Disk) commit(p string, data []byte) (int64, error) {
 // held): content goes to the record log or an object by the path's
 // class, together with the dataset's next version. It owns data.
 func (d *Disk) storeLocked(p string, data []byte) (int64, error) {
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	f := &file{size: int64(len(data))}
 	if isInline(p) {
 		if err := d.appendRecordLocked(opFilePut, p, d.next(ds), data); err != nil {
@@ -588,7 +588,7 @@ func (d *Disk) Rename(oldPath, newPath string) (int64, error) {
 	if err := d.persistAndApplyLocked(c); err != nil {
 		return 0, err
 	}
-	return d.version[datasetOf(newPath)], nil
+	return d.version[DatasetOf(newPath)], nil
 }
 
 // persistAndApplyLocked writes c through to disk in plan order —
@@ -693,7 +693,7 @@ func (d *Disk) WriteFileIf(path string, data []byte, expect int64) (int64, bool)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := clean(path)
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	if d.version[ds] != expect {
 		return d.version[ds], false
 	}
@@ -717,7 +717,7 @@ func (d *Disk) RemoveFileIf(path string, expect int64) bool {
 	if !ok {
 		return false
 	}
-	release, ok := d.takeFence(datasetOf(path), expect)
+	release, ok := d.takeFence(DatasetOf(path), expect)
 	if !ok {
 		return false
 	}

@@ -28,6 +28,9 @@ type index struct {
 	// never removed: a deleted dataset keeps its last version as a
 	// tombstone, so "absent" stays distinguishable from "never written".
 	version map[string]int64
+	// feed is the change feed: bump n of the seq made sits at n%FeedRing.
+	feed []Change
+	seq  int64
 
 	// The byte meters are atomics, not mu-guarded fields, so the read
 	// path can meter under the shared read lock instead of serializing
@@ -46,7 +49,7 @@ type file struct {
 }
 
 // dir is one directory of the namespace tree. Its immediate files are
-// split the way datasetOf splits them — parts are the members of the
+// split the way DatasetOf splits them — parts are the members of the
 // dataset this directory is, alone are files that are each their own
 // dataset — so a walk that wants datasets never visits part files. Both
 // maps are keyed by full path, sharing the key strings of index.files.
@@ -67,6 +70,7 @@ func newIndex() index {
 	return index{
 		files:   make(map[string]*file),
 		version: make(map[string]int64),
+		feed:    make([]Change, FeedRing),
 	}
 }
 
@@ -194,10 +198,39 @@ func (d *dir) datasets(out []string) []string {
 // rule. Disk writes it to its record log before bump makes it current.
 func (ix *index) next(ds string) int64 { return ix.version[ds] + 1 }
 
+// bump moves ds to its next version and records the change in the feed
+// (mu held). Every version change of both backends is made here.
 func (ix *index) bump(ds string) int64 {
 	v := ix.next(ds)
 	ix.version[ds] = v
+	ix.feed[ix.seq%FeedRing] = Change{Dataset: ds, Version: v}
+	ix.seq++
 	return v
+}
+
+// FeedRing is how many version bumps the change feed holds.
+const FeedRing = 4096
+
+// Change is one version bump: Dataset, keyed as DatasetOf keys it,
+// moved to Version.
+type Change struct {
+	Dataset string
+	Version int64
+}
+
+// Changes reads the change feed (see Backend).
+func (ix *index) Changes(since int64) (changes []Change, next int64, complete bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	next = ix.seq
+	if since < max(0, next-FeedRing) || since > next {
+		return nil, next, false
+	}
+	changes = make([]Change, 0, next-since)
+	for n := since; n < next; n++ {
+		changes = append(changes, ix.feed[n%FeedRing])
+	}
+	return changes, next, true
 }
 
 // put is the index half of a file commit (mu held): install f at p,
@@ -205,7 +238,7 @@ func (ix *index) bump(ds string) int64 {
 func (ix *index) put(p string, f *file) int64 {
 	ix.insert(p, f)
 	ix.bytesWritten.Add(f.size)
-	return ix.bump(datasetOf(p))
+	return ix.bump(DatasetOf(p))
 }
 
 // writer buffers the bytes of a Create; Close hands the buffer itself
@@ -316,9 +349,9 @@ func (ix *index) planDelete(path string) (change, error) {
 	if len(c.removed) == 0 {
 		return c, &PathError{Op: "delete", Path: path, Err: ErrNotExist}
 	}
-	touched := map[string]bool{datasetOf(p): true}
+	touched := map[string]bool{DatasetOf(p): true}
 	for _, name := range c.removed {
-		touched[datasetOf(name)] = true
+		touched[DatasetOf(name)] = true
 	}
 	c.touched = sortedKeys(touched)
 	return c, nil
@@ -344,17 +377,17 @@ func (ix *index) planRename(oldPath, newPath string) (change, error) {
 		return change{}, &PathError{Op: "rename", Path: oldPath, Err: ErrNotExist}
 	}
 	var c change
-	touched := map[string]bool{datasetOf(op): true, datasetOf(np): true}
+	touched := map[string]bool{DatasetOf(op): true, DatasetOf(np): true}
 	for _, src := range srcs {
 		dst := np + src[len(op):]
 		c.moved = append(c.moved, move{src: src, dst: dst, f: ix.files[src]})
-		touched[datasetOf(src)] = true
-		touched[datasetOf(dst)] = true
+		touched[DatasetOf(src)] = true
+		touched[DatasetOf(dst)] = true
 	}
 	if op != np {
 		c.removed = ix.under(np)
 		for _, name := range c.removed {
-			touched[datasetOf(name)] = true
+			touched[DatasetOf(name)] = true
 		}
 	}
 	c.touched = sortedKeys(touched)
@@ -366,7 +399,7 @@ func (ix *index) planRename(oldPath, newPath string) (change, error) {
 // dataset equals expect and the file exists.
 func (ix *index) planRemoveIf(path string, expect int64) (change, bool) {
 	p := clean(path)
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	if _, ok := ix.files[p]; !ok || ix.version[ds] != expect {
 		return change{}, false
 	}
@@ -457,7 +490,7 @@ func (ix *index) Stat(path string) (bytes int64, version int64, leaf bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	p := clean(path)
-	version = ix.version[datasetOf(p)]
+	version = ix.version[DatasetOf(p)]
 	f, isFile := ix.files[p]
 	d := ix.dirAt(p)
 	switch {
@@ -505,7 +538,7 @@ func (ix *index) Datasets(prefix string) []string {
 func (ix *index) Version(path string) int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.version[datasetOf(path)]
+	return ix.version[DatasetOf(path)]
 }
 
 // BytesRead returns the cumulative bytes read through the backend.

@@ -47,7 +47,7 @@ func (o *flatFS) sum(names []string) (n int64) {
 func (o *flatFS) members(ds string) []string {
 	var out []string
 	for name := range o.files {
-		if datasetOf(name) == ds {
+		if DatasetOf(name) == ds {
 			out = append(out, name)
 		}
 	}
@@ -58,8 +58,8 @@ func (o *flatFS) members(ds string) []string {
 func (o *flatFS) commit(p string, data []byte) (int64, error) {
 	o.files[p] = data
 	o.written += int64(len(data))
-	o.version[datasetOf(p)]++
-	return o.version[datasetOf(p)], nil
+	o.version[DatasetOf(p)]++
+	return o.version[DatasetOf(p)], nil
 }
 
 func (o *flatFS) Create(path string) io.WriteCloser {
@@ -114,7 +114,7 @@ func (o *flatFS) Size(path string) int64 { return o.sum(o.under(clean(path))) }
 
 func (o *flatFS) Stat(path string) (int64, int64, bool) {
 	p := clean(path)
-	version := o.version[datasetOf(p)]
+	version := o.version[DatasetOf(p)]
 	if m := o.members(p); len(m) > 0 {
 		return o.sum(m), version, true // a dataset: its own files, not the ones nested below
 	}
@@ -128,7 +128,7 @@ func (o *flatFS) Datasets(prefix string) []string {
 	p := clean(prefix)
 	set := map[string]bool{}
 	for name := range o.files {
-		if ds := datasetOf(name); p == "" || ds == p || strings.HasPrefix(ds, p+"/") {
+		if ds := DatasetOf(name); p == "" || ds == p || strings.HasPrefix(ds, p+"/") {
 			set[ds] = true
 		}
 	}
@@ -144,9 +144,9 @@ func (o *flatFS) Delete(path string) error {
 	if len(removed) == 0 {
 		return &PathError{Op: "delete", Path: path, Err: ErrNotExist}
 	}
-	touched := map[string]bool{datasetOf(p): true}
+	touched := map[string]bool{DatasetOf(p): true}
 	for _, name := range removed {
-		touched[datasetOf(name)] = true
+		touched[DatasetOf(name)] = true
 		delete(o.files, name)
 	}
 	for ds := range touched {
@@ -164,16 +164,16 @@ func (o *flatFS) Rename(oldPath, newPath string) (int64, error) {
 	if len(srcs) == 0 {
 		return 0, &PathError{Op: "rename", Path: oldPath, Err: ErrNotExist}
 	}
-	touched := map[string]bool{datasetOf(op): true, datasetOf(np): true}
+	touched := map[string]bool{DatasetOf(op): true, DatasetOf(np): true}
 	if op != np {
 		for _, name := range o.under(np) {
-			touched[datasetOf(name)] = true
+			touched[DatasetOf(name)] = true
 			delete(o.files, name)
 		}
 	}
 	for _, src := range srcs {
 		dst := np + src[len(op):]
-		touched[datasetOf(src)], touched[datasetOf(dst)] = true, true
+		touched[DatasetOf(src)], touched[DatasetOf(dst)] = true, true
 		data := o.files[src]
 		delete(o.files, src)
 		o.files[dst] = data
@@ -181,12 +181,12 @@ func (o *flatFS) Rename(oldPath, newPath string) (int64, error) {
 	for ds := range touched {
 		o.version[ds]++
 	}
-	return o.version[datasetOf(np)], nil
+	return o.version[DatasetOf(np)], nil
 }
 
 func (o *flatFS) WriteFileIf(path string, data []byte, expect int64) (int64, bool) {
 	p := clean(path)
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	if o.version[ds] != expect {
 		return o.version[ds], false
 	}
@@ -196,7 +196,7 @@ func (o *flatFS) WriteFileIf(path string, data []byte, expect int64) (int64, boo
 
 func (o *flatFS) RemoveFileIf(path string, expect int64) bool {
 	p := clean(path)
-	ds := datasetOf(p)
+	ds := DatasetOf(p)
 	if _, ok := o.files[p]; !ok || o.version[ds] != expect {
 		return false
 	}
@@ -205,7 +205,11 @@ func (o *flatFS) RemoveFileIf(path string, expect int64) bool {
 	return true
 }
 
-func (o *flatFS) Version(path string) int64 { return o.version[datasetOf(path)] }
+func (o *flatFS) Version(path string) int64 { return o.version[DatasetOf(path)] }
 func (o *flatFS) BytesRead() int64          { return o.read }
 func (o *flatFS) BytesWritten() int64       { return o.written }
 func (o *flatFS) TotalBytes() int64         { return o.sum(o.List("")) }
+
+// Changes reports an incomplete feed: the reference keeps none, and an
+// incomplete feed is always a correct answer.
+func (o *flatFS) Changes(int64) ([]Change, int64, bool) { return nil, 0, false }

@@ -2,6 +2,7 @@ package restore_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -69,10 +70,43 @@ func TestRepositoryStaysBoundedUnderAppends(t *testing.T) {
 	}
 }
 
+// TestReplacedOutputsAreDeleted: a delta refresh replaces its entry with
+// one whose output lives at a new path, and the next maintenance
+// deletes the old output. After 40 append cycles, with no budget and no
+// janitor, every dataset left under restore/ is some entry's output.
+func TestReplacedOutputsAreDeleted(t *testing.T) {
+	sys := memNetSystem(t, reuseOpts(), false)
+	for cycle := 0; cycle <= 40; cycle++ {
+		if cycle > 0 {
+			if _, err := pigmix.AppendNetTrafficDay(sys.FS(), netRows, netSeed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range pigmix.NetTrafficSuite {
+			runNet(t, sys, name)
+		}
+	}
+	if sys.DeltaStats().Refreshes == 0 {
+		t.Fatal("no entry was refreshed; test premise broken")
+	}
+	outputs := map[string]bool{}
+	for _, e := range sys.Repository().Entries() {
+		outputs[strings.Trim(e.OutputPath, "/")] = true
+	}
+	var orphans []string
+	for _, ds := range sys.FS().Datasets("restore") {
+		if !outputs[ds] {
+			orphans = append(orphans, ds)
+		}
+	}
+	if len(orphans) > 0 {
+		t.Fatalf("%d datasets under restore/ are no entry's output, e.g. %s", len(orphans), orphans[0])
+	}
+}
+
 // TestWriteDatasetInvalidatesAtNextQuery: a dataset rewritten through
-// System.WriteDataset, which bypasses the engine, is still reported as
-// changed, so the next query's maintenance removes the entries that
-// read it.
+// System.WriteDataset reaches the DFS change feed like any write, so
+// the next query's maintenance removes the entries that read it.
 func TestWriteDatasetInvalidatesAtNextQuery(t *testing.T) {
 	cfg := restore.DefaultConfig()
 	cfg.Options = reuseOpts()

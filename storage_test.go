@@ -1,13 +1,17 @@
 package restore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/tuple"
 )
 
@@ -113,6 +117,94 @@ func TestConcurrentSameSignatureSubmissions(t *testing.T) {
 	for i := range serialSims {
 		if concSims[i] != serialSims[i] {
 			t.Fatalf("SimTime multiset mismatch:\nconcurrent %v\nserial     %v", concSims, serialSims)
+		}
+	}
+}
+
+// stallFS stalls the first commit of a staged query output (a rename
+// out of a .staged/ directory) until release is closed.
+type stallFS struct {
+	dfs.Backend
+	stalled          atomic.Bool
+	arrived, release chan struct{}
+}
+
+func (s *stallFS) Rename(oldPath, newPath string) (int64, error) {
+	if strings.Contains(oldPath, "/.staged/") && s.stalled.CompareAndSwap(false, true) {
+		close(s.arrived)
+		<-s.release
+	}
+	return s.Backend.Rename(oldPath, newPath)
+}
+
+// TestConcurrentSameSignatureAcrossAppend: query 1 stalls at its
+// commit, its job run and its entries registered; an append lands, and
+// query 2 — the same script — replaces query 1's entries at the grown
+// input version. Query 2's maintenance must not delete what query 1
+// is about to commit, and once query 1 is done the janitor reclaims
+// every managed dataset no entry references.
+func TestConcurrentSameSignatureAcrossAppend(t *testing.T) {
+	fs := &stallFS{Backend: dfs.New(), arrived: make(chan struct{}), release: make(chan struct{})}
+	cfg := DefaultConfig()
+	cfg.Options = claimOpts
+	sys, err := Recover(cfg, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	seedEvents(t, sys)
+	q1, err := sys.Submit(context.Background(), fmt.Sprintf(oneJobScript, "out/c1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fs.arrived
+	var part bytes.Buffer
+	w := tuple.NewWriter(&part)
+	if err := w.Write(Tuple{"dave", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("events/part-00001", part.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	res2, err := sys.Execute(fmt.Sprintf(oneJobScript, "out/c2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.Stored) == 0 {
+		t.Fatal("query 2 registered nothing; test premise broken")
+	}
+	close(fs.release)
+	res1, err := q1.Wait()
+	if err != nil {
+		t.Fatalf("query 1 lost its output to query 2's maintenance: %v", err)
+	}
+	for _, c := range []struct {
+		res  *Result
+		path string
+		rows int
+	}{{res1, "out/c1", 3}, {res2, "out/c2", 4}} {
+		out, err := c.res.Output(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.path, len(out), c.rows)
+		}
+	}
+
+	sys.Sweep()
+	referenced := map[string]bool{}
+	for _, e := range sys.Repository().Entries() {
+		referenced[strings.Trim(e.OutputPath, "/")] = true
+	}
+	for _, ns := range []string{"restore", "tmp"} {
+		for _, ds := range fs.Datasets(ns) {
+			if !referenced[ds] {
+				t.Errorf("%s outlived the janitor, no entry's output", ds)
+			}
 		}
 	}
 }

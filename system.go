@@ -156,9 +156,9 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	return s, nil
 }
 
-// janitor is the background storage sweeper: every interval it vacuums
-// invalid entries, reclaims dead queries' namespaces and enforces the
-// byte budget, until Close.
+// janitor is the background storage sweeper: every interval it reaps
+// expired leases, runs the maintenance pass, reclaims dead queries'
+// namespaces and enforces the byte budget, until Close.
 func (s *System) janitor(every time.Duration) {
 	defer close(s.janitorDone)
 	t := time.NewTicker(every)
@@ -174,10 +174,10 @@ func (s *System) janitor(every time.Duration) {
 }
 
 // Sweep runs one storage-maintenance pass synchronously — exactly what
-// the background janitor runs per tick: the validity and reuse-window
-// vacuum, budget eviction, and reclamation of per-query namespaces
-// whose query is no longer in flight and whose data no repository entry
-// references.
+// the background janitor runs per tick: the reap of expired leases, the
+// maintenance pass each query runs, and reclamation of per-query
+// namespaces whose query is no longer in flight and whose data no
+// repository entry references.
 func (s *System) Sweep() SweepReport {
 	// The early live-query snapshot must precede the manager's
 	// entry-root snapshot: a query completing in between is protected
@@ -270,12 +270,10 @@ func (s *System) Repository() *core.Repository { return s.repo }
 // submission starts from before its ExecOptions apply.
 func (s *System) Options() Options { return s.cfg.Options }
 
-// WriteDataset stores rows as a single-part dataset at path. The write
-// bypasses the engine, so it reports the path to the storage manager
-// itself: the next query's maintenance removes the entries that stored
-// or read the old contents.
+// WriteDataset stores rows as a single-part dataset at path. Like any
+// DFS write it reaches the change feed: the next query's maintenance
+// removes the entries that stored or read the old contents.
 func (s *System) WriteDataset(path string, rows []Tuple) error {
-	defer s.store.NoteChange(path)
 	w := s.fs.Create(strings.TrimSuffix(path, "/") + "/part-00000")
 	tw := tuple.NewWriter(w)
 	for _, r := range rows {
