@@ -214,6 +214,7 @@ G = group B by user;
 S = foreach G generate group, SUM(B.estimated_revenue);
 store S into 'bench/out';
 `
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Execute(script); err != nil {

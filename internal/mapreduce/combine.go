@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"math/bits"
-	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/physical"
@@ -24,10 +23,11 @@ import (
 //
 // A map task numbers its distinct keys in a keyIndex, by key hash and
 // tuple.Equal — the identity the reducer's groupByKey groups by — and
-// keeps every key's partial states in one slice. The shuffle record
-// points at its key's states as they are (rec.states): nothing is
-// rendered to strings or boxed into tuples on the way to the reducer,
-// which folds them with aggState.merge.
+// keeps every key's partial states in one slice, both in its scratch.
+// Draining copies the states out once; each shuffle record points at
+// its key's (rec.states): nothing is rendered to strings or boxed into
+// tuples on the way to the reducer, which folds them with
+// aggState.merge.
 
 // combineSpec describes a combinable GROUP job.
 type combineSpec struct {
@@ -177,18 +177,8 @@ func (s *aggState) final(kind expr.AggKind) tuple.Value {
 // allInt is 1 or 0 and min and max are escaped like stored fields.
 func (s *aggState) textLen() int {
 	const fixed = 2 + 5 + 1 // parentheses, commas, the allInt digit
-	return fixed + intTextLen(s.count) + intTextLen(s.sumI) + floatTextLen(s.sumF) +
+	return fixed + tuple.IntTextLen(s.count) + tuple.IntTextLen(s.sumI) + tuple.FloatTextLen(s.sumF) +
 		tuple.EncodeTextLen(tuple.Tuple{s.minV}) + tuple.EncodeTextLen(tuple.Tuple{s.maxV})
-}
-
-func intTextLen(n int64) int {
-	var buf [20]byte
-	return len(strconv.AppendInt(buf[:0], n, 10))
-}
-
-func floatTextLen(f float64) int {
-	var buf [32]byte
-	return len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
 }
 
 // partialBytes is a shuffled record's volume: its states' renderings
@@ -240,6 +230,14 @@ func (x *keyIndex) add(key tuple.Value) (int, bool) {
 // slot is h's home slot, from the top bits of a multiplied hash.
 func (x *keyIndex) slot(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> x.shift }
 
+// reset empties the index, keeping its arrays.
+func (x *keyIndex) reset() {
+	clear(x.keys)
+	x.keys = x.keys[:0]
+	x.hashes = x.hashes[:0]
+	clear(x.slots)
+}
+
 // grow doubles the table (16 slots to start) and re-slots every key.
 func (x *keyIndex) grow() {
 	size := max(16, 2*len(x.slots))
@@ -255,61 +253,44 @@ func (x *keyIndex) grow() {
 	}
 }
 
-// combineAccumulator builds one map task's partials: per distinct key,
-// len(spec.aggs) states, none for a DISTINCT (nil spec).
-type combineAccumulator struct {
-	aggs   []expr.Agg
-	numRed int
-	keys   keyIndex
-	states []aggState // key i's are states[i*k : (i+1)*k], k = len(aggs)
-}
-
-func newCombineAccumulator(spec *combineSpec, numRed int) *combineAccumulator {
-	c := &combineAccumulator{numRed: numRed}
-	if spec != nil {
-		c.aggs = spec.aggs
-	}
-	return c
-}
-
-func (c *combineAccumulator) add(key tuple.Value, t tuple.Tuple) {
-	i, added := c.keys.add(key)
-	k := len(c.aggs)
+// combine folds one map-side row into its key's partial states, one
+// per aggregate (none for a DISTINCT), numbering the task's keys in s.
+func (s *taskScratch) combine(aggs []expr.Agg, key tuple.Value, t tuple.Tuple) {
+	i, added := s.keys.add(key)
+	k := len(aggs)
 	if added {
-		c.states = append(c.states, make([]aggState, k)...)
+		s.states = append(s.states, make([]aggState, k)...)
 	}
-	st := c.states[i*k : (i+1)*k]
-	for j, a := range c.aggs {
+	st := s.states[i*k : (i+1)*k]
+	for j, a := range aggs {
 		st[j].accumulate(a, t)
 	}
 }
 
-// drain returns the task's shuffle output: for each partition, one
-// record per distinct key in first-seen order, holding the first
-// arrival of the key and its states. The order within a partition is
-// free: each key has one record per task, and groupByKey orders the
-// reducer's input by key.
-func (c *combineAccumulator) drain() [][]rec {
-	counts := make([]int, c.numRed)
-	for _, h := range c.keys.hashes {
-		counts[partitionOf(h, c.numRed)]++
+// drainCombined returns the task's combined shuffle output: for each
+// partition, one record per distinct key in first-seen order, holding
+// the first arrival of the key and its k states. The states are copied
+// out of the scratch into one array the records share. The order within
+// a partition is free: each key has one record per task, and groupByKey
+// orders the reducer's input by key.
+func (s *taskScratch) drainCombined(k, numRed int) [][]rec {
+	n := len(s.keys.keys)
+	var states []aggState
+	var heads [][]aggState // what each record points at
+	if k > 0 {
+		states = append(make([]aggState, 0, n*k), s.states...)
+		heads = make([][]aggState, n)
 	}
-	recs := make([]rec, len(c.keys.keys))
-	out := make([][]rec, c.numRed)
-	off := 0
-	for p, n := range counts {
-		out[p] = recs[off : off : off+n]
-		off += n
+	for i, key := range s.keys.keys {
+		st := states[i*k : (i+1)*k : (i+1)*k]
+		r := rec{key: key, hash: s.keys.hashes[i], bytes: partialBytes(key, st)}
+		if k > 0 {
+			heads[i] = st
+			r.states = &heads[i]
+		}
+		s.staged = append(s.staged, r)
 	}
-	k := len(c.aggs)
-	states := make([][]aggState, len(c.keys.keys)) // what each record points at
-	for i, key := range c.keys.keys {
-		h := c.keys.hashes[i]
-		p := partitionOf(h, c.numRed)
-		states[i] = c.states[i*k : (i+1)*k : (i+1)*k]
-		out[p] = append(out[p], rec{key: key, hash: h, states: &states[i], bytes: partialBytes(key, states[i])})
-	}
-	return out
+	return s.partition(numRed)
 }
 
 // row merges one key group's partial records into acc, len(aggs)

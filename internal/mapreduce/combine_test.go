@@ -404,8 +404,9 @@ var combineValues = []tuple.Value{
 }
 
 // checkMapCombine cuts a random stream of (key, row) pairs into map
-// tasks and runs each through a combineAccumulator, then every
-// reducer's share through groupByKey and combineSpec.row. It requires
+// tasks and runs each through the combiner (taskScratch.combine and
+// drainCombined), then every reducer's share through groupByKey and
+// combineSpec.row, reusing one scratch throughout. It requires
 // that
 //
 //	(a) each group's row is the ForEach's output over the group's whole
@@ -447,17 +448,18 @@ func checkMapCombine(t *testing.T, c *chooser) {
 	}
 	numRed := 1 + c.n(6)
 	var tasks [][][]rec
+	s := new(taskScratch) // one scratch for every task, as a pooled one is reused
 	for lo := 0; lo < len(stream); {
 		hi := min(len(stream), lo+1+c.n(40))
-		acc := newCombineAccumulator(spec, numRed)
 		var firsts []tuple.Value // the task's distinct keys, first arrivals
 		for _, p := range stream[lo:hi] {
-			acc.add(p.key, p.row)
+			s.combine(spec.aggs, p.key, p.row)
 			if !slices.ContainsFunc(firsts, func(k tuple.Value) bool { return tuple.Equal(k, p.key) }) {
 				firsts = append(firsts, p.key)
 			}
 		}
-		parts := acc.drain()
+		parts := s.drainCombined(len(spec.aggs), numRed)
+		s.reset()
 		n := 0
 		for p, recs := range parts {
 			for _, r := range recs {
@@ -490,7 +492,7 @@ func checkMapCombine(t *testing.T, c *chooser) {
 		for m := range tasks {
 			parts[m] = tasks[m][r]
 		}
-		recs, starts := groupByKey(parts, nil)
+		recs, starts := s.groupByKey(parts, nil)
 		for g, lo := range starts {
 			hi := len(recs)
 			if g+1 < len(starts) {
@@ -518,6 +520,7 @@ func checkMapCombine(t *testing.T, c *chooser) {
 				}
 			}
 		}
+		s.reset()
 	}
 	var distinct []tuple.Value
 	for _, p := range stream {
@@ -549,8 +552,8 @@ func FuzzMapCombine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkMapCombine(t, &chooser{data: data}) })
 }
 
-// BenchmarkMapCombine times one map task's combining, add for every row
-// and drain, and the reducers' merge of its partials (groupByKey and
+// BenchmarkMapCombine times one map task's combining, combine for every
+// row and drainCombined, and the reducers' merge of its partials (groupByKey and
 // combineSpec.row per partition), for COUNT, an integer SUM, MIN and
 // MAX by a string key. It runs at engine-scan's shape — map tasks of
 // about 70 rows, 24 reducers — and over a 10 000-row task, reporting
@@ -581,12 +584,15 @@ func BenchmarkMapCombine(b *testing.B) {
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := newCombineAccumulator(spec, shape.reducers)
+				s := getScratch()
 				for j, row := range rows {
-					c.add(keys[j], row)
+					s.combine(spec.aggs, keys[j], row)
 				}
-				for _, part := range c.drain() {
-					recs, starts := groupByKey([][]rec{part}, nil)
+				parts := s.drainCombined(len(spec.aggs), shape.reducers)
+				s.release()
+				for _, part := range parts {
+					s := getScratch()
+					recs, starts := s.groupByKey([][]rec{part}, nil)
 					for g, lo := range starts {
 						hi := len(recs)
 						if g+1 < len(starts) {
@@ -594,6 +600,7 @@ func BenchmarkMapCombine(b *testing.B) {
 						}
 						spec.row(recs[lo:hi], acc)
 					}
+					s.release()
 				}
 			}
 			b.StopTimer()

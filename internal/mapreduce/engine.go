@@ -290,20 +290,18 @@ func avg(ds []time.Duration) time.Duration {
 	return sum / time.Duration(len(ds))
 }
 
-// segmentation splits the plan at the shuffle boundary.
+// segmentation splits the plan at the shuffle boundary. It is built
+// once per job, and the interpreter indexes its successor slices by op
+// ID for every row at every op.
 type segmentation struct {
-	plan    *physical.Plan
-	succ    map[int][]int
 	shuffle *physical.Op
 	pkg     *physical.Op
-	// inMap[id] is true for ops executed by map tasks.
-	inMap map[int]bool
+	// mapSide holds the ops map tasks run, everything but the shuffle
+	// and its descendants; redSide holds those.
+	mapSide, redSide side
 	// counts of pipeline ops per segment for the CPU cost model.
 	mapOps int
 	redOps int
-	// the Store ops each side runs, sorted by ID: every task writes one
-	// part file per Store on its side.
-	mapStores, redStores []*physical.Op
 	// combine is non-nil when the job qualifies for Pig's algebraic
 	// combiner, and distinct is set for a DISTINCT, whose map tasks ship
 	// each key once (see combine.go).
@@ -313,9 +311,24 @@ type segmentation struct {
 	feeds map[int]feed
 }
 
+// side is what the tasks of one side of the shuffle run.
+type side struct {
+	// succ[id] are op id's successors on this side, in ID order; it
+	// has an entry for every ID in the plan.
+	succ [][]*physical.Op
+	// stores are the Store ops on this side, sorted by ID: every task
+	// writes one part file per Store.
+	stores []*physical.Op
+}
+
 func segments(p *physical.Plan) (*segmentation, error) {
-	s := &segmentation{plan: p, succ: p.Successors(), inMap: map[int]bool{}}
-	for _, op := range p.Ops() {
+	all := p.Ops()
+	if len(all) == 0 {
+		return nil, fmt.Errorf("empty plan")
+	}
+	succ := p.Successors()
+	s := &segmentation{}
+	for _, op := range all {
 		if op.Kind == physical.KShuffle {
 			if s.shuffle != nil {
 				return nil, fmt.Errorf("plan has more than one shuffle")
@@ -324,7 +337,7 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		}
 	}
 	if s.shuffle != nil {
-		for _, id := range s.succ[s.shuffle.ID] {
+		for _, id := range succ[s.shuffle.ID] {
 			op := p.Op(id)
 			if op.Kind != physical.KPackage {
 				return nil, fmt.Errorf("shuffle successor %d is %s, want Package", id, op.Kind)
@@ -337,7 +350,7 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		if s.pkg == nil {
 			return nil, fmt.Errorf("shuffle has no Package")
 		}
-		s.combine = detectCombine(p, s.succ, s.pkg)
+		s.combine = detectCombine(p, succ, s.pkg)
 		s.distinct = s.pkg.Mode == physical.PkgDistinct
 	}
 	// Reduce side = descendants of the shuffle; everything else is map.
@@ -349,29 +362,34 @@ func segments(p *physical.Plan) (*segmentation, error) {
 				return
 			}
 			reduceSet[id] = true
-			for _, nxt := range s.succ[id] {
+			for _, nxt := range succ[id] {
 				mark(nxt)
 			}
 		}
 		mark(s.shuffle.ID)
 	}
-	for _, op := range p.Ops() {
-		if !reduceSet[op.ID] {
-			s.inMap[op.ID] = true
-			s.mapOps++
-		} else {
+	n := all[len(all)-1].ID + 1
+	s.mapSide.succ = make([][]*physical.Op, n)
+	s.redSide.succ = make([][]*physical.Op, n)
+	for _, op := range all {
+		sd := &s.mapSide
+		if reduceSet[op.ID] {
+			sd = &s.redSide
 			s.redOps++
+		} else {
+			s.mapOps++
+		}
+		for _, id := range succ[op.ID] {
+			if reduceSet[id] == reduceSet[op.ID] {
+				sd.succ[op.ID] = append(sd.succ[op.ID], p.Op(id))
+			}
 		}
 		if op.Kind == physical.KStore {
-			if reduceSet[op.ID] {
-				s.redStores = append(s.redStores, op)
-			} else {
-				s.mapStores = append(s.mapStores, op)
-			}
+			sd.stores = append(sd.stores, op)
 		}
 	}
 	s.feeds = map[int]feed{}
-	for _, op := range p.Ops() {
+	for _, op := range all {
 		if op.Kind == physical.KLoad {
 			s.feeds[op.ID] = s.mapFeed(op.ID)
 		}
@@ -409,12 +427,11 @@ func (s *segmentation) mapFeed(loadID int) feed {
 	seen := map[int]bool{}
 	var walk func(id int) bool
 	walk = func(id int) bool {
-		for _, sid := range s.succ[id] {
-			if !s.inMap[sid] || seen[sid] {
+		for _, op := range s.mapSide.succ[id] {
+			if seen[op.ID] {
 				continue
 			}
-			seen[sid] = true // a DAG: a shared descendant is walked once
-			op := s.plan.Op(sid)
+			seen[op.ID] = true // a DAG: a shared descendant is walked once
 			switch op.Kind {
 			case physical.KForEach:
 				for _, e := range op.Exprs {
@@ -427,7 +444,7 @@ func (s *segmentation) mapFeed(loadID int) feed {
 			default:
 				return false
 			}
-			if !walk(sid) {
+			if !walk(op.ID) {
 				return false
 			}
 		}
@@ -625,6 +642,11 @@ func (e *Engine) RenameDataset(from, to string) (int64, error) {
 }
 
 // mapResult carries one map task's shuffle output and cost accounting.
+// The reducers read parts after the map task has returned its scratch
+// (taskScratch, in scratch.go) to the pool, so parts and the partial
+// states its records point at are the task's own, allocated once at
+// their exact size; they never alias the scratch, which the next task
+// overwrites.
 type mapResult struct {
 	parts   [][]rec // per reduce partition
 	work    cluster.TaskWork
@@ -713,25 +735,26 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 
 func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
-	px := newExec(seg, false)
+	s := getScratch()
+	defer s.release()
+	px := newExec(seg, false, s)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
-	var acc *combineAccumulator
+	var aggs []expr.Agg
+	if seg.combine != nil {
+		aggs = seg.combine.aggs
+	}
 	if seg.combine != nil || seg.distinct {
 		// Pig's combiners: pre-aggregate (or, for a DISTINCT, drop
 		// repeats of) each key in the map task.
-		acc = newCombineAccumulator(seg.combine, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
-			acc.add(key, t)
+			s.combine(aggs, key, t)
 		}
 	} else if numRed > 0 {
-		mr.parts = make([][]rec, numRed)
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
 			n := int64(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			h := tuple.Hash(key)
-			p := partitionOf(h, numRed)
-			mr.parts[p] = append(mr.parts[p], rec{key: key, hash: h, branch: branch, t: t, bytes: n})
+			s.staged = append(s.staged, rec{key: key, hash: tuple.Hash(key), branch: branch, t: t, bytes: n})
 		}
 	}
 
@@ -755,8 +778,11 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		return mr, err
 	}
 	mr.encode = px.encode
-	if acc != nil {
-		mr.parts = acc.drain()
+	switch {
+	case seg.combine != nil || seg.distinct:
+		mr.parts = s.drainCombined(len(aggs), numRed)
+	case numRed > 0:
+		mr.parts = s.partition(numRed)
 	}
 
 	var shuffleBytes, shuffleRecs int64
@@ -787,13 +813,9 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	outs := make([]map[string]OutputStat, numRed)
 	encode := make([]time.Duration, numRed)
 	r, err := e.runTasks(ctx, numRed, func(r int) error {
-		parts := make([][]rec, len(mapResults))
-		for i, mr := range mapResults {
-			parts[i] = mr.parts[r]
-		}
 		outs[r] = map[string]OutputStat{}
 		var err error
-		if times[r], encode[r], err = e.runReduceTask(seg, parts, r, outs[r]); err == nil {
+		if times[r], encode[r], err = e.runReduceTask(seg, mapResults, r, outs[r]); err == nil {
 			tracker.tick(times[r])
 		}
 		return err
@@ -809,15 +831,20 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 }
 
 // runReduceTask runs reduce task taskIdx over its partition of every
-// map task's output, parts[m] from map task m. It pushes the key groups
-// in the order Hadoop's sort delivers them — by key (respecting ORDER BY
-// direction), then branch, each (key, branch) run in map-task order —
-// which groupByKey builds without sorting the records. It returns the
-// task's simulated time and the wall-clock its close spent encoding.
-func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, error) {
-	recs, starts := groupByKey(parts, seg.pkg.Desc)
+// map task's output. It pushes the key groups in the order Hadoop's
+// sort delivers them — by key (respecting ORDER BY direction), then
+// branch, each (key, branch) run in map-task order — which groupByKey
+// builds without sorting the records. It returns the task's simulated
+// time and the wall-clock its close spent encoding.
+func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, error) {
+	s := getScratch()
+	defer s.release()
+	for _, mr := range mapResults {
+		s.parts = append(s.parts, mr.parts[taskIdx])
+	}
+	recs, starts := s.groupByKey(s.parts, seg.pkg.Desc)
 
-	px := newExec(seg, true)
+	px := newExec(seg, true, s)
 	px.suffix = fmt.Sprintf("part-r-%05d", taskIdx)
 
 	var shuffleBytes int64
@@ -826,7 +853,8 @@ func (e *Engine) runReduceTask(seg *segmentation, parts [][]rec, taskIdx int, ou
 	}
 	var acc []aggState // the combiner's merge states, reused per group
 	if seg.combine != nil {
-		acc = make([]aggState, len(seg.combine.aggs))
+		s.states = sized(s.states, len(seg.combine.aggs))
+		acc = s.states
 	}
 
 	for g, lo := range starts {

@@ -35,8 +35,9 @@ type keyRun struct {
 //
 // n records holding d distinct keys cost O(n) probes and O(d log d) key
 // compares. Grouping by hash is exact because Compare(a, b) == 0 implies
-// Hash(a) == Hash(b) (see tuple.Hash).
-func groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
+// Hash(a) == Hash(b) (see tuple.Hash). The table, the runs and the
+// returned records and starts are s's: they live until s is reset.
+func (s *taskScratch) groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -49,10 +50,11 @@ func groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
 	// hash: the low bits are no use, since every record in this
 	// partition has the same hash mod the reducer count.
 	logSize := bits.Len(uint(2*n - 1))
-	table := make([]int32, 1<<logSize)
+	table := sized(s.table, 1<<logSize)
+	clear(table)
 	mask, shift := uint64(len(table)-1), 64-logSize
-	runOf := make([]int32, n)
-	var runs []keyRun
+	runOf := sized(s.runOf, n)
+	runs := s.runs[:0]
 	i := 0
 	for _, p := range parts {
 		for k := range p {
@@ -86,8 +88,8 @@ func groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
 		}
 		return cmp.Compare(a.branch, b.branch)
 	})
-	next := make([]int32, len(runs)) // by run id: where its next record goes
-	starts := make([]int, 0, len(runs))
+	next := sized(s.next, len(runs)) // by run id: where its next record goes
+	starts := s.starts[:0]
 	var pos int32
 	for k := range runs {
 		run := &runs[k]
@@ -98,7 +100,7 @@ func groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
 		pos += run.n
 	}
 
-	recs := make([]rec, n)
+	recs := sized(s.recs, n)
 	i = 0
 	for _, p := range parts {
 		for k := range p {
@@ -108,6 +110,7 @@ func groupByKey(parts [][]rec, desc []bool) ([]rec, []int) {
 			i++
 		}
 	}
+	s.table, s.runOf, s.runs, s.next, s.starts, s.recs = table, runOf, runs, next, starts, recs
 	return recs, starts
 }
 

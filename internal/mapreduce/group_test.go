@@ -87,11 +87,15 @@ func shuffleInput(choose func(n int) int) ([][]rec, []bool) {
 }
 
 // checkGroupByKey requires groupByKey to produce refReduceOrder's record
-// order, compared by record identity, and its group starts.
+// order, compared by record identity, and its group starts, on a
+// scratch that last grouped another input (half of this one).
 func checkGroupByKey(t *testing.T, parts [][]rec, desc []bool) {
 	t.Helper()
 	want, wantStarts := refReduceOrder(parts, desc)
-	got, gotStarts := groupByKey(parts, desc)
+	s := new(taskScratch)
+	s.groupByKey(parts[len(parts)/2:], desc)
+	s.reset()
+	got, gotStarts := s.groupByKey(parts, desc)
 	if len(got) != len(want) {
 		t.Fatalf("groupByKey returned %d records, want %d", len(got), len(want))
 	}
@@ -198,7 +202,11 @@ func BenchmarkReduceGroup(b *testing.B) {
 		fn   func([][]rec, []bool) ([]rec, []int)
 	}{
 		{"stable-sort", refReduceOrder},
-		{"group-by-hash", groupByKey},
+		{"group-by-hash", func(parts [][]rec, desc []bool) ([]rec, []int) {
+			s := getScratch()
+			defer s.release()
+			return s.groupByKey(parts, desc)
+		}},
 	}
 	for _, sh := range shapes {
 		r := rand.New(rand.NewSource(1))

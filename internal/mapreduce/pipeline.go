@@ -16,14 +16,10 @@ import (
 // through successors until they hit a Store, a LocalRearrange, or get
 // filtered out.
 type exec struct {
-	plan *physical.Plan
-	succ map[int][]int
-	// inMap marks the map-segment ops and reduce says which side of the
-	// segmentation this task runs: a map task walks and stores only the
-	// ops in inMap, a reduce task only the others.
-	inMap  map[int]bool
-	reduce bool
-	stores []*physical.Op // the Store ops on this task's side
+	// succ[id] are op id's successors on this task's side of the
+	// segmentation, and stores its Store ops in ID order.
+	succ   [][]*physical.Op
+	stores []*physical.Op
 
 	// keyed receives LocalRearrange emissions (map tasks only).
 	keyed func(branch int, key tuple.Value, t tuple.Tuple)
@@ -31,54 +27,41 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	writers map[int]*taskWriter // per Store op
-	limits  map[int]int64       // per Limit op counter
+	// rows[id] are the rows Store id writes and limits[id] the rows
+	// Limit id has let through, both in the task's scratch.
+	rows   [][]tuple.Tuple
+	limits []int64
 
 	// encode is the wall-clock close spent encoding part files and
 	// writing them to the DFS, for JobStats.
 	encode time.Duration
 }
 
-type taskWriter struct {
-	path string
-	rows []tuple.Tuple
-}
-
-func newExec(seg *segmentation, reduce bool) *exec {
-	x := &exec{
-		plan:    seg.plan,
-		succ:    seg.succ,
-		inMap:   seg.inMap,
-		reduce:  reduce,
-		stores:  seg.mapStores,
-		writers: map[int]*taskWriter{},
-		limits:  map[int]int64{},
-	}
+// newExec returns the interpreter of seg's map side, or of its reduce
+// side when reduce is set, keeping its per-op state in s.
+func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
+	sd := seg.mapSide
 	if reduce {
-		x.stores = seg.redStores
+		sd = seg.redSide
 	}
-	return x
+	n := len(sd.succ) // one entry per op ID
+	s.rows = sized(s.rows, n)
+	s.limits = sized(s.limits, n)
+	clear(s.limits)
+	return &exec{succ: sd.succ, stores: sd.stores, rows: s.rows, limits: s.limits}
 }
-
-// runs reports whether op id belongs to this task's side of the
-// segmentation.
-func (x *exec) runs(id int) bool { return x.inMap[id] != x.reduce }
 
 // push delivers t to every successor of op fromID.
 func (x *exec) push(fromID int, t tuple.Tuple) error {
-	for _, sid := range x.succ[fromID] {
-		if !x.runs(sid) {
-			continue
-		}
-		if err := x.apply(sid, t); err != nil {
+	for _, op := range x.succ[fromID] {
+		if err := x.apply(op, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (x *exec) apply(opID int, t tuple.Tuple) error {
-	op := x.plan.Op(opID)
+func (x *exec) apply(op *physical.Op, t tuple.Tuple) error {
 	switch op.Kind {
 	case physical.KForEach:
 		out := make(tuple.Tuple, len(op.Exprs))
@@ -89,7 +72,7 @@ func (x *exec) apply(opID int, t tuple.Tuple) error {
 			}
 			out[i] = v
 		}
-		return x.push(opID, out)
+		return x.push(op.ID, out)
 
 	case physical.KFilter:
 		ok, err := expr.EvalBool(op.Cond, t)
@@ -99,25 +82,20 @@ func (x *exec) apply(opID int, t tuple.Tuple) error {
 		if !ok {
 			return nil
 		}
-		return x.push(opID, t)
+		return x.push(op.ID, t)
 
 	case physical.KUnion, physical.KSplit:
-		return x.push(opID, t)
+		return x.push(op.ID, t)
 
 	case physical.KLimit:
-		if x.limits[opID] >= op.N {
+		if x.limits[op.ID] >= op.N {
 			return nil
 		}
-		x.limits[opID]++
-		return x.push(opID, t)
+		x.limits[op.ID]++
+		return x.push(op.ID, t)
 
 	case physical.KStore:
-		w := x.writers[opID]
-		if w == nil {
-			w = &taskWriter{path: op.Path}
-			x.writers[opID] = w
-		}
-		w.rows = append(w.rows, t)
+		x.rows[op.ID] = append(x.rows[op.ID], t)
 		return nil
 
 	case physical.KLocalRearrange:
@@ -186,7 +164,11 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 	}
 	idx := make([]int, n)
 	for {
-		var out tuple.Tuple
+		width := 0
+		for i := 0; i < n; i++ {
+			width += len(bags[i].Tuples[idx[i]])
+		}
+		out := make(tuple.Tuple, 0, width)
 		for i := 0; i < n; i++ {
 			out = append(out, bags[i].Tuples[idx[i]]...)
 		}
@@ -209,27 +191,21 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 	}
 }
 
-// close flushes every Store writer to the DFS (one part file per task
-// per Store, created even when empty, as Hadoop does) and accumulates
-// output statistics scaled to simulated bytes.
+// close flushes every Store's rows to the DFS in Store-ID order (one
+// part file per task per Store, created even when empty, as Hadoop
+// does: an empty part still pays the setup cost) and accumulates output
+// statistics scaled to simulated bytes.
 func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]OutputStat) error {
-	// Every Store op on this task's side writes a part, not just those
-	// that received rows: empty part files still get created and still
-	// pay the setup cost.
-	for _, op := range x.stores {
-		if x.writers[op.ID] == nil {
-			x.writers[op.ID] = &taskWriter{path: op.Path}
-		}
-	}
 	bp := partBufs.Get().(*[]byte)
 	buf := *bp
-	for _, w := range x.writers {
+	for _, op := range x.stores {
+		rows := x.rows[op.ID]
 		start := time.Now()
 		buf = buf[:0]
-		for _, t := range w.rows {
+		for _, t := range rows {
 			buf = append(tuple.AppendText(buf, t), '\n')
 		}
-		f := fs.Create(w.path + "/" + x.suffix)
+		f := fs.Create(op.Path + "/" + x.suffix)
 		if _, err := f.Write(buf); err != nil {
 			return err
 		}
@@ -237,10 +213,10 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 			return err
 		}
 		x.encode += time.Since(start)
-		cur := outStats[w.path]
+		cur := outStats[op.Path]
 		cur.SimBytes += int64(float64(len(buf)) * simScale)
-		cur.Records += int64(float64(len(w.rows)) * simScale)
-		outStats[w.path] = cur
+		cur.Records += int64(float64(len(rows)) * simScale)
+		outStats[op.Path] = cur
 	}
 	*bp = buf
 	partBufs.Put(bp)

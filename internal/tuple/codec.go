@@ -159,11 +159,9 @@ func textLen(v Value) (raw, esc int) {
 	case nil:
 		return 0, 0
 	case int64:
-		var buf [20]byte
-		return len(strconv.AppendInt(buf[:0], x, 10)), 0
+		return IntTextLen(x), 0
 	case float64:
-		var buf [32]byte
-		return len(strconv.AppendFloat(buf[:0], x, 'g', -1, 64)), 0
+		return FloatTextLen(x), 0
 	case string:
 		return len(x), countEscapable(x)
 	case Tuple:
