@@ -12,11 +12,12 @@ import (
 // TestNoDeadCacheEntries: a job's output enters the batch cache when a
 // later job reads it, and most outputs — temporaries, STORE staging,
 // refresh deltas, rejected or evicted sub-job outputs — are deleted or
-// renamed away soon after and never named again. Nothing but that
-// delete or rename can then take the decoded copy out of the cache, so
-// each one must go through the engine. After every step below, each dataset the
-// cache holds must still exist on the DFS; every step reaches at least
-// one of the driver's or storage manager's delete or rename sites.
+// renamed away soon after and never named again. The cache reads the
+// DFS change feed, which reports each of those deletes and renames, and
+// drops the decoded copy by its next operation. After every step below,
+// each dataset the cache holds must still exist on the DFS; every step
+// reaches at least one of the driver's or storage manager's delete or
+// rename sites.
 func TestNoDeadCacheEntries(t *testing.T) {
 	h := newHarness(t, Options{})
 	h.workers = 1
@@ -117,12 +118,12 @@ store T into 'out/c2';
 	if h.repo.Len() == 0 {
 		t.Fatal("nothing stored; the eviction step reaches nothing")
 	}
-	tight := NewStorageManager(h.repo, h.eng, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}})
+	tight := NewStorageManager(h.repo, h.fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}})
 	if res := tight.Sweep(h.driver.Now(), 0); res.EntriesEvicted == 0 {
 		t.Fatalf("budget sweep evicted nothing: %+v", res)
 	}
 	noDeadEntries("budget eviction")
-	if n, _ := tight.VacuumOrphans(func(string) bool { return false }); n == 0 {
+	if n, _ := tight.VacuumOrphans(); n == 0 {
 		t.Fatal("the orphan sweep reclaimed nothing")
 	}
 	noDeadEntries("orphan sweep")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/physical"
@@ -358,6 +359,10 @@ func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryI
 			x.dependants[dep] = append(x.dependants[dep], j)
 		}
 	}
+	// Registered before stage and run write anything under the query's
+	// namespaces (stage only rewrites paths; the first write is a job's
+	// output in run), so VacuumOrphans never takes a namespace still
+	// being written.
 	d.store.running.Store(queryID, true)
 	return x, nil
 }
@@ -425,7 +430,7 @@ func (x *execution) commit() (map[string]int64, error) {
 	versions := make(map[string]int64, len(x.staged))
 	for i, s := range x.staged {
 		span := x.tr.Start(x.root, obs.KindStoreCommit, s.user)
-		v, err := x.d.eng.RenameDataset(s.stage, s.user)
+		v, err := x.d.eng.FS().Rename(s.stage, s.user)
 		x.tr.End(span)
 		if err != nil {
 			x.discard(i)
@@ -439,7 +444,7 @@ func (x *execution) commit() (map[string]int64, error) {
 // discard deletes the staged outputs from the from-th on.
 func (x *execution) discard(from int) {
 	for _, s := range x.staged[from:] {
-		_ = x.d.eng.DeleteDataset(s.stage)
+		_ = x.d.eng.FS().Delete(s.stage)
 	}
 }
 
@@ -489,7 +494,7 @@ func (x *execution) merge(versions map[string]int64) *Result {
 func (x *execution) maintain() {
 	opts := x.cfg.Opts
 	if opts.DeleteTemps && !opts.storesAnything() {
-		deleteTemps(x.d.eng, x.wf, x.jobs)
+		deleteTemps(x.d.eng.FS(), x.wf, x.jobs)
 	}
 	x.d.store.Maintain(x.d.Now(), opts.EvictionWindow)
 }
@@ -807,7 +812,7 @@ func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 			e.OutputVersion = fs.Version(e.OutputPath)
 			r.stored = append(r.stored, x.d.store.insert(e, x.since))
 		} else if !c.Existing {
-			_ = eng.DeleteDataset(c.Path) // rejected by the selector: reclaim now
+			_ = fs.Delete(c.Path) // rejected by the selector: reclaim now
 		}
 	}
 }
@@ -870,14 +875,14 @@ func beneficial(eng *mapreduce.Engine, e *Entry) bool {
 
 // deleteTemps removes inter-job temporaries, the pre-ReStore "current
 // practice".
-func deleteTemps(eng *mapreduce.Engine, wf *physical.Workflow, jobs []*physical.Job) {
+func deleteTemps(fs dfs.Backend, wf *physical.Workflow, jobs []*physical.Job) {
 	finals := map[string]bool{}
 	for p := range wf.FinalOutputs {
 		finals[p] = true
 	}
 	for _, j := range jobs {
 		if !finals[j.OutputPath] {
-			_ = eng.DeleteDataset(j.OutputPath)
+			_ = fs.Delete(j.OutputPath)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 	fs := dfs.New()
 	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
 	repo := NewRepository()
-	driver := NewDriver(eng, NewStorageManager(repo, eng, StorageConfig{}), 0)
+	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}), 0)
 	return &harness{fs: fs, eng: eng, repo: repo, driver: driver, opts: opts}
 }
 

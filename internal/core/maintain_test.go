@@ -58,7 +58,7 @@ func versionedEntry(t *testing.T, repo *Repository, fs dfs.Backend, id string) *
 
 // TestMaintainValidatesOnlyChangedPaths: the post-query pass checks
 // only the entries the DFS change feed moved. An entry whose output was
-// replaced through Engine.RenameDataset is removed without one Exists
+// replaced by a rename is removed without one Exists
 // or Version call on the 200 unrelated entries, whose own writes are in
 // the feed at the versions they recorded; a non-mergeable entry whose
 // input a raw DFS write changed — a write no engine call reports — is
@@ -66,7 +66,7 @@ func versionedEntry(t *testing.T, repo *Repository, fs dfs.Backend, id string) *
 func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
 	fs := &validityFS{Backend: dfstest.New(t), probed: map[string]int{}}
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 	var others []*Entry
 	for i := range 200 {
 		others = append(others, versionedEntry(t, repo, fs, fmt.Sprintf("u%03d", i)))
@@ -77,7 +77,7 @@ func TestMaintainValidatesOnlyChangedPaths(t *testing.T) {
 	if err := fs.WriteFile("restore/q1/v/part-00000", []byte("new\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.eng.RenameDataset("restore/q1/v", victim.OutputPath); err != nil {
+	if _, err := fs.Rename("restore/q1/v", victim.OutputPath); err != nil {
 		t.Fatal(err)
 	}
 	fs.reset()
@@ -179,7 +179,7 @@ func TestMaintainRechecksSparedAndFoldedEntries(t *testing.T) {
 	fs := dfstest.New(t)
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 	_, repoB := openDurable(t, fs, "sys/repo")
-	m := newTestStorage(repoA, fs, StorageConfig{})
+	m := NewStorageManager(repoA, fs, StorageConfig{})
 	pinned := versionedEntry(t, repoA, fs, "p")
 	m.cfg.Leases.Pin(pinned.ID)
 	folded := versionedEntry(t, repoB, fs, "f")
@@ -212,7 +212,7 @@ func TestMaintainRechecksSparedAndFoldedEntries(t *testing.T) {
 func TestInsertRechecksChangeAPassConsumed(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 	if err := fs.WriteFile("in/x/part-00000", []byte("1\t2\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestInsertRechecksChangeAPassConsumed(t *testing.T) {
 func TestMaintainJudgesUnversionedOutputs(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 	if err := fs.WriteFile("in/u/part-00000", []byte("1\t2\n")); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
 	}
 	t.Cleanup(lmA.Close)
 	t.Cleanup(lmB.Close)
-	mB := newTestStorage(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Leases: lmB})
+	mB := NewStorageManager(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Leases: lmB})
 	return &pinWorld{fs: fs, repoA: rA, lmA: lmA, lmB: lmB, mB: mB, dlB: dlB}
 }
 
@@ -274,7 +274,7 @@ func TestEnforceBudgetListsPinsOncePerRound(t *testing.T) {
 	const n = 8
 	fs := &countingFS{Backend: dfstest.New(t), prefix: "locks"}
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1, Policy: oneVictim{}})
+	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1, Policy: oneVictim{}})
 	fill := func(round int) {
 		for i := 0; i < n; i++ {
 			storedEntry(t, repo, fs, fmt.Sprintf("e%d-%d", round, i), fmt.Sprintf("in%d", i), 100, EntryStats{})

@@ -123,7 +123,7 @@ func (x *execution) refreshEntry(cand RefreshCandidate, span obs.SpanID) (*Entry
 		return nil, 0
 	}
 	fail := func(path string) *Entry {
-		_ = d.eng.DeleteDataset(path)
+		_ = d.eng.FS().Delete(path)
 		d.store.Abort(claim)
 		d.delta.failed.Add(1)
 		return nil
@@ -146,7 +146,7 @@ func (x *execution) refreshEntry(cand RefreshCandidate, span obs.SpanID) (*Entry
 	mergeSpan := tr.Start(span, obs.KindRefreshMerge, mjob.ID)
 	mstats, err := d.eng.Run(x.ctx, mjob, nil)
 	tr.End(mergeSpan)
-	_ = d.eng.DeleteDataset(deltaPath)
+	_ = d.eng.FS().Delete(deltaPath)
 	if err != nil {
 		return fail(mergedPath), spent
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dfs"
-	"repro/internal/mapreduce"
 )
 
 // StorageManager is the active half of the repository: where Repository
@@ -55,14 +54,15 @@ import (
 // All methods are safe for concurrent use.
 type StorageManager struct {
 	repo *Repository
-	eng  *mapreduce.Engine // every dataset delete goes through it
+	fs   dfs.Backend
 	cfg  StorageConfig
 
 	// cursor is the change-feed position the next pass reads from.
 	cursorMu sync.Mutex
 	cursor   int64
 	// running holds the IDs of the queries this process is executing:
-	// their jobs may still read the outputs under their namespaces.
+	// their jobs may still read and write under their namespaces. It is
+	// the one registry of live queries.
 	running sync.Map
 
 	// Counters for StorageStats, all monotonic.
@@ -116,21 +116,19 @@ type StorageConfig struct {
 	Durable *DurableLog
 }
 
-// NewStorageManager returns a manager over the repository and the
-// engine's file system, after removing the repository's dead entries:
-// a recovered one may predate the change feed. Datasets it reclaims are
-// deleted through the engine, so their decoded copies leave the batch
-// cache with them.
-func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfig) *StorageManager {
+// NewStorageManager returns a manager over the repository and the file
+// system its outputs live on, after removing the repository's dead
+// entries: a recovered one may predate the change feed.
+func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *StorageManager {
 	if cfg.Policy == nil {
 		cfg.Policy = CostBenefitPolicy{}
 	}
 	cfg.NamespaceRoot = cleanPath(cfg.NamespaceRoot)
 	if cfg.Leases == nil {
-		cfg.Leases = NewLeaseManager(eng.FS(), NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
+		cfg.Leases = NewLeaseManager(fs, NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
 	}
-	m := &StorageManager{repo: repo, eng: eng, cfg: cfg, cursor: -1}
-	_, released := repo.Vacuum(eng.FS(), 0, 0, cfg.Leases, m.fed()) // cursor -1: a full pass
+	m := &StorageManager{repo: repo, fs: fs, cfg: cfg, cursor: -1}
+	_, released := repo.Vacuum(fs, 0, 0, cfg.Leases, m.fed()) // cursor -1: a full pass
 	m.deleteOwnedOutputs(released, nil)
 	return m
 }
@@ -139,7 +137,7 @@ func NewStorageManager(repo *Repository, eng *mapreduce.Engine, cfg StorageConfi
 // every dataset it reports, or nil when it is incomplete.
 func (m *StorageManager) fed() map[string]int64 {
 	m.cursorMu.Lock()
-	changes, next, complete := m.eng.FS().Changes(m.cursor)
+	changes, next, complete := m.fs.Changes(m.cursor)
 	m.cursor = next
 	m.cursorMu.Unlock()
 	if !complete {
@@ -160,7 +158,7 @@ func latest(changes []dfs.Change) map[string]int64 {
 // feedHead returns the change-feed position the next version bump
 // takes.
 func (m *StorageManager) feedHead() int64 {
-	_, next, _ := m.eng.FS().Changes(math.MaxInt64)
+	_, next, _ := m.fs.Changes(math.MaxInt64)
 	return next
 }
 
@@ -170,7 +168,7 @@ func (m *StorageManager) feedHead() int64 {
 // meanwhile is left for the next pass to judge.
 func (m *StorageManager) insert(e *Entry, since int64) *Entry {
 	e = m.repo.Insert(e)
-	if changes, _, complete := m.eng.FS().Changes(since); !complete || e.movedIn(latest(changes)) {
+	if changes, _, complete := m.fs.Changes(since); !complete || e.movedIn(latest(changes)) {
 		m.repo.markRecheck(e.ID)
 	}
 	return e
@@ -229,7 +227,7 @@ func (m *StorageManager) Maintain(now, window time.Duration) {
 // maintain is Maintain with the live peer pins already listed (nil
 // lists them when needed), returning the entries vacuumed and evicted.
 func (m *StorageManager) maintain(now, window time.Duration, peers map[string]bool) (vacuumed, evicted int) {
-	removed, released := m.repo.Vacuum(m.eng.FS(), now, window, m.cfg.Leases, m.fed())
+	removed, released := m.repo.Vacuum(m.fs, now, window, m.cfg.Leases, m.fed())
 	m.deleteOwnedOutputs(released, peers)
 	evicted = len(m.enforceBudget(now, peers))
 	m.compact()
@@ -285,7 +283,7 @@ func (m *StorageManager) TryClaim(fp string) (*Claim, bool) {
 // returns the valid entry of the fingerprint, or nil.
 func (m *StorageManager) published(fp string) *Entry {
 	m.RefreshShared()
-	if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.eng.FS()) {
+	if e := m.repo.lookupFP(fp); e != nil && m.repo.Valid(e, m.fs) {
 		return e
 	}
 	return nil
@@ -465,7 +463,7 @@ func (m *StorageManager) usage() ([]EntryUsage, int64) {
 	var out []EntryUsage
 	seen := map[string]int64{}
 	m.repo.Scan(func(e *Entry) bool {
-		u := EntryUsage{Entry: e, Bytes: e.storedBytes(m.eng.FS())}
+		u := EntryUsage{Entry: e, Bytes: e.storedBytes(m.fs)}
 		u.LastUse, u.TimesReused = e.StoredAt, e.TimesReused
 		if e.LastReused > u.LastUse {
 			u.LastUse = e.LastReused
@@ -527,7 +525,7 @@ func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool)
 			break // everything left is pinned (or the policy yielded nothing)
 		}
 		for _, e := range released {
-			m.evictedBytes.Add(e.storedBytes(m.eng.FS())) // measured before the delete
+			m.evictedBytes.Add(e.storedBytes(m.fs)) // measured before the delete
 		}
 		m.deleteOwnedOutputs(released, peers)
 		peers = nil // the next round lists afresh
@@ -561,7 +559,7 @@ func (m *StorageManager) deleteOwnedOutputs(released []*Entry, peers map[string]
 			peers = m.cfg.Leases.PeerPins()
 		}
 		if !peers[e.ID] {
-			_ = m.eng.DeleteDataset(e.OutputPath)
+			_ = m.fs.Delete(e.OutputPath)
 		}
 	}
 }
@@ -612,19 +610,28 @@ func (m *StorageManager) Sweep(now, window time.Duration) SweepResult {
 
 // VacuumOrphans deletes the per-query DFS namespaces (the
 // restore/<qid>/… and tmp/<qid>/… trees under the configured namespace
-// root) of queries that are neither live nor referenced by any
+// root) of queries that are neither running nor referenced by any
 // repository entry: the sub-job outputs and staged temporaries of
 // cancelled or failed queries, and the unreferenced inter-job
 // temporaries of completed ones. Datasets outside the managed
 // namespaces are never touched.
 //
-// live is consulted immediately before each delete and must answer
-// from BOTH a snapshot taken before this call and the current
-// registry: the early snapshot protects a query that registered
-// entries and completed after it (its roots are collected here, which
-// is newer), and the at-delete check protects a query submitted after
-// the snapshot whose namespace is being written right now.
-func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int64) {
+// A query is live when it was running before the entry roots are
+// collected or is running at its delete: the early snapshot protects a
+// query that registered entries and completed in between (the roots,
+// collected later, hold its entries), and the at-delete check protects
+// a query started after the snapshot whose namespace is being written
+// right now.
+func (m *StorageManager) VacuumOrphans() (int, int64) {
+	early := map[string]bool{}
+	m.running.Range(func(qid, _ any) bool {
+		early[qid.(string)] = true
+		return true
+	})
+	live := func(qid string) bool {
+		_, running := m.running.Load(qid)
+		return running || early[qid]
+	}
 	var roots []string
 	m.repo.Scan(func(e *Entry) bool {
 		roots = append(roots, cleanPath(e.OutputPath))
@@ -644,7 +651,7 @@ func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int
 	var count int
 	var bytes int64
 	for _, ns := range m.namespaces() {
-		for _, ds := range m.eng.FS().Datasets(ns) {
+		for _, ds := range m.fs.Datasets(ns) {
 			qid := queryIDUnder(ns, ds)
 			if qid == "" || live(qid) || referenced(ds) {
 				continue
@@ -652,8 +659,8 @@ func (m *StorageManager) VacuumOrphans(live func(queryID string) bool) (int, int
 			if m.cfg.QueryPrefix != "" && !strings.HasPrefix(qid, m.cfg.QueryPrefix) {
 				continue // another process's query; its own janitor decides
 			}
-			n := m.eng.FS().Size(ds)
-			if m.eng.DeleteDataset(ds) == nil {
+			n := m.fs.Size(ds)
+			if m.fs.Delete(ds) == nil {
 				count++
 				bytes += n
 			}

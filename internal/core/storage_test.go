@@ -49,7 +49,7 @@ func noLeaseFiles(t *testing.T, fs dfs.Backend) {
 func TestClaimProtocolBasics(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 	entry := outputEntry(t, fs, "e1", "in", 10, EntryStats{})
 	fp := entry.fingerprint()
 
@@ -118,7 +118,7 @@ func TestClaimProtocolBasics(t *testing.T) {
 func TestClaimLostToPublishedEntry(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 	entry := storedEntry(t, repo, fs, "e1", "in", 10, EntryStats{})
 
 	c, won := m.TryClaim(entry.fingerprint())
@@ -140,7 +140,7 @@ func TestClaimLostToPublishedEntry(t *testing.T) {
 }
 
 func TestClaimWaitRespectsContext(t *testing.T) {
-	m := newTestStorage(NewRepository(), dfstest.New(t), StorageConfig{})
+	m := NewStorageManager(NewRepository(), dfstest.New(t), StorageConfig{})
 	c, _ := m.TryClaim("fp")
 	other, won := m.TryClaim("fp")
 	if won {
@@ -220,7 +220,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 			repo := NewRepository()
 			lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
 			t.Cleanup(lm.Close)
-			m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy, Leases: lm})
+			m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy, Leases: lm})
 			var pinnedEntry *Entry
 			for i := 0; i < 5; i++ {
 				e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000,
@@ -306,7 +306,7 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 func TestVacuumOrphans(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{})
+	m := NewStorageManager(repo, fs, StorageConfig{})
 
 	write := func(path string) {
 		if err := fs.WriteFile(path, []byte("data")); err != nil {
@@ -337,7 +337,8 @@ store B into 'o';
 	// User data outside the managed namespaces is never touched.
 	write("events/part-00000")
 
-	n, bytes := m.VacuumOrphans(func(qid string) bool { return qid == "q3" })
+	m.running.Store("q3", true)
+	n, bytes := m.VacuumOrphans()
 	if n != 3 || bytes != 12 {
 		t.Errorf("reclaimed %d datasets / %d bytes, want 3 / 12", n, bytes)
 	}
@@ -361,7 +362,7 @@ store B into 'o';
 func TestStoredBytesMeasuredOnce(t *testing.T) {
 	fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/"}
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
+	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
 	for i := 0; i < 4; i++ {
 		storedEntry(t, repo, fs, fmt.Sprintf("s%d", i), fmt.Sprintf("sin%d", i), 1000, EntryStats{})
 	}
@@ -423,7 +424,7 @@ func (p *registeringPolicy) Victims(usage []EntryUsage, now time.Duration, recla
 func TestEvictedBytesIgnoresConcurrentRegistration(t *testing.T) {
 	fs := dfstest.New(t)
 	repo := NewRepository()
-	m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 2600, Policy: &registeringPolicy{t: t, repo: repo, fs: fs}})
+	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 2600, Policy: &registeringPolicy{t: t, repo: repo, fs: fs}})
 	for i := 0; i < 3; i++ {
 		e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000, EntryStats{})
 		e.StoredAt = time.Duration(i) * time.Minute
@@ -451,7 +452,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 	// The driver builds its per-query prefixes through the same helper,
 	// so a raw root with a trailing slash cannot divorce its layout
 	// from the janitor's.
-	d := &Driver{store: newTestStorage(NewRepository(), dfstest.New(t), StorageConfig{NamespaceRoot: "sys/"})}
+	d := &Driver{store: NewStorageManager(NewRepository(), dfstest.New(t), StorageConfig{NamespaceRoot: "sys/"})}
 	if got := d.namespace("tmp", "q3"); got != "sys/tmp/q3" {
 		t.Errorf("driver namespace = %q, want sys/tmp/q3", got)
 	}
@@ -463,7 +464,7 @@ func TestNamespacePathNormalizes(t *testing.T) {
 // that happen to live under top-level tmp/ or restore/ are untouched.
 func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
 	fs := dfstest.New(t)
-	m := newTestStorage(NewRepository(), fs, StorageConfig{NamespaceRoot: "sys"})
+	m := NewStorageManager(NewRepository(), fs, StorageConfig{NamespaceRoot: "sys"})
 
 	write := func(path string) {
 		if err := fs.WriteFile(path, []byte("data")); err != nil {
@@ -479,7 +480,8 @@ func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
 	// A live query's namespace under the root.
 	write("sys/tmp/q2/j1/part-00000")
 
-	n, _ := m.VacuumOrphans(func(qid string) bool { return qid == "q2" })
+	m.running.Store("q2", true)
+	n, _ := m.VacuumOrphans()
 	if n != 2 {
 		t.Errorf("reclaimed %d datasets, want 2", n)
 	}
@@ -517,7 +519,7 @@ store B into 'o';
 	for i := 0; i < b.N; i++ {
 		// A budget above usage: the sweep scans and accounts but evicts
 		// nothing, so the repository stays populated across iterations.
-		m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1 << 40, Policy: CostBenefitPolicy{}})
+		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1 << 40, Policy: CostBenefitPolicy{}})
 		m.EnforceBudget(time.Hour)
 	}
 }
@@ -525,7 +527,7 @@ store B into 'o';
 // BenchmarkClaims measures the uncontended claim round-trip every
 // storing job pays.
 func BenchmarkClaims(b *testing.B) {
-	m := newTestStorage(NewRepository(), dfstest.New(b), StorageConfig{})
+	m := NewStorageManager(NewRepository(), dfstest.New(b), StorageConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, won := m.TryClaim("fp")
@@ -561,7 +563,7 @@ func TestReleasedSet(t *testing.T) {
 		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
 		policy := &victimList{}
-		m := newTestStorage(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
+		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
 		a, b := shared(t, fs, repo)
 		policy.ids = []string{a.ID}
 		m.EnforceBudget(time.Hour)
@@ -579,7 +581,7 @@ func TestReleasedSet(t *testing.T) {
 	t.Run("vacuum", func(t *testing.T) {
 		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
-		m := newTestStorage(repo, fs, StorageConfig{})
+		m := NewStorageManager(repo, fs, StorageConfig{})
 		a, b := shared(t, fs, repo)
 		for i, in := range []string{"in-a", "in-b"} {
 			if err := fs.WriteFile(in+"/part-00000", []byte("x\n")); err != nil {
@@ -602,7 +604,7 @@ func TestReleasedSet(t *testing.T) {
 	t.Run("sweep", func(t *testing.T) {
 		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
 		repo := NewRepository()
-		m := newTestStorage(repo, fs, StorageConfig{})
+		m := NewStorageManager(repo, fs, StorageConfig{})
 		shared(t, fs, repo)
 		for i, in := range []string{"in-a", "in-b"} {
 			if err := fs.WriteFile(in+"/part-00000", []byte("x\n")); err != nil {

@@ -30,7 +30,12 @@ import "io"
 //   - The change feed. Every version bump, whoever made it through this
 //     backend, is one Change in a global sequence. The feed holds the
 //     last FeedRing bumps; a cursor further behind reads complete ==
-//     false, and its caller must assume any dataset changed.
+//     false, and its caller must assume any dataset changed. It has two
+//     consumers, each with its own cursor: the storage manager
+//     (core.StorageManager), which checks only the repository entries
+//     the feed moved, and the engine's decoded-dataset cache
+//     (mapreduce.BatchCache), which drops the decoded copies of the
+//     datasets it moved.
 //
 //   - What a namespace operation costs. The namespace is a directory
 //     tree. Exists, Size, Stat and Version cost a lookup and a walk down

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"container/list"
+	"math"
 	"sort"
 	"sync"
 
@@ -15,30 +16,36 @@ const DefaultMaxCachedBatchBytes int64 = 256 << 20
 
 // BatchCache is the engine's decoded-dataset cache: each entry holds
 // one dataset's part files as columnar tuple.Batch vectors, keyed by
-// dataset path and stamped with the dataset's DFS version at decode
-// time. It fills only when a job reads a dataset it does not hold
-// (Engine.loadDataset); a job's own outputs enter it on their first
-// read. Invalidation is eager: every delete or rename of a dataset a
-// job may have written goes through Engine.DeleteDataset or
-// Engine.RenameDataset, which drop the decoded copy in the same call,
-// so the cache never holds a dataset the DFS no longer has. Writers
-// outside the engine (appends, a user's WriteDataset) are covered by
-// the version stamp instead: they move the dataset's DFS version, the
-// same bump that drives Repository.Valid, and Get drops an entry whose
-// stamp no longer matches. The cache therefore works identically over
-// the in-memory and on-disk DFS backends, and a dataset one query
-// reads feeds cache hits in every other query of the System.
+// the dataset as dfs.DatasetOf keys it and stamped with the dataset's
+// DFS version at decode time. It fills only when a job reads a dataset
+// it does not hold (Engine.loadDataset); a job's own outputs enter it on
+// their first read.
+//
+// Invalidation reads the DFS change feed (Backend.Changes), which
+// reports every version bump whoever made it: a job's output, a delete
+// or rename, an append, a user's WriteDataset, a peer process. The
+// cache keeps a cursor into the feed, and every operation (Get, Put,
+// Paths, Stats) first drains it, dropping each entry whose dataset the
+// feed reports at a version past the entry's stamp. A cursor the feed
+// overran compares every entry with the DFS instead. A drained cursor
+// proves the entries current, so a lookup asks the DFS nothing; the
+// cache works identically over the in-memory and on-disk backends, and
+// a dataset one query reads feeds cache hits in every other query of
+// the System.
 //
 // Entries are evicted least-recently-used under the byte budget (a
 // reuse refreshes recency, so hot repository outputs stay resident
 // while one-shot temporaries age out). All methods are safe for
 // concurrent use.
 type BatchCache struct {
+	fs dfs.Backend
+
 	mu      sync.Mutex
+	cursor  int64 // change-feed position the next drain reads from
 	budget  int64
 	used    int64
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	entries map[string]*list.Element // by dfs.DatasetOf(path)
+	lru     *list.List               // front = most recently used
 
 	hits, misses        int64
 	hitBytes, missBytes int64
@@ -66,56 +73,82 @@ func (ds *cachedDataset) add(file string, b *tuple.Batch) {
 	ds.src += b.SrcBytes()
 }
 
-// NewBatchCache returns a cache bounded to budget bytes of decoded
-// batches (<=0 selects DefaultMaxCachedBatchBytes).
-func NewBatchCache(budget int64) *BatchCache {
+// NewBatchCache returns a cache of the datasets on fs, bounded to budget
+// bytes of decoded batches (<=0 selects DefaultMaxCachedBatchBytes).
+func NewBatchCache(fs dfs.Backend, budget int64) *BatchCache {
 	if budget <= 0 {
 		budget = DefaultMaxCachedBatchBytes
 	}
+	_, head, _ := fs.Changes(math.MaxInt64)
 	return &BatchCache{
+		fs:      fs,
+		cursor:  head,
 		budget:  budget,
 		entries: map[string]*list.Element{},
 		lru:     list.New(),
 	}
 }
 
-// Get returns the cached decode of the dataset at path when its stamped
-// version still matches the DFS, refreshing its recency. A version
-// mismatch drops the stale entry and counts an invalidation; both that
-// and a plain absence count a miss.
-func (c *BatchCache) Get(fs dfs.Backend, path string) *cachedDataset {
+// drain reads the change feed from the cursor on (mu held) and drops
+// every entry whose dataset moved past its stamp. An entry may be
+// stamped later than a change not yet drained, so only a newer version
+// drops it.
+func (c *BatchCache) drain() {
+	changes, next, complete := c.fs.Changes(c.cursor)
+	c.cursor = next
+	if !complete {
+		changes = changes[:0]
+		for key := range c.entries {
+			changes = append(changes, dfs.Change{Dataset: key, Version: c.fs.Version(key)})
+		}
+	}
+	for _, ch := range changes {
+		if el := c.entries[ch.Dataset]; el != nil && ch.Version > el.Value.(*cachedDataset).version {
+			c.removeLocked(el)
+			c.invalidations++
+		}
+	}
+}
+
+// Get returns the cached decode of the dataset at path, refreshing its
+// recency, or nil (a miss) when the cache holds none.
+func (c *BatchCache) Get(path string) *cachedDataset {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el := c.entries[path]
-	if el == nil {
+	c.drain()
+	el := c.entries[dfs.DatasetOf(path)]
+	if el == nil || el.Value.(*cachedDataset).path != path {
 		c.misses++
 		return nil
 	}
 	ds := el.Value.(*cachedDataset)
-	if fs.Version(path) != ds.version {
-		c.removeLocked(el)
-		c.invalidations++
-		c.misses++
-		return nil
-	}
 	c.lru.MoveToFront(el)
 	c.hits++
 	c.hitBytes += ds.src
 	return ds
 }
 
-// Put inserts (or replaces) the dataset's decoded batches and evicts
+// Put accounts the decode of a miss and inserts (or replaces) the
+// dataset's decoded batches, unless the dataset moved past its stamp
+// meanwhile: checked after the drain, under the lock, so a later bump is
+// past the cursor and the next drain drops the entry. It then evicts
 // from the cold end until the budget holds again. The newest entry
 // itself is never evicted by its own insert, so a single dataset larger
 // than the budget still caches (and is reclaimed by the next insert).
 func (c *BatchCache) Put(ds *cachedDataset) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el := c.entries[ds.path]; el != nil {
+	c.missBytes += ds.src
+	c.drain()
+	if c.fs.Version(ds.path) != ds.version {
+		return
+	}
+	key := dfs.DatasetOf(ds.path)
+	if el := c.entries[key]; el != nil {
 		c.removeLocked(el)
 	}
 	el := c.lru.PushFront(ds)
-	c.entries[ds.path] = el
+	c.entries[key] = el
 	c.used += ds.mem
 	c.inserts++
 	for c.used > c.budget && c.lru.Len() > 1 {
@@ -130,20 +163,6 @@ func (c *BatchCache) Put(ds *cachedDataset) {
 	}
 }
 
-// Drop discards the entry for path, if any, and counts an invalidation:
-// what Get would do on the next lookup of a deleted dataset, done now.
-func (c *BatchCache) Drop(path string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.entries[path]; el != nil {
-		c.removeLocked(el)
-		c.invalidations++
-	}
-}
-
 // Paths lists the datasets the cache holds an entry for, sorted.
 func (c *BatchCache) Paths() []string {
 	if c == nil {
@@ -151,26 +170,19 @@ func (c *BatchCache) Paths() []string {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.drain()
 	out := make([]string, 0, len(c.entries))
-	for path := range c.entries {
-		out = append(out, path)
+	for key := range c.entries {
+		out = append(out, key)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// noteMiss accounts the decode cost of a miss (bytes read from the
-// DFS while filling).
-func (c *BatchCache) noteMiss(srcBytes int64) {
-	c.mu.Lock()
-	c.missBytes += srcBytes
-	c.mu.Unlock()
-}
-
 func (c *BatchCache) removeLocked(el *list.Element) {
 	ds := el.Value.(*cachedDataset)
 	c.lru.Remove(el)
-	delete(c.entries, ds.path)
+	delete(c.entries, dfs.DatasetOf(ds.path))
 	c.used -= ds.mem
 }
 
@@ -214,6 +226,7 @@ func (c *BatchCache) Stats() BatchCacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.drain()
 	return BatchCacheStats{
 		Entries:       len(c.entries),
 		UsedBytes:     c.used,

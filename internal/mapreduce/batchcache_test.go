@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/logical"
@@ -34,19 +35,19 @@ func putDataset(c *BatchCache, fs *dfs.FS, path string, rows int) {
 
 func TestBatchCacheHitMissInvalidate(t *testing.T) {
 	fs := dfs.New()
-	c := NewBatchCache(1 << 20)
-	if c.Get(fs, "a") != nil {
+	c := NewBatchCache(fs, 1<<20)
+	if c.Get("a") != nil {
 		t.Fatal("empty cache hit")
 	}
 	putDataset(c, fs, "a", 10)
-	if c.Get(fs, "a") == nil {
+	if c.Get("a") == nil {
 		t.Fatal("fresh entry missed")
 	}
 	// Any write under the dataset bumps its version and must drop it.
 	if err := fs.WriteFile("a/part-00001", []byte("9\tnine\n")); err != nil {
 		t.Fatal(err)
 	}
-	if c.Get(fs, "a") != nil {
+	if c.Get("a") != nil {
 		t.Fatal("stale entry served after version bump")
 	}
 	st := c.Stats()
@@ -60,17 +61,17 @@ func TestBatchCacheHitMissInvalidate(t *testing.T) {
 
 func TestBatchCacheLRUEviction(t *testing.T) {
 	fs := dfs.New()
-	c := NewBatchCache(1) // any insert overflows; only the newest survives
+	c := NewBatchCache(fs, 1) // any insert overflows; only the newest survives
 	putDataset(c, fs, "d0", 50)
 	putDataset(c, fs, "d1", 50)
 	st := c.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if c.Get(fs, "d1") == nil {
+	if c.Get("d1") == nil {
 		t.Fatal("newest entry evicted instead of coldest")
 	}
-	if c.Get(fs, "d0") != nil {
+	if c.Get("d0") != nil {
 		t.Fatal("coldest entry survived over budget")
 	}
 }
@@ -78,20 +79,20 @@ func TestBatchCacheLRUEviction(t *testing.T) {
 func TestBatchCacheLRURecency(t *testing.T) {
 	fs := dfs.New()
 	// Budget fits two of the three datasets.
-	probe := NewBatchCache(1 << 30)
+	probe := NewBatchCache(fs, 1<<30)
 	putDataset(probe, fs, "size-probe", 50)
 	one := probe.Stats().UsedBytes
-	c := NewBatchCache(2 * one)
+	c := NewBatchCache(fs, 2*one)
 	putDataset(c, fs, "d0", 50)
 	putDataset(c, fs, "d1", 50)
-	if c.Get(fs, "d0") == nil { // refresh d0's recency
+	if c.Get("d0") == nil { // refresh d0's recency
 		t.Fatal("d0 missing")
 	}
 	putDataset(c, fs, "d2", 50) // evicts d1, the least recently used
-	if c.Get(fs, "d1") != nil {
+	if c.Get("d1") != nil {
 		t.Fatal("LRU victim survived")
 	}
-	if c.Get(fs, "d0") == nil || c.Get(fs, "d2") == nil {
+	if c.Get("d0") == nil || c.Get("d2") == nil {
 		t.Fatal("recently used entries evicted")
 	}
 }
@@ -298,9 +299,11 @@ func TestEngineCacheDisabledRun(t *testing.T) {
 }
 
 // TestBatchCacheConcurrentChurn races engine runs against input
-// rewrites and direct cache traffic. Run under
-// -race it is the cache's concurrency proof; the invariant checked is
-// that a final quiescent run still produces the fresh-decode output.
+// rewrites, deletes and renames made on the DFS behind the engine's
+// back, and direct cache traffic. Run under -race it is the cache's
+// concurrency proof; the invariants checked are that the quiescent
+// cache holds only datasets the DFS has, at the versions it has them,
+// and that a final run still produces the fresh-decode output.
 func TestBatchCacheConcurrentChurn(t *testing.T) {
 	fs := dfs.New()
 	for d := 0; d < 3; d++ {
@@ -347,13 +350,42 @@ store C into 'churnout%d';
 			}
 		}
 	}()
+	// Mover: caches datasets, then renames and deletes them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var decode time.Duration
+		for i := 0; i < 20; i++ {
+			from, to := fmt.Sprintf("mv%d", i%2), fmt.Sprintf("mvdst%d", i%2)
+			if err := fs.WriteFile(from+"/part-00000", []byte(fmt.Sprintf("user%d\t%d\n", i%7, i))); err != nil {
+				errc <- err
+				return
+			}
+			if _, err := eng.loadDataset(from, &decode); err != nil {
+				errc <- err
+				return
+			}
+			if _, err := fs.Rename(from, to); err != nil {
+				errc <- err
+				return
+			}
+			if _, err := eng.loadDataset(to, &decode); err != nil {
+				errc <- err
+				return
+			}
+			if err := fs.Delete(to); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
 	// Stats reader and direct cache churn.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			_ = eng.CacheStats()
-			_ = eng.cache.Get(fs, fmt.Sprintf("churn%d", i%3))
+			_ = eng.cache.Get(fmt.Sprintf("churn%d", i%3))
 		}
 	}()
 	wg.Wait()
@@ -362,7 +394,14 @@ store C into 'churnout%d';
 		t.Fatal(err)
 	}
 
-	// Quiescent: a fresh cacheless engine and the churned one must agree.
+	// Quiescent: every entry is a dataset the DFS holds at its stamp.
+	for _, path := range eng.CachedPaths() {
+		if ds := eng.cache.Get(path); ds == nil || !fs.Exists(path) || ds.version != fs.Version(path) {
+			t.Fatalf("the cache holds %s, which the DFS does not have at its stamp", path)
+		}
+	}
+
+	// A fresh cacheless engine and the churned one must agree.
 	want := New(fs, Config{MaxCachedBatchBytes: -1})
 	for d := 0; d < 3; d++ {
 		if _, err := runJob(eng, scripts[d][0]); err != nil {
@@ -382,5 +421,93 @@ store C into 'churnout%d';
 				t.Fatalf("dataset %d: churned output diverges from fresh decode at %s", d, f)
 			}
 		}
+	}
+}
+
+// loadAll reads each dataset through the engine, filling its cache.
+func loadAll(t *testing.T, eng *Engine, paths ...string) {
+	t.Helper()
+	var decode time.Duration
+	for _, p := range paths {
+		if _, err := eng.loadDataset(p, &decode); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchCacheSeesRawChanges: a delete, a rename or a write made on
+// the DFS directly, with no engine call, takes the dataset's decoded
+// copy out of the cache by the next cache operation.
+func TestBatchCacheSeesRawChanges(t *testing.T) {
+	fs := dfs.New()
+	for _, p := range []string{"gone", "moved", "grown", "kept"} {
+		seedInput(t, fs, p, 20, 0)
+	}
+	eng := New(fs, DefaultConfig())
+	loadAll(t, eng, "gone", "moved", "grown", "kept")
+	if got := eng.CachedPaths(); len(got) != 4 {
+		t.Fatalf("cached %v, want all four datasets", got)
+	}
+	if err := fs.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Rename("moved", "elsewhere"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("grown/part-00001", []byte("user1\t5\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.CachedPaths(); !slices.Equal(got, []string{"kept"}) {
+		t.Fatalf("after raw changes the cache holds %v, want [kept]", got)
+	}
+	if st := eng.CacheStats(); st.Invalidations != 3 {
+		t.Fatalf("%d invalidations, want 3", st.Invalidations)
+	}
+}
+
+// TestBatchCacheFeedOverrun: more than dfs.FeedRing bumps between two
+// cache operations overrun its cursor, and the full pass that follows
+// drops the stale entries and keeps the fresh ones.
+func TestBatchCacheFeedOverrun(t *testing.T) {
+	fs := dfs.New()
+	seedInput(t, fs, "fresh", 20, 0)
+	seedInput(t, fs, "stale", 20, 0)
+	eng := New(fs, DefaultConfig())
+	loadAll(t, eng, "fresh", "stale")
+	seedInput(t, fs, "stale", 20, 1)
+	for i := 0; i < dfs.FeedRing; i++ {
+		if err := fs.WriteFile("noise/part-00000", []byte("x\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, complete := fs.Changes(eng.cache.cursor); complete {
+		t.Fatal("the feed still holds the cursor; the full pass is not reached")
+	}
+	if got := eng.CachedPaths(); !slices.Equal(got, []string{"fresh"}) {
+		t.Fatalf("after the overrun the cache holds %v, want [fresh]", got)
+	}
+	if eng.cache.Get("fresh") == nil {
+		t.Fatal("the full pass dropped the fresh entry")
+	}
+	if st := eng.CacheStats(); st.Invalidations != 1 {
+		t.Fatalf("%d invalidations, want 1", st.Invalidations)
+	}
+}
+
+// TestBatchCacheKeepsEntryNewerThanChange: a drained change at or below
+// an entry's stamp is one the entry was decoded after, so it does not
+// drop the entry.
+func TestBatchCacheKeepsEntryNewerThanChange(t *testing.T) {
+	fs := dfs.New()
+	c := NewBatchCache(fs, 1<<20)
+	before := c.cursor
+	seedInput(t, fs, "a", 10, 0)
+	putDataset(c, fs, "a", 10) // rewrites a, then stamps the entry
+	c.cursor = before          // both bumps of a are not drained yet
+	if c.Get("a") == nil {
+		t.Fatal("a change older than the entry's stamp dropped it")
+	}
+	if st := c.Stats(); st.Invalidations != 0 || st.Hits != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

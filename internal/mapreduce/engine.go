@@ -93,7 +93,7 @@ func New(fs dfs.Backend, cfg Config) *Engine {
 	}
 	e := &Engine{fs: fs, cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
 	if cfg.MaxCachedBatchBytes >= 0 {
-		e.cache = NewBatchCache(cfg.MaxCachedBatchBytes)
+		e.cache = NewBatchCache(fs, cfg.MaxCachedBatchBytes)
 	}
 	return e
 }
@@ -227,7 +227,7 @@ func (e *Engine) run(ctx context.Context, job *physical.Job, seg *segmentation, 
 	// Exists and the delete; it is cleared either way.
 	for _, op := range job.Plan.Ops() {
 		if op.Kind == physical.KStore && e.fs.Exists(op.Path) {
-			if err := e.DeleteDataset(op.Path); err != nil && !errors.Is(err, dfs.ErrNotExist) {
+			if err := e.fs.Delete(op.Path); err != nil && !errors.Is(err, dfs.ErrNotExist) {
 				return nil, fmt.Errorf("mapreduce: clearing output %s: %w", op.Path, err)
 			}
 		}
@@ -473,12 +473,12 @@ type split struct {
 
 // loadDataset decodes every part file of the dataset at path into
 // columnar batches, serving from (and filling) cache when enabled. The
-// version stamp is taken before the reads and re-checked before
-// publishing, so a concurrent writer can only cause a skipped insert,
-// never a stale entry.
+// version stamp is taken before the reads and re-checked by Put, so a
+// concurrent writer can only cause a skipped insert, never a stale
+// entry.
 func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset, error) {
 	if e.cache != nil {
-		if ds := e.cache.Get(e.fs, path); ds != nil {
+		if ds := e.cache.Get(path); ds != nil {
 			return ds, nil
 		}
 	}
@@ -496,10 +496,7 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 		ds.add(f, b)
 	}
 	if e.cache != nil {
-		e.cache.noteMiss(ds.src)
-		if e.fs.Version(path) == v0 {
-			e.cache.Put(ds)
-		}
+		e.cache.Put(ds)
 	}
 	return ds, nil
 }
@@ -586,7 +583,7 @@ func (e *Engine) loadFiles(path string, files []string, decode *time.Duration) (
 		want[f] = true
 	}
 	if e.cache != nil {
-		if full := e.cache.Get(e.fs, path); full != nil {
+		if full := e.cache.Get(path); full != nil {
 			for i, f := range full.files {
 				if !want[f] {
 					continue
@@ -617,29 +614,6 @@ func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 
 // CachedPaths lists the datasets the decoded-dataset cache holds, sorted.
 func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
-
-// DeleteDataset deletes the dataset at path from the DFS and drops its
-// decoded copy from the cache. Every delete of a dataset a job may have
-// written goes through here: a deleted dataset's entry is otherwise
-// reclaimed only when the same path is looked up again or the budget
-// evicts it, so a temporary read once and never named again — its read
-// put it in the cache — would sit there as dead weight.
-func (e *Engine) DeleteDataset(path string) error {
-	err := e.fs.Delete(path)
-	e.cache.Drop(path)
-	return err
-}
-
-// RenameDataset renames the dataset at from to to on the DFS, returning
-// the new version, and drops the decoded copies of both paths: the
-// source no longer exists and the destination's old contents were
-// replaced.
-func (e *Engine) RenameDataset(from, to string) (int64, error) {
-	v, err := e.fs.Rename(from, to)
-	e.cache.Drop(from)
-	e.cache.Drop(to)
-	return v, err
-}
 
 // mapResult carries one map task's shuffle output and cost accounting.
 // The reducers read parts after the map task has returned its scratch
@@ -899,19 +873,24 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 	pkg := seg.pkg
 	switch pkg.Mode {
 	case physical.PkgGroup:
-		bags := make([]*tuple.Bag, pkg.NumInputs)
-		for i := range bags {
-			bags[i] = tuple.NewBag()
-		}
-		for _, r := range group {
-			if r.branch < len(bags) {
-				bags[r.branch].Add(r.t)
-			}
-		}
+		// groupByKey orders a group's records by branch, so each bag is
+		// one run of a single slice, capped at its run so a later Add
+		// cannot overwrite the next bag. Branches past NumInputs sort
+		// last and are left out.
+		all := make([]tuple.Tuple, 0, len(group))
+		bags := make([]tuple.Bag, pkg.NumInputs)
 		out := make(tuple.Tuple, 1+pkg.NumInputs)
 		out[0] = group[0].key
-		for i, b := range bags {
-			out[1+i] = b
+		i := 0
+		for b := range bags {
+			lo := len(all)
+			for ; i < len(group) && group[i].branch == b; i++ {
+				all = append(all, group[i].t)
+			}
+			if len(all) > lo {
+				bags[b].Tuples = all[lo:len(all):len(all)]
+			}
+			out[1+b] = &bags[b]
 		}
 		return px.push(pkg.ID, out)
 	case physical.PkgDistinct:

@@ -320,9 +320,7 @@ func (s *System) Submit(ctx context.Context, script string, opts ...ExecOption) 
 		},
 	}
 
-	// Register the handle before the first DFS write so the janitor's
-	// live-query snapshot always covers the namespace being written;
-	// deregistration happens only after the execution fully returns.
+	// The handle is listed by Queries until the execution fully returns.
 	s.qmu.Lock()
 	s.queries[qid] = q
 	s.qmu.Unlock()

@@ -38,10 +38,9 @@ type System struct {
 	durable   *core.DurableLog
 	qidPrefix string
 
-	// qmu guards the in-flight query registry. A query is registered
-	// before its first DFS write and deregistered only after its
-	// execution fully returns, so the janitor's live-query snapshot
-	// never misses a namespace that is still being written.
+	// qmu guards the handles of the in-flight queries, which Queries
+	// lists. The orphan sweep reads the storage manager's registry of
+	// running queries instead.
 	qmu     sync.Mutex
 	queries map[string]*Query
 
@@ -134,7 +133,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	if durable != nil {
 		sc.Durable, sc.QueryPrefix = durable, prefix+"q"
 	}
-	store := core.NewStorageManager(repo, eng, sc)
+	store := core.NewStorageManager(repo, fs, sc)
 	driver := core.NewDriver(eng, store, cfg.MaxClusterJobs)
 	s := &System{
 		fs:        fs,
@@ -179,28 +178,8 @@ func (s *System) janitor(every time.Duration) {
 // namespaces whose query is no longer in flight and whose data no
 // repository entry references.
 func (s *System) Sweep() SweepReport {
-	// The early live-query snapshot must precede the manager's
-	// entry-root snapshot: a query completing in between is protected
-	// by whichever of the two saw it. The registry is additionally
-	// re-consulted at delete time, protecting queries submitted after
-	// the snapshot whose namespaces are being written mid-sweep.
-	early := map[string]bool{}
-	s.qmu.Lock()
-	for id := range s.queries {
-		early[id] = true
-	}
-	s.qmu.Unlock()
-	live := func(qid string) bool {
-		if early[qid] {
-			return true
-		}
-		s.qmu.Lock()
-		_, ok := s.queries[qid]
-		s.qmu.Unlock()
-		return ok
-	}
 	res := s.store.Sweep(s.driver.Now(), s.cfg.Options.EvictionWindow)
-	res.OrphanDatasets, res.OrphanBytes = s.store.VacuumOrphans(live)
+	res.OrphanDatasets, res.OrphanBytes = s.store.VacuumOrphans()
 	return res
 }
 
