@@ -22,9 +22,9 @@
 // each run with a context deadline, aborting its remaining jobs.
 // -max-repo-mb caps the bytes the repository retains (the -evict
 // policy picks victims), and -janitor starts the background storage
-// sweeper at the given interval. -ns-root confines ReStore's managed
-// namespaces to a directory of their own so user datasets under tmp/
-// or restore/ are never reclaimed. The matcher's per-run statistics
+// sweeper at the given interval. -ns-root names the directory ReStore's
+// managed namespaces live under (default .restore); the janitor never
+// reclaims a dataset outside it. The matcher's per-run statistics
 // print after the runs.
 //
 // -durable journals every repository mutation to a manifest + event

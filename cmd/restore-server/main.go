@@ -11,12 +11,12 @@
 //
 // The engine flags are restore-cli's, declared once in
 // internal/engineflags (-backend/-data-dir, -durable and its tuning,
-// -scale, -max-repo-mb/-evict, -max-cluster-jobs, …): the server opens
-// the same DFS, Recovers the repository from the durable log when one
-// exists, and generates the PigMix instance only when the backend
-// doesn't already hold it — so with `-backend disk -durable`, killing
-// and restarting the server comes back warm and answers repeated
-// queries with reuse immediately.
+// -scale, -max-repo-mb/-evict, …): the server opens the same DFS,
+// Recovers the repository from the durable log when one exists, and
+// generates the PigMix instance only when the backend doesn't already
+// hold it — so with `-backend disk -durable`, killing and restarting
+// the server comes back warm and answers repeated queries with reuse
+// immediately.
 //
 // Serving flags shape admission: -max-concurrent is the global slot
 // pool, -default-weight/-default-inflight/-default-queued the quota of

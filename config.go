@@ -146,12 +146,6 @@ type Config struct {
 	// execution order of stock Pig. Simulated times are identical at
 	// any setting. WithWorkers overrides it per query.
 	WorkflowWorkers int
-	// MaxClusterJobs caps how many MapReduce jobs run at once across
-	// ALL concurrent queries of this System (global admission control;
-	// each job holds one slot only while it executes, never across
-	// dependency waits). Zero means unlimited. Like WorkflowWorkers it
-	// bounds real resource use only; simulated times are unchanged.
-	MaxClusterJobs int
 	// MaxRepositoryBytes bounds the bytes the repository retains for
 	// reuse: when the maintenance after a query, or a janitor pass,
 	// finds the stored outputs over this budget, the Eviction policy
@@ -161,26 +155,22 @@ type Config struct {
 	// defaults to CostBenefitPolicy. ReuseWindowPolicy and LRUPolicy
 	// are the alternatives.
 	Eviction EvictionPolicy
-	// NamespaceRoot confines ReStore's managed DFS namespaces to a
-	// directory of their own: per-query sub-job outputs go under
-	// "<root>/restore/<qid>" and temporaries (including staged STORE
-	// outputs) under "<root>/tmp/<qid>", and the janitor's orphan sweep
-	// reclaims only those two trees. The default "" keeps the legacy
-	// top-level "restore/<qid>" and "tmp/<qid>" layout, in which those
-	// two prefixes are reserved — user datasets written there are
-	// treated as ReStore's own and may be reclaimed. Set a root (e.g.
-	// ".restore") to make every user-visible path off limits to the
-	// janitor.
+	// NamespaceRoot is the DFS directory ReStore's managed namespaces
+	// live under: per-query sub-job outputs go under
+	// "<root>/restore/<qid>", temporaries (including staged STORE
+	// outputs) under "<root>/tmp/<qid>", the durable repository under
+	// "<root>/repo" and leases under "<root>/locks". The janitor's
+	// orphan sweep reclaims only the first two trees, so no user
+	// dataset outside the root is ever its. Empty means ".restore".
 	NamespaceRoot string
-	// JanitorInterval starts a background janitor goroutine sweeping
-	// the storage every interval: invalid entries (Rule 4, every entry,
-	// where the maintenance after each query checks only the entries
-	// over datasets the engine deleted or renamed), orphaned
-	// per-query namespaces of dead queries, over-budget entries, expired
-	// claims and pins of dead processes, and — on a durable store — due
-	// log compactions. Zero disables the goroutine; Sweep still runs a
-	// pass on demand. Held claims and pins are renewed by the lease
-	// heartbeat, not the janitor.
+	// JanitorInterval starts a background janitor goroutine running
+	// Sweep every interval: it reaps expired claims and pins of dead
+	// processes, runs the maintenance pass every query runs (the
+	// entries the DFS change feed moved, the reuse window, the byte
+	// budget and — on a durable store — due log compactions), and
+	// reclaims the per-query namespaces of dead queries. Zero disables
+	// the goroutine; Sweep still runs a pass on demand. Held claims and
+	// pins are renewed by the lease heartbeat, not the janitor.
 	JanitorInterval time.Duration
 	// Durability makes the repository survive restarts and lets several
 	// Systems opened over one DFS (see Recover) share it.

@@ -55,8 +55,8 @@
 //     dependency DAG: independent jobs run concurrently on a bounded
 //     worker pool (Config.WorkflowWorkers or WithWorkers, default
 //     NumCPU), and a job starts only after every job it depends on
-//     completed. Across workflows, Config.MaxClusterJobs optionally
-//     caps the total number of jobs running at once (global admission).
+//     completed. Across workflows, the engine's task slots (its
+//     Parallelism, default NumCPU) bound the tasks running at once.
 //     The simulated time still comes from the paper's Equation 1
 //     (critical path over the DAG), so concurrency changes wall time
 //     only.
@@ -120,10 +120,10 @@
 //   - Janitor. With Config.JanitorInterval > 0, a background goroutine
 //     owned by the System periodically reaps expired leases, runs the
 //     same maintenance pass, and reclaims dead queries' orphaned
-//     namespaces (restore/<qid>/…, tmp/<qid>/… — the two are reserved,
-//     managed prefixes). Sweep runs one pass synchronously. Close stops
-//     the janitor; a closed System rejects new submissions but lets
-//     in-flight queries finish.
+//     namespaces (<root>/restore/<qid>/… and <root>/tmp/<qid>/…, under
+//     Config.NamespaceRoot, ".restore" by default). Sweep runs one pass
+//     synchronously. Close stops the janitor; a closed System rejects
+//     new submissions but lets in-flight queries finish.
 //
 // System.Queries lists the in-flight query handles, and Cancel aborts
 // them by ID or tag; StorageStats reports repository usage, claim

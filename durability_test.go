@@ -316,7 +316,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 		}
 		serialSims = append(serialSims, res.SimTime)
 	}
-	serialDatasets := len(serial.FS().Datasets("restore"))
+	serialDatasets := len(serial.FS().Datasets(core.NamespacePath("", "restore")))
 	serialEntries := serial.Repository().Len()
 
 	// Two "processes" over one DFS. A is gated mid-materialization via
@@ -377,7 +377,7 @@ func TestTwoSystemsShareMaterialization(t *testing.T) {
 
 	// Exactly-once materialization across processes: same sub-job
 	// dataset count and entry count as the serial baseline.
-	if got := len(fs.Datasets("restore")); got != serialDatasets {
+	if got := len(fs.Datasets(core.NamespacePath("", "restore"))); got != serialDatasets {
 		t.Errorf("two systems materialized %d restore/ datasets, serial baseline %d", got, serialDatasets)
 	}
 	// A third, cold recovery over the shared log is the source of truth
@@ -458,7 +458,7 @@ func TestDurableJanitorReapsLeases(t *testing.T) {
 	seedEvents(t, sys)
 
 	// Simulate a dead peer's leftover lease.
-	dead := core.NewLeaseManager(fs, "locks", "wdead", time.Millisecond, 0)
+	dead := core.NewLeaseManager(fs, core.NamespacePath("", "locks"), "wdead", time.Millisecond, 0)
 	if _, ok := dead.TryAcquire("orphaned-fingerprint"); !ok {
 		t.Fatal("setup acquire failed")
 	}
@@ -468,7 +468,7 @@ func TestDurableJanitorReapsLeases(t *testing.T) {
 	if rep.LeasesReaped == 0 {
 		t.Fatalf("sweep reaped no expired leases: %+v", rep)
 	}
-	if n := len(fs.Datasets("locks")); n != 0 {
+	if n := len(fs.Datasets(core.NamespacePath("", "locks"))); n != 0 {
 		t.Fatalf("%d lease records survived the sweep", n)
 	}
 }

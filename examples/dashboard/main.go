@@ -49,7 +49,6 @@ func main() {
 		KeepWholeJobs:  true,
 		EvictionWindow: 24 * time.Hour, // drop entries unused for a simulated day
 	}
-	cfg.MaxClusterJobs = 8 // global admission across concurrent refreshes
 	fs := dfs.New()
 	if _, err := pigmix.Generate(fs, pigmix.Scale15GB, 3); err != nil {
 		log.Fatal(err)

@@ -177,11 +177,6 @@ type Driver struct {
 	eng   *mapreduce.Engine
 	store *StorageManager
 
-	// admission, when non-nil, is the cross-query job-admission
-	// semaphore: every job of every concurrent execution holds one slot
-	// while it runs, capping total cluster jobs under high fan-in.
-	admission chan struct{}
-
 	// Metrics aggregates wall-latency histograms (submit→done, probe,
 	// claim-wait, refresh) across every execution.
 	Metrics *obs.Metrics
@@ -198,25 +193,21 @@ type Driver struct {
 
 // NewDriver returns a driver running jobs on eng over store's
 // repository; per-query data goes under store's managed namespaces, so
-// the writer's layout and the janitor's cannot disagree. maxClusterJobs
-// > 0 caps the jobs running at once across all concurrent executions.
-// Over a durable store the simulated clock resumes past every persisted
-// entry's timestamp, so reuse-window eviction never sees recovered
-// entries in the future.
-func NewDriver(eng *mapreduce.Engine, store *StorageManager, maxClusterJobs int) *Driver {
+// the writer's layout and the janitor's cannot disagree. Over a durable
+// store the simulated clock resumes past every persisted entry's
+// timestamp, so reuse-window eviction never sees recovered entries in
+// the future.
+func NewDriver(eng *mapreduce.Engine, store *StorageManager) *Driver {
 	d := &Driver{eng: eng, store: store, Metrics: obs.NewMetrics()}
-	if maxClusterJobs > 0 {
-		d.admission = make(chan struct{}, maxClusterJobs)
-	}
 	if dl := store.cfg.Durable; dl != nil {
 		d.clock.Store(int64(dl.MaxSimTime()))
 	}
 	return d
 }
 
-// namespace returns the per-query path prefix for kind ("restore" or
+// Namespace returns the per-query path prefix for kind ("restore" or
 // "tmp") under the configured namespace root.
-func (d *Driver) namespace(kind, queryID string) string {
+func (d *Driver) Namespace(kind, queryID string) string {
 	return NamespacePath(d.store.cfg.NamespaceRoot, kind, queryID)
 }
 
@@ -345,7 +336,7 @@ func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryI
 	x.rewriter = &Rewriter{Repo: d.store.repo, FS: d.eng.FS(), LinearScan: cfg.LinearScan,
 		Leases: d.store.cfg.Leases, Trace: x.tr, Metrics: d.Metrics, Refresher: x.refresh}
 	x.enum = &Enumerator{Heuristic: cfg.Opts.Heuristic, PathFor: func(job *physical.Job, opID int) string {
-		return fmt.Sprintf("%s/%s/op%d", d.namespace("restore", queryID), job.ID, opID)
+		return fmt.Sprintf("%s/%s/op%d", d.Namespace("restore", queryID), job.ID, opID)
 	}}
 	jobs, err := x.wf.TopoJobs()
 	if err != nil {
@@ -382,7 +373,7 @@ func (x *execution) unpin() {
 // stage. A user path that equals or contains its stage path could never
 // be renamed onto, so it is rejected before any job runs.
 func (x *execution) stage() error {
-	prefix := x.d.namespace("tmp", x.queryID) + "/" + stagedDir + "/"
+	prefix := x.d.Namespace("tmp", x.queryID) + "/" + stagedDir + "/"
 	for _, job := range x.jobs {
 		user := job.OutputPath
 		if _, ok := x.wf.FinalOutputs[user]; !ok {
@@ -416,7 +407,7 @@ func (x *execution) run() error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return runDAG(x.ctx, x.jobs, workers, x.d.admission, func(job *physical.Job) error {
+	return runDAG(x.ctx, x.jobs, workers, func(job *physical.Job) error {
 		return x.runs[job.ID].run()
 	})
 }

@@ -34,7 +34,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 	fs := dfs.New()
 	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
 	repo := NewRepository()
-	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}), 0)
+	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}))
 	return &harness{fs: fs, eng: eng, repo: repo, driver: driver, opts: opts}
 }
 
@@ -74,7 +74,7 @@ func (h *harness) compile(t *testing.T, src string) *physical.Workflow {
 		t.Fatalf("Build: %v", err)
 	}
 	wf, err := mrcompile.Compile(lp, mrcompile.Options{
-		TempPrefix:      fmt.Sprintf("tmp/hq%d", h.nquery),
+		TempPrefix:      h.driver.Namespace("tmp", fmt.Sprintf("hq%d", h.nquery)),
 		DefaultReducers: 2,
 	})
 	if err != nil {
@@ -399,7 +399,7 @@ func TestBaselineDeletesTemps(t *testing.T) {
 	h := newHarness(t, Options{DeleteTemps: true})
 	h.seedPigMixSmall(t)
 	h.run(t, hq2)
-	for _, f := range h.fs.List("tmp") {
+	for _, f := range h.fs.List(NamespacePath("", "tmp")) {
 		t.Errorf("temp survived baseline run: %s", f)
 	}
 }
@@ -408,7 +408,7 @@ func TestReStoreKeepsTemps(t *testing.T) {
 	h := newHarness(t, Options{DeleteTemps: true, KeepWholeJobs: true})
 	h.seedPigMixSmall(t)
 	h.run(t, hq2)
-	if len(h.fs.List("tmp")) == 0 {
+	if len(h.fs.List(NamespacePath("", "tmp"))) == 0 {
 		t.Errorf("ReStore must keep intermediates its repository references")
 	}
 }

@@ -17,7 +17,7 @@ import (
 func durableEntry(t testing.TB, fs dfs.Backend, src string, i int) *Entry {
 	t.Helper()
 	sig := firstJobSig(t, src)
-	out := fmt.Sprintf("restore/q0/d%d", i)
+	out := NamespacePath("", "restore", "q0", fmt.Sprintf("d%d", i))
 	if err := fs.WriteFile(out+"/part-00000", []byte("x\t1\t2\n")); err != nil {
 		t.Fatal(err)
 	}

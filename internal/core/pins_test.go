@@ -272,7 +272,7 @@ func (oneVictim) Victims(usage []EntryUsage, now time.Duration, reclaim int64) [
 // listing serves the first round.
 func TestEnforceBudgetListsPinsOncePerRound(t *testing.T) {
 	const n = 8
-	fs := &countingFS{Backend: dfstest.New(t), prefix: "locks"}
+	fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "locks")}
 	repo := NewRepository()
 	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1, Policy: oneVictim{}})
 	fill := func(round int) {

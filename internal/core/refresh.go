@@ -129,7 +129,7 @@ func (x *execution) refreshEntry(cand RefreshCandidate, span obs.SpanID) (*Entry
 		return nil
 	}
 
-	base := fmt.Sprintf("%s/refresh/%s-r%d", d.namespace("restore", x.queryID), e.ID, d.delta.seq.Add(1))
+	base := fmt.Sprintf("%s/refresh/%s-r%d", d.Namespace("restore", x.queryID), e.ID, d.delta.seq.Add(1))
 	deltaPath, mergedPath := base+"/delta", base+"/out"
 	dstats, deltaBytes, err := x.refreshDelta(cand, deltaPath, span)
 	if err != nil {

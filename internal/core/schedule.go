@@ -19,16 +19,12 @@ import (
 //
 // Cancelling ctx stops the workflow promptly: jobs that have not
 // started never run, in-flight jobs are aborted at the engine's next
-// task-slot acquisition, and runDAG returns ctx.Err(). admission, when
-// non-nil, is a cross-workflow semaphore: each job holds one slot for
-// exactly the duration of its process call, capping the total number of
-// jobs running across every concurrent query (slots are never held
-// across dependency waits, so the cap cannot deadlock the DAG).
+// task-slot acquisition, and runDAG returns ctx.Err().
 //
 // The first process error cancels jobs not yet started (in-flight jobs
 // finish) and is returned. Dependencies on IDs outside jobs, such as
 // producers whole-job reuse dropped, are treated as already satisfied.
-func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission chan struct{}, process func(*physical.Job) error) error {
+func runDAG(ctx context.Context, jobs []*physical.Job, workers int, process func(*physical.Job) error) error {
 	if len(jobs) == 0 {
 		return ctx.Err()
 	}
@@ -72,8 +68,7 @@ func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission ch
 	}
 
 	// The cancellation monitor wakes workers blocked on the ready
-	// channel or the admission semaphore when ctx fires; stop releases
-	// it once the DAG drains.
+	// channel when ctx fires; stop releases it once the DAG drains.
 	stop := make(chan struct{})
 	defer close(stop)
 	if ctx.Done() != nil {
@@ -101,19 +96,7 @@ func runDAG(ctx context.Context, jobs []*physical.Job, workers int, admission ch
 				if bail || ctx.Err() != nil {
 					continue // drain jobs queued before the failure
 				}
-				if admission != nil {
-					select {
-					case admission <- struct{}{}:
-					case <-ctx.Done():
-						fail(ctx.Err())
-						continue
-					}
-				}
-				err := process(job)
-				if admission != nil {
-					<-admission
-				}
-				if err != nil {
+				if err := process(job); err != nil {
 					fail(err)
 					continue
 				}

@@ -44,7 +44,7 @@ func TestRunDAGRespectsDependencies(t *testing.T) {
 	}
 	var mu sync.Mutex
 	finished := map[string]bool{}
-	err := runDAG(context.Background(), fakeJobs(deps), 4, nil, func(j *physical.Job) error {
+	err := runDAG(context.Background(), fakeJobs(deps), 4, func(j *physical.Job) error {
 		mu.Lock()
 		for _, dep := range deps[j.ID] {
 			if !finished[dep] {
@@ -72,7 +72,7 @@ func TestRunDAGBoundsWorkers(t *testing.T) {
 	jobs := fakeJobs(map[string][]string{
 		"a": nil, "b": nil, "c": nil, "d": nil, "e": nil, "f": nil, "g": nil, "h": nil,
 	})
-	err := runDAG(context.Background(), jobs, 3, nil, func(j *physical.Job) error {
+	err := runDAG(context.Background(), jobs, 3, func(j *physical.Job) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -103,7 +103,7 @@ func TestRunDAGErrorCancelsPending(t *testing.T) {
 	})
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	err := runDAG(context.Background(), jobs, 2, nil, func(j *physical.Job) error {
+	err := runDAG(context.Background(), jobs, 2, func(j *physical.Job) error {
 		ran.Add(1)
 		if j.ID == "a" {
 			return boom
@@ -125,7 +125,7 @@ func TestRunDAGRejectsCycle(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		done <- runDAG(context.Background(), jobs, 2, nil, func(j *physical.Job) error { return nil })
+		done <- runDAG(context.Background(), jobs, 2, func(j *physical.Job) error { return nil })
 	}()
 	select {
 	case err := <-done:
@@ -142,7 +142,7 @@ func TestRunDAGMissingDepTreatedSatisfied(t *testing.T) {
 	// reuse) must not block scheduling.
 	jobs := fakeJobs(map[string][]string{"x": {"ghost"}})
 	ran := false
-	if err := runDAG(context.Background(), jobs, 1, nil, func(j *physical.Job) error { ran = true; return nil }); err != nil {
+	if err := runDAG(context.Background(), jobs, 1, func(j *physical.Job) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -162,7 +162,7 @@ func TestRunDAGParallelSpeedup(t *testing.T) {
 	}
 	wall := func(workers int) time.Duration {
 		start := time.Now()
-		if err := runDAG(context.Background(), fakeJobs(deps), workers, nil, func(j *physical.Job) error {
+		if err := runDAG(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
 			time.Sleep(jobTime)
 			return nil
 		}); err != nil {
@@ -195,7 +195,7 @@ func TestRunDAGCancelStopsUnstartedJobs(t *testing.T) {
 	defer cancel()
 	var ran []string
 	var mu sync.Mutex
-	err := runDAG(ctx, jobs, 2, nil, func(j *physical.Job) error {
+	err := runDAG(ctx, jobs, 2, func(j *physical.Job) error {
 		mu.Lock()
 		ran = append(ran, j.ID)
 		mu.Unlock()
@@ -216,7 +216,7 @@ func TestRunDAGPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := runDAG(ctx, fakeJobs(map[string][]string{"a": nil, "b": nil}), 2, nil, func(j *physical.Job) error {
+	err := runDAG(ctx, fakeJobs(map[string][]string{"a": nil, "b": nil}), 2, func(j *physical.Job) error {
 		ran = true
 		return nil
 	})
@@ -225,44 +225,6 @@ func TestRunDAGPreCancelledRunsNothing(t *testing.T) {
 	}
 	if ran {
 		t.Errorf("jobs ran under a pre-cancelled context")
-	}
-}
-
-// TestRunDAGAdmissionCap proves the cross-workflow semaphore bounds
-// concurrent process calls across several runDAG invocations sharing it.
-func TestRunDAGAdmissionCap(t *testing.T) {
-	const dags = 3
-	admission := make(chan struct{}, 2)
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, dags)
-	for d := 0; d < dags; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			jobs := fakeJobs(map[string][]string{"a": nil, "b": nil, "c": nil, "d": nil})
-			errs[d] = runDAG(context.Background(), jobs, 4, admission, func(j *physical.Job) error {
-				n := cur.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				time.Sleep(2 * time.Millisecond)
-				cur.Add(-1)
-				return nil
-			})
-		}(d)
-	}
-	wg.Wait()
-	for d, err := range errs {
-		if err != nil {
-			t.Fatalf("dag %d: %v", d, err)
-		}
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("observed %d concurrent jobs across workflows, admission cap is 2", p)
 	}
 }
 
@@ -277,7 +239,7 @@ func BenchmarkScheduler(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := runDAG(context.Background(), fakeJobs(deps), workers, nil, func(j *physical.Job) error {
+				if err := runDAG(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
 					time.Sleep(5 * time.Millisecond)
 					return nil
 				}); err != nil {

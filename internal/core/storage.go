@@ -46,10 +46,10 @@ import (
 //     deletes and counts those without rescanning the repository.
 //
 //   - Orphan reclamation. VacuumOrphans deletes per-query DFS
-//     namespaces (restore/<qid>, tmp/<qid>) whose query is no longer
-//     in flight and whose data no repository entry references — the
-//     debris of cancelled and failed queries, and the unreferenced
-//     temporaries of completed ones.
+//     namespaces (<root>/restore/<qid>, <root>/tmp/<qid>) whose query
+//     is no longer in flight and whose data no repository entry
+//     references — the debris of cancelled and failed queries, and the
+//     unreferenced temporaries of completed ones.
 //
 // All methods are safe for concurrent use.
 type StorageManager struct {
@@ -79,20 +79,17 @@ type StorageManager struct {
 }
 
 // StorageConfig is what a StorageManager is built from, fixed for its
-// lifetime; the zero value is an unbudgeted, non-durable store on the
-// legacy top-level namespaces.
+// lifetime; the zero value is an unbudgeted, non-durable store under
+// DefaultNamespaceRoot.
 type StorageConfig struct {
 	// MaxBytes is the byte budget (<= 0 disables enforcement) and
 	// Policy what picks victims under it (nil = CostBenefitPolicy).
 	MaxBytes int64
 	Policy   EvictionPolicy
 
-	// NamespaceRoot is the root the managed per-query namespaces live
-	// under: "" (the legacy layout) reserves the top-level "restore/"
-	// and "tmp/" prefixes for the janitor's orphan sweep; a non-empty
-	// root confines them to "<root>/restore" and "<root>/tmp", so user
-	// datasets that happen to be named under "tmp/" or "restore/" are
-	// never reclaimed.
+	// NamespaceRoot is the root the managed per-query namespaces
+	// "<root>/restore" and "<root>/tmp" live under, resolved by
+	// NamespacePath.
 	NamespaceRoot string
 
 	// QueryPrefix, when non-empty, restricts the orphan sweep to this
@@ -123,7 +120,6 @@ func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *Sto
 	if cfg.Policy == nil {
 		cfg.Policy = CostBenefitPolicy{}
 	}
-	cfg.NamespaceRoot = cleanPath(cfg.NamespaceRoot)
 	if cfg.Leases == nil {
 		cfg.Leases = NewLeaseManager(fs, NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
 	}
@@ -180,23 +176,23 @@ func (m *StorageManager) namespaces() []string {
 	return []string{NamespacePath(m.cfg.NamespaceRoot, "restore"), NamespacePath(m.cfg.NamespaceRoot, "tmp")}
 }
 
-// NamespacePath joins a managed-namespace path under the (possibly
-// empty) namespace root, normalizing the root. It is the single
-// definition of the "<root>/restore/…"+"<root>/tmp/…" layout the
-// driver writes under and the janitor's orphan sweep reclaims —
-// every producer and consumer of managed paths must build them here,
-// or a stray slash in a configured root would silently divorce the
-// writer's layout from the sweeper's.
+// DefaultNamespaceRoot is the namespace root of a configuration that
+// sets none.
+const DefaultNamespaceRoot = ".restore"
+
+// NamespacePath joins a managed-namespace path under the namespace root,
+// which an empty or all-slash root resolves to DefaultNamespaceRoot. It
+// is the single definition of the "<root>/restore/…"+"<root>/tmp/…"
+// layout the driver writes under and the janitor's orphan sweep
+// reclaims: every producer and consumer of managed paths must build
+// them here, or a stray slash in a configured root would silently
+// divorce the writer's layout from the sweeper's.
 func NamespacePath(root string, parts ...string) string {
-	p := cleanPath(root)
-	for _, part := range parts {
-		if p == "" {
-			p = part
-		} else {
-			p += "/" + part
-		}
+	root = strings.Trim(root, "/")
+	if root == "" {
+		root = DefaultNamespaceRoot
 	}
-	return p
+	return strings.Join(append([]string{root}, parts...), "/")
 }
 
 // RefreshShared folds other processes' committed entries into the local

@@ -29,7 +29,7 @@ store B into 'o';
 `, loadPath), id, stats)
 	// A sub-job output lives where the driver would have written it:
 	// inside the managed namespace, the only place eviction may delete.
-	e.OutputPath = "restore/q0/" + id
+	e.OutputPath = NamespacePath("", "restore", "q0", id)
 	if err := fs.WriteFile(e.OutputPath+"/part-00000", make([]byte, size)); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ store B into 'o';
 // behind.
 func noLeaseFiles(t *testing.T, fs dfs.Backend) {
 	t.Helper()
-	if n := len(fs.Datasets("locks")); n != 0 {
+	if n := len(fs.Datasets(NamespacePath("", "locks"))); n != 0 {
 		t.Errorf("%d lease files outlived their claims", n)
 	}
 }
@@ -313,41 +313,45 @@ func TestVacuumOrphans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	restore, tmp := NamespacePath("", "restore"), NamespacePath("", "tmp")
 	// q1: dead, but its sub-job output is a registered entry and its
 	// temp output is an entry input — both namespaces must survive.
-	e := entryFor(t, `
-A = load 'tmp/q1/j1' as (a, b);
+	e := entryFor(t, fmt.Sprintf(`
+A = load '%s/q1/j1' as (a, b);
 B = foreach A generate a;
 store B into 'o';
-`, "keep", EntryStats{})
-	e.OutputPath = "restore/q1/j1/op3"
-	write("restore/q1/j1/op3/part-00000")
-	write("tmp/q1/j1/part-00000")
-	e.InputVersions = map[string]int64{"tmp/q1/j1": fs.Version("tmp/q1/j1")}
+`, tmp), "keep", EntryStats{})
+	e.OutputPath = restore + "/q1/j1/op3"
+	write(restore + "/q1/j1/op3/part-00000")
+	write(tmp + "/q1/j1/part-00000")
+	e.InputVersions = map[string]int64{tmp + "/q1/j1": fs.Version(tmp + "/q1/j1")}
 	repo.Insert(e)
 
 	// q2: dead with no entries — everything goes.
-	write("restore/q2/j1/op5/part-00000")
-	write("tmp/q2/j1/part-00000")
-	write("tmp/q2/.staged/out/part-00000")
+	write(restore + "/q2/j1/op5/part-00000")
+	write(tmp + "/q2/j1/part-00000")
+	write(tmp + "/q2/.staged/out/part-00000")
 
 	// q3: live — untouched even without entries.
-	write("tmp/q3/j1/part-00000")
+	write(tmp + "/q3/j1/part-00000")
 
-	// User data outside the managed namespaces is never touched.
+	// User data outside the managed namespaces is never touched, even
+	// under top-level tmp/ and restore/.
 	write("events/part-00000")
+	write("tmp/q2/part-00000")
+	write("restore/q2/part-00000")
 
 	m.running.Store("q3", true)
 	n, bytes := m.VacuumOrphans()
 	if n != 3 || bytes != 12 {
 		t.Errorf("reclaimed %d datasets / %d bytes, want 3 / 12", n, bytes)
 	}
-	for _, p := range []string{"restore/q1/j1/op3", "tmp/q1/j1", "tmp/q3/j1", "events"} {
+	for _, p := range []string{restore + "/q1/j1/op3", tmp + "/q1/j1", tmp + "/q3/j1", "events", "tmp/q2", "restore/q2"} {
 		if !fs.Exists(p) {
 			t.Errorf("%s deleted, want kept", p)
 		}
 	}
-	for _, p := range []string{"restore/q2", "tmp/q2"} {
+	for _, p := range []string{restore + "/q2", tmp + "/q2"} {
 		if fs.Exists(p) {
 			t.Errorf("%s kept, want deleted", p)
 		}
@@ -360,7 +364,7 @@ store B into 'o';
 // the same fingerprint and a new output is measured anew, not
 // inherited.
 func TestStoredBytesMeasuredOnce(t *testing.T) {
-	fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/"}
+	fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "restore") + "/"}
 	repo := NewRepository()
 	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
 	for i := 0; i < 4; i++ {
@@ -388,9 +392,10 @@ func TestStoredBytesMeasuredOnce(t *testing.T) {
 	}
 
 	old := repo.Entries()[0]
-	repo.Insert(&Entry{Plan: old.Plan, OutputPath: "restore/q1/replaced",
+	replaced := NamespacePath("", "restore", "q1", "replaced")
+	repo.Insert(&Entry{Plan: old.Plan, OutputPath: replaced,
 		Stats: EntryStats{InputSimBytes: 1, OutputSimBytes: 1}})
-	if err := fs.WriteFile("restore/q1/replaced/part-00000", make([]byte, 42)); err != nil {
+	if err := fs.WriteFile(replaced+"/part-00000", make([]byte, 42)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.UsageBytes(); got != 3042 {
@@ -439,21 +444,24 @@ func TestEvictedBytesIgnoresConcurrentRegistration(t *testing.T) {
 
 // TestNamespacePathNormalizesRoot checks the single layout helper:
 // writers (driver) and the sweeper (janitor) must agree on paths even
-// when the configured root carries stray slashes.
+// when the configured root carries stray slashes, and no root means
+// DefaultNamespaceRoot, never the top level.
 func TestNamespacePathNormalizes(t *testing.T) {
-	for _, root := range []string{"sys", "sys/", "/sys", "/sys/"} {
+	for _, root := range []string{"sys", "sys/", "/sys", "/sys/", "//sys//"} {
 		if got := NamespacePath(root, "tmp", "q1"); got != "sys/tmp/q1" {
 			t.Errorf("NamespacePath(%q) = %q, want sys/tmp/q1", root, got)
 		}
 	}
-	if got := NamespacePath("", "restore", "q2"); got != "restore/q2" {
-		t.Errorf("NamespacePath(\"\") = %q, want restore/q2", got)
+	for _, root := range []string{"", "/", "///"} {
+		if got := NamespacePath(root, "restore", "q2"); got != ".restore/restore/q2" {
+			t.Errorf("NamespacePath(%q) = %q, want .restore/restore/q2", root, got)
+		}
 	}
 	// The driver builds its per-query prefixes through the same helper,
 	// so a raw root with a trailing slash cannot divorce its layout
 	// from the janitor's.
 	d := &Driver{store: NewStorageManager(NewRepository(), dfstest.New(t), StorageConfig{NamespaceRoot: "sys/"})}
-	if got := d.namespace("tmp", "q3"); got != "sys/tmp/q3" {
+	if got := d.Namespace("tmp", "q3"); got != "sys/tmp/q3" {
 		t.Errorf("driver namespace = %q, want sys/tmp/q3", got)
 	}
 }
@@ -471,7 +479,7 @@ func TestNamespaceRootConfinesOrphanSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// User datasets shadowing the legacy reserved prefixes.
+	// User datasets named like the managed namespaces.
 	write("tmp/mydata/part-00000")
 	write("restore/archive/part-00000")
 	// Dead-query namespaces under the configured root.
@@ -560,7 +568,7 @@ func TestReleasedSet(t *testing.T) {
 		return a, repo.Insert(nb)
 	}
 	t.Run("evict", func(t *testing.T) {
-		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "restore", "q0", "a")}
 		repo := NewRepository()
 		policy := &victimList{}
 		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
@@ -579,7 +587,7 @@ func TestReleasedSet(t *testing.T) {
 		}
 	})
 	t.Run("vacuum", func(t *testing.T) {
-		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "restore", "q0", "a")}
 		repo := NewRepository()
 		m := NewStorageManager(repo, fs, StorageConfig{})
 		a, b := shared(t, fs, repo)
@@ -602,7 +610,7 @@ func TestReleasedSet(t *testing.T) {
 		}
 	})
 	t.Run("sweep", func(t *testing.T) {
-		fs := &countingFS{Backend: dfstest.New(t), prefix: "restore/q0/a"}
+		fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "restore", "q0", "a")}
 		repo := NewRepository()
 		m := NewStorageManager(repo, fs, StorageConfig{})
 		shared(t, fs, repo)

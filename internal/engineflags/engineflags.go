@@ -20,7 +20,7 @@ import (
 type Flags struct {
 	Scale, Heuristic, Evict, NSRoot, Backend, DataDir string
 	Reuse, WholeJobs, Durable                         bool
-	Workers, MaxClusterJobs, CompactEvery             int
+	Workers, CompactEvery                             int
 	MaxRepoMB, BatchCacheMB                           int64
 	EvictWindow, Janitor, LeaseTTL                    time.Duration
 }
@@ -36,13 +36,12 @@ func Register(fs *flag.FlagSet, scale string, reuse bool, heuristic string) *Fla
 	fs.StringVar(&f.Heuristic, "heuristic", heuristic, "sub-job heuristic: off, conservative, aggressive, no-heuristic")
 	fs.BoolVar(&f.WholeJobs, "whole-jobs", true, "store whole job outputs in the repository")
 	fs.IntVar(&f.Workers, "workers", 0, "concurrent jobs per workflow DAG (0 = NumCPU, 1 = serial)")
-	fs.IntVar(&f.MaxClusterJobs, "max-cluster-jobs", 0, "global cap on jobs running across all queries (0 = unlimited)")
 	fs.Int64Var(&f.MaxRepoMB, "max-repo-mb", 0, "repository storage budget in MB (0 = unbounded)")
 	fs.Int64Var(&f.BatchCacheMB, "batch-cache-mb", 0, "decoded-dataset batch cache budget in MB (0 = default 256, negative = off)")
 	fs.StringVar(&f.Evict, "evict", "cost-benefit", "eviction policy under the budget: reuse-window, lru, cost-benefit")
 	fs.DurationVar(&f.EvictWindow, "evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)")
 	fs.DurationVar(&f.Janitor, "janitor", 0, "background storage-janitor sweep interval (0 = off)")
-	fs.StringVar(&f.NSRoot, "ns-root", "", "root of ReStore's managed namespaces (default: top-level tmp/ and restore/)")
+	fs.StringVar(&f.NSRoot, "ns-root", "", "root of ReStore's managed namespaces (empty = "+core.DefaultNamespaceRoot+")")
 	fs.BoolVar(&f.Durable, "durable", false, "journal the repository to a manifest + event log on the DFS (crash-safe, multi-process)")
 	fs.IntVar(&f.CompactEvery, "compact-every", 0, "records between automatic log compactions (0 = default 64, negative = never)")
 	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "cross-process claim lease TTL (0 = default 1m)")
@@ -84,7 +83,6 @@ func (f *Flags) Resolve() (Resolved, error) {
 		return e, fmt.Errorf("unknown eviction policy %q (want reuse-window, lru or cost-benefit)", f.Evict)
 	}
 	cfg := restore.DefaultConfig()
-	cfg.MaxClusterJobs = f.MaxClusterJobs
 	cfg.MaxRepositoryBytes = f.MaxRepoMB << 20
 	cfg.MaxCachedBatchBytes = f.BatchCacheMB << 20
 	if f.BatchCacheMB < 0 {

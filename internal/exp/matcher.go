@@ -97,7 +97,7 @@ A = load 'data/src%d' as (a, b, c);
 B = filter A by a > %d;
 store B into 'stored/e%d';
 `, i, i, i)
-		job, err := compileFirstJob(src, fmt.Sprintf("tmp/me%d", i))
+		job, err := compileFirstJob(src, core.NamespacePath("", "tmp", fmt.Sprintf("me%d", i)))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ G = group B by b;
 R = foreach G generate group, COUNT(B);
 store R into 'out/p%d';
 `, i, i, p)
-		job, err := compileFirstJob(src, fmt.Sprintf("tmp/mp%d", p))
+		job, err := compileFirstJob(src, core.NamespacePath("", "tmp", fmt.Sprintf("mp%d", p)))
 		if err != nil {
 			return nil, err
 		}

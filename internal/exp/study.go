@@ -120,17 +120,18 @@ func measureSubjobs(sc pigmix.Scale, h core.Heuristic, query string) (subjobMeas
 }
 
 // inputVolume sums the bytes loaded from base datasets, matching
-// Table 1's "I/P" column: total input minus inter-job temporaries
-// (each temp written by one job is read once by its dependant in these
-// workflows).
+// Table 1's "I/P" column: total input minus inter-job temporaries, the
+// outputs under newPigMixSystem's managed tmp namespace (each temp
+// written by one job is read once by its dependant in these workflows).
 func inputVolume(r *restore.Result) int64 {
+	tmp := core.NamespacePath("", "tmp") + "/"
 	var total int64
 	for _, js := range r.JobStats {
 		total += js.InputSimBytes
 	}
 	for _, js := range r.JobStats {
 		for p, o := range js.Outputs {
-			if strings.HasPrefix(p, "tmp/") {
+			if strings.HasPrefix(p, tmp) {
 				total -= o.SimBytes
 			}
 		}

@@ -184,7 +184,7 @@ func (s *aggState) textLen() int {
 // partialBytes is a shuffled record's volume: its states' renderings
 // joined by tabs, plus the key's text and two bytes of framing — what
 // the shuffle would carry for the key and partial as one text line.
-func partialBytes(key tuple.Value, states []aggState) int64 {
+func partialBytes(key tuple.Value, states []aggState) int32 {
 	n := tuple.TextLen(key) + 2
 	for i := range states {
 		if i > 0 {
@@ -192,7 +192,7 @@ func partialBytes(key tuple.Value, states []aggState) int64 {
 		}
 		n += states[i].textLen()
 	}
-	return int64(n)
+	return int32(n)
 }
 
 // keyIndex numbers the distinct keys of one map task in first-seen

@@ -473,7 +473,7 @@ func checkMapCombine(t *testing.T, c *chooser) {
 				case len(*r.states) != len(spec.aggs):
 					t.Fatalf("task [%d,%d): key %v carries %d states, want %d", lo, hi, r.key, len(*r.states), len(spec.aggs))
 				}
-				if want := int64(tuple.EncodeTextLen(encodePartials(*r.states)) + tuple.TextLen(r.key) + 2); r.bytes != want {
+				if want := int32(tuple.EncodeTextLen(encodePartials(*r.states)) + tuple.TextLen(r.key) + 2); r.bytes != want {
 					t.Fatalf("key %v, partials %v: bytes %d, want %d", r.key, encodePartials(*r.states), r.bytes, want)
 				}
 			}

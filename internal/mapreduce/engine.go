@@ -146,14 +146,15 @@ type JobStats struct {
 // A combined GROUP's record points at its key's partial states instead
 // of carrying a tuple (a pointer: a record that carries a tuple pays one
 // word for it, not a slice header). bytes is the record's shuffle
-// volume.
+// volume. branch and bytes are int32s side by side, so a record is 64
+// bytes; sums of bytes widen to int64.
 type rec struct {
 	key    tuple.Value
 	hash   uint64
-	branch int
+	branch int32
+	bytes  int32
 	t      tuple.Tuple
 	states *[]aggState
-	bytes  int64
 }
 
 // Progress observes one running job's task completions: done counts
@@ -727,8 +728,8 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		px.keyed = func(branch int, key tuple.Value, t tuple.Tuple) {
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
-			n := int64(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			s.staged = append(s.staged, rec{key: key, hash: tuple.Hash(key), branch: branch, t: t, bytes: n})
+			n := int32(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
+			s.staged = append(s.staged, rec{key: key, hash: tuple.Hash(key), branch: int32(branch), t: t, bytes: n})
 		}
 	}
 
@@ -762,7 +763,7 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	var shuffleBytes, shuffleRecs int64
 	for _, p := range mr.parts {
 		for _, r := range p {
-			shuffleBytes += r.bytes
+			shuffleBytes += int64(r.bytes)
 			shuffleRecs++
 		}
 	}
@@ -823,7 +824,7 @@ func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskId
 
 	var shuffleBytes int64
 	for i := range recs {
-		shuffleBytes += recs[i].bytes
+		shuffleBytes += int64(recs[i].bytes)
 	}
 	var acc []aggState // the combiner's merge states, reused per group
 	if seg.combine != nil {
@@ -884,7 +885,7 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 		i := 0
 		for b := range bags {
 			lo := len(all)
-			for ; i < len(group) && group[i].branch == b; i++ {
+			for ; i < len(group) && group[i].branch == int32(b); i++ {
 				all = append(all, group[i].t)
 			}
 			if len(all) > lo {

@@ -14,7 +14,7 @@ import (
 type keyRun struct {
 	key    tuple.Value
 	hash   uint64
-	branch int
+	branch int32
 	id     int32
 	n      int32
 }

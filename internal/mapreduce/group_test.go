@@ -81,7 +81,7 @@ func shuffleInput(choose func(n int) int) ([][]rec, []bool) {
 			key = kt
 		}
 		p := choose(len(parts))
-		parts[p] = append(parts[p], rec{key: key, hash: tuple.Hash(key), branch: choose(branches), bytes: int64(i)})
+		parts[p] = append(parts[p], rec{key: key, hash: tuple.Hash(key), branch: int32(choose(branches)), bytes: int32(i)})
 	}
 	return parts, desc
 }
@@ -214,7 +214,7 @@ func BenchmarkReduceGroup(b *testing.B) {
 		for m := range parts {
 			for i := 0; i < perMap; i++ {
 				key := sh.key(r.Intn(n / 3))
-				parts[m] = append(parts[m], rec{key: key, hash: tuple.Hash(key), branch: r.Intn(sh.branches), bytes: 1})
+				parts[m] = append(parts[m], rec{key: key, hash: tuple.Hash(key), branch: int32(r.Intn(sh.branches)), bytes: 1})
 			}
 		}
 		for _, im := range impls {

@@ -51,8 +51,7 @@ func (q TenantQuota) resolved() TenantQuota {
 }
 
 // admitter is the weighted fair-share admission queue in front of
-// System.Submit (which itself sits in front of the engine's
-// MaxClusterJobs semaphore). Each tenant has a bounded FIFO of waiting
+// System.Submit. Each tenant has a bounded FIFO of waiting
 // queries; whenever a global slot is free, a stride scheduler picks the
 // runnable tenant with the smallest virtual pass and admits its head,
 // advancing the pass by 1/weight — so over any saturated window each

@@ -18,9 +18,9 @@
 //     matcher, durability and lease stats plus the service's own
 //     per-tenant admission and reuse counters.
 //
-// Admission sits in front of the engine's MaxClusterJobs semaphore:
-// each tenant has a weight, an in-flight cap and a bounded waiting
-// queue. Saturation degrades into weighted fair sharing (a flooding
+// Admission sits in front of System.Submit and bounds the queries
+// served at once (Config.MaxConcurrent): each tenant has a weight, an
+// in-flight cap and a bounded waiting queue. Saturation degrades into weighted fair sharing (a flooding
 // tenant cannot starve a light one), and a tenant over its queue bound
 // gets an immediate 429 with Retry-After — explicit backpressure
 // instead of unbounded accept. Close drains: waiting queries are

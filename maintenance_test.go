@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
@@ -94,7 +95,7 @@ func TestReplacedOutputsAreDeleted(t *testing.T) {
 		outputs[strings.Trim(e.OutputPath, "/")] = true
 	}
 	var orphans []string
-	for _, ds := range sys.FS().Datasets("restore") {
+	for _, ds := range sys.FS().Datasets(core.NamespacePath("", "restore")) {
 		if !outputs[ds] {
 			orphans = append(orphans, ds)
 		}

@@ -163,7 +163,7 @@ func TestNamespaceRootEndToEnd(t *testing.T) {
 	defer sys.Close()
 	seedEvents(t, sys)
 
-	// User datasets shadowing the legacy reserved prefixes.
+	// User datasets named like the managed namespaces.
 	if err := sys.WriteDataset("tmp/mine", []Tuple{{"keep", int64(1)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/pigmix"
 )
 
@@ -41,8 +42,9 @@ store U into 'out/top';
 	if st := sys.StorageStats(); st.Leases.Granted == 0 {
 		t.Fatal("no lease taken; test premise broken")
 	}
-	for _, ds := range sys.FS().Datasets("locks") {
-		if strings.HasPrefix(ds, "locks/pin.") {
+	locks := core.NamespacePath("", "locks")
+	for _, ds := range sys.FS().Datasets(locks) {
+		if strings.HasPrefix(ds, locks+"/pin.") {
 			t.Errorf("pin record %s outlived its query", ds)
 		}
 	}

@@ -271,7 +271,7 @@ func (s *System) Submit(ctx context.Context, script string, opts ...ExecOption) 
 		rootSpan = tr.Start(obs.NoSpan, obs.KindSubmit, qid)
 	}
 	compileSpan := tr.Start(rootSpan, obs.KindCompile, "")
-	wf, err := s.compile(script, s.tempPrefix(qid))
+	wf, err := s.compile(script, s.driver.Namespace("tmp", qid))
 	tr.End(compileSpan)
 	if err != nil {
 		return nil, err

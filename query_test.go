@@ -328,9 +328,7 @@ store c into 'shared/out';
 // TestStatusSnapshotsUnderStress hammers Status from a watcher while
 // many tagged queries with mixed per-query options run; run with -race.
 func TestStatusSnapshotsUnderStress(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxClusterJobs = 4 // exercise global admission under load
-	sys := New(cfg)
+	sys := New(DefaultConfig())
 	seedEvents(t, sys)
 
 	const clients = 8

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/tuple"
 )
@@ -77,14 +78,15 @@ func TestOverlappingStoresRejected(t *testing.T) {
 	}
 }
 
-// TestStoreIntoStageAncestorRejected: on the default layout every
-// query's stage path lies under 'tmp', so a STORE into 'tmp' could
+// TestStoreIntoStageAncestorRejected: every query's stage path lies
+// under the managed tmp namespace, so a STORE into it or its root could
 // never be renamed into place. It is rejected before any job runs, and
 // nothing is written.
 func TestStoreIntoStageAncestorRejected(t *testing.T) {
 	sys := stagingSystem(t, deltaFS(t))
 	before := fileSet(sys.FS())
-	for _, path := range []string{"tmp", "/tmp/"} {
+	tmp := core.NamespacePath("", "tmp")
+	for _, path := range []string{tmp, "/" + tmp + "/", core.NamespacePath("")} {
 		q, err := sys.Submit(context.Background(), fmt.Sprintf(twoStores, "out/ok", path), restore.WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/tuple"
 )
@@ -77,10 +78,10 @@ func TestConcurrentSameSignatureSubmissions(t *testing.T) {
 		}
 		// Every claim is a lease file under locks/ while it is held, and
 		// gone once it resolves.
-		if n := len(sys.FS().Datasets("locks")); n != 0 {
+		if n := len(sys.FS().Datasets(core.NamespacePath("", "locks"))); n != 0 {
 			t.Errorf("%d lease files outlived the queries", n)
 		}
-		return sims, rows, len(sys.FS().Datasets("restore")), sys.Repository().Len()
+		return sims, rows, len(sys.FS().Datasets(core.NamespacePath("", "restore"))), sys.Repository().Len()
 	}
 
 	serialSims, serialRows, serialDatasets, serialEntries := runAll(false)
@@ -201,7 +202,7 @@ func TestConcurrentSameSignatureAcrossAppend(t *testing.T) {
 		referenced[strings.Trim(e.OutputPath, "/")] = true
 	}
 	for _, ns := range []string{"restore", "tmp"} {
-		for _, ds := range fs.Datasets(ns) {
+		for _, ds := range fs.Datasets(core.NamespacePath("", ns)) {
 			if !referenced[ds] {
 				t.Errorf("%s outlived the janitor, no entry's output", ds)
 			}
@@ -330,7 +331,7 @@ func TestJanitorReclaimsCancelledQuery(t *testing.T) {
 	if _, err := q.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait err = %v, want context.Canceled", err)
 	}
-	ns := "tmp/" + q.ID()
+	ns := core.NamespacePath("", "tmp", q.ID())
 	if sys.FS().Size(ns) == 0 {
 		t.Fatalf("cancelled query left nothing under %s; test premise broken", ns)
 	}
@@ -371,7 +372,7 @@ func TestJanitorGoroutine(t *testing.T) {
 		t.Fatalf("Wait err = %v", err)
 	}
 
-	ns := "tmp/" + q.ID()
+	ns := core.NamespacePath("", "tmp", q.ID())
 	deadline := time.Now().Add(5 * time.Second)
 	for sys.FS().Exists(ns) {
 		if time.Now().After(deadline) {
@@ -381,6 +382,27 @@ func TestJanitorGoroutine(t *testing.T) {
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestSweepSparesTopLevelUserDatasets: with no NamespaceRoot set, the
+// managed namespaces still live under a root of their own, so user
+// datasets named "tmp/…" and "restore/…" are never the janitor's.
+func TestSweepSparesTopLevelUserDatasets(t *testing.T) {
+	sys := New(DefaultConfig())
+	defer sys.Close()
+	for i, p := range []string{"tmp/results", "restore/daily"} {
+		if err := sys.WriteDataset(p, []Tuple{{"keep", int64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sys.Sweep(); rep.OrphanDatasets != 0 {
+		t.Errorf("sweep reclaimed %d orphan datasets, want 0: %+v", rep.OrphanDatasets, rep)
+	}
+	for _, p := range []string{"tmp/results", "restore/daily"} {
+		if rows, err := sys.ReadDataset(p); err != nil || len(rows) != 1 {
+			t.Errorf("user dataset %s lost after sweep: rows=%v err=%v", p, rows, err)
+		}
 	}
 }
 

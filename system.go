@@ -85,7 +85,6 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	if cfg.Cost.DiskReadBW == 0 {
 		cfg.Cost = cluster.DefaultCostModel()
 	}
-	cfg.NamespaceRoot = strings.Trim(cfg.NamespaceRoot, "/")
 	eng := mapreduce.New(fs, mapreduce.Config{
 		Topology:            cfg.Topology,
 		Cost:                cfg.Cost,
@@ -134,7 +133,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		sc.Durable, sc.QueryPrefix = durable, prefix+"q"
 	}
 	store := core.NewStorageManager(repo, fs, sc)
-	driver := core.NewDriver(eng, store, cfg.MaxClusterJobs)
+	driver := core.NewDriver(eng, store)
 	s := &System{
 		fs:        fs,
 		eng:       eng,
@@ -323,17 +322,11 @@ func (s *System) RefreshRepository() int {
 // the workflow's job count — useful for inspecting how a query maps to
 // MapReduce jobs.
 func (s *System) Compile(script string) (int, error) {
-	wf, err := s.compile(script, s.tempPrefix(fmt.Sprintf("%sc%d", s.qidPrefix, s.nquery.Add(1))))
+	wf, err := s.compile(script, s.driver.Namespace("tmp", fmt.Sprintf("%sc%d", s.qidPrefix, s.nquery.Add(1))))
 	if err != nil {
 		return 0, err
 	}
 	return len(wf.Jobs), nil
-}
-
-// tempPrefix is the per-query temp namespace the compiler writes
-// inter-job temporaries under, honoring Config.NamespaceRoot.
-func (s *System) tempPrefix(id string) string {
-	return core.NamespacePath(s.cfg.NamespaceRoot, "tmp", id)
 }
 
 func (s *System) compile(script, tempPrefix string) (*physical.Workflow, error) {
