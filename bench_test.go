@@ -1,9 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 7), plus ablations of the design choices called
-// out in DESIGN.md. Each figure benchmark runs the full experiment and
-// reports its headline aggregate as custom metrics; the rendered tables
-// land in the benchmark log (visible in `go test -bench . -v` output
-// and in bench_output.txt).
+// Benchmarks of the design choices (ablations of match order, eviction
+// and the storage heuristics), the matcher, the engine, Equation 1 and
+// concurrent clients. The paper's figures and tables (Section 7) are
+// regenerated by cmd/experiments and pinned by internal/exp's
+// TestPaperFiguresGolden, not benchmarked here.
 package restore_test
 
 import (
@@ -16,85 +15,12 @@ import (
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
 	"repro/internal/piglatin"
 	"repro/internal/pigmix"
 	"repro/internal/tuple"
 )
-
-// benchReport runs one experiment per iteration and logs the table once.
-func benchReport(b *testing.B, run func() (*exp.Report, error)) *exp.Report {
-	b.Helper()
-	var rep *exp.Report
-	for i := 0; i < b.N; i++ {
-		r, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = r
-	}
-	b.Log("\n" + rep.String())
-	return rep
-}
-
-// BenchmarkFigure9 regenerates the whole-job reuse experiment.
-func BenchmarkFigure9(b *testing.B) {
-	benchReport(b, exp.Figure9)
-}
-
-// BenchmarkFigure10 regenerates the sub-job reuse experiment (150GB,
-// Aggressive heuristic).
-func BenchmarkFigure10(b *testing.B) {
-	benchReport(b, exp.Figure10)
-}
-
-// BenchmarkFigure11 regenerates the overhead-by-scale comparison.
-func BenchmarkFigure11(b *testing.B) {
-	benchReport(b, exp.Figure11)
-}
-
-// BenchmarkFigure12 regenerates the speedup-by-scale comparison.
-func BenchmarkFigure12(b *testing.B) {
-	benchReport(b, exp.Figure12)
-}
-
-// BenchmarkFigure13 regenerates the heuristic reuse-time comparison.
-func BenchmarkFigure13(b *testing.B) {
-	benchReport(b, exp.Figure13)
-}
-
-// BenchmarkFigure14 regenerates the heuristic generation-time
-// comparison (the L6 outlier).
-func BenchmarkFigure14(b *testing.B) {
-	benchReport(b, exp.Figure14)
-}
-
-// BenchmarkFigure15 regenerates the whole-job vs sub-job comparison.
-func BenchmarkFigure15(b *testing.B) {
-	benchReport(b, exp.Figure15)
-}
-
-// BenchmarkFigure16 regenerates the Project data-reduction sweep.
-func BenchmarkFigure16(b *testing.B) {
-	benchReport(b, exp.Figure16)
-}
-
-// BenchmarkFigure17 regenerates the Filter selectivity sweep.
-func BenchmarkFigure17(b *testing.B) {
-	benchReport(b, exp.Figure17)
-}
-
-// BenchmarkTable1 regenerates the stored-bytes accounting.
-func BenchmarkTable1(b *testing.B) {
-	benchReport(b, exp.Table1)
-}
-
-// BenchmarkTable2 regenerates the synthetic data set's field table.
-func BenchmarkTable2(b *testing.B) {
-	benchReport(b, exp.Table2)
-}
 
 // pigmixSystem builds a small warm system for the ablation benches.
 func pigmixSystem(b *testing.B, opts restore.Options) *restore.System {
@@ -120,7 +46,7 @@ func runPigMix(b *testing.B, sys *restore.System, name string, opts ...restore.E
 // BenchmarkAblationMatchOrder quantifies repository ordering Rule 1:
 // with the subsumption-ordered scan, a warm L3 run reuses the whole
 // join job first; the metric reports the simulated reuse time, to be
-// compared with BenchmarkFigure13's per-entry alternatives.
+// compared with Figure 13's per-entry alternatives (exp.Figure13).
 func BenchmarkAblationMatchOrder(b *testing.B) {
 	var simTime time.Duration
 	for i := 0; i < b.N; i++ {

@@ -51,12 +51,13 @@
 // WriteDataset and ReadDataset may be called concurrently from any
 // number of goroutines against one System. Four layers make this safe:
 //
-//   - DAG scheduling. Within one workflow, jobs are scheduled over the
-//     dependency DAG: independent jobs run concurrently on a bounded
-//     worker pool (Config.WorkflowWorkers or WithWorkers, default
-//     NumCPU), and a job starts only after every job it depends on
-//     completed. Across workflows, the engine's task slots (its
-//     Parallelism, default NumCPU) bound the tasks running at once.
+//   - DAG scheduling. Within one workflow, jobs are scheduled in the
+//     dependency order the compiled workflow's TopoJobs computed, once
+//     per query: independent jobs run concurrently on a bounded worker
+//     pool (Config.WorkflowWorkers or WithWorkers, default NumCPU), and
+//     a job starts only after every job it depends on completed.
+//     Across workflows, the engine's task slots (its Parallelism,
+//     default NumCPU) bound the tasks running at once.
 //     The simulated time still comes from the paper's Equation 1
 //     (critical path over the DAG), so concurrency changes wall time
 //     only.

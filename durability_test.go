@@ -458,7 +458,7 @@ func TestDurableJanitorReapsLeases(t *testing.T) {
 	seedEvents(t, sys)
 
 	// Simulate a dead peer's leftover lease.
-	dead := core.NewLeaseManager(fs, core.NamespacePath("", "locks"), "wdead", time.Millisecond, 0)
+	dead := core.NewLeaseManager(fs, core.NamespacePath("", "locks"), "wdead", time.Millisecond)
 	if _, ok := dead.TryAcquire("orphaned-fingerprint"); !ok {
 		t.Fatal("setup acquire failed")
 	}

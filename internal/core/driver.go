@@ -155,8 +155,8 @@ type Result struct {
 	// ExtraStoredSimBytes totals the side outputs materialized by the
 	// sub-job enumerator (the paper's Table 1 columns).
 	ExtraStoredSimBytes int64
-	// FinalOutputs maps each user STORE path to the dataset actually
-	// holding the result (identity unless whole-job reuse redirected it).
+	// FinalOutputs maps each user STORE path to itself, the dataset
+	// holding the result once committed.
 	FinalOutputs map[string]string
 }
 

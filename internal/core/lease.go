@@ -55,7 +55,6 @@ type LeaseManager struct {
 	root  string
 	owner string
 	ttl   time.Duration
-	poll  time.Duration
 	// now is the wall clock, injectable so expiry tests need not sleep.
 	now func() time.Time
 
@@ -86,22 +85,19 @@ type LeaseManager struct {
 // in-flight claims unblock waiters within a minute.
 const DefaultLeaseTTL = time.Minute
 
-// DefaultLeasePoll is the interval at which a claim waiter polls the
-// holder's lease.
-const DefaultLeasePoll = 2 * time.Millisecond
+// leasePoll is the interval at which a claim waiter polls the holder's
+// lease.
+const leasePoll = 2 * time.Millisecond
 
 // NewLeaseManager returns a manager over the locks namespace at root.
-// owner identifies this process in lease records; ttl and poll default
-// to DefaultLeaseTTL and DefaultLeasePoll when zero.
-func NewLeaseManager(fs dfs.Backend, root, owner string, ttl, poll time.Duration) *LeaseManager {
+// owner identifies this process in lease records; ttl defaults to
+// DefaultLeaseTTL when zero.
+func NewLeaseManager(fs dfs.Backend, root, owner string, ttl time.Duration) *LeaseManager {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	if poll <= 0 {
-		poll = DefaultLeasePoll
-	}
 	return &LeaseManager{
-		fs: fs, root: cleanPath(root), owner: owner, ttl: ttl, poll: poll, now: time.Now,
+		fs: fs, root: cleanPath(root), owner: owner, ttl: ttl, now: time.Now,
 		claims: map[*Lease]bool{}, pins: map[string]int{},
 	}
 }
@@ -436,7 +432,7 @@ func (lm *LeaseManager) Close() {
 // returns ctx.Err() on cancellation.
 func (lm *LeaseManager) WaitFree(ctx context.Context, fp string) error {
 	path := lm.leasePath(fp)
-	t := time.NewTicker(lm.poll)
+	t := time.NewTicker(leasePoll)
 	defer t.Stop()
 	for {
 		ver := lm.fs.Version(path)

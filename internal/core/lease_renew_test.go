@@ -66,7 +66,7 @@ func TestLeaseRenewExtendsExpiry(t *testing.T) {
 // once the lease is released.
 func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 	fs := dfstest.New(t)
-	lm := NewLeaseManager(fs, "sys/locks", "w1", 30*time.Millisecond, time.Millisecond)
+	lm := NewLeaseManager(fs, "sys/locks", "w1", 30*time.Millisecond)
 	defer lm.Close()
 	l, ok := lm.TryAcquire("fp")
 	if !ok {
@@ -92,7 +92,7 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 	}
 
 	// Released: a peer acquires immediately, no takeover needed.
-	peer := NewLeaseManager(fs, "sys/locks", "w2", 30*time.Millisecond, time.Millisecond)
+	peer := NewLeaseManager(fs, "sys/locks", "w2", 30*time.Millisecond)
 	defer peer.Close()
 	lp, ok := peer.TryAcquire("fp")
 	if !ok {

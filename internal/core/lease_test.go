@@ -31,7 +31,7 @@ func (c *testClock) Advance(d time.Duration) {
 }
 
 func leasePair(t *testing.T, fs dfs.Backend, clock *testClock, owner string) *LeaseManager {
-	lm := NewLeaseManager(fs, "sys/locks", owner, time.Minute, time.Millisecond)
+	lm := NewLeaseManager(fs, "sys/locks", owner, time.Minute)
 	lm.SetClock(clock.Now)
 	t.Cleanup(lm.Close)
 	return lm

@@ -30,8 +30,8 @@ func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
 	fs := dfstest.New(t)
 	dlA, rA := openDurable(t, fs, "sys/repo")
 	dlB, rB := openDurable(t, fs, "sys/repo")
-	lmA := NewLeaseManager(fs, "sys/locks", dlA.Writer(), ttl, time.Millisecond)
-	lmB := NewLeaseManager(fs, "sys/locks", dlB.Writer(), ttl, time.Millisecond)
+	lmA := NewLeaseManager(fs, "sys/locks", dlA.Writer(), ttl)
+	lmB := NewLeaseManager(fs, "sys/locks", dlB.Writer(), ttl)
 	if clock != nil {
 		lmA.SetClock(clock.Now)
 		lmB.SetClock(clock.Now)
@@ -164,8 +164,8 @@ func TestPinOutlivesTTLWithoutSweep(t *testing.T) {
 // both are done.
 func TestPinRecordTracksCount(t *testing.T) {
 	fs := dfstest.New(t)
-	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute, time.Millisecond)
-	peer := NewLeaseManager(fs, "sys/locks", "w2", time.Minute, time.Millisecond)
+	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute)
+	peer := NewLeaseManager(fs, "sys/locks", "w2", time.Minute)
 	defer lm.Close()
 	path := lm.pinPath("e1")
 
@@ -327,7 +327,7 @@ func settledHeartbeats(want int) int {
 func TestHeartbeatRunsOnlyWhileHeld(t *testing.T) {
 	fs := dfstest.New(t)
 	base := runtime.NumGoroutine()
-	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute, time.Millisecond)
+	lm := NewLeaseManager(fs, "sys/locks", "w1", time.Minute)
 	if got := settledGoroutines(base); got > base {
 		t.Fatalf("idle manager: %d goroutines, want %d", got, base)
 	}

@@ -390,7 +390,7 @@ store B into 'o';
 `, "", EntryStats{InputSimBytes: 10, OutputSimBytes: 5})
 	e.OutputPath = "stored/e"
 	ins := repo.Insert(e)
-	lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+	lm := NewLeaseManager(fs, "locks", "w1", 0)
 	t.Cleanup(lm.Close)
 
 	// Pinned: neither the reuse window nor output deletion may evict it.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sync"
 
 	"repro/internal/physical"
@@ -17,98 +16,87 @@ import (
 // width-first leaves simulated time unchanged while cutting real wall
 // time to roughly serial/min(width, workers).
 //
+// jobs must be in the dependency order Workflow.TopoJobs returns: a
+// producer listed at or after its dependant (a cycle, or an order
+// TopoJobs did not produce) is rejected before any job runs. A
+// dependency outside jobs, such as a producer whole-job reuse dropped,
+// counts as satisfied. Edges are read up front, since process may
+// mutate DependsOn (whole-job reuse removes producers).
+//
 // Cancelling ctx stops the workflow promptly: jobs that have not
 // started never run, in-flight jobs are aborted at the engine's next
-// task-slot acquisition, and runDAG returns ctx.Err().
-//
-// The first process error cancels jobs not yet started (in-flight jobs
-// finish) and is returned. Dependencies on IDs outside jobs, such as
-// producers whole-job reuse dropped, are treated as already satisfied.
+// task-slot acquisition, and runDAG returns ctx.Err(). The first
+// process error cancels jobs not yet started (in-flight jobs finish)
+// and is returned.
 func runDAG(ctx context.Context, jobs []*physical.Job, workers int, process func(*physical.Job) error) error {
 	if len(jobs) == 0 {
 		return ctx.Err()
 	}
-	if workers < 1 {
-		workers = 1
+	workers = max(1, min(workers, len(jobs)))
+
+	pos := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		pos[j.ID] = i
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	indeg := make([]int, len(jobs))
+	dependants := make([][]int, len(jobs))
+	for i, j := range jobs {
+		for _, dep := range j.DependsOn {
+			p, ok := pos[dep]
+			if !ok {
+				continue
+			}
+			if p >= i {
+				return fmt.Errorf("core: job %s is listed before its dependency %s (cycle or unordered workflow)", j.ID, dep)
+			}
+			indeg[i]++
+			dependants[p] = append(dependants[p], i)
+		}
 	}
 
-	indeg, dependants, err := dagEdges(jobs)
-	if err != nil {
-		return err
+	// ready closes once: after the last job, or at the first error.
+	ready := make(chan int, len(jobs))
+	for i := range jobs {
+		if indeg[i] == 0 {
+			ready <- i
+		}
 	}
-
-	ready := make(chan *physical.Job, len(jobs))
 	var (
 		mu       sync.Mutex
 		firstErr error
 		pending  = len(jobs)
-		closed   bool
+		wg       sync.WaitGroup
 	)
-	finish := func() { // mu held
-		if !closed {
-			closed = true
-			close(ready)
-		}
-	}
-	fail := func(err error) { // takes mu
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		finish()
-		mu.Unlock()
-	}
-	for _, j := range jobs {
-		if indeg[j.ID] == 0 {
-			ready <- j
-		}
-	}
-
-	// The cancellation monitor wakes workers blocked on the ready
-	// channel when ctx fires; stop releases it once the DAG drains.
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				fail(ctx.Err())
-			case <-stop:
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range ready {
+			for i := range ready {
 				mu.Lock()
-				bail := firstErr != nil
+				failed := firstErr != nil
 				mu.Unlock()
-				// The direct ctx check makes cancellation synchronous
-				// with the caller: once cancel() returns, no further job
-				// starts, even if the monitor goroutine has not yet run.
-				if bail || ctx.Err() != nil {
+				if failed {
 					continue // drain jobs queued before the failure
 				}
-				if err := process(job); err != nil {
-					fail(err)
-					continue
+				err := ctx.Err() // once cancel() returns, no job starts
+				if err == nil {
+					err = process(jobs[i])
+				}
+				if err != nil && ctx.Err() != nil {
+					err = ctx.Err() // a job the cancellation aborted wraps it
 				}
 				mu.Lock()
-				pending--
-				if pending == 0 {
-					finish()
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
+						close(ready)
+					}
+				} else if pending--; pending == 0 {
+					close(ready)
 				} else if firstErr == nil {
-					for _, dep := range dependants[job.ID] {
-						indeg[dep.ID]--
-						if indeg[dep.ID] == 0 {
-							ready <- dep
+					for _, d := range dependants[i] {
+						if indeg[d]--; indeg[d] == 0 {
+							ready <- d
 						}
 					}
 				}
@@ -117,52 +105,5 @@ func runDAG(ctx context.Context, jobs []*physical.Job, workers int, process func
 		}()
 	}
 	wg.Wait()
-
-	// The cancellation monitor may still be writing firstErr (it is
-	// stopped only by the deferred close); read under the lock.
-	mu.Lock()
-	defer mu.Unlock()
 	return firstErr
-}
-
-// dagEdges snapshots the dependency edges among jobs up front — process
-// may legitimately mutate DependsOn slices (whole-job reuse removes
-// producers), and the scheduler must not race with that — and rejects
-// a cycle. TopoJobs rejects cyclic workflows before scheduling, but a
-// cycle reaching runDAG would leave workers blocked forever on an open
-// empty channel.
-func dagEdges(jobs []*physical.Job) (map[string]int, map[string][]*physical.Job, error) {
-	inSet := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		inSet[j.ID] = true
-	}
-	indeg := make(map[string]int, len(jobs))
-	dependants := make(map[string][]*physical.Job, len(jobs))
-	for _, j := range jobs {
-		for _, dep := range j.DependsOn {
-			if inSet[dep] {
-				indeg[j.ID]++
-				dependants[dep] = append(dependants[dep], j)
-			}
-		}
-	}
-	deg := maps.Clone(indeg)
-	var q []*physical.Job
-	for _, j := range jobs {
-		if deg[j.ID] == 0 {
-			q = append(q, j)
-		}
-	}
-	for i := 0; i < len(q); i++ { // q doubles as the reached list
-		for _, dep := range dependants[q[i].ID] {
-			deg[dep.ID]--
-			if deg[dep.ID] == 0 {
-				q = append(q, dep)
-			}
-		}
-	}
-	if len(q) != len(jobs) {
-		return nil, nil, fmt.Errorf("core: workflow dependency cycle: %d of %d jobs unreachable", len(jobs)-len(q), len(jobs))
-	}
-	return indeg, dependants, nil
 }

@@ -137,6 +137,54 @@ func TestRunDAGRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestRunDAGRejectsOutOfOrderJobs holds runDAG to the order TopoJobs
+// returns: a dependant listed before its producer is an error, not a
+// second topological sort.
+func TestRunDAGRejectsOutOfOrderJobs(t *testing.T) {
+	jobs := []*physical.Job{
+		{ID: "b", DependsOn: []string{"a"}},
+		{ID: "a"},
+	}
+	ran := false
+	err := runDAG(context.Background(), jobs, 2, func(j *physical.Job) error { ran = true; return nil })
+	if err == nil {
+		t.Errorf("a dependant listed before its producer did not error")
+	}
+	if ran {
+		t.Errorf("jobs ran from a rejected order")
+	}
+}
+
+// TestRunDAGCancelledByARunningJob cancels from inside a running job
+// that then succeeds: neither of its dependants may start, and the
+// workers, free to take both at once, must still return.
+func TestRunDAGCancelledByARunningJob(t *testing.T) {
+	jobs := fakeJobs(map[string][]string{
+		"a": nil,
+		"b": {"a"},
+		"c": {"a"},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var ran []string
+	err := runDAG(ctx, jobs, 3, func(j *physical.Job) error {
+		mu.Lock()
+		ran = append(ran, j.ID)
+		mu.Unlock()
+		if j.ID == "a" {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(ran) != 1 || ran[0] != "a" {
+		t.Errorf("ran = %v, want only a (b and c cancelled before start)", ran)
+	}
+}
+
 func TestRunDAGMissingDepTreatedSatisfied(t *testing.T) {
 	// Dependencies outside the job list (producers dropped by whole-job
 	// reuse) must not block scheduling.

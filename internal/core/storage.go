@@ -121,7 +121,7 @@ func NewStorageManager(repo *Repository, fs dfs.Backend, cfg StorageConfig) *Sto
 		cfg.Policy = CostBenefitPolicy{}
 	}
 	if cfg.Leases == nil {
-		cfg.Leases = NewLeaseManager(fs, NamespacePath(cfg.NamespaceRoot, "locks"), "", 0, 0)
+		cfg.Leases = NewLeaseManager(fs, NamespacePath(cfg.NamespaceRoot, "locks"), "", 0)
 	}
 	m := &StorageManager{repo: repo, fs: fs, cfg: cfg, cursor: -1}
 	_, released := repo.Vacuum(fs, 0, 0, cfg.Leases, m.fed()) // cursor -1: a full pass

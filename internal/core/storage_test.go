@@ -218,7 +218,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 		t.Run(policy.Name(), func(t *testing.T) {
 			fs := dfstest.New(t)
 			repo := NewRepository()
-			lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+			lm := NewLeaseManager(fs, "locks", "w1", 0)
 			t.Cleanup(lm.Close)
 			m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 2500, Policy: policy, Leases: lm})
 			var pinnedEntry *Entry
@@ -282,7 +282,7 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 	repo := NewRepository()
 	a := storedEntry(t, repo, fs, "a", "in1", 10, EntryStats{})
 	b := storedEntry(t, repo, fs, "b", "in2", 10, EntryStats{})
-	lm := NewLeaseManager(fs, "locks", "w1", 0, 0)
+	lm := NewLeaseManager(fs, "locks", "w1", 0)
 	t.Cleanup(lm.Close)
 	lm.Pin(a.ID)
 	lm.Pin(a.ID)

@@ -105,10 +105,9 @@ func (j *Job) String() string {
 type Workflow struct {
 	Jobs []*Job
 
-	// FinalOutputs maps user STORE paths to the path actually holding
-	// the data. Normally the identity; ReStore's whole-job reuse may
-	// redirect an output to a repository location instead of recomputing
-	// it.
+	// FinalOutputs maps each user STORE path to itself: the set of the
+	// query's final outputs. Whole-job reuse never redirects one (a job
+	// with a user STORE may reuse only sub-jobs).
 	FinalOutputs map[string]string
 }
 

@@ -33,12 +33,6 @@ type parser struct {
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
-func (p *parser) peek() token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
 func (p *parser) at(k tokenKind) bool { return p.cur().kind == k }
 

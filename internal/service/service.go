@@ -857,8 +857,7 @@ func (s *Server) handleQueryResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQueryOutput returns the rows of one of the query's STORE
-// destinations as text lines (one encoded tuple per line), following
-// any whole-job-reuse redirection.
+// destinations as text lines (one encoded tuple per line).
 func (s *Server) handleQueryOutput(w http.ResponseWriter, r *http.Request) {
 	sq := s.lookup(r.PathValue("id"))
 	if sq == nil {

@@ -22,15 +22,6 @@ type Schema struct {
 	Fields []Field
 }
 
-// NewSchema builds a schema from column names with unspecified types.
-func NewSchema(names ...string) *Schema {
-	s := &Schema{Fields: make([]Field, len(names))}
-	for i, n := range names {
-		s.Fields[i] = Field{Name: n}
-	}
-	return s
-}
-
 // Len returns the number of columns.
 func (s *Schema) Len() int {
 	if s == nil {

@@ -18,14 +18,9 @@ type Result struct {
 	sys *System
 }
 
-// Output returns the rows of the query's STORE destination, following
-// any whole-job-reuse redirection.
+// Output returns the rows of the query's STORE destination.
 func (r *Result) Output(userPath string) ([]Tuple, error) {
-	path := userPath
-	if p, ok := r.FinalOutputs[userPath]; ok && p != "" {
-		path = p
-	}
-	return r.sys.ReadDataset(path)
+	return r.sys.ReadDataset(userPath)
 }
 
 // ExecOption tunes one query submission, overriding the System's

@@ -107,7 +107,7 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 	// every pin is one of its records, renewed by its one heartbeat, and
 	// a durable log compacts under one.
 	leases := core.NewLeaseManager(fs, core.NamespacePath(cfg.NamespaceRoot, "locks"),
-		prefix, cfg.Durability.LeaseTTL, core.DefaultLeasePoll)
+		prefix, cfg.Durability.LeaseTTL)
 	if cfg.Durability.Enabled {
 		var err error
 		durable, repo, err = core.OpenDurableLog(fs, core.DurableConfig{
