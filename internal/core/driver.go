@@ -279,14 +279,14 @@ type execution struct {
 	notify   func(jobID string, state JobState)
 	progress func(jobID string, done, total int, sim time.Duration)
 
-	wf   *physical.Workflow // the private clone
-	jobs []*physical.Job    // in topological order
-	runs map[string]*jobRun // by job ID
-	// dependants of a job are the only jobs whole-job reuse may touch
-	// besides the job itself: they cannot have started (they depend on
-	// it), unlike siblings whose goroutines may be mutating their plans.
-	dependants map[string][]*physical.Job
-	staged     []stagedOutput // in user-path order
+	wf *physical.Workflow // the private clone
+	// dag holds the jobs in topological order and their dependants: the
+	// only jobs whole-job reuse may touch besides the job itself. They
+	// cannot have started (they depend on it), unlike siblings whose
+	// goroutines may be mutating their plans.
+	dag    *jobDAG
+	runs   map[string]*jobRun // by job ID
+	staged []stagedOutput     // in user-path order
 
 	rewriter *Rewriter
 	enum     *Enumerator
@@ -342,13 +342,12 @@ func (d *Driver) newExecution(ctx context.Context, wf *physical.Workflow, queryI
 	if err != nil {
 		return nil, err
 	}
-	x.jobs, x.runs = jobs, make(map[string]*jobRun, len(jobs))
-	x.dependants = make(map[string][]*physical.Job, len(jobs))
+	if x.dag, err = newJobDAG(jobs); err != nil {
+		return nil, err
+	}
+	x.runs = make(map[string]*jobRun, len(jobs))
 	for _, j := range jobs {
 		x.runs[j.ID] = &jobRun{x: x, job: j, claims: claimSet{store: d.store, held: map[string]*Claim{}}}
-		for _, dep := range j.DependsOn {
-			x.dependants[dep] = append(x.dependants[dep], j)
-		}
 	}
 	// Registered before stage and run write anything under the query's
 	// namespaces (stage only rewrites paths; the first write is a job's
@@ -374,7 +373,7 @@ func (x *execution) unpin() {
 // be renamed onto, so it is rejected before any job runs.
 func (x *execution) stage() error {
 	prefix := x.d.Namespace("tmp", x.queryID) + "/" + stagedDir + "/"
-	for _, job := range x.jobs {
+	for _, job := range x.dag.jobs {
 		user := job.OutputPath
 		if _, ok := x.wf.FinalOutputs[user]; !ok {
 			continue
@@ -391,7 +390,7 @@ func (x *execution) stage() error {
 		job.OutputPath = stage
 		x.runs[job.ID].user = user
 		x.staged = append(x.staged, stagedOutput{stage: stage, user: user})
-		for _, other := range x.jobs {
+		for _, other := range x.dag.jobs {
 			if other != job {
 				other.RewriteLoadPath(user, stage)
 			}
@@ -407,7 +406,7 @@ func (x *execution) run() error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return runDAG(x.ctx, x.jobs, workers, func(job *physical.Job) error {
+	return runDAG(x.ctx, x.dag, workers, func(job *physical.Job) error {
 		return x.runs[job.ID].run()
 	})
 }
@@ -448,7 +447,7 @@ func (x *execution) merge(versions map[string]int64) *Result {
 	res := &Result{QueryID: x.queryID, FinalOutputs: x.wf.FinalOutputs}
 	jobTimes := map[string]time.Duration{}
 	jobDeps := map[string][]string{}
-	for _, job := range x.jobs {
+	for _, job := range x.dag.jobs {
 		r := x.runs[job.ID]
 		res.Rewrites = append(res.Rewrites, r.events...)
 		if r.reusedWhole {
@@ -485,7 +484,7 @@ func (x *execution) merge(versions map[string]int64) *Result {
 func (x *execution) maintain() {
 	opts := x.cfg.Opts
 	if opts.DeleteTemps && !opts.storesAnything() {
-		deleteTemps(x.d.eng.FS(), x.wf, x.jobs)
+		deleteTemps(x.d.eng.FS(), x.wf, x.dag.jobs)
 	}
 	x.d.store.Maintain(x.d.Now(), opts.EvictionWindow)
 }
@@ -576,7 +575,8 @@ func (r *jobRun) rewrite() bool {
 		r.events = append(r.events, events...)
 		if n := len(events); n > 0 && events[n-1].WholeJob {
 			x.wf.DropJob(job.ID)
-			for _, dep := range x.dependants[job.ID] {
+			for _, d := range x.dag.dependants[x.dag.pos[job.ID]] {
+				dep := x.dag.jobs[d]
 				dep.RemoveDependency(job.ID)
 				dep.RewriteLoadPath(job.OutputPath, events[n-1].Path)
 			}

@@ -34,6 +34,16 @@ func fakeJobs(deps map[string][]string) []*physical.Job {
 	return jobs
 }
 
+// runJobs indexes jobs and runs them, the two steps an execution takes
+// (newExecution, then run).
+func runJobs(ctx context.Context, jobs []*physical.Job, workers int, process func(*physical.Job) error) error {
+	g, err := newJobDAG(jobs)
+	if err != nil {
+		return err
+	}
+	return runDAG(ctx, g, workers, process)
+}
+
 func TestRunDAGRespectsDependencies(t *testing.T) {
 	deps := map[string][]string{
 		"a": nil, "b": nil,
@@ -44,7 +54,7 @@ func TestRunDAGRespectsDependencies(t *testing.T) {
 	}
 	var mu sync.Mutex
 	finished := map[string]bool{}
-	err := runDAG(context.Background(), fakeJobs(deps), 4, func(j *physical.Job) error {
+	err := runJobs(context.Background(), fakeJobs(deps), 4, func(j *physical.Job) error {
 		mu.Lock()
 		for _, dep := range deps[j.ID] {
 			if !finished[dep] {
@@ -72,7 +82,7 @@ func TestRunDAGBoundsWorkers(t *testing.T) {
 	jobs := fakeJobs(map[string][]string{
 		"a": nil, "b": nil, "c": nil, "d": nil, "e": nil, "f": nil, "g": nil, "h": nil,
 	})
-	err := runDAG(context.Background(), jobs, 3, func(j *physical.Job) error {
+	err := runJobs(context.Background(), jobs, 3, func(j *physical.Job) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -103,7 +113,7 @@ func TestRunDAGErrorCancelsPending(t *testing.T) {
 	})
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	err := runDAG(context.Background(), jobs, 2, func(j *physical.Job) error {
+	err := runJobs(context.Background(), jobs, 2, func(j *physical.Job) error {
 		ran.Add(1)
 		if j.ID == "a" {
 			return boom
@@ -125,7 +135,7 @@ func TestRunDAGRejectsCycle(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		done <- runDAG(context.Background(), jobs, 2, func(j *physical.Job) error { return nil })
+		done <- runJobs(context.Background(), jobs, 2, func(j *physical.Job) error { return nil })
 	}()
 	select {
 	case err := <-done:
@@ -146,7 +156,7 @@ func TestRunDAGRejectsOutOfOrderJobs(t *testing.T) {
 		{ID: "a"},
 	}
 	ran := false
-	err := runDAG(context.Background(), jobs, 2, func(j *physical.Job) error { ran = true; return nil })
+	err := runJobs(context.Background(), jobs, 2, func(j *physical.Job) error { ran = true; return nil })
 	if err == nil {
 		t.Errorf("a dependant listed before its producer did not error")
 	}
@@ -168,7 +178,7 @@ func TestRunDAGCancelledByARunningJob(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	var ran []string
-	err := runDAG(ctx, jobs, 3, func(j *physical.Job) error {
+	err := runJobs(ctx, jobs, 3, func(j *physical.Job) error {
 		mu.Lock()
 		ran = append(ran, j.ID)
 		mu.Unlock()
@@ -190,7 +200,7 @@ func TestRunDAGMissingDepTreatedSatisfied(t *testing.T) {
 	// reuse) must not block scheduling.
 	jobs := fakeJobs(map[string][]string{"x": {"ghost"}})
 	ran := false
-	if err := runDAG(context.Background(), jobs, 1, func(j *physical.Job) error { ran = true; return nil }); err != nil {
+	if err := runJobs(context.Background(), jobs, 1, func(j *physical.Job) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -210,7 +220,7 @@ func TestRunDAGParallelSpeedup(t *testing.T) {
 	}
 	wall := func(workers int) time.Duration {
 		start := time.Now()
-		if err := runDAG(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
+		if err := runJobs(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
 			time.Sleep(jobTime)
 			return nil
 		}); err != nil {
@@ -243,7 +253,7 @@ func TestRunDAGCancelStopsUnstartedJobs(t *testing.T) {
 	defer cancel()
 	var ran []string
 	var mu sync.Mutex
-	err := runDAG(ctx, jobs, 2, func(j *physical.Job) error {
+	err := runJobs(ctx, jobs, 2, func(j *physical.Job) error {
 		mu.Lock()
 		ran = append(ran, j.ID)
 		mu.Unlock()
@@ -264,7 +274,7 @@ func TestRunDAGPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := runDAG(ctx, fakeJobs(map[string][]string{"a": nil, "b": nil}), 2, func(j *physical.Job) error {
+	err := runJobs(ctx, fakeJobs(map[string][]string{"a": nil, "b": nil}), 2, func(j *physical.Job) error {
 		ran = true
 		return nil
 	})
@@ -287,7 +297,7 @@ func BenchmarkScheduler(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := runDAG(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
+				if err := runJobs(context.Background(), fakeJobs(deps), workers, func(j *physical.Job) error {
 					time.Sleep(5 * time.Millisecond)
 					return nil
 				}); err != nil {

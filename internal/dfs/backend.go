@@ -70,7 +70,9 @@ type Backend interface {
 	Create(path string) io.WriteCloser
 	// WriteFile writes data to path in one call.
 	WriteFile(path string, data []byte) error
-	// Open returns a reader over the file at path.
+	// Open returns a reader over the file at path. The built-in
+	// backends return one over contents nothing writes again, which
+	// ReadString shares instead of copying.
 	Open(path string) (io.Reader, error)
 	// ReadFile returns the contents of the file at path.
 	ReadFile(path string) ([]byte, error)

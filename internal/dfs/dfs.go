@@ -14,10 +14,16 @@
 // meters that feed the cluster cost model. It is implemented once
 // (index) and stored twice: FS keeps file contents in memory, Disk
 // under a host directory.
+//
+// A file's committed contents are immutable: a commit hands its buffer
+// to the backend, which never writes into it again, and an overwrite,
+// Delete or Rename replaces or drops the file without touching its
+// bytes. ReadString relies on that to return FS's committed bytes as a
+// string without a copy, and the engine's decoded-dataset cache holds
+// string fields that slice them.
 package dfs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -75,9 +81,11 @@ func (fs *FS) commit(p string, data []byte) (int64, error) {
 	return fs.put(p, &file{size: int64(len(data)), data: data}), nil
 }
 
-// Open returns a reader over the file at path. Reads take the shared
-// lock only: file data is immutable once committed (commits replace the
-// *file value), and the byte meter is atomic.
+// Open returns a reader over the committed contents of the file at
+// path, not a copy of them. Reads take the shared lock only: file data
+// is immutable once committed (commits replace the *file value), and
+// the byte meter is atomic. ReadString and the engine's decoded batches
+// rely on that immutability: they share these bytes.
 func (fs *FS) Open(path string) (io.Reader, error) {
 	fs.mu.RLock()
 	f, ok := fs.files[clean(path)]
@@ -86,7 +94,7 @@ func (fs *FS) Open(path string) (io.Reader, error) {
 		return nil, &PathError{Op: "open", Path: path, Err: ErrNotExist}
 	}
 	fs.bytesRead.Add(f.size)
-	return bytes.NewReader(f.data), nil
+	return newReader(f.data), nil
 }
 
 // ReadFile returns the contents of the file at path.

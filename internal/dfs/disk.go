@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -521,13 +520,14 @@ func (d *Disk) storeLocked(p string, data []byte) (int64, error) {
 	return ver, nil
 }
 
-// Open returns a reader over the file at path.
+// Open returns a reader over a buffer holding the file at path, read
+// for this call alone: ReadString shares it without a copy.
 func (d *Disk) Open(path string) (io.Reader, error) {
 	data, err := d.read("open", path)
 	if err != nil {
 		return nil, err
 	}
-	return bytes.NewReader(data), nil
+	return newReader(data), nil
 }
 
 // ReadFile returns the contents of the file at path.

@@ -503,14 +503,16 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 }
 
 // decodeFile reads one part file and decodes it, adding the decode's
-// wall-clock to *decode.
+// wall-clock to *decode. The read is dfs.ReadString, so the batch's
+// string fields slice the DFS's own immutable contents: a cached batch
+// holds no second copy of the file's text.
 func (e *Engine) decodeFile(f string, decode *time.Duration) (*tuple.Batch, error) {
-	data, err := e.fs.ReadFile(f)
+	data, err := dfs.ReadString(e.fs, f)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	b, err := tuple.DecodeTextBatch(data)
+	b, err := tuple.DecodeTextBatchString(data)
 	*decode += time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", f, err)

@@ -451,19 +451,22 @@ func tupleMem(t Tuple) int64 {
 	return m
 }
 
-// DecodeTextBatch decodes one part file's text bytes into a Batch,
-// with SrcBytes set to len(data). The result is the batch that
-// DecodeText of every line, appended in order, would build — but no
-// line, tuple or boxed scalar is materialized on the way: the file is
-// copied into one string, and each tab-separated field is typed (see
-// the grammar in codec.go) and appended to its column vector. String
-// fields without escapes are substrings of that one copy, so a batch's
-// string columns share a single backing allocation of len(data) bytes:
+// DecodeTextBatch decodes one part file's text bytes into a Batch; it
+// is DecodeTextBatchString of one copy of data.
+func DecodeTextBatch(data []byte) (*Batch, error) { return DecodeTextBatchString(string(data)) }
+
+// DecodeTextBatchString decodes one part file's text into a Batch, with
+// SrcBytes set to len(s). The result is the batch that DecodeText of
+// every line, appended in order, would build — but no line, tuple or
+// boxed scalar is materialized on the way: each tab-separated field is
+// typed (see the grammar in codec.go) and appended to its column
+// vector. String fields without escapes are substrings of s, so a
+// batch's string columns share s's backing bytes instead of a copy:
 // MemBytes counts each string's own bytes (and nothing for the numeric
-// text between them), while keeping any one string alive retains the
-// whole file's text.
-func DecodeTextBatch(data []byte) (*Batch, error) {
-	s := string(data)
+// text between them), while keeping any one string alive retains all
+// of s. The engine passes the DFS's own immutable file contents
+// (dfs.ReadString), so a decoded batch adds no second copy of its text.
+func DecodeTextBatchString(s string) (*Batch, error) {
 	rows := strings.Count(s, "\n")
 	if s != "" && s[len(s)-1] != '\n' {
 		rows++

@@ -43,9 +43,10 @@ import (
 // "NaN", a row holding a single null as the empty row, and a string
 // with "," or brackets inside a nested tuple splits differently. The
 // engine therefore never caches the values it encoded: the batch cache
-// holds only what DecodeTextBatch made of the bytes that landed.
+// holds only what DecodeTextBatchString made of the bytes that landed.
 //
-// DecodeTextBatch is the production decoder (bytes → typed columns);
+// DecodeTextBatchString is the production decoder (text → typed
+// columns; DecodeTextBatch is the same over a []byte);
 // DecodeText is the row API over the same field rules and the oracle
 // the batch kernel is fuzzed against.
 

@@ -273,11 +273,11 @@ func (s *System) ReadDataset(path string) ([]Tuple, error) {
 	}
 	var out []Tuple
 	for _, f := range files {
-		data, err := s.fs.ReadFile(f)
+		data, err := dfs.ReadString(s.fs, f)
 		if err != nil {
 			return nil, err
 		}
-		for _, line := range strings.Split(string(data), "\n") {
+		for _, line := range strings.Split(data, "\n") {
 			if line == "" {
 				continue
 			}
