@@ -6,8 +6,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/pigmix"
 )
 
 // budgetSuite is the PigMix subset the budget experiment cycles
@@ -66,45 +64,47 @@ func FigureB() (*Report, error) {
 // bytes after the final sweep, both passes' total simulated time, and
 // the storage statistics.
 func budgetRun(budget int64, policy restore.EvictionPolicy) (usage int64, pass1, pass2 time.Duration, stats restore.StorageStats, err error) {
-	// The reuse window is expressed only through ReuseWindowPolicy, not
-	// Options.EvictionWindow, so the three runs differ in nothing but
-	// the budget policy under comparison.
-	cfg := restore.DefaultConfig()
-	cfg.Options = restore.Options{Reuse: true, Heuristic: core.Aggressive}
-	cfg.MaxRepositoryBytes = budget
-	cfg.Eviction = policy
-	fs := dfs.New()
-	if _, err = pigmix.Generate(fs, scaleSmall, 1); err != nil {
-		return
-	}
-	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, scaleSmall), pigmix.RecordScaleFor(scaleSmall)
-	sys, err := restore.Recover(cfg, fs)
+	sys, err := pigMixSystem(scaleSmall, budgetConfig(budget, policy))
 	if err != nil {
 		return
 	}
 	defer sys.Close()
-
-	pass := func() (time.Duration, error) {
-		var total time.Duration
-		for _, name := range budgetSuite {
-			r, err := runQuery(sys, name)
-			if err != nil {
-				return 0, err
-			}
-			total += r.SimTime
-		}
-		return total, nil
-	}
-	if pass1, err = pass(); err != nil {
+	if pass1, err = budgetPass(sys); err != nil {
 		return
 	}
-	if pass2, err = pass(); err != nil {
+	if pass2, err = budgetPass(sys); err != nil {
 		return
 	}
 	sys.Sweep()
 	stats = sys.StorageStats()
 	usage = stats.UsageBytes
 	return
+}
+
+// budgetConfig stores sub-jobs aggressively under the given budget and
+// policy. The reuse window is expressed only through ReuseWindowPolicy,
+// not Options.EvictionWindow, so FigureB's runs differ in nothing but
+// the budget policy under comparison.
+func budgetConfig(budget int64, policy restore.EvictionPolicy) restore.Config {
+	cfg := restore.DefaultConfig()
+	cfg.Options = restore.Options{Reuse: true, Heuristic: core.Aggressive}
+	cfg.MaxRepositoryBytes = budget
+	cfg.Eviction = policy
+	return cfg
+}
+
+// budgetPass runs the budget suite once and returns its total simulated
+// time.
+func budgetPass(sys *restore.System) (time.Duration, error) {
+	var total time.Duration
+	for _, name := range budgetSuite {
+		r, err := runQuery(sys, name)
+		if err != nil {
+			return 0, err
+		}
+		total += r.SimTime
+	}
+	return total, nil
 }
 
 func mb(n int64) string {

@@ -99,12 +99,18 @@ func gb(n int64) string {
 // instance, with the simulated clock scaled so page_views represents
 // the instance's target volume.
 func newPigMixSystem(sc pigmix.Scale, opts restore.Options) (*restore.System, error) {
+	cfg := restore.DefaultConfig()
+	cfg.Options = opts
+	return pigMixSystem(sc, cfg)
+}
+
+// pigMixSystem is newPigMixSystem under cfg: only the simulated clock's
+// scales are set from the generated instance.
+func pigMixSystem(sc pigmix.Scale, cfg restore.Config) (*restore.System, error) {
 	fs := dfs.New()
 	if _, err := pigmix.Generate(fs, sc, 1); err != nil {
 		return nil, err
 	}
-	cfg := restore.DefaultConfig()
-	cfg.Options = opts
 	cfg.SimScale, cfg.RecordScale = pigmix.SimScaleFor(fs, sc), pigmix.RecordScaleFor(sc)
 	return restore.Recover(cfg, fs)
 }

@@ -1,12 +1,18 @@
 package exp
 
 import (
+	"flag"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/pigmix"
 )
+
+// update rewrites the committed file a test holds its results to
+// (testdata/alloc_budget.json, or under the golden tag
+// testdata/paper_figures.golden) instead of comparing with it.
+var update = flag.Bool("update", false, "rewrite the testdata files the selected tests compare with")
 
 // shrinkScales swaps in tiny instances so experiment tests stay fast,
 // restoring the paper scales afterwards.

@@ -3,7 +3,6 @@
 package exp
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +13,6 @@ import (
 //
 //	go test -tags golden ./internal/exp -run TestPaperFiguresGolden
 //	go test -tags golden ./internal/exp -run TestPaperFiguresGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/paper_figures.golden")
 
 var goldenPath = filepath.Join("..", "..", "testdata", "paper_figures.golden")
 

@@ -70,16 +70,7 @@ func incrementalRequery(baseDays int, reuse bool) (*incrementalRun, error) {
 	if reuse {
 		cfg.Options = restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}
 	}
-	fs := dfs.New()
-	const rowsPerDay = pigmix.NetTrafficRowsPerDay
-	if err := pigmix.GenerateNetTraffic(fs, baseDays, rowsPerDay, 7); err != nil {
-		return nil, err
-	}
-	// Scale the laptop-size log so each daily partition represents
-	// ~2 GB, the way the PigMix instances map to the paper's 15 GB.
-	simScale := float64(int64(baseDays)*(2<<30)) / float64(fs.Size(pigmix.PathNetTraffic))
-	cfg.SimScale, cfg.RecordScale = simScale, pigmix.RecordScaleFor(scaleSmall)
-	sys, err := restore.Recover(cfg, fs)
+	sys, fs, simScale, err := netTrafficSystem(baseDays, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +79,36 @@ func incrementalRequery(baseDays int, reuse bool) (*incrementalRun, error) {
 	if _, err := runQuery(sys, "N1"); err != nil {
 		return nil, err
 	}
-	if _, err := pigmix.AppendNetTrafficDay(fs, rowsPerDay, 7); err != nil {
-		return nil, err
-	}
-	res, err := runQuery(sys, "N1")
+	res, err := appendAndRequery(sys, fs)
 	if err != nil {
 		return nil, err
 	}
 	return &incrementalRun{requery: res.SimTime, stats: sys.DeltaStats(), simScale: simScale}, nil
+}
+
+// netTrafficSystem seeds a net-traffic log of baseDays days and opens a
+// System over it under cfg, returning the DFS and the simulated scale
+// it set.
+func netTrafficSystem(baseDays int, cfg restore.Config) (*restore.System, dfs.Backend, float64, error) {
+	fs := dfs.New()
+	if err := pigmix.GenerateNetTraffic(fs, baseDays, pigmix.NetTrafficRowsPerDay, 7); err != nil {
+		return nil, nil, 0, err
+	}
+	// Scale the laptop-size log so each daily partition represents
+	// ~2 GB, the way the PigMix instances map to the paper's 15 GB.
+	simScale := float64(int64(baseDays)*(2<<30)) / float64(fs.Size(pigmix.PathNetTraffic))
+	cfg.SimScale, cfg.RecordScale = simScale, pigmix.RecordScaleFor(scaleSmall)
+	sys, err := restore.Recover(cfg, fs)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return sys, fs, simScale, nil
+}
+
+// appendAndRequery appends one day to the log and reruns N1.
+func appendAndRequery(sys *restore.System, fs dfs.Backend) (*restore.Result, error) {
+	if _, err := pigmix.AppendNetTrafficDay(fs, pigmix.NetTrafficRowsPerDay, 7); err != nil {
+		return nil, err
+	}
+	return runQuery(sys, "N1")
 }
