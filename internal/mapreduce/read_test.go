@@ -1,7 +1,12 @@
 package mapreduce
 
 import (
+	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,6 +108,149 @@ func TestCacheMissSharesDFSContents(t *testing.T) {
 	}
 	if strs != 4 {
 		t.Fatalf("saw %d string fields, want 4", strs)
+	}
+}
+
+// edgeText is a part file whose typed columns hold each scalar kind's
+// edge values: the int64 extremes the text codec reads as ints and the
+// runtime's small-int cache edge (255/256), -0, the smallest subnormal
+// and the infinities, escaped strings and number-like ones; every
+// column is null in the first and last rows.
+const edgeText = "\t\t\n" +
+	"-9223372036854775807\t-0.0\ta\\tb\n" +
+	"9223372036854775807\t+Inf\tback\\\\slash\\nline\n" +
+	"255\t-Inf\t255x\n" +
+	"256\t5e-324\tNaN\n" +
+	"0\t1e300\tplain\n" +
+	"\t\t\n"
+
+// edgeRows is what edgeText decodes to, each field boxed on its own.
+var edgeRows = []tuple.Tuple{
+	{nil, nil, nil},
+	{int64(math.MinInt64 + 1), math.Copysign(0, -1), "a\tb"},
+	{int64(math.MaxInt64), math.Inf(1), "back\\slash\nline"},
+	{int64(255), math.Inf(-1), "255x"},
+	{int64(256), 5e-324, "NaN"},
+	{int64(0), 1e300, "plain"},
+	{nil, nil, nil},
+}
+
+// builtRows carry what no text field decodes to in a typed column:
+// MinInt64 (its text reads as a float), a NaN float and an empty (not
+// null) string.
+var builtRows = []tuple.Tuple{
+	{nil, nil, nil},
+	{int64(math.MinInt64), math.NaN(), ""},
+	{int64(-1), 0.5, "x"},
+	{nil, nil, nil},
+}
+
+// checkField holds a field read from a batch to want, the same value
+// boxed on its own: equal under == (unless want is NaN, which equals
+// nothing), with the same hash, order, dynamic type, formatting, sign
+// and behaviour as a map key.
+func checkField(t *testing.T, where string, got, want tuple.Value) {
+	t.Helper()
+	self := want == want
+	_, inWant := map[tuple.Value]bool{want: true}[got]
+	_, inGot := map[tuple.Value]bool{got: true}[want]
+	switch {
+	case (got == want) != self:
+		t.Errorf("%s: %#v == %#v is %v", where, got, want, got == want)
+	case tuple.Hash(got) != tuple.Hash(want):
+		t.Errorf("%s: Hash(%#v) != Hash(%#v)", where, got, want)
+	case tuple.Compare(got, want) != tuple.Compare(want, want):
+		t.Errorf("%s: Compare(%#v, %#v) = %d", where, got, want, tuple.Compare(got, want))
+	case reflect.TypeOf(got) != reflect.TypeOf(want):
+		t.Errorf("%s: type %T, want %T", where, got, want)
+	case fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want):
+		t.Errorf("%s: %%v prints %v, want %v", where, got, want)
+	case inWant != self || inGot != self:
+		t.Errorf("%s: as a map key %#v finds %#v: %v/%v", where, got, want, inWant, inGot)
+	}
+	if f, ok := want.(float64); ok && math.Signbit(got.(float64)) != math.Signbit(f) {
+		t.Errorf("%s: sign of %v lost", where, got)
+	}
+}
+
+// TestBatchFieldEdgeValues holds every field a batch hands out, through
+// Batch.Row and through a cursor, to the same value boxed on its own,
+// over each scalar kind's edge values. Fields point into the batch's
+// column vectors (and string fields into the file's text), so the test
+// then keeps them past everything that could free what they point at:
+// the batch's eviction from the cache, the file's overwrite and delete,
+// two collections and fresh allocations of the same sizes. They must
+// still read their values.
+func TestBatchFieldEdgeValues(t *testing.T) {
+	fs := dfstest.New(t)
+	if err := fs.WriteFile("edge/part-00000", []byte(edgeText)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("other/part-00000", []byte(strings.Repeat("-7\t7.5\tseven\n", len(edgeRows)))); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxCachedBatchBytes = 1 // each insert evicts the entry before it
+	e := New(fs, cfg)
+	var decode time.Duration
+	ds, err := e.loadDataset("edge", &decode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := tuple.NewBatchBuilder(len(builtRows))
+	for _, r := range builtRows {
+		bb.Append(r)
+	}
+	var kept, wants []tuple.Value
+	var where []string
+	for _, c := range []struct {
+		name  string
+		batch *tuple.Batch
+		rows  []tuple.Tuple
+	}{{"decoded", ds.batches[0], edgeRows}, {"built", bb.Finish(), builtRows}} {
+		if c.batch.Len() != len(c.rows) {
+			t.Fatalf("%s: %d rows, want %d", c.name, c.batch.Len(), len(c.rows))
+		}
+		cur := c.batch.Cursor()
+		for i, want := range c.rows {
+			for via, row := range map[string]tuple.Tuple{"Row": c.batch.Row(i), "cursor": cur.Row(i)} {
+				if len(row) != len(want) {
+					t.Fatalf("%s %s %d: %v, want %v", c.name, via, i, row, want)
+				}
+				for j, v := range row {
+					w := fmt.Sprintf("%s %s row %d field %d", c.name, via, i, j)
+					checkField(t, w, v, want[j])
+					kept, wants, where = append(kept, v), append(wants, want[j]), append(where, w)
+				}
+			}
+		}
+	}
+	ds = nil
+
+	if _, err := e.loadDataset("other", &decode); err != nil {
+		t.Fatal(err)
+	}
+	if paths := e.cache.Paths(); len(paths) != 1 || paths[0] != "other" {
+		t.Fatalf("cache holds %v after loading other, want [other]", paths)
+	}
+	if err := fs.WriteFile("edge/part-00000", []byte("1\t2.5\tzzzzzzzzzzzzzz\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete("edge"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	junk := make([][]int64, 256)
+	for i := range junk {
+		junk[i] = make([]int64, len(edgeRows))
+		for k := range junk[i] {
+			junk[i][k] = -1
+		}
+	}
+	runtime.KeepAlive(junk)
+	for i, v := range kept {
+		checkField(t, where[i]+" (kept)", v, wants[i])
 	}
 }
 

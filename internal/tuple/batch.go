@@ -14,6 +14,14 @@ import "strings"
 // (with a null mask) when every value in it agrees, and falls back to a
 // boxed []Value otherwise — PigMix-shaped data, where a column is all
 // int64 or all string, takes the typed path.
+//
+// A Batch is immutable: a column vector is only appended to while its
+// builder builds it, and nothing writes it after Finish — nor the
+// typed vector promote drops once it has boxed its values. So a scalar
+// field read from a batch is not copied out: its Value points into the
+// column vector (ref), and reading it allocates nothing. A retained
+// field keeps its whole column vector alive, as a retained string field
+// keeps the text it slices alive (see DecodeTextBatchString).
 type Batch struct {
 	n      int
 	cols   []column
@@ -67,9 +75,11 @@ func (b *Batch) SrcBytes() int64 { return b.srcBytes }
 func (b *Batch) MemBytes() int64 { return b.mem }
 
 // Row materializes row i as a Tuple. The tuple is freshly allocated per
-// call; its field values (strings, nested tuples and bags) are shared
-// with the batch and must be treated as immutable, which is the
-// engine-wide contract for tuples already.
+// call, and is the call's only allocation: its fields alias the batch
+// (a scalar points into its column vector, a string's bytes into the
+// text it was decoded from, a nested tuple or bag is the batch's own)
+// and must be treated as immutable, which is the engine-wide contract
+// for tuples already.
 func (b *Batch) Row(i int) Tuple {
 	w := len(b.cols)
 	if b.widths != nil {
@@ -90,9 +100,10 @@ func (b *Batch) Row(i int) Tuple {
 // next Row call on the same cursor — callers must hand it exclusively
 // to consumers that do not retain it and read no other column. The
 // engine derives both facts from the plan once per job (see
-// mapreduce's map feed). Field values are shared with the batch,
-// exactly as with Batch.Row. A cursor is not safe for concurrent use;
-// each task takes its own.
+// mapreduce's map feed). Fields alias the batch exactly as with
+// Batch.Row, so Row allocates nothing; a field stays valid after the
+// next Row call, which only rewrites the buffer. A cursor is not safe
+// for concurrent use; each task takes its own.
 type RowCursor struct {
 	b    *Batch
 	cols []int // the columns Row fills, ascending
@@ -136,23 +147,26 @@ func (c *RowCursor) Row(i int) Tuple {
 	return t
 }
 
+// value returns row i's field. A scalar field points into its column
+// vector (ref) instead of being copied into a box of its own, so
+// reading it allocates nothing.
 func (c *column) value(i int) Value {
 	switch c.kind {
 	case colInt:
 		if c.nulls != nil && c.nulls[i] {
 			return nil
 		}
-		return c.ints[i]
+		return ref(&c.ints[i])
 	case colFloat:
 		if c.nulls != nil && c.nulls[i] {
 			return nil
 		}
-		return c.floats[i]
+		return ref(&c.floats[i])
 	case colString:
 		if c.nulls != nil && c.nulls[i] {
 			return nil
 		}
-		return c.strs[i]
+		return ref(&c.strs[i])
 	default:
 		return c.vals[i]
 	}
@@ -384,7 +398,8 @@ func (c *column) padNulls() {
 	}
 }
 
-// promote converts a typed column to boxed values.
+// promote converts a typed column to boxed values. The boxes point into
+// the typed vectors it drops, which nothing writes again.
 func (c *column) promote(n int) {
 	vals := make([]Value, 0, n+1)
 	for i := 0; i < n; i++ {

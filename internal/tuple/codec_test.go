@@ -155,6 +155,34 @@ func checkDecode(t *testing.T, data []byte) {
 	if got.SrcBytes() != int64(len(data)) {
 		t.Fatalf("SrcBytes = %d, want %d", got.SrcBytes(), len(data))
 	}
+	// Every field the batch hands out, through Batch.Row and through a
+	// cursor over every column, is the field the row codec boxes on its
+	// own: the same dynamic type and hash, equal under Compare, and for
+	// a scalar equal under ==.
+	rows := rowDecode(data)
+	if len(rows) != got.Len() {
+		t.Fatalf("DecodeTextBatch(%q): %d rows, the row codec %d", data, got.Len(), len(rows))
+	}
+	cur := got.Cursor()
+	for i, ref := range rows {
+		for _, row := range []Tuple{got.Row(i), cur.Row(i)} {
+			if len(row) != len(ref) {
+				t.Fatalf("DecodeTextBatch(%q) row %d: %v, the row codec %v", data, i, row, ref)
+			}
+			for j, v := range row {
+				w := ref[j]
+				same := reflect.TypeOf(v) == reflect.TypeOf(w) && Hash(v) == Hash(w) && Compare(v, w) == 0
+				switch w.(type) {
+				case Tuple, *Bag: // not comparable by ==
+				default:
+					same = same && v == w
+				}
+				if !same {
+					t.Fatalf("DecodeTextBatch(%q) row %d field %d: %#v, the row codec %#v", data, i, j, v, w)
+				}
+			}
+		}
+	}
 }
 
 // FuzzEncodeText: the append encoder writes what the string-and-Join

@@ -36,11 +36,22 @@ func (tr *Reader) Read() (Tuple, error) {
 }
 
 // rowDecodeBatch is DecodeTextBatch as it was before the typed-column
-// kernel: every line through DecodeText into a Tuple, every Tuple
-// through BatchBuilder.Append.
+// kernel: every line through DecodeText into a Tuple (rowDecode), every
+// Tuple through BatchBuilder.Append.
 func rowDecodeBatch(data []byte) *Batch {
-	bb := NewBatchBuilder(bytes.Count(data, []byte{'\n'}) + 1)
+	rows := rowDecode(data)
+	bb := NewBatchBuilder(len(rows))
 	bb.AddSrcBytes(int64(len(data)))
+	for _, t := range rows {
+		bb.Append(t)
+	}
+	return bb.Finish()
+}
+
+// rowDecode returns DecodeText of every line of data: each field boxed
+// on its own, as a Value of its type is.
+func rowDecode(data []byte) []Tuple {
+	rows := make([]Tuple, 0, bytes.Count(data, []byte{'\n'})+1)
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		var line []byte
@@ -49,9 +60,9 @@ func rowDecodeBatch(data []byte) *Batch {
 		} else {
 			line, data = data[:nl], data[nl+1:]
 		}
-		bb.Append(DecodeText(string(line)))
+		rows = append(rows, DecodeText(string(line)))
 	}
-	return bb.Finish()
+	return rows
 }
 
 // refEncodeText is EncodeText as it was before appendText: a string
