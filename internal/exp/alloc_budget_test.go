@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"testing"
 
 	"repro"
@@ -181,11 +180,26 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	got := allocBudget{GoVersion: runtime.Version(), Scenarios: map[string]allocCount{}}
 	for _, sc := range allocScenarios {
-		n, err := measureAllocs(sc)
+		g, err := measureAllocs(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		got.Scenarios[sc.name] = n
+		got.Scenarios[sc.name] = g
+		if *update {
+			continue
+		}
+		w, ok := want.Scenarios[sc.name]
+		if !ok {
+			t.Errorf("%s: no budget recorded (run with -update)", sc.name)
+			continue
+		}
+		t.Logf("%s: %d objects (budget %d), %d bytes (budget %d)", sc.name, g.Objects, w.Objects, g.Bytes, w.Bytes)
+		if float64(g.Objects) > float64(w.Objects)*(1+allocObjectSlack) {
+			t.Errorf("%s: %d objects allocated, budget %d (+%.1f %%)", sc.name, g.Objects, w.Objects, 100*(float64(g.Objects)/float64(w.Objects)-1))
+		}
+		if float64(g.Bytes) > float64(w.Bytes)*(1+allocByteSlack) {
+			t.Errorf("%s: %d bytes allocated, budget %d (+%.1f %%)", sc.name, g.Bytes, w.Bytes, 100*(float64(g.Bytes)/float64(w.Bytes)-1))
+		}
 	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -194,26 +208,6 @@ func TestAllocationBudget(t *testing.T) {
 		}
 		if err := os.WriteFile(allocBudgetPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
-		}
-		return
-	}
-	names := make([]string, 0, len(got.Scenarios))
-	for name := range got.Scenarios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		g, w := got.Scenarios[name], want.Scenarios[name]
-		t.Logf("%s: %d objects (budget %d), %d bytes (budget %d)", name, g.Objects, w.Objects, g.Bytes, w.Bytes)
-		if w.Objects == 0 {
-			t.Errorf("%s: no budget recorded (run with -update)", name)
-			continue
-		}
-		if float64(g.Objects) > float64(w.Objects)*(1+allocObjectSlack) {
-			t.Errorf("%s: %d objects allocated, budget %d (+%.1f %%)", name, g.Objects, w.Objects, 100*(float64(g.Objects)/float64(w.Objects)-1))
-		}
-		if float64(g.Bytes) > float64(w.Bytes)*(1+allocByteSlack) {
-			t.Errorf("%s: %d bytes allocated, budget %d (+%.1f %%)", name, g.Bytes, w.Bytes, 100*(float64(g.Bytes)/float64(w.Bytes)-1))
 		}
 	}
 }

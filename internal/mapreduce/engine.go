@@ -735,7 +735,7 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 		}
 	}
 
-	// Feed rows through a reusable cursor that boxes only the columns
+	// Feed rows through a reusable cursor that fills only the columns
 	// the segment reads, when the Load's feed allows it.
 	row := sp.batch.Row
 	if f := seg.feeds[sp.loadID]; sp.batch != nil && f.reuse {
