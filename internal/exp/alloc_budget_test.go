@@ -68,6 +68,10 @@ func runSuite(sys *restore.System, names []string) error {
 	return nil
 }
 
+// refreshAppends is how many days the append-refresh scenario appends,
+// each refreshed by the requery that follows it.
+const refreshAppends = 8
+
 // coldBudgetBytes is small enough that one pass of the budget suite
 // evicts at TinyScale.
 const coldBudgetBytes = 64 << 10
@@ -102,19 +106,23 @@ var allocScenarios = []allocScenario{
 		return sys, func() error { return runSuite(sys, pigmix.CoreSuite) }, err
 	}},
 	{"append-refresh", func() (*restore.System, func() error, error) {
-		// Figure I's requery: append a day, refresh the stored N1.
-		sys, fs, _, err := netTrafficSystem(2, serial(restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive}))
+		// Figure I's requery on a journaled repository, as the benchmark
+		// runs it: append a day, refresh the stored N1, over enough days
+		// that the journal and the input's inventory carry the cost.
+		cfg := serial(restore.Options{Reuse: true, KeepWholeJobs: true, Heuristic: restore.Aggressive})
+		cfg.Durability = restore.DurabilityConfig{Enabled: true}
+		sys, fs, _, err := netTrafficSystem(2, cfg)
 		if err == nil {
 			_, err = runQuery(sys, "N1")
 		}
 		return sys, func() error {
-			for range 2 {
+			for range refreshAppends {
 				if _, err := appendAndRequery(sys, fs); err != nil {
 					return err
 				}
 			}
-			if n := sys.DeltaStats().Refreshes; n != 2 {
-				return fmt.Errorf("%d refreshes, want 2", n)
+			if n := sys.DeltaStats().Refreshes; n != refreshAppends {
+				return fmt.Errorf("%d refreshes, want %d", n, refreshAppends)
 			}
 			return nil
 		}, err
