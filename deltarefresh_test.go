@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/pigmix"
 )
@@ -329,6 +330,7 @@ func TestDeltaRefreshDurable(t *testing.T) {
 
 	// Further growth: the recovered Merge spec and input bases must
 	// support another refresh.
+	readers := entryIDs(sys2, pigmix.PathNetTraffic)
 	if _, err := pigmix.AppendNetTrafficDay(fs, netRows, netSeed); err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +341,38 @@ func TestDeltaRefreshDurable(t *testing.T) {
 	if res.JobsReused < 1 {
 		t.Fatalf("re-refreshed entry was not reused: JobsReused=%d", res.JobsReused)
 	}
+	// The refresh replaced the recovered entry in place, keeping its ID,
+	// and registered nothing under the empty plan: with no more growth,
+	// later runs reuse every entry as it is.
+	if got := entryIDs(sys2, pigmix.PathNetTraffic); fmt.Sprint(got) != fmt.Sprint(readers) {
+		t.Fatalf("entries over the log after the refresh: %v, want %v", got, readers)
+	}
+	ids := entryIDs(sys2, "")
+	for range 2 {
+		runNet(t, sys2, "N1")
+	}
+	if ds := sys2.DeltaStats(); ds.Refreshes != 1 || ds.Failed != 0 {
+		t.Fatalf("refreshed recovered entry went stale again: %+v", ds)
+	}
+	if got := entryIDs(sys2, ""); fmt.Sprint(got) != fmt.Sprint(ids) {
+		t.Fatalf("entries changed with no growth: %v, want %v", got, ids)
+	}
+	if e := sys2.Repository().Lookup(core.PlanSig{}); e != nil {
+		t.Fatalf("entry %s registered under the empty plan", e.ID)
+	}
+}
+
+// entryIDs returns the sorted IDs of the repository's entries that read
+// input, or of every entry when input is empty.
+func entryIDs(sys *restore.System, input string) []string {
+	var ids []string
+	for _, e := range sys.Repository().Entries() {
+		if _, reads := e.InputVersions[input]; reads || input == "" {
+			ids = append(ids, e.ID)
+		}
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // BenchmarkDeltaRefresh is the headline perf artifact: the per-requery

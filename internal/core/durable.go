@@ -37,6 +37,12 @@ import (
 //     appends, before the rename, after the rename but before the trim,
 //     mid-trim — recovers to exactly the acknowledged state.
 //
+//   - Every record, plan blob and manifest is its own gob stream, so
+//     each file decodes alone. They are written through primed streams
+//     (gobStream), which derive each type's descriptors once per process
+//     instead of once per file; the bytes are the ones a fresh
+//     gob.Encoder writes, so the format is unchanged.
+//
 //   - Log records are allocated dense sequence numbers through the
 //     DFS's version compare-and-swap, so several processes append to
 //     one log without a coordinator; Refresh tails the log, applying
@@ -132,6 +138,14 @@ type manifestFile struct {
 	Entries       []*entryRecord
 }
 
+// The encoders of the plan blobs, log records and manifests: each type's
+// gob descriptors are derived once per process (see gobStream).
+var (
+	planStream     gobStream[PlanSig]
+	logStream      gobStream[logRecord]
+	manifestStream gobStream[manifestFile]
+)
+
 // recordOf snapshots an entry for persistence. Recovered entries hand
 // back their still-encoded plan verbatim — compacting a repository that
 // was itself recovered re-encodes nothing and decodes nothing.
@@ -159,11 +173,11 @@ func recordOf(e *Entry, f *footprint, pos int) (*entryRecord, error) {
 		rec.Plan = e.lazy.enc
 		return rec, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e.Plan); err != nil {
+	plan, err := planStream.encode(&e.Plan)
+	if err != nil {
 		return nil, fmt.Errorf("core: encoding entry plan: %w", err)
 	}
-	rec.Plan = buf.Bytes()
+	rec.Plan = plan
 	return rec, nil
 }
 
@@ -358,12 +372,12 @@ func (dl *DurableLog) append(rec *logRecord) (_ uint64, ok bool) {
 		if rec.Entry != nil {
 			rec.Entry.Seq = seq
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		data, err := logStream.encode(rec)
+		if err != nil {
 			return 0, false
 		}
 		p := dl.recPath(seq)
-		if _, ok := dl.fs.WriteFileIf(p, buf.Bytes(), 0); ok {
+		if _, ok := dl.fs.WriteFileIf(p, data, 0); ok {
 			break
 		}
 		if dl.fs.Exists(p) {
@@ -577,12 +591,12 @@ func (dl *DurableLog) Compact() error {
 		return err
 	}
 	m := manifestFile{Format: manifestFormat, FoldedThrough: folded, Entries: recs}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	data, err := manifestStream.encode(&m)
+	if err != nil {
 		return fmt.Errorf("core: encoding manifest: %w", err)
 	}
 	tmp := dl.manifestPath() + "." + dl.writer + ".tmp"
-	if err := dl.fs.WriteFile(tmp, buf.Bytes()); err != nil {
+	if err := dl.fs.WriteFile(tmp, data); err != nil {
 		return err
 	}
 	ver, err := dl.fs.Rename(tmp, dl.manifestPath())

@@ -124,6 +124,9 @@ type Lease struct {
 // fence can be told from the successor's.
 func (l *Lease) Fence() uint64 { return l.fence }
 
+// leaseStream encodes lease records (see gobStream).
+var leaseStream gobStream[leaseRecord]
+
 // leaseRecord is the serialized record file, claim or pin.
 type leaseRecord struct {
 	// Fingerprint is the claimed plan fingerprint, or the pinned
@@ -218,15 +221,14 @@ func (lm *LeaseManager) live(rec leaseRecord) bool {
 
 // record encodes a record for key expiring a TTL from now.
 func (lm *LeaseManager) record(key string, fence uint64) []byte {
-	var buf bytes.Buffer
 	// Encoding a struct of strings and integers cannot fail.
-	_ = gob.NewEncoder(&buf).Encode(leaseRecord{
+	data, _ := leaseStream.encode(&leaseRecord{
 		Fingerprint:     key,
 		Owner:           lm.owner,
 		Fence:           fence,
 		ExpiresUnixNano: lm.now().Add(lm.ttl).UnixNano(),
 	})
-	return buf.Bytes()
+	return data
 }
 
 // Renew extends a held lease's expiry by a full TTL through the same

@@ -213,11 +213,15 @@ func (x *execution) refreshDelta(cand RefreshCandidate, deltaPath string, span o
 // recompute would read. A grown input's base is base ∪ the files the
 // delta consumed — not a fresh observation, which could include appends
 // it never read. Replacement keeps the entry's identity, so the pin
-// taken at match time protects the refreshed entry.
+// taken at match time protects the refreshed entry. The plan is read
+// through planSig and the fingerprint carried: a recovered entry's Plan
+// field is empty until decoded, and an entry registered under the empty
+// plan's fingerprint would never replace it.
 func (x *execution) refreshedEntry(cand RefreshCandidate, mergedPath string, deltaIn int64, deltaSim time.Duration, mergedOut int64) (*Entry, int64) {
 	e := cand.Match.Entry
 	ne := &Entry{
-		Plan:       e.Plan,
+		Plan:       e.planSig(),
+		fp:         e.fingerprint(),
 		OutputPath: mergedPath,
 		WholeJob:   e.WholeJob,
 		Stats: EntryStats{

@@ -42,8 +42,9 @@ import "io"
 //     the components of their path, present or absent; List, FileStats
 //     and Datasets add one visit per path returned (Datasets also visits
 //     the directories below its prefix, never their part files), and a
-//     sort of the result; Delete and Rename cost the files they remove
-//     and move. Each is proportional to its result and the path depth,
+//     sort of the result; FileStats pays that visit and sort once per
+//     change of the directory and answers from its memo until the next
+//     one. Delete and Rename cost the files they remove and move. Each is proportional to its result and the path depth,
 //     never to the store, so a caller may put one on its per-query path
 //     without asking what else is stored. Only the empty path — List("")
 //     and Datasets("") — and TotalBytes speak for the whole store.
@@ -115,7 +116,9 @@ type Backend interface {
 	// path. It is the observation primitive append detection is built
 	// on: a dataset "grew" when its version moved but every previously
 	// listed file is still present at its recorded size and only new
-	// files appeared.
+	// files appeared. The slice may be shared with other callers and
+	// with the Snapshots taken from it (Snapshot.Files is shared between
+	// entries the same way): callers must not write it.
 	FileStats(path string) []FileStat
 	// BytesRead and BytesWritten are the cumulative traffic meters;
 	// TotalBytes is the bytes currently stored.

@@ -1,7 +1,5 @@
 package dfs
 
-import "sort"
-
 // Append detection. ReStore's incremental-maintenance path needs to
 // distinguish "this dataset was rewritten" (stored results over it are
 // garbage) from "this dataset merely grew" (stored results cover a
@@ -92,12 +90,19 @@ func (g Growth) NewPaths() []string {
 // inventory plus the appended files, at the classified version. A
 // refresh that consumed exactly g's new files records this as its new
 // base — not a fresh observation, which could already include appends
-// the refresh never read.
+// the refresh never read. Both lists are sorted by path, so the result
+// is their merge.
 func (g Growth) Grown(base Snapshot) Snapshot {
 	files := make([]FileStat, 0, len(base.Files)+len(g.NewFiles))
-	files = append(files, base.Files...)
-	files = append(files, g.NewFiles...)
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
+	old, added := base.Files, g.NewFiles
+	for len(old) > 0 && len(added) > 0 {
+		if added[0].Path < old[0].Path {
+			files, added = append(files, added[0]), added[1:]
+		} else {
+			files, old = append(files, old[0]), old[1:]
+		}
+	}
+	files = append(append(files, old...), added...)
 	return Snapshot{Version: g.Version, Bytes: base.Bytes + g.NewBytes, Files: files}
 }
 
@@ -118,29 +123,32 @@ func Classify(fs Backend, path string, base Snapshot) Growth {
 	}
 }
 
+// classify compares the live inventory against base in one merge-walk
+// of the two lists, both sorted by path as FileStats and Grown return
+// them.
 func classify(base Snapshot, live []FileStat, v int64) Growth {
-	sizes := make(map[string]int64, len(live))
-	for _, f := range live {
-		sizes[f.Path] = f.Size
-	}
-	for _, f := range base.Files {
-		sz, ok := sizes[f.Path]
-		if !ok || sz != f.Size {
-			return Growth{Kind: GrowthRewrite, Version: v}
-		}
-		delete(sizes, f.Path)
-	}
-	if len(sizes) == 0 {
-		// Version moved with no inventory change: a same-size rewrite
-		// or a delete-and-restore. Not provably append-only.
-		return Growth{Kind: GrowthRewrite, Version: v}
-	}
+	rewrite := Growth{Kind: GrowthRewrite, Version: v}
 	g := Growth{Kind: GrowthAppend, Version: v}
+	old := base.Files
 	for _, f := range live {
-		if _, isNew := sizes[f.Path]; isNew {
+		switch {
+		case len(old) > 0 && old[0].Path == f.Path:
+			if old[0].Size != f.Size {
+				return rewrite
+			}
+			old = old[1:]
+		case len(old) > 0 && old[0].Path < f.Path:
+			return rewrite // a base file vanished
+		default:
 			g.NewFiles = append(g.NewFiles, f)
 			g.NewBytes += f.Size
 		}
+	}
+	if len(old) > 0 || len(g.NewFiles) == 0 {
+		// A base file vanished past the last live one, or the version
+		// moved with no inventory change: a same-size rewrite or a
+		// delete-and-restore. Not provably append-only.
+		return rewrite
 	}
 	return g
 }

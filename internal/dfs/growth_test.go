@@ -2,6 +2,8 @@ package dfs
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -96,5 +98,138 @@ func TestClassifySameSizeRewrite(t *testing.T) {
 		if g.Kind != GrowthRewrite {
 			t.Fatalf("same-size in-place rewrite classified %v, want GrowthRewrite", g.Kind)
 		}
+	})
+}
+
+// classifyRef and grownRef are classify and Growth.Grown as they were
+// before both became merge-walks: a map of the live sizes, and a sort
+// of the concatenation. They are kept as the oracles of
+// TestClassifyAgainstMaps and FuzzClassify.
+func classifyRef(base Snapshot, live []FileStat, v int64) Growth {
+	sizes := make(map[string]int64, len(live))
+	for _, f := range live {
+		sizes[f.Path] = f.Size
+	}
+	for _, f := range base.Files {
+		sz, ok := sizes[f.Path]
+		if !ok || sz != f.Size {
+			return Growth{Kind: GrowthRewrite, Version: v}
+		}
+		delete(sizes, f.Path)
+	}
+	if len(sizes) == 0 {
+		return Growth{Kind: GrowthRewrite, Version: v}
+	}
+	g := Growth{Kind: GrowthAppend, Version: v}
+	for _, f := range live {
+		if _, isNew := sizes[f.Path]; isNew {
+			g.NewFiles = append(g.NewFiles, f)
+			g.NewBytes += f.Size
+		}
+	}
+	return g
+}
+
+func grownRef(g Growth, base Snapshot) Snapshot {
+	files := make([]FileStat, 0, len(base.Files)+len(g.NewFiles))
+	files = append(files, base.Files...)
+	files = append(files, g.NewFiles...)
+	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
+	return Snapshot{Version: g.Version, Bytes: base.Bytes + g.NewBytes, Files: files}
+}
+
+// inventoryNames are the paths the classify oracles draw from, sorted.
+// Numbered parts whose order looks wrong ("part-10" before "part-9"),
+// a name sorting between a directory's own name and its files ("a.b"
+// between "a" and "a/b"), and bytes above ASCII.
+var inventoryNames = func() []string {
+	names := []string{"d/a", "d/a.b", "d/a/b", "d/a-b", "d/part-00009", "d/part-00010",
+		"d/part-10", "d/part-9", "d/Z", "d/é", "d/b/part-00000", "d/b/c"}
+	sort.Strings(names)
+	return names
+}()
+
+// inventories builds a base and a live inventory over inventoryNames:
+// each name's byte says whether it is in base (bit 0), in live (bit 1)
+// and, when in both, whether it changed size (bit 2); its size is the
+// byte's upper bits.
+func inventories(spec []byte) (base Snapshot, live []FileStat) {
+	for i, name := range inventoryNames {
+		if i >= len(spec) {
+			break
+		}
+		b := spec[i]
+		size := int64(b >> 3)
+		if b&1 != 0 {
+			base.Files = append(base.Files, FileStat{Path: name, Size: size})
+			base.Bytes += size
+		}
+		if b&2 != 0 {
+			if b&1 != 0 && b&4 != 0 {
+				size++
+			}
+			live = append(live, FileStat{Path: name, Size: size})
+		}
+	}
+	return base, live
+}
+
+// checkClassify holds classify and, on an append, Grown to their
+// oracles for one pair of inventories.
+func checkClassify(t *testing.T, base Snapshot, live []FileStat) Growth {
+	t.Helper()
+	got, want := classify(base, live, 7), classifyRef(base, live, 7)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("classify(%v, %v) = %+v, want %+v", base.Files, live, got, want)
+	}
+	if got.Kind == GrowthAppend {
+		if g, w := got.Grown(base), grownRef(got, base); !reflect.DeepEqual(g, w) {
+			t.Fatalf("Grown(%v) with %v = %+v, want %+v", base.Files, got.NewFiles, g, w)
+		}
+	}
+	return got
+}
+
+// TestClassifyAgainstMaps holds the merge-walk classify and Grown to
+// the map and sort implementations they replaced, case by case.
+func TestClassifyAgainstMaps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec []byte
+		want GrowthKind
+	}{
+		{"both empty", nil, GrowthRewrite},
+		{"empty base, files added", []byte{2 | 8, 0, 2 | 16}, GrowthAppend},
+		{"files gone, none left", []byte{1 | 8, 1 | 16}, GrowthRewrite},
+		{"same inventory", []byte{3 | 8, 3 | 16, 0, 3}, GrowthRewrite},
+		{"same names, one resized", []byte{3 | 8, 3 | 4 | 16}, GrowthRewrite},
+		{"added after every base file", []byte{3 | 8, 3 | 16, 2 | 24}, GrowthAppend},
+		{"added before and between base files", []byte{2 | 8, 3 | 16, 2, 3 | 24, 2 | 8}, GrowthAppend},
+		{"one removed, one added", []byte{3 | 8, 1 | 16, 2 | 24}, GrowthRewrite},
+		{"last base file removed", []byte{2 | 8, 3 | 16, 0, 0, 0, 1 | 8}, GrowthRewrite},
+		{"resized and added", []byte{3 | 4 | 8, 2 | 16}, GrowthRewrite},
+		{"every name, out-of-order looking", []byte{3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2}, GrowthAppend},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, live := inventories(tc.spec)
+			if g := checkClassify(t, base, live); g.Kind != tc.want {
+				t.Fatalf("classified %v, want %v", g.Kind, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzClassify holds classify and Grown to their oracles over arbitrary
+// pairs of inventories drawn from inventoryNames.
+//
+//	go test ./internal/dfs -run '^$' -fuzz FuzzClassify -fuzztime 30s
+func FuzzClassify(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 2})
+	f.Add([]byte{3 | 4, 2, 1})
+	f.Add([]byte{2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3})
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		base, live := inventories(spec)
+		checkClassify(t, base, live)
 	})
 }

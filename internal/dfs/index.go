@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,6 +65,13 @@ type dir struct {
 	partBytes int64 // bytes in parts: the directory's own dataset
 	bytes     int64 // bytes in the whole subtree
 	count     int   // files in the whole subtree
+
+	// inv is the sorted inventory of the whole subtree, built by the
+	// first FileStats after a change and shared, read-only, by every
+	// later one. adjust drops it on every directory it walks, which is
+	// every directory a file enters or leaves below. Readers build it
+	// under the read lock, hence the atomic.
+	inv atomic.Pointer[[]FileStat]
 }
 
 func newIndex() index {
@@ -126,6 +134,7 @@ func (ix *index) adjust(p string, bytes int64, n int) *dir {
 	for start := 0; ; {
 		d.bytes += bytes
 		d.count += n
+		d.inv.Store(nil)
 		i := strings.IndexByte(p[start:], '/')
 		if i < 0 {
 			return d
@@ -174,6 +183,33 @@ func (d *dir) files(out []string) []string {
 	}
 	for _, child := range d.dirs {
 		out = child.files(out)
+	}
+	return out
+}
+
+// inventory returns every file of the subtree with its size, sorted by
+// path (mu held, read or write): the memo, or a listing and sort that
+// become the memo. The slice is shared; nothing may write it.
+func (d *dir) inventory() []FileStat {
+	if inv := d.inv.Load(); inv != nil {
+		return *inv
+	}
+	inv := d.stats(make([]FileStat, 0, d.count))
+	slices.SortFunc(inv, func(a, b FileStat) int { return strings.Compare(a.Path, b.Path) })
+	d.inv.Store(&inv)
+	return inv
+}
+
+// stats appends every file of the subtree with its size to out.
+func (d *dir) stats(out []FileStat) []FileStat {
+	for p, f := range d.parts {
+		out = append(out, FileStat{Path: p, Size: f.size})
+	}
+	for p, f := range d.alone {
+		out = append(out, FileStat{Path: p, Size: f.size})
+	}
+	for _, child := range d.dirs {
+		out = child.stats(out)
 	}
 	return out
 }
@@ -309,24 +345,36 @@ type move struct {
 	f        *file
 }
 
-// under returns the live file paths at p and under p/, sorted (mu
-// held): a lookup, a walk to p's directory and one visit per path
-// returned.
-func (ix *index) under(p string) []string {
-	_, isFile := ix.files[p]
+// inventory returns the live files at p and under p/ with their sizes,
+// sorted by path (mu held): a lookup, a walk to p's directory and, when
+// p's directory changed since it was last listed, one visit per file
+// and a sort. p's own file sorts before every path under p/. The slice
+// may be the directory's shared memo; nothing may write it.
+func (ix *index) inventory(p string) []FileStat {
+	f, isFile := ix.files[p]
 	d := ix.dirAt(p)
-	if d == nil {
-		if isFile {
-			return []string{p}
-		}
+	switch {
+	case d == nil && !isFile:
+		return nil
+	case d == nil:
+		return []FileStat{{Path: p, Size: f.size}}
+	case !isFile:
+		return d.inventory()
+	}
+	return append([]FileStat{{Path: p, Size: f.size}}, d.inventory()...)
+}
+
+// under returns the live file paths at p and under p/, sorted (mu
+// held).
+func (ix *index) under(p string) []string {
+	inv := ix.inventory(p)
+	if len(inv) == 0 {
 		return nil
 	}
-	out := make([]string, 0, d.count+1)
-	if isFile {
-		out = append(out, p)
+	out := make([]string, len(inv))
+	for i, f := range inv {
+		out[i] = f.Path
 	}
-	out = d.files(out)
-	sort.Strings(out)
 	return out
 }
 
@@ -446,19 +494,12 @@ func (ix *index) List(path string) []string {
 
 // FileStats returns the per-file sizes under path, sorted by path. A
 // file's own path reports itself; a directory reports every file under
-// it.
+// it. A directory's answer is its memo (see dir.inv), shared with every
+// caller until the directory changes.
 func (ix *index) FileStats(path string) []FileStat {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	names := ix.under(clean(path))
-	if len(names) == 0 {
-		return nil
-	}
-	out := make([]FileStat, len(names))
-	for i, name := range names {
-		out[i] = FileStat{Path: name, Size: ix.files[name].size}
-	}
-	return out
+	return ix.inventory(clean(path))
 }
 
 // Size returns the total bytes stored under path (file or directory),
