@@ -39,15 +39,17 @@ import "io"
 //
 //   - What a namespace operation costs. The namespace is a directory
 //     tree. Exists, Size, Stat and Version cost a lookup and a walk down
-//     the components of their path, present or absent; List, FileStats
-//     and Datasets add one visit per path returned (Datasets also visits
-//     the directories below its prefix, never their part files), and a
-//     sort of the result; FileStats pays that visit and sort once per
-//     change of the directory and answers from its memo until the next
-//     one. Delete and Rename cost the files they remove and move. Each is proportional to its result and the path depth,
-//     never to the store, so a caller may put one on its per-query path
-//     without asking what else is stored. Only the empty path — List("")
-//     and Datasets("") — and TotalBytes speak for the whole store.
+//     the components of their path, present or absent. Datasets adds one
+//     visit per path returned (and to the directories below its prefix,
+//     never their part files) and a sort of the result. List and
+//     FileStats visit and sort a directory's files once per change of
+//     the directory and keep the result until the next one: a repeated
+//     List costs one visit per path returned, a repeated FileStats only
+//     the walk. Delete and Rename cost the files they remove and move.
+//     Each is proportional to its result and the path depth, never to
+//     the store, so a caller may put one on its per-query path without
+//     asking what else is stored. Only the empty path — List("") and
+//     Datasets("") — and TotalBytes speak for the whole store.
 //
 //   - Version CAS. WriteFileIf/RemoveFileIf apply only when the
 //     dataset's version still equals the caller's last observation, as
