@@ -39,10 +39,9 @@ type (
 	// exceeds Config.MaxRepositoryBytes.
 	EvictionPolicy = core.EvictionPolicy
 	// ReuseWindowPolicy evicts entries idle beyond a window first
-	// (the paper's Rule 3 adapted to a budget).
+	// (the paper's Rule 3 adapted to a budget), then the least recently
+	// used. With a zero window it is plain LRU.
 	ReuseWindowPolicy = core.ReuseWindowPolicy
-	// LRUPolicy evicts the least recently used entries first.
-	LRUPolicy = core.LRUPolicy
 	// CostBenefitPolicy evicts the entries with the least reuse benefit
 	// per stored byte first (the default under a budget).
 	CostBenefitPolicy = core.CostBenefitPolicy
@@ -152,8 +151,8 @@ type Config struct {
 	// picks entries to drop until they fit. Zero means unbounded.
 	MaxRepositoryBytes int64
 	// Eviction is the policy ranking entries for budget eviction; nil
-	// defaults to CostBenefitPolicy. ReuseWindowPolicy and LRUPolicy
-	// are the alternatives.
+	// defaults to CostBenefitPolicy. ReuseWindowPolicy is the
+	// alternative; with a zero Window it is plain LRU.
 	Eviction EvictionPolicy
 	// NamespaceRoot is the DFS directory ReStore's managed namespaces
 	// live under: per-query sub-job outputs go under

@@ -107,9 +107,10 @@
 //
 //   - Budget. Config.MaxRepositoryBytes bounds the bytes the repository
 //     retains; when exceeded, the Config.Eviction policy (reuse-window,
-//     LRU, or the default cost-benefit) picks victims. Entries read by
-//     in-flight rewrites are pinned and never evicted — by this System
-//     or, through the pin records beside the claim leases, by a peer.
+//     which with no window is plain LRU, or the default cost-benefit)
+//     picks victims. Entries read by in-flight rewrites are pinned and
+//     never evicted — by this System or, through the pin records beside
+//     the claim leases, by a peer.
 //
 //   - Maintenance. After every query, the System reads the DFS change
 //     feed — every dataset version bump, by this System, a raw DFS write

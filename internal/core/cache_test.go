@@ -11,7 +11,7 @@ import (
 
 // TestNoDeadCacheEntries: a job's output enters the batch cache when a
 // later job reads it, and most outputs — temporaries, STORE staging,
-// refresh deltas, rejected or evicted sub-job outputs — are deleted or
+// refresh deltas, evicted sub-job outputs — are deleted or
 // renamed away soon after and never named again. The cache reads the
 // DFS change feed, which reports each of those deletes and renames, and
 // drops the decoded copy by its next operation. After every step below,
@@ -48,29 +48,6 @@ func TestNoDeadCacheEntries(t *testing.T) {
 	h.opts = Options{}
 	h.run(t, l11.Script)
 	noDeadEntries("STORE commit")
-
-	// The sub-job selector rejects a materialized candidate — here a
-	// projection wider than its input (Rule 1; at this scale Rule 2
-	// admits it) — and deletes its output at once.
-	wide := fmt.Sprintf(`
-A = load '%s' as (%s);
-B = foreach A generate %[2]s, user;
-G = group B by user;
-S = foreach G generate group, COUNT(B);
-store S into 'out/wide';
-`, pigmix.PathPageViews, pigmix.PageViewsSchema)
-	h.opts = Options{Reuse: true, Heuristic: Aggressive, AdmitOnlyReducing: true, AdmitOnlyBeneficial: true}
-	res := h.run(t, wide)
-	rejected := 0
-	for path := range res.JobStats[0].Outputs {
-		if !h.fs.Exists(path) {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("the selector rejected no candidate; the step reaches nothing")
-	}
-	noDeadEntries("selector rejection")
 
 	// A query cancelled after one of its two final jobs committed to
 	// staging discards that staging.
@@ -118,7 +95,7 @@ store T into 'out/c2';
 	if h.repo.Len() == 0 {
 		t.Fatal("nothing stored; the eviction step reaches nothing")
 	}
-	tight := NewStorageManager(h.repo, h.fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}})
+	tight := NewStorageManager(h.repo, h.fs, StorageConfig{MaxBytes: 1, Policy: ReuseWindowPolicy{}})
 	if res := tight.Sweep(h.driver.Now(), 0); res.EntriesEvicted == 0 {
 		t.Fatalf("budget sweep evicted nothing: %+v", res)
 	}

@@ -104,14 +104,6 @@ type Options struct {
 	// KeepWholeJobs registers every executed job's output in the
 	// repository.
 	KeepWholeJobs bool
-	// AdmitOnlyReducing applies Section 5 Rule 1: keep a candidate only
-	// when its output is smaller than its input.
-	AdmitOnlyReducing bool
-	// AdmitOnlyBeneficial applies Section 5 Rule 2: keep a candidate
-	// only when Equation 1 predicts a reduction in execution time for
-	// workflows reusing it — loading the stored output must be cheaper
-	// than re-running the job that produced it.
-	AdmitOnlyBeneficial bool
 	// EvictionWindow applies Section 5 Rule 3 after each workflow: evict
 	// entries not reused within this much simulated time (0 disables).
 	EvictionWindow time.Duration
@@ -746,23 +738,15 @@ func (r *jobRun) exec() (*mapreduce.JobStats, error) {
 }
 
 // register is the enumerated sub-job selector: it keeps the whole-job
-// output and the enumerated sub-job outputs the admission rules accept
-// as repository entries, and deletes the rejected sub-job outputs. A
-// final job's whole-job entry points at its user path, which holds
-// nothing until the commit, so it is deferred instead of inserted.
+// output and every enumerated sub-job output as repository entries. A
+// whole job that is a bare Load is not kept: reusing it is just
+// re-reading the input. Every candidate passes that test, since the
+// enumerator never picks a Load. A final job's whole-job entry points
+// at its user path, which holds nothing until the commit, so it is
+// deferred instead of inserted.
 func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 	x, job, stats := r.x, r.job, r.stats
-	opts, eng := x.cfg.Opts, x.d.eng
-	fs := eng.FS()
-	admit := func(e *Entry) bool {
-		if e.Plan.OpCount() <= 1 {
-			return false // a bare Load: reusing it is just re-reading the input
-		}
-		if opts.AdmitOnlyReducing && e.Stats.OutputSimBytes >= e.Stats.InputSimBytes {
-			return false
-		}
-		return !opts.AdmitOnlyBeneficial || beneficial(eng, e)
-	}
+	fs := x.d.eng.FS()
 	entry := func(plan *physical.Plan, outPath string, outBytes int64) *Entry {
 		sig := SigOf(plan)
 		vs := map[string]int64{}
@@ -778,10 +762,10 @@ func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 		}}
 	}
 
-	if opts.KeepWholeJobs {
+	if x.cfg.Opts.KeepWholeJobs {
 		e := entry(cleanPlan, cmp.Or(r.user, job.OutputPath), stats.OutputSimBytes)
 		e.WholeJob = true
-		if admit(e) {
+		if e.Plan.OpCount() > 1 {
 			stampMergeable(fs, e, cleanPlan)
 			if r.user != "" {
 				r.deferred = e // OutputVersion is set at commit
@@ -798,13 +782,9 @@ func (r *jobRun) register(cleanPlan *physical.Plan, candidates []Candidate) {
 		}
 		prefixPlan := job.Plan.PrefixPlan(c.OpID, c.Path)
 		e := entry(prefixPlan, c.Path, o.SimBytes)
-		if admit(e) {
-			stampMergeable(fs, e, prefixPlan)
-			e.OutputVersion = fs.Version(e.OutputPath)
-			r.stored = append(r.stored, x.d.store.insert(e, x.since))
-		} else if !c.Existing {
-			_ = fs.Delete(c.Path) // rejected by the selector: reclaim now
-		}
+		stampMergeable(fs, e, prefixPlan)
+		e.OutputVersion = fs.Version(e.OutputPath)
+		r.stored = append(r.stored, x.d.store.insert(e, x.since))
 	}
 }
 
@@ -832,8 +812,8 @@ func (s *claimSet) release(drop func(fp string) bool) bool {
 }
 
 // resolve commits the claim of every entry the job registered, so
-// waiting queries wake and reuse it, and aborts the claims whose
-// entries the sub-job selector rejected.
+// waiting queries wake and reuse it, and aborts the rest (a whole job
+// that is a bare Load registers nothing).
 func (s *claimSet) resolve(stored []*Entry) {
 	registered := make(map[string]bool, len(stored))
 	for _, e := range stored {
@@ -847,21 +827,6 @@ func (s *claimSet) resolve(stored []*Entry) {
 		}
 	}
 	clear(s.held)
-}
-
-// beneficial estimates Section 5 Rule 2: reusing the entry must beat
-// recomputing it. The replacement job reads the stored output from the
-// DFS; the saved work is the producing job's execution time.
-func beneficial(eng *mapreduce.Engine, e *Entry) bool {
-	cost := eng.Config().Cost
-	topo := eng.Config().Topology
-	readBW := cost.DiskReadBW * float64(topo.MapSlots())
-	if readBW <= 0 {
-		return true
-	}
-	loadTime := time.Duration(float64(e.Stats.OutputSimBytes) / readBW * float64(time.Second))
-	loadTime += cost.JobStartup
-	return loadTime < e.Stats.JobSimTime
 }
 
 // deleteTemps removes inter-job temporaries, the pre-ReStore "current

@@ -362,17 +362,6 @@ func TestVacuumWindowEviction(t *testing.T) {
 	}
 }
 
-func TestAdmitOnlyReducing(t *testing.T) {
-	h := newHarness(t, Options{Heuristic: NoHeuristic, AdmitOnlyReducing: true})
-	h.seedPigMixSmall(t)
-	r := h.run(t, hq1)
-	for _, e := range r.Stored {
-		if e.Stats.OutputSimBytes >= e.Stats.InputSimBytes {
-			t.Errorf("entry %s violates Rule 1: out=%d in=%d", e.ID, e.Stats.OutputSimBytes, e.Stats.InputSimBytes)
-		}
-	}
-}
-
 func TestRepositoryOrderingWholeJobFirst(t *testing.T) {
 	// With both the whole join job and its projection sub-jobs stored by
 	// a run of Q1, Q2's intermediate join job must match the subsuming
@@ -480,28 +469,6 @@ store D into 'q5_out';
 	}
 	if totalRewrites == 0 {
 		t.Errorf("warm battery applied no rewrites at all")
-	}
-}
-
-func TestAdmitOnlyBeneficial(t *testing.T) {
-	// With Rule 2 on, candidates whose stored output takes longer to
-	// load than their producing job took to run are rejected. On the
-	// tiny test data every job is dominated by fixed startup costs, so
-	// outputs load faster than jobs rerun and everything is admitted;
-	// the rule's rejection path is exercised by doctoring the stats.
-	h := newHarness(t, Options{Heuristic: Conservative, AdmitOnlyBeneficial: true})
-	h.seedPigMixSmall(t)
-	r := h.run(t, hq1)
-	if len(r.Stored) == 0 {
-		t.Fatalf("beneficial candidates were rejected")
-	}
-	cheap := &Entry{Stats: EntryStats{OutputSimBytes: 1 << 40, JobSimTime: time.Millisecond}}
-	if beneficial(h.eng, cheap) {
-		t.Errorf("a huge output from a cheap job must not be beneficial")
-	}
-	good := &Entry{Stats: EntryStats{OutputSimBytes: 1 << 20, JobSimTime: time.Hour}}
-	if !beneficial(h.eng, good) {
-		t.Errorf("a small output from an expensive job must be beneficial")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/physical"
+	"repro/internal/pigmix"
 )
 
 func jobFor(t *testing.T, src string) *physical.Job {
@@ -36,6 +37,34 @@ func countInjected(cands []Candidate) int {
 		}
 	}
 	return n
+}
+
+// TestCandidatePrefixesAreNeverBareLoads: the selector keeps every
+// candidate and tests only the whole job for a bare Load, because no
+// candidate's prefix plan is one. The enumerator never picks a Load,
+// Store or Split, so below every candidate there is a Load and at least
+// one more operator — over every PigMix query under every heuristic.
+func TestCandidatePrefixesAreNeverBareLoads(t *testing.T) {
+	for _, name := range pigmix.Names() {
+		q, err := pigmix.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []Heuristic{Conservative, Aggressive, NoHeuristic} {
+			jobs, err := compileJobs(t, q.Script, "tmp/en").TopoJobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, job := range jobs {
+				for _, c := range enumerate(t, h, job) {
+					sig := SigOf(job.Plan.PrefixPlan(c.OpID, c.Path))
+					if n := sig.OpCount(); n < 2 {
+						t.Errorf("%s %v job %s: candidate op %d has a prefix of %d non-Store op(s), want >= 2", name, h, job.ID, c.OpID, n)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestEnumerateOff(t *testing.T) {

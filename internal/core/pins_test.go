@@ -38,7 +38,7 @@ func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
 	}
 	t.Cleanup(lmA.Close)
 	t.Cleanup(lmB.Close)
-	mB := NewStorageManager(rB, fs, StorageConfig{MaxBytes: 1, Policy: LRUPolicy{}, Leases: lmB})
+	mB := NewStorageManager(rB, fs, StorageConfig{MaxBytes: 1, Policy: ReuseWindowPolicy{}, Leases: lmB})
 	return &pinWorld{fs: fs, repoA: rA, lmA: lmA, lmB: lmB, mB: mB, dlB: dlB}
 }
 
@@ -262,7 +262,7 @@ type oneVictim struct{}
 func (oneVictim) Name() string { return "one-victim" }
 
 func (oneVictim) Victims(usage []EntryUsage, now time.Duration, reclaim int64) []string {
-	ids := LRUPolicy{}.Victims(usage, now, reclaim)
+	ids := ReuseWindowPolicy{}.Victims(usage, now, reclaim)
 	return ids[:min(len(ids), 1)]
 }
 

@@ -348,7 +348,10 @@ type EvictionPolicy interface {
 // ReuseWindowPolicy is the paper's Rule 3 adapted to a budget: every
 // entry idle longer than Window is evicted outright (most idle first),
 // and if that alone does not reclaim enough, the least recently used of
-// the remaining entries follow.
+// the remaining entries follow. With Window 0 no entry expires, so it
+// is plain LRU: the least recently used entries go first — an entry's
+// last use is when it was stored or last answered a rewrite — and only
+// as many as the reclaim target needs.
 type ReuseWindowPolicy struct {
 	Window time.Duration
 }
@@ -365,30 +368,6 @@ func (p ReuseWindowPolicy) Victims(usage []EntryUsage, now time.Duration, reclai
 	for _, u := range byIdle {
 		expired := p.Window > 0 && now-u.LastUse > p.Window
 		if !expired && freed >= reclaim {
-			break
-		}
-		out = append(out, u.Entry.ID)
-		freed += u.Bytes
-	}
-	return out
-}
-
-// LRUPolicy evicts the least recently used entries first — an entry's
-// last use is when it was stored or last answered a rewrite — taking
-// only as many as the reclaim target needs.
-type LRUPolicy struct{}
-
-// Name implements EvictionPolicy.
-func (LRUPolicy) Name() string { return "lru" }
-
-// Victims implements EvictionPolicy.
-func (LRUPolicy) Victims(usage []EntryUsage, now time.Duration, reclaim int64) []string {
-	byUse := append([]EntryUsage(nil), usage...)
-	sort.SliceStable(byUse, func(i, j int) bool { return byUse[i].LastUse < byUse[j].LastUse })
-	var out []string
-	var freed int64
-	for _, u := range byUse {
-		if freed >= reclaim {
 			break
 		}
 		out = append(out, u.Entry.ID)
@@ -429,15 +408,16 @@ func (CostBenefitPolicy) Victims(usage []EntryUsage, now time.Duration, reclaim 
 	return out
 }
 
-// ParseEvictionPolicy resolves a policy by name ("reuse-window", "lru",
-// "cost-benefit"); the reuse-window policy takes its window separately.
+// ParseEvictionPolicy resolves a policy by name: "reuse-window" with
+// the given window, "lru" (the reuse-window policy with no window, which
+// is plain LRU) or "cost-benefit".
 func ParseEvictionPolicy(name string, window time.Duration) (EvictionPolicy, bool) {
 	switch name {
-	case "reuse-window", "window":
+	case "reuse-window":
 		return ReuseWindowPolicy{Window: window}, true
 	case "lru":
-		return LRUPolicy{}, true
-	case "cost-benefit", "costbenefit", "cb":
+		return ReuseWindowPolicy{}, true
+	case "cost-benefit":
 		return CostBenefitPolicy{}, true
 	}
 	return nil, false

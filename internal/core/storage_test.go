@@ -187,7 +187,7 @@ func TestEvictionPolicies(t *testing.T) {
 	})
 
 	t.Run("lru stops at the reclaim target", func(t *testing.T) {
-		got := LRUPolicy{}.Victims(usage, now, 150)
+		got := ReuseWindowPolicy{}.Victims(usage, now, 150)
 		if len(got) != 2 || got[0] != "old" || got[1] != "mid" {
 			t.Errorf("victims = %v, want [old mid]", got)
 		}
@@ -210,12 +210,16 @@ func TestEvictionPolicies(t *testing.T) {
 }
 
 func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
-	for _, policy := range []EvictionPolicy{
-		ReuseWindowPolicy{Window: time.Hour},
-		LRUPolicy{},
-		CostBenefitPolicy{},
+	for _, tc := range []struct {
+		name   string
+		policy EvictionPolicy
+	}{
+		{"reuse-window", ReuseWindowPolicy{Window: time.Hour}},
+		{"lru", ReuseWindowPolicy{}}, // no window: nothing expires
+		{"cost-benefit", CostBenefitPolicy{}},
 	} {
-		t.Run(policy.Name(), func(t *testing.T) {
+		policy := tc.policy
+		t.Run(tc.name, func(t *testing.T) {
 			fs := dfstest.New(t)
 			repo := NewRepository()
 			lm := NewLeaseManager(fs, "locks", "w1", 0)
@@ -366,7 +370,7 @@ store B into 'o';
 func TestStoredBytesMeasuredOnce(t *testing.T) {
 	fs := &countingFS{Backend: dfstest.New(t), prefix: NamespacePath("", "restore") + "/"}
 	repo := NewRepository()
-	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: LRUPolicy{}})
+	m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 10_000, Policy: ReuseWindowPolicy{}})
 	for i := 0; i < 4; i++ {
 		storedEntry(t, repo, fs, fmt.Sprintf("s%d", i), fmt.Sprintf("sin%d", i), 1000, EntryStats{})
 	}

@@ -186,6 +186,28 @@ func TestDeleteBumpsNestedDatasetVersions(t *testing.T) {
 	})
 }
 
+// TestNamespaceRootIsNoTarget: the empty path lists the whole
+// namespace, but it names nothing to delete, and as a rename's source
+// or destination it overlaps every path. The refusals leave everything
+// as it was.
+func TestNamespaceRootIsNoTarget(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, fs Backend) {
+		fs.WriteFile("a/part-00000", []byte("x"))
+		fs.WriteFile("b", []byte("y"))
+		if err := fs.Delete("/"); !errors.Is(err, ErrNotExist) {
+			t.Errorf("Delete(/) = %v, want ErrNotExist", err)
+		}
+		for _, pair := range [][2]string{{"", "c"}, {"a", ""}, {"b", "/"}} {
+			if _, err := fs.Rename(pair[0], pair[1]); err == nil || errors.Is(err, ErrNotExist) {
+				t.Errorf("Rename(%q, %q) = %v, want an overlap error", pair[0], pair[1], err)
+			}
+		}
+		if got := fs.List(""); !reflect.DeepEqual(got, []string{"a/part-00000", "b"}) {
+			t.Errorf("List(\"\") = %v after the refused mutations", got)
+		}
+	})
+}
+
 // TestRenameOverlapRejected: a tree cannot move into itself or onto its
 // own ancestor — the moves would feed on each other — and the refusal
 // leaves everything as it was. Renaming a path to itself is harmless.

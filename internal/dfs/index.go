@@ -365,16 +365,33 @@ func (ix *index) inventory(p string) []FileStat {
 }
 
 // under returns the live file paths at p and under p/, sorted (mu
-// held).
+// held); the empty path lists the whole namespace. p's own file sorts
+// before every path under p/. A directory with a memo is read from it;
+// one without is listed straight from the tree and left without one,
+// so a directory listed once — a temporary about to be deleted or
+// renamed — pays for one slice and a sort.
 func (ix *index) under(p string) []string {
-	inv := ix.inventory(p)
-	if len(inv) == 0 {
-		return nil
+	_, isFile := ix.files[p]
+	d := ix.dirAt(p)
+	if p == "" {
+		d = &ix.root
 	}
-	out := make([]string, len(inv))
-	for i, f := range inv {
-		out[i] = f.Path
+	var out []string
+	if isFile {
+		out = []string{p}
 	}
+	if d == nil {
+		return out
+	}
+	out = append(make([]string, 0, len(out)+d.count), out...)
+	if inv := d.inv.Load(); inv != nil {
+		for _, f := range *inv {
+			out = append(out, f.Path)
+		}
+		return out
+	}
+	out = d.files(out)
+	sort.Strings(out[len(out)-d.count:])
 	return out
 }
 
@@ -393,7 +410,10 @@ func sortedKeys(set map[string]bool) []string {
 // entry derived from any of them stops being valid (repository Rule 4).
 func (ix *index) planDelete(path string) (change, error) {
 	p := clean(path)
-	c := change{removed: ix.under(p)}
+	var c change
+	if p != "" { // the whole namespace is no path to delete
+		c.removed = ix.under(p)
+	}
 	if len(c.removed) == 0 {
 		return c, &PathError{Op: "delete", Path: path, Err: ErrNotExist}
 	}
@@ -414,10 +434,11 @@ var errRenameOverlap = errors.New("source and destination overlap")
 // lands in, and every destination dataset clobbered by the replacement
 // — so Stat/Version/Valid see moved and overwritten outputs as
 // modified, not stale or brand-new at version zero. A path cannot be
-// renamed into or onto its own tree.
+// renamed into or onto its own tree, and the empty path, the whole
+// namespace, overlaps every path.
 func (ix *index) planRename(oldPath, newPath string) (change, error) {
 	op, np := clean(oldPath), clean(newPath)
-	if strings.HasPrefix(np, op+"/") || strings.HasPrefix(op, np+"/") {
+	if op == "" || np == "" || strings.HasPrefix(np, op+"/") || strings.HasPrefix(op, np+"/") {
 		return change{}, &PathError{Op: "rename", Path: oldPath, Err: errRenameOverlap}
 	}
 	srcs := ix.under(op)
@@ -483,13 +504,7 @@ func (ix *index) Exists(path string) bool {
 func (ix *index) List(path string) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	p := clean(path)
-	if p != "" {
-		return ix.under(p)
-	}
-	out := ix.root.files(make([]string, 0, ix.root.count))
-	sort.Strings(out)
-	return out
+	return ix.under(clean(path))
 }
 
 // FileStats returns the per-file sizes under path, sorted by path. A

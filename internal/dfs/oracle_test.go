@@ -157,7 +157,7 @@ func (o *flatFS) Delete(path string) error {
 
 func (o *flatFS) Rename(oldPath, newPath string) (int64, error) {
 	op, np := clean(oldPath), clean(newPath)
-	if strings.HasPrefix(np, op+"/") || strings.HasPrefix(op, np+"/") {
+	if op == "" || np == "" || strings.HasPrefix(np, op+"/") || strings.HasPrefix(op, np+"/") {
 		return 0, &PathError{Op: "rename", Path: oldPath, Err: errRenameOverlap}
 	}
 	srcs := o.under(op)

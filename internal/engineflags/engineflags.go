@@ -38,7 +38,7 @@ func Register(fs *flag.FlagSet, scale string, reuse bool, heuristic string) *Fla
 	fs.IntVar(&f.Workers, "workers", 0, "concurrent jobs per workflow DAG (0 = NumCPU, 1 = serial)")
 	fs.Int64Var(&f.MaxRepoMB, "max-repo-mb", 0, "repository storage budget in MB (0 = unbounded)")
 	fs.Int64Var(&f.BatchCacheMB, "batch-cache-mb", 0, "decoded-dataset batch cache budget in MB (0 = default 256, negative = off)")
-	fs.StringVar(&f.Evict, "evict", "cost-benefit", "eviction policy under the budget: reuse-window, lru, cost-benefit")
+	fs.StringVar(&f.Evict, "evict", "cost-benefit", "eviction policy under the budget: reuse-window (idle beyond -evict-window first, then LRU), lru (reuse-window with no window), cost-benefit")
 	fs.DurationVar(&f.EvictWindow, "evict-window", time.Hour, "idle window of the reuse-window policy (simulated time)")
 	fs.DurationVar(&f.Janitor, "janitor", 0, "background storage-janitor sweep interval (0 = off)")
 	fs.StringVar(&f.NSRoot, "ns-root", "", "root of ReStore's managed namespaces (empty = "+core.DefaultNamespaceRoot+")")

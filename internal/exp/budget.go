@@ -13,8 +13,8 @@ import (
 // enough to run four configurations in one experiment.
 var budgetSuite = []string{"L2", "L3", "L5", "L8"}
 
-// FigureB goes beyond the paper: it compares the storage manager's
-// three eviction policies under a byte budget. Each configuration runs
+// FigureB goes beyond the paper: it compares the storage manager's two
+// eviction policies under a byte budget. Each configuration runs
 // the suite twice on a fresh system storing sub-jobs aggressively; the
 // second pass measures how much reuse survives eviction. The budget is
 // half of what an unbounded first pass retains, so every policy is
@@ -41,7 +41,6 @@ func FigureB() (*Report, error) {
 
 	for _, policy := range []restore.EvictionPolicy{
 		restore.ReuseWindowPolicy{Window: window},
-		restore.LRUPolicy{},
 		restore.CostBenefitPolicy{},
 	} {
 		usage, pass1, pass2, stats, err := budgetRun(budget, policy)

@@ -200,7 +200,7 @@ func TestFigureMShape(t *testing.T) {
 }
 
 // TestFigureBShape runs the storage-budget experiment at test scale:
-// four rows (unbounded + three policies), every budgeted policy
+// three rows (unbounded + two policies), every budgeted policy
 // converging under the budget (FigureB itself fails otherwise) with at
 // least one eviction.
 func TestFigureBShape(t *testing.T) {
@@ -209,8 +209,8 @@ func TestFigureBShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FigureB: %v", err)
 	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rep.Rows))
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rep.Rows))
 	}
 	for _, row := range rep.Rows[1:] {
 		if row[3] == "0" {
