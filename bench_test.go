@@ -46,7 +46,8 @@ func runPigMix(b *testing.B, sys *restore.System, name string, opts ...restore.E
 // BenchmarkAblationMatchOrder quantifies repository ordering Rule 1:
 // with the subsumption-ordered scan, a warm L3 run reuses the whole
 // join job first; the metric reports the simulated reuse time, to be
-// compared with Figure 13's per-entry alternatives (exp.Figure13).
+// compared with Figure 13's per-entry alternatives (the "fig13" runner
+// of exp.Runners).
 func BenchmarkAblationMatchOrder(b *testing.B) {
 	var simTime time.Duration
 	for i := 0; i < b.N; i++ {
@@ -113,11 +114,6 @@ func BenchmarkMatcherScan(b *testing.B) {
 	repo := sys.Repository()
 	b.Logf("repository holds %d entries", repo.Len())
 
-	q, _ := pigmix.Get("L3")
-	n, err := sys.Compile(q.Script)
-	if err != nil || n == 0 {
-		b.Fatalf("compile: %v", err)
-	}
 	// Benchmark repeated warm executions, which include the full scan +
 	// rewrite cycle per job.
 	b.ResetTimer()
@@ -217,7 +213,7 @@ func BenchmarkConcurrentProbe(b *testing.B) {
 		runPigMix(b, sys, q)
 	}
 	repo := sys.Repository()
-	entries := repo.Entries()
+	entries := restore.RepositoryEntries(repo)
 	if len(entries) == 0 {
 		b.Fatal("no entries to probe")
 	}
@@ -240,9 +236,10 @@ func BenchmarkConcurrentProbe(b *testing.B) {
 			repo.Insert(&core.Entry{Plan: e.Plan, OutputPath: e.OutputPath,
 				Stats: e.Stats, InputVersions: e.InputVersions, OutputVersion: e.OutputVersion})
 			if i%7 == 0 {
-				if removed := repo.Remove(e.ID); removed != nil {
-					repo.Insert(&core.Entry{Plan: removed.Plan, OutputPath: removed.OutputPath,
-						Stats: removed.Stats, InputVersions: removed.InputVersions})
+				if removed, _ := repo.EvictUnpinned([]string{e.ID}, nil); len(removed) == 1 {
+					r := removed[0]
+					repo.Insert(&core.Entry{Plan: r.Plan, OutputPath: r.OutputPath,
+						Stats: r.Stats, InputVersions: r.InputVersions})
 				}
 			}
 		}

@@ -15,9 +15,6 @@ import (
 type (
 	// Tuple is one row of a dataset.
 	Tuple = tuple.Tuple
-	// Value is one field of a Tuple: nil, int64, float64, string,
-	// Tuple, or *Bag.
-	Value = tuple.Value
 	// Bag is a collection of tuples (appears in grouped results).
 	Bag = tuple.Bag
 )
@@ -57,8 +54,6 @@ type (
 	// DurabilityStats snapshots the durable repository: recovery size,
 	// event-log traffic, compactions, and lazy plan decodes.
 	DurabilityStats = core.DurabilityStats
-	// LeaseStats snapshots the cross-process lease manager.
-	LeaseStats = core.LeaseStats
 	// BatchCacheStats snapshots the engine's decoded-dataset cache:
 	// hits, misses, resident bytes, evictions and invalidations.
 	BatchCacheStats = mapreduce.BatchCacheStats

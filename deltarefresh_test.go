@@ -99,7 +99,7 @@ func mergeableAggregates(t testing.TB, sys *restore.System) []string {
 	t.Helper()
 	cur := sys.FS().Version(pigmix.PathNetTraffic)
 	var blobs []string
-	for _, e := range sys.Repository().Entries() {
+	for _, e := range restore.RepositoryEntries(sys.Repository()) {
 		if e.Merge == nil || !e.WholeJob || e.InputVersions[pigmix.PathNetTraffic] != cur {
 			continue
 		}
@@ -253,7 +253,7 @@ func TestDeltaRefreshNonMergeable(t *testing.T) {
 		t.Fatalf("holistic plan took the refresh path: %+v", ds)
 	}
 	// The classifier must have rejected the distinct job outright.
-	for _, e := range sys.Repository().Entries() {
+	for _, e := range restore.RepositoryEntries(sys.Repository()) {
 		if _, overLog := e.InputVersions[pigmix.PathNetTraffic]; overLog && e.Merge != nil {
 			t.Fatalf("holistic entry %s was stamped mergeable", e.ID)
 		}
@@ -366,7 +366,7 @@ func TestDeltaRefreshDurable(t *testing.T) {
 // input, or of every entry when input is empty.
 func entryIDs(sys *restore.System, input string) []string {
 	var ids []string
-	for _, e := range sys.Repository().Entries() {
+	for _, e := range restore.RepositoryEntries(sys.Repository()) {
 		if _, reads := e.InputVersions[input]; reads || input == "" {
 			ids = append(ids, e.ID)
 		}

@@ -158,8 +158,9 @@
 // Each recovered System gets a process-unique writer identity: query
 // IDs, repository entry IDs and the janitor's orphan sweep are scoped
 // by it, so co-tenants never collide in the shared namespaces.
-// DurabilityStats reports recovery size and log traffic; CompactLog and
-// RefreshRepository expose the background maintenance on demand.
+// DurabilityStats reports recovery size and log traffic. Compaction
+// (every Config.Durability.CompactEvery records) and folding in peers'
+// records (before each execution) happen on their own.
 //
 // # Plan matching
 //

@@ -55,7 +55,7 @@ func durableWorkload(t *testing.T, sys *System, ns string) {
 // in scan order with identity, stats, and validity-relevant fields.
 func repoFingerprint(r *core.Repository) string {
 	var b strings.Builder
-	for _, e := range r.Entries() {
+	for _, e := range RepositoryEntries(r) {
 		fmt.Fprintf(&b, "%s|%s|%+v|%v|%v\n", e.ID, e.OutputPath, e.Stats, e.WholeJob, e.StoredAt)
 	}
 	return b.String()
@@ -123,7 +123,7 @@ func TestRecoverAfterRestart(t *testing.T) {
 }
 
 // TestRecoverCrashMatrix crashes a live System after every DFS
-// mutation of a CompactLog — the compaction lease, the temporary
+// mutation of a log compaction — the compaction lease, the temporary
 // manifest write, the rename that publishes it, each trimmed record, the
 // lease release — and requires the recovered System to hold the
 // pre-crash repository and to report the same warm-query SimTime as an
@@ -163,14 +163,14 @@ func TestRecoverCrashMatrix(t *testing.T) {
 	// Count the compaction's mutations on an unfaulted run.
 	fs, sys := setup(t)
 	m0 := fs.Mutations()
-	if err := sys.CompactLog(); err != nil {
+	if err := sys.durable.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	n := fs.Mutations() - m0
 	sys.Close()
-	t.Logf("one CompactLog: N = %d mutations", n)
+	t.Logf("one compaction: N = %d mutations", n)
 
-	// run crashes k mutations into a CompactLog, or, for k < 0, right
+	// run crashes k mutations into a compaction, or, for k < 0, right
 	// after setup, with no compaction; it checks the recovered System.
 	run := func(name string, k int) {
 		t.Run(name, func(t *testing.T) {
@@ -179,7 +179,7 @@ func TestRecoverCrashMatrix(t *testing.T) {
 				fs.CrashAfter(0)
 			} else {
 				fs.CrashAfter(k)
-				_ = sysA.CompactLog() // a crashed compaction may or may not report it
+				_ = sysA.durable.Compact() // a crashed compaction may or may not report it
 			}
 			want := repoFingerprint(sysA.Repository())
 			sysA.Close()
@@ -259,7 +259,7 @@ func TestTwoSystemsVacuumPeerAndRawChanges(t *testing.T) {
 	}
 	readers := func() int {
 		n := 0
-		for _, e := range a.Repository().Entries() {
+		for _, e := range RepositoryEntries(a.Repository()) {
 			if _, ok := e.InputVersions["in/w"]; ok {
 				n++
 			}

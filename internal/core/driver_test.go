@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/logical"
 	"repro/internal/mapreduce"
@@ -32,7 +33,7 @@ type harness struct {
 func newHarness(t *testing.T, opts Options) *harness {
 	t.Helper()
 	fs := dfs.New()
-	eng := mapreduce.New(fs, mapreduce.DefaultConfig())
+	eng := mapreduce.New(fs, mapreduce.Config{Cost: cluster.DefaultCostModel()})
 	repo := NewRepository()
 	driver := NewDriver(eng, NewStorageManager(repo, fs, StorageConfig{}))
 	return &harness{fs: fs, eng: eng, repo: repo, driver: driver, opts: opts}
@@ -554,7 +555,7 @@ func TestRewriteReportFields(t *testing.T) {
 	}
 	// Reuse bookkeeping updated.
 	found := false
-	for _, e := range h.repo.Entries() {
+	for _, e := range allEntries(h.repo) {
 		if e.ID == ev.EntryID && e.TimesReused > 0 {
 			found = true
 		}

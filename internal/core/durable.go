@@ -297,12 +297,6 @@ func OpenDurableLog(fs dfs.Backend, cfg DurableConfig) (*DurableLog, *Repository
 	return dl, repo, nil
 }
 
-// Writer returns this process's unique writer ID ("w1", "w2", ...).
-func (dl *DurableLog) Writer() string { return dl.writer }
-
-// Root returns the log's DFS directory.
-func (dl *DurableLog) Root() string { return dl.root }
-
 // MaxSimTime returns the largest simulated timestamp seen across
 // recovered entries, so a recovered driver can resume its clock past
 // every persisted event.

@@ -27,7 +27,7 @@ func FuzzJournalReplay(f *testing.F) {
 	for i, src := range indexCorpus[4:] {
 		repo.Insert(durableEntry(f, seed, src, 4+i))
 	}
-	repo.Remove(repo.Entries()[0].ID)
+	repo.EvictUnpinned([]string{allEntries(repo)[0].ID}, nil)
 	fresh, _ := openDurable(f, seed, root)
 	last := fresh.Stats().AppliedSeq // the head of the log
 

@@ -45,7 +45,7 @@ func entryKey(e *Entry) string {
 // repoState renders the whole repository in scan order.
 func repoState(r *Repository) string {
 	var b strings.Builder
-	for _, e := range r.Entries() {
+	for _, e := range allEntries(r) {
 		b.WriteString(entryKey(e))
 		b.WriteByte('\n')
 	}
@@ -120,7 +120,7 @@ func TestDurablePrefixDurability(t *testing.T) {
 	repo.Insert(durableEntry(t, fs, indexCorpus[2], 2))
 	check("reuse+replace")
 
-	repo.Remove(inserted[3].ID)
+	repo.EvictUnpinned([]string{inserted[3].ID}, nil)
 	check("remove")
 
 	if removed, _ := repo.EvictUnpinned([]string{inserted[4].ID}, nil); len(removed) != 1 {
@@ -153,7 +153,7 @@ func TestDurableCompactionCrashMatrix(t *testing.T) {
 		for i, src := range indexCorpus {
 			repo.Insert(durableEntry(t, fs, src, i))
 		}
-		repo.Remove(repo.Entries()[1].ID)
+		repo.EvictUnpinned([]string{allEntries(repo)[1].ID}, nil)
 		extra := [2]*Entry{durableEntry(t, fs, indexCorpus[1], 50), durableEntry(t, fs, indexCorpus[2], 60)}
 		return fs, dl, repo, extra
 	}
@@ -271,7 +271,8 @@ func TestDurableCompactionFoldsLog(t *testing.T) {
 
 	// Post-fold appends replay over the manifest.
 	repo.Insert(durableEntry(t, fs, indexCorpus[0], 70))
-	repo.Remove(repo.Entries()[len(repo.Entries())-1].ID)
+	es := allEntries(repo)
+	repo.EvictUnpinned([]string{es[len(es)-1].ID}, nil)
 	want = repoState(repo)
 	_, recovered = openDurable(t, fs, "sys/repo")
 	if got := repoState(recovered); got != want {
@@ -287,8 +288,8 @@ func TestDurableTwoWritersConverge(t *testing.T) {
 	fs := dfstest.New(t)
 	dlA, repoA := openDurable(t, fs, "sys/repo")
 	dlB, repoB := openDurable(t, fs, "sys/repo")
-	if dlA.Writer() == dlB.Writer() {
-		t.Fatalf("writer IDs collide: %s", dlA.Writer())
+	if dlA.writer == dlB.writer {
+		t.Fatalf("writer IDs collide: %s", dlA.writer)
 	}
 
 	// Live peers converge on content; scan order is writer-local best
@@ -322,8 +323,8 @@ func TestDurableTwoWritersConverge(t *testing.T) {
 	}
 
 	// A removes one of B's entries; B refreshes and agrees.
-	victim := repoA.Entries()[0]
-	repoA.Remove(victim.ID)
+	victim := allEntries(repoA)[0]
+	repoA.EvictUnpinned([]string{victim.ID}, nil)
 	dlB.Refresh()
 	if sortedState(repoA) != sortedState(repoB) {
 		t.Fatalf("repos diverged after cross-writer remove")
@@ -451,7 +452,7 @@ func TestDurableRemoveKeepsNewerVersion(t *testing.T) {
 	if ne.ID != e.ID || ne.OutputPath == e.OutputPath {
 		t.Fatalf("replacement %s at %s; test premise broken", ne.ID, ne.OutputPath)
 	}
-	if repoB.Remove(e.ID) == nil {
+	if removed, _ := repoB.EvictUnpinned([]string{e.ID}, nil); len(removed) == 0 {
 		t.Fatal("the peer never folded the entry; test premise broken")
 	}
 	dlA.Refresh()

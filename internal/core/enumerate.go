@@ -39,20 +39,15 @@ func (h Heuristic) String() string {
 	return fmt.Sprintf("heuristic(%d)", int(h))
 }
 
-// ParseHeuristic resolves a heuristic by name ("off", "conservative",
-// "aggressive", "none"/"no-heuristic"/"all").
+// ParseHeuristic resolves a heuristic by the name String gives it:
+// "off", "conservative", "aggressive" or "no-heuristic".
 func ParseHeuristic(s string) (Heuristic, error) {
-	switch s {
-	case "off", "whole-jobs":
-		return HeuristicOff, nil
-	case "conservative", "hc":
-		return Conservative, nil
-	case "aggressive", "ha":
-		return Aggressive, nil
-	case "no-heuristic", "none", "all", "nh":
-		return NoHeuristic, nil
+	for h := HeuristicOff; h <= NoHeuristic; h++ {
+		if s == h.String() {
+			return h, nil
+		}
 	}
-	return 0, fmt.Errorf("core: unknown heuristic %q", s)
+	return 0, fmt.Errorf("core: unknown heuristic %q (want off, conservative, aggressive or no-heuristic)", s)
 }
 
 // Candidate is one enumerated sub-job: the operator whose output gets
@@ -170,14 +165,6 @@ func (en *Enumerator) Inject(job *physical.Job, targets []*physical.Op) []Candid
 		out = append(out, Candidate{OpID: op.ID, Path: path})
 	}
 	return out
-}
-
-// Enumerate injects materialization points into the job plan and
-// returns the candidates created: Choose followed by Inject of every
-// target.
-func (en *Enumerator) Enumerate(job *physical.Job) []Candidate {
-	existing, targets := en.Choose(job)
-	return append(existing, en.Inject(job, targets)...)
 }
 
 // storedPath returns the Store destination when every consumer of op is

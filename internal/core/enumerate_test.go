@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/physical"
@@ -26,7 +27,8 @@ func enumerate(t *testing.T, h Heuristic, job *physical.Job) []Candidate {
 			return fmt.Sprintf("cand/%s/op%d", j.ID, opID)
 		},
 	}
-	return en.Enumerate(job)
+	existing, targets := en.Choose(job)
+	return append(existing, en.Inject(job, targets)...)
 }
 
 func countInjected(cands []Candidate) int {
@@ -153,17 +155,20 @@ func TestEnumerateSkipExisting(t *testing.T) {
 			return true // everything already stored
 		},
 	}
-	cands := en.Enumerate(job)
+	existing, targets := en.Choose(job)
+	cands := append(existing, en.Inject(job, targets)...)
 	if got := countInjected(cands); got != 0 {
 		t.Errorf("injected %d candidates despite SkipExisting", got)
 	}
 }
 
+// TestParseHeuristic: exactly the four names the -heuristic flag and
+// the server's heuristic field document parse; every other name, the
+// former aliases included, fails with an error listing the four.
 func TestParseHeuristic(t *testing.T) {
 	cases := map[string]Heuristic{
-		"off": HeuristicOff, "conservative": Conservative, "hc": Conservative,
-		"aggressive": Aggressive, "ha": Aggressive,
-		"none": NoHeuristic, "all": NoHeuristic, "nh": NoHeuristic,
+		"off": HeuristicOff, "conservative": Conservative,
+		"aggressive": Aggressive, "no-heuristic": NoHeuristic,
 	}
 	for s, want := range cases {
 		got, err := ParseHeuristic(s)
@@ -171,8 +176,15 @@ func TestParseHeuristic(t *testing.T) {
 			t.Errorf("ParseHeuristic(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseHeuristic("bogus"); err == nil {
-		t.Errorf("bogus heuristic should error")
+	for _, s := range []string{"whole-jobs", "hc", "ha", "none", "all", "nh", "bogus", "", "Aggressive"} {
+		_, err := ParseHeuristic(s)
+		if err == nil {
+			t.Errorf("ParseHeuristic(%q) accepted", s)
+			continue
+		}
+		if want := "(want off, conservative, aggressive or no-heuristic)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseHeuristic(%q) error %q does not list the accepted names", s, err)
+		}
 	}
 }
 

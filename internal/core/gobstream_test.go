@@ -283,7 +283,7 @@ func TestDurableFilesMatchFreshEncoder(t *testing.T) {
 	replacement := *entries[0]
 	replacement.ID, replacement.fp = "", ""
 	repo.Insert(&replacement)
-	repo.Remove(entries[1].ID)
+	repo.EvictUnpinned([]string{entries[1].ID}, nil)
 	if err := dl.Compact(); err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func buildIndexCorpusRepo(t *testing.T, fs *dfs.FS) *Repository {
 	}
 	// Inputs may not exist; record whatever version the FS reports so
 	// every entry is Valid.
-	for _, e := range repo.Entries() {
+	for _, e := range allEntries(repo) {
 		vs := map[string]int64{}
 		for _, p := range e.Plan.loadPaths() {
 			vs[p] = fs.Version(p)
@@ -302,7 +302,7 @@ store B into 'o';
 // nothing stale left behind.
 func checkIndexCoherent(t *testing.T, repo *Repository) {
 	t.Helper()
-	entries := repo.Entries()
+	entries := allEntries(repo)
 	if len(repo.index.meta) != len(entries) {
 		t.Fatalf("index meta holds %d entries, repository %d", len(repo.index.meta), len(entries))
 	}
@@ -404,7 +404,7 @@ store S into 'p%d';
 				case 4:
 					repo.Vacuum(fs, 0, 0, nil, nil)
 					if e := repo.Lookup(sigs[k]); e != nil {
-						repo.Remove(e.ID)
+						repo.EvictUnpinned([]string{e.ID}, nil)
 					}
 				}
 			}
@@ -448,19 +448,19 @@ func TestVacuumAndEvictKeepIndexCoherent(t *testing.T) {
 	checkIndexCoherent(t, repo)
 
 	// Remove one by ID.
-	first := repo.Entries()[0]
-	if repo.Remove(first.ID) == nil {
-		t.Fatal("Remove failed")
+	first := allEntries(repo)[0]
+	if removed, _ := repo.EvictUnpinned([]string{first.ID}, nil); len(removed) == 0 {
+		t.Fatal("removal by ID failed")
 	}
 	checkIndexCoherent(t, repo)
 
 	// Evict two by ID.
-	es := repo.Entries()
+	es := allEntries(repo)
 	repo.EvictUnpinned([]string{es[0].ID, es[1].ID}, nil)
 	checkIndexCoherent(t, repo)
 
 	// Invalidate the rest and vacuum.
-	for _, e := range repo.Entries() {
+	for _, e := range allEntries(repo) {
 		if err := fs.Delete(e.OutputPath); err != nil {
 			t.Fatal(err)
 		}

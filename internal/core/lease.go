@@ -102,15 +102,11 @@ func NewLeaseManager(fs dfs.Backend, root, owner string, ttl time.Duration) *Lea
 	}
 }
 
-// SetClock injects the wall clock (tests drive expiry without
-// sleeping). Call before any lease traffic.
-func (lm *LeaseManager) SetClock(now func() time.Time) { lm.now = now }
-
 // Lease is one held materialization lease. The version is the lease
 // file's DFS version as of the last acquisition or renewal: release
-// and still-held checks CAS against it, so a takeover after expiry is
-// always detected. The mutex makes the heartbeat safe against a
-// concurrent Release or StillHeld.
+// and renewal CAS against it, so a takeover after expiry is always
+// detected. The mutex makes the heartbeat safe against a concurrent
+// Release.
 type Lease struct {
 	mu      sync.Mutex
 	path    string
@@ -118,11 +114,6 @@ type Lease struct {
 	fence   uint64
 	version int64
 }
-
-// Fence returns the lease's fencing version: it increments every time
-// an expired lease is taken over, so entries materialized under an old
-// fence can be told from the successor's.
-func (l *Lease) Fence() uint64 { return l.fence }
 
 // leaseStream encodes lease records (see gobStream).
 var leaseStream gobStream[leaseRecord]
@@ -268,18 +259,6 @@ func (lm *LeaseManager) Release(l *Lease) {
 	if !lm.fs.RemoveFileIf(l.path, l.version) {
 		lm.fenceLost.Add(1)
 	}
-}
-
-// StillHeld reports whether the lease file is unchanged since this
-// holder last wrote it — false means it expired and was taken over (or
-// reaped).
-func (lm *LeaseManager) StillHeld(l *Lease) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return lm.fs.Version(l.path) == l.version
 }
 
 // pinPath maps an (entry, owner) pair to its pin record. Entry and

@@ -30,11 +30,11 @@ func TestLeaseRenewExtendsExpiry(t *testing.T) {
 	if _, ok := b.TryAcquire("fp"); ok {
 		t.Fatal("renewed lease was taken over")
 	}
-	if !a.StillHeld(la) {
+	if !a.stillHeld(la) {
 		t.Fatal("holder lost a renewed lease")
 	}
-	if la.Fence() != 1 {
-		t.Fatalf("renewal changed the fence: %d", la.Fence())
+	if la.fence != 1 {
+		t.Fatalf("renewal changed the fence: %d", la.fence)
 	}
 	if st := a.Stats(); st.Renewals != 1 {
 		t.Fatalf("Renewals = %d, want 1", st.Renewals)
@@ -47,13 +47,13 @@ func TestLeaseRenewExtendsExpiry(t *testing.T) {
 	if !ok {
 		t.Fatal("takeover of an expired lease failed")
 	}
-	if lb.Fence() != la.Fence()+1 {
-		t.Fatalf("takeover fence = %d, want %d", lb.Fence(), la.Fence()+1)
+	if lb.fence != la.fence+1 {
+		t.Fatalf("takeover fence = %d, want %d", lb.fence, la.fence+1)
 	}
 	if a.Renew(la) {
 		t.Fatal("fenced-out holder renewed the successor's lease")
 	}
-	if !b.StillHeld(lb) {
+	if !b.stillHeld(lb) {
 		t.Fatal("successor's lease clobbered by a late renewal")
 	}
 	if a.Stats().FenceLost == 0 {
@@ -79,7 +79,7 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !lm.StillHeld(l) {
+	if !lm.stillHeld(l) {
 		t.Fatal("lease lost while the heartbeat runs")
 	}
 	lm.Release(l)
@@ -98,8 +98,8 @@ func TestLeaseKeepAliveHeartbeat(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire after release failed")
 	}
-	if lp.Fence() != 1 {
-		t.Fatalf("post-release fence = %d, want 1 (clean release deletes the record)", lp.Fence())
+	if lp.fence != 1 {
+		t.Fatalf("post-release fence = %d, want 1 (clean release deletes the record)", lp.fence)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestLeaseKeepAliveStopsOnFenceLoss(t *testing.T) {
 	if a.Renew(la) {
 		t.Fatal("fenced-out renewal succeeded")
 	}
-	if !b.StillHeld(lb) {
+	if !b.stillHeld(lb) {
 		t.Fatal("successor lost its lease to a dead holder's heartbeat")
 	}
 	a.mu.Lock()

@@ -32,7 +32,7 @@ func (c *testClock) Advance(d time.Duration) {
 
 func leasePair(t *testing.T, fs dfs.Backend, clock *testClock, owner string) *LeaseManager {
 	lm := NewLeaseManager(fs, "sys/locks", owner, time.Minute)
-	lm.SetClock(clock.Now)
+	lm.now = clock.Now
 	t.Cleanup(lm.Close)
 	return lm
 }
@@ -69,7 +69,7 @@ func TestLeaseMutualExclusion(t *testing.T) {
 	if _, ok := a.TryAcquire("fp2"); !ok {
 		t.Fatal("unrelated fingerprint blocked")
 	}
-	if !a.StillHeld(la) {
+	if !a.stillHeld(la) {
 		t.Fatal("holder thinks it lost a live lease")
 	}
 	a.Release(la)
@@ -77,8 +77,8 @@ func TestLeaseMutualExclusion(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire after release failed")
 	}
-	if lb.Fence() != 1 {
-		t.Fatalf("fresh lease fence = %d, want 1 (clean release deletes the record)", lb.Fence())
+	if lb.fence != 1 {
+		t.Fatalf("fresh lease fence = %d, want 1 (clean release deletes the record)", lb.fence)
 	}
 }
 
@@ -100,14 +100,14 @@ func TestLeaseExpiryTakeoverAndFencing(t *testing.T) {
 	if !ok {
 		t.Fatal("takeover of expired lease failed")
 	}
-	if lb.Fence() != la.Fence()+1 {
-		t.Fatalf("takeover fence = %d, want %d", lb.Fence(), la.Fence()+1)
+	if lb.fence != la.fence+1 {
+		t.Fatalf("takeover fence = %d, want %d", lb.fence, la.fence+1)
 	}
-	if a.StillHeld(la) {
+	if a.stillHeld(la) {
 		t.Fatal("dead holder believes it still holds the lease")
 	}
 	a.Release(la) // must not clobber b's lease
-	if !b.StillHeld(lb) {
+	if !b.stillHeld(lb) {
 		t.Fatal("successor lost its lease to the fenced-out holder's release")
 	}
 	if a.Stats().FenceLost == 0 {
@@ -180,7 +180,7 @@ func TestLeaseReapExpired(t *testing.T) {
 	if len(peers) != 1 || !peers["e-peer"] {
 		t.Fatalf("live peer pins = %v, want only e-peer (own and expired pins are not)", peers)
 	}
-	if !a.StillHeld(live) {
+	if !a.stillHeld(live) {
 		t.Fatal("reap deleted a live lease")
 	}
 	if !fs.Exists(a.pinPath("e-live")) {

@@ -139,7 +139,7 @@ func TestMaintainAfterFeedOverrun(t *testing.T) {
 	h.run(t, "A = load 'in/b' as (k, v);\nD = distinct A;\nstore D into 'out/b';\n")
 	over := func(path string) int {
 		n := 0
-		for _, e := range h.repo.Entries() {
+		for _, e := range allEntries(h.repo) {
 			if _, ok := e.InputVersions[path]; ok {
 				n++
 			}

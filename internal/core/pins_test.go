@@ -30,11 +30,11 @@ func newPinWorld(t *testing.T, ttl time.Duration, clock *testClock) *pinWorld {
 	fs := dfstest.New(t)
 	dlA, rA := openDurable(t, fs, "sys/repo")
 	dlB, rB := openDurable(t, fs, "sys/repo")
-	lmA := NewLeaseManager(fs, "sys/locks", dlA.Writer(), ttl)
-	lmB := NewLeaseManager(fs, "sys/locks", dlB.Writer(), ttl)
+	lmA := NewLeaseManager(fs, "sys/locks", dlA.writer, ttl)
+	lmB := NewLeaseManager(fs, "sys/locks", dlB.writer, ttl)
 	if clock != nil {
-		lmA.SetClock(clock.Now)
-		lmB.SetClock(clock.Now)
+		lmA.now = clock.Now
+		lmB.now = clock.Now
 	}
 	t.Cleanup(lmA.Close)
 	t.Cleanup(lmB.Close)
@@ -65,7 +65,7 @@ func TestPeerPinBlocksBudgetEviction(t *testing.T) {
 
 	w.pinA(e.ID) // 0→1: the pin record is written
 
-	if removed := w.mB.EnforceBudget(time.Hour); len(removed) != 0 {
+	if removed := w.mB.enforceBudget(time.Hour, nil); len(removed) != 0 {
 		t.Fatalf("B evicted %d entries a peer has pinned", len(removed))
 	}
 	if !w.fs.Exists(e.OutputPath) {
@@ -74,7 +74,7 @@ func TestPeerPinBlocksBudgetEviction(t *testing.T) {
 
 	w.unpinA(e.ID) // 1→0: the pin record is deleted
 
-	removed := w.mB.EnforceBudget(time.Hour)
+	removed := w.mB.enforceBudget(time.Hour, nil)
 	if len(removed) == 0 {
 		t.Fatal("B never evicted after the peer unpinned")
 	}
@@ -98,7 +98,7 @@ func TestCrashedPeerPinExpires(t *testing.T) {
 	if w.lmB.PeerPins()[e.ID] {
 		t.Fatal("expired pin still counts as live")
 	}
-	if removed := w.mB.EnforceBudget(time.Hour); len(removed) == 0 {
+	if removed := w.mB.enforceBudget(time.Hour, nil); len(removed) == 0 {
 		t.Fatal("B never evicted past an expired pin")
 	}
 	if n, _ := w.lmB.ReapExpired(); n == 0 {
@@ -145,7 +145,7 @@ func TestPinOutlivesTTLWithoutSweep(t *testing.T) {
 	if n, peers := w.lmB.ReapExpired(); n != 0 || !peers[e.ID] {
 		t.Fatalf("peer reaped %d records of a live owner (pin seen live: %v)", n, peers[e.ID])
 	}
-	if removed := w.mB.EnforceBudget(time.Hour); len(removed) != 0 || !w.fs.Exists(e.OutputPath) {
+	if removed := w.mB.enforceBudget(time.Hour, nil); len(removed) != 0 || !w.fs.Exists(e.OutputPath) {
 		t.Fatalf("peer evicted %d entries, output kept %v; want the pinned entry spared", len(removed), w.fs.Exists(e.OutputPath))
 	}
 
@@ -266,7 +266,7 @@ func (oneVictim) Victims(usage []EntryUsage, now time.Duration, reclaim int64) [
 	return ids[:min(len(ids), 1)]
 }
 
-// TestEnforceBudgetListsPinsOncePerRound: one EnforceBudget over N
+// TestEnforceBudgetListsPinsOncePerRound: one budget pass over N
 // entries lists the locks namespace at most once per eviction round,
 // not once per candidate — and so does a whole Sweep, whose reap
 // listing serves the first round.
@@ -282,12 +282,12 @@ func TestEnforceBudgetListsPinsOncePerRound(t *testing.T) {
 		fs.lists = 0
 	}
 	fill(0)
-	removed := m.EnforceBudget(time.Hour)
+	removed := m.enforceBudget(time.Hour, nil)
 	if len(removed) != n {
 		t.Fatalf("evicted %d entries in one-victim rounds, want %d", len(removed), n)
 	}
 	if fs.lists > len(removed) {
-		t.Fatalf("EnforceBudget: %d listings of the locks namespace over %d eviction rounds, want at most one per round", fs.lists, len(removed))
+		t.Fatalf("budget pass: %d listings of the locks namespace over %d eviction rounds, want at most one per round", fs.lists, len(removed))
 	}
 	fill(1)
 	if res := m.Sweep(time.Hour, 0); res.EntriesEvicted != n || fs.lists > n {

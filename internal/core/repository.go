@@ -273,19 +273,9 @@ func (r *Repository) Len() int {
 	return len(r.entries)
 }
 
-// Entries returns a copy of the entries slice in scan order. Callers get
-// their own slice — mutating it cannot corrupt the repository's
-// eviction and matching order.
-func (r *Repository) Entries() []*Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*Entry(nil), r.entries...)
-}
-
 // Scan calls fn for each entry in scan order under the read lock,
-// stopping early when fn returns false. It avoids the per-call copy of
-// Entries for hot paths like the storage manager's accounting sweeps;
-// fn must not call back into the repository.
+// stopping early when fn returns false; fn must not call back into the
+// repository.
 func (r *Repository) Scan(fn func(e *Entry) bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -526,16 +516,6 @@ func (r *Repository) EvictUnpinned(ids []string, pins *LeaseManager) (removed, r
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.remove(func(e *Entry) bool { return want[e.ID] && !pins.Pinned(e.ID) }, true)
-}
-
-// Remove deletes an entry by ID and returns it, or nil.
-func (r *Repository) Remove(id string) *Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if removed, _ := r.remove(func(e *Entry) bool { return e.ID == id }, true); len(removed) > 0 {
-		return removed[0]
-	}
-	return nil
 }
 
 // Valid reports whether an entry is usable as it is: alive (see fate)

@@ -37,9 +37,9 @@ store C into 'o2';
 	// scanned first (Rule 1 beats Rule 2's ratio, which favors small).
 	repo.Insert(small)
 	repo.Insert(big)
-	if repo.Entries()[0].ID != "big" {
+	if allEntries(repo)[0].ID != "big" {
 		t.Errorf("scan order = [%s, %s], want big first",
-			repo.Entries()[0].ID, repo.Entries()[1].ID)
+			allEntries(repo)[0].ID, allEntries(repo)[1].ID)
 	}
 }
 
@@ -57,8 +57,8 @@ store B into 'o';
 	highRatio := mk("high", "d2", 100, 10, time.Minute)
 	repo.Insert(lowRatio)
 	repo.Insert(highRatio)
-	if repo.Entries()[0].ID != "high" {
-		t.Errorf("ratio ordering failed: first = %s", repo.Entries()[0].ID)
+	if allEntries(repo)[0].ID != "high" {
+		t.Errorf("ratio ordering failed: first = %s", allEntries(repo)[0].ID)
 	}
 
 	// Equal ratios: longer job time first.
@@ -67,8 +67,8 @@ store B into 'o';
 	fast := mk("fast", "d4", 100, 50, time.Minute)
 	repo2.Insert(fast)
 	repo2.Insert(slow)
-	if repo2.Entries()[0].ID != "slow" {
-		t.Errorf("time ordering failed: first = %s", repo2.Entries()[0].ID)
+	if allEntries(repo2)[0].ID != "slow" {
+		t.Errorf("time ordering failed: first = %s", allEntries(repo2)[0].ID)
 	}
 }
 
@@ -136,11 +136,11 @@ B = foreach A generate a;
 store B into 'o';
 `, "", EntryStats{})
 	ins := repo.Insert(e)
-	if got := repo.Remove(ins.ID); got == nil || repo.Len() != 0 {
-		t.Errorf("Remove failed: %v, len=%d", got, repo.Len())
+	if got, _ := repo.EvictUnpinned([]string{ins.ID}, nil); len(got) != 1 || repo.Len() != 0 {
+		t.Errorf("removal failed: %v, len=%d", got, repo.Len())
 	}
-	if repo.Remove("nope") != nil {
-		t.Errorf("removing a missing entry should return nil")
+	if got, _ := repo.EvictUnpinned([]string{"nope"}, nil); len(got) != 0 {
+		t.Errorf("removing a missing entry removed %v", got)
 	}
 	// The fingerprint index must be cleaned too.
 	if repo.Lookup(e.Plan) != nil {
@@ -194,8 +194,8 @@ func TestVacuumRules(t *testing.T) {
 	if len(removed) != 1 || removed[0].ID != "stale" {
 		t.Fatalf("removed = %v", removed)
 	}
-	if repo.Len() != 1 || repo.Entries()[0].ID != "fresh" {
-		t.Errorf("kept = %v", repo.Entries())
+	if repo.Len() != 1 || allEntries(repo)[0].ID != "fresh" {
+		t.Errorf("kept = %v", allEntries(repo))
 	}
 }
 
@@ -278,43 +278,6 @@ func encodeRows(rows []tuple.Tuple) string {
 	return b.String()
 }
 
-func TestEntriesReturnsCopy(t *testing.T) {
-	// Regression: Entries used to leak the internal slice, letting
-	// callers corrupt the repository's matching and eviction order.
-	repo := NewRepository()
-	a := entryFor(t, `
-A = load 'pv' as (u, r);
-B = foreach A generate u;
-store B into 'o';
-`, "a", EntryStats{InputSimBytes: 100, OutputSimBytes: 10})
-	b := entryFor(t, `
-A = load 'pv' as (u, r);
-B = filter A by r > 1;
-store B into 'o2';
-`, "b", EntryStats{InputSimBytes: 100, OutputSimBytes: 50})
-	repo.Insert(a)
-	repo.Insert(b)
-
-	got := repo.Entries()
-	if len(got) != 2 {
-		t.Fatalf("len = %d, want 2", len(got))
-	}
-	want0, want1 := got[0].ID, got[1].ID
-
-	// Vandalize the returned slice: the repository must be unaffected.
-	got[0], got[1] = got[1], got[0]
-	got[0] = nil
-
-	again := repo.Entries()
-	if again[0] == nil || again[1] == nil {
-		t.Fatalf("internal slice leaked: repository now holds nil entries")
-	}
-	if again[0].ID != want0 || again[1].ID != want1 {
-		t.Errorf("caller mutation reordered the repository: [%s, %s], want [%s, %s]",
-			again[0].ID, again[1].ID, want0, want1)
-	}
-}
-
 func TestRepositoryConcurrentInsertLookup(t *testing.T) {
 	// Hammer the repository from many goroutines: inserts of colliding
 	// fingerprints, lookups, scans, reuse notes and vacuums must leave a
@@ -355,7 +318,6 @@ store B into 'o%d';
 					return
 				}
 				repo.Scan(func(*Entry) bool { return true })
-				_ = repo.Entries()
 				_ = repo.Len()
 				if i%50 == 0 {
 					vacStarted.Add(1)

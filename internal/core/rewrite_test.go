@@ -33,7 +33,7 @@ func buildRepoWith(t *testing.T, fs *dfs.FS, srcs ...string) *Rewriter {
 	}
 	// Entries registered after inputs were (possibly) created above may
 	// have stale versions; refresh them all.
-	for _, e := range repo.Entries() {
+	for _, e := range allEntries(repo) {
 		for p := range e.InputVersions {
 			e.InputVersions[p] = fs.Version(p)
 		}

@@ -53,20 +53,6 @@ func (p *PlanSig) op(id int) *OpSig {
 	return nil
 }
 
-// successors maps op ID to consumer IDs in ID order.
-func (p *PlanSig) successors() map[int][]int {
-	succ := map[int][]int{}
-	for i := range p.Ops {
-		for _, in := range p.Ops[i].Inputs {
-			succ[in] = append(succ[in], p.Ops[i].ID)
-		}
-	}
-	for _, s := range succ {
-		sort.Ints(s)
-	}
-	return succ
-}
-
 // topo returns op IDs in topological (inputs-first) order.
 func (p *PlanSig) topo() []int {
 	state := map[int]int{}

@@ -432,7 +432,7 @@ func (m *StorageManager) UsageBytes() int64 {
 
 // usage snapshots per-entry usage and the distinct-path byte total
 // (two entries can share one output path; it is stored once). Each
-// entry's size is measured once (Entry.storedBytes), so EnforceBudget's
+// entry's size is measured once (Entry.storedBytes), so enforceBudget's
 // loop-to-convergence re-snapshots, and every Stats call, make no DFS
 // call for an entry already measured.
 func (m *StorageManager) usage() ([]EntryUsage, int64) {
@@ -455,19 +455,13 @@ func (m *StorageManager) usage() ([]EntryUsage, int64) {
 	return out, total
 }
 
-// EnforceBudget evicts entries per the configured policy until the
+// enforceBudget evicts entries per the configured policy until the
 // retained bytes fit MaxBytes, sparing pinned entries; it returns the
 // entries removed. Stored outputs are deleted from the DFS when the
 // repository owns them (sub-job outputs) and no surviving entry still
 // references the path; whole-job outputs are user- or temp-visible data
 // the repository only points at, and are left for the janitor or the
-// user.
-func (m *StorageManager) EnforceBudget(now time.Duration) []*Entry {
-	return m.enforceBudget(now, nil)
-}
-
-// enforceBudget is EnforceBudget with the first round's live peer pins
-// already listed; nil lists them.
+// user. peers lists the first round's live peer pins; nil lists them.
 func (m *StorageManager) enforceBudget(now time.Duration, peers map[string]bool) []*Entry {
 	if m.cfg.MaxBytes <= 0 {
 		return nil

@@ -239,7 +239,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 			if got := m.UsageBytes(); got != 5000 {
 				t.Fatalf("usage = %d, want 5000", got)
 			}
-			removed := m.EnforceBudget(10 * time.Hour)
+			removed := m.enforceBudget(10*time.Hour, nil)
 			if got := m.UsageBytes(); got > 2500 {
 				t.Fatalf("usage after enforcement = %d, want <= 2500 (removed %d)", got, len(removed))
 			}
@@ -262,7 +262,7 @@ func TestEnforceBudgetConvergesAndSparesPins(t *testing.T) {
 				e := storedEntry(t, repo, fs, fmt.Sprintf("x%d", i), fmt.Sprintf("xin%d", i), 1000,
 					EntryStats{InputSimBytes: 100_000, OutputSimBytes: 100})
 				e.StoredAt = 9 * time.Hour
-				return m.EnforceBudget(10 * time.Hour)
+				return m.enforceBudget(10*time.Hour, nil)
 			}
 			lm.Unpin(pinnedEntry.ID)
 			for _, e := range overBudget(0) {
@@ -379,7 +379,7 @@ func TestStoredBytesMeasuredOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.EnforceBudget(time.Hour) // under budget: measures every entry
+			m.enforceBudget(time.Hour, nil) // under budget: measures every entry
 		}()
 	}
 	wg.Wait()
@@ -387,7 +387,7 @@ func TestStoredBytesMeasuredOnce(t *testing.T) {
 		t.Fatalf("4 concurrent first passes over 4 entries made %d sizing calls, want 4", fs.sizing)
 	}
 	fs.sizing = 0
-	m.EnforceBudget(2 * time.Hour)
+	m.enforceBudget(2*time.Hour, nil)
 	if st := m.Stats(); st.UsageBytes != 4000 {
 		t.Fatalf("usage = %d, want 4000", st.UsageBytes)
 	}
@@ -395,7 +395,7 @@ func TestStoredBytesMeasuredOnce(t *testing.T) {
 		t.Fatalf("%d Stat/Size/Version calls on unchanged outputs, want 0", fs.sizing)
 	}
 
-	old := repo.Entries()[0]
+	old := allEntries(repo)[0]
 	replaced := NamespacePath("", "restore", "q1", "replaced")
 	repo.Insert(&Entry{Plan: old.Plan, OutputPath: replaced,
 		Stats: EntryStats{InputSimBytes: 1, OutputSimBytes: 1}})
@@ -438,7 +438,7 @@ func TestEvictedBytesIgnoresConcurrentRegistration(t *testing.T) {
 		e := storedEntry(t, repo, fs, fmt.Sprintf("e%d", i), fmt.Sprintf("in%d", i), 1000, EntryStats{})
 		e.StoredAt = time.Duration(i) * time.Minute
 	}
-	if removed := m.EnforceBudget(time.Hour); len(removed) != 1 {
+	if removed := m.enforceBudget(time.Hour, nil); len(removed) != 1 {
 		t.Fatalf("evicted %d entries, want 1", len(removed))
 	}
 	if st := m.Stats(); st.EvictedBytes != 1000 || st.UsageBytes != 2500 {
@@ -532,7 +532,7 @@ store B into 'o';
 		// A budget above usage: the sweep scans and accounts but evicts
 		// nothing, so the repository stays populated across iterations.
 		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1 << 40, Policy: CostBenefitPolicy{}})
-		m.EnforceBudget(time.Hour)
+		m.enforceBudget(time.Hour, nil)
 	}
 }
 
@@ -578,13 +578,13 @@ func TestReleasedSet(t *testing.T) {
 		m := NewStorageManager(repo, fs, StorageConfig{MaxBytes: 1, Policy: policy})
 		a, b := shared(t, fs, repo)
 		policy.ids = []string{a.ID}
-		m.EnforceBudget(time.Hour)
+		m.enforceBudget(time.Hour, nil)
 		if st := m.Stats(); st.Evictions != 1 || st.EvictedBytes != 0 || fs.deletes != 0 || !fs.Exists(a.OutputPath) {
 			t.Fatalf("first of two evicted: %d evictions, %d bytes, %d deletes; want 1, 0, 0 and the output kept",
 				st.Evictions, st.EvictedBytes, fs.deletes)
 		}
 		policy.ids = []string{b.ID}
-		m.EnforceBudget(time.Hour)
+		m.enforceBudget(time.Hour, nil)
 		if st := m.Stats(); st.Evictions != 2 || st.EvictedBytes != 1000 || fs.deletes != 1 || fs.Exists(a.OutputPath) {
 			t.Fatalf("last evicted: %d evictions, %d bytes, %d deletes; want 2, 1000, 1 and the output gone",
 				st.Evictions, st.EvictedBytes, fs.deletes)

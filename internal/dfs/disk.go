@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 )
 
@@ -58,8 +57,6 @@ type Disk struct {
 	logRecs  int             // records in dfs.log
 	liveKeys map[string]bool // distinct live record keys (last write wins)
 	syncLog  bool
-
-	recompacts atomic.Int64
 }
 
 // Record log format constants.
@@ -328,20 +325,10 @@ func (d *Disk) maybeRecompactLocked() {
 	}
 }
 
-// Recompact rewrites the record log with only live state: one put per
-// inline file, one version record per dataset version not carried by a
-// put. Tombstone versions of deleted datasets are preserved — the
+// recompactLocked rewrites the record log with only live state: one put
+// per inline file, one version record per dataset version not carried
+// by a put. Tombstone versions of deleted datasets are preserved — the
 // durable log's trimmed-slot detection depends on them.
-func (d *Disk) Recompact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recompactLocked()
-}
-
-// Recompactions returns how many times the record log has been
-// rewritten since open.
-func (d *Disk) Recompactions() int64 { return d.recompacts.Load() }
-
 func (d *Disk) recompactLocked() error {
 	tmpPath := filepath.Join(d.dir, "dfs.log.tmp")
 	f, err := os.Create(tmpPath)
@@ -418,7 +405,6 @@ func (d *Disk) recompactLocked() error {
 	d.log = reopened
 	d.logRecs = recs
 	d.liveKeys = keys
-	d.recompacts.Add(1)
 	return nil
 }
 

@@ -55,13 +55,8 @@ func Figure9() (*Report, error) {
 	return rep, nil
 }
 
-// Figure10 regenerates the sub-job reuse experiment at 150 GB with the
+// figure10 regenerates the sub-job reuse experiment at 150 GB with the
 // Aggressive heuristic: baseline, generating sub-jobs, reusing them.
-func Figure10() (*Report, error) {
-	st := NewStudy()
-	return figure10(st)
-}
-
 func figure10(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Figure 10",
@@ -85,13 +80,8 @@ func figure10(st *Study) (*Report, error) {
 	return rep, nil
 }
 
-// Figure11 regenerates the overhead-by-scale comparison (15 GB vs
+// figure11 regenerates the overhead-by-scale comparison (15 GB vs
 // 150 GB, Aggressive heuristic).
-func Figure11() (*Report, error) {
-	st := NewStudy()
-	return figure11(st)
-}
-
 func figure11(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Figure 11",
@@ -118,12 +108,7 @@ func figure11(st *Study) (*Report, error) {
 	return rep, nil
 }
 
-// Figure12 regenerates the speedup-by-scale comparison.
-func Figure12() (*Report, error) {
-	st := NewStudy()
-	return figure12(st)
-}
-
+// figure12 regenerates the speedup-by-scale comparison.
 func figure12(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Figure 12",
@@ -150,13 +135,8 @@ func figure12(st *Study) (*Report, error) {
 	return rep, nil
 }
 
-// Figure13 regenerates the reuse-time comparison across heuristics at
+// figure13 regenerates the reuse-time comparison across heuristics at
 // 150 GB: no reuse vs reusing sub-jobs chosen by HC, HA, and NH.
-func Figure13() (*Report, error) {
-	st := NewStudy()
-	return figure13(st)
-}
-
 func figure13(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Figure 13",
@@ -183,13 +163,8 @@ func figure13(st *Study) (*Report, error) {
 	return rep, nil
 }
 
-// Figure14 regenerates the generation-time comparison across
+// figure14 regenerates the generation-time comparison across
 // heuristics at 150 GB: the cost of materializing the chosen sub-jobs.
-func Figure14() (*Report, error) {
-	st := NewStudy()
-	return figure14(st)
-}
-
 func figure14(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Figure 14",
@@ -216,13 +191,8 @@ func figure14(st *Study) (*Report, error) {
 	return rep, nil
 }
 
-// Table1 regenerates the byte accounting: input volume, bytes stored by
+// table1 regenerates the byte accounting: input volume, bytes stored by
 // each heuristic, and final output size at 150 GB.
-func Table1() (*Report, error) {
-	st := NewStudy()
-	return table1(st)
-}
-
 func table1(st *Study) (*Report, error) {
 	rep := &Report{
 		ID:      "Table 1",

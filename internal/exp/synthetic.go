@@ -185,21 +185,6 @@ func Runners(st *Study) map[string]func() (*Report, error) {
 	}
 }
 
-// All runs every experiment in paper order. The shared Study lets the
-// sub-job experiments reuse each other's measurements.
-func All() ([]*Report, error) {
-	runners := Runners(NewStudy())
-	var out []*Report
-	for _, name := range Order {
-		rep, err := runners[name]()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // Summary renders all reports as one document.
 func Summary(reports []*Report) string {
 	var b strings.Builder

@@ -62,16 +62,3 @@ func (m *ZipfMix) Pick() string {
 	}
 	return m.items[lo]
 }
-
-// Probability returns item i's draw probability.
-func (m *ZipfMix) Probability(i int) float64 {
-	if i == 0 {
-		return m.cum[0]
-	}
-	return m.cum[i] - m.cum[i-1]
-}
-
-// Items returns the mix's items, most popular first.
-func (m *ZipfMix) Items() []string {
-	return append([]string(nil), m.items...)
-}

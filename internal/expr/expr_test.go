@@ -128,11 +128,11 @@ func groupedTuple() tuple.Tuple {
 	// (group, bag{(u1, 10), (u2, 20), (u3, null)})
 	return tuple.Tuple{
 		"g",
-		tuple.NewBag(
-			tuple.Tuple{"u1", int64(10)},
-			tuple.Tuple{"u2", int64(20)},
-			tuple.Tuple{"u3", nil},
-		),
+		&tuple.Bag{Tuples: []tuple.Tuple{
+			{"u1", int64(10)},
+			{"u2", int64(20)},
+			{"u3", nil},
+		}},
 	}
 }
 
@@ -159,7 +159,7 @@ func TestAggregates(t *testing.T) {
 }
 
 func TestAggregateEmptyAndNullBags(t *testing.T) {
-	empty := tuple.Tuple{"g", tuple.NewBag()}
+	empty := tuple.Tuple{"g", &tuple.Bag{}}
 	if got := evalOK(t, Agg{AggSum, NewCol(1), 0}, empty); got != nil {
 		t.Errorf("SUM(empty) = %v, want null", got)
 	}
@@ -173,7 +173,7 @@ func TestAggregateEmptyAndNullBags(t *testing.T) {
 }
 
 func TestAggSumFloatPromotion(t *testing.T) {
-	tu := tuple.Tuple{"g", tuple.NewBag(tuple.Tuple{1.5}, tuple.Tuple{int64(2)})}
+	tu := tuple.Tuple{"g", &tuple.Bag{Tuples: []tuple.Tuple{{1.5}, {int64(2)}}}}
 	got := evalOK(t, Agg{AggSum, NewCol(1), 0}, tu)
 	if got != 3.5 {
 		t.Errorf("SUM mixed = %v, want 3.5", got)
@@ -190,7 +190,7 @@ func TestBagField(t *testing.T) {
 }
 
 func TestScalarFuncs(t *testing.T) {
-	tu := tuple.Tuple{"HeLLo", tuple.NewBag(), tuple.NewBag(tuple.Tuple{int64(1)})}
+	tu := tuple.Tuple{"HeLLo", &tuple.Bag{}, &tuple.Bag{Tuples: []tuple.Tuple{{int64(1)}}}}
 	if got := evalOK(t, Func{"LOWER", []Expr{NewCol(0)}}, tu); got != "hello" {
 		t.Errorf("LOWER = %v", got)
 	}

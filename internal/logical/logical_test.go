@@ -42,11 +42,11 @@ store C into 'L2_out';
 		t.Fatalf("join inputs = %d", len(j.Ins))
 	}
 	// Join schema has qualified names from both sides.
-	names := j.Schema().Names()
+	fields := j.Schema().Fields
 	want := []string{"beta::name", "B::user", "B::est_revenue"}
 	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("join schema[%d] = %q, want %q", i, names[i], w)
+		if fields[i].Name != w {
+			t.Errorf("join schema[%d] = %q, want %q", i, fields[i].Name, w)
 		}
 	}
 	// Key of left side resolves to column 0 of beta's projection.
@@ -226,8 +226,8 @@ store B into 'o';
 	if len(fe.Exprs) != 3 {
 		t.Fatalf("star expanded to %d exprs", len(fe.Exprs))
 	}
-	if fe.Schema().Names()[2] != "c" {
-		t.Errorf("schema = %v", fe.Schema().Names())
+	if fe.Schema().Fields[2].Name != "c" {
+		t.Errorf("schema = %v", fe.Schema())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
@@ -143,7 +144,7 @@ store C into 'out';
 func TestEngineCacheWarmRunsIdentical(t *testing.T) {
 	fs := dfs.New()
 	seedInput(t, fs, "in", 200, 0)
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	jobs := compileScript(t, cacheScript)
 	if len(jobs) != 1 {
 		t.Fatalf("want 1 job, got %d", len(jobs))
@@ -236,7 +237,7 @@ store Y into 'out2';
 
 	fs := dfs.New()
 	seedInput(t, fs, "in", 100, 0)
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	run(eng, first[0])
 	if slices.Contains(eng.CachedPaths(), "out") {
 		t.Fatalf("writing out cached it: %v", eng.CachedPaths())
@@ -280,8 +281,8 @@ func TestEngineCacheDisabledRun(t *testing.T) {
 		}
 		return eng, st, out
 	}
-	_, wantStats, want := run(DefaultConfig())
-	offCfg := DefaultConfig()
+	_, wantStats, want := run(Config{Cost: cluster.DefaultCostModel()})
+	offCfg := Config{Cost: cluster.DefaultCostModel()}
 	offCfg.MaxCachedBatchBytes = -1
 	off, gotStats, got := run(offCfg)
 	if st := off.CacheStats(); st != (BatchCacheStats{}) {
@@ -443,7 +444,7 @@ func TestBatchCacheSeesRawChanges(t *testing.T) {
 	for _, p := range []string{"gone", "moved", "grown", "kept"} {
 		seedInput(t, fs, p, 20, 0)
 	}
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	loadAll(t, eng, "gone", "moved", "grown", "kept")
 	if got := eng.CachedPaths(); len(got) != 4 {
 		t.Fatalf("cached %v, want all four datasets", got)
@@ -472,7 +473,7 @@ func TestBatchCacheFeedOverrun(t *testing.T) {
 	fs := dfs.New()
 	seedInput(t, fs, "fresh", 20, 0)
 	seedInput(t, fs, "stale", 20, 0)
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	loadAll(t, eng, "fresh", "stale")
 	seedInput(t, fs, "stale", 20, 1)
 	for i := 0; i < dfs.FeedRing; i++ {

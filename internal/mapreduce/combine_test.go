@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/expr"
 	"repro/internal/logical"
@@ -161,7 +162,7 @@ func TestCombinerShuffleShrinks(t *testing.T) {
 		script, _ := piglatin.Parse(src)
 		lp, _ := logical.Build(script)
 		wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/s", DefaultReducers: 2})
-		eng := New(fs, DefaultConfig())
+		eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 		st, err := runJob(eng, wf.Jobs[0])
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -200,7 +201,7 @@ store D into 'out';
 `)
 	lp, _ := logical.Build(script)
 	wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/d", DefaultReducers: 2})
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	st, err := runJob(eng, wf.Jobs[0])
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -314,7 +315,7 @@ C = distinct B parallel %d;`,
 				if err := fs.WriteFile("in/part-00000", data); err != nil {
 					t.Fatal(err)
 				}
-				cfg := DefaultConfig()
+				cfg := Config{Cost: cluster.DefaultCostModel()}
 				cfg.SplitSize = int64(len(data)/6 + 1) // one task per preamble
 				e := New(fs, cfg)
 				for _, job := range jobs {

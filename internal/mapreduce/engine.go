@@ -54,16 +54,6 @@ type Config struct {
 	MaxCachedBatchBytes int64
 }
 
-// DefaultConfig mirrors the paper's testbed with no scale-up.
-func DefaultConfig() Config {
-	return Config{
-		Topology:  cluster.DefaultTopology(),
-		Cost:      cluster.DefaultCostModel(),
-		SimScale:  1,
-		SplitSize: 128 << 20,
-	}
-}
-
 // Engine executes jobs against a DFS. Run is safe for concurrent use:
 // each call keeps its state on its own stack, and the tasks of all
 // in-flight jobs share the engine-wide Parallelism slots.
@@ -100,9 +90,6 @@ func New(fs dfs.Backend, cfg Config) *Engine {
 
 // FS returns the engine's file system.
 func (e *Engine) FS() dfs.Backend { return e.fs }
-
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // OutputStat describes one Store destination of an executed job.
 type OutputStat struct {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
@@ -84,7 +85,7 @@ func runScript(t *testing.T, fs *dfs.FS, src string) map[string]*JobStats {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	jobs, err := wf.TopoJobs()
 	if err != nil {
 		t.Fatalf("TopoJobs: %v", err)
@@ -356,7 +357,7 @@ func TestSimScaleMultipliesBytes(t *testing.T) {
 		script, _ := piglatin.Parse(`A = load 's' as (k, v); store A into 'o';`)
 		lp, _ := logical.Build(script)
 		wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/x", DefaultReducers: 1})
-		cfg := DefaultConfig()
+		cfg := Config{Cost: cluster.DefaultCostModel()}
 		cfg.SimScale = scale
 		eng := New(fs, cfg)
 		st, err := runJob(eng, wf.Jobs[0])
@@ -380,7 +381,7 @@ func TestMissingInputFails(t *testing.T) {
 	script, _ := piglatin.Parse(`A = load 'nope' as (k); store A into 'o';`)
 	lp, _ := logical.Build(script)
 	wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/x", DefaultReducers: 1})
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	if _, err := runJob(eng, wf.Jobs[0]); err == nil {
 		t.Errorf("missing input should fail")
 	}
@@ -422,7 +423,7 @@ store C into 'out';
 `)
 	lp, _ := logical.Build(script)
 	wf, _ := mrcompile.Compile(lp, mrcompile.Options{TempPrefix: "tmp/x", DefaultReducers: 5})
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.SimScale = 1e6 // forces many splits
 	eng := New(fs, cfg)
 	st, err := runJob(eng, wf.Jobs[0])
@@ -476,7 +477,7 @@ store B into 'main';
 	}
 	job.Plan.Add(&physical.Op{Kind: physical.KStore, Path: "side", InputIDs: []int{split.ID}})
 
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	st, err := runJob(eng, job)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -530,7 +531,7 @@ store S into 'out';
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(fs, DefaultConfig())
+	eng := New(fs, Config{Cost: cluster.DefaultCostModel()})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -571,7 +572,7 @@ G = group A by k;
 S = foreach G generate group, SUM(A.v);
 store S into 'out';
 `)
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.SplitSize = 1 // one task per row
 	cfg.Parallelism = parallelism
 	eng := New(fs, cfg)

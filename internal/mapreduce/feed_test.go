@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/expr"
 	"repro/internal/physical"
@@ -219,7 +220,7 @@ func TestPrunedFeedPigMix(t *testing.T) {
 		return fs
 	}
 	fsP, fsR := newFS(), newFS()
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.SplitSize = 64 << 10 // several map tasks per input
 	eng, ref := New(fsP, cfg), New(fsR, cfg)
 	pruned := 0
@@ -393,7 +394,7 @@ func FuzzPrunedFeed(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		cfg := DefaultConfig()
+		cfg := Config{Cost: cluster.DefaultCostModel()}
 		cfg.SplitSize = 256
 		run := func(reference bool) (map[string]string, error) {
 			fs := dfs.New()

@@ -49,7 +49,7 @@ func shuffleScalars() []tuple.Value {
 		nil, int64(0), 0.0, negZero, math.NaN(), math.Float64frombits(0x7ff8000000000001),
 		math.Inf(1), math.Inf(-1), int64(1 << 53), int64(1<<53 + 1), float64(1 << 53),
 		float64(1<<53) + 2, int64(-1), 2.5, "", "0", "a", "b",
-		tuple.NewBag(tuple.Tuple{negZero}), tuple.NewBag(tuple.Tuple{int64(0)}),
+		&tuple.Bag{Tuples: []tuple.Tuple{{negZero}}}, &tuple.Bag{Tuples: []tuple.Tuple{{int64(0)}}},
 	}
 }
 

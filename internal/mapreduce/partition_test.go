@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/tuple"
 )
@@ -67,7 +68,7 @@ store D into 'out';
 				if err := fs.WriteFile("in/part-00000", data); err != nil {
 					t.Fatal(err)
 				}
-				cfg := DefaultConfig()
+				cfg := Config{Cost: cluster.DefaultCostModel()}
 				cfg.SplitSize = 512 // several map tasks feed every reducer
 				cfg.MaxCachedBatchBytes = cacheBytes
 				return New(fs, cfg), fs

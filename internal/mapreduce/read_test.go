@@ -12,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/dfs/dfstest"
 	"repro/internal/pigmix"
@@ -82,7 +83,7 @@ func TestCacheMissSharesDFSContents(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e := New(fs, DefaultConfig())
+	e := New(fs, Config{Cost: cluster.DefaultCostModel()})
 	var decode time.Duration
 	if _, err := e.loadDataset("in", &decode); err != nil {
 		t.Fatal(err)
@@ -135,16 +136,6 @@ var edgeRows = []tuple.Tuple{
 	{nil, nil, nil},
 }
 
-// builtRows carry what no text field decodes to in a typed column:
-// MinInt64 (its text reads as a float), a NaN float and an empty (not
-// null) string.
-var builtRows = []tuple.Tuple{
-	{nil, nil, nil},
-	{int64(math.MinInt64), math.NaN(), ""},
-	{int64(-1), 0.5, "x"},
-	{nil, nil, nil},
-}
-
 // checkField holds a field read from a batch to want, the same value
 // boxed on its own: equal under == (unless want is NaN, which equals
 // nothing), with the same hash, order, dynamic type, formatting, sign
@@ -189,7 +180,7 @@ func TestBatchFieldEdgeValues(t *testing.T) {
 	if err := fs.WriteFile("other/part-00000", []byte(strings.Repeat("-7\t7.5\tseven\n", len(edgeRows)))); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.MaxCachedBatchBytes = 1 // each insert evicts the entry before it
 	e := New(fs, cfg)
 	var decode time.Duration
@@ -197,31 +188,21 @@ func TestBatchFieldEdgeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := tuple.NewBatchBuilder(len(builtRows))
-	for _, r := range builtRows {
-		bb.Append(r)
-	}
 	var kept, wants []tuple.Value
 	var where []string
-	for _, c := range []struct {
-		name  string
-		batch *tuple.Batch
-		rows  []tuple.Tuple
-	}{{"decoded", ds.batches[0], edgeRows}, {"built", bb.Finish(), builtRows}} {
-		if c.batch.Len() != len(c.rows) {
-			t.Fatalf("%s: %d rows, want %d", c.name, c.batch.Len(), len(c.rows))
-		}
-		cur := c.batch.Cursor()
-		for i, want := range c.rows {
-			for via, row := range map[string]tuple.Tuple{"Row": c.batch.Row(i), "cursor": cur.Row(i)} {
-				if len(row) != len(want) {
-					t.Fatalf("%s %s %d: %v, want %v", c.name, via, i, row, want)
-				}
-				for j, v := range row {
-					w := fmt.Sprintf("%s %s row %d field %d", c.name, via, i, j)
-					checkField(t, w, v, want[j])
-					kept, wants, where = append(kept, v), append(wants, want[j]), append(where, w)
-				}
+	if batch := ds.batches[0]; batch.Len() != len(edgeRows) {
+		t.Fatalf("%d rows, want %d", batch.Len(), len(edgeRows))
+	}
+	for i, want := range edgeRows {
+		batch := ds.batches[0]
+		for via, row := range map[string]tuple.Tuple{"Row": batch.Row(i), "cursor": batch.Cursor().Row(i)} {
+			if len(row) != len(want) {
+				t.Fatalf("%s %d: %v, want %v", via, i, row, want)
+			}
+			for j, v := range row {
+				w := fmt.Sprintf("%s row %d field %d", via, i, j)
+				checkField(t, w, v, want[j])
+				kept, wants, where = append(kept, v), append(wants, want[j]), append(where, w)
 			}
 		}
 	}
@@ -263,7 +244,7 @@ func BenchmarkLoadDatasetMiss(b *testing.B) {
 	if _, err := pigmix.Generate(fs, pigmix.TinyScale, 1); err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.MaxCachedBatchBytes = -1
 	e := New(fs, cfg)
 	b.SetBytes(fs.Size(pigmix.PathPageViews))

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
@@ -111,7 +112,7 @@ func filesUnder(t *testing.T, fs *dfs.FS, prefix string) map[string]string {
 // scratch, or a scratch reset that missed a buffer, shows as a
 // differing byte (or, under -race, a data race).
 func TestScratchConcurrentJobsMatchSerial(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{Cost: cluster.DefaultCostModel()}
 	cfg.SplitSize = 4 << 10 // many map tasks per job
 	cfg.Parallelism = 4
 

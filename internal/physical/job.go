@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -56,32 +55,6 @@ func (j *Job) RewriteLoadPath(oldPath, newPath string) {
 	}
 }
 
-// InputPaths returns the dataset paths this job loads, sorted.
-func (j *Job) InputPaths() []string {
-	seen := map[string]bool{}
-	for _, op := range j.Plan.Ops() {
-		if op.Kind == KLoad {
-			seen[op.Path] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsMapOnly reports whether the job has no shuffle stage.
-func (j *Job) IsMapOnly() bool {
-	for _, op := range j.Plan.Ops() {
-		if op.Kind == KShuffle {
-			return false
-		}
-	}
-	return true
-}
-
 // MainStore returns the Store op writing OutputPath, or nil.
 func (j *Job) MainStore() *Op {
 	for _, op := range j.Plan.Ops() {
@@ -128,16 +101,6 @@ func (w *Workflow) Clone() *Workflow {
 		c.FinalOutputs[p] = v
 	}
 	return c
-}
-
-// Job returns the job with the given ID, or nil.
-func (w *Workflow) Job(id string) *Job {
-	for _, j := range w.Jobs {
-		if j.ID == id {
-			return j
-		}
-	}
-	return nil
 }
 
 // TopoJobs returns jobs in dependency order.

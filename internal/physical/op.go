@@ -216,10 +216,6 @@ func (p *Plan) Op(id int) *Op { return p.ops[id] }
 // Len returns the number of operators.
 func (p *Plan) Len() int { return len(p.ops) }
 
-// Remove deletes the operator with the given ID. Callers must fix up
-// dangling input references themselves.
-func (p *Plan) Remove(id int) { delete(p.ops, id) }
-
 // Ops returns all operators sorted by ID (deterministic iteration).
 func (p *Plan) Ops() []*Op {
 	out := make([]*Op, 0, len(p.ops))
@@ -227,34 +223,6 @@ func (p *Plan) Ops() []*Op {
 		out = append(out, op)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Roots returns the operators with no inputs (Loads), sorted by ID.
-func (p *Plan) Roots() []*Op {
-	var out []*Op
-	for _, op := range p.Ops() {
-		if len(op.InputIDs) == 0 {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Sinks returns the operators nothing consumes (Stores), sorted by ID.
-func (p *Plan) Sinks() []*Op {
-	consumed := map[int]bool{}
-	for _, op := range p.ops {
-		for _, in := range op.InputIDs {
-			consumed[in] = true
-		}
-	}
-	var out []*Op
-	for _, op := range p.Ops() {
-		if !consumed[op.ID] {
-			out = append(out, op)
-		}
-	}
 	return out
 }
 

@@ -17,13 +17,30 @@ func chainPlan() *Plan {
 	return p
 }
 
+// sinks returns the operators nothing consumes, sorted by ID.
+func sinks(p *Plan) []*Op {
+	succ := p.Successors()
+	var out []*Op
+	for _, op := range p.Ops() {
+		if len(succ[op.ID]) == 0 {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
 func TestPlanRootsSinksTopo(t *testing.T) {
 	p := chainPlan()
-	roots := p.Roots()
+	var roots []*Op
+	for _, op := range p.Ops() {
+		if len(op.InputIDs) == 0 {
+			roots = append(roots, op)
+		}
+	}
 	if len(roots) != 1 || roots[0].Kind != KLoad {
 		t.Fatalf("roots = %v", roots)
 	}
-	sinks := p.Sinks()
+	sinks := sinks(p)
 	if len(sinks) != 1 || sinks[0].Kind != KStore {
 		t.Fatalf("sinks = %v", sinks)
 	}
@@ -136,7 +153,7 @@ func TestPrefixPlan(t *testing.T) {
 	if pre.Len() != 3 { // load, filter, store
 		t.Errorf("prefix len = %d, want 3:\n%s", pre.Len(), pre)
 	}
-	sinks := pre.Sinks()
+	sinks := sinks(pre)
 	if len(sinks) != 1 || sinks[0].Path != "sub/out" {
 		t.Errorf("prefix sink = %v", sinks)
 	}
@@ -191,15 +208,19 @@ func TestJobHelpers(t *testing.T) {
 	p.Add(&Op{Kind: KStore, Path: "out", InputIDs: []int{pk.ID}})
 
 	j := &Job{ID: "j1", Plan: p, OutputPath: "out", NumReducers: 3}
-	if j.IsMapOnly() {
-		t.Errorf("job with shuffle is not map-only")
-	}
-	if got := j.InputPaths(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("InputPaths = %v (want sorted)", got)
-	}
 	if j.MainStore() == nil {
 		t.Errorf("MainStore not found")
 	}
+}
+
+// jobByID returns wf's job with the given ID, or nil.
+func jobByID(wf *Workflow, id string) *Job {
+	for _, j := range wf.Jobs {
+		if j.ID == id {
+			return j
+		}
+	}
+	return nil
 }
 
 func TestWorkflowTopoAndRemove(t *testing.T) {
@@ -220,10 +241,10 @@ func TestWorkflowTopoAndRemove(t *testing.T) {
 
 	// Whole-job reuse composition: drop b and patch its dependant.
 	wf.DropJob("b")
-	if wf.Job("b") != nil {
+	if jobByID(wf, "b") != nil {
 		t.Errorf("job b survived removal")
 	}
-	c := wf.Job("c")
+	c := jobByID(wf, "c")
 	c.RemoveDependency("b")
 	for _, d := range c.DependsOn {
 		if d == "b" {
@@ -268,18 +289,18 @@ func TestWorkflowCloneIsIndependent(t *testing.T) {
 	// Mutations that whole-job reuse applies to the clone must not leak
 	// into the original.
 	c.DropJob("a")
-	cb := c.Job("b")
+	cb := jobByID(c, "b")
 	cb.RemoveDependency("a")
 	cb.RewriteLoadPath("in-b", "stored/elsewhere")
 	c.FinalOutputs["out-b"] = "redirected"
 
-	if wf.Job("a") == nil {
+	if jobByID(wf, "a") == nil {
 		t.Errorf("DropJob on the clone removed from the original")
 	}
-	if got := wf.Job("b").DependsOn; len(got) != 1 || got[0] != "a" {
+	if got := jobByID(wf, "b").DependsOn; len(got) != 1 || got[0] != "a" {
 		t.Errorf("clone mutation changed original DependsOn: %v", got)
 	}
-	for _, op := range wf.Job("b").Plan.Ops() {
+	for _, op := range jobByID(wf, "b").Plan.Ops() {
 		if op.Kind == KLoad && op.Path != "in-b" {
 			t.Errorf("clone RewriteLoadPath leaked into original: %s", op.Path)
 		}
@@ -287,7 +308,7 @@ func TestWorkflowCloneIsIndependent(t *testing.T) {
 	if wf.FinalOutputs["out-b"] != "out-b" {
 		t.Errorf("clone FinalOutputs shares the original map")
 	}
-	if b := c.Job("b"); b.NumReducers != 2 || b.OutputPath != "out-b" {
+	if b := jobByID(c, "b"); b.NumReducers != 2 || b.OutputPath != "out-b" {
 		t.Errorf("clone lost job fields: %+v", b)
 	}
 }

@@ -61,10 +61,6 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
-func (l *lexer) errorf(format string, args ...interface{}) *Error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
-}
-
 func (l *lexer) advance(n int) {
 	for i := 0; i < n; i++ {
 		if l.pos < len(l.src) && l.src[l.pos] == '\n' {

@@ -218,9 +218,12 @@ func TestSyntheticTable2Selectivities(t *testing.T) {
 	}
 }
 
+// tinySynthetic keeps the synthetic-data tests fast.
+var tinySynthetic = SyntheticScale{Rows: 1_500, TargetSimBytes: 1 << 30, TargetRows: 5_000_000}
+
 func TestSyntheticStringFields(t *testing.T) {
 	fs := dfs.New()
-	GenerateSynthetic(fs, TinySyntheticScale, 3)
+	GenerateSynthetic(fs, tinySynthetic, 3)
 	rows := readRows(t, fs, PathSynthetic)
 	for c := 0; c < 5; c++ {
 		s, ok := rows[0][c].(string)
@@ -257,7 +260,7 @@ func TestQPProjectionFractionGrows(t *testing.T) {
 	// The byte fraction projected by QP(k) must grow with k, from
 	// roughly 18% to roughly 74% as in the paper.
 	fs := dfs.New()
-	GenerateSynthetic(fs, TinySyntheticScale, 5)
+	GenerateSynthetic(fs, tinySynthetic, 5)
 	rows := readRows(t, fs, PathSynthetic)
 	total := 0
 	proj := make([]int, 6)

@@ -55,9 +55,6 @@ type SyntheticScale struct {
 // actual rows.
 var DefaultSyntheticScale = SyntheticScale{Rows: 20_000, TargetSimBytes: 40 << 30, TargetRows: 200_000_000}
 
-// TinySyntheticScale keeps unit tests fast.
-var TinySyntheticScale = SyntheticScale{Rows: 1_500, TargetSimBytes: 1 << 30, TargetRows: 5_000_000}
-
 // GenerateSynthetic writes the synthetic data set and returns its
 // actual size in bytes.
 func GenerateSynthetic(fs dfs.Backend, sc SyntheticScale, seed int64) (int64, error) {

@@ -230,13 +230,3 @@ func (a *admitter) close() {
 		t.queue = nil
 	}
 }
-
-// depth reports (queued, inflight) for one tenant and globally.
-func (a *admitter) depth() (queued, inflight int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, t := range a.tenants {
-		queued += len(t.queue)
-	}
-	return queued, a.inflight
-}

@@ -182,7 +182,9 @@ func TestOverQuotaRejectsImmediately(t *testing.T) {
 	if _, err := a.enqueue("t"); !errors.Is(err, ErrOverQuota) {
 		t.Fatalf("enqueue over quota: err = %v, want ErrOverQuota", err)
 	}
-	queued, inflight := a.depth()
+	a.mu.Lock()
+	queued, inflight := len(a.tenants["t"].queue), a.inflight
+	a.mu.Unlock()
 	if queued != 2 || inflight != 1 {
 		t.Fatalf("depth = (%d queued, %d inflight), want (2, 1)", queued, inflight)
 	}
@@ -249,7 +251,9 @@ func TestAbandonedWaiterLeavesQueue(t *testing.T) {
 	if err := w2.wait(ctx, a); !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned waiter err = %v, want context.Canceled", err)
 	}
-	queued, _ := a.depth()
+	a.mu.Lock()
+	queued := len(a.tenants["t"].queue)
+	a.mu.Unlock()
 	if queued != 0 {
 		t.Fatalf("queued = %d after abandon, want 0", queued)
 	}

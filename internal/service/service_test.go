@@ -262,12 +262,16 @@ func TestHTTPSubmitResultOutput(t *testing.T) {
 }
 
 // TestHTTPSubmitBadHeuristic400: an unparseable heuristic is rejected
-// at submission with ParseHeuristic's error, not run under the default.
+// at submission with ParseHeuristic's error, which names the accepted
+// values, not run under the default.
 func TestHTTPSubmitBadHeuristic400(t *testing.T) {
 	_, _, base, client := newFakeServer(t, Config{})
 	_, resp, data := submit(t, client, base, submitRequest{Script: "x", Heuristic: "agressive"})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "agressive") {
 		t.Fatalf("bad heuristic: %d %s, want 400 naming the heuristic", resp.StatusCode, data)
+	}
+	if want := "off, conservative, aggressive or no-heuristic"; !strings.Contains(string(data), want) {
+		t.Fatalf("bad heuristic: 400 body %s does not name the accepted values (%s)", data, want)
 	}
 	var queries []QueryInfo
 	getJSON(t, client, base+"/queries", &queries)

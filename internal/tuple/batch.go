@@ -193,18 +193,8 @@ func NewBatchBuilder(n int) *BatchBuilder {
 	return &BatchBuilder{hint: n, widths: make([]int32, 0, n)}
 }
 
-// Append adds one row. The builder keeps references to t's values; the
-// caller must not mutate them afterwards.
-func (bb *BatchBuilder) Append(t Tuple) {
-	for j, v := range t {
-		bb.col(j).append(v, bb.n, bb.hint)
-	}
-	bb.endRow(len(t))
-}
-
-// appendLine adds the row one storage line decodes to — DecodeText
-// followed by Append, without the tuple in between: each field goes
-// from the line straight into its column.
+// appendLine adds the row one storage line decodes to, without a tuple
+// in between: each field goes from the line straight into its column.
 func (bb *BatchBuilder) appendLine(line string, escaped bool) {
 	w := 0
 	for more := line != ""; more; w++ {
@@ -264,27 +254,6 @@ func (bb *BatchBuilder) AddSrcBytes(n int64) { bb.srcBytes += n }
 
 // The column appends take n, the column's current height, and hint,
 // the height it is expected to reach (see sized).
-
-// append adds v to the column, promoting the column to boxed values on
-// the first type mismatch.
-func (c *column) append(v Value, n, hint int) {
-	if c.kind == colAny {
-		c.vals = append(c.vals, v) // already boxed: do not box it again
-		return
-	}
-	switch x := v.(type) {
-	case nil:
-		c.appendNull(n, hint)
-	case int64:
-		c.appendInt(x, n, hint)
-	case float64:
-		c.appendFloat(x, n, hint)
-	case string:
-		c.appendString(x, n, hint)
-	default:
-		c.appendBoxed(v, n)
-	}
-}
 
 // appendField adds the value one unescaped text field decodes to,
 // boxing it only when it is nested or the column is already mixed.

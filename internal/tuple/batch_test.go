@@ -256,7 +256,7 @@ func TestColumnCursor(t *testing.T) {
 	rows := []Tuple{
 		{int64(1), "a", 2.5, Tuple{"n", int64(1)}},
 		{int64(2)},
-		{int64(3), "c", nil, NewBag(Tuple{"x"}), "extra", int64(9)},
+		{int64(3), "c", nil, &Bag{Tuples: []Tuple{{"x"}}}, "extra", int64(9)},
 		{},
 		{int64(5), "e", 0.5},
 	}

@@ -8,7 +8,7 @@ import (
 var benchTuple = Tuple{
 	"u1000123", int64(1_300_000_042), 52.07,
 	"some page info text that is moderately long",
-	NewBag(Tuple{"a", int64(1)}, Tuple{"b", int64(2)}),
+	&Bag{Tuples: []Tuple{{"a", int64(1)}, {"b", int64(2)}}},
 }
 
 func BenchmarkEncodeText(b *testing.B) {

@@ -481,7 +481,6 @@ type Writer struct {
 	w     io.Writer
 	buf   []byte
 	bytes int64
-	rows  int64
 }
 
 const writerFlushAt = 64 << 10
@@ -494,7 +493,6 @@ func (tw *Writer) Write(t Tuple) error {
 	before := len(tw.buf)
 	tw.buf = append(AppendText(tw.buf, t), '\n')
 	tw.bytes += int64(len(tw.buf) - before)
-	tw.rows++
 	if len(tw.buf) >= writerFlushAt {
 		return tw.Flush()
 	}
@@ -513,6 +511,3 @@ func (tw *Writer) Flush() error {
 
 // Bytes returns the number of bytes written so far.
 func (tw *Writer) Bytes() int64 { return tw.bytes }
-
-// Rows returns the number of tuples written so far.
-func (tw *Writer) Rows() int64 { return tw.rows }

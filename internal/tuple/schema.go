@@ -44,15 +44,6 @@ func (s *Schema) IndexOf(name string) int {
 	return -1
 }
 
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	out := make([]string, s.Len())
-	for i, f := range s.Fields {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // String renders the schema as "(a, b: long, c)".
 func (s *Schema) String() string {
 	parts := make([]string, s.Len())

@@ -9,25 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestTypeOf(t *testing.T) {
-	cases := []struct {
-		v    Value
-		want Type
-	}{
-		{nil, TypeNull},
-		{int64(1), TypeInt},
-		{1.5, TypeFloat},
-		{"x", TypeString},
-		{Tuple{int64(1)}, TypeTuple},
-		{NewBag(Tuple{int64(1)}), TypeBag},
-	}
-	for _, c := range cases {
-		if got := TypeOf(c.v); got != c.want {
-			t.Errorf("TypeOf(%v) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
 func TestCompareScalars(t *testing.T) {
 	cases := []struct {
 		a, b Value
@@ -80,18 +61,12 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
-func TestToFloatToInt(t *testing.T) {
+func TestToFloat(t *testing.T) {
 	if f, ok := ToFloat("3.5"); !ok || f != 3.5 {
 		t.Errorf("ToFloat(\"3.5\") = %v, %v", f, ok)
 	}
 	if _, ok := ToFloat("xyz"); ok {
 		t.Errorf("ToFloat(\"xyz\") should fail")
-	}
-	if n, ok := ToInt("42"); !ok || n != 42 {
-		t.Errorf("ToInt(\"42\") = %v, %v", n, ok)
-	}
-	if n, ok := ToInt(9.9); !ok || n != 9 {
-		t.Errorf("ToInt(9.9) = %v, %v", n, ok)
 	}
 }
 
@@ -107,7 +82,7 @@ func TestTextRoundTripSimple(t *testing.T) {
 func TestTextRoundTripNested(t *testing.T) {
 	in := Tuple{
 		"g1",
-		NewBag(Tuple{int64(1), "a"}, Tuple{int64(2), "b"}),
+		&Bag{Tuples: []Tuple{{int64(1), "a"}, {int64(2), "b"}}},
 		Tuple{int64(9), "inner"},
 	}
 	out := DecodeText(EncodeText(in))
@@ -226,8 +201,8 @@ func edgeValues() []Value {
 		Tuple{}, Tuple{int64(0)}, Tuple{negZero}, Tuple{math.NaN()}, Tuple{nan2},
 		Tuple{int64(1), "x"}, Tuple{1.0, "x"}, Tuple{int64(1 << 53), Tuple{negZero}},
 		Tuple{float64(1 << 53), Tuple{int64(0)}}, Tuple{Tuple{}},
-		NewBag(), NewBag(Tuple{int64(0)}), NewBag(Tuple{negZero}),
-		NewBag(Tuple{math.NaN()}, Tuple{"a"}), NewBag(Tuple{nan2}, Tuple{"a"}),
+		&Bag{}, &Bag{Tuples: []Tuple{{int64(0)}}}, &Bag{Tuples: []Tuple{{negZero}}},
+		&Bag{Tuples: []Tuple{{math.NaN()}, {"a"}}}, &Bag{Tuples: []Tuple{{nan2}, {"a"}}},
 	)
 	return vals
 }
@@ -254,7 +229,7 @@ func TestWriterReader(t *testing.T) {
 	w := NewWriter(&buf)
 	in := []Tuple{
 		{"a", int64(1)},
-		{"b", int64(2), NewBag(Tuple{int64(3)})},
+		{"b", int64(2), &Bag{Tuples: []Tuple{{int64(3)}}}},
 	}
 	for _, tu := range in {
 		if err := w.Write(tu); err != nil {
@@ -263,9 +238,6 @@ func TestWriterReader(t *testing.T) {
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
-	}
-	if w.Rows() != 2 {
-		t.Errorf("Rows = %d, want 2", w.Rows())
 	}
 	if w.Bytes() != int64(buf.Len()) {
 		t.Errorf("Bytes = %d, want %d", w.Bytes(), buf.Len())
@@ -316,7 +288,7 @@ func TestSchemaParse(t *testing.T) {
 }
 
 func TestTupleCopyIsDeep(t *testing.T) {
-	in := Tuple{"a", NewBag(Tuple{int64(1)})}
+	in := Tuple{"a", &Bag{Tuples: []Tuple{{int64(1)}}}}
 	cp := in.Copy()
 	cp[1].(*Bag).Tuples[0][0] = int64(99)
 	if in[1].(*Bag).Tuples[0][0] != int64(1) {

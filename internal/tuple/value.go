@@ -59,9 +59,6 @@ type Bag struct {
 	Tuples []Tuple
 }
 
-// NewBag returns a bag holding the given tuples.
-func NewBag(ts ...Tuple) *Bag { return &Bag{Tuples: ts} }
-
 // Add appends a tuple to the bag.
 func (b *Bag) Add(t Tuple) { b.Tuples = append(b.Tuples, t) }
 
@@ -71,25 +68,6 @@ func (b *Bag) Len() int {
 		return 0
 	}
 	return len(b.Tuples)
-}
-
-// TypeOf reports the dynamic type of v.
-func TypeOf(v Value) Type {
-	switch v.(type) {
-	case nil:
-		return TypeNull
-	case int64:
-		return TypeInt
-	case float64:
-		return TypeFloat
-	case string:
-		return TypeString
-	case Tuple:
-		return TypeTuple
-	case *Bag:
-		return TypeBag
-	}
-	panic(fmt.Sprintf("tuple: unsupported value type %T", v))
 }
 
 // IsNull reports whether v is the null value.
@@ -110,27 +88,6 @@ func ToFloat(v Value) (float64, bool) {
 			return 0, false
 		}
 		return f, true
-	}
-	return 0, false
-}
-
-// ToInt coerces v to an int64; strings are parsed, floats truncated.
-func ToInt(v Value) (int64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, true
-	case float64:
-		return int64(x), true
-	case string:
-		n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(x), 64)
-			if ferr != nil {
-				return 0, false
-			}
-			return int64(f), true
-		}
-		return n, true
 	}
 	return 0, false
 }

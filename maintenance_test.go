@@ -91,7 +91,7 @@ func TestReplacedOutputsAreDeleted(t *testing.T) {
 		t.Fatal("no entry was refreshed; test premise broken")
 	}
 	outputs := map[string]bool{}
-	for _, e := range sys.Repository().Entries() {
+	for _, e := range restore.RepositoryEntries(sys.Repository()) {
 		outputs[strings.Trim(e.OutputPath, "/")] = true
 	}
 	var orphans []string
@@ -133,7 +133,7 @@ func TestWriteDatasetInvalidatesAtNextQuery(t *testing.T) {
 	}
 	readers := func() int {
 		n := 0
-		for _, e := range sys.Repository().Entries() {
+		for _, e := range restore.RepositoryEntries(sys.Repository()) {
 			if _, ok := e.InputVersions["in/w"]; ok {
 				n++
 			}

@@ -157,25 +157,25 @@ store C into '%s';
 
 func TestCompileReportsJobCount(t *testing.T) {
 	sys := newTestSystem(Options{})
-	n, err := sys.Compile(totalsScript)
+	wf, err := sys.compile(totalsScript, "tmp/c1")
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	if n != 1 {
+	if n := len(wf.Jobs); n != 1 {
 		t.Errorf("jobs = %d, want 1", n)
 	}
-	n2, err := sys.Compile(`
+	wf2, err := sys.compile(`
 A = load 'x' as (u, v);
 B = group A by u;
 C = foreach B generate group, COUNT(A) as n;
 D = group C by n;
 E = foreach D generate group, COUNT(C);
 store E into 'o';
-`)
+`, "tmp/c2")
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	if n2 != 2 {
+	if n2 := len(wf2.Jobs); n2 != 2 {
 		t.Errorf("jobs = %d, want 2", n2)
 	}
 }
@@ -200,7 +200,7 @@ func TestWithOptionsSwitchesBehaviour(t *testing.T) {
 	if len(r2.Stored) == 0 {
 		t.Errorf("conservative heuristic stored nothing")
 	}
-	if got := sys.Options(); got != (Options{}) {
+	if got := sys.cfg.Options; got != (Options{}) {
 		t.Errorf("per-query options leaked into the System's defaults: %+v", got)
 	}
 }

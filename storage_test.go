@@ -198,7 +198,7 @@ func TestConcurrentSameSignatureAcrossAppend(t *testing.T) {
 
 	sys.Sweep()
 	referenced := map[string]bool{}
-	for _, e := range sys.Repository().Entries() {
+	for _, e := range RepositoryEntries(sys.Repository()) {
 		referenced[strings.Trim(e.OutputPath, "/")] = true
 	}
 	for _, ns := range []string{"restore", "tmp"} {

@@ -104,7 +104,6 @@ func TestConcurrentExecuteStress(t *testing.T) {
 			sys.BatchCacheStats()
 			sys.DeltaStats()
 			sys.LatencyStats()
-			sys.Options()
 			sys.Sweep()
 		}
 	}()
@@ -148,7 +147,7 @@ func TestConcurrentExecuteStress(t *testing.T) {
 	// Repository consistency after the storm: the scan list and the
 	// fingerprint index must agree, with no duplicate fingerprints.
 	repo := sys.Repository()
-	entries := repo.Entries()
+	entries := RepositoryEntries(repo)
 	if repo.Len() != len(entries) {
 		t.Errorf("Len=%d but Entries()=%d", repo.Len(), len(entries))
 	}

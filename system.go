@@ -244,10 +244,6 @@ func (s *System) FS() dfs.Backend { return s.fs }
 // Repository exposes the ReStore repository.
 func (s *System) Repository() *core.Repository { return s.repo }
 
-// Options returns the default ReStore options (Config.Options) a
-// submission starts from before its ExecOptions apply.
-func (s *System) Options() Options { return s.cfg.Options }
-
 // WriteDataset stores rows as a single-part dataset at path. Like any
 // DFS write it reaches the change feed: the next query's maintenance
 // removes the entries that stored or read the old contents.
@@ -295,38 +291,6 @@ func (s *System) DurabilityStats() DurabilityStats {
 		return DurabilityStats{}
 	}
 	return s.durable.Stats()
-}
-
-// CompactLog folds the durable event log into a fresh manifest now
-// (normally this happens automatically every
-// Config.Durability.CompactEvery records). A no-op without durability.
-func (s *System) CompactLog() error {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.Compact()
-}
-
-// RefreshRepository folds entries committed by other processes sharing
-// this DFS into the local repository, returning how many were applied.
-// Executions refresh automatically; this is for callers inspecting the
-// repository between queries. A no-op without durability.
-func (s *System) RefreshRepository() int {
-	if s.durable == nil {
-		return 0
-	}
-	return s.durable.Refresh()
-}
-
-// Compile parses and compiles a script without executing it, returning
-// the workflow's job count — useful for inspecting how a query maps to
-// MapReduce jobs.
-func (s *System) Compile(script string) (int, error) {
-	wf, err := s.compile(script, s.driver.Namespace("tmp", fmt.Sprintf("%sc%d", s.qidPrefix, s.nquery.Add(1))))
-	if err != nil {
-		return 0, err
-	}
-	return len(wf.Jobs), nil
 }
 
 func (s *System) compile(script, tempPrefix string) (*physical.Workflow, error) {
