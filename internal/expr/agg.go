@@ -63,92 +63,142 @@ type Agg struct {
 	Field int
 }
 
-// Eval computes the aggregate. A null or missing bag aggregates as an
-// empty bag. SUM/AVG/MIN/MAX skip null and non-numeric fields the way
-// Pig's builtins do; COUNT counts non-null fields (or all tuples when
-// Field is -1).
+// Eval computes the aggregate: a fold of the bag's tuples through one
+// AggState. A null or missing bag aggregates as an empty bag.
 func (a Agg) Eval(t tuple.Tuple) (tuple.Value, error) {
 	bv, err := a.Bag.Eval(t)
 	if err != nil {
 		return nil, err
 	}
 	bag, _ := bv.(*tuple.Bag)
-	if bag == nil {
-		if a.Kind == AggCount {
-			return int64(0), nil
-		}
-		return nil, nil
-	}
 	if a.Kind == AggCount && a.Field < 0 {
 		return int64(bag.Len()), nil
 	}
-	var (
-		count int64
-		sum   float64
-		minV  tuple.Value
-		maxV  tuple.Value
-		allI  = true
-		sumI  int64
-	)
-	for _, bt := range bag.Tuples {
-		var v tuple.Value
-		if a.Field < 0 {
-			if len(bt) > 0 {
-				v = bt[0]
-			}
-		} else if a.Field < len(bt) {
-			v = bt[a.Field]
+	var s AggState
+	if bag != nil {
+		if a.Kind < AggCount || a.Kind > AggMax {
+			return nil, fmt.Errorf("expr: unknown aggregate %v", a.Kind)
 		}
-		if tuple.IsNull(v) {
-			continue
+		for _, bt := range bag.Tuples {
+			s.Add(a, bt)
 		}
-		switch a.Kind {
-		case AggCount:
-			count++
-		case AggSum, AggAvg:
-			f, ok := tuple.ToFloat(v)
-			if !ok {
-				continue
-			}
-			count++
-			sum += f
-			if i, isInt := v.(int64); isInt {
-				sumI += i
-			} else {
-				allI = false
-			}
-		case AggMin:
-			if minV == nil || tuple.Compare(v, minV) < 0 {
-				minV = v
-			}
-		case AggMax:
-			if maxV == nil || tuple.Compare(v, maxV) > 0 {
-				maxV = v
-			}
+	}
+	return s.Result(a.Kind), nil
+}
+
+// AggState is the partial state of one aggregate over some of a bag's
+// tuples; the zero value is the state of none. Agg.Eval folds a whole
+// bag through one, and the map-side combiner folds each map task's
+// share of a group into its own and merges them at the reducer, so both
+// answer by the same rules: SUM/AVG/MIN/MAX skip null and non-numeric
+// fields the way Pig's builtins do, COUNT counts non-null fields (or
+// all tuples when Field is -1), SUM stays an int64 while every summed
+// number is one, and a MIN or MAX tie keeps the first arrival.
+type AggState struct {
+	count int64
+	sumI  int64
+	sumF  float64
+	// mixed: a summed number was not an int64, so SUM is sumF.
+	mixed bool
+	minV  tuple.Value
+	maxV  tuple.Value
+}
+
+// Add folds one bag tuple into the state.
+func (s *AggState) Add(a Agg, t tuple.Tuple) {
+	var v tuple.Value
+	switch {
+	case a.Field < 0 && a.Kind == AggCount:
+		// COUNT(bag): counts tuples.
+		s.count++
+		return
+	case a.Field < 0:
+		if len(t) > 0 {
+			v = t[0]
 		}
+	case a.Field < len(t):
+		v = t[a.Field]
+	}
+	if tuple.IsNull(v) {
+		return
 	}
 	switch a.Kind {
 	case AggCount:
-		return count, nil
-	case AggSum:
-		if count == 0 {
-			return nil, nil
+		s.count++
+	case AggSum, AggAvg:
+		f, ok := tuple.ToFloat(v)
+		if !ok {
+			return
 		}
-		if allI {
-			return sumI, nil
+		s.count++
+		s.sumF += f
+		if i, isInt := v.(int64); isInt {
+			s.sumI += i
+		} else {
+			s.mixed = true
 		}
-		return sum, nil
-	case AggAvg:
-		if count == 0 {
-			return nil, nil
-		}
-		return sum / float64(count), nil
 	case AggMin:
-		return minV, nil
+		if s.minV == nil || tuple.Compare(v, s.minV) < 0 {
+			s.minV = v
+		}
 	case AggMax:
-		return maxV, nil
+		if s.maxV == nil || tuple.Compare(v, s.maxV) > 0 {
+			s.maxV = v
+		}
 	}
-	return nil, fmt.Errorf("expr: unknown aggregate %v", a.Kind)
+}
+
+// Merge folds the partial o, of tuples that came after the state's,
+// into the state. On a MIN or MAX tie the state's value stays, so
+// merging partials in arrival order keeps the first arrival, as one
+// fold over the whole bag would.
+func (s *AggState) Merge(o *AggState) {
+	s.count += o.count
+	s.sumI += o.sumI
+	s.sumF += o.sumF
+	s.mixed = s.mixed || o.mixed
+	if o.minV != nil && (s.minV == nil || tuple.Compare(o.minV, s.minV) < 0) {
+		s.minV = o.minV
+	}
+	if o.maxV != nil && (s.maxV == nil || tuple.Compare(o.maxV, s.maxV) > 0) {
+		s.maxV = o.maxV
+	}
+}
+
+// Result is the aggregate's value over the tuples folded in: COUNT of
+// none is 0, SUM, AVG, MIN and MAX of none are null.
+func (s *AggState) Result(kind AggKind) tuple.Value {
+	switch kind {
+	case AggCount:
+		return s.count
+	case AggSum:
+		if s.count == 0 {
+			return nil
+		}
+		if !s.mixed {
+			return s.sumI
+		}
+		return s.sumF
+	case AggAvg:
+		if s.count == 0 {
+			return nil
+		}
+		return s.sumF / float64(s.count)
+	case AggMin:
+		return s.minV
+	case AggMax:
+		return s.maxV
+	}
+	return nil
+}
+
+// TextLen is the state's shuffle volume: the width of its text
+// rendering as the nested tuple (count,sumI,sumF,allInt,min,max), where
+// allInt is 1 or 0 and min and max are escaped like stored fields.
+func (s *AggState) TextLen() int {
+	const fixed = 2 + 5 + 1 // parentheses, commas, the allInt digit
+	return fixed + tuple.IntTextLen(s.count) + tuple.IntTextLen(s.sumI) + tuple.FloatTextLen(s.sumF) +
+		tuple.EncodeTextLen(tuple.Tuple{s.minV}) + tuple.EncodeTextLen(tuple.Tuple{s.maxV})
 }
 
 func (a Agg) String() string {

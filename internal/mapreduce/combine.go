@@ -13,7 +13,9 @@ import (
 // each key into partial states, the shuffle carries one record per key
 // per task, and reducers merge partials instead of materializing bags.
 // A DISTINCT takes the same map-side path with no aggregates: each task
-// ships every distinct key once.
+// ships every distinct key once. A partial state is an expr.AggState,
+// the state expr.Agg.Eval folds a whole bag through, so the combined
+// row and the uncombined one answer by one set of aggregate rules.
 //
 // The algebraic combiner is disabled whenever the Package output has
 // any consumer other than that single ForEach — in particular when
@@ -27,7 +29,7 @@ import (
 // Draining copies the states out once; each shuffle record points at
 // its key's (rec.states): nothing is rendered to strings or boxed into
 // tuples on the way to the reducer, which folds them with
-// aggState.merge.
+// AggState.Merge.
 
 // combineSpec describes a combinable GROUP job.
 type combineSpec struct {
@@ -73,124 +75,16 @@ func detectCombine(p *physical.Plan, succ map[int][]int, pkg *physical.Op) *comb
 	return spec
 }
 
-// aggState is the partial state of one aggregate; the zero value is the
-// state of no rows.
-type aggState struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	// mixed: a summed number was not an int64, so SUM is sumF.
-	mixed bool
-	minV  tuple.Value
-	maxV  tuple.Value
-}
-
-// accumulate folds one raw (pre-package) tuple into the state, reading
-// it the way expr.Agg.Eval reads a bag's tuple.
-func (s *aggState) accumulate(a expr.Agg, t tuple.Tuple) {
-	var v tuple.Value
-	switch {
-	case a.Field < 0 && a.Kind == expr.AggCount:
-		// COUNT(bag): counts tuples.
-		s.count++
-		return
-	case a.Field < 0:
-		if len(t) > 0 {
-			v = t[0]
-		}
-	case a.Field < len(t):
-		v = t[a.Field]
-	}
-	if tuple.IsNull(v) {
-		return
-	}
-	switch a.Kind {
-	case expr.AggCount:
-		s.count++
-	case expr.AggSum, expr.AggAvg:
-		f, ok := tuple.ToFloat(v)
-		if !ok {
-			return
-		}
-		s.count++
-		s.sumF += f
-		if i, isInt := v.(int64); isInt {
-			s.sumI += i
-		} else {
-			s.mixed = true
-		}
-	case expr.AggMin:
-		if s.minV == nil || tuple.Compare(v, s.minV) < 0 {
-			s.minV = v
-		}
-	case expr.AggMax:
-		if s.maxV == nil || tuple.Compare(v, s.maxV) > 0 {
-			s.maxV = v
-		}
-	}
-}
-
-// merge folds the partial o into the state. On a MIN or MAX tie the
-// state's value stays, so merging partials in map-task order keeps the
-// first arrival, as Eval over the whole bag would.
-func (s *aggState) merge(o *aggState) {
-	s.count += o.count
-	s.sumI += o.sumI
-	s.sumF += o.sumF
-	s.mixed = s.mixed || o.mixed
-	if o.minV != nil && (s.minV == nil || tuple.Compare(o.minV, s.minV) < 0) {
-		s.minV = o.minV
-	}
-	if o.maxV != nil && (s.maxV == nil || tuple.Compare(o.maxV, s.maxV) > 0) {
-		s.maxV = o.maxV
-	}
-}
-
-// final produces the aggregate's value.
-func (s *aggState) final(kind expr.AggKind) tuple.Value {
-	switch kind {
-	case expr.AggCount:
-		return s.count
-	case expr.AggSum:
-		if s.count == 0 {
-			return nil
-		}
-		if !s.mixed {
-			return s.sumI
-		}
-		return s.sumF
-	case expr.AggAvg:
-		if s.count == 0 {
-			return nil
-		}
-		return s.sumF / float64(s.count)
-	case expr.AggMin:
-		return s.minV
-	case expr.AggMax:
-		return s.maxV
-	}
-	return nil
-}
-
-// textLen is the state's shuffle volume: the width of its text
-// rendering as the nested tuple (count,sumI,sumF,allInt,min,max), where
-// allInt is 1 or 0 and min and max are escaped like stored fields.
-func (s *aggState) textLen() int {
-	const fixed = 2 + 5 + 1 // parentheses, commas, the allInt digit
-	return fixed + tuple.IntTextLen(s.count) + tuple.IntTextLen(s.sumI) + tuple.FloatTextLen(s.sumF) +
-		tuple.EncodeTextLen(tuple.Tuple{s.minV}) + tuple.EncodeTextLen(tuple.Tuple{s.maxV})
-}
-
 // partialBytes is a shuffled record's volume: its states' renderings
 // joined by tabs, plus the key's text and two bytes of framing — what
 // the shuffle would carry for the key and partial as one text line.
-func partialBytes(key tuple.Value, states []aggState) int32 {
+func partialBytes(key tuple.Value, states []expr.AggState) int32 {
 	n := tuple.TextLen(key) + 2
 	for i := range states {
 		if i > 0 {
 			n++
 		}
-		n += states[i].textLen()
+		n += states[i].TextLen()
 	}
 	return int32(n)
 }
@@ -259,11 +153,11 @@ func (s *taskScratch) combine(aggs []expr.Agg, key tuple.Value, t tuple.Tuple) {
 	i, added := s.keys.add(key)
 	k := len(aggs)
 	if added {
-		s.states = append(s.states, make([]aggState, k)...)
+		s.states = append(s.states, make([]expr.AggState, k)...)
 	}
 	st := s.states[i*k : (i+1)*k]
 	for j, a := range aggs {
-		st[j].accumulate(a, t)
+		st[j].Add(a, t)
 	}
 }
 
@@ -275,11 +169,11 @@ func (s *taskScratch) combine(aggs []expr.Agg, key tuple.Value, t tuple.Tuple) {
 // orders the reducer's input by key.
 func (s *taskScratch) drainCombined(k, numRed int) [][]rec {
 	n := len(s.keys.keys)
-	var states []aggState
-	var heads [][]aggState // what each record points at
+	var states []expr.AggState
+	var heads [][]expr.AggState // what each record points at
 	if k > 0 {
-		states = append(make([]aggState, 0, n*k), s.states...)
-		heads = make([][]aggState, n)
+		states = append(make([]expr.AggState, 0, n*k), s.states...)
+		heads = make([][]expr.AggState, n)
 	}
 	for i, key := range s.keys.keys {
 		st := states[i*k : (i+1)*k : (i+1)*k]
@@ -296,12 +190,12 @@ func (s *taskScratch) drainCombined(k, numRed int) [][]rec {
 // row merges one key group's partial records into acc, len(aggs)
 // states reused across a reducer's groups, and returns the ForEach's
 // output row.
-func (c *combineSpec) row(group []rec, acc []aggState) tuple.Tuple {
+func (c *combineSpec) row(group []rec, acc []expr.AggState) tuple.Tuple {
 	clear(acc)
 	for g := range group {
 		st := *group[g].states
 		for j := range acc {
-			acc[j].merge(&st[j])
+			acc[j].Merge(&st[j])
 		}
 	}
 	row := make(tuple.Tuple, len(c.exprs))
@@ -311,7 +205,7 @@ func (c *combineSpec) row(group []rec, acc []aggState) tuple.Tuple {
 		case expr.Col:
 			row[i] = group[0].key
 		case expr.Agg:
-			row[i] = acc[j].final(x.Kind)
+			row[i] = acc[j].Result(x.Kind)
 			j++
 		}
 	}

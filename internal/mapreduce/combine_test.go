@@ -344,22 +344,6 @@ C = distinct B parallel %d;`,
 	}
 }
 
-// encodePartials is the text rendering the map-side combiner once
-// shipped for a key's states, one nested (count,sumI,sumF,allInt,min,max)
-// tuple per aggregate: the shuffle still accounts a partial at its
-// width (partialBytes).
-func encodePartials(states []aggState) tuple.Tuple {
-	t := tuple.Tuple{}
-	for _, s := range states {
-		allInt := int64(1)
-		if s.mixed {
-			allInt = 0
-		}
-		t = append(t, tuple.Tuple{s.count, s.sumI, s.sumF, allInt, s.minV, s.maxV})
-	}
-	return t
-}
-
 // identical reports whether a and b are the same value: the same type,
 // a float with the same bits (any two NaNs match, since they print
 // alike), and tuples field by field — stricter than tuple.Equal, which
@@ -415,8 +399,9 @@ var combineValues = []tuple.Value{
 //	    aggregate, value for value;
 //	(b) a task ships one record per tuple.Equal-distinct key, holding
 //	    the key's first arrival in the task, to partition Hash(key) mod R;
-//	(c) each record's bytes is the width of the rendering the partials
-//	    once had, plus the key's text and two.
+//	(c) each record's bytes is its partials' widths joined by tabs (the
+//	    width of AggState's rendering, held to it by TestAggStateTextLen
+//	    in internal/expr), plus the key's text and two.
 func checkMapCombine(t *testing.T, c *chooser) {
 	t.Helper()
 	keys := combineKeys()
@@ -474,8 +459,12 @@ func checkMapCombine(t *testing.T, c *chooser) {
 				case len(*r.states) != len(spec.aggs):
 					t.Fatalf("task [%d,%d): key %v carries %d states, want %d", lo, hi, r.key, len(*r.states), len(spec.aggs))
 				}
-				if want := int32(tuple.EncodeTextLen(encodePartials(*r.states)) + tuple.TextLen(r.key) + 2); r.bytes != want {
-					t.Fatalf("key %v, partials %v: bytes %d, want %d", r.key, encodePartials(*r.states), r.bytes, want)
+				want := tuple.TextLen(r.key) + 2 + max(0, len(spec.aggs)-1)
+				for i := range *r.states {
+					want += (*r.states)[i].TextLen()
+				}
+				if r.bytes != int32(want) {
+					t.Fatalf("key %v, %d partials: bytes %d, want %d", r.key, len(spec.aggs), r.bytes, want)
 				}
 			}
 		}
@@ -487,7 +476,7 @@ func checkMapCombine(t *testing.T, c *chooser) {
 	}
 
 	groups := 0
-	acc := make([]aggState, len(spec.aggs))
+	acc := make([]expr.AggState, len(spec.aggs))
 	for r := 0; r < numRed; r++ {
 		parts := make([][]rec, len(tasks))
 		for m := range tasks {
@@ -580,7 +569,7 @@ func BenchmarkMapCombine(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows=%d", shape.rows), func(b *testing.B) {
 			b.ReportAllocs()
-			acc := make([]aggState, len(spec.aggs))
+			acc := make([]expr.AggState, len(spec.aggs))
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()

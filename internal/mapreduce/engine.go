@@ -141,7 +141,7 @@ type rec struct {
 	branch int32
 	bytes  int32
 	t      tuple.Tuple
-	states *[]aggState
+	states *[]expr.AggState
 }
 
 // Progress observes one running job's task completions: done counts
@@ -815,7 +815,7 @@ func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskId
 	for i := range recs {
 		shuffleBytes += int64(recs[i].bytes)
 	}
-	var acc []aggState // the combiner's merge states, reused per group
+	var acc []expr.AggState // the combiner's merge states, reused per group
 	if seg.combine != nil {
 		s.states = sized(s.states, len(seg.combine.aggs))
 		acc = s.states

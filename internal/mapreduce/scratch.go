@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/expr"
 	"repro/internal/tuple"
 )
 
@@ -22,10 +23,10 @@ import (
 // states they point at (drainCombined). Nothing a task returns may
 // alias the scratch, because the next task overwrites it.
 type taskScratch struct {
-	keys   keyIndex   // the combiner's distinct keys
-	states []aggState // their partial states; the reducer's merge states
-	staged []rec      // the map task's shuffle records, in arrival order
-	counts []int      // records per partition
+	keys   keyIndex        // the combiner's distinct keys
+	states []expr.AggState // their partial states; the reducer's merge states
+	staged []rec           // the map task's shuffle records, in arrival order
+	counts []int           // records per partition
 
 	parts  [][]rec // the reducer's input, parts[m] from map task m
 	table  []int32 // groupByKey's open-addressing table,
