@@ -301,9 +301,10 @@ func TestHeuristicCandidateCounts(t *testing.T) {
 		t.Errorf("candidate counts: hc=%d ha=%d nh=%d, want 0 < hc < ha <= nh", hc, ha, nh)
 	}
 
-	// NoHeuristic additionally stores outputs the Aggressive heuristic
-	// skips, e.g. DISTINCT.
-	countDistinct := func(heur Heuristic) int {
+	// Section 4: a DISTINCT is a shuffle and a reduce like GROUP, so
+	// Aggressive stores its output, and NoHeuristic stores everything
+	// Aggressive stores.
+	storedDistinct := func(heur Heuristic) (fps map[string]bool, pkg bool) {
 		hn := newHarness(t, Options{Heuristic: heur})
 		hn.seedPigMixSmall(t)
 		r := hn.run(t, `
@@ -313,16 +314,27 @@ D = distinct B;
 F = filter D by user != 'nobody';
 store F into 'dq_out';
 `)
-		n := 0
+		fps = map[string]bool{}
 		for _, e := range r.Stored {
-			if !e.WholeJob {
-				n++
+			if e.WholeJob {
+				continue
+			}
+			fps[e.Plan.Fingerprint()] = true
+			if op := e.Plan.op(e.Plan.resultOp()); op != nil && op.Kind == physical.KPackage {
+				pkg = true
 			}
 		}
-		return n
+		return fps, pkg
 	}
-	if nhd, had := countDistinct(NoHeuristic), countDistinct(Aggressive); nhd <= had {
-		t.Errorf("no-heuristic should store the distinct output too: nh=%d ha=%d", nhd, had)
+	nhd, _ := storedDistinct(NoHeuristic)
+	had, pkg := storedDistinct(Aggressive)
+	if !pkg {
+		t.Errorf("aggressive should store the distinct output: stored %d sub-jobs", len(had))
+	}
+	for fp := range had {
+		if !nhd[fp] {
+			t.Errorf("aggressive stored a sub-job no-heuristic did not: %s", fp)
+		}
 	}
 }
 

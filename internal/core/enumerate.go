@@ -18,7 +18,8 @@ const (
 	// input size: Project (ForEach) and Filter.
 	Conservative
 	// Aggressive additionally stores outputs of expensive operators:
-	// Join, Group, and CoGroup.
+	// the reduce side of every shuffle (Join, Group, CoGroup and
+	// Distinct, which Pig compiles to the same rearrange and package).
 	Aggressive
 	// NoHeuristic stores the output of every physical operator.
 	NoHeuristic
@@ -76,9 +77,10 @@ type Enumerator struct {
 }
 
 // eligible reports whether the heuristic materializes op's output.
-// GROUP ALL packages are never materialized: a single global bag the
-// size of the input is not a useful reuse unit (and the paper's Table 1
-// shows L8's heuristics storing only the projections).
+// Aggressive and NoHeuristic take every Package except a GROUP ALL
+// one: a single global bag the size of the input is not a useful reuse
+// unit (and the paper's Table 1 shows L8's heuristics storing only the
+// projections).
 func (en *Enumerator) eligible(plan *physical.Plan, op *physical.Op) bool {
 	switch en.Heuristic {
 	case HeuristicOff:
@@ -90,7 +92,7 @@ func (en *Enumerator) eligible(plan *physical.Plan, op *physical.Op) bool {
 		case physical.KForEach, physical.KFilter, physical.KJoinFlatten:
 			return true
 		case physical.KPackage:
-			return op.Mode == physical.PkgGroup && !groupAllPackage(plan, op)
+			return !groupAllPackage(plan, op)
 		}
 		return false
 	case NoHeuristic:
