@@ -151,7 +151,9 @@ func (s *AggState) Add(a Agg, t tuple.Tuple) {
 // Merge folds the partial o, of tuples that came after the state's,
 // into the state. On a MIN or MAX tie the state's value stays, so
 // merging partials in arrival order keeps the first arrival, as one
-// fold over the whole bag would.
+// fold over the whole bag would. Float sums are re-associated, so a
+// merged SUM or AVG of floats may differ from that fold in its last
+// bits.
 func (s *AggState) Merge(o *AggState) {
 	s.count += o.count
 	s.sumI += o.sumI

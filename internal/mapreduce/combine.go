@@ -15,7 +15,8 @@ import (
 // A DISTINCT takes the same map-side path with no aggregates: each task
 // ships every distinct key once. A partial state is an expr.AggState,
 // the state expr.Agg.Eval folds a whole bag through, so the combined
-// row and the uncombined one answer by one set of aggregate rules.
+// row and the uncombined one answer by one set of aggregate rules (a
+// float SUM or AVG may still round apart: AggState.Merge).
 //
 // The algebraic combiner is disabled whenever the Package output has
 // any consumer other than that single ForEach — in particular when
