@@ -84,7 +84,7 @@ func main() {
 		defQueued    = flag.Int("default-queued", 16, "waiting-queue bound of unlisted tenants")
 		retryFlag    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		streamFlag   = flag.Duration("stream-interval", 100*time.Millisecond, "status poll period of /queries/{id}/events")
-		retainFlag   = flag.Int("retain-done", 4096, "finished queries kept inspectable")
+		retainFlag   = flag.Int("retain-done", 4096, "finished queries kept inspectable, each as its frozen record and trace (about 2 KB untraced)")
 		drainFlag    = flag.Duration("drain-timeout", 30*time.Second, "grace period before live queries are hard-cancelled on shutdown")
 		slowMSFlag   = flag.Int("slow-query-ms", 0, "retain traces of queries at least this slow at /debug/slow (0 = off)")
 		slowRingFlag = flag.Int("slow-ring", 64, "slow-query records retained")

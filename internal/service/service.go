@@ -12,8 +12,10 @@
 //     query ID immediately; GET /queries/{id} snapshots it, GET
 //     /queries/{id}/events streams NDJSON status until completion, GET
 //     /queries/{id}/result blocks for the outcome, GET
-//     /queries/{id}/output returns stored rows, and DELETE
-//     /queries/{id} (or POST /cancel with an ID or tag) aborts it.
+//     /queries/{id}/output returns the rows of one of its STOREs, and
+//     DELETE /queries/{id} (or POST /cancel with an ID or tag) aborts
+//     it. A finished query stays inspectable as a frozen record
+//     (Config.RetainDone).
 //   - Metrics: GET /metrics serializes the full StatsBundle — storage,
 //     matcher, durability and lease stats plus the service's own
 //     per-tenant admission and reuse counters.
@@ -69,7 +71,9 @@ type Config struct {
 	StreamInterval time.Duration
 	// RetainDone bounds how many finished queries stay inspectable via
 	// GET /queries/{id}; the oldest are forgotten beyond it (zero means
-	// 4096).
+	// 4096). A finished query keeps only its frozen wire record, its
+	// trace snapshot and its STORE paths, about 2 KB untraced, and
+	// /output serves only those paths.
 	RetainDone int
 	// SlowQueryThreshold, when positive, makes the server retain the
 	// trace of every finished query whose wall time met the threshold
@@ -234,23 +238,24 @@ type session struct {
 	Created time.Time `json:"created"`
 }
 
-// servedQuery is one submitted query's service-side record.
+// servedQuery is one submitted query's service-side record. While the
+// query is live it holds the engine's handle; finish freezes it.
 type servedQuery struct {
 	id      string
 	tenant  string
 	session string
 	tag     string
-	script  string
 	start   time.Time
 
-	stop context.CancelFunc // aborts the admission wait or the query
-
 	mu       sync.Mutex
+	stop     context.CancelFunc // aborts the admission wait or the query; nil once finished
 	state    string
-	q        QueryHandle // non-nil once submitted to the engine
-	res      *restore.Result
+	q        QueryHandle     // non-nil from submission to the engine until finished
+	res      *restore.Result // once finished, holds only FinalOutputs, for /output
 	err      error
 	finished time.Time
+	final    *QueryInfo             // what info serves once finished
+	tr       *restore.TraceSnapshot // what trace serves once finished
 	done     chan struct{}
 }
 
@@ -259,12 +264,12 @@ type servedQuery struct {
 func (sq *servedQuery) cancel() bool {
 	sq.mu.Lock()
 	live := sq.state == StateQueued || sq.state == StateRunning
-	q := sq.q
+	q, stop := sq.q, sq.stop
 	sq.mu.Unlock()
 	if !live {
 		return false
 	}
-	sq.stop()
+	stop()
 	if q != nil {
 		q.Cancel()
 	}
@@ -341,6 +346,15 @@ type QueryInfo struct {
 func (sq *servedQuery) info() QueryInfo {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
+	if sq.final != nil {
+		return *sq.final
+	}
+	return sq.liveInfo()
+}
+
+// liveInfo builds the snapshot from the query's current state; sq.mu
+// must be held.
+func (sq *servedQuery) liveInfo() QueryInfo {
 	inf := QueryInfo{
 		ID:      sq.id,
 		Tenant:  sq.tenant,
@@ -373,14 +387,15 @@ func (sq *servedQuery) info() QueryInfo {
 	return inf
 }
 
-// trace snapshots the underlying query's span tree; nil while still
-// queued or when tracing is disabled.
+// trace snapshots the underlying query's span tree, or returns the one
+// taken when it finished; nil while still queued or when tracing is
+// disabled.
 func (sq *servedQuery) trace() *restore.TraceSnapshot {
 	sq.mu.Lock()
-	q := sq.q
+	q, tr := sq.q, sq.tr
 	sq.mu.Unlock()
 	if q == nil {
-		return nil
+		return tr
 	}
 	return q.Trace()
 }
@@ -592,7 +607,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant:  tenant,
 		session: req.Session,
 		tag:     req.Tag,
-		script:  script,
 		start:   time.Now(),
 		stop:    stop,
 		state:   StateQueued,
@@ -603,7 +617,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.drain.Add(1)
 	s.mu.Unlock()
 
-	go s.runQuery(ctx, sq, wtr, quota, append(opts, restore.WithTenant(tenant)))
+	go s.runQuery(ctx, sq, script, wtr, quota, append(opts, restore.WithTenant(tenant)))
 
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id": sq.id, "tenant": tenant, "state": StateQueued,
@@ -643,17 +657,17 @@ func (s *Server) execOptions(req submitRequest) ([]restore.ExecOption, error) {
 
 // runQuery carries one accepted query through admission, submission and
 // completion, keeping the meter and retention in step.
-func (s *Server) runQuery(ctx context.Context, sq *servedQuery, wtr *waiter, quota TenantQuota, opts []restore.ExecOption) {
+func (s *Server) runQuery(ctx context.Context, sq *servedQuery, script string, wtr *waiter, quota TenantQuota, opts []restore.ExecOption) {
 	defer s.drain.Done()
 	if err := wtr.wait(ctx, s.adm); err != nil {
 		// Never admitted: cancelled while queued, or the server drained.
-		s.finish(sq, quota, nil, err, false)
+		s.finish(sq, quota, nil, nil, err)
 		return
 	}
-	q, err := s.eng.Submit(ctx, sq.script, opts...)
+	q, err := s.eng.Submit(ctx, script, opts...)
 	if err != nil {
 		s.adm.release(sq.tenant)
-		s.finish(sq, quota, nil, err, false)
+		s.finish(sq, quota, nil, nil, err)
 		return
 	}
 	sq.mu.Lock()
@@ -666,12 +680,19 @@ func (s *Server) runQuery(ctx context.Context, sq *servedQuery, wtr *waiter, quo
 
 	res, werr := q.Wait()
 	s.adm.release(sq.tenant)
-	s.finish(sq, quota, res, werr, true)
+	s.finish(sq, quota, q, res, werr)
 }
 
-// finish records a query's terminal state. admitted tells whether it
-// held an admission slot (and so counted in InFlight).
-func (s *Server) finish(sq *servedQuery, quota TenantQuota, res *restore.Result, err error, admitted bool) {
+// finish records a query's terminal state. q is the engine's handle,
+// nil when the query never reached the engine (and so never counted in
+// InFlight).
+//
+// It freezes the query into the record its endpoints serve from then
+// on: the QueryInfo, one trace snapshot (shared by /trace, the terminal
+// /events record and the slow-query ring), and of the result only what
+// /output reads. The engine's handle, the full result and the context
+// go, so what a retained query holds does not grow with its execution.
+func (s *Server) finish(sq *servedQuery, quota TenantQuota, q QueryHandle, res *restore.Result, err error) {
 	state := StateDone
 	switch {
 	case err == nil:
@@ -680,13 +701,27 @@ func (s *Server) finish(sq *servedQuery, quota TenantQuota, res *restore.Result,
 	default:
 		state = StateFailed
 	}
+	var tr *restore.TraceSnapshot
+	if q != nil {
+		tr = q.Trace()
+	}
 	sq.mu.Lock()
 	sq.state = state
 	sq.res = res
 	sq.err = err
 	sq.finished = time.Now()
 	wall := sq.finished.Sub(sq.start)
+	final := sq.liveInfo()
+	sq.final, sq.tr = &final, tr
+	if res != nil && res.Result != nil {
+		kept := *res
+		kept.Result = &core.Result{FinalOutputs: res.FinalOutputs}
+		sq.res = &kept
+	}
+	stop := sq.stop
+	sq.q, sq.stop = nil, nil
 	sq.mu.Unlock()
+	stop()
 	close(sq.done)
 
 	if thr := s.cfg.SlowQueryThreshold; thr > 0 && wall >= thr {
@@ -696,13 +731,13 @@ func (s *Server) finish(sq *servedQuery, quota TenantQuota, res *restore.Result,
 			Tag:    sq.tag,
 			State:  state,
 			WallMs: float64(wall) / float64(time.Millisecond),
-			Trace:  sq.trace(),
+			Trace:  tr,
 		})
 	}
 
 	s.mu.Lock()
 	s.meter.add(sq.tenant, quota, func(c *TenantCounters) {
-		if admitted {
+		if q != nil {
 			c.InFlight--
 		} else {
 			c.Queued--
@@ -857,7 +892,9 @@ func (s *Server) handleQueryResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQueryOutput returns the rows of one of the query's STORE
-// destinations as text lines (one encoded tuple per line).
+// destinations as text lines (one encoded tuple per line). Any other
+// path is a 404: the endpoint never reads a dataset the query did not
+// store, such as an input or another tenant's output.
 func (s *Server) handleQueryOutput(w http.ResponseWriter, r *http.Request) {
 	sq := s.lookup(r.PathValue("id"))
 	if sq == nil {
@@ -877,8 +914,12 @@ func (s *Server) handleQueryOutput(w http.ResponseWriter, r *http.Request) {
 	sq.mu.Lock()
 	res, err := sq.res, sq.err
 	sq.mu.Unlock()
-	if err != nil || res == nil {
+	if err != nil || res == nil || res.Result == nil {
 		writeError(w, http.StatusConflict, fmt.Errorf("query %s produced no output", sq.id))
+		return
+	}
+	if _, ok := res.FinalOutputs[path]; !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("query %s stored nothing at %q", sq.id, path))
 		return
 	}
 	rows, rerr := res.Output(path)

@@ -261,6 +261,94 @@ func TestHTTPSubmitResultOutput(t *testing.T) {
 	}
 }
 
+// TestHTTPOutputOnlyStorePaths: /output serves the query's own STORE
+// destinations and nothing else. An input dataset, another query's
+// output and the repository's internals are 404s, though each exists.
+func TestHTTPOutputOnlyStorePaths(t *testing.T) {
+	_, base, client := newRealServer(t, Config{})
+	sess := newSession(t, client, base, "acme")
+	other, _, _ := submit(t, client, base, submitRequest{Session: sess, Script: fmt.Sprintf(eventsScript, "out/other")})
+	waitResult(t, client, base, other)
+	id, _, _ := submit(t, client, base, submitRequest{Session: sess, Script: fmt.Sprintf(eventsScript, "out/totals")})
+	if info := waitResult(t, client, base, id); info.State != StateDone {
+		t.Fatalf("query: %+v", info)
+	}
+	for path, want := range map[string]int{
+		"out/totals":       http.StatusOK,
+		"events":           http.StatusNotFound,
+		"out/other":        http.StatusNotFound,
+		".restore":         http.StatusNotFound,
+		"out/totals/../..": http.StatusNotFound,
+	} {
+		resp, err := client.Get(base + "/queries/" + id + "/output?path=" + path)
+		if err != nil {
+			t.Fatalf("output %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("output?path=%s: %d %q, want %d", path, resp.StatusCode, body, want)
+		}
+	}
+}
+
+// TestHTTPRetainedQueryFrozen: the server keeps the last RetainDone
+// finished queries, and each answers every endpoint, byte for byte, as
+// it did when it finished, however many queries ran since. Each query
+// stores its own path, because /output reads the path's current rows.
+func TestHTTPRetainedQueryFrozen(t *testing.T) {
+	const retain, total = 3, 5
+	_, base, client := newRealServer(t, Config{RetainDone: retain})
+	sess := newSession(t, client, base, "acme")
+	get := func(url string) string {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	// capture reads every endpoint of a finished query; of /events it
+	// keeps the terminal record.
+	capture := func(id, path string) []string {
+		q := base + "/queries/" + id
+		events := strings.Split(strings.TrimSpace(get(q+"/events")), "\n")
+		return []string{
+			get(q), get(q + "/result"), get(q + "/trace"),
+			get(q + "/output?path=" + path), events[len(events)-1],
+		}
+	}
+	ids := make([]string, total)
+	paths := make([]string, total)
+	atFinish := make([][]string, total)
+	for i := range ids {
+		paths[i] = fmt.Sprintf("out/r%d", i)
+		ids[i], _, _ = submit(t, client, base, submitRequest{Session: sess, Script: fmt.Sprintf(eventsScript, paths[i])})
+		if info := waitResult(t, client, base, ids[i]); info.State != StateDone {
+			t.Fatalf("query %d: %+v", i, info)
+		}
+		atFinish[i] = capture(ids[i], paths[i])
+	}
+	for i, id := range ids[:total-retain] {
+		if resp := getJSON(t, client, base+"/queries/"+id, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("query %d (%s) past RetainDone: GET status %d, want 404", i, id, resp.StatusCode)
+		}
+	}
+	endpoints := []string{"info", "result", "trace", "output", "events"}
+	for i := total - retain; i < total; i++ {
+		for k, body := range capture(ids[i], paths[i]) {
+			if body != atFinish[i][k] {
+				t.Errorf("query %d %s changed after later queries:\n at finish %s\n now       %s", i, endpoints[k], atFinish[i][k], body)
+			}
+		}
+	}
+}
+
 // TestHTTPSubmitBadHeuristic400: an unparseable heuristic is rejected
 // at submission with ParseHeuristic's error, which names the accepted
 // values, not run under the default.
