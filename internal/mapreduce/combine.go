@@ -42,35 +42,21 @@ type combineSpec struct {
 	aggs  []expr.Agg
 }
 
-// detectCombine inspects the reduce segment and returns a spec when the
-// job is combinable.
+// detectCombine returns a spec when the job is combinable: the Package
+// feeds only its ForEach, and physical.AlgebraicGroup accepts the pair.
 func detectCombine(p *physical.Plan, succ map[int][]int, pkg *physical.Op) *combineSpec {
-	if pkg == nil || pkg.Mode != physical.PkgGroup || pkg.NumInputs != 1 {
-		return nil
-	}
 	consumers := succ[pkg.ID]
 	if len(consumers) != 1 {
-		return nil
+		return nil // an injected Store needs the raw bags
 	}
 	fe := p.Op(consumers[0])
-	if fe.Kind != physical.KForEach {
+	if !physical.AlgebraicGroup(pkg, fe) {
 		return nil
 	}
 	spec := &combineSpec{feID: fe.ID, exprs: fe.Exprs}
 	for _, e := range fe.Exprs {
-		switch x := e.(type) {
-		case expr.Col:
-			if x.Index != 0 {
-				return nil // only the group key passes through
-			}
-		case expr.Agg:
-			bag, ok := x.Bag.(expr.Col)
-			if !ok || bag.Index != 1 {
-				return nil
-			}
-			spec.aggs = append(spec.aggs, x)
-		default:
-			return nil
+		if a, ok := e.(expr.Agg); ok {
+			spec.aggs = append(spec.aggs, a)
 		}
 	}
 	return spec

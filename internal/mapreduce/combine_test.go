@@ -14,6 +14,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/mrcompile"
+	"repro/internal/physical"
 	"repro/internal/piglatin"
 	"repro/internal/tuple"
 )
@@ -388,11 +389,48 @@ var combineValues = []tuple.Value{
 	math.NaN(), math.Inf(1), math.Inf(-1), "7", "2.5", "NaN", "x", nil,
 }
 
-// checkMapCombine cuts a random stream of (key, row) pairs into map
-// tasks and runs each through the combiner (taskScratch.combine and
-// drainCombined), then every reducer's share through groupByKey and
-// combineSpec.row, reusing one scratch throughout. It requires
-// that
+// groupJobPlan is a GROUP job's plan: Load → LocalRearrange → Shuffle
+// → Package(group,1) → ForEach(exprs) → Store, and with stored a second
+// Store on the Package, as ReStore injects to keep the GROUP's output.
+func groupJobPlan(exprs []expr.Expr, stored bool) *physical.Plan {
+	p := physical.NewPlan()
+	ld := p.Add(&physical.Op{Kind: physical.KLoad, Path: "in"})
+	lr := p.Add(&physical.Op{Kind: physical.KLocalRearrange, KeyExprs: []expr.Expr{expr.NewCol(0)}, InputIDs: []int{ld.ID}})
+	sh := p.Add(&physical.Op{Kind: physical.KShuffle, InputIDs: []int{lr.ID}})
+	pkg := p.Add(&physical.Op{Kind: physical.KPackage, Mode: physical.PkgGroup, NumInputs: 1, InputIDs: []int{sh.ID}})
+	fe := p.Add(&physical.Op{Kind: physical.KForEach, Exprs: exprs, InputIDs: []int{pkg.ID}})
+	p.Add(&physical.Op{Kind: physical.KStore, Path: "out", InputIDs: []int{fe.ID}})
+	if stored {
+		p.Add(&physical.Op{Kind: physical.KStore, Path: "grouped", InputIDs: []int{pkg.ID}})
+	}
+	return p
+}
+
+// TestDetectCombineSoleConsumer holds the combiner's own rule beside
+// physical.AlgebraicGroup: a Package that also feeds a Store ships its
+// raw bags, so the job does not combine.
+func TestDetectCombineSoleConsumer(t *testing.T) {
+	exprs := []expr.Expr{expr.NewCol(0), expr.Agg{Kind: expr.AggSum, Bag: expr.NewCol(1), Field: 1}}
+	for _, stored := range []bool{false, true} {
+		seg, err := segments(groupJobPlan(exprs, stored))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (seg.combine != nil) == stored {
+			t.Errorf("Package also stored %t: combine %+v", stored, seg.combine)
+		}
+	}
+}
+
+// checkMapCombine draws a GROUP's ForEach (aggregates over the bag,
+// the group key at any positions, and sometimes one expression that is
+// not algebraic, which must leave the job uncombined), takes its
+// combineSpec from segments over a Load → LocalRearrange → Shuffle →
+// Package → ForEach → Store plan, cuts a random stream of (key, row)
+// pairs into map tasks and runs each through the combiner
+// (taskScratch.combine and drainCombined), then every reducer's share
+// through groupByKey and combineSpec.row, reusing one scratch
+// throughout. It requires that
 //
 //	(a) each group's row is the ForEach's output over the group's whole
 //	    bag: the first arrival of its key and expr.Agg.Eval of each
@@ -411,14 +449,36 @@ func checkMapCombine(t *testing.T, c *chooser) {
 		}
 		return keys[c.n(len(keys))]
 	}
-	spec := &combineSpec{}
-	if c.n(2) == 0 {
-		spec.exprs = append(spec.exprs, expr.NewCol(0))
-	}
+	var exprs []expr.Expr
 	for i := c.n(4); i >= 0; i-- {
-		a := expr.Agg{Kind: expr.AggKind(c.n(5)), Bag: expr.NewCol(1), Field: c.n(4) - 1}
-		spec.exprs = append(spec.exprs, a)
-		spec.aggs = append(spec.aggs, a)
+		exprs = append(exprs, expr.Agg{Kind: expr.AggKind(c.n(5)), Bag: expr.NewCol(1), Field: c.n(4) - 1})
+	}
+	for i := c.n(3); i > 0; i-- {
+		exprs = slices.Insert(exprs, c.n(len(exprs)+1), expr.Expr(expr.NewCol(0)))
+	}
+	reject := c.n(8) == 0
+	if reject {
+		bad := []expr.Expr{
+			expr.NewCol(1), // the raw bag
+			expr.NewCol(2),
+			expr.Agg{Kind: expr.AggSum, Bag: expr.NewCol(0), Field: 0},
+			expr.Binary{Op: expr.OpAdd, L: exprs[0], R: expr.Const{V: int64(1)}},
+		}
+		exprs = slices.Insert(exprs, c.n(len(exprs)+1), bad[c.n(len(bad))])
+	}
+	seg, err := segments(groupJobPlan(exprs, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := seg.combine
+	if reject {
+		if spec != nil {
+			t.Fatalf("%v combined", exprs)
+		}
+		return
+	}
+	if spec == nil {
+		t.Fatalf("%v not combined", exprs)
 	}
 	type pair struct {
 		key tuple.Value

@@ -1,11 +1,6 @@
 package physical
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/expr"
-)
+import "repro/internal/expr"
 
 // Mergeability analysis and delta-merge plan synthesis for incremental
 // maintenance. A stored sub-plan's output is "mergeable" when the
@@ -20,12 +15,14 @@ import (
 //
 //   - Group-mergeable: a single-input distributive GROUP BY — the plan
 //     is map-side tuple-at-a-time ops feeding LocalRearrange → Shuffle
-//     → Package(group,1) → ForEach → Store, where every ForEach column
-//     is the group key (Col $0) or an algebraic aggregate over the
-//     group bag: SUM, COUNT, MIN, MAX merge directly (partial SUMs and
-//     COUNTs add, partial MINs/MAXs compare); AVG merges only when the
-//     same ForEach also emits SUM and COUNT of the same field, letting
-//     the merge recompute avg = ΣSUM / ΣCOUNT exactly.
+//     → Package(group,1) → ForEach → Store, where AlgebraicGroup
+//     accepts the ForEach: SUM, COUNT, MIN, MAX merge directly (partial
+//     SUMs and COUNTs add, partial MINs/MAXs compare); AVG merges only
+//     when the same ForEach also emits SUM and COUNT of the same field,
+//     and the merge recomputes avg = ΣSUM / ΣCOUNT. That equals the
+//     cold AVG only when every field is numeric: COUNT also counts
+//     fields AVG skips (a string "x"), and the stored rows do not hold
+//     the numeric count.
 //
 // Everything else — joins, cogroups, DISTINCT, ORDER BY, LIMIT, HAVING
 // filters after aggregation, holistic aggregates — is not mergeable
@@ -48,22 +45,6 @@ const (
 	MergeAvg                     // recomputed from companion SUM+COUNT columns
 )
 
-func (k MergeColKind) String() string {
-	switch k {
-	case MergeKey:
-		return "key"
-	case MergeSum:
-		return "sum"
-	case MergeMin:
-		return "min"
-	case MergeMax:
-		return "max"
-	case MergeAvg:
-		return "avg"
-	}
-	return fmt.Sprintf("mergecol(%d)", int(k))
-}
-
 // MergeCol describes one output column's merge function. SumCol and
 // CountCol are only set for MergeAvg: the output positions of the
 // companion SUM and COUNT columns the merged average divides.
@@ -82,13 +63,6 @@ const (
 	MergeGroup                      // re-group by key and re-aggregate
 )
 
-func (k MergeSpecKind) String() string {
-	if k == MergeUnion {
-		return "union"
-	}
-	return "group"
-}
-
 // MergeSpec is a stored entry's mergeability classification, computed
 // once at insert time from the entry's physical sub-plan and persisted
 // with the entry. It carries everything merge-plan synthesis needs, so
@@ -102,21 +76,6 @@ type MergeSpec struct {
 	GroupAll bool
 	KeyCol   int
 	Cols     []MergeCol
-}
-
-// String renders the spec compactly for logs and stats.
-func (s *MergeSpec) String() string {
-	if s == nil {
-		return "none"
-	}
-	if s.Kind == MergeUnion {
-		return "union"
-	}
-	parts := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		parts[i] = c.Kind.String()
-	}
-	return "group(" + strings.Join(parts, ",") + ")"
 }
 
 // AnalyzeMerge classifies the sub-plan's mergeability, returning nil
@@ -171,17 +130,46 @@ func analyzeUnionMerge(p *Plan) *MergeSpec {
 	return &MergeSpec{Kind: MergeUnion}
 }
 
+// AlgebraicGroup reports whether fe is a ForEach over pkg, a
+// single-input GROUP package, whose every expression is the group key
+// (Col 0) or an aggregate over the group's bag (Col 1): the one test of
+// an algebraic GROUP that both the map-side combiner and the delta
+// merge start from. Each adds its own rule. The two differ on AVG: the
+// combiner ships partial states, so a bare AVG combines, while the
+// merge reads stored results, so AVG merges only beside a SUM and a
+// COUNT of its field (analyzeGroupMerge).
+func AlgebraicGroup(pkg, fe *Op) bool {
+	if pkg.Kind != KPackage || pkg.Mode != PkgGroup || pkg.NumInputs != 1 || fe.Kind != KForEach {
+		return false
+	}
+	for _, e := range fe.Exprs {
+		switch x := e.(type) {
+		case expr.Col:
+			if x.Index != 0 {
+				return false // a raw bag column is not an aggregate
+			}
+		case expr.Agg:
+			if bag, ok := x.Bag.(expr.Col); !ok || bag.Index != 1 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 func analyzeGroupMerge(p *Plan, store *Op) *MergeSpec {
 	// Walk the spine down from the Store: ForEach ← Package ← Shuffle
 	// ← LocalRearrange, with nothing in between (a filter or limit
 	// after aggregation sees partial groups under a merge and would
 	// change the result).
 	fe := p.Op(store.InputIDs[0])
-	if fe == nil || fe.Kind != KForEach || len(fe.InputIDs) != 1 {
+	if fe == nil || len(fe.InputIDs) != 1 {
 		return nil
 	}
 	pkg := p.Op(fe.InputIDs[0])
-	if pkg == nil || pkg.Kind != KPackage || pkg.Mode != PkgGroup || pkg.NumInputs != 1 {
+	if pkg == nil || !AlgebraicGroup(pkg, fe) {
 		return nil
 	}
 	sh := p.Op(pkg.InputIDs[0])
@@ -211,42 +199,33 @@ func analyzeGroupMerge(p *Plan, store *Op) *MergeSpec {
 	type pending struct{ col, field int }
 	var avgs []pending
 	for i, e := range fe.Exprs {
-		switch x := e.(type) {
-		case expr.Col:
-			if x.Index != 0 {
-				return nil // a raw bag column is not an aggregate
-			}
+		x, ok := e.(expr.Agg)
+		if !ok { // the group key
 			if spec.KeyCol < 0 {
 				spec.KeyCol = i
 			}
 			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeKey})
-		case expr.Agg:
-			bag, ok := x.Bag.(expr.Col)
-			if !ok || bag.Index != 1 {
+			continue
+		}
+		switch x.Kind {
+		case expr.AggSum:
+			sumAt[x.Field] = i
+			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeSum})
+		case expr.AggCount:
+			if x.Field >= 0 {
+				countAt[x.Field] = i
+			}
+			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeSum})
+		case expr.AggMin:
+			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeMin})
+		case expr.AggMax:
+			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeMax})
+		case expr.AggAvg:
+			if x.Field < 0 {
 				return nil
 			}
-			switch x.Kind {
-			case expr.AggSum:
-				sumAt[x.Field] = i
-				spec.Cols = append(spec.Cols, MergeCol{Kind: MergeSum})
-			case expr.AggCount:
-				if x.Field >= 0 {
-					countAt[x.Field] = i
-				}
-				spec.Cols = append(spec.Cols, MergeCol{Kind: MergeSum})
-			case expr.AggMin:
-				spec.Cols = append(spec.Cols, MergeCol{Kind: MergeMin})
-			case expr.AggMax:
-				spec.Cols = append(spec.Cols, MergeCol{Kind: MergeMax})
-			case expr.AggAvg:
-				if x.Field < 0 {
-					return nil
-				}
-				avgs = append(avgs, pending{col: i, field: x.Field})
-				spec.Cols = append(spec.Cols, MergeCol{Kind: MergeAvg})
-			default:
-				return nil
-			}
+			avgs = append(avgs, pending{col: i, field: x.Field})
+			spec.Cols = append(spec.Cols, MergeCol{Kind: MergeAvg})
 		default:
 			return nil
 		}

@@ -38,7 +38,7 @@ func TestAnalyzeMergeUnion(t *testing.T) {
 
 	spec := AnalyzeMerge(p)
 	if spec == nil || spec.Kind != MergeUnion {
-		t.Fatalf("row-wise plan: %v, want union", spec)
+		t.Fatalf("row-wise plan: %+v, want union", spec)
 	}
 
 	// A Limit is order-sensitive: not row-wise, not mergeable.
@@ -47,7 +47,7 @@ func TestAnalyzeMergeUnion(t *testing.T) {
 	lim := p2.Add(&Op{Kind: KLimit, N: 5, InputIDs: []int{ld2.ID}})
 	p2.Add(&Op{Kind: KStore, Path: "out", InputIDs: []int{lim.ID}})
 	if spec := AnalyzeMerge(p2); spec != nil {
-		t.Fatalf("limit plan classified mergeable: %v", spec)
+		t.Fatalf("limit plan classified mergeable: %+v", spec)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestAnalyzeMergeGroup(t *testing.T) {
 		agg(expr.AggMax, 2),
 	}))
 	if spec == nil || spec.Kind != MergeGroup {
-		t.Fatalf("distributive group plan: %v, want group", spec)
+		t.Fatalf("distributive group plan: %+v, want group", spec)
 	}
 	if spec.KeyCol != 0 || spec.GroupAll {
 		t.Fatalf("key detection: %+v", spec)
@@ -91,13 +91,13 @@ func TestAnalyzeMergeAvgCompanions(t *testing.T) {
 
 	// A bare AVG is holistic under merging.
 	if spec := AnalyzeMerge(groupPlan([]expr.Expr{expr.NewCol(0), agg(expr.AggAvg, 1)})); spec != nil {
-		t.Fatalf("bare AVG classified mergeable: %v", spec)
+		t.Fatalf("bare AVG classified mergeable: %+v", spec)
 	}
 	// Companions over a different field do not help.
 	if spec := AnalyzeMerge(groupPlan([]expr.Expr{
 		expr.NewCol(0), agg(expr.AggAvg, 1), agg(expr.AggSum, 2), agg(expr.AggCount, 2),
 	})); spec != nil {
-		t.Fatalf("AVG with mismatched companions classified mergeable: %v", spec)
+		t.Fatalf("AVG with mismatched companions classified mergeable: %+v", spec)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestAnalyzeMergeRejections(t *testing.T) {
 				muts = append(muts, tc.mutate)
 			}
 			if spec := AnalyzeMerge(groupPlan(tc.exprs, muts...)); spec != nil {
-				t.Fatalf("classified mergeable: %v", spec)
+				t.Fatalf("classified mergeable: %+v", spec)
 			}
 		})
 	}
@@ -207,5 +207,62 @@ func TestBuildMergePlan(t *testing.T) {
 	}
 	if r, ok := b.R.(expr.Agg); !ok || r.Kind != expr.AggSum || r.Field != 3 {
 		t.Fatalf("avg denominator: %v", b.R)
+	}
+}
+
+// TestAlgebraicGroup holds AlgebraicGroup to one table over groupPlan,
+// and each row to AnalyzeMerge's answer, which adds the merge's own
+// rules: the key stays in the output unless the GROUP is a GROUP ALL,
+// and AVG merges only beside SUM and COUNT of its field.
+func TestAlgebraicGroup(t *testing.T) {
+	key := expr.NewCol(0)
+	groupAll := func(p *Plan, ops map[string]*Op) {
+		ops["lr"].KeyExprs = nil
+		ops["lr"].GroupAll = true
+	}
+	cases := []struct {
+		name      string
+		exprs     []expr.Expr
+		mutate    func(*Plan, map[string]*Op)
+		algebraic bool
+		merge     bool
+	}{
+		{"key first", []expr.Expr{key, agg(expr.AggSum, 1)}, nil, true, true},
+		{"key last", []expr.Expr{agg(expr.AggSum, 1), key}, nil, true, true},
+		{"key twice", []expr.Expr{key, agg(expr.AggMin, 1), key}, nil, true, true},
+		{"key dropped", []expr.Expr{agg(expr.AggSum, 1)}, nil, true, false},
+		{"COUNT(*)", []expr.Expr{key, agg(expr.AggCount, -1)}, nil, true, true},
+		{"COUNT", []expr.Expr{key, agg(expr.AggCount, 1)}, nil, true, true},
+		{"SUM", []expr.Expr{key, agg(expr.AggSum, 1)}, nil, true, true},
+		{"MIN", []expr.Expr{key, agg(expr.AggMin, 1)}, nil, true, true},
+		{"MAX", []expr.Expr{key, agg(expr.AggMax, 1)}, nil, true, true},
+		{"bare AVG", []expr.Expr{key, agg(expr.AggAvg, 1)}, nil, true, false},
+		{"AVG SUM COUNT", []expr.Expr{key, agg(expr.AggAvg, 1), agg(expr.AggSum, 1), agg(expr.AggCount, 1)}, nil, true, true},
+		{"AVG SUM COUNT apart", []expr.Expr{key, agg(expr.AggAvg, 1), agg(expr.AggSum, 2), agg(expr.AggCount, 2)}, nil, true, false},
+		{"GROUP ALL", []expr.Expr{agg(expr.AggCount, -1), agg(expr.AggSum, 1)}, groupAll, true, true},
+
+		{"Col 2", []expr.Expr{key, expr.NewCol(2)}, nil, false, false},
+		{"raw bag", []expr.Expr{key, expr.NewCol(1)}, nil, false, false},
+		{"Agg over Col 0", []expr.Expr{key, expr.Agg{Kind: expr.AggSum, Bag: key, Field: 1}}, nil, false, false},
+		{"Binary", []expr.Expr{key, expr.Binary{Op: expr.OpDiv, L: agg(expr.AggSum, 1), R: agg(expr.AggCount, 1)}}, nil, false, false},
+		{"PkgDistinct", []expr.Expr{key, agg(expr.AggSum, 1)}, func(p *Plan, ops map[string]*Op) { ops["pkg"].Mode = PkgDistinct }, false, false},
+		{"PkgFlat", []expr.Expr{key, agg(expr.AggSum, 1)}, func(p *Plan, ops map[string]*Op) { ops["pkg"].Mode = PkgFlat }, false, false},
+		{"NumInputs 2", []expr.Expr{key, agg(expr.AggSum, 1)}, func(p *Plan, ops map[string]*Op) { ops["pkg"].NumInputs = 2 }, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var muts []func(*Plan, map[string]*Op)
+			if tc.mutate != nil {
+				muts = append(muts, tc.mutate)
+			}
+			var ops map[string]*Op
+			p := groupPlan(tc.exprs, append(muts, func(_ *Plan, o map[string]*Op) { ops = o })...)
+			if got := AlgebraicGroup(ops["pkg"], ops["fe"]); got != tc.algebraic {
+				t.Errorf("AlgebraicGroup = %t, want %t", got, tc.algebraic)
+			}
+			if spec := AnalyzeMerge(p); (spec != nil) != tc.merge {
+				t.Errorf("AnalyzeMerge = %+v, want mergeable %t", spec, tc.merge)
+			}
+		})
 	}
 }
