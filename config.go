@@ -127,9 +127,12 @@ type Config struct {
 	// cache — the in-memory fast path that feeds repeated reads of hot
 	// datasets (repository outputs, warm inputs) from resident columnar
 	// batches instead of re-reading and re-parsing part files. Zero
-	// selects the default (256 MiB); negative disables the cache.
-	// Outputs and simulated times are identical with the cache on or
-	// off.
+	// selects the default (256 MiB); negative disables the cache. The
+	// budget counts what the cache adds beyond the DFS's file text —
+	// column vectors, string headers, boxed values, line offsets and
+	// unescaped strings (tuple.Batch.MemBytes) — not the text the
+	// batches' strings slice, which the DFS already holds. Outputs and
+	// simulated times are identical with the cache on or off.
 	MaxCachedBatchBytes int64
 	// DefaultReducers is the reduce parallelism for statements without
 	// a PARALLEL clause (default: the cluster's reduce slots).

@@ -183,6 +183,7 @@ func (ix *planIndex) addWithFootprint(e *Entry, f *footprint) {
 // remove unindexes e; unknown entries are a no-op (tests splice entries
 // into the repository behind the index's back).
 func (ix *planIndex) remove(e *Entry) {
+	delete(ix.pos, e.ID)
 	f := ix.meta[e]
 	if f == nil {
 		return
@@ -205,13 +206,12 @@ func (ix *planIndex) remove(e *Entry) {
 	}
 }
 
-// renumber rebuilds the scan positions from the current entry order.
-func (ix *planIndex) renumber(entries []*Entry) {
-	if len(ix.pos) > 0 {
-		ix.pos = make(map[string]int, len(entries))
-	}
-	for i, e := range entries {
-		ix.pos[e.ID] = i
+// renumber sets the scan positions of entries[from:], the entries a
+// splice at position from moved; the entries before it kept theirs, and
+// remove dropped the positions of the entries it unindexed.
+func (ix *planIndex) renumber(entries []*Entry, from int) {
+	for i := from; i < len(entries); i++ {
+		ix.pos[entries[i].ID] = i
 	}
 }
 

@@ -313,6 +313,9 @@ func checkIndexCoherent(t *testing.T, repo *Repository) {
 		}
 		posted += len(list)
 	}
+	if len(repo.index.pos) != len(entries) {
+		t.Fatalf("index holds %d scan positions, repository %d entries", len(repo.index.pos), len(entries))
+	}
 	for i, e := range entries {
 		f := repo.index.meta[e]
 		if f == nil {
@@ -437,6 +440,67 @@ store S into 'p%d';
 				t.Fatalf("family %d: matching entry %s not nominated after churn", k, e.ID)
 			}
 		}
+	}
+}
+
+// TestScanPositionsFollowChurn: the index renumbers only from the first
+// position a splice moved, so after every random insert, replacement,
+// replayed put and removal the scan positions must still equal the scan
+// order, with none left for a removed entry.
+func TestScanPositionsFollowChurn(t *testing.T) {
+	fs := dfs.New()
+	repo := NewRepository()
+	const families = 10
+	sigs := make([]PlanSig, families)
+	for i := range sigs {
+		// Nested filters over three inputs: some plans subsume others
+		// (Rule 1), and random stats order the rest (Rule 2).
+		sigs[i] = firstJobSig(t, fmt.Sprintf(`
+A = load 'in%d' as (a, b, c);
+B = filter A by a > %d;
+C = filter B by b < %d;
+store C into 'o%d';
+`, i%3, i/3, i, i))
+		if err := fs.WriteFile(fmt.Sprintf("stored/f%d/part-00000", i), []byte("1\t2\t3\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := func(k int, r *rand.Rand) *Entry {
+		return &Entry{
+			Plan:          sigs[k],
+			OutputPath:    fmt.Sprintf("stored/f%d", k),
+			InputVersions: map[string]int64{fmt.Sprintf("in%d", k%3): fs.Version(fmt.Sprintf("in%d", k%3))},
+			Stats:         EntryStats{InputSimBytes: int64(1 + r.Intn(1000)), OutputSimBytes: int64(1 + r.Intn(100))},
+		}
+	}
+	r := rand.New(rand.NewSource(67))
+	seq := uint64(0)
+	for i := 0; i < 2000; i++ {
+		k := r.Intn(families)
+		switch r.Intn(6) {
+		case 0, 1, 2: // insert; a present fingerprint is replaced
+			repo.Insert(entry(k, r))
+		case 3: // a replayed put at a recorded position
+			e := entry(k, r)
+			e.ID = fmt.Sprintf("peer%d", k)
+			e.fp = e.fingerprint()
+			seq++
+			repo.applyPut(e, footprintOf(e.planSig()), r.Intn(repo.Len()+2)-1, seq)
+		case 4: // remove up to three entries anywhere in the scan order
+			var ids []string
+			for _, e := range allEntries(repo) {
+				if r.Intn(3) == 0 && len(ids) < 3 {
+					ids = append(ids, e.ID)
+				}
+			}
+			repo.EvictUnpinned(ids, nil)
+		case 5: // a replayed remove
+			if e := repo.Lookup(sigs[k]); e != nil {
+				seq++
+				repo.applyRemove(e.ID, seq, 0)
+			}
+		}
+		checkIndexCoherent(t, repo)
 	}
 }
 

@@ -406,10 +406,14 @@ func (r *Repository) Insert(e *Entry) *Entry {
 // their output path, each path reported once.
 func (r *Repository) remove(drop func(*Entry) bool, journal bool) (removed, released []*Entry) {
 	kept := r.entries[:0]
-	for _, e := range r.entries {
+	first := -1 // the scan position of the first entry dropped
+	for i, e := range r.entries {
 		if !drop(e) {
 			kept = append(kept, e)
 			continue
+		}
+		if first < 0 {
+			first = i
 		}
 		delete(r.byFP, e.fingerprint())
 		r.index.remove(e)
@@ -424,7 +428,7 @@ func (r *Repository) remove(drop func(*Entry) bool, journal bool) (removed, rele
 	}
 	if len(removed) > 0 {
 		r.entries = kept
-		r.index.renumber(r.entries)
+		r.index.renumber(r.entries, first)
 	}
 	return removed, released
 }
@@ -479,7 +483,7 @@ func (r *Repository) insertOrdered(e *Entry) {
 	r.entries = append(r.entries, nil)
 	copy(r.entries[pos+1:], r.entries[pos:])
 	r.entries[pos] = e
-	r.index.renumber(r.entries)
+	r.index.renumber(r.entries, pos)
 }
 
 // before implements the scan-order comparison: Rule 1 (subsumption)
@@ -672,7 +676,7 @@ func (r *Repository) applyPut(e *Entry, f *footprint, pos int, seq uint64) {
 	copy(r.entries[pos+1:], r.entries[pos:])
 	r.entries[pos] = e
 	r.index.addWithFootprint(e, f)
-	r.index.renumber(r.entries)
+	r.index.renumber(r.entries, pos)
 	r.publish(e)
 }
 

@@ -602,28 +602,20 @@ func (m *StorageManager) VacuumOrphans() (int, int64) {
 		_, running := m.running.Load(qid)
 		return running || early[qid]
 	}
-	var roots []string
+	roots := newPathSet()
 	m.repo.Scan(func(e *Entry) bool {
-		roots = append(roots, cleanPath(e.OutputPath))
+		roots.add(cleanPath(e.OutputPath))
 		for p := range e.InputVersions {
-			roots = append(roots, cleanPath(p))
+			roots.add(cleanPath(p))
 		}
 		return true
 	})
-	referenced := func(ds string) bool {
-		for _, r := range roots {
-			if ds == r || strings.HasPrefix(ds, r+"/") || strings.HasPrefix(r, ds+"/") {
-				return true
-			}
-		}
-		return false
-	}
 	var count int
 	var bytes int64
 	for _, ns := range m.namespaces() {
 		for _, ds := range m.fs.Datasets(ns) {
 			qid := queryIDUnder(ns, ds)
-			if qid == "" || live(qid) || referenced(ds) {
+			if qid == "" || live(qid) || roots.related(ds) {
 				continue
 			}
 			if m.cfg.QueryPrefix != "" && !strings.HasPrefix(qid, m.cfg.QueryPrefix) {
@@ -639,6 +631,39 @@ func (m *StorageManager) VacuumOrphans() (int, int64) {
 	m.orphanDatasets.Add(int64(count))
 	m.orphanBytes.Add(bytes)
 	return count, bytes
+}
+
+// pathSet holds a set of DFS paths and every directory above them, so
+// whether a dataset lies on one of their paths costs a lookup per level
+// of its own path, however many paths the set holds.
+type pathSet struct {
+	paths map[string]bool
+	above map[string]bool // proper ancestors of the paths
+}
+
+func newPathSet() pathSet { return pathSet{paths: map[string]bool{}, above: map[string]bool{}} }
+
+// add puts p in the set.
+func (s pathSet) add(p string) {
+	s.paths[p] = true
+	for i := strings.LastIndexByte(p, '/'); i > 0 && !s.above[p[:i]]; i = strings.LastIndexByte(p[:i], '/') {
+		s.above[p[:i]] = true // and, from an earlier add, all above it
+	}
+}
+
+// related reports whether ds is a path of the set, lies inside one, or
+// contains one: "a/b" is related to "a", "a/b" and "a/b/c", not to
+// "a/bc".
+func (s pathSet) related(ds string) bool {
+	if s.paths[ds] || s.above[ds] {
+		return true
+	}
+	for i := range len(ds) {
+		if ds[i] == '/' && s.paths[ds[:i]] {
+			return true
+		}
+	}
+	return false
 }
 
 // queryIDUnder extracts the query ID from a dataset path inside

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -305,6 +307,80 @@ func TestEvictUnpinnedSkipsPinned(t *testing.T) {
 	if removed, _ := repo.EvictUnpinned([]string{a.ID}, lm); len(removed) != 1 {
 		t.Fatalf("entry survived eviction after its last unpin: %v", removed)
 	}
+}
+
+// TestPathSetRelated: the orphan sweep spares a dataset equal to, inside
+// or above an entry's output or input path, and nothing else; a shared
+// name prefix without the separator ("a/b", "a/bc") is no relation.
+// The lookup is held to the pairwise comparison it replaced.
+func TestPathSetRelated(t *testing.T) {
+	cases := []struct {
+		roots []string
+		ds    string
+		want  bool
+	}{
+		{[]string{"a/b"}, "a/b", true},              // equal
+		{[]string{"a/b"}, "a", true},                // ancestor
+		{[]string{"a/b/c/d"}, "a/b", true},          // ancestor, two levels up
+		{[]string{"a/b"}, "a/b/c", true},            // descendant
+		{[]string{"a"}, "a/b/c/d", true},            // descendant, deep
+		{[]string{"a/b"}, "a/bc", false},            // sibling prefix
+		{[]string{"a/bc"}, "a/b", false},            // sibling prefix, reversed
+		{[]string{"a/b"}, "a/bc/d", false},          // inside a sibling
+		{[]string{"a/bc/d"}, "a/b", false},          // above a sibling's child
+		{[]string{"a/b"}, "ab", false},              // no separator
+		{[]string{"a/b"}, "a/c", false},             // sibling
+		{[]string{"a/b", "x/y/z"}, "x", true},       // another root's ancestor
+		{[]string{"a/b", "x/y/z"}, "x/y/z/w", true}, // another root's descendant
+		{[]string{"x/y/z", "x/y"}, "x/y/q", true},   // a root nested in a root
+		{nil, "a", false},
+	}
+	for _, tc := range cases {
+		s := newPathSet()
+		for _, r := range tc.roots {
+			s.add(r)
+		}
+		if got := s.related(tc.ds); got != tc.want {
+			t.Errorf("roots %v: related(%q) = %v, want %v", tc.roots, tc.ds, got, tc.want)
+		}
+		if got := refRelated(tc.roots, tc.ds); got != tc.want {
+			t.Errorf("roots %v: the pairwise check says %v for %q, the table %v", tc.roots, got, tc.ds, tc.want)
+		}
+	}
+	// Random paths over a small alphabet, so prefixes collide often.
+	r := rand.New(rand.NewSource(67))
+	path := func() string {
+		parts := make([]string, 1+r.Intn(4))
+		for i := range parts {
+			parts[i] = []string{"a", "b", "ab", "ba", "q1", "q12"}[r.Intn(6)]
+		}
+		return strings.Join(parts, "/")
+	}
+	for i := 0; i < 2000; i++ {
+		roots := make([]string, r.Intn(6))
+		s := newPathSet()
+		for j := range roots {
+			roots[j] = path()
+			s.add(roots[j])
+		}
+		for j := 0; j < 10; j++ {
+			ds := path()
+			if got, want := s.related(ds), refRelated(roots, ds); got != want {
+				t.Fatalf("roots %v: related(%q) = %v, the pairwise check %v", roots, ds, got, want)
+			}
+		}
+	}
+}
+
+// refRelated is the orphan sweep's check as a comparison of ds with
+// every root.
+func refRelated(roots []string, ds string) bool {
+	for _, r := range roots {
+		if ds == r || strings.HasPrefix(ds, r+"/") || strings.HasPrefix(r, ds+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestVacuumOrphans(t *testing.T) {

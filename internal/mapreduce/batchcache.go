@@ -74,7 +74,8 @@ func (ds *cachedDataset) add(file string, b *tuple.Batch) {
 }
 
 // NewBatchCache returns a cache of the datasets on fs, bounded to budget
-// bytes of decoded batches (<=0 selects DefaultMaxCachedBatchBytes).
+// bytes of decoded batches as MemBytes charges them, beyond the file
+// text they slice (<=0 selects DefaultMaxCachedBatchBytes).
 func NewBatchCache(fs dfs.Backend, budget int64) *BatchCache {
 	if budget <= 0 {
 		budget = DefaultMaxCachedBatchBytes
@@ -188,6 +189,10 @@ func (c *BatchCache) removeLocked(el *list.Element) {
 
 // BatchCacheStats is a point-in-time snapshot of the decoded-dataset
 // cache. HitBytes totals the DFS bytes hits avoided re-reading.
+//
+// UsedBytes is the sum of the cached batches' MemBytes: what the cache
+// adds beyond the DFS's file text, which the batches' strings slice and
+// the budget does not count.
 type BatchCacheStats struct {
 	Entries     int
 	UsedBytes   int64

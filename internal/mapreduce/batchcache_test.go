@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -510,5 +511,76 @@ func TestBatchCacheKeepsEntryNewerThanChange(t *testing.T) {
 	}
 	if st := c.Stats(); st.Invalidations != 0 || st.Hits != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestBatchCacheChargesWhatItAdds: a cached batch is charged what it
+// adds beyond the DFS's file text. Two datasets whose text is each
+// larger than the budget, but whose columns fit in it together, both
+// stay resident: the second read of each is a hit.
+func TestBatchCacheChargesWhatItAdds(t *testing.T) {
+	fs := dfs.New()
+	const budget = 16 << 10
+	long := strings.Repeat("x", 200)
+	for _, p := range []string{"a", "b"} {
+		rows := make([]tuple.Tuple, 200)
+		for i := range rows {
+			rows[i] = tuple.Tuple{int64(i), long + p}
+		}
+		writeDataset(t, fs, p, rows...)
+		if n := fs.Size(p); n <= budget {
+			t.Fatalf("dataset %s holds %d bytes of text, want more than the %d-byte budget", p, n, budget)
+		}
+	}
+	e := New(fs, Config{Cost: cluster.DefaultCostModel(), MaxCachedBatchBytes: budget})
+	var decode time.Duration
+	for _, p := range []string{"a", "b", "a", "b"} {
+		if _, err := e.loadDataset(p, &decode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.CacheStats()
+	if st.Hits != 2 || st.Misses != 2 || st.Evictions != 0 || st.UsedBytes > budget {
+		t.Fatalf("two datasets whose columns fit the budget: %+v", st)
+	}
+}
+
+// TestBatchCacheChargesUnescapedStrings: a field with an escape is the
+// one string the decoder allocates instead of slicing the file's text,
+// so its bytes are charged, and the cache accounts the charge.
+func TestBatchCacheChargesUnescapedStrings(t *testing.T) {
+	const rows = 50
+	long := strings.Repeat("y", 100)
+	var clean, escaped strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&clean, "%d\t%sab\n", i, long)      // canonical: no escape
+		fmt.Fprintf(&escaped, "%d\t%sa\\tb\n", i, long) // unescapes to long+"a\tb"
+	}
+	cb, err := tuple.DecodeTextBatchString(clean.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := tuple.DecodeTextBatchString(escaped.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The clean batch keeps line offsets, 4 bytes per row and one more;
+	// the escaped one keeps none, and owns its unescaped strings.
+	unescaped := int64(rows * len(long+"a\tb"))
+	if got, want := eb.MemBytes(), cb.MemBytes()-4*(rows+1)+unescaped; got != want {
+		t.Fatalf("escaped batch MemBytes = %d, want %d (clean %d, %d unescaped bytes)", got, want, cb.MemBytes(), unescaped)
+	}
+
+	fs := dfs.New()
+	if err := fs.WriteFile("e/part-00000", []byte(escaped.String())); err != nil {
+		t.Fatal(err)
+	}
+	e := New(fs, Config{Cost: cluster.DefaultCostModel()})
+	var decode time.Duration
+	if _, err := e.loadDataset("e", &decode); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.UsedBytes != eb.MemBytes() {
+		t.Fatalf("cache charges %d bytes for the escaped dataset, its batch %d", st.UsedBytes, eb.MemBytes())
 	}
 }

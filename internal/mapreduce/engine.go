@@ -48,9 +48,10 @@ type Config struct {
 	// slots instead of each oversubscribing the CPU. Each phase of a job
 	// runs its tasks on at most Parallelism worker goroutines.
 	Parallelism int
-	// MaxCachedBatchBytes bounds the decoded-dataset batch cache. Zero
-	// selects DefaultMaxCachedBatchBytes; a negative value disables the
-	// cache entirely.
+	// MaxCachedBatchBytes bounds the decoded-dataset batch cache: what
+	// its batches add beyond the DFS's file text they slice
+	// (tuple.Batch.MemBytes). Zero selects DefaultMaxCachedBatchBytes; a
+	// negative value disables the cache entirely.
 	MaxCachedBatchBytes int64
 }
 
@@ -307,6 +308,12 @@ type side struct {
 	// stores are the Store ops on this side, sorted by ID: every task
 	// writes one part file per Store.
 	stores []*physical.Op
+	// copies[id] marks a map-side Store whose every input path from its
+	// Load runs only through Filter, Split, Union and Limit: each row it
+	// writes is a row of the task's batch, unchanged, so it keeps the
+	// row's index and its part file is the batch's lines
+	// (tuple.Batch.AppendRows). It has an entry for every ID in the plan.
+	copies []bool
 }
 
 func segments(p *physical.Plan) (*segmentation, error) {
@@ -376,6 +383,8 @@ func segments(p *physical.Plan) (*segmentation, error) {
 			sd.stores = append(sd.stores, op)
 		}
 	}
+	s.mapSide.copies = passThrough(p, n)
+	s.redSide.copies = make([]bool, n)
 	s.feeds = map[int]feed{}
 	for _, op := range all {
 		if op.Kind == physical.KLoad {
@@ -383,6 +392,32 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		}
 	}
 	return s, nil
+}
+
+// passThrough returns, by op ID, which Stores of p write only rows of a
+// Load unchanged: every path into them from a Load runs only through
+// Filter, Split, Union and Limit. Such a Store is on the map side: a
+// path from the shuffle passes its Package. n bounds the plan's IDs.
+func passThrough(p *physical.Plan, n int) []bool {
+	rows := make([]bool, n) // op passes Load rows on unchanged
+	copies := make([]bool, n)
+	for _, op := range p.Topo() { // inputs first: a rewrite's Load may have a later ID
+		switch op.Kind {
+		case physical.KLoad:
+			rows[op.ID] = true
+		case physical.KFilter, physical.KSplit, physical.KUnion, physical.KLimit, physical.KStore:
+			ok := len(op.InputIDs) > 0
+			for _, in := range op.InputIDs {
+				ok = ok && rows[in]
+			}
+			if op.Kind == physical.KStore {
+				copies[op.ID] = ok
+			} else {
+				rows[op.ID] = ok
+			}
+		}
+	}
+	return copies
 }
 
 // feed is how a map task hands one Load's rows to its segment. The zero
@@ -400,10 +435,11 @@ type feed struct {
 // feed. A ForEach builds a fresh tuple from the columns its expressions
 // read, ending both the buffer's reach and the walk. A Filter reads its
 // condition's columns and passes the tuple on, as Union, Split and
-// Limit do without reading any. Any other op — Store appends its input
-// to the task writer, LocalRearrange hands it to the shuffle — keeps
-// the tuple, so the feed is the zero one. An expression whose columns
-// cannot be listed reads every column.
+// Limit do without reading any. A copying Store (side.copies) keeps the
+// row's index, not the tuple, and reads no column. Any other op — a
+// Store that renders its input, LocalRearrange, which hands it to the
+// shuffle — keeps the tuple, so the feed is the zero one. An expression
+// whose columns cannot be listed reads every column.
 func (s *segmentation) mapFeed(loadID int) feed {
 	cols := []int{}
 	all := false
@@ -429,6 +465,11 @@ func (s *segmentation) mapFeed(loadID int) feed {
 			case physical.KFilter:
 				read(op.Cond)
 			case physical.KUnion, physical.KSplit, physical.KLimit:
+			case physical.KStore:
+				if s.mapSide.copies[op.ID] {
+					continue
+				}
+				return false
 			default:
 				return false
 			}
@@ -732,8 +773,10 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 			row = sp.batch.Cursor().Row
 		}
 	}
+	px.batch = sp.batch
 	for i := sp.lo; i < sp.hi; i++ {
 		mr.records++
+		px.row = int32(i)
 		if err := px.push(sp.loadID, row(i)); err != nil {
 			return mr, err
 		}

@@ -62,8 +62,10 @@ func (unlisted) String() string                          { return "unlisted" }
 
 // TestMapFeed states the per-Load feed decision over plan shapes: which
 // rows may share one buffer, and which columns the map segment reads.
-// A Store or LocalRearrange reached before any ForEach keeps the tuple,
-// so the feed must stay the fresh every-column one.
+// A LocalRearrange, or a Store that renders its rows, reached before any
+// ForEach keeps the tuple, so the feed must stay the fresh every-column
+// one. A Store that copies its rows' lines keeps only their indices and
+// reads no column.
 func TestMapFeed(t *testing.T) {
 	pruned := func(cols ...int) feed { return feed{reuse: true, cols: append([]int{}, cols...)} }
 	cases := []struct {
@@ -86,14 +88,19 @@ func TestMapFeed(t *testing.T) {
 			l := b.load("in")
 			b.store("out", b.filter(l, eq(col(5), expr.Const{V: "x"})))
 			return []*physical.Op{l}
-		}, []feed{{}}},
+		}, []feed{pruned(5)}},
 		{"load-split-foreach-and-store", func(b planBuilder) []*physical.Op {
 			l := b.load("in")
 			sp := b.add(physical.Op{Kind: physical.KSplit}, l)
 			b.store("out", b.foreach(sp, col(2)))
 			b.store("side", sp)
 			return []*physical.Op{l}
-		}, []feed{{}}},
+		}, []feed{pruned(2)}},
+		{"load-union-foreach-store", func(b planBuilder) []*physical.Op {
+			l1, l2 := b.load("a"), b.load("b")
+			b.store("out", b.add(physical.Op{Kind: physical.KUnion}, l1, b.foreach(l2, col(1))))
+			return []*physical.Op{l1, l2}
+		}, []feed{{}, pruned(1)}},
 		{"load-localrearrange", func(b planBuilder) []*physical.Op {
 			l := b.load("in")
 			b.shuffle(l, col(0))
@@ -365,8 +372,9 @@ func FuzzPrunedFeed(f *testing.F) {
 			branches = []*physical.Op{sp, b.filter(sp, c.expr(width, 1))}
 		}
 		for i, br := range branches {
-			// Store and LocalRearrange keep their input: straight after
-			// the Load, they make the feed fall back.
+			// A Store straight after the Load copies its rows' lines and
+			// reads no column; a LocalRearrange keeps its input and
+			// makes the feed fall back.
 			out := fmt.Sprintf("out%d", i)
 			switch c.n(6) {
 			case 0:

@@ -20,6 +20,7 @@ type exec struct {
 	// segmentation, and stores its Store ops in ID order.
 	succ   [][]*physical.Op
 	stores []*physical.Op
+	copies []bool
 
 	// keyed receives LocalRearrange emissions (map tasks only).
 	keyed func(branch int, key tuple.Value, t tuple.Tuple)
@@ -27,10 +28,17 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	// rows[id] are the rows Store id writes and limits[id] the rows
-	// Limit id has let through, both in the task's scratch.
+	// rows[id] are the rows Store id writes, lines[id] the indices in
+	// batch of the rows copying Store id writes, and limits[id] the rows
+	// Limit id has let through, all in the task's scratch.
 	rows   [][]tuple.Tuple
+	lines  [][]int32
 	limits []int64
+
+	// batch is a map task's input and row the index in it of the row
+	// being pushed.
+	batch *tuple.Batch
+	row   int32
 
 	// encode is the wall-clock close spent encoding part files and
 	// writing them to the DFS, for JobStats.
@@ -38,7 +46,7 @@ type exec struct {
 }
 
 // newExec returns the interpreter of seg's map side, or of its reduce
-// side when reduce is set, keeping its per-op state in s.
+// side when reduce is set: s's own, with its per-op state in s.
 func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
 	sd := seg.mapSide
 	if reduce {
@@ -46,9 +54,11 @@ func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
 	}
 	n := len(sd.succ) // one entry per op ID
 	s.rows = sized(s.rows, n)
+	s.lines = sized(s.lines, n)
 	s.limits = sized(s.limits, n)
 	clear(s.limits)
-	return &exec{succ: sd.succ, stores: sd.stores, rows: s.rows, limits: s.limits}
+	s.x = exec{succ: sd.succ, stores: sd.stores, copies: sd.copies, rows: s.rows, lines: s.lines, limits: s.limits}
+	return &s.x
 }
 
 // push delivers t to every successor of op fromID.
@@ -95,6 +105,10 @@ func (x *exec) apply(op *physical.Op, t tuple.Tuple) error {
 		return x.push(op.ID, t)
 
 	case physical.KStore:
+		if x.copies[op.ID] {
+			x.lines[op.ID] = append(x.lines[op.ID], x.row)
+			return nil
+		}
 		x.rows[op.ID] = append(x.rows[op.ID], t)
 		return nil
 
@@ -194,16 +208,24 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 // close flushes every Store's rows to the DFS in Store-ID order (one
 // part file per task per Store, created even when empty, as Hadoop
 // does: an empty part still pays the setup cost) and accumulates output
-// statistics scaled to simulated bytes.
+// statistics scaled to simulated bytes. A copying Store's part file is
+// its rows' lines of the batch, copied where the batch's text has them
+// as AppendText writes them.
 func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]OutputStat) error {
 	bp := partBufs.Get().(*[]byte)
 	buf := *bp
 	for _, op := range x.stores {
-		rows := x.rows[op.ID]
 		start := time.Now()
 		buf = buf[:0]
-		for _, t := range rows {
-			buf = append(tuple.AppendText(buf, t), '\n')
+		var n int // rows written
+		if x.copies[op.ID] {
+			n = len(x.lines[op.ID])
+			buf = x.batch.AppendRows(buf, x.lines[op.ID])
+		} else {
+			n = len(x.rows[op.ID])
+			for _, t := range x.rows[op.ID] {
+				buf = append(tuple.AppendText(buf, t), '\n')
+			}
 		}
 		f := fs.Create(op.Path + "/" + x.suffix)
 		if _, err := f.Write(buf); err != nil {
@@ -215,7 +237,7 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 		x.encode += time.Since(start)
 		cur := outStats[op.Path]
 		cur.SimBytes += int64(float64(len(buf)) * simScale)
-		cur.Records += int64(float64(len(rows)) * simScale)
+		cur.Records += int64(float64(n) * simScale)
 		outStats[op.Path] = cur
 	}
 	*bp = buf

@@ -16,12 +16,13 @@ import (
 //
 // What may live here is what dies with the task: the combiner's key
 // index and partial states, the staged shuffle output, the reducer's
-// inputs and groupByKey's table, runs and grouped records, the Store
-// rows and Limit counters of the interpreter. What outlives the task is
-// copied out into memory of its own, allocated once at its exact size:
-// the map task's per-partition records (partition) and the partial
-// states they point at (drainCombined). Nothing a task returns may
-// alias the scratch, because the next task overwrites it.
+// inputs and groupByKey's table, runs and grouped records, the
+// interpreter with its Store rows, row indices and Limit counters. What
+// outlives the task is copied out into memory of its own, allocated
+// once at its exact size: the map task's per-partition records
+// (partition) and the partial states they point at (drainCombined).
+// Nothing a task returns may alias the scratch, because the next task
+// overwrites it.
 type taskScratch struct {
 	keys   keyIndex        // the combiner's distinct keys
 	states []expr.AggState // their partial states; the reducer's merge states
@@ -36,7 +37,9 @@ type taskScratch struct {
 	starts []int
 	recs   []rec // the reducer's records in group order
 
-	rows   [][]tuple.Tuple // by Store op ID: the rows the task writes
+	x      exec            // the task's interpreter, over:
+	rows   [][]tuple.Tuple // by Store op ID: the rows the task writes,
+	lines  [][]int32       // or, for a copying Store, their batch indices
 	limits []int64         // by Limit op ID: the rows it let through
 }
 
@@ -64,9 +67,13 @@ func (s *taskScratch) reset() {
 	s.runs = s.runs[:0]
 	clear(s.recs)
 	s.recs = s.recs[:0]
+	s.x = exec{}
 	for i := range s.rows {
 		clear(s.rows[i])
 		s.rows[i] = s.rows[i][:0]
+	}
+	for i := range s.lines {
+		s.lines[i] = s.lines[i][:0]
 	}
 }
 

@@ -722,7 +722,9 @@ func (s *Server) finish(sq *servedQuery, quota TenantQuota, q QueryHandle, res *
 	sq.q, sq.stop = nil, nil
 	sq.mu.Unlock()
 	stop()
-	close(sq.done)
+	// done closes last: a client that saw the query finish reads
+	// counters that count it.
+	defer close(sq.done)
 
 	if thr := s.cfg.SlowQueryThreshold; thr > 0 && wall >= thr {
 		s.slow.add(SlowQuery{

@@ -1,6 +1,9 @@
 package tuple
 
-import "strings"
+import (
+	"math"
+	"strings"
+)
 
 // Batch is an immutable columnar representation of a decoded dataset
 // slice: one part file's tuples held as typed column vectors instead of
@@ -26,6 +29,13 @@ type Batch struct {
 	n      int
 	cols   []column
 	widths []int32 // nil when every row has len(cols) fields
+
+	// text is the text the batch was decoded from and lines[i] the
+	// offset of row i's line in it, lines[n] == len(text), when the
+	// decoder proved that every line re-renders byte for byte; both are
+	// empty otherwise. See AppendRows.
+	text  string
+	lines []uint32
 
 	// srcBytes is the text-encoded length of the batch including
 	// newlines — exactly len(data) of the part file it was decoded
@@ -70,9 +80,41 @@ func (b *Batch) Len() int {
 // included).
 func (b *Batch) SrcBytes() int64 { return b.srcBytes }
 
-// MemBytes estimates the resident size of the batch, used for cache
-// budget accounting.
+// MemBytes estimates the memory the batch adds beyond the text it was
+// decoded from, used for cache budget accounting: column vectors and
+// null masks, a header per string, a box per boxed value, row widths and
+// line offsets, and the bytes of the strings the decoder allocated (the
+// unescaped fields). The text itself, which string fields slice, is the
+// DFS's own file contents (see DecodeTextBatchString) and is not
+// charged.
 func (b *Batch) MemBytes() int64 { return b.mem }
+
+// AppendRows appends the storage lines of the given rows to dst, each
+// with its newline: what AppendText of b.Row(i) and a newline append for
+// each i in rows, in order. When the decoder proved that every line of
+// the batch's text re-renders byte for byte, each run of consecutive
+// rows is copied from the text as one span, and nothing is rendered.
+func (b *Batch) AppendRows(dst []byte, rows []int32) []byte {
+	if len(rows) == 0 {
+		return dst
+	}
+	if b.lines == nil {
+		cur := b.Cursor()
+		for _, i := range rows {
+			dst = append(AppendText(dst, cur.Row(int(i))), '\n')
+		}
+		return dst
+	}
+	for k := 0; k < len(rows); {
+		lo := rows[k]
+		hi := lo + 1
+		for k++; k < len(rows) && rows[k] == hi; k++ {
+			hi++
+		}
+		dst = append(dst, b.text[b.lines[lo]:b.lines[hi]]...)
+	}
+	return dst
+}
 
 // Row materializes row i as a Tuple. The tuple is freshly allocated per
 // call, and is the call's only allocation: its fields alias the batch
@@ -183,6 +225,15 @@ type BatchBuilder struct {
 	widths   []int32
 	ragged   bool
 	srcBytes int64
+
+	// The decoder's own state (DecodeTextBatchString). canon holds while
+	// every field so far renders back to its text, and lines are the
+	// offsets in text of the lines added so far, kept only while it
+	// holds. owned counts the bytes of the strings the decoder allocated.
+	canon bool
+	text  string
+	lines []uint32
+	owned int64
 }
 
 // NewBatchBuilder returns a builder sized for about n rows.
@@ -204,10 +255,13 @@ func (bb *BatchBuilder) appendLine(line string, escaped bool) {
 		} else {
 			more = false
 		}
-		if escaped {
+		if escaped && strings.IndexByte(f, '\\') >= 0 {
 			f = unescapeField(f)
+			bb.owned += int64(len(f))
 		}
-		bb.col(w).appendField(f, bb.n, bb.hint)
+		if !bb.col(w).appendField(f, bb.n, bb.hint, bb.canon) {
+			bb.canon = false
+		}
 	}
 	bb.endRow(w)
 }
@@ -256,23 +310,29 @@ func (bb *BatchBuilder) AddSrcBytes(n int64) { bb.srcBytes += n }
 // the height it is expected to reach (see sized).
 
 // appendField adds the value one unescaped text field decodes to,
-// boxing it only when it is nested or the column is already mixed.
-func (c *column) appendField(s string, n, hint int) {
+// boxing it only when it is nested or the column is already mixed. With
+// check set it reports whether AppendText renders the value as s again;
+// without, it reports true. A string always does: check is set only for
+// text without escapes, where no string holds a byte AppendText escapes.
+func (c *column) appendField(s string, n, hint int, check bool) bool {
 	if s == "" {
 		c.appendNull(n, hint)
-		return
+		return true
 	}
 	if v, ok := parseBracketed(s); ok {
 		c.appendBoxed(v, n)
-		return
+		return !check || nestedCanonical(s)
 	}
 	switch kind, x, f := scanScalar(s); kind {
 	case colInt:
 		c.appendInt(x, n, hint)
+		return !check || canonicalInt(s)
 	case colFloat:
 		c.appendFloat(f, n, hint)
+		return !check || canonicalFloat(s, f)
 	default:
 		c.appendString(s, n, hint)
+		return true
 	}
 }
 
@@ -383,23 +443,25 @@ func (bb *BatchBuilder) Finish() *Batch {
 	if bb.ragged {
 		b.widths = bb.widths
 	}
-	b.mem = b.computeMem()
+	if bb.canon {
+		b.text, b.lines = bb.text, append(bb.lines, uint32(len(bb.text)))
+	}
+	b.mem = b.computeMem(bb.owned)
 	return b
 }
 
-func (b *Batch) computeMem() int64 {
-	mem := int64(64) // struct overhead
-	if b.widths != nil {
-		mem += int64(4 * len(b.widths))
-	}
+// computeMem charges the batch's own memory (see MemBytes) plus owned,
+// the bytes of the strings its builder allocated. A string field is
+// charged its header: its bytes are the text's, or counted in owned.
+func (b *Batch) computeMem(owned int64) int64 {
+	mem := 64 + owned // 64: struct overhead
+	mem += int64(4*len(b.widths) + 4*len(b.lines))
 	for i := range b.cols {
 		c := &b.cols[i]
 		mem += 64 + int64(len(c.nulls))
 		mem += int64(8 * len(c.ints))
 		mem += int64(8 * len(c.floats))
-		for _, s := range c.strs {
-			mem += 16 + int64(len(s))
-		}
+		mem += int64(16 * len(c.strs))
 		for _, v := range c.vals {
 			mem += valueMem(v)
 		}
@@ -409,12 +471,8 @@ func (b *Batch) computeMem() int64 {
 
 func valueMem(v Value) int64 {
 	switch x := v.(type) {
-	case nil:
+	case nil, int64, float64, string:
 		return 16
-	case int64, float64:
-		return 16
-	case string:
-		return 16 + int64(len(x))
 	case Tuple:
 		return tupleMem(x)
 	case *Bag:
@@ -445,11 +503,21 @@ func DecodeTextBatch(data []byte) (*Batch, error) { return DecodeTextBatchString
 // boxed scalar is materialized on the way: each tab-separated field is
 // typed (see the grammar in codec.go) and appended to its column
 // vector. String fields without escapes are substrings of s, so a
-// batch's string columns share s's backing bytes instead of a copy:
-// MemBytes counts each string's own bytes (and nothing for the numeric
-// text between them), while keeping any one string alive retains all
-// of s. The engine passes the DFS's own immutable file contents
-// (dfs.ReadString), so a decoded batch adds no second copy of its text.
+// batch's string columns share s's backing bytes instead of a copy, and
+// keeping any one string alive retains all of s. The engine passes the
+// DFS's own immutable file contents (dfs.ReadString), so a decoded batch
+// adds no second copy of its text, and MemBytes charges only what it
+// adds beyond s: nothing for s's bytes, and for an unescaped field the
+// string the decoder built.
+//
+// While it decodes, the decoder also proves or disproves, field by
+// field, that every line re-renders byte for byte (AppendText of the
+// row is the line). That holds for text without escapes whose last
+// line ends in a newline and whose numbers are written as AppendText
+// writes them: "7", "-3" and "1.5" but not "007", "+3", "-0", "1.50" or
+// ".5". A batch that keeps the proof keeps s and its line offsets, 4
+// bytes a row, and AppendRows copies its lines instead of rendering
+// them.
 func DecodeTextBatchString(s string) (*Batch, error) {
 	rows := strings.Count(s, "\n")
 	if s != "" && s[len(s)-1] != '\n' {
@@ -459,7 +527,14 @@ func DecodeTextBatchString(s string) (*Batch, error) {
 	bb.AddSrcBytes(int64(len(s)))
 	// Escapes are rare: one scan of the file spares every field its own.
 	escaped := strings.IndexByte(s, '\\') >= 0
+	bb.canon = !escaped && (s == "" || s[len(s)-1] == '\n') && uint64(len(s)) < math.MaxUint32
+	if bb.canon {
+		bb.text, bb.lines = s, make([]uint32, 0, rows+1)
+	}
 	for s != "" {
+		if bb.canon {
+			bb.lines = append(bb.lines, uint32(len(bb.text)-len(s)))
+		}
 		line := s
 		if nl := strings.IndexByte(s, '\n'); nl >= 0 {
 			line, s = s[:nl], s[nl+1:]

@@ -302,6 +302,87 @@ func scanScalar(s string) (kind colKind, n int64, f float64) {
 	return colString, 0, 0
 }
 
+// canonicalInt reports whether AppendText writes the int field s back
+// as it is: no plus sign, no leading zero, no "-0".
+func canonicalInt(s string) bool {
+	if s[0] == '-' {
+		return s[1] != '0'
+	}
+	return s[0] != '+' && (s[0] != '0' || len(s) == 1)
+}
+
+// canonicalFloat reports whether AppendText writes the float field s,
+// which parses as f, back as it is. A plain decimal is decided from its
+// text (plainDecimal); any other field is formatted and compared.
+func canonicalFloat(s string, f float64) bool {
+	if plainDecimal(s) {
+		return true
+	}
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) == s
+}
+
+// plainDecimal reports whether s is -?I.F with at most 15 significant
+// digits, where I is 0 or has no leading zero and at most 6 digits, F
+// ends in a nonzero digit, and an I of 0 is followed by at most three
+// zeros. Fifteen digits survive a round trip through a float64, so the
+// shortest decimal that reads back as s's value is s's own digits, and
+// the exponent range is the one in which the 'g' format writes them
+// without an exponent, the way s has them.
+func plainDecimal(s string) bool {
+	if s[0] == '-' {
+		s = s[1:]
+	}
+	dot := strings.IndexByte(s, '.')
+	if dot < 1 || dot > 6 || dot == len(s)-1 || s[len(s)-1] == '0' {
+		return false
+	}
+	digits := len(s) - 1
+	if s[0] == '0' {
+		if dot != 1 {
+			return false
+		}
+		zeros := len(s) - 2 - len(strings.TrimLeft(s[2:], "0"))
+		if zeros > 3 {
+			return false
+		}
+		digits -= 1 + zeros
+	}
+	return digits <= 15 && skipDigits(s, 0) == dot && skipDigits(s, dot+1) == len(s)
+}
+
+// nestedCanonical reports whether AppendText writes the nested value
+// parsed from s back as s. Brackets, commas and empty items render as
+// they were written, and so does a string item, so it does when every
+// number item does. Each number item is one run of s between brackets
+// and commas; every such run that reads as a number is checked, which
+// also holds a string item with a bracket inside (a piece of "(007})")
+// to the rule, erring towards a rendered batch.
+func nestedCanonical(s string) bool {
+	for s != "" {
+		run := s
+		if i := strings.IndexAny(s, "(){},"); i >= 0 {
+			run, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
+		if run == "" {
+			continue
+		}
+		switch kind, _, f := scanScalar(run); kind {
+		case colInt:
+			if !canonicalInt(run) {
+				return false
+			}
+		case colFloat:
+			if !canonicalFloat(run, f) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func parseInt(s string) (int64, bool) {
 	neg := false
 	i := 0

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -149,11 +150,25 @@ func checkDecode(t *testing.T, data []byte) {
 		t.Fatalf("DecodeTextBatch(%q): %v", data, err)
 	}
 	want := rowDecodeBatch(data)
-	if !reflect.DeepEqual(got, want) {
+	if cols := (Batch{n: got.n, cols: got.cols, widths: got.widths, srcBytes: got.srcBytes}); !reflect.DeepEqual(&cols, &Batch{n: want.n, cols: want.cols, widths: want.widths, srcBytes: want.srcBytes}) {
 		t.Fatalf("DecodeTextBatch(%q)\n got %+v\nwant %+v", data, got, want)
 	}
 	if got.SrcBytes() != int64(len(data)) {
 		t.Fatalf("SrcBytes = %d, want %d", got.SrcBytes(), len(data))
+	}
+	checkCanonical(t, data, got)
+	// The oracle's batch holds the same columns, no line offsets and no
+	// string of its own: the decoder charges the offsets it keeps and
+	// every field it unescaped.
+	owned := int64(0)
+	for _, f := range strings.FieldsFunc(string(data), func(r rune) bool { return r == '\t' || r == '\n' }) {
+		if strings.IndexByte(f, '\\') >= 0 {
+			owned += int64(len(unescapeField(f)))
+		}
+	}
+	if extra := got.MemBytes() - want.MemBytes(); extra != owned+int64(4*len(got.lines)) {
+		t.Fatalf("DecodeTextBatch(%q): MemBytes %d, %d over the oracle's; want %d unescaped bytes and %d line offsets",
+			data, got.MemBytes(), extra, owned, len(got.lines))
 	}
 	// Every field the batch hands out, through Batch.Row and through a
 	// cursor over every column, is the field the row codec boxes on its
@@ -182,6 +197,146 @@ func checkDecode(t *testing.T, data []byte) {
 				}
 			}
 		}
+	}
+}
+
+// checkCanonical holds a batch that claims its lines re-render byte for
+// byte to the claim: AppendText of row i is line i, and AppendRows of
+// any rows, runs and repeats among them, is those lines. A batch that
+// makes no claim renders its rows for AppendRows.
+func checkCanonical(t *testing.T, data []byte, b *Batch) {
+	t.Helper()
+	rows := make([]int32, 0, 2*b.Len())
+	var want []byte
+	for i := 0; i < b.Len(); i++ {
+		line := AppendText(nil, b.Row(i))
+		if b.lines != nil {
+			if got := b.text[b.lines[i] : b.lines[i+1]-1]; string(line) != got {
+				t.Fatalf("DecodeTextBatch(%q) claims canonical, but row %d renders %q from line %q", data, i, line, got)
+			}
+		}
+		// Every row, every third one twice.
+		times := 1
+		if i%3 == 0 {
+			times = 2
+		}
+		for range times {
+			rows = append(rows, int32(i))
+			want = append(append(want, line...), '\n')
+		}
+	}
+	if got := b.AppendRows([]byte("x"), rows); string(got) != "x"+string(want) {
+		t.Fatalf("DecodeTextBatch(%q): AppendRows(%v) = %q, want %q", data, rows, got[1:], want)
+	}
+}
+
+// TestCanonicalLines pins which text the decoder proves re-renders byte
+// for byte. A non-canonical form anywhere drops the proof for the whole
+// batch, so each case is one line between two canonical ones.
+func TestCanonicalLines(t *testing.T) {
+	cases := []struct {
+		line  string
+		canon bool
+	}{
+		{"u1\t7\t-3\t0\t1.5\t-0.25\t0.001\t123456.7\tterm0042\t192.168.1.2", true},
+		{"12.34\t0.5\t99.99\t-0.0001\t0.1\t100000.5\t1.23456789012345", true},
+		// Numbers AppendText writes otherwise.
+		{"007", false},
+		{"+3", false},
+		{"-0", false},
+		{"-07", false},
+		{"1.50", false},
+		{".5", false},
+		{"5.", false},
+		{"1.0", false},
+		{"0.00001", false},
+		{"1234567.5", false},
+		{"1e5", false},
+		{"1E-3", false},
+		{"-.5", false},
+		{"00.5", false},
+		{"9223372036854775808", false},
+		// Formatted and compared: canonical past the digit rule.
+		{"0.30000000000000004", true},
+		{"1e+06", true},
+		{"1.5e-07", true},
+		{"+Inf", true},
+		{"-Inf", true},
+		// Strings, nulls, ragged and trailing tabs.
+		{"NaN\t-inf\t1e999\t0x10", true},
+		{"", true},
+		{"\t", true},
+		{"a\t", true},
+		{"a\t\t\tb\t7\t8\t9\t10", true},
+		// Nested values: canonical when they render back.
+		{"(1,a,2.5)\t{(1),(b,)}\t()\t{}\t((1),{(2)})\t(,)", true},
+		{"(1,007)", false},
+		{"{(1.50)}", false},
+		{"( 1)", true}, // the string " 1"
+		{"(1)(2)", true},
+		{"(a,-0)", false},
+		{"(007})", false}, // the string "007}", held to the number rule: a rendered batch, not a wrong one
+		// Escapes anywhere in the file.
+		{"a\\tb", false},
+		{"a\\\\b", false},
+		{"end\\", false},
+	}
+	for _, tc := range cases {
+		data := "u1\t2\n" + tc.line + "\n3\t4.5\n"
+		b, err := DecodeTextBatchString(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.lines != nil; got != tc.canon {
+			t.Errorf("line %q: canonical = %v, want %v", tc.line, got, tc.canon)
+		}
+		checkCanonical(t, []byte(data), b)
+	}
+	// A last line without its newline is not copied.
+	b, _ := DecodeTextBatchString("1\n2")
+	if b.lines != nil {
+		t.Errorf("text without a final newline: canonical")
+	}
+	// The generator's rows are canonical, so stored Filter outputs of
+	// generated data are copied.
+	if b := textBatch(t, []Tuple{pageViewsRow(1), pageViewsRow(2), narrowNumericRow(3)}); b.lines == nil {
+		t.Errorf("page_views rows: not canonical")
+	}
+}
+
+// TestPlainDecimal holds the digit rule to strconv over every decimal
+// it might accept: where it says canonical, AppendFloat agrees.
+func TestPlainDecimal(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + r.Intn(10))
+		}
+		return string(b)
+	}
+	accepted := 0
+	for i := 0; i < 200000; i++ {
+		s := digits(1+r.Intn(8)) + "." + digits(1+r.Intn(16))
+		if r.Intn(4) == 0 {
+			s = "0." + strings.Repeat("0", r.Intn(6)) + digits(1+r.Intn(14))
+		}
+		if r.Intn(3) == 0 {
+			s = "-" + s
+		}
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plainDecimal(s) {
+			accepted++
+			if got := strconv.FormatFloat(f, 'g', -1, 64); got != s {
+				t.Fatalf("plainDecimal(%q) but AppendFloat writes %q", s, got)
+			}
+		}
+	}
+	if accepted < 10000 {
+		t.Fatalf("plainDecimal accepted only %d of the drawn decimals", accepted)
 	}
 }
 
