@@ -130,9 +130,11 @@ type Config struct {
 	// selects the default (256 MiB); negative disables the cache. The
 	// budget counts what the cache adds beyond the DFS's file text —
 	// column vectors, string headers, boxed values, line offsets and
-	// unescaped strings (tuple.Batch.MemBytes) — not the text the
-	// batches' strings slice, which the DFS already holds. Outputs and
-	// simulated times are identical with the cache on or off.
+	// unescaped strings (tuple.Batch.MemBytes) — and the text the
+	// batches' strings slice only when the DFS does not hold it in
+	// memory itself: the in-memory backend's text is not counted, a
+	// Disk read's buffer is. Outputs and simulated times are identical
+	// with the cache on or off.
 	MaxCachedBatchBytes int64
 	// DefaultReducers is the reduce parallelism for statements without
 	// a PARALLEL clause (default: the cluster's reduce slots).

@@ -94,7 +94,7 @@ func (fs *FS) Open(path string) (io.Reader, error) {
 		return nil, &PathError{Op: "open", Path: path, Err: ErrNotExist}
 	}
 	fs.bytesRead.Add(f.size)
-	return newReader(f.data), nil
+	return newReader(f.data, true), nil
 }
 
 // ReadFile returns the contents of the file at path.

@@ -513,7 +513,7 @@ func (d *Disk) Open(path string) (io.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReader(data), nil
+	return newReader(data, false), nil
 }
 
 // ReadFile returns the contents of the file at path.

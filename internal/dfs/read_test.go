@@ -28,7 +28,7 @@ func create(t *testing.T, fs dfs.Backend, path string, pieces ...string) {
 
 func readString(t *testing.T, fs dfs.Backend, path string) string {
 	t.Helper()
-	s, err := dfs.ReadString(fs, path)
+	s, _, err := dfs.ReadString(fs, path)
 	if err != nil {
 		t.Fatalf("ReadString(%s): %v", path, err)
 	}
@@ -69,6 +69,30 @@ func TestReadStringSharesFSContents(t *testing.T) {
 	}
 }
 
+// TestReadStringReportsShared: only FS's committed contents are shared;
+// Disk's read buffer and a string copied from a plain reader are memory
+// of the read's own.
+func TestReadStringReportsShared(t *testing.T) {
+	disk, err := dfs.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	mem := dfs.New()
+	create(t, mem, "ds/part-00000", "u1\tterm\n")
+	create(t, disk, "ds/part-00000", "u1\tterm\n")
+	for _, c := range []struct {
+		name string
+		fs   dfs.Backend
+		want bool
+	}{{"FS", mem, true}, {"Disk", disk, false}, {"plain reader over FS", plainOpen{mem}, false}} {
+		s, shared, err := dfs.ReadString(c.fs, "ds/part-00000")
+		if err != nil || s != "u1\tterm\n" || shared != c.want {
+			t.Errorf("%s: ReadString = %q, shared %v, %v; want shared %v", c.name, s, shared, err, c.want)
+		}
+	}
+}
+
 // TestReadStringOutlivesMutations checks the immutability the sharing
 // relies on: a string read before an overwrite, Delete or Rename of its
 // path keeps its bytes.
@@ -97,7 +121,7 @@ func TestReadStringOutlivesMutations(t *testing.T) {
 
 func TestReadStringMissing(t *testing.T) {
 	fs := dfstest.New(t)
-	if _, err := dfs.ReadString(fs, "no/part-00000"); !errors.Is(err, dfs.ErrNotExist) {
+	if _, _, err := dfs.ReadString(fs, "no/part-00000"); !errors.Is(err, dfs.ErrNotExist) {
 		t.Errorf("err = %v, want ErrNotExist", err)
 	}
 }

@@ -75,7 +75,7 @@ func (ds *cachedDataset) add(file string, b *tuple.Batch) {
 
 // NewBatchCache returns a cache of the datasets on fs, bounded to budget
 // bytes of decoded batches as MemBytes charges them, beyond the file
-// text they slice (<=0 selects DefaultMaxCachedBatchBytes).
+// text the DFS holds (<=0 selects DefaultMaxCachedBatchBytes).
 func NewBatchCache(fs dfs.Backend, budget int64) *BatchCache {
 	if budget <= 0 {
 		budget = DefaultMaxCachedBatchBytes
@@ -191,8 +191,9 @@ func (c *BatchCache) removeLocked(el *list.Element) {
 // cache. HitBytes totals the DFS bytes hits avoided re-reading.
 //
 // UsedBytes is the sum of the cached batches' MemBytes: what the cache
-// adds beyond the DFS's file text, which the batches' strings slice and
-// the budget does not count.
+// adds beyond the file text the DFS holds in memory. The batches'
+// strings slice that text, and neither UsedBytes nor the budget counts
+// it; a read that returned a buffer of its own (Disk) is counted.
 type BatchCacheStats struct {
 	Entries     int
 	UsedBytes   int64

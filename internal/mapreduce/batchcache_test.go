@@ -556,11 +556,11 @@ func TestBatchCacheChargesUnescapedStrings(t *testing.T) {
 		fmt.Fprintf(&clean, "%d\t%sab\n", i, long)      // canonical: no escape
 		fmt.Fprintf(&escaped, "%d\t%sa\\tb\n", i, long) // unescapes to long+"a\tb"
 	}
-	cb, err := tuple.DecodeTextBatchString(clean.String())
+	cb, err := tuple.DecodeTextBatchString(clean.String(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := tuple.DecodeTextBatchString(escaped.String())
+	eb, err := tuple.DecodeTextBatchString(escaped.String(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,5 +582,42 @@ func TestBatchCacheChargesUnescapedStrings(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.UsedBytes != eb.MemBytes() {
 		t.Fatalf("cache charges %d bytes for the escaped dataset, its batch %d", st.UsedBytes, eb.MemBytes())
+	}
+}
+
+// TestBatchCacheChargesDiskText: the text a Disk read returns is a
+// buffer of the read's own, not contents the DFS holds in memory, so a
+// cached batch that keeps it is charged all of it on top of what the
+// same batch is charged over the in-memory backend.
+func TestBatchCacheChargesDiskText(t *testing.T) {
+	disk, err := dfs.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	var text strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&text, "%d\tterm%04d\t%d.5\n", i, i, i)
+	}
+	used := map[string]int64{}
+	for name, fs := range map[string]dfs.Backend{"FS": dfs.New(), "Disk": disk} {
+		if err := fs.WriteFile("d/part-00000", []byte(text.String())); err != nil {
+			t.Fatal(err)
+		}
+		e := New(fs, Config{Cost: cluster.DefaultCostModel()})
+		var decode time.Duration
+		for range 2 {
+			if _, err := e.loadDataset("d", &decode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := e.CacheStats()
+		if st.Hits != 1 || st.Entries != 1 {
+			t.Fatalf("%s: second read of a cached dataset: %+v", name, st)
+		}
+		used[name] = st.UsedBytes
+	}
+	if got, want := used["Disk"], used["FS"]+int64(text.Len()); got != want {
+		t.Fatalf("Disk dataset charged %d bytes, want %d: the FS charge %d and its %d bytes of text", got, want, used["FS"], text.Len())
 	}
 }

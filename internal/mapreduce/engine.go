@@ -49,7 +49,7 @@ type Config struct {
 	// runs its tasks on at most Parallelism worker goroutines.
 	Parallelism int
 	// MaxCachedBatchBytes bounds the decoded-dataset batch cache: what
-	// its batches add beyond the DFS's file text they slice
+	// its batches add beyond the file text the DFS holds in memory
 	// (tuple.Batch.MemBytes). Zero selects DefaultMaxCachedBatchBytes; a
 	// negative value disables the cache entirely.
 	MaxCachedBatchBytes int64
@@ -312,7 +312,8 @@ type side struct {
 	// Load runs only through Filter, Split, Union and Limit: each row it
 	// writes is a row of the task's batch, unchanged, so it keeps the
 	// row's index and its part file is the batch's lines
-	// (tuple.Batch.AppendRows). It has an entry for every ID in the plan.
+	// (tuple.Batch.AppendRows). The map side's has an entry for every ID
+	// in the plan; the reduce side's is nil.
 	copies []bool
 }
 
@@ -384,7 +385,6 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		}
 	}
 	s.mapSide.copies = passThrough(p, n)
-	s.redSide.copies = make([]bool, n)
 	s.feeds = map[int]feed{}
 	for _, op := range all {
 		if op.Kind == physical.KLoad {
@@ -532,15 +532,16 @@ func (e *Engine) loadDataset(path string, decode *time.Duration) (*cachedDataset
 
 // decodeFile reads one part file and decodes it, adding the decode's
 // wall-clock to *decode. The read is dfs.ReadString, so the batch's
-// string fields slice the DFS's own immutable contents: a cached batch
-// holds no second copy of the file's text.
+// string fields slice the text it returns: a cached batch holds no
+// second copy of the file's text, and is charged the text only when the
+// DFS does not hold it already.
 func (e *Engine) decodeFile(f string, decode *time.Duration) (*tuple.Batch, error) {
-	data, err := dfs.ReadString(e.fs, f)
+	data, shared, err := dfs.ReadString(e.fs, f)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	b, err := tuple.DecodeTextBatchString(data)
+	b, err := tuple.DecodeTextBatchString(data, shared)
 	*decode += time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", f, err)

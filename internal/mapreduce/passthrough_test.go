@@ -205,12 +205,15 @@ func TestPassThroughNeedsRowsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if seg.redSide.copies != nil {
+		t.Errorf("reduce side copies = %v, want nil: a reduce-side Store renders its rows", seg.redSide.copies)
+	}
 	for _, op := range b.p.Ops() {
 		if op.Kind != physical.KStore {
 			continue
 		}
 		want := copying[op]
-		if got := seg.mapSide.copies[op.ID] || seg.redSide.copies[op.ID]; got != want {
+		if got := seg.mapSide.copies[op.ID]; got != want {
 			t.Errorf("Store %s: copies = %v, want %v", op.Path, got, want)
 		}
 	}

@@ -45,6 +45,9 @@ type exec struct {
 	encode time.Duration
 }
 
+// copying reports whether Store id keeps row indices (side.copies).
+func (x *exec) copying(id int) bool { return x.copies != nil && x.copies[id] }
+
 // newExec returns the interpreter of seg's map side, or of its reduce
 // side when reduce is set: s's own, with its per-op state in s.
 func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
@@ -105,7 +108,7 @@ func (x *exec) apply(op *physical.Op, t tuple.Tuple) error {
 		return x.push(op.ID, t)
 
 	case physical.KStore:
-		if x.copies[op.ID] {
+		if x.copying(op.ID) {
 			x.lines[op.ID] = append(x.lines[op.ID], x.row)
 			return nil
 		}
@@ -218,7 +221,7 @@ func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]Outpu
 		start := time.Now()
 		buf = buf[:0]
 		var n int // rows written
-		if x.copies[op.ID] {
+		if x.copying(op.ID) {
 			n = len(x.lines[op.ID])
 			buf = x.batch.AppendRows(buf, x.lines[op.ID])
 		} else {

@@ -67,7 +67,7 @@ func (s *taskScratch) reset() {
 	s.runs = s.runs[:0]
 	clear(s.recs)
 	s.recs = s.recs[:0]
-	s.x = exec{}
+	s.x = exec{} // a pooled scratch keeps no task's batch alive
 	for i := range s.rows {
 		clear(s.rows[i])
 		s.rows[i] = s.rows[i][:0]

@@ -80,13 +80,12 @@ func (b *Batch) Len() int {
 // included).
 func (b *Batch) SrcBytes() int64 { return b.srcBytes }
 
-// MemBytes estimates the memory the batch adds beyond the text it was
-// decoded from, used for cache budget accounting: column vectors and
-// null masks, a header per string, a box per boxed value, row widths and
-// line offsets, and the bytes of the strings the decoder allocated (the
-// unescaped fields). The text itself, which string fields slice, is the
-// DFS's own file contents (see DecodeTextBatchString) and is not
-// charged.
+// MemBytes estimates the memory the batch adds beyond the DFS's file
+// text, used for cache budget accounting: column vectors and null masks,
+// a header per string, a box per boxed value, row widths and line
+// offsets, the bytes of the strings the decoder allocated (the unescaped
+// fields), and the text the batch was decoded from unless the DFS holds
+// that text itself (see DecodeTextBatchString).
 func (b *Batch) MemBytes() int64 { return b.mem }
 
 // AppendRows appends the storage lines of the given rows to dst, each
@@ -229,7 +228,9 @@ type BatchBuilder struct {
 	// The decoder's own state (DecodeTextBatchString). canon holds while
 	// every field so far renders back to its text, and lines are the
 	// offsets in text of the lines added so far, kept only while it
-	// holds. owned counts the bytes of the strings the decoder allocated.
+	// holds. owned counts the bytes the batch keeps that nobody else
+	// holds: the strings the decoder allocated, and the text itself
+	// unless the DFS shares it.
 	canon bool
 	text  string
 	lines []uint32
@@ -451,8 +452,9 @@ func (bb *BatchBuilder) Finish() *Batch {
 }
 
 // computeMem charges the batch's own memory (see MemBytes) plus owned,
-// the bytes of the strings its builder allocated. A string field is
-// charged its header: its bytes are the text's, or counted in owned.
+// the bytes its builder counted as the batch's alone. A string field is
+// charged its header: its bytes are the text's or the decoder's, both
+// counted in owned when nobody else holds them.
 func (b *Batch) computeMem(owned int64) int64 {
 	mem := 64 + owned // 64: struct overhead
 	mem += int64(4*len(b.widths) + 4*len(b.lines))
@@ -494,8 +496,10 @@ func tupleMem(t Tuple) int64 {
 }
 
 // DecodeTextBatch decodes one part file's text bytes into a Batch; it
-// is DecodeTextBatchString of one copy of data.
-func DecodeTextBatch(data []byte) (*Batch, error) { return DecodeTextBatchString(string(data)) }
+// is DecodeTextBatchString of one copy of data, which nobody else holds.
+func DecodeTextBatch(data []byte) (*Batch, error) {
+	return DecodeTextBatchString(string(data), false)
+}
 
 // DecodeTextBatchString decodes one part file's text into a Batch, with
 // SrcBytes set to len(s). The result is the batch that DecodeText of
@@ -504,11 +508,13 @@ func DecodeTextBatch(data []byte) (*Batch, error) { return DecodeTextBatchString
 // typed (see the grammar in codec.go) and appended to its column
 // vector. String fields without escapes are substrings of s, so a
 // batch's string columns share s's backing bytes instead of a copy, and
-// keeping any one string alive retains all of s. The engine passes the
-// DFS's own immutable file contents (dfs.ReadString), so a decoded batch
-// adds no second copy of its text, and MemBytes charges only what it
-// adds beyond s: nothing for s's bytes, and for an unescaped field the
-// string the decoder built.
+// keeping any one string alive retains all of s. The engine passes what
+// dfs.ReadString returns, so a decoded batch adds no second copy of its
+// text. shared says whether the DFS itself holds s (the in-memory
+// backend's committed contents): MemBytes then charges nothing for s's
+// bytes, and otherwise all of them, as memory the batch may keep alive
+// alone. An unescaped field is always charged the string the decoder
+// built.
 //
 // While it decodes, the decoder also proves or disproves, field by
 // field, that every line re-renders byte for byte (AppendText of the
@@ -518,13 +524,16 @@ func DecodeTextBatch(data []byte) (*Batch, error) { return DecodeTextBatchString
 // ".5". A batch that keeps the proof keeps s and its line offsets, 4
 // bytes a row, and AppendRows copies its lines instead of rendering
 // them.
-func DecodeTextBatchString(s string) (*Batch, error) {
+func DecodeTextBatchString(s string, shared bool) (*Batch, error) {
 	rows := strings.Count(s, "\n")
 	if s != "" && s[len(s)-1] != '\n' {
 		rows++
 	}
 	bb := NewBatchBuilder(rows)
 	bb.AddSrcBytes(int64(len(s)))
+	if !shared {
+		bb.owned = int64(len(s))
+	}
 	// Escapes are rare: one scan of the file spares every field its own.
 	escaped := strings.IndexByte(s, '\\') >= 0
 	bb.canon = !escaped && (s == "" || s[len(s)-1] == '\n') && uint64(len(s)) < math.MaxUint32

@@ -312,43 +312,10 @@ func canonicalInt(s string) bool {
 }
 
 // canonicalFloat reports whether AppendText writes the float field s,
-// which parses as f, back as it is. A plain decimal is decided from its
-// text (plainDecimal); any other field is formatted and compared.
+// which parses as f, back as it is.
 func canonicalFloat(s string, f float64) bool {
-	if plainDecimal(s) {
-		return true
-	}
 	var buf [32]byte
 	return string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) == s
-}
-
-// plainDecimal reports whether s is -?I.F with at most 15 significant
-// digits, where I is 0 or has no leading zero and at most 6 digits, F
-// ends in a nonzero digit, and an I of 0 is followed by at most three
-// zeros. Fifteen digits survive a round trip through a float64, so the
-// shortest decimal that reads back as s's value is s's own digits, and
-// the exponent range is the one in which the 'g' format writes them
-// without an exponent, the way s has them.
-func plainDecimal(s string) bool {
-	if s[0] == '-' {
-		s = s[1:]
-	}
-	dot := strings.IndexByte(s, '.')
-	if dot < 1 || dot > 6 || dot == len(s)-1 || s[len(s)-1] == '0' {
-		return false
-	}
-	digits := len(s) - 1
-	if s[0] == '0' {
-		if dot != 1 {
-			return false
-		}
-		zeros := len(s) - 2 - len(strings.TrimLeft(s[2:], "0"))
-		if zeros > 3 {
-			return false
-		}
-		digits -= 1 + zeros
-	}
-	return digits <= 15 && skipDigits(s, 0) == dot && skipDigits(s, dot+1) == len(s)
 }
 
 // nestedCanonical reports whether AppendText writes the nested value

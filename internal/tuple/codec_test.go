@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -158,17 +157,21 @@ func checkDecode(t *testing.T, data []byte) {
 	}
 	checkCanonical(t, data, got)
 	// The oracle's batch holds the same columns, no line offsets and no
-	// string of its own: the decoder charges the offsets it keeps and
-	// every field it unescaped.
+	// string of its own: the decoder charges the offsets it keeps, every
+	// field it unescaped and the text, DecodeTextBatch's own copy. Over
+	// text the DFS holds it charges the same less the text.
 	owned := int64(0)
 	for _, f := range strings.FieldsFunc(string(data), func(r rune) bool { return r == '\t' || r == '\n' }) {
 		if strings.IndexByte(f, '\\') >= 0 {
 			owned += int64(len(unescapeField(f)))
 		}
 	}
-	if extra := got.MemBytes() - want.MemBytes(); extra != owned+int64(4*len(got.lines)) {
-		t.Fatalf("DecodeTextBatch(%q): MemBytes %d, %d over the oracle's; want %d unescaped bytes and %d line offsets",
+	if extra := got.MemBytes() - want.MemBytes(); extra != int64(len(data))+owned+int64(4*len(got.lines)) {
+		t.Fatalf("DecodeTextBatch(%q): MemBytes %d, %d over the oracle's; want the text, %d unescaped bytes and %d line offsets",
 			data, got.MemBytes(), extra, owned, len(got.lines))
+	}
+	if shared, _ := DecodeTextBatchString(string(data), true); shared.MemBytes() != got.MemBytes()-int64(len(data)) {
+		t.Fatalf("DecodeTextBatchString(%q, shared): MemBytes %d, want %d less the text", data, shared.MemBytes(), got.MemBytes())
 	}
 	// Every field the batch hands out, through Batch.Row and through a
 	// cursor over every column, is the field the row codec boxes on its
@@ -256,7 +259,7 @@ func TestCanonicalLines(t *testing.T) {
 		{"-.5", false},
 		{"00.5", false},
 		{"9223372036854775808", false},
-		// Formatted and compared: canonical past the digit rule.
+		// Canonical in any form AppendFloat writes, exponents included.
 		{"0.30000000000000004", true},
 		{"1e+06", true},
 		{"1.5e-07", true},
@@ -283,7 +286,7 @@ func TestCanonicalLines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		data := "u1\t2\n" + tc.line + "\n3\t4.5\n"
-		b, err := DecodeTextBatchString(data)
+		b, err := DecodeTextBatchString(data, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +296,7 @@ func TestCanonicalLines(t *testing.T) {
 		checkCanonical(t, []byte(data), b)
 	}
 	// A last line without its newline is not copied.
-	b, _ := DecodeTextBatchString("1\n2")
+	b, _ := DecodeTextBatchString("1\n2", true)
 	if b.lines != nil {
 		t.Errorf("text without a final newline: canonical")
 	}
@@ -301,42 +304,6 @@ func TestCanonicalLines(t *testing.T) {
 	// generated data are copied.
 	if b := textBatch(t, []Tuple{pageViewsRow(1), pageViewsRow(2), narrowNumericRow(3)}); b.lines == nil {
 		t.Errorf("page_views rows: not canonical")
-	}
-}
-
-// TestPlainDecimal holds the digit rule to strconv over every decimal
-// it might accept: where it says canonical, AppendFloat agrees.
-func TestPlainDecimal(t *testing.T) {
-	r := rand.New(rand.NewSource(67))
-	digits := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('0' + r.Intn(10))
-		}
-		return string(b)
-	}
-	accepted := 0
-	for i := 0; i < 200000; i++ {
-		s := digits(1+r.Intn(8)) + "." + digits(1+r.Intn(16))
-		if r.Intn(4) == 0 {
-			s = "0." + strings.Repeat("0", r.Intn(6)) + digits(1+r.Intn(14))
-		}
-		if r.Intn(3) == 0 {
-			s = "-" + s
-		}
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plainDecimal(s) {
-			accepted++
-			if got := strconv.FormatFloat(f, 'g', -1, 64); got != s {
-				t.Fatalf("plainDecimal(%q) but AppendFloat writes %q", s, got)
-			}
-		}
-	}
-	if accepted < 10000 {
-		t.Fatalf("plainDecimal accepted only %d of the drawn decimals", accepted)
 	}
 }
 

@@ -269,7 +269,7 @@ func (s *System) ReadDataset(path string) ([]Tuple, error) {
 	}
 	var out []Tuple
 	for _, f := range files {
-		data, err := dfs.ReadString(s.fs, f)
+		data, _, err := dfs.ReadString(s.fs, f)
 		if err != nil {
 			return nil, err
 		}
