@@ -339,7 +339,7 @@ func BenchmarkWarmRepeat(b *testing.B) {
 				}
 				b.StopTimer()
 				bc := sys.BatchCacheStats()
-				b.ReportMetric(bc.HitRatio(), "hit-ratio")
+				b.ReportMetric(float64(bc.Hits)/max(1, float64(bc.Hits+bc.Misses)), "hit-ratio")
 			})
 		}
 	}

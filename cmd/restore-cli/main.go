@@ -24,18 +24,18 @@
 // policy picks victims), and -janitor starts the background storage
 // sweeper at the given interval. -ns-root names the directory ReStore's
 // managed namespaces live under (default .restore); the janitor never
-// reclaims a dataset outside it. The matcher's per-run statistics
-// print after the runs.
+// reclaims a dataset outside it.
 //
 // -durable journals every repository mutation to a manifest + event
 // log on the DFS under <ns-root>/repo (-compact-every, -lease-ttl tune
-// it)
-// and prints the log's statistics after the runs; -recover-check then
-// recovers a second System over the same DFS — as a restarted process
-// would — and reruns the script warm, proving the recovered repository
-// answers with reuse and that recovery decoded no stored plans.
-// -stats-json replaces the human-readable closing stats with one JSON
-// document in the same schema a restore-server's /metrics endpoint
+// it); -recover-check then recovers a second System over the same DFS
+// — as a restarted process would — and reruns the script warm, proving
+// the recovered repository answers with reuse and that recovery
+// decoded no stored plans.
+//
+// The command ends by printing the System's stats (repository,
+// matcher, batch cache, delta refresh, durable log, memory) as one
+// JSON document, the schema a restore-server's /metrics endpoint
 // serves, so dashboards parse one format for both.
 //
 // -backend picks the DFS substrate: "memory" (the default, volatile)
@@ -81,7 +81,6 @@ func main() {
 		timeoutFlag = flag.Duration("timeout", 0, "per-run deadline; a run exceeding it is cancelled (0 = none)")
 		tagFlag     = flag.String("tag", "", "label attached to each submitted query")
 		recoverFlag = flag.Bool("recover-check", false, "after the runs, recover a fresh System from the durable log and verify it reuses identically")
-		statsJSON   = flag.Bool("stats-json", false, "print the final stats as one JSON document (the /metrics schema) instead of text")
 		appendFlag  = flag.Int("append-net-days", 0, "append this many daily partitions to the backend's net-traffic flow log and exit (no query runs)")
 		traceFlag   = flag.Bool("trace", false, "print each run's span trace as JSON")
 		explainFlag = flag.Bool("explain", false, "print each run's reuse-provenance report (which entries were nominated, rejected and why, and what won)")
@@ -228,54 +227,13 @@ func main() {
 			}
 		}
 	}
-	if *statsJSON {
-		// One machine-readable document, byte-compatible with what a
-		// restore-server's /metrics endpoint returns for the same System.
-		if err := service.SystemStats(sys).WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-		if *recoverFlag {
-			recoverCheck(eng.Config, sys, script)
-		}
-		return
-	}
-	st := sys.StorageStats()
-	fmt.Printf("repository: %d entries, %.1f MB retained", st.Entries, float64(st.UsageBytes)/(1<<20))
-	if st.BudgetBytes > 0 {
-		fmt.Printf(" of %.1f MB budget (%s policy, %d evictions)",
-			float64(st.BudgetBytes)/(1<<20), st.Policy, st.Evictions)
-	}
-	fmt.Printf("; DFS holds %.1f MB actual\n", float64(sys.FS().TotalBytes())/(1<<20))
-	if st.ClaimWaits > 0 || st.ClaimsShared > 0 {
-		fmt.Printf("claims: %d granted, %d waits, %d shared in flight\n",
-			st.ClaimsGranted, st.ClaimWaits, st.ClaimsShared)
-	}
-	ms := sys.MatcherStats()
-	if ms.Probes > 0 || ms.Scans > 0 {
-		fmt.Printf("matcher: %d probes (%d candidates), %d scans (%d visited), %d traversals, %d matches; index %d entries / %d signatures\n",
-			ms.Probes, ms.Candidates, ms.Scans, ms.ScanVisited,
-			ms.FullTraversals, ms.Matches,
-			ms.IndexEntries, ms.IndexSignatures)
-	}
-	bc := sys.BatchCacheStats()
-	if bc.Hits+bc.Misses > 0 {
-		fmt.Printf("batch cache: %d hits / %d misses (%.0f%% hit ratio), %.1f MB resident of %.1f MB budget, %d evictions, %d invalidations\n",
-			bc.Hits, bc.Misses, 100*bc.HitRatio(),
-			float64(bc.UsedBytes)/(1<<20), float64(bc.BudgetBytes)/(1<<20),
-			bc.Evictions, bc.Invalidations)
-	}
-	if dl := sys.DeltaStats(); dl.Refreshes+dl.Failed > 0 {
-		fmt.Printf("delta refresh: %d refreshed (%d failed), %.1f MB appended bytes read, %.1f MB cold recompute avoided\n",
-			dl.Refreshes, dl.Failed,
-			float64(dl.DeltaBytesRead)/(1<<20), float64(dl.ColdBytesAvoided)/(1<<20))
-	}
-	if ef.Durable {
-		ds := sys.DurabilityStats()
-		fmt.Printf("durable log (%s at %s): %d appends, %d compactions, %d live records, %d entries recovered at open\n",
-			ds.Writer, ds.Root, ds.Appends, ds.Compactions, ds.LogRecords, ds.RecoveredEntries)
-	}
 	if *recoverFlag {
 		recoverCheck(eng.Config, sys, script)
+	}
+	// One machine-readable document, the schema a restore-server's
+	// /metrics endpoint serves for the same System.
+	if err := service.SystemStats(sys).WriteJSON(os.Stdout); err != nil {
+		fail(err)
 	}
 }
 

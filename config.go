@@ -121,8 +121,6 @@ type Config struct {
 	// RecordScale maps actual records to simulated ones (defaults to
 	// SimScale).
 	RecordScale float64
-	// SplitSize is the simulated input split size (default 128 MiB).
-	SplitSize int64
 	// MaxCachedBatchBytes bounds the engine's decoded-dataset batch
 	// cache — the in-memory fast path that feeds repeated reads of hot
 	// datasets (repository outputs, warm inputs) from resident columnar
@@ -213,7 +211,6 @@ func DefaultConfig() Config {
 		Topology:        topo,
 		Cost:            cluster.DefaultCostModel(),
 		SimScale:        1,
-		SplitSize:       128 << 20,
 		DefaultReducers: topo.ReduceSlots(),
 	}
 }

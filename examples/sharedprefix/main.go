@@ -69,6 +69,7 @@ func main() {
 	for _, ev := range r2.Rewrites {
 		fmt.Printf("  rewrite: job %s reused entry %s (output %s)\n", ev.JobID, ev.EntryID, ev.Path)
 	}
+	warmRows, _ := r2.Output("L3_out") // before the cold run replaces it
 
 	// Verify against the same query with ReStore off (the System's
 	// default): reuse is a per-query choice, so no second System.
@@ -77,7 +78,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	warmRows, _ := r2.Output("L3_out")
 	coldRows, _ := rc.Output("L3_out")
 	fmt.Printf("\nQ2 without ReStore: %v; with ReStore: %v (%.1fx)\n",
 		rc.SimTime.Round(rc.SimTime/100+1), r2.SimTime.Round(r2.SimTime/100+1),

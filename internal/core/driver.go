@@ -150,6 +150,9 @@ type Result struct {
 	// FinalOutputs maps each user STORE path to itself, the dataset
 	// holding the result once committed.
 	FinalOutputs map[string]string
+	// OutputVersions maps each user STORE path to the dataset version
+	// its commit produced: a later write to the path changes it.
+	OutputVersions map[string]int64
 }
 
 // Driver executes workflows of MapReduce jobs through ReStore: it is the
@@ -436,7 +439,7 @@ func (x *execution) discard(from int) {
 // the dataset version its rename produced: an overwrite by any other
 // query — even one that slipped in before this insert — invalidates it.
 func (x *execution) merge(versions map[string]int64) *Result {
-	res := &Result{QueryID: x.queryID, FinalOutputs: x.wf.FinalOutputs}
+	res := &Result{QueryID: x.queryID, FinalOutputs: x.wf.FinalOutputs, OutputVersions: versions}
 	jobTimes := map[string]time.Duration{}
 	jobDeps := map[string][]string{}
 	for _, job := range x.dag.jobs {

@@ -691,6 +691,7 @@ func AllocWriter(fs dfs.Backend, root string) string {
 }
 
 // DurabilityStats is a point-in-time snapshot of the durable log.
+// Its prom tags shape its Prometheus series (service.StatsBundle).
 type DurabilityStats struct {
 	// Writer is this process's writer ID; Root the log's DFS directory.
 	Writer string
@@ -700,7 +701,7 @@ type DurabilityStats struct {
 	// process-wide since then (cold recovery leaves this at zero; each
 	// decode is a matcher traversal touching that entry for the first
 	// time).
-	RecoveredEntries int
+	RecoveredEntries int `prom:"gauge"`
 	PlanDecodes      int64
 	// Appends, Replayed, Compactions and Resyncs count log traffic:
 	// records this process wrote, foreign records it applied, folds it
@@ -720,8 +721,8 @@ type DurabilityStats struct {
 	// LogRecords and AppliedSeq describe the shared log: live record
 	// files right now, and the highest sequence this process has
 	// applied.
-	LogRecords int
-	AppliedSeq uint64
+	LogRecords int    `prom:"gauge"`
+	AppliedSeq uint64 `prom:"gauge"`
 }
 
 // Stats snapshots the log's counters.

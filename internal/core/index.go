@@ -248,6 +248,7 @@ func (ix *planIndex) candidates(sigCount map[string]int, loadSet map[string]bool
 // MatcherStats is a point-in-time snapshot of the matcher subsystem:
 // how the repository is being probed and how much pairwise-traversal
 // work the signature index is saving.
+// Its prom tags shape its Prometheus series (service.StatsBundle).
 type MatcherStats struct {
 	// Probes counts indexed candidate probes served; Candidates totals
 	// the entries those probes yielded, so Candidates/Probes is the
@@ -268,11 +269,11 @@ type MatcherStats struct {
 	// NegativeHits and SharedNegHits are always zero: no traversal is
 	// skipped. They remain only because the benchmark's
 	// core.matcher.neg_hit_ratio metric reads them.
-	NegativeHits  int64
-	SharedNegHits int64
+	NegativeHits  int64 `prom:"-"`
+	SharedNegHits int64 `prom:"-"`
 
 	// IndexEntries and IndexSignatures size the inverted index: entries
 	// currently indexed and distinct frontier signatures posted.
-	IndexEntries    int
-	IndexSignatures int
+	IndexEntries    int `prom:"gauge"`
+	IndexSignatures int `prom:"gauge"`
 }

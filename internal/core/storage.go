@@ -686,13 +686,14 @@ func cleanPath(p string) string {
 }
 
 // StorageStats is a point-in-time snapshot of the storage manager.
+// Its prom tags shape its Prometheus series (service.StatsBundle).
 type StorageStats struct {
 	// Entries and UsageBytes describe the repository: how many outputs
 	// it retains and their distinct-path byte total. BudgetBytes is the
 	// configured cap (0 = unbounded) and Policy the eviction policy.
-	Entries     int
-	UsageBytes  int64
-	BudgetBytes int64
+	Entries     int   `prom:"gauge"`
+	UsageBytes  int64 `prom:"gauge"`
+	BudgetBytes int64 `prom:"gauge"`
 	Policy      string
 
 	// Claim protocol counters. ActiveClaims is the current in-flight
@@ -702,7 +703,7 @@ type StorageStats struct {
 	// of those woke to a committed entry they then reused. Leases
 	// carries the lease manager's own counters (grants, takeovers,
 	// reaps, fencing).
-	ActiveClaims    int
+	ActiveClaims    int `prom:"gauge"`
 	ClaimsGranted   int64
 	ClaimsCommitted int64
 	ClaimsAborted   int64

@@ -194,10 +194,11 @@ func (c *BatchCache) removeLocked(el *list.Element) {
 // adds beyond the file text the DFS holds in memory. The batches'
 // strings slice that text, and neither UsedBytes nor the budget counts
 // it; a read that returned a buffer of its own (Disk) is counted.
+// Its prom tags shape its Prometheus series (service.StatsBundle).
 type BatchCacheStats struct {
-	Entries     int
-	UsedBytes   int64
-	BudgetBytes int64
+	Entries     int   `prom:"gauge"`
+	UsedBytes   int64 `prom:"gauge"`
+	BudgetBytes int64 `prom:"gauge"`
 
 	Hits      int64
 	Misses    int64
@@ -213,16 +214,7 @@ type BatchCacheStats struct {
 	// from the key, never replayed. It remains only because the
 	// benchmark's mapreduce.cache.partition_replays metric reads it; the
 	// benchmark change that drops that metric deletes this field.
-	PartitionReplays int64
-}
-
-// HitRatio is Hits over all lookups (0 before any lookup).
-func (s BatchCacheStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+	PartitionReplays int64 `prom:"-"`
 }
 
 // Stats snapshots the cache counters.

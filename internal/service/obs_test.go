@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"regexp"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +72,7 @@ func TestMetricsFieldPlumbing(t *testing.T) {
 		{"matcher.Probes", dig("matcher", "Probes"), 23},
 		{"matcher.Matches", dig("matcher", "Matches"), 5},
 		{"batchCache.Hits", dig("batchCache", "Hits"), 13},
+		{"batchCache.UsedBytes", dig("batchCache", "UsedBytes"), 512},
 		{"delta.refreshes", dig("delta", "refreshes"), 4},
 		{"delta.coldBytesAvoided", dig("delta", "coldBytesAvoided"), 8192},
 		{"latency.query.count", digHist("query", "count"), 9},
@@ -77,7 +82,6 @@ func TestMetricsFieldPlumbing(t *testing.T) {
 		{"latency.refresh.count", digHist("refresh", "count"), 4},
 		{"memory.heap_live_bytes", dig("memory", "heap_live_bytes"), 1 << 20},
 		{"memory.heap_goal_bytes", dig("memory", "heap_goal_bytes"), 2 << 20},
-		{"memory.batch_cache_bytes", dig("memory", "batch_cache_bytes"), 512},
 		{"memory.dfs_bytes", dig("memory", "dfs_bytes"), 65536},
 	}
 	for _, c := range checks {
@@ -111,20 +115,29 @@ func TestMetricsPrometheus(t *testing.T) {
 		"# TYPE restore_matcher_matches_total counter",
 		"restore_matcher_matches_total 5",
 		"restore_batch_cache_hits_total 13",
+		"# TYPE restore_batch_cache_used_bytes gauge",
+		"restore_batch_cache_used_bytes 512",
+		"restore_storage_claims_granted_total 11",
+		"restore_storage_claims_shared_total 0",
+		"restore_matcher_full_traversals_total 0",
+		"restore_delta_failed_total 0",
+		"restore_delta_delta_bytes_read_total 0",
+		"restore_delta_cold_bytes_avoided_total 8192",
+		"restore_durability_dropped_appends_total 0",
 		"restore_delta_refreshes_total 4",
 		"restore_service_submitted_total 0",
 		"# TYPE restore_memory_heap_live_bytes gauge",
 		"restore_memory_heap_live_bytes 1048576",
 		"restore_memory_heap_goal_bytes 2097152",
-		"restore_memory_batch_cache_bytes 512",
 		"restore_memory_dfs_bytes 65536",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The matcher has no negative-containment cache, so no series for it.
-	for _, gone := range []string{"restore_matcher_negative_hits_total", "restore_matcher_neg_cache"} {
+	// The matcher has no negative-containment cache, so no series for
+	// it; the cache's bytes are restore_batch_cache_used_bytes.
+	for _, gone := range []string{"negative_hits", "neg_cache", "restore_memory_batch_cache_bytes"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("exposition still carries %q", gone)
 		}
@@ -140,9 +153,116 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 }
 
+// TestPrometheusCoversEveryField fills every number of a bundle with a
+// distinct value and holds the exposition to exactly one sample per
+// numeric JSON leaf that no prom:"-" tag leaves out: named restore_ plus
+// the leaf's key path in snake case, typed gauge where the field's tag
+// says so and counter (with _total) otherwise, carrying the leaf's
+// value. A field added to any stats struct is held here unlisted.
+func TestPrometheusCoversEveryField(t *testing.T) {
+	b := StatsBundle{Service: &ServiceStats{}}
+	tags := map[string]string{} // filled value → the field's prom tag
+	var fill func(v reflect.Value, tag string)
+	fill = func(v reflect.Value, tag string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			ft := tag
+			if ft != "-" {
+				ft = f.Tag.Get("prom")
+			}
+			if fv.Kind() == reflect.Pointer && !fv.IsNil() {
+				fv = fv.Elem()
+			}
+			n := strconv.Itoa(len(tags) + 1)
+			switch {
+			case !f.IsExported():
+			case fv.Kind() == reflect.Struct:
+				fill(fv, ft)
+			case fv.CanInt():
+				fv.SetInt(int64(len(tags) + 1))
+				tags[n] = ft
+			case fv.CanUint():
+				fv.SetUint(uint64(len(tags) + 1))
+				tags[n] = ft
+			case fv.CanFloat():
+				fv.SetFloat(float64(len(tags) + 1))
+				tags[n] = ft
+			}
+		}
+	}
+	fill(reflect.ValueOf(&b).Elem(), "")
+
+	// The expected series, from the JSON document.
+	raw, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	snake := regexp.MustCompile(`([a-z0-9])([A-Z])`)
+	want := map[string]string{} // name → value
+	kinds := map[string]string{}
+	var leaves func(prefix string, m map[string]any)
+	leaves = func(prefix string, m map[string]any) {
+		for k, v := range m {
+			name := prefix + "_" + strings.ToLower(snake.ReplaceAllString(k, "${1}_${2}"))
+			switch v := v.(type) {
+			case map[string]any:
+				leaves(name, v)
+			case float64:
+				val := strconv.FormatFloat(v, 'f', -1, 64)
+				switch tags[val] {
+				case "-":
+				case "gauge":
+					want[name], kinds[name] = val, "gauge"
+				default:
+					want[name+"_total"], kinds[name+"_total"] = val, "counter"
+				}
+			}
+		}
+	}
+	leaves("restore", doc)
+
+	var out strings.Builder
+	b.WritePrometheus(&out)
+	got, types := map[string]string{}, map[string]string{}
+	var hist []string // the histogram families' names
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case f[0] == "#" && f[3] == "histogram":
+			hist = append(hist, f[2])
+		case f[0] == "#":
+			types[f[2]] = f[3]
+		case slices.ContainsFunc(hist, func(h string) bool { return strings.HasPrefix(f[0], h+"_") }):
+		default:
+			if _, dup := got[f[0]]; dup {
+				t.Errorf("series %s written twice", f[0])
+			}
+			got[f[0]] = f[1]
+		}
+	}
+	for name, val := range want {
+		if got[name] != val {
+			t.Errorf("%s = %q, want %s", name, got[name], val)
+		}
+		if types[name] != kinds[name] {
+			t.Errorf("# TYPE %s = %q, want %s", name, types[name], kinds[name])
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("series %s has no JSON leaf", name)
+		}
+	}
+	t.Logf("%d series besides the histograms", len(got))
+}
+
 // TestSystemStatsMemory: on a real System the memory block carries the
-// runtime's heap readings, the batches the query's job decoded into
-// the cache, and the DFS's stored bytes.
+// runtime's heap readings and the DFS's stored bytes, and the batch
+// cache block the batches the query's job decoded into the cache.
 func TestSystemStatsMemory(t *testing.T) {
 	srv, base, client := newRealServer(t, Config{})
 	id, resp, data := submit(t, client, base, submitRequest{
@@ -157,8 +277,11 @@ func TestSystemStatsMemory(t *testing.T) {
 	}
 	runtime.GC() // heap_live_bytes is what the last GC found: 0 before the first
 	m := srv.Stats().Memory
-	if m.HeapLiveBytes == 0 || m.HeapGoalBytes == 0 || m.BatchCacheBytes == 0 || m.DFSBytes == 0 {
+	if m.HeapLiveBytes == 0 || m.HeapGoalBytes == 0 || m.DFSBytes == 0 {
 		t.Fatalf("memory = %+v, want every reading nonzero", m)
+	}
+	if used := srv.Stats().BatchCache.UsedBytes; used == 0 {
+		t.Fatal("batch cache holds no bytes after a query decoded its input")
 	}
 }
 

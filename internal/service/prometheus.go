@@ -1,64 +1,76 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 )
 
 // WritePrometheus emits the bundle in the Prometheus text exposition
-// format (version 0.0.4): the four wall-latency histograms plus the
-// headline counters and gauges of every subsystem. GET
+// format (version 0.0.4): the four wall-latency histograms, then one
+// sample for every numeric field of the bundle. GET
 // /metrics?format=prometheus serves it; the JSON bundle stays the
 // default body.
+//
+// The stats structs are the only list of the system's counters, so
+// this is the first reflect in production code: a hand list beside
+// them drifts and leaves counters out. A sample is named restore_ plus
+// the field's JSON key path in snake case, embedded structs flattened
+// (TenantCounters' fields are restore_service_*); a counter gets the
+// _total suffix. A field's `prom` tag is the one place that marks it a
+// gauge (prom:"gauge") or leaves it out (prom:"-"). Strings, maps and
+// nil pointers carry no sample.
 func (b StatsBundle) WritePrometheus(w io.Writer) {
 	b.Latency.Query.WritePrometheus(w, "restore_query_latency_seconds")
 	b.Latency.Probe.WritePrometheus(w, "restore_probe_latency_seconds")
 	b.Latency.ClaimWait.WritePrometheus(w, "restore_claim_wait_seconds")
 	b.Latency.Refresh.WritePrometheus(w, "restore_refresh_latency_seconds")
+	writeSamples(w, "restore", reflect.ValueOf(b))
+}
 
-	gauge := func(name string, v any) {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %v\n", name, name, v)
+// writeSamples writes one sample per numeric field of the struct v,
+// named under prefix, and descends into struct fields.
+func writeSamples(w io.Writer, prefix string, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		tag := f.Tag.Get("prom")
+		if !f.IsExported() || key == "-" || tag == "-" {
+			continue
+		}
+		fv := reflect.Indirect(v.Field(i)) // nil pointer: invalid, no case takes it
+		name := prefix
+		if !f.Anonymous {
+			name += "_" + snakeCase(cmp.Or(key, f.Name))
+		}
+		switch {
+		case fv.Kind() == reflect.Struct:
+			writeSamples(w, name, fv)
+		case fv.CanInt() || fv.CanUint() || fv.CanFloat():
+			kind := "gauge"
+			if tag != "gauge" {
+				kind, name = "counter", name+"_total"
+			}
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", name, kind, name, fv.Interface())
+		}
 	}
-	counter := func(name string, v any) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %v\n", name, name, v)
+}
+
+// snakeCase turns a JSON key (ClaimsGranted, batchCache, heap_live_bytes)
+// into a metric name part (claims_granted, batch_cache, heap_live_bytes).
+// A key with an acronym needs a json tag (DFSBytes is dfs_bytes).
+func snakeCase(s string) string {
+	var b strings.Builder
+	for i, c := range s {
+		if 'A' <= c && c <= 'Z' {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			c += 'a' - 'A'
+		}
+		b.WriteRune(c)
 	}
-
-	gauge("restore_storage_entries", b.Storage.Entries)
-	gauge("restore_storage_usage_bytes", b.Storage.UsageBytes)
-	counter("restore_storage_evictions_total", b.Storage.Evictions)
-	counter("restore_claims_granted_total", b.Storage.ClaimsGranted)
-	counter("restore_claims_shared_total", b.Storage.ClaimsShared)
-
-	counter("restore_matcher_probes_total", b.Matcher.Probes)
-	counter("restore_matcher_candidates_total", b.Matcher.Candidates)
-	counter("restore_matcher_traversals_total", b.Matcher.FullTraversals)
-	counter("restore_matcher_matches_total", b.Matcher.Matches)
-	gauge("restore_matcher_index_entries", b.Matcher.IndexEntries)
-
-	counter("restore_batch_cache_hits_total", b.BatchCache.Hits)
-	counter("restore_batch_cache_misses_total", b.BatchCache.Misses)
-
-	counter("restore_delta_refreshes_total", b.Delta.Refreshes)
-	counter("restore_delta_refresh_failed_total", b.Delta.Failed)
-	counter("restore_delta_bytes_read_total", b.Delta.DeltaBytesRead)
-	counter("restore_delta_cold_bytes_avoided_total", b.Delta.ColdBytesAvoided)
-
-	counter("restore_durable_dropped_appends_total", b.Durability.DroppedAppends)
-
-	gauge("restore_memory_heap_live_bytes", b.Memory.HeapLiveBytes)
-	gauge("restore_memory_heap_goal_bytes", b.Memory.HeapGoalBytes)
-	gauge("restore_memory_batch_cache_bytes", b.Memory.BatchCacheBytes)
-	gauge("restore_memory_dfs_bytes", b.Memory.DFSBytes)
-
-	if svc := b.Service; svc != nil {
-		gauge("restore_service_sessions_active", svc.SessionsActive)
-		counter("restore_service_submitted_total", svc.Submitted)
-		counter("restore_service_rejected_total", svc.Rejected)
-		counter("restore_service_completed_total", svc.Completed)
-		counter("restore_service_failed_total", svc.Failed)
-		counter("restore_service_canceled_total", svc.Canceled)
-		gauge("restore_service_queued", svc.Queued)
-		gauge("restore_service_in_flight", svc.InFlight)
-		counter("restore_service_queries_with_reuse_total", svc.QueriesWithReuse)
-	}
+	return b.String()
 }

@@ -72,8 +72,9 @@ type Config struct {
 	// RetainDone bounds how many finished queries stay inspectable via
 	// GET /queries/{id}; the oldest are forgotten beyond it (zero means
 	// 4096). A finished query keeps only its frozen wire record, its
-	// trace snapshot and its STORE paths, about 2 KB untraced, and
-	// /output serves only those paths.
+	// trace snapshot and its STORE paths with the versions it committed,
+	// about 2 KB untraced, and /output serves only those paths, and
+	// only while they hold those versions.
 	RetainDone int
 	// SlowQueryThreshold, when positive, makes the server retain the
 	// trace of every finished query whose wall time met the threshold
@@ -251,7 +252,7 @@ type servedQuery struct {
 	stop     context.CancelFunc // aborts the admission wait or the query; nil once finished
 	state    string
 	q        QueryHandle     // non-nil from submission to the engine until finished
-	res      *restore.Result // once finished, holds only FinalOutputs, for /output
+	outputs  restore.Outputs // once finished, its STORE paths and versions, for /output
 	err      error
 	finished time.Time
 	final    *QueryInfo             // what info serves once finished
@@ -383,7 +384,6 @@ func (sq *servedQuery) liveInfo() QueryInfo {
 		}
 		inf.SimTimeMs = float64(st.SimTimeSoFar) / float64(time.Millisecond)
 	}
-	inf.Result = summarize(sq.res)
 	return inf
 }
 
@@ -707,16 +707,14 @@ func (s *Server) finish(sq *servedQuery, quota TenantQuota, q QueryHandle, res *
 	}
 	sq.mu.Lock()
 	sq.state = state
-	sq.res = res
 	sq.err = err
 	sq.finished = time.Now()
 	wall := sq.finished.Sub(sq.start)
 	final := sq.liveInfo()
+	final.Result = summarize(res)
 	sq.final, sq.tr = &final, tr
 	if res != nil && res.Result != nil {
-		kept := *res
-		kept.Result = &core.Result{FinalOutputs: res.FinalOutputs}
-		sq.res = &kept
+		sq.outputs = res.Outputs()
 	}
 	stop := sq.stop
 	sq.q, sq.stop = nil, nil
@@ -914,19 +912,19 @@ func (s *Server) handleQueryOutput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sq.mu.Lock()
-	res, err := sq.res, sq.err
+	outputs, err := sq.outputs, sq.err
 	sq.mu.Unlock()
-	if err != nil || res == nil || res.Result == nil {
+	if err != nil {
 		writeError(w, http.StatusConflict, fmt.Errorf("query %s produced no output", sq.id))
 		return
 	}
-	if _, ok := res.FinalOutputs[path]; !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("query %s stored nothing at %q", sq.id, path))
-		return
-	}
-	rows, rerr := res.Output(path)
+	rows, rerr := outputs.Read(path)
 	if rerr != nil {
-		writeError(w, http.StatusNotFound, rerr)
+		code := http.StatusNotFound
+		if errors.Is(rerr, restore.ErrOutputReplaced) {
+			code = http.StatusConflict
+		}
+		writeError(w, code, rerr)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -102,6 +102,7 @@ func (e *fakeEngine) Stats() StatsBundle {
 	b.Matcher.Matches = 5
 	b.BatchCache.Hits = 13
 	b.BatchCache.Misses = 2
+	b.BatchCache.UsedBytes = 512
 	b.Delta.Refreshes = 4
 	b.Delta.ColdBytesAvoided = 8192
 	b.Latency.Query.Count = 9
@@ -109,7 +110,7 @@ func (e *fakeEngine) Stats() StatsBundle {
 	b.Latency.Probe.Count = 23
 	b.Latency.ClaimWait.Count = 1
 	b.Latency.Refresh.Count = 4
-	b.Memory = MemoryStats{HeapLiveBytes: 1 << 20, HeapGoalBytes: 2 << 20, BatchCacheBytes: 512, DFSBytes: 65536}
+	b.Memory = MemoryStats{HeapLiveBytes: 1 << 20, HeapGoalBytes: 2 << 20, DFSBytes: 65536}
 	return b
 }
 func (e *fakeEngine) Close() error {
@@ -292,10 +293,44 @@ func TestHTTPOutputOnlyStorePaths(t *testing.T) {
 	}
 }
 
+// TestHTTPOutputReplaced: /output serves the rows the query committed,
+// and once a later query stores into the same path it answers 409
+// rather than the later query's rows.
+func TestHTTPOutputReplaced(t *testing.T) {
+	_, base, client := newRealServer(t, Config{})
+	sess := newSession(t, client, base, "acme")
+	const script = "A = load 'events' as (user, amount);\nB = filter A by amount %s 6;\nstore B into 'out/x';\n"
+	output := func(id string) (int, string) {
+		t.Helper()
+		resp, err := client.Get(base + "/queries/" + id + "/output?path=out/x")
+		if err != nil {
+			t.Fatalf("output: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	var ids []string
+	for _, op := range []string{">", "<"} {
+		id, _, _ := submit(t, client, base, submitRequest{Session: sess, Script: fmt.Sprintf(script, op)})
+		if info := waitResult(t, client, base, id); info.State != StateDone {
+			t.Fatalf("query %s: %+v", op, info)
+		}
+		ids = append(ids, id)
+	}
+	if code, body := output(ids[0]); code != http.StatusConflict || !strings.Contains(body, "replaced") {
+		t.Errorf("replaced output: %d %q, want 409 naming the replacement", code, body)
+	}
+	if code, body := output(ids[1]); code != http.StatusOK || body != "bob\t5\ncarol\t2\n" {
+		t.Errorf("current output: %d %q, want 200 with bob and carol", code, body)
+	}
+}
+
 // TestHTTPRetainedQueryFrozen: the server keeps the last RetainDone
 // finished queries, and each answers every endpoint, byte for byte, as
 // it did when it finished, however many queries ran since. Each query
-// stores its own path, because /output reads the path's current rows.
+// stores its own path: /output answers 409 once a later query replaced
+// a path (TestHTTPOutputReplaced).
 func TestHTTPRetainedQueryFrozen(t *testing.T) {
 	const retain, total = 3, 5
 	_, base, client := newRealServer(t, Config{RetainDone: retain})

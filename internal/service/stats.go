@@ -9,9 +9,10 @@ import (
 )
 
 // StatsBundle is the one machine-readable stats document of a System:
-// the /metrics endpoint's body, and exactly what `restore-cli
-// -stats-json` prints, so dashboards parse one schema whether they
-// watch a server or a one-shot run.
+// the /metrics endpoint's body, and exactly what `restore-cli` prints
+// when its runs end, so dashboards parse one schema whether they watch
+// a server or a one-shot run. Its fields are also the only list of the
+// Prometheus exposition's series (WritePrometheus).
 type StatsBundle struct {
 	// Storage, Matcher and Durability are the engine subsystems'
 	// snapshots (Durability is zero without Config.Durability); the
@@ -28,7 +29,8 @@ type StatsBundle struct {
 	// Latency carries the wall-latency histograms (submit→done, probe,
 	// claim-wait, refresh) with interpolated p50/p95/p99 and cumulative
 	// buckets; always present so scrapers can rely on the shape.
-	Latency restore.LatencySnapshot `json:"latency"`
+	// WritePrometheus writes them as histograms, not by the field walk.
+	Latency restore.LatencySnapshot `json:"latency" prom:"-"`
 	// Memory is the process's memory at snapshot time.
 	Memory MemoryStats `json:"memory"`
 	// Service carries the serving front-end's per-tenant counters; nil
@@ -51,28 +53,25 @@ func SystemStats(sys *restore.System) StatsBundle {
 }
 
 // MemoryStats is the process's memory: the Go heap as the garbage
-// collector sees it, beside the two resident data sets of a System —
-// the decoded-dataset cache and the DFS's stored bytes (in memory on
-// the memory backend, on disk on the disk backend).
+// collector sees it, beside the DFS's stored bytes (in memory on the
+// memory backend, on disk on the disk backend). The decoded-dataset
+// cache's resident bytes are BatchCache.UsedBytes.
 type MemoryStats struct {
 	// HeapLiveBytes is the heap the last GC found live;
 	// HeapGoalBytes the heap size at which the next GC starts.
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
-	// BatchCacheBytes is the decoded batches the cache holds.
-	BatchCacheBytes int64 `json:"batch_cache_bytes"`
+	HeapLiveBytes uint64 `json:"heap_live_bytes" prom:"gauge"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes" prom:"gauge"`
 	// DFSBytes is the bytes the DFS stores.
-	DFSBytes int64 `json:"dfs_bytes"`
+	DFSBytes int64 `json:"dfs_bytes" prom:"gauge"`
 }
 
 func memoryStats(sys *restore.System) MemoryStats {
 	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
 	metrics.Read(heap)
 	return MemoryStats{
-		HeapLiveBytes:   heap[0].Value.Uint64(),
-		HeapGoalBytes:   heap[1].Value.Uint64(),
-		BatchCacheBytes: sys.BatchCacheStats().UsedBytes,
-		DFSBytes:        sys.FS().TotalBytes(),
+		HeapLiveBytes: heap[0].Value.Uint64(),
+		HeapGoalBytes: heap[1].Value.Uint64(),
+		DFSBytes:      sys.FS().TotalBytes(),
 	}
 }
 
@@ -89,7 +88,7 @@ type ServiceStats struct {
 	// SessionsCreated and SessionsActive count sessions ever opened and
 	// currently open.
 	SessionsCreated int64 `json:"sessionsCreated"`
-	SessionsActive  int64 `json:"sessionsActive"`
+	SessionsActive  int64 `json:"sessionsActive" prom:"gauge"`
 
 	TenantCounters
 
@@ -100,10 +99,10 @@ type ServiceStats struct {
 // TenantCounters is one tenant's (or the whole service's) counter set.
 type TenantCounters struct {
 	// Weight, MaxInFlight and MaxQueued echo the effective quota (zero
-	// on the service-wide totals).
-	Weight      int `json:"weight,omitempty"`
-	MaxInFlight int `json:"maxInFlight,omitempty"`
-	MaxQueued   int `json:"maxQueued,omitempty"`
+	// on the service-wide totals, the only row the exposition carries).
+	Weight      int `json:"weight,omitempty" prom:"-"`
+	MaxInFlight int `json:"maxInFlight,omitempty" prom:"-"`
+	MaxQueued   int `json:"maxQueued,omitempty" prom:"-"`
 
 	// Submitted counts queries accepted for admission; Rejected those
 	// turned away with 429 (over-quota); Admitted those that reached
@@ -116,8 +115,8 @@ type TenantCounters struct {
 	Canceled  int64 `json:"canceled"`
 
 	// Queued and InFlight are the live depths.
-	Queued   int64 `json:"queued"`
-	InFlight int64 `json:"inFlight"`
+	Queued   int64 `json:"queued" prom:"gauge"`
+	InFlight int64 `json:"inFlight" prom:"gauge"`
 
 	// JobsRun and JobsReused total the completed queries' MapReduce
 	// jobs executed versus answered whole from the repository; Rewrites

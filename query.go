@@ -18,9 +18,41 @@ type Result struct {
 	sys *System
 }
 
-// Output returns the rows of the query's STORE destination.
+// ErrOutputReplaced reports that a later write replaced or deleted the
+// dataset a query committed at a STORE path.
+var ErrOutputReplaced = errors.New("restore: output replaced since the query stored it")
+
+// Output returns the rows the query stored at userPath (Outputs.Read).
 func (r *Result) Output(userPath string) ([]Tuple, error) {
-	return r.sys.ReadDataset(userPath)
+	return r.Outputs().Read(userPath)
+}
+
+// Outputs returns what reading the query's STORE outputs back needs,
+// without the rest of the result.
+func (r *Result) Outputs() Outputs {
+	return Outputs{sys: r.sys, versions: r.OutputVersions}
+}
+
+// Outputs is a finished query's STORE paths, each with the dataset
+// version its commit produced.
+type Outputs struct {
+	sys      *System
+	versions map[string]int64
+}
+
+// Read returns the rows the query stored at path, or ErrOutputReplaced
+// once another write has replaced them. The version is checked after
+// the read, so a replacement during the read fails it too.
+func (o Outputs) Read(path string) ([]Tuple, error) {
+	v, ok := o.versions[path]
+	if !ok {
+		return nil, fmt.Errorf("restore: the query stored nothing at %q", path)
+	}
+	rows, err := o.sys.ReadDataset(path)
+	if o.sys.fs.Version(path) != v {
+		return nil, fmt.Errorf("%w: %s", ErrOutputReplaced, path)
+	}
+	return rows, err
 }
 
 // ExecOption tunes one query submission, overriding the System's

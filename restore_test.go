@@ -2,6 +2,7 @@ package restore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -94,6 +95,8 @@ func TestReuseAcrossExecutes(t *testing.T) {
 	if len(r1.Stored) == 0 {
 		t.Fatalf("first run stored nothing")
 	}
+	// r2 replaces r1's output, so r1's rows are read first.
+	rows1, _ := r1.Output("totals")
 	r2, err := sys.Execute(totalsScript)
 	if err != nil {
 		t.Fatalf("Execute#2: %v", err)
@@ -101,7 +104,9 @@ func TestReuseAcrossExecutes(t *testing.T) {
 	if len(r2.Rewrites) == 0 {
 		t.Fatalf("second run reused nothing")
 	}
-	rows1, _ := r1.Output("totals")
+	if _, err := r1.Output("totals"); !errors.Is(err, ErrOutputReplaced) {
+		t.Errorf("first run's output after the second stored it: %v, want ErrOutputReplaced", err)
+	}
 	rows2, _ := r2.Output("totals")
 	rows1, rows2 = sorted(rows1), sorted(rows2)
 	if len(rows1) != len(rows2) {

@@ -90,7 +90,6 @@ func Recover(cfg Config, fs dfs.Backend) (*System, error) {
 		Cost:                cfg.Cost,
 		SimScale:            cfg.SimScale,
 		RecordScale:         cfg.RecordScale,
-		SplitSize:           cfg.SplitSize,
 		MaxCachedBatchBytes: cfg.MaxCachedBatchBytes,
 	})
 
