@@ -211,11 +211,11 @@ func main() {
 		}
 		if *explainFlag {
 			restore.ExplainTrace(os.Stdout, q.Trace())
-			// Where each executed job's wall time went inside the text
-			// codec, summed over its (concurrent) tasks.
+			// How much of each executed job's wall time went to decoding
+			// its input, summed over its (concurrent) tasks.
 			for _, js := range res.JobStats {
-				fmt.Printf("  job %s text codec: decode %v, encode+write %v — summed over %d tasks, job wall %v\n",
-					js.JobID, js.DecodeTime.Round(time.Microsecond), js.EncodeTime.Round(time.Microsecond),
+				fmt.Printf("  job %s text codec: decode %v — summed over %d tasks, job wall %v\n",
+					js.JobID, js.DecodeTime.Round(time.Microsecond),
 					js.MapTasks+js.RedTasks, js.WallTime.Round(time.Microsecond))
 			}
 		}

@@ -175,9 +175,9 @@ func (s *taskScratch) drainCombined(k, numRed int) [][]rec {
 }
 
 // row merges one key group's partial records into acc, len(aggs)
-// states reused across a reducer's groups, and returns the ForEach's
-// output row.
-func (c *combineSpec) row(group []rec, acc []expr.AggState) tuple.Tuple {
+// states reused across a reducer's groups, and writes the ForEach's
+// output row into row, len(exprs) fields.
+func (c *combineSpec) row(group []rec, acc []expr.AggState, row tuple.Tuple) {
 	clear(acc)
 	for g := range group {
 		st := *group[g].states
@@ -185,7 +185,6 @@ func (c *combineSpec) row(group []rec, acc []expr.AggState) tuple.Tuple {
 			acc[j].Merge(&st[j])
 		}
 	}
-	row := make(tuple.Tuple, len(c.exprs))
 	j := 0
 	for i, e := range c.exprs {
 		switch x := e.(type) {
@@ -196,5 +195,4 @@ func (c *combineSpec) row(group []rec, acc []expr.AggState) tuple.Tuple {
 			j++
 		}
 	}
-	return row
 }

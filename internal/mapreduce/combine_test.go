@@ -548,7 +548,8 @@ func checkMapCombine(t *testing.T, c *chooser) {
 			if g+1 < len(starts) {
 				hi = starts[g+1]
 			}
-			got := spec.row(recs[lo:hi], acc)
+			got := make(tuple.Tuple, len(spec.exprs))
+			spec.row(recs[lo:hi], acc, got)
 			groups++
 			var first tuple.Value
 			bag := &tuple.Bag{}
@@ -630,6 +631,7 @@ func BenchmarkMapCombine(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", shape.rows), func(b *testing.B) {
 			b.ReportAllocs()
 			acc := make([]expr.AggState, len(spec.aggs))
+			row := make(tuple.Tuple, len(spec.exprs)) // the reduce task's buffer
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
@@ -648,7 +650,7 @@ func BenchmarkMapCombine(b *testing.B) {
 						if g+1 < len(starts) {
 							hi = starts[g+1]
 						}
-						spec.row(recs[lo:hi], acc)
+						spec.row(recs[lo:hi], acc, row)
 					}
 					s.release()
 				}

@@ -119,13 +119,12 @@ type JobStats struct {
 	SimTime    time.Duration
 	WallTime   time.Duration
 
-	// Where the text codec's share of WallTime went, summed over the
-	// job's tasks (tasks run concurrently, so the sum can exceed
-	// WallTime): DecodeTime is decoding input part files the batch cache
-	// did not hold, EncodeTime is encoding output part files and writing
-	// them to the DFS.
+	// DecodeTime is the wall-clock the job's tasks spent decoding input
+	// part files the batch cache did not hold, summed over the tasks
+	// (they run concurrently, so the sum can exceed WallTime). Encoding
+	// has no timer: a Store renders each row as it arrives, among the
+	// task's other work, and timing it would read the clock per row.
 	DecodeTime time.Duration
-	EncodeTime time.Duration
 }
 
 // rec is one shuffled record. hash is tuple.Hash(key): the map task
@@ -197,8 +196,15 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 	return e.run(ctx, job, seg, progress)
 }
 
-// run executes job as seg splits it.
+// run executes job as seg splits it, its ops' output buffers placed for
+// the combiner and DISTINCT settings seg holds.
 func (e *Engine) run(ctx context.Context, job *physical.Job, seg *segmentation, progress Progress) (*JobStats, error) {
+	seg.placeBuffers()
+	return e.execute(ctx, job, seg, progress)
+}
+
+// execute executes job as seg splits it, with seg's buffers as placed.
+func (e *Engine) execute(ctx context.Context, job *physical.Job, seg *segmentation, progress Progress) (*JobStats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
@@ -302,6 +308,8 @@ type segmentation struct {
 
 // side is what the tasks of one side of the shuffle run.
 type side struct {
+	// ops are the ops on this side, in ID order.
+	ops []*physical.Op
 	// succ[id] are op id's successors on this side, in ID order; it
 	// has an entry for every ID in the plan.
 	succ [][]*physical.Op
@@ -310,11 +318,21 @@ type side struct {
 	stores []*physical.Op
 	// copies[id] marks a map-side Store whose every input path from its
 	// Load runs only through Filter, Split, Union and Limit: each row it
-	// writes is a row of the task's batch, unchanged, so it keeps the
-	// row's index and its part file is the batch's lines
+	// writes is a row of the task's batch, unchanged, so its part file
+	// is the batch's lines of the rows it receives
 	// (tuple.Batch.AppendRows). The map side's has an entry for every ID
 	// in the plan; the reduce side's is nil.
 	copies []bool
+	// slot[id] is where a task keeps the state of op id on this side: a
+	// Store's index in stores (its part file), a Limit's among the
+	// task's limits counters.
+	slot   []int32
+	limits int
+	// buf[id] is the index among a task's nbuf output buffers of an op
+	// that rewrites one buffer for the tuples it builds, or -1 for one
+	// that allocates a tuple per row (placeBuffers). nil: none reuses.
+	buf  []int32
+	nbuf int
 }
 
 func segments(p *physical.Plan) (*segmentation, error) {
@@ -365,8 +383,10 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		mark(s.shuffle.ID)
 	}
 	n := all[len(all)-1].ID + 1
-	s.mapSide.succ = make([][]*physical.Op, n)
-	s.redSide.succ = make([][]*physical.Op, n)
+	for _, sd := range []*side{&s.mapSide, &s.redSide} {
+		sd.succ = make([][]*physical.Op, n)
+		sd.slot = make([]int32, n)
+	}
 	for _, op := range all {
 		sd := &s.mapSide
 		if reduceSet[op.ID] {
@@ -375,13 +395,19 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		} else {
 			s.mapOps++
 		}
+		sd.ops = append(sd.ops, op)
 		for _, id := range succ[op.ID] {
 			if reduceSet[id] == reduceSet[op.ID] {
 				sd.succ[op.ID] = append(sd.succ[op.ID], p.Op(id))
 			}
 		}
-		if op.Kind == physical.KStore {
+		switch op.Kind {
+		case physical.KStore:
+			sd.slot[op.ID] = int32(len(sd.stores))
 			sd.stores = append(sd.stores, op)
+		case physical.KLimit:
+			sd.slot[op.ID] = int32(sd.limits)
+			sd.limits++
 		}
 	}
 	s.mapSide.copies = passThrough(p, n)
@@ -420,6 +446,51 @@ func passThrough(p *physical.Plan, n int) []bool {
 	return copies
 }
 
+// placeBuffers decides, per side, which ops rewrite one buffer per task
+// for the tuples they build instead of allocating one per row: a
+// ForEach's row (the combiner's row in its place), a JoinFlatten's
+// joined row, the Package's group. Stores render or copy a row as it
+// arrives, so the only op that keeps a tuple past its push is a
+// LocalRearrange that stages it for the shuffle (rec.t: no combiner and
+// no DISTINCT); an op reuses its buffer unless a path through Filter,
+// Split, Union and Limit leads from it to such a LocalRearrange. It
+// runs per job, after every change to seg.combine and seg.distinct.
+func (s *segmentation) placeBuffers() {
+	staging := s.shuffle != nil && s.combine == nil && !s.distinct
+	for _, sd := range []*side{&s.mapSide, &s.redSide} {
+		// kept[id]: a tuple op id receives may be staged; 0 unknown.
+		kept := make([]int8, len(sd.succ))
+		var keeps func(op *physical.Op) bool
+		keeps = func(op *physical.Op) bool {
+			if kept[op.ID] == 0 {
+				k := false
+				switch op.Kind {
+				case physical.KLocalRearrange:
+					k = staging
+				case physical.KFilter, physical.KSplit, physical.KUnion, physical.KLimit:
+					k = slices.ContainsFunc(sd.succ[op.ID], keeps)
+				}
+				kept[op.ID] = 1
+				if k {
+					kept[op.ID] = 2
+				}
+			}
+			return kept[op.ID] == 2
+		}
+		sd.buf, sd.nbuf = make([]int32, len(sd.succ)), 0
+		for _, op := range sd.ops {
+			sd.buf[op.ID] = -1
+			switch op.Kind {
+			case physical.KForEach, physical.KJoinFlatten, physical.KPackage:
+				if !slices.ContainsFunc(sd.succ[op.ID], keeps) {
+					sd.buf[op.ID] = int32(sd.nbuf)
+					sd.nbuf++
+				}
+			}
+		}
+	}
+}
+
 // feed is how a map task hands one Load's rows to its segment. The zero
 // value, every column in a fresh tuple per row, is always correct.
 type feed struct {
@@ -432,14 +503,16 @@ type feed struct {
 }
 
 // mapFeed walks the map segment from the Load loadID and returns its
-// feed. A ForEach builds a fresh tuple from the columns its expressions
-// read, ending both the buffer's reach and the walk. A Filter reads its
-// condition's columns and passes the tuple on, as Union, Split and
-// Limit do without reading any. A copying Store (side.copies) keeps the
-// row's index, not the tuple, and reads no column. Any other op — a
-// Store that renders its input, LocalRearrange, which hands it to the
-// shuffle — keeps the tuple, so the feed is the zero one. An expression
-// whose columns cannot be listed reads every column.
+// feed. A ForEach builds its own tuple from the columns its expressions
+// read, ending both the buffer's reach and the walk, and so does a
+// JoinFlatten from its bag columns. A Store that renders its input
+// reads every column as the row arrives and keeps none; a copying
+// Store (side.copies) keeps the row's index and reads no column. A
+// Filter reads its condition's columns and passes the tuple on, as
+// Union, Split and Limit do without reading any. A LocalRearrange,
+// which hands the tuple to the shuffle, keeps it, so the feed is the
+// zero one. An expression whose columns cannot be listed reads every
+// column.
 func (s *segmentation) mapFeed(loadID int) feed {
 	cols := []int{}
 	all := false
@@ -462,14 +535,17 @@ func (s *segmentation) mapFeed(loadID int) feed {
 					read(e)
 				}
 				continue
+			case physical.KJoinFlatten:
+				for i := 1; i <= op.NumInputs; i++ {
+					cols = append(cols, i)
+				}
+				continue
+			case physical.KStore:
+				all = all || !s.mapSide.copies[op.ID]
+				continue
 			case physical.KFilter:
 				read(op.Cond)
 			case physical.KUnion, physical.KSplit, physical.KLimit:
-			case physical.KStore:
-				if s.mapSide.copies[op.ID] {
-					continue
-				}
-				return false
 			default:
 				return false
 			}
@@ -658,7 +734,6 @@ type mapResult struct {
 	work    cluster.TaskWork
 	outs    map[string]OutputStat
 	records int64
-	encode  time.Duration
 }
 
 // partitionOf places a record in a shuffle partition from its key's
@@ -725,7 +800,6 @@ func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmen
 		stats.InputRecords += int64(float64(results[i].records) * e.cfg.RecordScale)
 		stats.ShuffleSimBytes += int64(float64(results[i].work.ShuffleBytes))
 		mergeOutputs(stats.Outputs, results[i].outs)
-		stats.EncodeTime += results[i].encode
 	}
 	return results, nil
 }
@@ -785,7 +859,6 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	if err := px.close(e.fs, e.cfg.SimScale, mr.outs); err != nil {
 		return mr, err
 	}
-	mr.encode = px.encode
 	switch {
 	case seg.combine != nil || seg.distinct:
 		mr.parts = s.drainCombined(len(aggs), numRed)
@@ -819,11 +892,10 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, error) {
 	times := make([]time.Duration, numRed)
 	outs := make([]map[string]OutputStat, numRed)
-	encode := make([]time.Duration, numRed)
 	r, err := e.runTasks(ctx, numRed, func(r int) error {
 		outs[r] = map[string]OutputStat{}
 		var err error
-		if times[r], encode[r], err = e.runReduceTask(seg, mapResults, r, outs[r]); err == nil {
+		if times[r], err = e.runReduceTask(seg, mapResults, r, outs[r]); err == nil {
 			tracker.tick(times[r])
 		}
 		return err
@@ -833,7 +905,6 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 	}
 	for r := 0; r < numRed; r++ {
 		mergeOutputs(stats.Outputs, outs[r])
-		stats.EncodeTime += encode[r]
 	}
 	return times, nil
 }
@@ -843,8 +914,8 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 // sort delivers them — by key (respecting ORDER BY direction), then
 // branch, each (key, branch) run in map-task order — which groupByKey
 // builds without sorting the records. It returns the task's simulated
-// time and the wall-clock its close spent encoding.
-func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskIdx int, outStats map[string]OutputStat) (time.Duration, time.Duration, error) {
+// time.
+func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskIdx int, outStats map[string]OutputStat) (time.Duration, error) {
 	s := getScratch()
 	defer s.release()
 	for _, mr := range mapResults {
@@ -873,16 +944,18 @@ func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskId
 		group := recs[lo:hi]
 		var err error
 		if seg.combine != nil {
-			err = px.push(seg.combine.feID, seg.combine.row(group, acc))
+			row := px.out(seg.combine.feID, len(seg.combine.exprs))
+			seg.combine.row(group, acc, row)
+			err = px.push(seg.combine.feID, row)
 		} else {
 			err = e.emitGroup(px, seg, group)
 		}
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	if err := px.close(e.fs, e.cfg.SimScale, outStats); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 
 	var storeBytes int64
@@ -898,11 +971,12 @@ func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskId
 		SortRecords:  int64(float64(len(recs)) * e.cfg.RecordScale),
 		NumStores:    len(px.stores),
 	}
-	return e.cfg.Cost.TaskTime(work), px.encode, nil
+	return e.cfg.Cost.TaskTime(work), nil
 }
 
 // emitGroup packages one key group and pushes it through the reduce
-// segment.
+// segment. When the Package reuses its output (side.buf), the group's
+// tuple, bags and record array are the task's, rewritten per group.
 func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 	pkg := seg.pkg
 	switch pkg.Mode {
@@ -911,9 +985,17 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 		// one run of a single slice, capped at its run so a later Add
 		// cannot overwrite the next bag. Branches past NumInputs sort
 		// last and are left out.
-		all := make([]tuple.Tuple, 0, len(group))
-		bags := make([]tuple.Bag, pkg.NumInputs)
-		out := make(tuple.Tuple, 1+pkg.NumInputs)
+		var all []tuple.Tuple
+		var bags []tuple.Bag
+		if px.reuses(pkg.ID) {
+			clear(px.all) // the last group's records
+			px.all = slices.Grow(px.all[:0], len(group))
+			px.bags = sized(px.bags, pkg.NumInputs)
+			all, bags = px.all, px.bags
+		} else {
+			all, bags = make([]tuple.Tuple, 0, len(group)), make([]tuple.Bag, pkg.NumInputs)
+		}
+		out := px.out(pkg.ID, 1+pkg.NumInputs)
 		out[0] = group[0].key
 		i := 0
 		for b := range bags {
@@ -921,16 +1003,21 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 			for ; i < len(group) && group[i].branch == int32(b); i++ {
 				all = append(all, group[i].t)
 			}
+			bags[b].Tuples = nil
 			if len(all) > lo {
 				bags[b].Tuples = all[lo:len(all):len(all)]
 			}
 			out[1+b] = &bags[b]
 		}
+		if px.reuses(pkg.ID) {
+			px.all = all
+		}
 		return px.push(pkg.ID, out)
 	case physical.PkgDistinct:
 		kt, ok := group[0].key.(tuple.Tuple)
 		if !ok {
-			kt = tuple.Tuple{group[0].key}
+			kt = px.out(pkg.ID, 1)
+			kt[0] = group[0].key
 		}
 		return px.push(pkg.ID, kt)
 	case physical.PkgFlat:

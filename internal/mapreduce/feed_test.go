@@ -42,12 +42,37 @@ func (b planBuilder) store(path string, in ...*physical.Op) *physical.Op {
 }
 
 // shuffle ends in's map segment at a LocalRearrange keyed on key and
-// adds the reduce side of a GROUP that stores each key with its bag.
-func (b planBuilder) shuffle(in *physical.Op, key expr.Expr) {
-	lr := b.add(physical.Op{Kind: physical.KLocalRearrange, KeyExprs: []expr.Expr{key}}, in)
-	sh := b.add(physical.Op{Kind: physical.KShuffle}, lr)
-	pkg := b.add(physical.Op{Kind: physical.KPackage, Mode: physical.PkgGroup, NumInputs: 1}, sh)
-	b.store("out", b.foreach(pkg, col(0), col(1)))
+// adds the reduce side of a GROUP that stores each key with its bag. It
+// returns the reduce side's Package and ForEach.
+func (b planBuilder) shuffle(in *physical.Op, key expr.Expr) (pkg, fe *physical.Op) {
+	pkg = b.pkg(1, b.rearrange(in, key, 0, false))
+	fe = b.foreach(pkg, col(0), col(1))
+	b.store("out", fe)
+	return pkg, fe
+}
+
+// join ends in's map segment at two LocalRearranges keyed on key, the
+// branches of a self-join, and adds the reduce side that stores the
+// joined rows through a JoinFlatten. It returns the Package and the
+// JoinFlatten.
+func (b planBuilder) join(in *physical.Op, key expr.Expr) (pkg, jf *physical.Op) {
+	pkg = b.pkg(2, b.rearrange(in, key, 0, true), b.rearrange(in, key, 1, true))
+	jf = b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, pkg)
+	b.store("out", jf)
+	return pkg, jf
+}
+
+// rearrange adds the LocalRearrange of shuffle input branch over in,
+// keyed on key; a join's drops null keys.
+func (b planBuilder) rearrange(in *physical.Op, key expr.Expr, branch int, dropNull bool) *physical.Op {
+	return b.add(physical.Op{Kind: physical.KLocalRearrange, KeyExprs: []expr.Expr{key}, Branch: branch, DropNull: dropNull}, in)
+}
+
+// pkg adds the Shuffle over the LocalRearranges lrs and its grouping
+// Package of n inputs.
+func (b planBuilder) pkg(n int, lrs ...*physical.Op) *physical.Op {
+	sh := b.add(physical.Op{Kind: physical.KShuffle}, lrs...)
+	return b.add(physical.Op{Kind: physical.KPackage, Mode: physical.PkgGroup, NumInputs: n}, sh)
 }
 
 func col(i int) expr.Expr { return expr.NewCol(i) }
@@ -62,10 +87,11 @@ func (unlisted) String() string                          { return "unlisted" }
 
 // TestMapFeed states the per-Load feed decision over plan shapes: which
 // rows may share one buffer, and which columns the map segment reads.
-// A LocalRearrange, or a Store that renders its rows, reached before any
-// ForEach keeps the tuple, so the feed must stay the fresh every-column
-// one. A Store that copies its rows' lines keeps only their indices and
-// reads no column.
+// A LocalRearrange reached before any ForEach keeps the tuple, so the
+// feed must stay the fresh every-column one. A Store that renders its
+// rows reads every column as each arrives and keeps none; a Store that
+// copies its rows' lines keeps only their indices and reads no column.
+// A JoinFlatten reads only its bag columns.
 func TestMapFeed(t *testing.T) {
 	pruned := func(cols ...int) feed { return feed{reuse: true, cols: append([]int{}, cols...)} }
 	cases := []struct {
@@ -100,7 +126,12 @@ func TestMapFeed(t *testing.T) {
 			l1, l2 := b.load("a"), b.load("b")
 			b.store("out", b.add(physical.Op{Kind: physical.KUnion}, l1, b.foreach(l2, col(1))))
 			return []*physical.Op{l1, l2}
-		}, []feed{{}, pruned(1)}},
+		}, []feed{{reuse: true}, pruned(1)}},
+		{"load-joinflatten-store", func(b planBuilder) []*physical.Op {
+			l := b.load("in")
+			b.store("out", b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, l))
+			return []*physical.Op{l}
+		}, []feed{pruned(1, 2)}},
 		{"load-localrearrange", func(b planBuilder) []*physical.Op {
 			l := b.load("in")
 			b.shuffle(l, col(0))
@@ -175,9 +206,10 @@ func TestMapFeed(t *testing.T) {
 	}
 }
 
-// refRun runs job with every Load fed fresh, full Batch.Row tuples:
-// the feed before column pruning, kept as the oracle the pruned feed is
-// held to.
+// refRun runs job with every Load fed fresh, full Batch.Row tuples and
+// every op building a fresh tuple per row: the feed before column
+// pruning and the ops before buffer reuse, kept as the oracle the
+// pruned feed and the reusing ops are held to.
 func refRun(e *Engine, job *physical.Job) (*JobStats, error) {
 	seg, err := segments(job.Plan)
 	if err != nil {
@@ -186,7 +218,7 @@ func refRun(e *Engine, job *physical.Job) (*JobStats, error) {
 	for id := range seg.feeds {
 		seg.feeds[id] = feed{}
 	}
-	return e.run(context.Background(), job, seg, nil)
+	return e.execute(context.Background(), job, seg, nil)
 }
 
 // fsFiles returns every file on fs with its bytes.
@@ -337,9 +369,10 @@ func (c *chooser) expr(width, depth int) expr.Expr {
 }
 
 // FuzzPrunedFeed builds random map segments — projections, filters,
-// splits, limits, a side Store or a GROUP — over a ragged, mixed-type
-// input with nulls and nested values, and holds the engine's output
-// bytes to the reference run with full rows.
+// splits, limits, joined rows, a side Store, a GROUP or a self-join —
+// over a ragged, mixed-type input with nulls and nested values, and
+// holds the engine's output bytes, from pruned feeds and reused
+// buffers, to the reference run with full, fresh rows.
 func FuzzPrunedFeed(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("projection and filter over a ragged batch"))
@@ -366,33 +399,54 @@ func FuzzPrunedFeed(f *testing.F) {
 		if c.n(3) == 0 {
 			tip = b.add(physical.Op{Kind: physical.KLimit, N: int64(5 + c.n(40))}, tip)
 		}
+		if c.n(4) == 0 { // a ForEach whose rows a Split may hand to a Store and a LocalRearrange
+			tip = b.foreach(tip, col(0), col(c.n(width)), c.expr(width, 1), col(c.n(width)))
+		}
 		branches := []*physical.Op{tip}
 		if c.n(2) == 0 {
 			sp := b.add(physical.Op{Kind: physical.KSplit}, tip)
 			branches = []*physical.Op{sp, b.filter(sp, c.expr(width, 1))}
 		}
+		shuffled := false // a job has one shuffle
+		shuffle := func(in *physical.Op, key expr.Expr) bool {
+			if shuffled {
+				return false
+			}
+			if shuffled = true; c.n(2) == 0 {
+				b.join(in, key)
+			} else {
+				b.shuffle(in, key)
+			}
+			return true
+		}
 		for i, br := range branches {
 			// A Store straight after the Load copies its rows' lines and
 			// reads no column; a LocalRearrange keeps its input and
-			// makes the feed fall back.
+			// makes the feed, and any ForEach or JoinFlatten whose rows
+			// reach it, fall back to fresh tuples.
 			out := fmt.Sprintf("out%d", i)
-			switch c.n(6) {
+			switch c.n(7) {
 			case 0:
 				b.store(out, br)
 				continue
 			case 1:
-				if i == 0 {
-					b.shuffle(br, c.expr(width, 1))
+				if shuffle(br, c.expr(width, 1)) {
 					continue
 				}
+			case 2: // join a row's bags: JoinFlatten → Filter → Store
+				jf := b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, b.foreach(br, col(0), col(c.n(width)), col(c.n(width))))
+				b.store(out, b.filter(jf, c.expr(width, 1)))
+				continue
 			}
 			es := make([]expr.Expr, 1+c.n(3))
 			for k := range es {
 				es[k] = c.expr(width, c.n(3))
 			}
 			fe := b.foreach(br, es...)
-			if i == 0 && c.n(3) == 0 {
-				b.shuffle(fe, col(0))
+			if c.n(3) == 0 {
+				fe = b.add(physical.Op{Kind: physical.KLimit, N: int64(3 + c.n(20))}, fe)
+			}
+			if c.n(3) == 0 && shuffle(fe, col(0)) {
 				continue
 			}
 			b.store(out, fe)

@@ -2,8 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/expr"
@@ -14,13 +12,17 @@ import (
 // exec interprets one segment of a physical plan in push mode: tuples
 // enter at a root (Load in map tasks, Package in reduce tasks) and flow
 // through successors until they hit a Store, a LocalRearrange, or get
-// filtered out.
+// filtered out. A Store writes each row into its part file's text as it
+// arrives, so no op but a LocalRearrange that stages its input keeps a
+// tuple past the push that delivered it.
 type exec struct {
-	// succ[id] are op id's successors on this task's side of the
-	// segmentation, and stores its Store ops in ID order.
+	// succ, stores, copies, slot and buf are this task's side of the
+	// segmentation (see side).
 	succ   [][]*physical.Op
 	stores []*physical.Op
 	copies []bool
+	slot   []int32
+	buf    []int32
 
 	// keyed receives LocalRearrange emissions (map tasks only).
 	keyed func(branch int, key tuple.Value, t tuple.Tuple)
@@ -28,40 +30,81 @@ type exec struct {
 	// suffix names this task's part files, e.g. "part-m-00003".
 	suffix string
 
-	// rows[id] are the rows Store id writes, lines[id] the indices in
-	// batch of the rows copying Store id writes, and limits[id] the rows
-	// Limit id has let through, all in the task's scratch.
-	rows   [][]tuple.Tuple
-	lines  [][]int32
+	// parts[i] is Store stores[i]'s part file, limits[i] the rows the
+	// Limit in slot i has let through, and bufs[i] the output tuple of the
+	// op in buffer i. all and bags are the records and bags of the
+	// Package's group when it reuses its output. exec lives in its task's
+	// scratch, and these arrays outlive the task for the next one.
+	parts  []part
 	limits []int64
+	bufs   []tuple.Tuple
+	all    []tuple.Tuple
+	bags   []tuple.Bag
 
 	// batch is a map task's input and row the index in it of the row
 	// being pushed.
 	batch *tuple.Batch
 	row   int32
+}
 
-	// encode is the wall-clock close spent encoding part files and
-	// writing them to the DFS, for JobStats.
-	encode time.Duration
+// part is one Store's part file of a task, written as its rows arrive.
+// A copying Store's rows are batch lines, and [lo, hi) is its pending
+// run of consecutive ones, appended when the run breaks or at close.
+type part struct {
+	text   []byte
+	rows   int64
+	lo, hi int32
+}
+
+// newExec returns the interpreter of seg's map side, or of its reduce
+// side when reduce is set: s's own, its state sized for the side's
+// Stores, Limits and buffers.
+func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
+	sd := &seg.mapSide
+	if reduce {
+		sd = &seg.redSide
+	}
+	x := &s.x
+	x.succ, x.stores, x.copies, x.slot, x.buf = sd.succ, sd.stores, sd.copies, sd.slot, sd.buf
+	x.parts = sized(x.parts, len(sd.stores))
+	x.limits = sized(x.limits, sd.limits)
+	clear(x.limits)
+	x.bufs = sized(x.bufs, sd.nbuf)
+	return x
+}
+
+// reset empties the task's part files and drops every tuple it left,
+// keeping the arrays.
+func (x *exec) reset() {
+	for i := range x.parts {
+		x.parts[i] = part{text: x.parts[i].text[:0]}
+	}
+	for i := range x.bufs {
+		clear(x.bufs[i][:cap(x.bufs[i])])
+	}
+	clear(x.all)
+	clear(x.bags)
+	*x = exec{parts: x.parts[:0], limits: x.limits[:0], bufs: x.bufs[:0], all: x.all[:0], bags: x.bags[:0]}
 }
 
 // copying reports whether Store id keeps row indices (side.copies).
 func (x *exec) copying(id int) bool { return x.copies != nil && x.copies[id] }
 
-// newExec returns the interpreter of seg's map side, or of its reduce
-// side when reduce is set: s's own, with its per-op state in s.
-func newExec(seg *segmentation, reduce bool, s *taskScratch) *exec {
-	sd := seg.mapSide
-	if reduce {
-		sd = seg.redSide
+// reuses reports whether op id rewrites one buffer for its output
+// (side.buf).
+func (x *exec) reuses(id int) bool { return x.buf != nil && x.buf[id] >= 0 }
+
+// out returns an n-field tuple for op id to build its output in: its
+// buffer, grown to n, when the op reuses one, else a fresh tuple.
+func (x *exec) out(id, n int) tuple.Tuple {
+	if !x.reuses(id) {
+		return make(tuple.Tuple, n)
 	}
-	n := len(sd.succ) // one entry per op ID
-	s.rows = sized(s.rows, n)
-	s.lines = sized(s.lines, n)
-	s.limits = sized(s.limits, n)
-	clear(s.limits)
-	s.x = exec{succ: sd.succ, stores: sd.stores, copies: sd.copies, rows: s.rows, lines: s.lines, limits: s.limits}
-	return &s.x
+	b := &x.bufs[x.buf[id]]
+	if cap(*b) < n {
+		*b = make(tuple.Tuple, n)
+	}
+	return (*b)[:n]
 }
 
 // push delivers t to every successor of op fromID.
@@ -77,7 +120,7 @@ func (x *exec) push(fromID int, t tuple.Tuple) error {
 func (x *exec) apply(op *physical.Op, t tuple.Tuple) error {
 	switch op.Kind {
 	case physical.KForEach:
-		out := make(tuple.Tuple, len(op.Exprs))
+		out := x.out(op.ID, len(op.Exprs))
 		for i, e := range op.Exprs {
 			v, err := e.Eval(t)
 			if err != nil {
@@ -101,18 +144,25 @@ func (x *exec) apply(op *physical.Op, t tuple.Tuple) error {
 		return x.push(op.ID, t)
 
 	case physical.KLimit:
-		if x.limits[op.ID] >= op.N {
+		n := &x.limits[x.slot[op.ID]]
+		if *n >= op.N {
 			return nil
 		}
-		x.limits[op.ID]++
+		*n++
 		return x.push(op.ID, t)
 
 	case physical.KStore:
-		if x.copying(op.ID) {
-			x.lines[op.ID] = append(x.lines[op.ID], x.row)
+		p := &x.parts[x.slot[op.ID]]
+		p.rows++
+		if !x.copying(op.ID) {
+			p.text = append(tuple.AppendText(p.text, t), '\n')
 			return nil
 		}
-		x.rows[op.ID] = append(x.rows[op.ID], t)
+		if x.row != p.hi {
+			p.text = x.batch.AppendRows(p.text, int(p.lo), int(p.hi))
+			p.lo = x.row
+		}
+		p.hi = x.row + 1
 		return nil
 
 	case physical.KLocalRearrange:
@@ -171,23 +221,25 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 	if len(t) != n+1 {
 		return fmt.Errorf("mapreduce: JoinFlatten got %d fields, want %d", len(t), n+1)
 	}
-	bags := make([]*tuple.Bag, n)
+	var bagsArr [8]*tuple.Bag
+	var idxArr [8]int
+	bags, idx := bagsArr[:0], idxArr[:0]
 	for i := 0; i < n; i++ {
 		b, ok := t[1+i].(*tuple.Bag)
 		if !ok || b.Len() == 0 {
 			return nil // inner join: a missing side produces nothing
 		}
-		bags[i] = b
+		bags, idx = append(bags, b), append(idx, 0)
 	}
-	idx := make([]int, n)
 	for {
 		width := 0
 		for i := 0; i < n; i++ {
 			width += len(bags[i].Tuples[idx[i]])
 		}
-		out := make(tuple.Tuple, 0, width)
+		out := x.out(op.ID, width)
+		w := 0
 		for i := 0; i < n; i++ {
-			out = append(out, bags[i].Tuples[idx[i]]...)
+			w += copy(out[w:], bags[i].Tuples[idx[i]])
 		}
 		if err := x.push(op.ID, out); err != nil {
 			return err
@@ -208,47 +260,29 @@ func (x *exec) joinFlatten(op *physical.Op, t tuple.Tuple) error {
 	}
 }
 
-// close flushes every Store's rows to the DFS in Store-ID order (one
-// part file per task per Store, created even when empty, as Hadoop
-// does: an empty part still pays the setup cost) and accumulates output
-// statistics scaled to simulated bytes. A copying Store's part file is
-// its rows' lines of the batch, copied where the batch's text has them
-// as AppendText writes them.
+// close writes every Store's part file to the DFS in Store-ID order
+// (one per task per Store, created even when empty, as Hadoop does: an
+// empty part still pays the setup cost) with one Write each, and
+// accumulates output statistics scaled to simulated bytes. A copying
+// Store's pending run of lines is appended first.
 func (x *exec) close(fs dfs.Backend, simScale float64, outStats map[string]OutputStat) error {
-	bp := partBufs.Get().(*[]byte)
-	buf := *bp
-	for _, op := range x.stores {
-		start := time.Now()
-		buf = buf[:0]
-		var n int // rows written
-		if x.copying(op.ID) {
-			n = len(x.lines[op.ID])
-			buf = x.batch.AppendRows(buf, x.lines[op.ID])
-		} else {
-			n = len(x.rows[op.ID])
-			for _, t := range x.rows[op.ID] {
-				buf = append(tuple.AppendText(buf, t), '\n')
-			}
+	for i, op := range x.stores {
+		p := &x.parts[i]
+		if p.hi > p.lo {
+			p.text = x.batch.AppendRows(p.text, int(p.lo), int(p.hi))
+			p.lo = p.hi
 		}
 		f := fs.Create(op.Path + "/" + x.suffix)
-		if _, err := f.Write(buf); err != nil {
+		if _, err := f.Write(p.text); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		x.encode += time.Since(start)
 		cur := outStats[op.Path]
-		cur.SimBytes += int64(float64(len(buf)) * simScale)
-		cur.Records += int64(float64(n) * simScale)
+		cur.SimBytes += int64(float64(len(p.text)) * simScale)
+		cur.Records += int64(float64(p.rows) * simScale)
 		outStats[op.Path] = cur
 	}
-	*bp = buf
-	partBufs.Put(bp)
 	return nil
 }
-
-// partBufs recycles close's encode buffers across tasks: a part's bytes
-// are dead once the DFS writer has copied them, and growing a fresh
-// buffer per part was 5 % of cold-store's CPU.
-var partBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/expr"
-	"repro/internal/tuple"
 )
 
 // taskScratch is the working memory of one map or reduce task: the
@@ -17,7 +16,7 @@ import (
 // What may live here is what dies with the task: the combiner's key
 // index and partial states, the staged shuffle output, the reducer's
 // inputs and groupByKey's table, runs and grouped records, the
-// interpreter with its Store rows, row indices and Limit counters. What
+// interpreter with its part files, Limit counters and output buffers. What
 // outlives the task is copied out into memory of its own, allocated
 // once at its exact size: the map task's per-partition records
 // (partition) and the partial states they point at (drainCombined).
@@ -37,10 +36,7 @@ type taskScratch struct {
 	starts []int
 	recs   []rec // the reducer's records in group order
 
-	x      exec            // the task's interpreter, over:
-	rows   [][]tuple.Tuple // by Store op ID: the rows the task writes,
-	lines  [][]int32       // or, for a copying Store, their batch indices
-	limits []int64         // by Limit op ID: the rows it let through
+	x exec // the task's interpreter, with its part files and buffers
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(taskScratch) }}
@@ -67,14 +63,7 @@ func (s *taskScratch) reset() {
 	s.runs = s.runs[:0]
 	clear(s.recs)
 	s.recs = s.recs[:0]
-	s.x = exec{} // a pooled scratch keeps no task's batch alive
-	for i := range s.rows {
-		clear(s.rows[i])
-		s.rows[i] = s.rows[i][:0]
-	}
-	for i := range s.lines {
-		s.lines[i] = s.lines[i][:0]
-	}
+	s.x.reset() // a pooled scratch keeps no task's batch alive
 }
 
 // sized returns buf with length n, reusing its array when it is big

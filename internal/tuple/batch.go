@@ -88,31 +88,34 @@ func (b *Batch) SrcBytes() int64 { return b.srcBytes }
 // that text itself (see DecodeTextBatchString).
 func (b *Batch) MemBytes() int64 { return b.mem }
 
-// AppendRows appends the storage lines of the given rows to dst, each
+// AppendRows appends the storage lines of rows [lo, hi) to dst, each
 // with its newline: what AppendText of b.Row(i) and a newline append for
-// each i in rows, in order. When the decoder proved that every line of
-// the batch's text re-renders byte for byte, each run of consecutive
-// rows is copied from the text as one span, and nothing is rendered.
-func (b *Batch) AppendRows(dst []byte, rows []int32) []byte {
-	if len(rows) == 0 {
-		return dst
+// each i. When the decoder proved that every line of the batch's text
+// re-renders byte for byte, the run is copied from the text as one span,
+// and nothing is rendered; otherwise each row is rendered from its
+// columns, which allocates nothing either.
+func (b *Batch) AppendRows(dst []byte, lo, hi int) []byte {
+	if b.lines != nil {
+		return append(dst, b.text[b.lines[lo]:b.lines[hi]]...)
 	}
-	if b.lines == nil {
-		cur := b.Cursor()
-		for _, i := range rows {
-			dst = append(AppendText(dst, cur.Row(int(i))), '\n')
+	for i := lo; i < hi; i++ {
+		for j := range b.width(i) {
+			if j > 0 {
+				dst = append(dst, '\t')
+			}
+			dst = appendText(dst, b.cols[j].value(i))
 		}
-		return dst
-	}
-	for k := 0; k < len(rows); {
-		lo := rows[k]
-		hi := lo + 1
-		for k++; k < len(rows) && rows[k] == hi; k++ {
-			hi++
-		}
-		dst = append(dst, b.text[b.lines[lo]:b.lines[hi]]...)
+		dst = append(dst, '\n')
 	}
 	return dst
+}
+
+// width is row i's field count.
+func (b *Batch) width(i int) int {
+	if b.widths != nil {
+		return int(b.widths[i])
+	}
+	return len(b.cols)
 }
 
 // Row materializes row i as a Tuple. The tuple is freshly allocated per
@@ -122,10 +125,7 @@ func (b *Batch) AppendRows(dst []byte, rows []int32) []byte {
 // and must be treated as immutable, which is the engine-wide contract
 // for tuples already.
 func (b *Batch) Row(i int) Tuple {
-	w := len(b.cols)
-	if b.widths != nil {
-		w = int(b.widths[i])
-	}
+	w := b.width(i)
 	t := make(Tuple, w)
 	for j := 0; j < w; j++ {
 		t[j] = b.cols[j].value(i)
@@ -171,10 +171,7 @@ func (b *Batch) ColumnCursor(cols []int) *RowCursor {
 // cursor's columns are never written, so they stay nil.
 func (c *RowCursor) Row(i int) Tuple {
 	b := c.b
-	w := len(b.cols)
-	if b.widths != nil {
-		w = int(b.widths[i])
-	}
+	w := b.width(i)
 	if cap(c.buf) < w {
 		c.buf = make(Tuple, w)
 	}

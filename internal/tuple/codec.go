@@ -76,7 +76,7 @@ func appendText(dst []byte, v Value) []byte {
 	case int64:
 		return strconv.AppendInt(dst, x, 10)
 	case float64:
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+		return appendFloat(dst, x)
 	case string:
 		return appendEscaped(dst, x)
 	case Tuple:
@@ -315,7 +315,7 @@ func canonicalInt(s string) bool {
 // which parses as f, back as it is.
 func canonicalFloat(s string, f float64) bool {
 	var buf [32]byte
-	return string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) == s
+	return string(appendFloat(buf[:0], f)) == s
 }
 
 // nestedCanonical reports whether AppendText writes the nested value

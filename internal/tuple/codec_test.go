@@ -205,12 +205,12 @@ func checkDecode(t *testing.T, data []byte) {
 
 // checkCanonical holds a batch that claims its lines re-render byte for
 // byte to the claim: AppendText of row i is line i, and AppendRows of
-// any rows, runs and repeats among them, is those lines. A batch that
-// makes no claim renders its rows for AppendRows.
+// any run of rows is those lines. A batch that makes no claim renders
+// its rows for AppendRows.
 func checkCanonical(t *testing.T, data []byte, b *Batch) {
 	t.Helper()
-	rows := make([]int32, 0, 2*b.Len())
-	var want []byte
+	var all []byte                // every row's line
+	off := make([]int, b.Len()+1) // where row i's line starts in all
 	for i := 0; i < b.Len(); i++ {
 		line := AppendText(nil, b.Row(i))
 		if b.lines != nil {
@@ -218,19 +218,22 @@ func checkCanonical(t *testing.T, data []byte, b *Batch) {
 				t.Fatalf("DecodeTextBatch(%q) claims canonical, but row %d renders %q from line %q", data, i, line, got)
 			}
 		}
-		// Every row, every third one twice.
-		times := 1
-		if i%3 == 0 {
-			times = 2
-		}
-		for range times {
-			rows = append(rows, int32(i))
-			want = append(append(want, line...), '\n')
+		all = append(append(all, line...), '\n')
+		off[i+1] = len(all)
+	}
+	// Every run of up to three rows, empty ones too, and all rows.
+	check := func(lo, hi int) {
+		want := string(all[off[lo]:off[hi]])
+		if got := b.AppendRows([]byte("x"), lo, hi); string(got) != "x"+want {
+			t.Fatalf("DecodeTextBatch(%q): AppendRows(%d, %d) = %q, want %q", data, lo, hi, got[1:], want)
 		}
 	}
-	if got := b.AppendRows([]byte("x"), rows); string(got) != "x"+string(want) {
-		t.Fatalf("DecodeTextBatch(%q): AppendRows(%v) = %q, want %q", data, rows, got[1:], want)
+	for lo := 0; lo <= b.Len(); lo++ {
+		for hi := lo; hi <= min(lo+3, b.Len()); hi++ {
+			check(lo, hi)
+		}
 	}
+	check(0, b.Len())
 }
 
 // TestCanonicalLines pins which text the decoder proves re-renders byte

@@ -31,7 +31,7 @@ func IntTextLen(n int64) int {
 // digit search: if f == float64(m)/10^k for an integer m, the decimal
 // m·10⁻ᵏ reads back as f, and the least such k gives the shortest one
 // (see shortDecimal). Any other value, NaN and ±Inf among them, is
-// formatted.
+// formatted. appendFloat writes the digits this counts.
 func FloatTextLen(f float64) int {
 	if f == 0 {
 		if math.Signbit(f) {
@@ -43,11 +43,58 @@ func FloatTextLen(f float64) int {
 	if f < 0 {
 		neg, abs = 1, -f
 	}
-	if nd, dp, ok := shortDecimal(abs); ok {
+	if _, nd, dp, ok := shortDecimal(abs); ok {
 		return neg + gWidth(nd, dp)
 	}
 	var buf [32]byte
 	return len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+}
+
+// appendFloat appends strconv.AppendFloat(dst, f, 'g', -1, 64): from
+// shortDecimal's digits when it finds them, in the plain or the
+// exponent form gWidth counts, and from strconv otherwise.
+func appendFloat(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	m, nd, dp, ok := shortDecimal(abs)
+	if !ok {
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	if f < 0 {
+		dst = append(dst, '-')
+	}
+	var buf [20]byte
+	i := len(buf)
+	for ; m > 0; m /= 10 {
+		i--
+		buf[i] = byte('0' + m%10)
+	}
+	d := buf[i:] // nd digits
+	if exp := dp - 1; exp < -4 || exp >= 6 {
+		dst = append(dst, d[0])
+		if nd > 1 {
+			dst = append(append(dst, '.'), d[1:]...)
+		}
+		sign := byte('+')
+		if exp < 0 {
+			sign, exp = '-', -exp
+		}
+		return append(dst, 'e', sign, byte('0'+exp/10), byte('0'+exp%10))
+	}
+	switch {
+	case dp <= 0: // 0.000ddd
+		dst = append(dst, '0', '.')
+		for ; dp < 0; dp++ {
+			dst = append(dst, '0')
+		}
+		return append(dst, d...)
+	case dp >= nd: // ddd000
+		dst = append(dst, d...)
+		for ; dp > nd; dp-- {
+			dst = append(dst, '0')
+		}
+		return dst
+	}
+	return append(append(append(dst, d[:dp]...), '.'), d[dp:]...)
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -56,11 +103,11 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// shortDecimal returns the digit count nd and the decimal-point
-// position dp (the value is 0.d₁…d_nd × 10^dp, as strconv counts them)
-// of the shortest decimal that reads back as the positive f, when it
-// has at most about 15 significant digits and 22 fraction digits; ok is
-// false otherwise.
+// shortDecimal returns the digits m, their count nd and the decimal-
+// point position dp (the value is 0.d₁…d_nd × 10^dp, as strconv counts
+// them) of the shortest decimal that reads back as the positive f, when
+// it has at most about 15 significant digits and 22 fraction digits; ok
+// is false otherwise, and for zero.
 //
 // For k = 0, 1, … it proves f = m·10⁻ᵏ: m = round(f·10ᵏ) is integral,
 // below 2⁵⁰, and float64(m)/10ᵏ == f. Both operands of that division
@@ -72,7 +119,7 @@ var pow10 = [...]float64{
 // read back as f share one dp unless a power of ten is among them, and
 // then the least k finds it; so the least k gives the fewest digits.
 // m's trailing zeros (possible only at k = 0) are not digits.
-func shortDecimal(f float64) (nd, dp int, ok bool) {
+func shortDecimal(f float64) (m uint64, nd, dp int, ok bool) {
 	// f < 2ᵉ, so f·10ᵏ < 2⁵⁰ for every k up to (50-e)·log₁₀2, which
 	// 78913/2¹⁸ rounds down. A decimal that reads back as f at some k
 	// also does at every larger one (append zeros), so one check at the
@@ -80,10 +127,10 @@ func shortDecimal(f float64) (nd, dp int, ok bool) {
 	_, e := math.Frexp(f)
 	kmax := min((50-e)*78913>>18, len(pow10)-1)
 	if kmax < 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	if _, ok := decimalAt(f, kmax); !ok {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	for k := 0; ; k++ {
 		if m, ok := decimalAt(f, k); ok {
@@ -92,7 +139,7 @@ func shortDecimal(f float64) (nd, dp int, ok bool) {
 			for ; m%10 == 0; m /= 10 {
 				nd--
 			}
-			return nd, digits - k, true
+			return m, nd, digits - k, true
 		}
 	}
 }

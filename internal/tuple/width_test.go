@@ -7,13 +7,16 @@ import (
 	"testing"
 )
 
-// checkFloatTextLen holds FloatTextLen to the formatter it stands in
-// for.
+// checkFloatTextLen holds FloatTextLen and appendFloat to the
+// formatter they stand in for.
 func checkFloatTextLen(t *testing.T, f float64) {
 	t.Helper()
-	want := len(strconv.AppendFloat(nil, f, 'g', -1, 64))
-	if got := FloatTextLen(f); got != want {
-		t.Fatalf("FloatTextLen(%v) (bits %#x) = %d, want %d (%q)", f, math.Float64bits(f), got, want, strconv.FormatFloat(f, 'g', -1, 64))
+	want := strconv.AppendFloat(nil, f, 'g', -1, 64)
+	if got := FloatTextLen(f); got != len(want) {
+		t.Fatalf("FloatTextLen(%v) (bits %#x) = %d, want %d (%q)", f, math.Float64bits(f), got, len(want), want)
+	}
+	if got := appendFloat([]byte("x"), f); string(got) != "x"+string(want) {
+		t.Fatalf("appendFloat(%v) (bits %#x) = %q, want %q", f, math.Float64bits(f), got[1:], want)
 	}
 }
 
@@ -53,8 +56,8 @@ func TestFloatTextLen(t *testing.T) {
 	}
 }
 
-// FuzzFloatTextLen: FloatTextLen is strconv's shortest 'g' width for
-// any float64 bits.
+// FuzzFloatTextLen: FloatTextLen is strconv's shortest 'g' width, and
+// appendFloat its bytes, for any float64 bits.
 func FuzzFloatTextLen(f *testing.F) {
 	for _, x := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 1e-4, 9.9999e-5, 1e5, 1e6, 1e15, 1e21, 0.1 + 0.2, -123.456} {
 		f.Add(math.Float64bits(x))
@@ -70,9 +73,9 @@ func TestIntTextLen(t *testing.T) {
 	}
 }
 
-// BenchmarkFloatTextLen compares FloatTextLen with formatting, over
-// short decimals (the fast path) and running float sums (mostly 17
-// digits, the fallback).
+// BenchmarkFloatTextLen compares FloatTextLen and appendFloat with
+// strconv's formatting, over short decimals (the fast path) and running
+// float sums (mostly 17 digits, the fallback).
 func BenchmarkFloatTextLen(b *testing.B) {
 	short := make([]float64, 1024)
 	sums := make([]float64, 1024)
@@ -91,6 +94,13 @@ func BenchmarkFloatTextLen(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
 				n += FloatTextLen(set.vals[i%len(set.vals)])
+			}
+		})
+		b.Run(set.name+"/appendFloat", func(b *testing.B) {
+			var buf [32]byte
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += len(appendFloat(buf[:0], set.vals[i%len(set.vals)]))
 			}
 		})
 		b.Run(set.name+"/append-float", func(b *testing.B) {
