@@ -21,7 +21,7 @@ import (
 // shared by every serving process on the same DFS.
 //
 //   - Every repository mutation (Insert, replacement, Remove, Evict,
-//     Vacuum) appends one record to "<root>/log/" via the journal hook,
+//     Vacuum) appends one record to "<root>/log/" via Repository.jn,
 //     under the repository lock, before the mutation is acknowledged.
 //     Records carry the entry's metadata, its canonical fingerprint,
 //     its signature footprint and scan position, and the plan as an
@@ -203,10 +203,10 @@ func entryOf(rec *entryRecord) (*Entry, *footprint) {
 	return e, f
 }
 
-// DurableLog is the write-ahead event log of one repository. It
-// implements the repository's journal interface (appends under the
-// repository lock) and owns recovery, refresh (tailing other writers'
-// records) and compaction. All methods are safe for concurrent use.
+// DurableLog is the write-ahead event log of one repository. It is the
+// repository's journal (Repository.jn: appends under the repository
+// lock) and owns recovery, refresh (tailing other writers' records) and
+// compaction. All methods are safe for concurrent use.
 type DurableLog struct {
 	fs     dfs.Backend
 	root   string
@@ -321,8 +321,8 @@ func (dl *DurableLog) recPath(seq uint64) string {
 
 func (dl *DurableLog) manifestPath() string { return dl.root + "/MANIFEST" }
 
-// appendPut implements journal: one put record per Insert/replacement,
-// called under the repository write lock.
+// appendPut journals one put record per Insert/replacement, called
+// under the repository write lock.
 func (dl *DurableLog) appendPut(e *Entry, f *footprint, pos int) {
 	rec, err := recordOf(e, f, pos)
 	if err != nil {
@@ -334,8 +334,8 @@ func (dl *DurableLog) appendPut(e *Entry, f *footprint, pos int) {
 	}
 }
 
-// appendRemove implements journal: one remove record per
-// Remove/Evict/Vacuum victim, called under the repository write lock.
+// appendRemove journals one remove record per Remove/Evict/Vacuum
+// victim, called under the repository write lock.
 func (dl *DurableLog) appendRemove(e *Entry) {
 	dl.append(&logRecord{Writer: dl.writer, Op: opRemove, RemoveID: e.ID, RemoveSeq: e.logSeq})
 }

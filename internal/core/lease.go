@@ -162,11 +162,9 @@ func (lm *LeaseManager) leasePath(fp string) string {
 func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 	path := lm.leasePath(fp)
 	for {
-		// Version before content: a write sneaking in between makes the
-		// CAS fail instead of clobbering the sneaking writer's lease.
-		ver := lm.fs.Version(path)
+		ver, old, err := lm.read(path)
 		fence := uint64(1)
-		if old, err := lm.read(path); err == nil {
+		if err == nil {
 			if lm.live(old) {
 				return nil, false // held and live
 			}
@@ -194,15 +192,23 @@ func (lm *LeaseManager) TryAcquire(fp string) (*Lease, bool) {
 	}
 }
 
-// read decodes the record at path; the error is a missing or
-// undecodable record.
-func (lm *LeaseManager) read(path string) (leaseRecord, error) {
-	var rec leaseRecord
+// read returns path's version, then the record at path; the error is
+// a missing or unreadable file. An undecodable record reads as the zero
+// record, whose deadline has passed and whose fence is 0. Version before
+// content: a write sneaking in between makes a CAS or conditional
+// delete at the version fail instead of acting on a record it did not
+// read.
+func (lm *LeaseManager) read(path string) (int64, leaseRecord, error) {
+	ver := lm.fs.Version(path)
 	data, err := lm.fs.ReadFile(path)
-	if err == nil {
-		err = gob.NewDecoder(bytes.NewReader(data)).Decode(&rec)
+	if err != nil {
+		return ver, leaseRecord{}, err
 	}
-	return rec, err
+	var rec leaseRecord
+	if gob.NewDecoder(bytes.NewReader(data)).Decode(&rec) != nil {
+		rec = leaseRecord{}
+	}
+	return ver, rec, nil
 }
 
 // live reports whether a record's deadline is still ahead.
@@ -326,7 +332,7 @@ func (lm *LeaseManager) PeerPins() map[string]bool {
 		if !lm.peerPin(ds) {
 			continue
 		}
-		if rec, err := lm.read(ds); err == nil && lm.live(rec) {
+		if _, rec, err := lm.read(ds); err == nil && lm.live(rec) {
 			pinned[rec.Fingerprint] = true
 		}
 	}
@@ -416,13 +422,11 @@ func (lm *LeaseManager) WaitFree(ctx context.Context, fp string) error {
 	t := time.NewTicker(leasePoll)
 	defer t.Stop()
 	for {
-		ver := lm.fs.Version(path)
-		data, err := lm.fs.ReadFile(path)
+		ver, rec, err := lm.read(path)
 		if err != nil {
 			return nil // released
 		}
-		var rec leaseRecord
-		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr != nil || !lm.live(rec) {
+		if !lm.live(rec) {
 			if lm.fs.RemoveFileIf(path, ver) {
 				lm.reaped.Add(1)
 			}
@@ -447,13 +451,11 @@ func (lm *LeaseManager) ReapExpired() (int, map[string]bool) {
 		if ds == lm.root {
 			continue
 		}
-		ver := lm.fs.Version(ds)
-		data, err := lm.fs.ReadFile(ds)
+		ver, rec, err := lm.read(ds)
 		if err != nil {
 			continue
 		}
-		var rec leaseRecord
-		if decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); decErr == nil && lm.live(rec) {
+		if lm.live(rec) {
 			if lm.peerPin(ds) {
 				peers[rec.Fingerprint] = true
 			}

@@ -232,10 +232,12 @@ type Repository struct {
 	// jn, when non-nil, receives every entry mutation under the write
 	// lock: the durable event log appends a put per Insert (including
 	// replacement) and a remove per entry that Remove, EvictUnpinned
-	// and Vacuum drop. Replayed records from other processes are
+	// and Vacuum drop, with the entry's scan position after a put, so
+	// recovery rebuilds the Rules 1/2 order without re-running the
+	// ordering comparisons. Replayed records from other processes are
 	// applied through applyPut, applyRemove and applyFold, which
 	// bypass it.
-	jn journal
+	jn *DurableLog
 
 	// Matcher counters (MatcherStats), all monotonic. The traversal
 	// counters are fed by Rewriters and span submissions.
@@ -255,15 +257,6 @@ func NewRepository() *Repository {
 		refs:    map[string]int{},
 		recheck: map[string]bool{},
 	}
-}
-
-// journal receives repository mutations under the write lock; the
-// durable event log implements it. pos is the entry's scan position
-// after the mutation, persisted so recovery can rebuild the Rules 1/2
-// order without re-running the ordering comparisons.
-type journal interface {
-	appendPut(e *Entry, f *footprint, pos int)
-	appendRemove(e *Entry)
 }
 
 // Len returns the number of entries.

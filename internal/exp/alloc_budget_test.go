@@ -35,10 +35,13 @@ type allocCount struct {
 }
 
 // The budget's tolerances: a scenario fails when it allocates more
-// than this share above its recorded objects or bytes.
+// than the slack above its recorded objects or bytes, or more than the
+// gain below its recorded objects, so a gain cannot stay behind as
+// slack for a later change to spend.
 const (
 	allocObjectSlack = 0.01
 	allocByteSlack   = 0.02
+	allocObjectGain  = 0.02
 )
 
 // allocScenario mirrors one benchmark workload at TinyScale. setup
@@ -152,11 +155,11 @@ func measureAllocs(sc allocScenario) (allocCount, error) {
 // TestAllocationBudget holds four scenarios that mirror the benchmark's
 // workloads to the objects and bytes they allocate on one core,
 // recorded in testdata/alloc_budget.json: a scenario fails when it
-// allocates more than 1 % more objects or 2 % more bytes. On one core
-// the counts repeat to a few objects in a hundred thousand, so the gate
-// sees a change far smaller than wall-clock timing can. A change that
-// lowers them commits the new budget (-update); one that raises them
-// says why.
+// allocates more than 1 % more objects or 2 % more bytes, or more than
+// 2 % fewer objects. On one core the counts repeat to a few objects in
+// a hundred thousand, so the gate sees a change far smaller than
+// wall-clock timing can. A change that lowers them commits the new
+// budget (-update); one that raises them says why.
 //
 //	go test ./internal/exp -run TestAllocationBudget -update
 func TestAllocationBudget(t *testing.T) {
@@ -204,6 +207,9 @@ func TestAllocationBudget(t *testing.T) {
 		t.Logf("%s: %d objects (budget %d), %d bytes (budget %d)", sc.name, g.Objects, w.Objects, g.Bytes, w.Bytes)
 		if float64(g.Objects) > float64(w.Objects)*(1+allocObjectSlack) {
 			t.Errorf("%s: %d objects allocated, budget %d (+%.1f %%)", sc.name, g.Objects, w.Objects, 100*(float64(g.Objects)/float64(w.Objects)-1))
+		}
+		if float64(g.Objects) < float64(w.Objects)*(1-allocObjectGain) {
+			t.Errorf("%s: %d objects allocated, budget %d (%.1f %%): commit the gain with -update", sc.name, g.Objects, w.Objects, 100*(float64(g.Objects)/float64(w.Objects)-1))
 		}
 		if float64(g.Bytes) > float64(w.Bytes)*(1+allocByteSlack) {
 			t.Errorf("%s: %d bytes allocated, budget %d (+%.1f %%)", sc.name, g.Bytes, w.Bytes, 100*(float64(g.Bytes)/float64(w.Bytes)-1))

@@ -130,11 +130,12 @@ type JobStats struct {
 // rec is one shuffled record. hash is tuple.Hash(key): the map task
 // computes it once to pick the record's partition and carries it, so
 // the reducer groups by it (groupByKey) without hashing the key again.
-// A combined GROUP's record points at its key's partial states instead
-// of carrying a tuple (a pointer: a record that carries a tuple pays one
-// word for it, not a slice header). bytes is the record's shuffle
-// volume. branch and bytes are int32s side by side, so a record is 64
-// bytes; sums of bytes widen to int64.
+// t is a copy of the staged row, the record's own. A combined GROUP's
+// record points at its key's partial states instead of carrying a
+// tuple (a pointer: a record that carries a tuple pays one word for
+// it, not a slice header). bytes is the record's shuffle volume. branch
+// and bytes are int32s side by side, so a record is 64 bytes; sums of
+// bytes widen to int64.
 type rec struct {
 	key    tuple.Value
 	hash   uint64
@@ -196,15 +197,8 @@ func (e *Engine) Run(ctx context.Context, job *physical.Job, progress Progress) 
 	return e.run(ctx, job, seg, progress)
 }
 
-// run executes job as seg splits it, its ops' output buffers placed for
-// the combiner and DISTINCT settings seg holds.
+// run executes job as seg splits it.
 func (e *Engine) run(ctx context.Context, job *physical.Job, seg *segmentation, progress Progress) (*JobStats, error) {
-	seg.placeBuffers()
-	return e.execute(ctx, job, seg, progress)
-}
-
-// execute executes job as seg splits it, with seg's buffers as placed.
-func (e *Engine) execute(ctx context.Context, job *physical.Job, seg *segmentation, progress Progress) (*JobStats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
@@ -328,9 +322,10 @@ type side struct {
 	// task's limits counters.
 	slot   []int32
 	limits int
-	// buf[id] is the index among a task's nbuf output buffers of an op
-	// that rewrites one buffer for the tuples it builds, or -1 for one
-	// that allocates a tuple per row (placeBuffers). nil: none reuses.
+	// buf[id] is the index among a task's nbuf output buffers of a
+	// ForEach, JoinFlatten or Package, which rewrites its buffer for
+	// every tuple it builds. nil: every op allocates a tuple per row
+	// (refRun's oracle).
 	buf  []int32
 	nbuf int
 }
@@ -386,6 +381,7 @@ func segments(p *physical.Plan) (*segmentation, error) {
 	for _, sd := range []*side{&s.mapSide, &s.redSide} {
 		sd.succ = make([][]*physical.Op, n)
 		sd.slot = make([]int32, n)
+		sd.buf = make([]int32, n)
 	}
 	for _, op := range all {
 		sd := &s.mapSide
@@ -408,6 +404,9 @@ func segments(p *physical.Plan) (*segmentation, error) {
 		case physical.KLimit:
 			sd.slot[op.ID] = int32(sd.limits)
 			sd.limits++
+		case physical.KForEach, physical.KJoinFlatten, physical.KPackage:
+			sd.buf[op.ID] = int32(sd.nbuf)
+			sd.nbuf++
 		}
 	}
 	s.mapSide.copies = passThrough(p, n)
@@ -446,56 +445,10 @@ func passThrough(p *physical.Plan, n int) []bool {
 	return copies
 }
 
-// placeBuffers decides, per side, which ops rewrite one buffer per task
-// for the tuples they build instead of allocating one per row: a
-// ForEach's row (the combiner's row in its place), a JoinFlatten's
-// joined row, the Package's group. Stores render or copy a row as it
-// arrives, so the only op that keeps a tuple past its push is a
-// LocalRearrange that stages it for the shuffle (rec.t: no combiner and
-// no DISTINCT); an op reuses its buffer unless a path through Filter,
-// Split, Union and Limit leads from it to such a LocalRearrange. It
-// runs per job, after every change to seg.combine and seg.distinct.
-func (s *segmentation) placeBuffers() {
-	staging := s.shuffle != nil && s.combine == nil && !s.distinct
-	for _, sd := range []*side{&s.mapSide, &s.redSide} {
-		// kept[id]: a tuple op id receives may be staged; 0 unknown.
-		kept := make([]int8, len(sd.succ))
-		var keeps func(op *physical.Op) bool
-		keeps = func(op *physical.Op) bool {
-			if kept[op.ID] == 0 {
-				k := false
-				switch op.Kind {
-				case physical.KLocalRearrange:
-					k = staging
-				case physical.KFilter, physical.KSplit, physical.KUnion, physical.KLimit:
-					k = slices.ContainsFunc(sd.succ[op.ID], keeps)
-				}
-				kept[op.ID] = 1
-				if k {
-					kept[op.ID] = 2
-				}
-			}
-			return kept[op.ID] == 2
-		}
-		sd.buf, sd.nbuf = make([]int32, len(sd.succ)), 0
-		for _, op := range sd.ops {
-			sd.buf[op.ID] = -1
-			switch op.Kind {
-			case physical.KForEach, physical.KJoinFlatten, physical.KPackage:
-				if !slices.ContainsFunc(sd.succ[op.ID], keeps) {
-					sd.buf[op.ID] = int32(sd.nbuf)
-					sd.nbuf++
-				}
-			}
-		}
-	}
-}
-
 // feed is how a map task hands one Load's rows to its segment. The zero
-// value, every column in a fresh tuple per row, is always correct.
+// value, every column in a fresh tuple per row, is refRun's oracle.
 type feed struct {
-	// reuse: rows may share one buffer, because no op on a map path from
-	// the Load retains its input tuple.
+	// reuse: rows share one cursor buffer, which no op retains.
 	reuse bool
 	// cols are the columns the segment reads, ascending, when reuse is
 	// set; nil reads every column.
@@ -504,14 +457,13 @@ type feed struct {
 
 // mapFeed walks the map segment from the Load loadID and returns its
 // feed. A ForEach builds its own tuple from the columns its expressions
-// read, ending both the buffer's reach and the walk, and so does a
-// JoinFlatten from its bag columns. A Store that renders its input
-// reads every column as the row arrives and keeps none; a copying
-// Store (side.copies) keeps the row's index and reads no column. A
-// Filter reads its condition's columns and passes the tuple on, as
-// Union, Split and Limit do without reading any. A LocalRearrange,
-// which hands the tuple to the shuffle, keeps it, so the feed is the
-// zero one. An expression whose columns cannot be listed reads every
+// read, ending the walk, and so does a JoinFlatten from its bag columns.
+// A Store that renders its input reads every column as the row arrives;
+// a copying Store (side.copies) keeps the row's index and reads no
+// column. A Filter reads its condition's columns and passes the tuple
+// on, as Union, Split and Limit do without reading any. A
+// LocalRearrange reads every column: it stages a copy of the row for
+// the shuffle. An expression whose columns cannot be listed reads every
 // column.
 func (s *segmentation) mapFeed(loadID int) feed {
 	cols := []int{}
@@ -522,8 +474,8 @@ func (s *segmentation) mapFeed(loadID int) feed {
 		cols = append(cols, c...)
 	}
 	seen := map[int]bool{}
-	var walk func(id int) bool
-	walk = func(id int) bool {
+	var walk func(id int)
+	walk = func(id int) {
 		for _, op := range s.mapSide.succ[id] {
 			if seen[op.ID] {
 				continue
@@ -534,31 +486,24 @@ func (s *segmentation) mapFeed(loadID int) feed {
 				for _, e := range op.Exprs {
 					read(e)
 				}
-				continue
 			case physical.KJoinFlatten:
 				for i := 1; i <= op.NumInputs; i++ {
 					cols = append(cols, i)
 				}
-				continue
 			case physical.KStore:
 				all = all || !s.mapSide.copies[op.ID]
-				continue
 			case physical.KFilter:
 				read(op.Cond)
+				walk(op.ID)
 			case physical.KUnion, physical.KSplit, physical.KLimit:
+				walk(op.ID)
 			default:
-				return false
-			}
-			if !walk(op.ID) {
-				return false
+				all = true
 			}
 		}
-		return true
 	}
-	switch {
-	case !walk(loadID):
-		return feed{}
-	case all:
+	walk(loadID)
+	if all {
 		return feed{reuse: true}
 	}
 	slices.Sort(cols)
@@ -834,12 +779,14 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 			// Shuffle volume accounting approximates Pig's compact
 			// serialization with the text width of value plus key.
 			n := int32(tuple.EncodeTextLen(t) + tuple.TextLen(key) + 2)
-			s.staged = append(s.staged, rec{key: key, hash: tuple.Hash(key), branch: int32(branch), t: t, bytes: n})
+			// The one map-side copy: t may be a buffer its op rewrites
+			// for the next row, and the record outlives the push.
+			s.staged = append(s.staged, rec{key: key, hash: tuple.Hash(key), branch: int32(branch), t: slices.Clone(t), bytes: n})
 		}
 	}
 
 	// Feed rows through a reusable cursor that fills only the columns
-	// the segment reads, when the Load's feed allows it.
+	// the segment reads; the zero feed (refRun's) allocates a row each.
 	row := sp.batch.Row
 	if f := seg.feeds[sp.loadID]; sp.batch != nil && f.reuse {
 		if f.cols != nil {
@@ -975,8 +922,8 @@ func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskId
 }
 
 // emitGroup packages one key group and pushes it through the reduce
-// segment. When the Package reuses its output (side.buf), the group's
-// tuple, bags and record array are the task's, rewritten per group.
+// segment. The group's tuple, bags and record array are the task's,
+// rewritten per group, unless the side has no buffers (refRun's oracle).
 func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 	pkg := seg.pkg
 	switch pkg.Mode {
@@ -987,7 +934,8 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 		// last and are left out.
 		var all []tuple.Tuple
 		var bags []tuple.Bag
-		if px.reuses(pkg.ID) {
+		reuse := px.buf != nil
+		if reuse {
 			clear(px.all) // the last group's records
 			px.all = slices.Grow(px.all[:0], len(group))
 			px.bags = sized(px.bags, pkg.NumInputs)
@@ -1009,7 +957,7 @@ func (e *Engine) emitGroup(px *exec, seg *segmentation, group []rec) error {
 			}
 			out[1+b] = &bags[b]
 		}
-		if px.reuses(pkg.ID) {
+		if reuse {
 			px.all = all
 		}
 		return px.push(pkg.ID, out)

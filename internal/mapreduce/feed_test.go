@@ -86,10 +86,9 @@ func (unlisted) Eval(t tuple.Tuple) (tuple.Value, error) { return int64(len(t)),
 func (unlisted) String() string                          { return "unlisted" }
 
 // TestMapFeed states the per-Load feed decision over plan shapes: which
-// rows may share one buffer, and which columns the map segment reads.
-// A LocalRearrange reached before any ForEach keeps the tuple, so the
-// feed must stay the fresh every-column one. A Store that renders its
-// rows reads every column as each arrives and keeps none; a Store that
+// columns the map segment reads. A LocalRearrange reached before any
+// ForEach stages a copy of the row, so it reads every column, and so
+// does a Store that renders its rows as each arrives; a Store that
 // copies its rows' lines keeps only their indices and reads no column.
 // A JoinFlatten reads only its bag columns.
 func TestMapFeed(t *testing.T) {
@@ -136,7 +135,7 @@ func TestMapFeed(t *testing.T) {
 			l := b.load("in")
 			b.shuffle(l, col(0))
 			return []*physical.Op{l}
-		}, []feed{{}}},
+		}, []feed{{reuse: true}}},
 		{"load-foreach-localrearrange", func(b planBuilder) []*physical.Op {
 			l := b.load("in")
 			b.shuffle(b.foreach(l, col(0), col(6)), col(0))
@@ -207,9 +206,9 @@ func TestMapFeed(t *testing.T) {
 }
 
 // refRun runs job with every Load fed fresh, full Batch.Row tuples and
-// every op building a fresh tuple per row: the feed before column
-// pruning and the ops before buffer reuse, kept as the oracle the
-// pruned feed and the reusing ops are held to.
+// every op building a fresh tuple per row (no side has buffers): the
+// feed before column pruning and the ops before buffer reuse, kept as
+// the oracle the pruned feed and the reusing ops are held to.
 func refRun(e *Engine, job *physical.Job) (*JobStats, error) {
 	seg, err := segments(job.Plan)
 	if err != nil {
@@ -218,7 +217,8 @@ func refRun(e *Engine, job *physical.Job) (*JobStats, error) {
 	for id := range seg.feeds {
 		seg.feeds[id] = feed{}
 	}
-	return e.execute(context.Background(), job, seg, nil)
+	seg.mapSide.buf, seg.redSide.buf = nil, nil
+	return e.run(context.Background(), job, seg, nil)
 }
 
 // fsFiles returns every file on fs with its bytes.
@@ -421,9 +421,9 @@ func FuzzPrunedFeed(f *testing.F) {
 		}
 		for i, br := range branches {
 			// A Store straight after the Load copies its rows' lines and
-			// reads no column; a LocalRearrange keeps its input and
-			// makes the feed, and any ForEach or JoinFlatten whose rows
-			// reach it, fall back to fresh tuples.
+			// reads no column; a LocalRearrange reads every column and
+			// stages a copy of the row, which may be the feed's or a
+			// ForEach's or JoinFlatten's rewritten buffer.
 			out := fmt.Sprintf("out%d", i)
 			switch c.n(7) {
 			case 0:

@@ -12,9 +12,11 @@ import (
 // exec interprets one segment of a physical plan in push mode: tuples
 // enter at a root (Load in map tasks, Package in reduce tasks) and flow
 // through successors until they hit a Store, a LocalRearrange, or get
-// filtered out. A Store writes each row into its part file's text as it
-// arrives, so no op but a LocalRearrange that stages its input keeps a
-// tuple past the push that delivered it.
+// filtered out. A tuple is valid only during the push that delivers it:
+// the feed, ForEach, JoinFlatten and Package rewrite one buffer per
+// task. Whatever keeps a row copies it: a Store writes each row into
+// its part file's text as it arrives, and the staging LocalRearrange
+// (keyed) stages a copy.
 type exec struct {
 	// succ, stores, copies, slot and buf are this task's side of the
 	// segmentation (see side).
@@ -33,8 +35,8 @@ type exec struct {
 	// parts[i] is Store stores[i]'s part file, limits[i] the rows the
 	// Limit in slot i has let through, and bufs[i] the output tuple of the
 	// op in buffer i. all and bags are the records and bags of the
-	// Package's group when it reuses its output. exec lives in its task's
-	// scratch, and these arrays outlive the task for the next one.
+	// Package's group. exec lives in its task's scratch, and these arrays
+	// outlive the task for the next one.
 	parts  []part
 	limits []int64
 	bufs   []tuple.Tuple
@@ -90,14 +92,11 @@ func (x *exec) reset() {
 // copying reports whether Store id keeps row indices (side.copies).
 func (x *exec) copying(id int) bool { return x.copies != nil && x.copies[id] }
 
-// reuses reports whether op id rewrites one buffer for its output
-// (side.buf).
-func (x *exec) reuses(id int) bool { return x.buf != nil && x.buf[id] >= 0 }
-
 // out returns an n-field tuple for op id to build its output in: its
-// buffer, grown to n, when the op reuses one, else a fresh tuple.
+// buffer, grown to n, or a fresh tuple when the side has no buffers
+// (refRun's oracle).
 func (x *exec) out(id, n int) tuple.Tuple {
-	if !x.reuses(id) {
+	if x.buf == nil {
 		return make(tuple.Tuple, n)
 	}
 	b := &x.bufs[x.buf[id]]

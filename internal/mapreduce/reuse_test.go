@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -13,71 +12,61 @@ import (
 	"repro/internal/physical"
 )
 
-// reusePlans are plan shapes that place output buffers differently.
-// Each returns the ops that must rewrite one buffer and those that must
-// build a fresh tuple per row, because a LocalRearrange that stages its
-// input can receive their rows. A plan reads "in", or "pairs" for a
-// JoinFlatten over the Load.
+// reusePlans are plan shapes whose ForEach, JoinFlatten and Package
+// ops rewrite one buffer per task, some of them ahead of a
+// LocalRearrange that stages a copy of each row. A plan reads "in", or
+// "pairs" for a JoinFlatten over the Load.
 var reusePlans = []struct {
 	name  string
-	build func(b planBuilder) (reuse, fresh []*physical.Op)
+	build func(b planBuilder)
 }{
-	{"foreach-store", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		fe := b.foreach(b.load("in"), col(0), col(3))
-		b.store("out", fe)
-		return []*physical.Op{fe}, nil
+	{"foreach-store", func(b planBuilder) {
+		b.store("out", b.foreach(b.load("in"), col(0), col(3)))
 	}},
-	{"foreach-localrearrange", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		fe := b.foreach(b.load("in"), col(0), col(3))
-		b.shuffle(fe, col(0))
-		return nil, []*physical.Op{fe}
+	{"foreach-localrearrange", func(b planBuilder) {
+		b.shuffle(b.foreach(b.load("in"), col(0), col(3)), col(0))
 	}},
-	{"split-store-and-localrearrange", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		fe := b.foreach(b.load("in"), col(0), col(4))
-		sp := b.add(physical.Op{Kind: physical.KSplit}, fe)
+	{"load-localrearrange", func(b planBuilder) {
+		b.shuffle(b.load("in"), col(0))
+	}},
+	{"load-filter-localrearrange", func(b planBuilder) {
+		b.shuffle(b.filter(b.load("in"), expr.Compare{Op: expr.CmpNe, L: col(3), R: expr.Const{V: int64(2)}}), col(4))
+	}},
+	{"split-store-and-localrearrange", func(b planBuilder) {
+		sp := b.add(physical.Op{Kind: physical.KSplit}, b.foreach(b.load("in"), col(0), col(4)))
 		b.store("side", sp)
 		b.shuffle(sp, col(0))
-		return nil, []*physical.Op{fe}
 	}},
-	{"foreach-limit-localrearrange", func(b planBuilder) (reuse, fresh []*physical.Op) {
+	{"foreach-limit-localrearrange", func(b planBuilder) {
 		fe := b.foreach(b.load("in"), col(3), col(0))
 		b.shuffle(b.add(physical.Op{Kind: physical.KLimit, N: 7}, fe), col(0))
-		return nil, []*physical.Op{fe}
 	}},
-	{"joinflatten-filter-store", func(b planBuilder) (reuse, fresh []*physical.Op) {
+	{"joinflatten-filter-store", func(b planBuilder) {
 		jf := b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, b.load("pairs"))
 		b.store("out", b.filter(jf, expr.Compare{Op: expr.CmpNe, L: col(1), R: expr.Const{V: "b"}}))
-		return []*physical.Op{jf}, nil
 	}},
-	{"joinflatten-localrearrange", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		jf := b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, b.load("pairs"))
-		b.shuffle(jf, col(1))
-		return nil, []*physical.Op{jf}
+	{"joinflatten-localrearrange", func(b planBuilder) {
+		b.shuffle(b.add(physical.Op{Kind: physical.KJoinFlatten, NumInputs: 2}, b.load("pairs")), col(1))
 	}},
-	{"package-foreach-store", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		pkg, fe := b.shuffle(b.load("in"), col(3))
-		return []*physical.Op{pkg, fe}, nil
+	{"package-foreach-store", func(b planBuilder) {
+		b.shuffle(b.load("in"), col(3))
 	}},
-	{"package-joinflatten-store", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		fe := b.foreach(b.load("in"), col(3), col(0))
-		pkg, jf := b.join(fe, col(0))
-		return []*physical.Op{pkg, jf}, []*physical.Op{fe}
+	{"package-joinflatten-store", func(b planBuilder) {
+		b.join(b.foreach(b.load("in"), col(3), col(0)), col(0))
 	}},
-	{"combined-group", func(b planBuilder) (reuse, fresh []*physical.Op) {
-		// The combiner keeps no row: the ForEach ahead of it reuses.
+	{"combined-group", func(b planBuilder) {
 		fe := b.foreach(b.load("in"), col(0), col(3))
 		pkg := b.pkg(1, b.rearrange(fe, col(0), 0, false))
-		agg := b.foreach(pkg, col(0), expr.Agg{Kind: expr.AggSum, Bag: col(1), Field: 1})
-		b.store("out", agg)
-		return []*physical.Op{fe, pkg, agg}, nil
+		b.store("out", b.foreach(pkg, col(0), expr.Agg{Kind: expr.AggSum, Bag: col(1), Field: 1}))
 	}},
 }
 
 // reuseInput is the part files of "in" — rows of a key, two bags, an
 // int and a float — and of "pairs": each row's key and bags, the shape
-// of a stored join's group. One row has an empty bag.
+// of a stored join's group. One row has an empty bag, and each dataset
+// has an empty part file, whose split has no batch.
 func reuseInput() map[string]string {
-	files := map[string]string{}
+	files := map[string]string{"in/part-00003": "", "pairs/part-00003": ""}
 	for f := 0; f < 3; f++ {
 		var in, pairs strings.Builder
 		for r := 0; r < 30; r++ {
@@ -96,17 +85,19 @@ func reuseInput() map[string]string {
 	return files
 }
 
-// TestReusedBuffersMatchFreshTuples states which ops of each reusePlans
-// shape rewrite one buffer, and holds the bytes each run writes, cold
-// and from the cache, to refRun's, whose ops build a fresh tuple per
-// row. A plan with a combiner runs again with it turned off after
-// segments, as TestCombinerEdgeKeys turns it off: the placement follows.
+// TestReusedBuffersMatchFreshTuples states that every ForEach,
+// JoinFlatten and Package of each reusePlans shape rewrites a buffer of
+// its own, and holds the bytes each run writes, cold and from the
+// cache, to refRun's, whose ops build a fresh tuple per row. A plan
+// with a combiner runs again with it turned off after segments, as
+// TestCombinerEdgeKeys turns it off: its LocalRearrange then stages
+// copies of the ForEach's rewritten buffer.
 func TestReusedBuffersMatchFreshTuples(t *testing.T) {
 	for _, pl := range reusePlans {
 		t.Run(pl.name, func(t *testing.T) {
 			for _, off := range []bool{false, true} {
 				b := planBuilder{physical.NewPlan()}
-				reuse, fresh := pl.build(b)
+				pl.build(b)
 				if err := b.p.Validate(); err != nil {
 					t.Fatal(err)
 				}
@@ -118,13 +109,9 @@ func TestReusedBuffersMatchFreshTuples(t *testing.T) {
 					if seg.combine == nil {
 						return
 					}
-					// The combiner's LocalRearrange now stages the rows
-					// of the ForEach ahead of it.
 					seg.combine = nil
-					reuse, fresh = reuse[1:], append(fresh, reuse[0])
 				}
-				seg.placeBuffers()
-				checkPlacement(t, seg, reuse, fresh)
+				checkBuffers(t, seg)
 				job := &physical.Job{ID: "reuse", Plan: b.p, NumReducers: 3}
 				label := fmt.Sprintf("%s, combiner turned off %t", pl.name, off)
 				sameFiles(t, label, reuseRun(t, job, seg), reuseRun(t, job, nil))
@@ -133,18 +120,20 @@ func TestReusedBuffersMatchFreshTuples(t *testing.T) {
 	}
 }
 
-// checkPlacement holds seg's placed buffers to the ops that must reuse
-// one and those that must build fresh tuples.
-func checkPlacement(t *testing.T, seg *segmentation, reuse, fresh []*physical.Op) {
+// checkBuffers holds each side of seg to one buffer of its own for
+// every ForEach, JoinFlatten and Package.
+func checkBuffers(t *testing.T, seg *segmentation) {
 	t.Helper()
 	for _, sd := range []*side{&seg.mapSide, &seg.redSide} {
+		seen := map[int32]bool{}
 		for _, op := range sd.ops {
-			got := sd.buf[op.ID] >= 0
-			if slices.Contains(reuse, op) && !got {
-				t.Errorf("%s %d builds fresh tuples, want a reused buffer", op.Kind, op.ID)
-			}
-			if slices.Contains(fresh, op) && got {
-				t.Errorf("%s %d reuses a buffer, want fresh tuples", op.Kind, op.ID)
+			switch op.Kind {
+			case physical.KForEach, physical.KJoinFlatten, physical.KPackage:
+				if i := sd.buf[op.ID]; i < 0 || int(i) >= sd.nbuf || seen[i] {
+					t.Errorf("%s %d has buffer %d of %d, want one of its own", op.Kind, op.ID, i, sd.nbuf)
+				} else {
+					seen[i] = true
+				}
 			}
 		}
 	}

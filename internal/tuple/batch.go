@@ -139,12 +139,12 @@ func (b *Batch) Row(i int) Tuple {
 // so positional references and len(t) behave as with Batch.Row, but a
 // field the cursor does not read is nil. It is valid only until the
 // next Row call on the same cursor — callers must hand it exclusively
-// to consumers that do not retain it and read no other column. The
-// engine derives both facts from the plan once per job (see
-// mapreduce's map feed). Fields alias the batch exactly as with
-// Batch.Row, so Row allocates nothing; a field stays valid after the
-// next Row call, which only rewrites the buffer. A cursor is not safe
-// for concurrent use; each task takes its own.
+// to consumers that copy what they keep and read no other column (see
+// mapreduce's map feed, derived from the plan once per job). Fields
+// alias the batch exactly as with Batch.Row, so Row allocates nothing;
+// a field stays valid after the next Row call, which only rewrites the
+// buffer. A cursor is not safe for concurrent use; each task takes its
+// own.
 type RowCursor struct {
 	b    *Batch
 	cols []int // the columns Row fills, ascending
