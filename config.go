@@ -139,7 +139,7 @@ type Config struct {
 	DefaultReducers int
 	// WorkflowWorkers bounds how many MapReduce jobs of one workflow
 	// run concurrently (independent jobs of the DAG only; dependencies
-	// are always respected). Zero means NumCPU; 1 forces the serial
+	// are always respected). Zero means GOMAXPROCS(0); 1 forces the serial
 	// execution order of stock Pig. Simulated times are identical at
 	// any setting. WithWorkers overrides it per query.
 	WorkflowWorkers int

@@ -54,10 +54,11 @@
 //   - DAG scheduling. Within one workflow, jobs are scheduled in the
 //     dependency order the compiled workflow's TopoJobs computed, once
 //     per query: independent jobs run concurrently on a bounded worker
-//     pool (Config.WorkflowWorkers or WithWorkers, default NumCPU), and
-//     a job starts only after every job it depends on completed.
-//     Across workflows, the engine's task slots (its Parallelism,
-//     default NumCPU) bound the tasks running at once.
+//     pool (Config.WorkflowWorkers or WithWorkers, default
+//     GOMAXPROCS(0)), and a job starts only after every job it depends
+//     on completed. Across workflows, the engine's task slots (its
+//     Parallelism, GOMAXPROCS(0)) bound the tasks running at once; each
+//     slot owns the scratch memory of the one task it runs.
 //     The simulated time still comes from the paper's Equation 1
 //     (critical path over the DAG), so concurrency changes wall time
 //     only.

@@ -66,7 +66,7 @@ type ExecConfig struct {
 	// Opts is this execution's ReStore configuration.
 	Opts Options
 	// Workers bounds how many of this workflow's jobs run concurrently;
-	// zero or negative means runtime.NumCPU().
+	// zero or negative means runtime.GOMAXPROCS(0).
 	Workers int
 	// OnJobState, when non-nil, receives every job lifecycle transition
 	// (running, reused, done, failed, canceled). It is called
@@ -399,7 +399,7 @@ func (x *execution) stage() error {
 func (x *execution) run() error {
 	workers := x.cfg.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return runDAG(x.ctx, x.dag, workers, func(job *physical.Job) error {
 		return x.runs[job.ID].run()

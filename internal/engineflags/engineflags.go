@@ -35,7 +35,7 @@ func Register(fs *flag.FlagSet, scale string, reuse bool, heuristic string) *Fla
 	fs.BoolVar(&f.Reuse, "reuse", reuse, "enable plan matching and rewriting")
 	fs.StringVar(&f.Heuristic, "heuristic", heuristic, "sub-job heuristic: off, conservative, aggressive, no-heuristic")
 	fs.BoolVar(&f.WholeJobs, "whole-jobs", true, "store whole job outputs in the repository")
-	fs.IntVar(&f.Workers, "workers", 0, "concurrent jobs per workflow DAG (0 = NumCPU, 1 = serial)")
+	fs.IntVar(&f.Workers, "workers", 0, "concurrent jobs per workflow DAG (0 = GOMAXPROCS, 1 = serial)")
 	fs.Int64Var(&f.MaxRepoMB, "max-repo-mb", 0, "repository storage budget in MB (0 = unbounded)")
 	fs.Int64Var(&f.BatchCacheMB, "batch-cache-mb", 0, "decoded-dataset batch cache budget in MB (0 = default 256, negative = off)")
 	fs.StringVar(&f.Evict, "evict", "cost-benefit", "eviction policy under the budget: reuse-window (idle beyond -evict-window first, then LRU), lru (reuse-window with no window), cost-benefit")

@@ -1,7 +1,8 @@
 //go:build !race
 
-// The race detector makes sync.Pool drop items at random, so allocation
-// counts repeat only without it: this file is left out of -race builds.
+// The race detector's instrumentation allocates, and by amounts that
+// vary from run to run, so allocation counts repeat only without it:
+// this file is left out of -race builds.
 
 package exp
 
@@ -133,8 +134,8 @@ var allocScenarios = []allocScenario{
 }
 
 // measureAllocs runs one scenario and returns what its measured part
-// allocated. The collector is off while it runs, so no collection
-// empties a sync.Pool at a point that depends on timing.
+// allocated. The collector is off while it runs, so the counts do not
+// depend on when a collection would have started.
 func measureAllocs(sc allocScenario) (allocCount, error) {
 	sys, run, err := sc.setup()
 	if sys != nil {

@@ -494,7 +494,7 @@ func checkMapCombine(t *testing.T, c *chooser) {
 	}
 	numRed := 1 + c.n(6)
 	var tasks [][][]rec
-	s := new(taskScratch) // one scratch for every task, as a pooled one is reused
+	s := new(taskScratch) // one scratch for every task, as an engine slot's is reused
 	for lo := 0; lo < len(stream); {
 		hi := min(len(stream), lo+1+c.n(40))
 		var firsts []tuple.Value // the task's distinct keys, first arrivals
@@ -632,18 +632,17 @@ func BenchmarkMapCombine(b *testing.B) {
 			b.ReportAllocs()
 			acc := make([]expr.AggState, len(spec.aggs))
 			row := make(tuple.Tuple, len(spec.exprs)) // the reduce task's buffer
+			s := new(taskScratch)                     // one slot's scratch, reset after each task
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := getScratch()
 				for j, row := range rows {
 					s.combine(spec.aggs, keys[j], row)
 				}
 				parts := s.drainCombined(len(spec.aggs), shape.reducers)
-				s.release()
+				s.reset()
 				for _, part := range parts {
-					s := getScratch()
 					recs, starts := s.groupByKey([][]rec{part}, nil)
 					for g, lo := range starts {
 						hi := len(recs)
@@ -652,7 +651,7 @@ func BenchmarkMapCombine(b *testing.B) {
 						}
 						spec.row(recs[lo:hi], acc, row)
 					}
-					s.release()
+					s.reset()
 				}
 			}
 			b.StopTimer()

@@ -42,11 +42,12 @@ type Config struct {
 	RecordScale float64
 	// SplitSize is the simulated input split size (default 128 MiB).
 	SplitSize int64
-	// Parallelism bounds the tasks running at once (default NumCPU).
+	// Parallelism is the number of task slots (default GOMAXPROCS(0)).
 	// The bound is engine-wide: concurrent Run calls — the driver's DAG
-	// scheduler and multiple client queries — share one pool of task
-	// slots instead of each oversubscribing the CPU. Each phase of a job
-	// runs its tasks on at most Parallelism worker goroutines.
+	// scheduler and multiple client queries — share one set of task
+	// slots instead of each oversubscribing the CPU. Each slot owns one
+	// task's scratch. Each phase of a job runs its tasks on at most
+	// Parallelism worker goroutines.
 	Parallelism int
 	// MaxCachedBatchBytes bounds the decoded-dataset batch cache: what
 	// its batches add beyond the file text the DFS holds in memory
@@ -61,8 +62,8 @@ type Config struct {
 type Engine struct {
 	fs    dfs.Backend
 	cfg   Config
-	sem   chan struct{} // engine-wide task slots
-	cache *BatchCache   // nil when MaxCachedBatchBytes < 0
+	slots chan *taskScratch // engine-wide task slots, each with its scratch
+	cache *BatchCache       // nil when MaxCachedBatchBytes < 0
 }
 
 // New returns an engine over fs.
@@ -77,12 +78,15 @@ func New(fs dfs.Backend, cfg Config) *Engine {
 		cfg.SplitSize = 128 << 20
 	}
 	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.NumCPU()
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Topology.Workers <= 0 {
 		cfg.Topology = cluster.DefaultTopology()
 	}
-	e := &Engine{fs: fs, cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
+	e := &Engine{fs: fs, cfg: cfg, slots: make(chan *taskScratch, cfg.Parallelism)}
+	for range cfg.Parallelism {
+		e.slots <- new(taskScratch)
+	}
 	if cfg.MaxCachedBatchBytes >= 0 {
 		e.cache = NewBatchCache(fs, cfg.MaxCachedBatchBytes)
 	}
@@ -669,11 +673,11 @@ func (e *Engine) CacheStats() BatchCacheStats { return e.cache.Stats() }
 func (e *Engine) CachedPaths() []string { return e.cache.Paths() }
 
 // mapResult carries one map task's shuffle output and cost accounting.
-// The reducers read parts after the map task has returned its scratch
-// (taskScratch, in scratch.go) to the pool, so parts and the partial
+// The reducers read parts after the map task has handed its slot's
+// scratch (taskScratch, in scratch.go) back, so parts and the partial
 // states its records point at are the task's own, allocated once at
-// their exact size; they never alias the scratch, which the next task
-// overwrites.
+// their exact size; they never alias the scratch, which the slot's next
+// task overwrites.
 type mapResult struct {
 	parts   [][]rec // per reduce partition
 	work    cluster.TaskWork
@@ -689,14 +693,16 @@ func partitionOf(hash uint64, numRed int) int {
 	return int(hash % uint64(numRed))
 }
 
-// runTasks runs task(i) for every i in [0, n) on min(n, Parallelism)
+// runTasks runs task(i, s) for every i in [0, n) on min(n, Parallelism)
 // worker goroutines, which take the indices in order. Each task holds
 // one of the engine-wide slots while it runs, so Parallelism bounds the
-// running tasks of every in-flight job together. A task that finds ctx
-// done before it gets a slot does not run and fails with ctx.Err().
-// runTasks returns when every task has run or failed, with the lowest
-// failed index and its error (nil if none failed).
-func (e *Engine) runTasks(ctx context.Context, n int, task func(i int) error) (int, error) {
+// running tasks of every in-flight job together, and works in the
+// slot's scratch s, which no other task holds until this one has
+// returned and the scratch is reset. A task that finds ctx done before
+// it gets a slot does not run and fails with ctx.Err(). runTasks
+// returns when every task has run or failed, with the lowest failed
+// index and its error (nil if none failed).
+func (e *Engine) runTasks(ctx context.Context, n int, task func(i int, s *taskScratch) error) (int, error) {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -708,14 +714,16 @@ func (e *Engine) runTasks(ctx context.Context, n int, task func(i int) error) (i
 				if errs[i] = ctx.Err(); errs[i] != nil {
 					continue
 				}
+				var s *taskScratch
 				select {
-				case e.sem <- struct{}{}:
+				case s = <-e.slots:
 				case <-ctx.Done():
 					errs[i] = ctx.Err()
 					continue
 				}
-				errs[i] = task(i)
-				<-e.sem
+				errs[i] = task(i, s)
+				s.reset()
+				e.slots <- s
 			}
 		}()
 	}
@@ -730,9 +738,9 @@ func (e *Engine) runTasks(ctx context.Context, n int, task func(i int) error) (i
 
 func (e *Engine) runMapPhase(ctx context.Context, job *physical.Job, seg *segmentation, splits []split, numRed int, stats *JobStats, tracker *progressTracker) ([]mapResult, error) {
 	results := make([]mapResult, len(splits))
-	_, err := e.runTasks(ctx, len(splits), func(i int) error {
+	_, err := e.runTasks(ctx, len(splits), func(i int, s *taskScratch) error {
 		var err error
-		if results[i], err = e.runMapTask(seg, splits[i], i, numRed); err == nil {
+		if results[i], err = e.runMapTask(s, seg, splits[i], i, numRed); err == nil {
 			tracker.tick(e.cfg.Cost.TaskTime(results[i].work))
 		}
 		return err
@@ -758,10 +766,8 @@ func mergeOutputs(dst map[string]OutputStat, src map[string]OutputStat) {
 	}
 }
 
-func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
+func (e *Engine) runMapTask(s *taskScratch, seg *segmentation, sp split, taskIdx, numRed int) (mapResult, error) {
 	mr := mapResult{outs: map[string]OutputStat{}}
-	s := getScratch()
-	defer s.release()
 	px := newExec(seg, false, s)
 	px.suffix = fmt.Sprintf("part-m-%05d", taskIdx)
 	var aggs []expr.Agg
@@ -789,11 +795,7 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 	// the segment reads; the zero feed (refRun's) allocates a row each.
 	row := sp.batch.Row
 	if f := seg.feeds[sp.loadID]; sp.batch != nil && f.reuse {
-		if f.cols != nil {
-			row = sp.batch.ColumnCursor(f.cols).Row
-		} else {
-			row = sp.batch.Cursor().Row
-		}
+		row = sp.batch.ColumnCursor(f.cols).Row
 	}
 	px.batch = sp.batch
 	for i := sp.lo; i < sp.hi; i++ {
@@ -839,10 +841,10 @@ func (e *Engine) runMapTask(seg *segmentation, sp split, taskIdx, numRed int) (m
 func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *segmentation, mapResults []mapResult, numRed int, stats *JobStats, tracker *progressTracker) ([]time.Duration, error) {
 	times := make([]time.Duration, numRed)
 	outs := make([]map[string]OutputStat, numRed)
-	r, err := e.runTasks(ctx, numRed, func(r int) error {
+	r, err := e.runTasks(ctx, numRed, func(r int, s *taskScratch) error {
 		outs[r] = map[string]OutputStat{}
 		var err error
-		if times[r], err = e.runReduceTask(seg, mapResults, r, outs[r]); err == nil {
+		if times[r], err = e.runReduceTask(s, seg, mapResults, r, outs[r]); err == nil {
 			tracker.tick(times[r])
 		}
 		return err
@@ -862,9 +864,7 @@ func (e *Engine) runReducePhase(ctx context.Context, job *physical.Job, seg *seg
 // branch, each (key, branch) run in map-task order — which groupByKey
 // builds without sorting the records. It returns the task's simulated
 // time.
-func (e *Engine) runReduceTask(seg *segmentation, mapResults []mapResult, taskIdx int, outStats map[string]OutputStat) (time.Duration, error) {
-	s := getScratch()
-	defer s.release()
+func (e *Engine) runReduceTask(s *taskScratch, seg *segmentation, mapResults []mapResult, taskIdx int, outStats map[string]OutputStat) (time.Duration, error) {
 	for _, mr := range mapResults {
 		s.parts = append(s.parts, mr.parts[taskIdx])
 	}

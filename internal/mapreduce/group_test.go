@@ -197,14 +197,14 @@ func BenchmarkReduceGroup(b *testing.B) {
 		}},
 		{"cogroup", nil, 2, userKey},
 	}
+	s := new(taskScratch) // one slot's scratch, reset after each grouping
 	impls := []struct {
 		name string
 		fn   func([][]rec, []bool) ([]rec, []int)
 	}{
 		{"stable-sort", refReduceOrder},
 		{"group-by-hash", func(parts [][]rec, desc []bool) ([]rec, []int) {
-			s := getScratch()
-			defer s.release()
+			defer s.reset()
 			return s.groupByKey(parts, desc)
 		}},
 	}

@@ -2,16 +2,18 @@ package mapreduce
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/expr"
 )
 
-// taskScratch is the working memory of one map or reduce task: the
-// tables and buffers a task builds, uses and drops, kept in scratchPool
-// so the next task reuses their arrays instead of growing new ones. A
-// PigMix job runs up to 144 map tasks, and the tables they rebuilt were
-// most of the bytes the engine allocated.
+// taskScratch is the working memory of one engine task slot: the
+// tables and buffers a map or reduce task builds, uses and drops, kept
+// by its slot (Engine.slots) so the slot's next task reuses their arrays
+// instead of growing new ones. A PigMix job runs up to 144 map tasks,
+// and the tables they rebuilt were most of the bytes the engine
+// allocated. A slot runs one task at a time, so a task owns its scratch
+// from the slot's receive to its return, and the engine keeps every
+// scratch for its lifetime.
 //
 // What may live here is what dies with the task: the combiner's key
 // index and partial states, the staged shuffle output, the reducer's
@@ -20,8 +22,8 @@ import (
 // outlives the task is copied out into memory of its own, allocated
 // once at its exact size: the map task's per-partition records
 // (partition) and the partial states they point at (drainCombined).
-// Nothing a task returns may alias the scratch, because the next task
-// overwrites it.
+// Nothing a task returns may alias the scratch, because the slot's
+// next task overwrites it.
 type taskScratch struct {
 	keys   keyIndex        // the combiner's distinct keys
 	states []expr.AggState // their partial states; the reducer's merge states
@@ -39,18 +41,8 @@ type taskScratch struct {
 	x exec // the task's interpreter, with its part files and buffers
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(taskScratch) }}
-
-func getScratch() *taskScratch { return scratchPool.Get().(*taskScratch) }
-
-// release resets s and returns it to the pool.
-func (s *taskScratch) release() {
-	s.reset()
-	scratchPool.Put(s)
-}
-
 // reset empties every buffer and clears every pointer the task left,
-// so a pooled scratch keeps no tuple alive.
+// keeping the arrays, so an idle slot keeps no tuple alive.
 func (s *taskScratch) reset() {
 	s.keys.reset()
 	clear(s.states)
@@ -63,7 +55,7 @@ func (s *taskScratch) reset() {
 	s.runs = s.runs[:0]
 	clear(s.recs)
 	s.recs = s.recs[:0]
-	s.x.reset() // a pooled scratch keeps no task's batch alive
+	s.x.reset() // an idle slot keeps no task's batch alive
 }
 
 // sized returns buf with length n, reusing its array when it is big

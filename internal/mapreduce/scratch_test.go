@@ -104,7 +104,7 @@ func filesUnder(t *testing.T, fs *dfs.FS, prefix string) map[string]string {
 }
 
 // TestScratchConcurrentJobsMatchSerial runs several copies of every
-// scratchScripts job at once on one engine, so pooled task scratch
+// scratchScripts job at once on one engine, so each slot's task scratch
 // passes between the tasks of different jobs, and requires each copy to
 // write the bytes the same job writes alone, one task at a time, on a
 // fresh engine with the combiners off (whose output bytes equal the

@@ -147,22 +147,17 @@ func (b *Batch) Row(i int) Tuple {
 // own.
 type RowCursor struct {
 	b    *Batch
-	cols []int // the columns Row fills, ascending
+	cols []int // the columns Row fills, ascending; nil fills every one
 	buf  Tuple
 }
 
 // Cursor returns a reusable row cursor over every column of the batch.
-func (b *Batch) Cursor() *RowCursor {
-	cols := make([]int, len(b.cols))
-	for j := range cols {
-		cols[j] = j
-	}
-	return b.ColumnCursor(cols)
-}
+func (b *Batch) Cursor() *RowCursor { return b.ColumnCursor(nil) }
 
 // ColumnCursor returns a reusable row cursor that fills only cols, which
-// must be ascending; every other field of its rows is nil. Columns the
-// batch does not have are skipped, as a row too short for them is.
+// must be ascending; every other field of its rows is nil. A nil cols
+// fills every column. Columns the batch does not have are skipped, as a
+// row too short for them is.
 func (b *Batch) ColumnCursor(cols []int) *RowCursor {
 	return &RowCursor{b: b, cols: cols, buf: make(Tuple, len(b.cols))}
 }
@@ -176,6 +171,12 @@ func (c *RowCursor) Row(i int) Tuple {
 		c.buf = make(Tuple, w)
 	}
 	t := c.buf[:w]
+	if c.cols == nil {
+		for j := range t {
+			t[j] = b.cols[j].value(i)
+		}
+		return t
+	}
 	for _, j := range c.cols {
 		if j >= w {
 			break

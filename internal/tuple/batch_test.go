@@ -261,10 +261,15 @@ func TestColumnCursor(t *testing.T) {
 		{int64(5), "e", 0.5},
 	}
 	batch := textBatch(t, rows)
-	for _, cols := range [][]int{{}, {0}, {1, 3}, {0, 2, 5}, {4, 7}, {0, 1, 2, 3, 4, 5}} {
+	for _, cols := range [][]int{nil, {}, {0}, {1, 3}, {0, 2, 5}, {4, 7}, {0, 1, 2, 3, 4, 5}} {
 		read := map[int]bool{}
 		for _, j := range cols {
 			read[j] = true
+		}
+		if cols == nil { // every column
+			for j := range 6 {
+				read[j] = true
+			}
 		}
 		cur := batch.ColumnCursor(cols)
 		for i := 0; i < batch.Len(); i++ {

@@ -87,7 +87,7 @@ func WithHeuristic(h Heuristic) ExecOption {
 }
 
 // WithWorkers overrides how many of this query's jobs may run
-// concurrently (zero means NumCPU; 1 forces stock Pig's serial order).
+// concurrently (zero means GOMAXPROCS(0); 1 forces stock Pig's serial order).
 func WithWorkers(n int) ExecOption {
 	return func(c *execConfig) { c.workers = n }
 }
